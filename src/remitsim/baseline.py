@@ -24,15 +24,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class GravityParams:
-    beta_exp: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta_exp) and self.beta_exp > 0):
-            raise ValueError(f"beta_exp must be finite and positive, got {self.beta_exp}")
-
-
-@dataclass(frozen=True)
 class GravityFit:
     beta_exp: float
     sse: float
@@ -76,9 +67,10 @@ def gravity_flows(dataset: Dataset, beta_exp: float) -> dict[int, dict[tuple[str
     return out
 
 
-def _panel_sse(panel: Sequence[FlowObservation], dataset: Dataset, beta_exp: float) -> tuple[float, int]:
-    """SSE of monthly gravity estimates (annual / 12) against the panel."""
-    stocks = annual_stocks(dataset)
+def _panel_sse(panel: Sequence[FlowObservation], dataset: Dataset,
+               stocks: Mapping[tuple[str, str, int], float], beta_exp: float) -> tuple[float, int]:
+    """SSE of monthly gravity estimates (annual / 12) against the panel; ``stocks``
+    is :func:`annual_stocks` of ``dataset``, computed once per fit."""
     sse = 0.0
     excluded = 0
     for obs in panel:
@@ -105,10 +97,11 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
     """
     if not panel:
         raise ValueError("panel is empty")
+    stocks = annual_stocks(dataset)
     lo, hi = bracket
     for _ in range(2):  # allow one widening past the upper edge
         xs = np.linspace(lo, hi, grid)
-        losses = [_panel_sse(panel, dataset, x)[0] for x in xs]
+        losses = [_panel_sse(panel, dataset, stocks, x)[0] for x in xs]
         best = int(np.argmin(losses))
         sign_changes = 0
         diffs = np.sign(np.diff(losses))
@@ -118,7 +111,7 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
         unimodal = sign_changes <= 1
         if not unimodal:
             log.warning("gravity loss not unimodal on [%g, %g]; returning best grid point", lo, hi)
-            _, excl = _panel_sse(panel, dataset, xs[best])
+            _, excl = _panel_sse(panel, dataset, stocks, xs[best])
             return GravityFit(float(xs[best]), float(losses[best]), at_boundary=False,
                               unimodal=False, n_excluded=excl)
         if best == grid - 1:
@@ -128,7 +121,7 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
 
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, grid - 1)]
-    f = lambda x: _panel_sse(panel, dataset, x)[0]
+    f = lambda x: _panel_sse(panel, dataset, stocks, x)[0]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -142,7 +135,7 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
             d = a + GOLDEN * (b - a)
             fd = f(d)
     beta = (a + b) / 2.0
-    sse, excluded = _panel_sse(panel, dataset, beta)
+    sse, excluded = _panel_sse(panel, dataset, stocks, beta)
     at_boundary = best in (0, grid - 1)
     if at_boundary:
         log.warning("gravity exponent optimum at bracket edge (beta=%g)", beta)

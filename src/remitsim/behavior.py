@@ -1,25 +1,23 @@
-"""Per-cohort remittance probability.
+"""Behavioural parameters and the GDP covariates of the decision score.
 
 A cohort's decision score combines its earnings surplus, the diaspora's
 family proxy, the GDP gap between destination and origin, the origin's
 normalized income level, and any active disaster effects. The score maps to
 a monthly sending probability through a logistic; cohorts with no earnings
-surplus never remit.
+surplus never remit. :mod:`engine` evaluates the score and the logistic over
+arrays; this module holds the parameters and the GDP covariates.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataio import DisasterEvent
-
 log = logging.getLogger(__name__)
 
-NEVER_REMITS = float("-inf")
 DISASTER_WINDOW = 12  # months of effect, offset 0 = onset month
 
 
@@ -57,15 +55,6 @@ REFERENCE_PARAMS = BehaviorParams(
 PARAM_NAMES = ("alpha", "beta0", "beta1", "beta2", "beta3", "height", "shape", "shift", "rho")
 
 
-@dataclass(frozen=True)
-class CovariateVector:
-    surplus: float
-    family: float
-    delta_gdp: float
-    gdp_norm: float
-    disaster_score: float
-
-
 def delta_gdp(gdp_dest: float, gdp_origin: float, *, clamp: bool = False) -> float:
     """Relative GDP-per-capita gap between destination and origin.
 
@@ -95,98 +84,3 @@ def gdp_norm(values: Sequence[float] | np.ndarray) -> np.ndarray:
         log.warning("gdp_norm: all %d values identical (%s); normalizing to 0", arr.size, lo)
         return np.zeros_like(arr)
     return (arr - lo) / (hi - lo)
-
-
-def kernel_value(magnitude: float, offset: int, params: BehaviorParams) -> float:
-    """Score contribution of one event at an integer month offset from onset.
-
-    magnitude * (height + shape * sin(pi/6 * (offset + shift))) inside the
-    12-month window, 0 outside. Offset 0 is the onset month itself.
-    """
-    if offset < 0 or offset >= DISASTER_WINDOW:
-        return 0.0
-    return magnitude * (params.height + params.shape * math.sin(math.pi / 6.0 * (offset + params.shift)))
-
-
-def disaster_score(events: Iterable[DisasterEvent], month: int, population: float,
-                   params: BehaviorParams) -> float:
-    """Joint score effect of all events overlapping ``month`` for one country.
-
-    Event magnitude is the affected share of the population, clamped at 1;
-    overlapping events sum.
-    """
-    if population <= 0:
-        raise ValueError(f"population must be positive, got {population}")
-    total = 0.0
-    for event in events:
-        magnitude = event.affected / population
-        if magnitude > 1.0:
-            log.warning("event %s: affected %s exceeds population %s; magnitude clamped to 1",
-                        event.event_id, event.affected, population)
-            magnitude = 1.0
-        total += kernel_value(magnitude, month - event.onset_month, params)
-    return total
-
-
-def theta(cov: CovariateVector, params: BehaviorParams) -> float:
-    """Decision score; the never-remits sentinel when there is no surplus."""
-    if cov.surplus <= 0.0:
-        return NEVER_REMITS
-    return (params.alpha
-            + params.beta0 * cov.surplus
-            + params.beta1 * cov.family
-            + params.beta2 * cov.delta_gdp
-            + params.beta3 * cov.gdp_norm
-            + cov.disaster_score)
-
-
-def probability(score: float) -> float:
-    """Logistic transform 1 / (1 + exp(-score)); the sentinel maps to exactly 0."""
-    if score == NEVER_REMITS:
-        return 0.0
-    if score >= 0:
-        return 1.0 / (1.0 + math.exp(-score))
-    e = math.exp(score)
-    return e / (1.0 + e)
-
-
-def sigmoid(scores: np.ndarray) -> np.ndarray:
-    """Vectorized, overflow-safe logistic; -inf maps to exactly 0."""
-    out = np.empty_like(scores, dtype=float)
-    pos = scores >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
-    e = np.exp(scores[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def probability_profile(counts: Sequence[float], probabilities: Sequence[float]
-                        ) -> list[tuple[float, float]]:
-    """Sorted probability curve over the cumulative population fraction.
-
-    Cohort probabilities are ordered descending, each carrying its count;
-    the x-axis is the cumulative population share in [0, 1]. Returns
-    (cum_fraction, probability) pairs, one per cohort with positive count.
-    """
-    pairs = [(float(p), float(c)) for p, c in zip(probabilities, counts, strict=True) if c > 0]
-    total = sum(c for _, c in pairs)
-    if total == 0:
-        return []
-    pairs.sort(key=lambda pc: -pc[0])
-    points = []
-    cum = 0.0
-    for p, c in pairs:
-        cum += c
-        points.append((cum / total, p))
-    return points
-
-
-def activation_capacity(score: float, delta: float) -> float:
-    """Probability increase from a score shock of size delta (>= 0).
-
-    Largest for cohorts near the logistic midpoint: over all scores the
-    increase peaks at score = -delta/2.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    return probability(score + delta) - probability(score)

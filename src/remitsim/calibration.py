@@ -22,7 +22,8 @@ import numpy as np
 
 from .behavior import BehaviorParams, PARAM_NAMES
 from .dataio import Dataset, FlowObservation
-from .engine import SimulationContext
+from .engine import SimulationContext, as_context
+from .months import month_label
 
 log = logging.getLogger(__name__)
 
@@ -97,33 +98,40 @@ def split_panel(panel: Sequence[FlowObservation], fraction: float = 0.8,
 
 
 def align_panel(panel: Sequence[FlowObservation], ctx: SimulationContext) -> PanelSlice:
-    """Map observations onto context indices, excluding unmodeled corridors.
+    """Map observations onto context indices.
 
-    Exclusions are warned about and counted; observations outside the
-    context window are excluded likewise.
+    Observations of unmodeled corridors and observations outside the
+    context window are excluded; each kind is warned about with its count.
+    ``excluded`` samples the unmodeled corridors, ``n_excluded`` counts both.
     """
     index = {c: i for i, c in enumerate(ctx.corridors)}
     c_idx: list[int] = []
     m_idx: list[int] = []
     amounts: list[float] = []
-    excluded: list[tuple[str, str]] = []
+    unmodeled: list[tuple[str, str]] = []
+    out_of_window = 0
     for obs in panel:
         corridor = (obs.recipient, obs.sender)  # (origin, destination)
         ci = index.get(corridor)
-        if ci is None or not ctx.start <= obs.month <= ctx.end:
-            excluded.append(corridor)
-            continue
-        c_idx.append(ci)
-        m_idx.append(obs.month)
-        amounts.append(obs.amount_usd)
-    if excluded:
+        if ci is None:
+            unmodeled.append(corridor)
+        elif not ctx.start <= obs.month <= ctx.end:
+            out_of_window += 1
+        else:
+            c_idx.append(ci)
+            m_idx.append(obs.month)
+            amounts.append(obs.amount_usd)
+    if unmodeled:
         log.warning("excluded %d panel observation(s) without modeled population, e.g. %s",
-                    len(excluded), excluded[:3])
+                    len(unmodeled), unmodeled[:3])
+    if out_of_window:
+        log.warning("excluded %d panel observation(s) outside the window %s..%s",
+                    out_of_window, month_label(ctx.start), month_label(ctx.end))
     month_arr = np.array(m_idx, dtype=int)
     cols, month_pos = np.unique(month_arr, return_inverse=True)
     return PanelSlice(np.array(c_idx, dtype=int), month_arr,
-                      np.array(amounts, dtype=float), len(excluded),
-                      tuple(dict.fromkeys(excluded))[:10], cols, month_pos)
+                      np.array(amounts, dtype=float), len(unmodeled) + out_of_window,
+                      tuple(dict.fromkeys(unmodeled))[:10], cols, month_pos)
 
 
 def loss(params: BehaviorParams, panel: Sequence[FlowObservation],
@@ -273,7 +281,7 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
     of ``config.starts`` optimizer runs wins; a start whose loss turns
     non-finite is dropped, and calibration fails only if every start does.
     """
-    ctx = dataset if isinstance(dataset, SimulationContext) else SimulationContext(dataset)
+    ctx = as_context(dataset)
     train = [o for o in panel if o.split_tag == "train"]
     test = [o for o in panel if o.split_tag == "test"]
     if not train:
@@ -339,7 +347,7 @@ def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation]
     small). Diverged replicates are dropped and counted. Intervals are
     widened, if needed, to include the point estimate.
     """
-    ctx = dataset if isinstance(dataset, SimulationContext) else SimulationContext(dataset)
+    ctx = as_context(dataset)
     train = [o for o in panel if o.split_tag == "train"]
     aligned = align_panel(train, ctx)
     n = aligned.amounts.size

@@ -40,25 +40,20 @@ def _input_paths(config: RunConfig) -> list[Path]:
     return [Path(config.data_dir) / name for name in FILE_COLUMNS]
 
 
-def _load(config: RunConfig) -> Dataset:
-    return load_dataset(config.data_dir)
-
-
 def _context(dataset: Dataset, config: RunConfig) -> SimulationContext:
     return SimulationContext(dataset, start=config.start, end=config.end,
                              clamp_delta_gdp=config.delta_gdp_clamp)
 
 
-def _params_path(config: RunConfig, override: str | None) -> Path:
-    return Path(override) if override else Path(config.output_dir) / "calibration.json"
-
-
-def _load_params(config: RunConfig, override: str | None) -> tuple[BehaviorParams, Path]:
-    path = _params_path(config, override)
+def _prepare(config: RunConfig, args) -> tuple[Dataset, SimulationContext, BehaviorParams,
+                                               Path, Path]:
+    """(dataset, context, calibrated params, params path, output dir) of a command."""
+    dataset = load_dataset(config.data_dir)
+    path = Path(args.params) if args.params else Path(config.output_dir) / "calibration.json"
     if not path.exists():
         raise ArtifactMissingError(f"calibrated parameters not found: {path}; run 'calibrate' first")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return BehaviorParams(**payload["params"]), path
+    params = BehaviorParams(**json.loads(path.read_text(encoding="utf-8"))["params"])
+    return dataset, _context(dataset, config), params, path, Path(config.output_dir)
 
 
 def _aggregate_bands(totals: np.ndarray, months: list[int], prefix: str) -> list:
@@ -89,15 +84,12 @@ def cmd_fixtures_generate(config: RunConfig, args) -> int:
 
 
 def cmd_build_population(config: RunConfig, args) -> int:
-    dataset = _load(config)
+    dataset = load_dataset(config.data_dir)
     ctx = _context(dataset, config)
     out = Path(config.output_dir)
 
-    pop_rows = (
-        (o, d, sex, age, month_label(m), count)
-        for (o, d, sex, age, m, count) in ctx.population.iter_rows()
-        if config.start <= m <= config.end
-    )
+    pop_rows = ((o, d, sex, age, month_label(m), count)
+                for (o, d, sex, age, m, count) in ctx.population.iter_rows(ctx.window_months))
     pop_path = reports.write_csv(out / "population.csv",
                                  ("origin", "destination", "sex", "age", "month", "count"),
                                  pop_rows)
@@ -122,7 +114,7 @@ def cmd_build_population(config: RunConfig, args) -> int:
 
 
 def cmd_calibrate(config: RunConfig, args) -> int:
-    dataset = _load(config)
+    dataset = load_dataset(config.data_dir)
     ctx = _context(dataset, config)
     panel = split_panel(dataset.panel, config.split_fraction, config.effective_split_seed)
     cal_config = CalibrationConfig(starts=config.starts, max_iter=config.max_iter,
@@ -156,10 +148,7 @@ def cmd_calibrate(config: RunConfig, args) -> int:
 
 
 def cmd_simulate(config: RunConfig, args) -> int:
-    dataset = _load(config)
-    params, params_path = _load_params(config, args.params)
-    ctx = _context(dataset, config)
-    out = Path(config.output_dir)
+    dataset, ctx, params, params_path, out = _prepare(config, args)
 
     grid = ctx.expected_flows(params)[:, ctx.window]
     months = list(ctx.window_months)
@@ -181,10 +170,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 
 def cmd_counterfactual(config: RunConfig, args) -> int:
-    dataset = _load(config)
-    params, params_path = _load_params(config, args.params)
-    ctx = _context(dataset, config)
-    out = Path(config.output_dir)
+    dataset, ctx, params, params_path, out = _prepare(config, args)
 
     result = scenarios.run_counterfactual(ctx, params)
     months = list(result.months)
@@ -215,7 +201,7 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
             rows))
 
     if config.band_draws:
-        # common random numbers: both runs consume identical per-corridor streams
+        # common random numbers: both runs consume identical per-corridor-month streams
         factual = flows.sample_monthly_totals(ctx, params, None, config.seed, config.band_draws)
         counter = flows.sample_monthly_totals(ctx, params, scenario_none(), config.seed,
                                               config.band_draws)
@@ -231,10 +217,7 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
 
 
 def cmd_attribute(config: RunConfig, args) -> int:
-    dataset = _load(config)
-    params, params_path = _load_params(config, args.params)
-    ctx = _context(dataset, config)
-    out = Path(config.output_dir)
+    dataset, ctx, params, params_path, out = _prepare(config, args)
     convention = args.convention or config.attribution
 
     report = scenarios.attribute_by_hazard(ctx, params, convention)
@@ -281,10 +264,7 @@ def cmd_attribute(config: RunConfig, args) -> int:
 
 
 def cmd_compare_baseline(config: RunConfig, args) -> int:
-    dataset = _load(config)
-    params, params_path = _load_params(config, args.params)
-    ctx = _context(dataset, config)
-    out = Path(config.output_dir)
+    dataset, ctx, params, params_path, out = _prepare(config, args)
 
     fit = baseline.calibrate_gravity(dataset.panel, dataset)
     gravity = baseline.gravity_flows(dataset, fit.beta_exp)
@@ -320,10 +300,7 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
 
 
 def cmd_report(config: RunConfig, args) -> int:
-    dataset = _load(config)
-    params, params_path = _load_params(config, args.params)
-    ctx = _context(dataset, config)
-    out = Path(config.output_dir)
+    dataset, ctx, params, params_path, out = _prepare(config, args)
 
     cube = ctx.probability_cube(params)
     origins = sorted({o for o, _ in ctx.corridors})
@@ -338,17 +315,13 @@ def cmd_report(config: RunConfig, args) -> int:
         ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
         profile_rows)
 
-    cohorts = []
-    probs = []
-    for c, (origin, dest) in enumerate(ctx.corridors):
-        for m in ctx.window_months:
-            for cohort in ctx.population.cohorts(origin, dest, m):
-                cohorts.append(cohort)
-                probs.append(float(cube[c, m, cohort.age]))
+    weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, ctx.window, None, :]
+    groups = [dataset.income_group[(origin, year_of(m))]
+              for origin, _ in ctx.corridors for m in ctx.window_months]
     demo_rows = [
         (r.group, r.expected_senders, r.male_share, r.female_share, r.mean_age,
          r.share_20_39, r.share_under_40, r.empty)
-        for r in sender_demographics(cohorts, probs, dataset)
+        for r in sender_demographics(weights.reshape(-1, *ctx.shares.shape), groups)
     ]
     senders_path = reports.write_csv(
         out / "sender_demographics.csv",
@@ -358,7 +331,7 @@ def cmd_report(config: RunConfig, args) -> int:
     reports.write_manifest(out, "report", config.echo(),
                            _input_paths(config) + [params_path], [profiles_path, senders_path])
     print(f"report: {len(profile_rows)} profile points for {len(origins)} origins; "
-          f"sender demographics over {len(cohorts)} cohorts")
+          f"sender demographics over {len(groups) * np.count_nonzero(ctx.shares)} cohorts")
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ The returned :class:`Dataset` is immutable and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,13 +131,6 @@ class Dataset:
         return tuple(sorted({(r.origin, r.destination) for r in self.stocks}))
 
     @cached_property
-    def stock_anchors(self) -> Mapping[tuple[str, str, str], dict[int, float]]:
-        out: dict[tuple[str, str, str], dict[int, float]] = {}
-        for r in self.stocks:
-            out.setdefault((r.origin, r.destination, r.sex), {})[r.anchor_year] = r.count
-        return out
-
-    @cached_property
     def age_shares(self) -> Mapping[str, np.ndarray]:
         """Per-sex share vector over ages 0..100; unlisted ages are 0."""
         out = {}
@@ -166,23 +158,6 @@ class Dataset:
         if country in by:
             return by[country]
         return by[GLOBAL_SURPLUS]
-
-    @cached_property
-    def events_by_country(self) -> Mapping[str, tuple[DisasterEvent, ...]]:
-        out: dict[str, list[DisasterEvent]] = {}
-        for e in self.disasters:
-            out.setdefault(e.country, []).append(e)
-        return {c: tuple(evs) for c, evs in out.items()}
-
-    def fingerprint(self) -> str:
-        """SHA-256 over the canonical CSV serialization; used to detect mutation."""
-        h = hashlib.sha256()
-        for name, rows in _serialize_tables(self):
-            h.update(name.encode())
-            for row in rows:
-                h.update(",".join(row).encode())
-                h.update(b"\n")
-        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -474,28 +449,22 @@ def _check_cross_references(ds: Dataset) -> None:
 # ---------------------------------------------------------------------------
 # Writing (round-trip support and fixture generation)
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _serialize_tables(ds: Dataset) -> list[tuple[str, list[list[str]]]]:
     tables: list[tuple[str, list[list[str]]]] = []
     tables.append(("economics.csv", [
-        [r.country, str(r.year), _fmt(r.gdp_per_capita), _fmt(r.population), r.income_group]
+        [r.country, str(r.year), repr(r.gdp_per_capita), repr(r.population), r.income_group]
         for r in ds.economics]))
     tables.append(("stocks.csv", [
-        [r.origin, r.destination, r.sex, str(r.anchor_year), _fmt(r.count)] for r in ds.stocks]))
+        [r.origin, r.destination, r.sex, str(r.anchor_year), repr(r.count)] for r in ds.stocks]))
     tables.append(("age_profiles.csv", [
-        [r.sex, str(r.age), _fmt(r.share)] for r in ds.age_profiles]))
+        [r.sex, str(r.age), repr(r.share)] for r in ds.age_profiles]))
     tables.append(("surplus_profiles.csv", [
-        [r.country, str(r.age), _fmt(r.surplus)] for r in ds.surplus_profiles]))
+        [r.country, str(r.age), repr(r.surplus)] for r in ds.surplus_profiles]))
     tables.append(("disasters.csv", [
-        [r.event_id, r.country, month_label(r.onset_month), r.hazard, _fmt(r.affected)]
+        [r.event_id, r.country, month_label(r.onset_month), r.hazard, repr(r.affected)]
         for r in ds.disasters]))
     tables.append(("panel.csv", [
-        [r.sender, r.recipient, month_label(r.month), _fmt(r.amount_usd)] for r in ds.panel]))
+        [r.sender, r.recipient, month_label(r.month), repr(r.amount_usd)] for r in ds.panel]))
     return tables
 
 

@@ -3,9 +3,8 @@
 The SimulationContext precomputes every covariate that does not depend on
 the behavioural parameters (stocks, family proxy, GDP covariates, event
 magnitudes), so that repeated evaluations during calibration only pay for
-the score assembly and the logistic transform. Results are bit-identical to
-the per-cohort scalar path in :mod:`behavior`; tests enforce the
-equivalence.
+the score assembly and the logistic transform. This is the package's only
+evaluation path; the tests check it against per-cohort scalar oracles.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from . import behavior
 from .behavior import BehaviorParams, DISASTER_WINDOW
 from .dataio import Dataset, N_AGES, SEXES
 from .months import WINDOW_MONTHS, year_of
-from .population import build_population, demographics_series
+from .population import build_population, demographics_arrays
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +45,7 @@ class SimulationContext:
         self.n_months = WINDOW_MONTHS
 
         self.stocks = self.population.stocks  # (n_c, n_m, 2)
-        self.family = demographics_series(self.population)
+        self.family = demographics_arrays(self.population)[2]  # pyramid asymmetry
         self.shares = np.vstack([self.population.shares[sex] for sex in SEXES])
 
         years = np.array([year_of(m) for m in range(self.n_months)])
@@ -154,6 +153,19 @@ class SimulationContext:
                 + self.disaster_scores(params, active_ids))
         return base if cols is None else base[:, cols]
 
+    def _group_probabilities(self, params: BehaviorParams, base: np.ndarray):
+        """Per destination group: (corridor indices, mask of the ages with earnings
+        surplus, logistic probabilities shaped (len(indices), base columns, ages))."""
+        for dest, idx in self.dest_groups.items():
+            surplus = self.surplus[dest]
+            active = surplus > 0
+            if not active.any():
+                continue
+            # one expression, so numpy reuses its temporaries in place
+            with np.errstate(over="ignore"):
+                prob = 1.0 / (1.0 + np.exp(-(base[idx][:, :, None] + params.beta0 * surplus[active])))
+            yield idx, active, prob
+
     def expected_flows(self, params: BehaviorParams, active_ids: frozenset | None = None,
                        cols: np.ndarray | None = None) -> np.ndarray:
         """Expected monthly USD flow per (corridor, month).
@@ -169,16 +181,10 @@ class SimulationContext:
         income = self.monthly_income if cols is None else self.monthly_income[:, cols]
         flows = np.zeros_like(base)
         w_m, w_f = self.shares
-        for dest, idx in self.dest_groups.items():
-            surplus = self.surplus[dest]
-            active = surplus > 0
-            if not active.any():
-                continue
-            rows = base[idx].reshape(-1, 1)
-            with np.errstate(over="ignore"):
-                prob = 1.0 / (1.0 + np.exp(-(rows + params.beta0 * surplus[active])))
-            per_m = prob @ w_m[active]
-            per_f = prob @ w_f[active]
+        for idx, active, prob in self._group_probabilities(params, base):
+            rows = prob.reshape(-1, prob.shape[2])  # a view: prob is contiguous
+            per_m = rows @ w_m[active]
+            per_f = rows @ w_f[active]
             sent = (stocks[idx, :, 0].ravel() * per_m
                     + stocks[idx, :, 1].ravel() * per_f)
             flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
@@ -189,21 +195,18 @@ class SimulationContext:
         """Probability per (corridor, month, age); gated ages are exactly 0."""
         base = self._base_scores(params, active_ids)
         cube = np.zeros((self.n_corridors, self.n_months, N_AGES))
-        for dest, idx in self.dest_groups.items():
-            surplus = self.surplus[dest]
-            active = surplus > 0
-            if not active.any():
-                continue
-            scores = base[idx][:, :, None] + params.beta0 * surplus[active]
-            block = np.zeros((len(idx), self.n_months, N_AGES))
-            with np.errstate(over="ignore"):
-                block[:, :, active] = 1.0 / (1.0 + np.exp(-scores))
-            cube[idx] = block
+        for idx, active, prob in self._group_probabilities(params, base):
+            cube[np.ix_(idx, range(self.n_months), np.flatnonzero(active))] = prob
         return cube
 
     def cohort_counts(self, corridor: int, month: int) -> np.ndarray:
         """(2, 101) fractional cohort counts for one corridor-month."""
         return self.population.counts(corridor, month)
+
+
+def as_context(data: Dataset | SimulationContext) -> SimulationContext:
+    """``data`` itself if it is a context, else a full-window context over it."""
+    return data if isinstance(data, SimulationContext) else SimulationContext(data)
 
 
 def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: str,
@@ -212,24 +215,28 @@ def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: 
                         cube: np.ndarray | None = None) -> list[tuple[float, float]]:
     """Diaspora probability profile for one origin at one month.
 
+    (cumulative population fraction, probability) per cohort with a positive
+    count, by descending probability; ties keep corridor, sex, age order.
     ``destination`` narrows the scope to a single corridor; None pools all
     destinations of the origin's diaspora. Pass a precomputed probability
     ``cube`` when profiling many origin-months.
     """
     if cube is None:
         cube = ctx.probability_cube(params, active_ids)
-    counts: list[float] = []
-    probs: list[float] = []
-    for c, (o, d) in enumerate(ctx.corridors):
-        if o != origin or (destination is not None and d != destination):
-            continue
-        cohort_counts = ctx.cohort_counts(c, month)
-        for s in range(len(SEXES)):
-            for age in range(N_AGES):
-                if cohort_counts[s, age] > 0:
-                    counts.append(cohort_counts[s, age])
-                    probs.append(cube[c, month, age])
-    return behavior.probability_profile(counts, probs)
+    idx = ctx.origin_groups.get(origin, np.array([], dtype=int))
+    if destination is not None:
+        idx = idx[[ctx.corridors[c][1] == destination for c in idx]]
+    counts = ctx.stocks[idx, month, :, None] * ctx.shares  # (corridors, sexes, ages)
+    probs = np.broadcast_to(cube[idx, month, None, :], counts.shape)
+    keep = counts > 0
+    counts, probs = counts[keep], probs[keep]
+    if counts.size == 0:
+        return []
+    # the denominator sums in cohort order, the numerators in probability order
+    total = np.cumsum(counts)[-1]
+    order = np.argsort(-probs, kind="stable")
+    cum = np.cumsum(counts[order])
+    return list(zip((cum / total).tolist(), probs[order].tolist()))
 
 
 def scenario_none() -> frozenset:

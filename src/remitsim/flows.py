@@ -1,29 +1,23 @@
-"""Expected bilateral flows, the stochastic sampler, and confidence bands.
+"""The stochastic sampler and confidence bands.
 
-The expected-value path is exact: the mean of the sum of Bernoulli decisions
-times the fixed remitted amount. The sampler integerizes cohort counts
-(half-to-even) and draws binomials per cohort, which is distributionally
-identical to per-individual draws because cohort members share one
-probability. Percentile bands summarize the sampled totals.
+Expected flows come from :meth:`SimulationContext.expected_flows`. The
+sampler integerizes cohort counts (half-to-even) and draws binomials per
+cohort, which is distributionally identical to per-individual draws because
+cohort members share one probability. Percentile bands summarize the
+sampled totals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .behavior import BehaviorParams
-from .dataio import Dataset, SEXES
+from .dataio import SEXES
 from .engine import SimulationContext
 
 MIN_BAND_SAMPLES = 1000
-
-
-@dataclass(frozen=True)
-class FlowMatrix:
-    month: int
-    entries: Mapping[tuple[str, str], float]  # (sender, recipient) -> USD
 
 
 @dataclass(frozen=True)
@@ -39,54 +33,6 @@ class UncertaintyBand:
             raise ValueError(f"band out of order: {self.lower} <= {self.mean} <= {self.upper}")
 
 
-def expected_flow(counts: Sequence[float], probabilities: Sequence[float],
-                  params: BehaviorParams, gdp_dest_monthly: float) -> float:
-    """Exact expected USD flow of one corridor-month.
-
-    Sum over cohorts of count * probability * rho * monthly income.
-    """
-    c = np.asarray(counts, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    if c.shape != p.shape:
-        raise ValueError("counts and probabilities must align")
-    return float((c * p).sum() * params.rho * gdp_dest_monthly)
-
-
-def build_flow_matrices(dataset: Dataset | SimulationContext, params: BehaviorParams,
-                        active_ids: frozenset | None = None) -> list[FlowMatrix]:
-    """One deterministic flow matrix per window month.
-
-    ``active_ids`` filters which disaster events are in effect (None = all).
-    Matrix entries are keyed (sender, recipient), i.e. (destination, origin).
-    """
-    ctx = dataset if isinstance(dataset, SimulationContext) else SimulationContext(dataset)
-    flows = ctx.expected_flows(params, active_ids)
-    matrices = []
-    for month in ctx.window_months:
-        entries = {(dest, origin): float(flows[c, month])
-                   for c, (origin, dest) in enumerate(ctx.corridors)}
-        matrices.append(FlowMatrix(month=month, entries=entries))
-    return matrices
-
-
-def sample_flows(counts: Sequence[float], probabilities: Sequence[float],
-                 params: BehaviorParams, gdp_dest_monthly: float, seed, draws: int) -> np.ndarray:
-    """Sampled USD totals of one corridor-month under the Bernoulli model.
-
-    Counts are rounded half-to-even for sampling; each cohort contributes a
-    binomial(count, p) number of senders. Reproducible given the seed.
-    """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    n = np.rint(np.asarray(counts, dtype=float)).astype(np.int64)
-    p = np.asarray(probabilities, dtype=float)
-    if n.shape != p.shape:
-        raise ValueError("counts and probabilities must align")
-    rng = np.random.default_rng(seed)
-    senders = rng.binomial(n, p, size=(draws, n.size)).sum(axis=1)
-    return senders * params.rho * gdp_dest_monthly
-
-
 def confidence_band(samples: Sequence[float], aggregate_id: str = "total",
                     level: float = 0.95) -> UncertaintyBand:
     """Empirical central band (2.5/97.5 percentiles at the default level)."""
@@ -99,21 +45,22 @@ def confidence_band(samples: Sequence[float], aggregate_id: str = "total",
                            mean=float(arr.mean()), upper=float(upper), level=level)
 
 
-def corridor_seed(root_seed: int, corridor_index: int) -> np.random.SeedSequence:
-    """Independent, explicitly derived stream per corridor.
+def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.SeedSequence:
+    """Independent, explicitly derived stream per corridor-month.
 
-    Factual/counterfactual pairs that share the root seed consume identical
-    streams (common random numbers).
+    A month's draws depend on neither the report window nor the order in
+    which corridor-months are sampled. Factual/counterfactual pairs that
+    share the root seed consume identical streams (common random numbers).
     """
-    return np.random.SeedSequence((int(root_seed), int(corridor_index)))
+    return np.random.SeedSequence((int(root_seed), int(corridor_index), int(month)))
 
 
 def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
                           active_ids: frozenset | None, seed: int, draws: int) -> np.ndarray:
     """Sampled global totals per window month, shape (draws, n_window_months).
 
-    Each corridor uses its own seeded stream, so results do not depend on
-    evaluation order or worker count.
+    Each corridor-month uses its own seeded stream, so results do not depend
+    on the window, the evaluation order or the worker count.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -121,10 +68,9 @@ def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
     months = list(ctx.window_months)
     totals = np.zeros((draws, len(months)))
     for c in range(ctx.n_corridors):
-        rng = np.random.default_rng(corridor_seed(seed, c))
         for mi, month in enumerate(months):
-            counts = ctx.cohort_counts(c, month)  # (2, 101)
-            n = np.rint(counts.ravel()).astype(np.int64)
+            rng = np.random.default_rng(corridor_seed(seed, c, month))
+            n = np.rint(ctx.cohort_counts(c, month).ravel()).astype(np.int64)  # (2 * 101,)
             p = np.tile(cube[c, month], len(SEXES))
             senders = rng.binomial(n, p, size=(draws, n.size)).sum(axis=1)
             totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]

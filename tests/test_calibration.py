@@ -96,6 +96,16 @@ def test_loss_excludes_unmodeled_corridors(small_dataset, caplog):
     assert ("ZZZ", "YYY") in aligned.excluded
     assert any("excluded" in r.message for r in caplog.records)
 
+    # a modeled corridor observed outside the window is warned about on its own
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        aligned = align_panel(panel + [FlowObservation("BBB", "AAA", 40, 100.0)],
+                              SimulationContext(small_dataset, start=0, end=11))
+    assert aligned.n_excluded == 2 and aligned.excluded == (("ZZZ", "YYY"),)
+    messages = " | ".join(r.getMessage() for r in caplog.records)
+    assert "excluded 1 panel observation(s) without modeled population" in messages
+    assert "excluded 1 panel observation(s) outside the window 2010-01..2010-12" in messages
+
 
 # ---------------------------------------------------------------------------
 # Optimizer

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.cli import main
 from remitsim.calibration import DEFAULT_INIT
 from remitsim.dataio import load_dataset
@@ -210,6 +211,21 @@ def test_compare_baseline_and_report(fixture_dir, tmp_path):
     senders = _read_csv(out / "sender_demographics.csv")
     groups = {r["group"] for r in senders}
     assert "ALL" in groups and len(groups) >= 2
+
+
+def test_band_does_not_depend_on_window(tmp_path):
+    data = tmp_path / "data"
+    assert run("fixtures", "generate", "--data-dir", data, "--seed", 7) == 0
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    bands = {}
+    for start in ("2016-12", "2017-01"):
+        out = tmp_path / start
+        assert run("simulate", "--data-dir", data, "--output-dir", out, "--seed", 7,
+                   "--params", params, "--start", start, "--end", "2017-01") == 0
+        bands[start] = next(r for r in _read_csv(out / "bands.csv")
+                            if r["aggregate_id"] == "factual:2017")
+    assert bands["2016-12"] == bands["2017-01"]
 
 
 def test_bad_config_key_exit_2(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Equivalence of the vectorized engine with the per-cohort scalar path."""
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
+from oracles import kernel_value
 from remitsim import fixtures
-from remitsim.behavior import REFERENCE_PARAMS, kernel_value
+from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import Dataset
 from remitsim.engine import (SimulationContext, probability_profile, scenario_none,
                              scenario_only_event, scenario_only_hazard, scenario_without_hazard)
@@ -64,7 +68,7 @@ def test_probability_cube_consistency(desk_ctx, desk_dataset):
 def test_disaster_scores_match_kernel_sum(desk_ctx, desk_dataset):
     params = REFERENCE_PARAMS
     scores = desk_ctx.disaster_scores(params)
-    by_country = desk_dataset.events_by_country
+    by_country = oracles.events_by_country(desk_dataset)
     for c, (origin, dest) in enumerate(desk_ctx.corridors):
         events = by_country.get(origin, ())
         for m in (24, 29, 35, 80, 100):
@@ -134,3 +138,24 @@ def test_probability_profile_scopes(desk_ctx):
     assert pooled[-1][0] == pytest.approx(1.0)
     probs = [p for _, p in pooled]
     assert probs == sorted(probs, reverse=True)
+
+
+def test_probability_profile_matches_scalar_oracle(desk_ctx):
+    cube = desk_ctx.probability_cube(REFERENCE_PARAMS)
+    for origin in ("OGA", "OGJ"):
+        rows = desk_ctx.origin_groups[origin]
+        want = oracles.probability_profile(
+            np.concatenate([desk_ctx.cohort_counts(c, 59).ravel() for c in rows]),
+            np.concatenate([np.tile(cube[c, 59], 2) for c in rows]))
+        got = probability_profile(desk_ctx, REFERENCE_PARAMS, origin, 59, cube=cube)
+        assert [p for _, p in got] == [p for _, p in want]
+        assert [x for x, _ in got] == pytest.approx([x for x, _ in want], rel=1e-12)
+
+
+def test_oracles_do_not_import_the_code_they_check():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    checked = ("remitsim.engine", "remitsim.flows", "remitsim.scenarios")
+    assert imported and not [name for name in imported if name.startswith(checked)]

@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import expected_flow, sample_flows
 from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
 from remitsim.engine import SimulationContext, scenario_none
-from remitsim.flows import (FlowMatrix, UncertaintyBand, build_flow_matrices, confidence_band,
-                            corridor_seed, expected_flow, sample_flows, sample_monthly_totals)
+from remitsim.flows import UncertaintyBand, confidence_band, corridor_seed, sample_monthly_totals
 
 from conftest import brute_force_flow
 
@@ -37,35 +37,34 @@ def test_expected_flow_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Flow matrices
+# Flow grids
 
 def test_single_corridor_matrix(small_dataset):
     ctx = SimulationContext(small_dataset)
-    matrices = build_flow_matrices(ctx, PARAMS)
-    assert len(matrices) == 120
+    flows = ctx.expected_flows(PARAMS)
+    assert flows.shape[1] == 120
     month = 30
-    entry = matrices[month].entries[("BBB", "AAA")]
+    entry = flows[ctx.corridor_index("AAA", "BBB"), month]
     oracle = brute_force_flow(small_dataset, PARAMS, "AAA", "BBB", month)
     assert entry == pytest.approx(oracle, rel=1e-9)
 
 
 def test_matrices_match_brute_force(desk_dataset, desk_ctx):
-    matrices = build_flow_matrices(desk_ctx, PARAMS)
+    flows = desk_ctx.expected_flows(PARAMS)
     rng = np.random.default_rng(5)
     for _ in range(8):
         c = int(rng.integers(desk_ctx.n_corridors))
         m = int(rng.integers(120))
         origin, dest = desk_ctx.corridors[c]
         oracle = brute_force_flow(desk_dataset, PARAMS, origin, dest, m)
-        assert matrices[m].entries[(dest, origin)] == pytest.approx(oracle, rel=1e-9)
+        assert flows[c, m] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_empty_filter_is_identity(desk_ctx, desk_dataset):
     all_ids = frozenset(e.event_id for e in desk_dataset.disasters)
-    with_all = build_flow_matrices(desk_ctx, PARAMS, all_ids)
-    default = build_flow_matrices(desk_ctx, PARAMS, None)
-    for a, b in zip(with_all, default):
-        assert a.entries == b.entries
+    with_all = desk_ctx.expected_flows(PARAMS, all_ids)
+    default = desk_ctx.expected_flows(PARAMS, None)
+    assert np.array_equal(with_all, default)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,8 @@ def test_common_random_numbers_reduce_difference_variance(small_dataset):
 
 
 def test_corridor_seed_stability():
-    a = np.random.default_rng(corridor_seed(1, 0)).integers(0, 1 << 30, 4)
-    b = np.random.default_rng(corridor_seed(1, 0)).integers(0, 1 << 30, 4)
-    c = np.random.default_rng(corridor_seed(1, 1)).integers(0, 1 << 30, 4)
+    a = np.random.default_rng(corridor_seed(1, 0, 0)).integers(0, 1 << 30, 4)
+    b = np.random.default_rng(corridor_seed(1, 0, 0)).integers(0, 1 << 30, 4)
+    c = np.random.default_rng(corridor_seed(1, 1, 0)).integers(0, 1 << 30, 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)

@@ -6,14 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remitsim.dataio import interpolate_stocks_monthly
-from remitsim.population import (MigrantCohort, Population, age_symmetry, build_population,
-                                 demographics_arrays, demographics_table, family_probability,
-                                 sender_demographics, sex_symmetry)
+import oracles
+from oracles import MigrantCohort, age_symmetry, family_probability, sex_symmetry
+from remitsim.dataio import N_AGES, SEXES, interpolate_stocks_monthly
+from remitsim.months import year_of
+from remitsim.population import (Population, build_population, demographics_arrays,
+                                 demographics_table, sender_demographics)
 
 
 def _cohort(count, *, sex="male", age=30, origin="AAA", dest="BBB", month=0):
     return MigrantCohort(origin, dest, sex, age, month, float(count))
+
+
+def _weights(cohorts, probs, dataset):
+    """sender_demographics arguments with each cohort in its own weight row."""
+    weights = np.zeros((len(cohorts), len(SEXES), N_AGES))
+    for i, (c, p) in enumerate(zip(cohorts, probs, strict=True)):
+        weights[i, SEXES.index(c.sex), c.age] = c.count * p
+    groups = [dataset.income_group[(c.origin, year_of(c.month))] for c in cohorts]
+    return weights, groups
 
 
 def _band_cohorts(young=0.0, parenting=0.0, older=0.0, sex="male"):
@@ -37,7 +48,7 @@ def test_degenerate_profile_single_age():
     stocks = np.zeros((1, 1, 2))
     stocks[0, 0, 0] = 1000.0
     pop = Population([("AAA", "BBB")], stocks, shares)
-    cohorts = [c for c in pop.cohorts("AAA", "BBB", 0) if c.count > 0]
+    cohorts = [c for c in oracles.cohorts(pop, "AAA", "BBB", 0) if c.count > 0]
     assert len(cohorts) == 1
     assert cohorts[0].age == 30 and cohorts[0].count == 1000.0
 
@@ -168,7 +179,7 @@ def test_vectorized_demographics_match_scalar(desk_dataset):
         c = int(rng.integers(len(pop.corridors)))
         m = int(rng.integers(120))
         origin, dest = pop.corridors[c]
-        demo = family_probability(pop.cohorts(origin, dest, m))
+        demo = family_probability(oracles.cohorts(pop, origin, dest, m))
         if demo is None:
             continue
         assert age_sym[c, m] == pytest.approx(demo.age_symmetry, rel=1e-9)
@@ -188,9 +199,9 @@ def test_demographics_table_omits_empty(small_dataset):
 
 def test_uniform_probabilities_reproduce_population_shares(small_dataset):
     pop = build_population(small_dataset)
-    cohorts = pop.cohorts("AAA", "BBB", 0)
+    cohorts = oracles.cohorts(pop, "AAA", "BBB", 0)
     probs = [0.4] * len(cohorts)
-    rows = sender_demographics(cohorts, probs, small_dataset)
+    rows = sender_demographics(*_weights(cohorts, probs, small_dataset))
     total = sum(c.count for c in cohorts)
     male = sum(c.count for c in cohorts if c.sex == "male")
     all_row = next(r for r in rows if r.group == "ALL")
@@ -200,7 +211,7 @@ def test_uniform_probabilities_reproduce_population_shares(small_dataset):
 
 def test_degenerate_sender_shares():
     cohorts = [_cohort(60, sex="male"), _cohort(40, sex="female")]
-    rows = sender_demographics(cohorts, [1.0, 0.0], _income_dataset())
+    rows = sender_demographics(*_weights(cohorts, [1.0, 0.0], _income_dataset()))
     all_row = next(r for r in rows if r.group == "ALL")
     assert all_row.male_share == 1.0
     assert all_row.female_share == 0.0
@@ -210,10 +221,10 @@ def test_weighted_average_oracle(desk_dataset):
     pop = build_population(desk_dataset)
     cohorts = []
     for corridor in [("OGA", "DNA"), ("OGC", "DNE"), ("OGJ", "DNB")]:
-        cohorts.extend(pop.cohorts(*corridor, 36))
+        cohorts.extend(oracles.cohorts(pop, *corridor, 36))
     rng = np.random.default_rng(2)
     probs = rng.uniform(0, 1, size=len(cohorts)).tolist()
-    rows = sender_demographics(cohorts, probs, desk_dataset)
+    rows = sender_demographics(*_weights(cohorts, probs, desk_dataset))
     # brute-force per-cohort summation
     w = [c.count * p for c, p in zip(cohorts, probs)]
     total = sum(w)
@@ -230,7 +241,7 @@ def test_weighted_average_oracle(desk_dataset):
 
 def test_zero_expected_senders_flagged():
     cohorts = [_cohort(100, sex="male")]
-    rows = sender_demographics(cohorts, [0.0], _income_dataset())
+    rows = sender_demographics(*_weights(cohorts, [0.0], _income_dataset()))
     assert all(r.empty for r in rows)
     assert all(r.expected_senders == 0.0 for r in rows)
 

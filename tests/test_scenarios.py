@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import kernel_value
 from remitsim import fixtures, scenarios
-from remitsim.behavior import REFERENCE_PARAMS, kernel_value
+from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import (AgeProfile, CountryEconomics, Dataset, DisasterEvent,
                              MigrantStockRecord, SurplusProfile)
 from remitsim.engine import SimulationContext, scenario_none
