@@ -1,13 +1,12 @@
 """Fitting the behavioural parameters to an observed panel.
 
 The objective is the summed squared error between expected-value flows and
-train observations. Minimization is plain gradient descent with central
-finite-difference gradients and an Armijo backtracking line search; the
-initial trial step reuses a Barzilai-Borwein estimate from the previous
-iteration, and accepted steps never increase the loss. The remitted-fraction
-parameter is optimized through a logit reparameterization so it stays inside
-(0, 1). Uncertainty comes from a nonparametric bootstrap over train
-observations.
+train observations. Minimization is Levenberg-Marquardt over the analytic
+Jacobian of the flows (``SimulationContext.flow_jacobian``), with Marquardt's
+diagonal scaling; only steps that lower the loss are accepted, so the loss
+history is strictly decreasing. The remitted-fraction parameter is optimized
+through a logit reparameterization so it stays inside (0, 1). Uncertainty
+comes from a nonparametric bootstrap over train observations.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ class CalibrationConfig:
     max_iter: int = 500
     tol: float = 1e-9  # relative loss-change convergence threshold
     seed: int = 0
-    fd_rel_step: float = 1e-6
     init: BehaviorParams = DEFAULT_INIT
     threads: int = 1
 
@@ -54,6 +52,10 @@ class CalibrationResult:
     param_cis: dict[str, tuple[float, float]] | None
     iterations: int
     converged: bool
+    stop_reason: str  # "ftol", "max_iter" or "no_decrease"; see minimize_lm
+    loss_evals: int
+    jacobian_evals: int
+    grad_norm: float  # norm of the loss gradient at the estimate
     loss_history: list[float]
     n_train: int
     n_test: int
@@ -141,10 +143,13 @@ def loss(params: BehaviorParams, panel: Sequence[FlowObservation],
     return _sse(ctx, aligned, params)
 
 
-def _sse(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) -> float:
+def _residuals(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) -> np.ndarray:
     flows = ctx.expected_flows(params, None, cols=aligned.cols)
-    sim = flows[aligned.corridor_idx, aligned.month_pos]
-    resid = sim - aligned.amounts
+    return flows[aligned.corridor_idx, aligned.month_pos] - aligned.amounts
+
+
+def _sse(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) -> float:
+    resid = _residuals(ctx, aligned, params)
     return float(resid @ resid)
 
 
@@ -164,19 +169,6 @@ def unpack(x: np.ndarray) -> BehaviorParams:
     return BehaviorParams(*x[:-1], rho=rho)
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                rel_step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate relative steps."""
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        h = rel_step * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
 @dataclass
 class MinimizeResult:
     x: np.ndarray
@@ -184,68 +176,125 @@ class MinimizeResult:
     iterations: int
     converged: bool
     history: list[float]
+    stop_reason: str
+    loss_evals: int
+    jacobian_evals: int
+    grad_norm: float
 
 
-def minimize_gd(f: Callable[[np.ndarray], float], x0: np.ndarray, *, max_iter: int,
-                tol: float, fd_rel_step: float = 1e-6) -> MinimizeResult:
-    """Gradient descent with Armijo backtracking; BB-seeded trial steps.
+_LAMBDA_MIN, _LAMBDA_MAX = 1e-12, 1e20
+# Steps this small are rounding: at the rounding floor of the noiseless desk
+# fixture the Gauss-Newton step moves each coordinate by at most ~7 ulps.
+_ROUNDING = 64.0 * np.finfo(float).eps
 
-    Accepted iterates never increase the loss. Convergence is declared when
-    an accepted step changes the loss by less than ``tol`` relative.
+
+def _negligible(step: np.ndarray, x: np.ndarray) -> bool:
+    """True if ``step`` moves no coordinate of ``x`` by more than rounding."""
+    return bool(np.all(np.abs(step) <= _ROUNDING * (1.0 + np.abs(x))))
+
+
+def minimize_lm(residual: Callable[[np.ndarray], np.ndarray],
+                jacobian: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, *,
+                max_iter: int, tol: float) -> MinimizeResult:
+    """Levenberg-Marquardt on the loss ``r @ r`` with ``r = residual(x)``.
+
+    Each iteration evaluates ``J = jacobian(x)`` once and solves
+    ``(J'J + lambda * diag(J'J)) step = -J'r`` (Marquardt's scaling). A step
+    is accepted only if it lowers the loss, after which lambda falls tenfold;
+    a rejected step raises it tenfold and is retried. The stop reason is
+
+    - ``ftol``: an accepted step lowered the loss by at most ``tol`` relative;
+    - ``no_decrease``: lambda grew until the step no longer moved x, and no
+      step lowered the loss;
+    - ``max_iter``: ``max_iter`` iterations ran without either of the above.
+
+    ``converged`` is true for ``ftol``. For ``no_decrease`` it is true only
+    when the Gauss-Newton step at the final point predicts a relative
+    reduction of at most ``tol``, or moves no coordinate by more than
+    rounding (the loss is at its rounding floor); otherwise the optimizer
+    gave up. ``grad_norm`` is the norm of the loss gradient ``2 J'r`` at the
+    returned point.
     """
     x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
+    r = residual(x)
+    fx = float(r @ r)
     if not math.isfinite(fx):
         raise FloatingPointError(f"loss not finite at the starting point: {fx}")
     history = [fx]
-    prev_x: np.ndarray | None = None
-    prev_g: np.ndarray | None = None
-    last_step: float | None = None
-    converged = False
+    loss_evals, jacobian_evals = 1, 0
+    lam = 1e-3
+    stop = "max_iter"
+    jac = None  # the Jacobian at x, once evaluated there
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = fd_gradient(f, x, fd_rel_step)
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0 or not math.isfinite(gnorm2):
-            converged = math.isfinite(gnorm2)
-            iterations -= 1
-            break
-        if prev_g is not None:
-            dx = x - prev_x
-            dg = g - prev_g
-            denom = float(dg @ dg)
-            step = abs(float(dx @ dg)) / denom if denom > 0 else last_step
-        elif last_step is not None:
-            step = last_step * 2.0
-        else:
-            # first trial: move about 1% of the parameter scale
-            step = 0.01 * (1.0 + float(np.linalg.norm(x))) / math.sqrt(gnorm2)
-        if step is None or not math.isfinite(step) or step <= 0:
-            step = (last_step or 1e-8)
-        prev_x, prev_g = x.copy(), g
+        jac = jacobian(x)
+        jacobian_evals += 1
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            raise FloatingPointError("Jacobian not finite")
+        scaling = np.diag(np.where(np.diag(hess) > 0, np.diag(hess), 1.0))
         accepted = False
-        for _ in range(80):
-            trial = x - step * g
-            ft = f(trial)
-            if math.isfinite(ft) and ft <= fx - 1e-4 * step * gnorm2:
+        while lam <= _LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(hess + lam * scaling, -grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is None or not np.isfinite(step).all():
+                lam *= 10.0
+                continue
+            if _negligible(step, x):
+                break
+            trial = x + step
+            r_trial = residual(trial)
+            f_trial = float(r_trial @ r_trial)
+            loss_evals += 1
+            if math.isfinite(f_trial) and f_trial < fx:
                 accepted = True
                 break
-            step *= 0.5
+            lam *= 10.0
         if not accepted:
-            converged = True  # no descent possible at line-search resolution
+            stop = "no_decrease"
             break
-        last_step = step
-        drop = fx - ft
-        x, fx = trial, ft
+        lam = max(lam / 10.0, _LAMBDA_MIN)
+        drop = fx - f_trial
+        x, r, fx = trial, r_trial, f_trial
         history.append(fx)
-        if drop <= tol * max(abs(fx), 1e-300):
-            converged = True
+        jac = None
+        if drop <= tol * fx:
+            stop = "ftol"
             break
-    return MinimizeResult(x=x, fx=fx, iterations=iterations, converged=converged, history=history)
+
+    if jac is None:
+        jac = jacobian(x)
+        jacobian_evals += 1
+    converged = stop == "ftol"
+    if stop == "no_decrease":
+        gn_step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        predicted = fx - float(np.sum((r + jac @ gn_step) ** 2))
+        converged = predicted <= tol * fx or _negligible(gn_step, x)
+    return MinimizeResult(x=x, fx=fx, iterations=iterations, converged=converged,
+                          history=history, stop_reason=stop, loss_evals=loss_evals,
+                          jacobian_evals=jacobian_evals,
+                          grad_norm=float(np.linalg.norm(2.0 * (jac.T @ r))))
 
 
 # ---------------------------------------------------------------------------
 # Calibration driver
+
+def _canonical_kernel(params: BehaviorParams) -> BehaviorParams:
+    """The same disaster kernel written with shape >= 0 and shift in [-6, 6).
+
+    sin(pi/6 * (k + shift)) repeats when shift moves by 12 and changes sign
+    when it moves by 6, so (shape, shift), (shape, shift + 12) and
+    (-shape, shift + 6) are one kernel; the fit lands on any of them.
+    """
+    if params.shape >= 0.0 and -6.0 <= params.shift < 6.0:
+        return params
+    shift = params.shift + (6.0 if params.shape < 0.0 else 0.0)
+    return dataclasses.replace(params, shape=abs(params.shape),
+                               shift=(shift + 6.0) % 12.0 - 6.0)
+
 
 def _start_points(config: CalibrationConfig) -> list[np.ndarray]:
     """Start 0 is the configured init; later starts perturb it by +/-50%.
@@ -263,11 +312,19 @@ def _start_points(config: CalibrationConfig) -> list[np.ndarray]:
     return points
 
 
+def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: int,
+         tol: float) -> MinimizeResult:
+    return minimize_lm(
+        lambda x: _residuals(ctx, aligned, unpack(x)),
+        lambda x: ctx.flow_jacobian(unpack(x), aligned.corridor_idx, aligned.cols,
+                                    aligned.month_pos),
+        x0, max_iter=max_iter, tol=tol)
+
+
 def _run_start(args) -> MinimizeResult | None:
-    ctx, aligned, x0, max_iter, tol, fd_rel_step = args
-    f = lambda x: _sse(ctx, aligned, unpack(x))
+    ctx, aligned, x0, max_iter, tol = args
     try:
-        return minimize_gd(f, x0, max_iter=max_iter, tol=tol, fd_rel_step=fd_rel_step)
+        return _fit(ctx, aligned, x0, max_iter, tol)
     except FloatingPointError as exc:
         log.warning("optimizer start diverged: %s", exc)
         return None
@@ -291,7 +348,7 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
     if aligned_train.amounts.size == 0:
         raise CalibrationError("no train observation matches a modeled corridor")
 
-    jobs = [(ctx, aligned_train, x0, config.max_iter, config.tol, config.fd_rel_step)
+    jobs = [(ctx, aligned_train, x0, config.max_iter, config.tol)
             for x0 in _start_points(config)]
     if config.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -305,7 +362,8 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
     best = min(usable, key=lambda r: r.fx)
     # a zero-step run echoes the configured init exactly (the rho logit
     # round-trip would otherwise perturb it by an ulp)
-    params = config.init if np.array_equal(best.x, pack(config.init)) else unpack(best.x)
+    params = (config.init if np.array_equal(best.x, pack(config.init))
+              else _canonical_kernel(unpack(best.x)))
 
     test_r2 = None
     if aligned_test.amounts.size >= 2 and aligned_test.amounts.std() > 0:
@@ -315,19 +373,20 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
 
     return CalibrationResult(
         params=params, train_sse=best.fx, test_r2=test_r2, param_cis=None,
-        iterations=best.iterations, converged=best.converged, loss_history=best.history,
+        iterations=best.iterations, converged=best.converged, stop_reason=best.stop_reason,
+        loss_evals=best.loss_evals, jacobian_evals=best.jacobian_evals,
+        grad_norm=best.grad_norm, loss_history=best.history,
         n_train=aligned_train.amounts.size, n_test=aligned_test.amounts.size,
         n_excluded=aligned_train.n_excluded + aligned_test.n_excluded,
         start_losses=[r.fx for r in usable])
 
 
 def _run_replicate(args) -> np.ndarray | None:
-    ctx, c_idx, m_idx, amounts, x0, max_iter, tol, fd_rel_step = args
+    ctx, c_idx, m_idx, amounts, x0, max_iter, tol = args
     cols, month_pos = np.unique(m_idx, return_inverse=True)
     aligned = PanelSlice(c_idx, m_idx, amounts, 0, (), cols, month_pos)
-    f = lambda x: _sse(ctx, aligned, unpack(x))
     try:
-        return minimize_gd(f, x0, max_iter=max_iter, tol=tol, fd_rel_step=fd_rel_step).x
+        return _fit(ctx, aligned, x0, max_iter, tol).x
     except FloatingPointError:
         return None
 
@@ -340,11 +399,12 @@ def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation]
     """95% bootstrap intervals: resample train observations with replacement,
     re-fit each replicate, take the 2.5/97.5 percentiles.
 
-    Replicates re-fit from the point estimate by default; pass
-    ``replicate_start`` to re-run them from a common starting vector instead
-    (bootstrapping the whole iteration-capped procedure, which keeps the
-    replicate distribution comparable to the estimator when ``max_iter`` is
-    small). Diverged replicates are dropped and counted. Intervals are
+    Each replicate runs Levenberg-Marquardt for at most ``max_iter``
+    iterations, from the point estimate by default; pass ``replicate_start``
+    to re-run them from a common starting vector instead (bootstrapping the
+    whole fitting procedure, start included, so the replicate distribution
+    stays comparable to the estimator's even when ``max_iter`` stops the
+    fits early). Diverged replicates are dropped and counted. Intervals are
     widened, if needed, to include the point estimate.
     """
     ctx = as_context(dataset)
@@ -360,7 +420,7 @@ def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation]
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
         take = rng.integers(0, n, size=n)
         jobs.append((ctx, aligned.corridor_idx[take], aligned.month_idx[take],
-                     aligned.amounts[take], x_hat, max_iter, tol, 1e-6))
+                     aligned.amounts[take], x_hat, max_iter, tol))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             draws = list(pool.map(_run_replicate, jobs))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -131,6 +132,11 @@ def cmd_calibrate(config: RunConfig, args) -> int:
         "test_r2": result.test_r2,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "loss_evals": result.loss_evals,
+        "jacobian_evals": result.jacobian_evals,
+        "grad_norm": result.grad_norm,
+        "loss_history": result.loss_history,
         "n_train": result.n_train,
         "n_test": result.n_test,
         "n_excluded": result.n_excluded,
@@ -142,7 +148,8 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     out = Path(config.output_dir)
     path = reports.write_json(out / "calibration.json", payload)
     reports.write_manifest(out, "calibrate", config.echo(), _input_paths(config), [path])
-    print(f"calibration: converged={result.converged} iterations={result.iterations} "
+    print(f"calibration: converged={result.converged} ({result.stop_reason}) "
+          f"iterations={result.iterations} "
           f"train_sse={result.train_sse:.6g} test_r2={result.test_r2}")
     return EXIT_OK
 
@@ -423,7 +430,11 @@ def _config_from_args(args) -> RunConfig:
     for name in ("split_seed", "split_fraction", "starts", "max_iter", "tol", "bootstrap_reps"):
         if hasattr(args, name) and getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
-    return build_config(args.config, **overrides)
+    config = build_config(args.config, **overrides)
+    cpus = os.cpu_count() or 1
+    if config.threads > cpus:
+        raise ValueError(f"threads = {config.threads} exceeds the {cpus} CPU(s) of this machine")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -444,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArtifactMissingError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
+    except (KeyError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -190,6 +190,59 @@ class SimulationContext:
             flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
         return flows
 
+    def flow_jacobian(self, params: BehaviorParams, rows: np.ndarray, cols: np.ndarray,
+                      col_pos: np.ndarray) -> np.ndarray:
+        """Derivatives of the expected flows at the cells ``(rows, cols[col_pos])``.
+
+        Shape (len(rows), 9), one column per parameter in ``PARAM_NAMES`` order,
+        except that the last is taken with respect to logit(rho); all events
+        are active. Per cell, with sigma the logistic of a cohort of count n·w,
+        S1 = sum n·w·sigma, S2 = sum n·w·sigma·(1 - sigma) and
+        S3 = sum n·w·sigma·(1 - sigma)·surplus; the flow is rho·income·S1, and
+        each score coefficient enters through rho·income·S2 times its covariate.
+        """
+        base = self._base_scores(params, None, cols)
+        n_cols = base.shape[1]
+        stocks = self.stocks[:, cols, :]
+        sums = np.zeros((3, self.n_corridors, n_cols))  # S1, S2, S3
+        w_m, w_f = self.shares
+        for idx, active, prob in self._group_probabilities(params, base):
+            surplus = self.surplus[self.corridors[idx[0]][1]][active]  # one destination per group
+            flat = prob.reshape(-1, prob.shape[2])
+            wm, wf = w_m[active], w_f[active]
+            level = flat @ np.stack([wm, wf], axis=1)
+            slope = (flat * (1.0 - flat)) @ np.stack([wm, wf, wm * surplus, wf * surplus], axis=1)
+            per_sex = np.stack([level, slope[:, :2], slope[:, 2:]])  # (3, cells, sexes)
+            counts = stocks[idx].reshape(-1, 2)  # cells in the row order of flat
+            sums[:, idx] = (per_sex * counts).sum(axis=2).reshape(3, len(idx), n_cols)
+
+        # per (corridor, month): summed magnitudes, and the kernel's sin and d(sin)/d(shift) terms
+        phase = np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift)
+        terms = np.stack([np.ones(DISASTER_WINDOW), np.sin(phase), np.pi / 6.0 * np.cos(phase)],
+                         axis=1)
+        events = np.zeros((self.n_corridors, self.n_months, 3))
+        for country, mag in self.event_magnitudes(None).items():
+            idx = self.origin_groups.get(country)
+            if idx is not None:
+                events[idx] = mag @ terms
+
+        months = cols[col_pos]
+        s1, s2, s3 = sums[:, rows, col_pos]
+        scale = params.rho * self.monthly_income[rows, months]
+        d_score = scale * s2  # derivative of the flow with respect to the score
+        ev = events[rows, months]
+        jac = np.empty((len(rows), 9))
+        jac[:, 0] = d_score
+        jac[:, 1] = scale * s3
+        jac[:, 2] = d_score * self.family[rows, months]
+        jac[:, 3] = d_score * self.delta_gdp[rows, months]
+        jac[:, 4] = d_score * self.gdp_norm[rows, months]
+        jac[:, 5] = d_score * ev[:, 0]
+        jac[:, 6] = d_score * ev[:, 1]
+        jac[:, 7] = d_score * params.shape * ev[:, 2]
+        jac[:, 8] = scale * s1 * (1.0 - params.rho)
+        return jac
+
     def probability_cube(self, params: BehaviorParams,
                          active_ids: frozenset | None = None) -> np.ndarray:
         """Probability per (corridor, month, age); gated ages are exactly 0."""

@@ -1,14 +1,18 @@
 """Panel splitting, the squared-error loss, the optimizer, and bootstrap CIs."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oracles import kernel_value
 from remitsim import fixtures
 from remitsim.behavior import PARAM_NAMES, REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import (CalibrationConfig, CalibrationError, DEFAULT_INIT, align_panel,
-                                  calibrate, fd_gradient, loss, minimize_gd, pack,
-                                  param_confidence, split_panel, unpack, _sse)
+                                  calibrate, loss, minimize_lm, pack, param_confidence,
+                                  split_panel, unpack, _canonical_kernel, _fit, _residuals,
+                                  _sse)
 from remitsim.dataio import FlowObservation
 from remitsim.engine import SimulationContext
 
@@ -110,17 +114,31 @@ def test_loss_excludes_unmodeled_corridors(small_dataset, caplog):
 # ---------------------------------------------------------------------------
 # Optimizer
 
+def _noisy_small_fit(noise=0.05):
+    """The 3 x 2 fixture with a noisy panel, aligned, and a mid-range point."""
+    dataset = fixtures.build_dataset(seed=3, n_origins=3, n_destinations=2)
+    ctx = SimulationContext(dataset)
+    panel = fixtures.generate_panel(dataset, REFERENCE_PARAMS, noise=noise,
+                                    rng=np.random.default_rng(5))
+    aligned = align_panel(list(panel), ctx)
+    x = pack(BehaviorParams(0.1, 0.9, -4.0, 2.5, -3.0, 0.12, 0.2, -0.5, 0.2))
+    return ctx, aligned, x
+
+
+def _lm_functions(ctx, aligned):
+    residual = lambda x: _residuals(ctx, aligned, unpack(x))
+    jacobian = lambda x: ctx.flow_jacobian(unpack(x), aligned.corridor_idx, aligned.cols,
+                                           aligned.month_pos)
+    return residual, jacobian
+
+
 def test_gradient_matches_higher_order_oracle():
     # mid-range probabilities keep every coordinate's gradient well above
     # the float resolution of the loss
-    dataset = fixtures.build_dataset(seed=3, n_origins=3, n_destinations=2)
-    ctx = SimulationContext(dataset)
-    panel = fixtures.generate_panel(dataset, REFERENCE_PARAMS, noise=0.05,
-                                    rng=np.random.default_rng(5))
-    aligned = align_panel(list(panel), ctx)
+    ctx, aligned, x = _noisy_small_fit()
     f = lambda x: _sse(ctx, aligned, unpack(x))
-    x = pack(BehaviorParams(0.1, 0.9, -4.0, 2.5, -3.0, 0.12, 0.2, -0.5, 0.2))
-    g = fd_gradient(f, x, rel_step=1e-6)
+    residual, jacobian = _lm_functions(ctx, aligned)
+    g = 2.0 * jacobian(x).T @ residual(x)
 
     def five_point(i):
         h = 1e-4 * (1.0 + abs(x[i]))
@@ -136,27 +154,95 @@ def test_gradient_matches_higher_order_oracle():
         assert g[i] == pytest.approx(oracle, rel=1e-4)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_lm_matches_scipy_least_squares(noise):
+    from scipy.optimize import least_squares
+
+    ctx, aligned, x0 = _noisy_small_fit(noise)
+    residual, jacobian = _lm_functions(ctx, aligned)
+    res = minimize_lm(residual, jacobian, x0, max_iter=200, tol=1e-15)
+    # the oracle differentiates by finite differences, not through flow_jacobian
+    oracle = least_squares(residual, x0, method="lm", x_scale="jac",
+                           ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    assert res.converged
+    if noise == 0.0:
+        assert np.allclose(res.x, oracle.x, rtol=1e-9, atol=1e-12)
+    else:
+        # scipy's cost is half the SSE; at the noisy optimum the loss is flat to
+        # rounding along a direction that moves alpha and shift by ~1e-5
+        assert res.fx <= 2.0 * oracle.cost * (1.0 + 1e-14)
+        assert np.allclose(res.x, oracle.x, rtol=1e-3)
+
+
 def test_minimize_monotone_and_converges_on_quadratic():
     target = np.array([1.0, -2.0, 3.0])
-    f = lambda x: float(((x - target) ** 2).sum()) * 1e6
-    res = minimize_gd(f, np.zeros(3), max_iter=200, tol=1e-14)
+    residual = lambda x: (x - target) * 1e3
+    jacobian = lambda x: np.eye(3) * 1e3
+    res = minimize_lm(residual, jacobian, np.zeros(3), max_iter=200, tol=1e-14)
     assert res.converged
     assert np.allclose(res.x, target, atol=1e-5)
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
 
 
 def test_minimize_zero_iterations_echoes_start():
-    f = lambda x: float((x ** 2).sum())
-    res = minimize_gd(f, np.array([3.0]), max_iter=0, tol=1e-9)
+    res = minimize_lm(lambda x: x, lambda x: np.eye(1), np.array([3.0]), max_iter=0, tol=1e-9)
     assert res.iterations == 0
     assert not res.converged
     assert res.x[0] == 3.0
 
 
 def test_minimize_rejects_nonfinite_start():
-    f = lambda x: float("inf")
+    residual = lambda x: np.full(2, np.inf)
     with pytest.raises(FloatingPointError):
-        minimize_gd(f, np.zeros(2), max_iter=10, tol=1e-9)
+        minimize_lm(residual, lambda x: np.eye(2), np.zeros(2), max_iter=10, tol=1e-9)
+
+
+def _desk_train(desk_ctx, desk_dataset):
+    panel = split_panel(desk_dataset.panel, 0.8, seed=11)
+    return align_panel([o for o in panel if o.split_tag == "train"], desk_ctx)
+
+
+def test_stop_reason_max_iter(desk_ctx, desk_dataset):
+    res = _fit(desk_ctx, _desk_train(desk_ctx, desk_dataset), pack(DEFAULT_INIT), 1, 1e-9)
+    assert res.iterations == 1
+    assert res.stop_reason == "max_iter"
+    assert not res.converged
+
+
+def test_sign_flipped_jacobian_does_not_converge(desk_ctx, desk_dataset):
+    residual, jacobian = _lm_functions(desk_ctx, _desk_train(desk_ctx, desk_dataset))
+    res = minimize_lm(residual, lambda x: -jacobian(x), pack(DEFAULT_INIT), max_iter=50,
+                      tol=1e-9)
+    assert res.stop_reason == "no_decrease"
+    assert not res.converged
+    assert res.history == [res.fx]  # every step went uphill and was rejected
+
+
+def test_canonical_kernel_keeps_the_kernel():
+    for shape, shift in ((-0.19, 41.02), (0.19, -24.98), (-0.19, 5.02), (0.19, -0.98), (0.0, 6.0)):
+        params = dataclasses.replace(REFERENCE_PARAMS, shape=shape, shift=shift)
+        canonical = _canonical_kernel(params)
+        assert canonical.shape >= 0.0 and -6.0 <= canonical.shift < 6.0
+        for k in range(12):
+            assert kernel_value(1.0, k, canonical) == pytest.approx(kernel_value(1.0, k, params),
+                                                                    abs=1e-12)
+    assert _canonical_kernel(REFERENCE_PARAMS) is REFERENCE_PARAMS
+
+
+# split seed 1 lands on (shape, shift) = (-0.19, 41.02) before the kernel is made canonical
+@pytest.mark.parametrize("split_seed", [11, 1])
+def test_noiseless_desk_converges(desk_ctx, desk_dataset, split_seed):
+    panel = split_panel(desk_dataset.panel, 0.8, seed=split_seed)
+    result = calibrate(desk_ctx, panel, CalibrationConfig(starts=1, max_iter=300, tol=1e-9))
+    assert result.converged
+    assert result.stop_reason in ("ftol", "no_decrease")
+    assert result.iterations < 300
+    assert result.jacobian_evals >= result.iterations
+    assert result.loss_evals >= len(result.loss_history)
+    for name in PARAM_NAMES:
+        assert getattr(result.params, name) == pytest.approx(getattr(REFERENCE_PARAMS, name),
+                                                             rel=1e-9, abs=1e-12)
+    assert all(b < a for a, b in zip(result.loss_history, result.loss_history[1:]))
 
 
 def test_calibrate_requires_split(small_dataset):

@@ -86,8 +86,27 @@ def test_calibrate_zero_iterations_echoes_init(fixture_dir, tmp_path):
                "--starts", 1, "--max-iter", 0) == 0
     payload = json.loads((out / "calibration.json").read_text())
     assert payload["converged"] is False
+    assert payload["stop_reason"] == "max_iter"
     assert payload["iterations"] == 0
+    assert payload["loss_history"] == [payload["train_sse"]]
     assert payload["params"] == DEFAULT_INIT.as_dict()
+
+
+def test_threads_above_cpu_count_exit_2(fixture_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    out = tmp_path / "out"
+    assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", out,
+               "--starts", 2, "--threads", 3) == 2
+    assert "threads = 3 exceeds the 2 CPU(s)" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work started
+
+
+def test_output_dir_is_a_file_exit_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert run("build-population", "--data-dir", fixture_dir, "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileExistsError") and len(err.strip().splitlines()) == 1
 
 
 def test_calibrate_deterministic_output(fixture_dir, tmp_path):

@@ -41,6 +41,31 @@ def test_expected_flows_match_brute_force_small(small_dataset):
             assert flows[c, m] == pytest.approx(oracle, rel=1e-9)
 
 
+def test_flow_jacobian_matches_finite_differences(desk_ctx):
+    params = dataclasses.replace(REFERENCE_PARAMS, alpha=0.1, beta0=0.9, shift=-0.5, rho=0.2)
+    cols = np.arange(0, 120, 3)
+    rows, col_pos = (a.ravel() for a in np.meshgrid(np.arange(desk_ctx.n_corridors),
+                                                       np.arange(len(cols)), indexing="ij"))
+    jac = desk_ctx.flow_jacobian(params, rows, cols, col_pos)
+    assert jac.shape == (len(rows), 9)
+    logit = np.log(params.rho / (1.0 - params.rho))
+
+    def flows(i, delta):
+        if i < 8:
+            name = dataclasses.fields(params)[i].name
+            moved = dataclasses.replace(params, **{name: getattr(params, name) + delta})
+        else:  # the last coordinate is logit(rho)
+            moved = dataclasses.replace(params, rho=1.0 / (1.0 + np.exp(-(logit + delta))))
+        return desk_ctx.expected_flows(moved, cols=cols)[rows, col_pos]
+
+    for i in range(9):
+        value = logit if i == 8 else getattr(params, dataclasses.fields(params)[i].name)
+        h = 1e-3 * (1.0 + abs(value))
+        oracle = (-flows(i, 2 * h) + 8 * flows(i, h) - 8 * flows(i, -h) + flows(i, -2 * h)) / (12 * h)
+        assert np.abs(jac[:, i]).max() > 0
+        assert np.abs(jac[:, i] - oracle).max() <= 1e-7 * np.abs(jac[:, i]).max(), i
+
+
 def test_clamped_delta_gdp_path(small_dataset):
     ctx = SimulationContext(small_dataset, clamp_delta_gdp=True)
     flows = ctx.expected_flows(REFERENCE_PARAMS)
