@@ -208,13 +208,11 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
             rows))
 
     if config.band_draws:
-        # common random numbers: both runs consume identical per-corridor-month streams
-        factual = flows.sample_monthly_totals(ctx, params, None, config.seed, config.band_draws)
-        counter = flows.sample_monthly_totals(ctx, params, scenario_none(), config.seed,
+        induced = flows.sample_induced_totals(ctx, params, scenario_none(), config.seed,
                                               config.band_draws)
         outputs.append(reports.write_csv(
             out / "induced_bands.csv", ("aggregate_id", "level", "lower", "mean", "upper"),
-            _band_rows(_aggregate_bands(factual - counter, months, "induced"))))
+            _band_rows(_aggregate_bands(induced, months, "induced"))))
 
     reports.write_manifest(out, "counterfactual", config.echo(),
                            _input_paths(config) + [params_path], outputs)
@@ -309,7 +307,7 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
 def cmd_report(config: RunConfig, args) -> int:
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
-    cube = ctx.probability_cube(params)
+    cube = ctx.probability_cube(params, cols=ctx.window)
     origins = sorted({o for o, _ in ctx.corridors})
     snapshot_months = [m for m in ctx.window_months if m % 12 == 11] or [config.end]
     profile_rows = []
@@ -322,7 +320,7 @@ def cmd_report(config: RunConfig, args) -> int:
         ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
         profile_rows)
 
-    weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, ctx.window, None, :]
+    weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, :, None, :]
     groups = [dataset.income_group[(origin, year_of(m))]
               for origin, _ in ctx.corridors for m in ctx.window_months]
     demo_rows = [

@@ -243,13 +243,18 @@ class SimulationContext:
         jac[:, 8] = scale * s1 * (1.0 - params.rho)
         return jac
 
-    def probability_cube(self, params: BehaviorParams,
-                         active_ids: frozenset | None = None) -> np.ndarray:
-        """Probability per (corridor, month, age); gated ages are exactly 0."""
-        base = self._base_scores(params, active_ids)
-        cube = np.zeros((self.n_corridors, self.n_months, N_AGES))
+    def probability_cube(self, params: BehaviorParams, active_ids: frozenset | None = None,
+                         cols: np.ndarray | slice | None = None) -> np.ndarray:
+        """Probability per (corridor, month, age); gated ages are exactly 0.
+
+        ``cols`` restricts the months as in :meth:`expected_flows`; pass
+        ``self.window`` for a cube over the report window only.
+        """
+        base = self._base_scores(params, active_ids, cols)
+        n_cols = base.shape[1]
+        cube = np.zeros((self.n_corridors, n_cols, N_AGES))
         for idx, active, prob in self._group_probabilities(params, base):
-            cube[np.ix_(idx, range(self.n_months), np.flatnonzero(active))] = prob
+            cube[np.ix_(idx, range(n_cols), np.flatnonzero(active))] = prob
         return cube
 
     def cohort_counts(self, corridor: int, month: int) -> np.ndarray:
@@ -271,16 +276,20 @@ def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: 
     (cumulative population fraction, probability) per cohort with a positive
     count, by descending probability; ties keep corridor, sex, age order.
     ``destination`` narrows the scope to a single corridor; None pools all
-    destinations of the origin's diaspora. Pass a precomputed probability
-    ``cube`` when profiling many origin-months.
+    destinations of the origin's diaspora. ``month`` lies in the context's
+    window. Pass a precomputed window cube,
+    ``ctx.probability_cube(params, active_ids, ctx.window)``, when profiling
+    many origin-months.
     """
+    if not ctx.start <= month <= ctx.end:
+        raise ValueError(f"month {month} outside the window [{ctx.start}, {ctx.end}]")
     if cube is None:
-        cube = ctx.probability_cube(params, active_ids)
+        cube = ctx.probability_cube(params, active_ids, ctx.window)
     idx = ctx.origin_groups.get(origin, np.array([], dtype=int))
     if destination is not None:
         idx = idx[[ctx.corridors[c][1] == destination for c in idx]]
     counts = ctx.stocks[idx, month, :, None] * ctx.shares  # (corridors, sexes, ages)
-    probs = np.broadcast_to(cube[idx, month, None, :], counts.shape)
+    probs = np.broadcast_to(cube[idx, month - ctx.start, None, :], counts.shape)
     keep = counts > 0
     counts, probs = counts[keep], probs[keep]
     if counts.size == 0:

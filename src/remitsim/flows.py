@@ -1,20 +1,20 @@
 """The stochastic sampler and confidence bands.
 
 Expected flows come from :meth:`SimulationContext.expected_flows`. The
-sampler integerizes cohort counts (half-to-even) and draws binomials per
-cohort, which is distributionally identical to per-individual draws because
-cohort members share one probability. Percentile bands summarize the
-sampled totals.
+sampler integerizes each sex's cohort counts (half-to-even), adds the male
+and female counts of each age, and draws one binomial per age with a
+positive count and probability. That is distributionally identical to
+per-individual draws, because all members of one age's two cohorts share
+one probability. Percentile bands summarize the sampled totals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .behavior import BehaviorParams
-from .dataio import SEXES
 from .engine import SimulationContext
 
 MIN_BAND_SAMPLES = 1000
@@ -55,6 +55,27 @@ def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.
     return np.random.SeedSequence((int(root_seed), int(corridor_index), int(month)))
 
 
+def _sample_cells(ctx: SimulationContext, params: BehaviorParams, cube: np.ndarray,
+                  cells: Iterable[tuple[int, int]], seed: int, draws: int) -> np.ndarray:
+    """Sampled flows of the (corridor, window position) ``cells``, summed per window
+    month, shape (draws, n_window_months); ``cube`` covers the window's months."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+    months = ctx.window_months
+    totals = np.zeros((draws, len(months)))
+    for c, mi in cells:
+        month = months[mi]
+        n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
+        p = cube[c, mi]
+        keep = (n > 0) & (p > 0)
+        rng = np.random.default_rng(corridor_seed(seed, c, month))
+        # age-major, so consecutive variates share (n, p) and numpy reuses its set-up
+        senders = rng.binomial(n[keep, None], p[keep, None],
+                               size=(np.count_nonzero(keep), draws)).sum(axis=0)
+        totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
+    return totals
+
+
 def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
                           active_ids: frozenset | None, seed: int, draws: int) -> np.ndarray:
     """Sampled global totals per window month, shape (draws, n_window_months).
@@ -62,16 +83,22 @@ def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
     Each corridor-month uses its own seeded stream, so results do not depend
     on the window, the evaluation order or the worker count.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    cube = ctx.probability_cube(params, active_ids)
-    months = list(ctx.window_months)
-    totals = np.zeros((draws, len(months)))
-    for c in range(ctx.n_corridors):
-        for mi, month in enumerate(months):
-            rng = np.random.default_rng(corridor_seed(seed, c, month))
-            n = np.rint(ctx.cohort_counts(c, month).ravel()).astype(np.int64)  # (2 * 101,)
-            p = np.tile(cube[c, month], len(SEXES))
-            senders = rng.binomial(n, p, size=(draws, n.size)).sum(axis=1)
-            totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
-    return totals
+    cube = ctx.probability_cube(params, active_ids, ctx.window)
+    return _sample_cells(ctx, params, cube, np.ndindex(cube.shape[:2]), seed, draws)
+
+
+def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
+                          active_ids: frozenset | None, seed: int, draws: int) -> np.ndarray:
+    """Sampled factual minus counterfactual (``active_ids``) totals per window month.
+
+    Both runs draw from the same corridor-month streams (common random
+    numbers), so their draws are identical wherever the two probability rows
+    are equal; only the corridor-months where the event sets change a probability
+    are sampled. Equals the difference of two ``sample_monthly_totals`` calls
+    up to the order of the floating-point sums.
+    """
+    factual = ctx.probability_cube(params, None, ctx.window)
+    counter = ctx.probability_cube(params, active_ids, ctx.window)
+    cells = np.argwhere((factual != counter).any(axis=2))
+    return (_sample_cells(ctx, params, factual, cells, seed, draws)
+            - _sample_cells(ctx, params, counter, cells, seed, draws))

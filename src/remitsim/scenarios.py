@@ -124,19 +124,23 @@ def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams
     event = next(e for e in ctx.dataset.disasters if e.event_id == event_id)
     months = tuple(m for m in range(event.onset_month, event.onset_month + DISASTER_WINDOW)
                    if ctx.start <= m <= ctx.end)
-    with_event = ctx.expected_flows(params, only)
-    without = ctx.expected_flows(params, scenario_none())
+    if not months:
+        return EventAttribution(event_id=event_id, months=months, induced_by_corridor={},
+                                induced_usd_12m=0.0, baseline_usd_12m=0.0,
+                                relative_increase=None)
+    cols = np.array(months)
+    with_event = ctx.expected_flows(params, only, cols)
+    without = ctx.expected_flows(params, scenario_none(), cols)
     diff = with_event - without
 
-    cols = list(months)
     by_corridor = {}
     for c, (origin, dest) in enumerate(ctx.corridors):
-        value = float(diff[c, cols].sum())
+        value = float(diff[c].sum())
         if value != 0.0:
             by_corridor[(dest, origin)] = value  # (sender, recipient)
-    induced_total = float(diff[:, cols].sum())
+    induced_total = float(diff.sum())
     recipient_rows = [c for c, (o, _) in enumerate(ctx.corridors) if o == event.country]
-    baseline = float(without[np.ix_(recipient_rows, cols)].sum()) if recipient_rows else 0.0
+    baseline = float(without[recipient_rows].sum())
     relative = induced_total / baseline if baseline > 0 else None
     return EventAttribution(event_id=event_id, months=months, induced_by_corridor=by_corridor,
                             induced_usd_12m=induced_total, baseline_usd_12m=baseline,

@@ -177,6 +177,18 @@ def test_probability_profile_matches_scalar_oracle(desk_ctx):
         assert [x for x, _ in got] == pytest.approx([x for x, _ in want], rel=1e-12)
 
 
+def test_window_cube_matches_full_grid(desk_dataset, desk_ctx):
+    ctx = SimulationContext(desk_dataset, start=57, end=62)
+    cube = ctx.probability_cube(REFERENCE_PARAMS, cols=ctx.window)
+    assert cube.shape == (ctx.n_corridors, 6, 101)
+    assert np.array_equal(cube, desk_ctx.probability_cube(REFERENCE_PARAMS)[:, 57:63])
+    for origin in ("OGA", "OGJ"):
+        assert (probability_profile(ctx, REFERENCE_PARAMS, origin, 59, cube=cube)
+                == probability_profile(desk_ctx, REFERENCE_PARAMS, origin, 59))
+    with pytest.raises(ValueError, match="outside the window"):
+        probability_profile(ctx, REFERENCE_PARAMS, "OGA", 63, cube=cube)
+
+
 def test_oracles_do_not_import_the_code_they_check():
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import expected_flow, sample_flows
+from remitsim import flows as flows_module
 from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
+from remitsim.dataio import N_AGES
 from remitsim.engine import SimulationContext, scenario_none
-from remitsim.flows import UncertaintyBand, confidence_band, corridor_seed, sample_monthly_totals
+from remitsim.flows import (UncertaintyBand, confidence_band, corridor_seed,
+                            sample_induced_totals, sample_monthly_totals)
+from remitsim.months import month_index
 
 from conftest import brute_force_flow
 
@@ -199,3 +203,63 @@ def test_corridor_seed_stability():
     c = np.random.default_rng(corridor_seed(1, 1, 0)).integers(0, 1 << 30, 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Merged cohorts and event-cell induced sampling
+
+BANDS_WINDOW = (month_index("2016-07"), month_index("2016-12"))
+
+
+def test_induced_totals_equal_difference_of_full_runs(desk_dataset):
+    ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
+    draws = 1000
+    factual = sample_monthly_totals(ctx, PARAMS, None, 11, draws)
+    counter = sample_monthly_totals(ctx, PARAMS, scenario_none(), 11, draws)
+    induced = sample_induced_totals(ctx, PARAMS, scenario_none(), 11, draws)
+    assert induced.shape == (draws, 6)
+    assert np.any(induced != 0.0)
+    # the full runs cancel in their sums over corridors, so their difference
+    # is exact only to the rounding of the factual totals it is taken from
+    assert np.all(np.abs(induced - (factual - counter)) <= 1e-12 * np.abs(factual))
+
+
+def test_merged_ages_round_each_sex_half_to_even(small_dataset, monkeypatch):
+    ctx = SimulationContext(small_dataset, start=24, end=26)
+    ages = np.arange(N_AGES)
+    # x.5 counts: rint per sex gives 0, 2, 2, 4, ...; rounding the sum would not
+    counts = np.stack([ages + 0.5, 2.0 * ages + 0.5])
+    counts[:, 3] = 0.5, 1.0  # a single sender
+    sends = ages % 3 == 0
+    cube = np.zeros((ctx.n_corridors, 3, N_AGES))
+    cube[:, :, sends] = 1.0
+    monkeypatch.setattr(ctx, "cohort_counts", lambda c, month: counts)
+    monkeypatch.setattr(ctx, "probability_cube", lambda params, active_ids=None, cols=None: cube)
+    totals = sample_monthly_totals(ctx, PARAMS, None, 4, 5)
+
+    senders = int((np.rint(counts[0]) + np.rint(counts[1]))[sends].sum())
+    assert senders != int(np.rint(counts.sum(axis=0))[sends].sum())
+    for mi, month in enumerate(ctx.window_months):
+        expected = 0.0
+        for c in range(ctx.n_corridors):
+            expected += senders * PARAMS.rho * ctx.monthly_income[c, month]
+        assert (totals[:, mi] == expected).all()
+
+
+def test_induced_sampling_stays_in_event_blocks(desk_dataset, monkeypatch):
+    ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
+    seeded = []
+
+    def recording_seed(root_seed, corridor_index, month):
+        seeded.append((corridor_index, month))
+        return corridor_seed(root_seed, corridor_index, month)
+
+    monkeypatch.setattr(flows_module, "corridor_seed", recording_seed)
+    sample_induced_totals(ctx, PARAMS, scenario_none(), 3, 10)
+    blocks = {(c, e.onset_month + k)
+              for e in desk_dataset.disasters
+              for c in ctx.origin_groups.get(e.country, ())
+              for k in range(12)}
+    assert seeded  # events act inside this window
+    assert set(seeded) <= blocks
+    assert len(seeded) == 2 * len(set(seeded))  # each cell once per run
