@@ -11,12 +11,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, FlowObservation, interpolate_stocks_monthly
-from .months import year_of
+from .dataio import SEXES, Dataset, FlowObservation, interpolate_stocks_monthly, stock_grid
+from .months import WINDOW_MONTHS, year_of
+from .reports import sequential_sum
 
 log = logging.getLogger(__name__)
 
@@ -42,24 +43,38 @@ def gravity_per_migrant(y_dest: float, y_origin: float, beta_exp: float) -> floa
     return y_origin + (y_dest - y_origin) ** beta_exp
 
 
-def annual_stocks(dataset: Dataset) -> Mapping[tuple[str, str, int], float]:
-    """Mean of the monthly interpolated stock (both sexes) per corridor-year."""
-    series = interpolate_stocks_monthly(dataset.stocks)
-    out: dict[tuple[str, str, int], float] = {}
-    for (origin, dest, _sex), monthly in series.items():
-        for year in range(2010, 2020):
-            lo = (year - 2010) * 12
-            key = (origin, dest, year)
-            out[key] = out.get(key, 0.0) + float(monthly[lo: lo + 12].mean())
-    return out
+def annual_stocks(dataset: Dataset,
+                  monthly: np.ndarray | None = None) -> dict[tuple[str, str, int], float]:
+    """Mean of the monthly interpolated stock (both sexes) per corridor-year.
+
+    ``monthly`` is the (corridors, 120 months, 2 sexes) stock grid of
+    ``dataset.corridors``, as ``SimulationContext.stocks`` holds it; without
+    it the stocks are interpolated here.
+    """
+    corridors = dataset.corridors
+    if monthly is None:
+        monthly = stock_grid(corridors, interpolate_stocks_monthly(dataset.stocks))
+    years = range(year_of(0), year_of(WINDOW_MONTHS - 1) + 1)
+    # each year's 12 months contiguous in the last axis, so every mean reduces
+    # its 12 values as the mean of a 12-month slice does
+    by_sex = np.ascontiguousarray(monthly.transpose(0, 2, 1))
+    means = by_sex.reshape(len(corridors), len(SEXES), len(years), 12).mean(axis=3)
+    totals = (0.0 + means[:, 0]) + means[:, 1]  # from 0.0, like a running sum: no -0.0
+    return {(origin, dest, year): value
+            for (origin, dest), row in zip(corridors, totals.tolist())
+            for year, value in zip(years, row)}
 
 
-def gravity_flows(dataset: Dataset, beta_exp: float) -> dict[int, dict[tuple[str, str], float]]:
+def gravity_flows(dataset: Dataset, beta_exp: float,
+                  stocks: Mapping[tuple[str, str, int], float] | None = None
+                  ) -> dict[int, dict[tuple[str, str], float]]:
     """Annual bilateral flows per year: per-migrant amount times stock.
 
-    Keyed year -> {(sender, recipient): USD/year}.
+    Keyed year -> {(sender, recipient): USD/year}. ``stocks`` is
+    :func:`annual_stocks` of ``dataset``, computed here when not given.
     """
-    stocks = annual_stocks(dataset)
+    if stocks is None:
+        stocks = annual_stocks(dataset)
     out: dict[int, dict[tuple[str, str], float]] = {y: {} for y in range(2010, 2020)}
     for (origin, dest, year), stock in stocks.items():
         amount = gravity_per_migrant(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)], beta_exp)
@@ -67,41 +82,62 @@ def gravity_flows(dataset: Dataset, beta_exp: float) -> dict[int, dict[tuple[str
     return out
 
 
-def _panel_sse(panel: Sequence[FlowObservation], dataset: Dataset,
-               stocks: Mapping[tuple[str, str, int], float], beta_exp: float) -> tuple[float, int]:
-    """SSE of monthly gravity estimates (annual / 12) against the panel; ``stocks``
-    is :func:`annual_stocks` of ``dataset``, computed once per fit."""
-    sse = 0.0
+def _gravity_loss(panel: Sequence[FlowObservation], dataset: Dataset,
+                  stocks: Mapping[tuple[str, str, int], float]
+                  ) -> tuple[Callable[[float], float], int]:
+    """(SSE as a function of the exponent, number of excluded observations).
+
+    The SSE compares monthly gravity estimates (annual / 12) with the panel
+    and adds the squared errors in panel order. The per-observation arrays
+    are built once; observations without a modelled stock are excluded.
+    """
+    included = []
     excluded = 0
     for obs in panel:
         year = year_of(obs.month)
-        key = (obs.recipient, obs.sender, year)
-        stock = stocks.get(key)
+        stock = stocks.get((obs.recipient, obs.sender, year))
         if stock is None:
             excluded += 1
             continue
-        amount = gravity_per_migrant(dataset.gdp[(obs.sender, year)],
-                                     dataset.gdp[(obs.recipient, year)], beta_exp)
-        sse += (amount * stock / 12.0 - obs.amount_usd) ** 2
+        included.append((stock, dataset.gdp[(obs.sender, year)], dataset.gdp[(obs.recipient, year)],
+                         obs.amount_usd))
+    stock, y_dest, y_origin, observed = np.array(included, dtype=float).reshape(-1, 4).T
+    if ((y_dest <= 0) | (y_origin <= 0)).any():
+        raise ValueError("incomes must be positive")
+    richer = y_dest >= y_origin
+    gaps, gap_of = np.unique(y_dest[richer] - y_origin[richer], return_inverse=True)
+    gaps = gaps.tolist()
+
+    def sse(beta_exp: float) -> float:
+        per_migrant = y_origin.copy()
+        # Python ** on each distinct gap, as in gravity_per_migrant: np.power may round differently
+        per_migrant[richer] += np.array([gap ** beta_exp for gap in gaps])[gap_of]
+        error = per_migrant * stock / 12.0 - observed
+        return sequential_sum(error * error)
+
     return sse, excluded
 
 
 def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
                       bracket: tuple[float, float] = (0.01, 2.0), grid: int = 41,
-                      tol: float = 1e-4) -> GravityFit:
+                      tol: float = 1e-4,
+                      stocks: Mapping[tuple[str, str, int], float] | None = None) -> GravityFit:
     """Fit the exponent by golden-section search on the bracketed SSE.
 
     A coarse grid scan checks unimodality first; a non-unimodal profile
     returns the best grid point with a warning. A boundary optimum widens
-    the bracket (once upward) and is flagged if it persists.
+    the bracket (once upward) and is flagged if it persists. ``stocks`` is
+    :func:`annual_stocks` of ``dataset``, computed here when not given.
     """
     if not panel:
         raise ValueError("panel is empty")
-    stocks = annual_stocks(dataset)
+    if stocks is None:
+        stocks = annual_stocks(dataset)
+    f, excluded = _gravity_loss(panel, dataset, stocks)
     lo, hi = bracket
     for _ in range(2):  # allow one widening past the upper edge
         xs = np.linspace(lo, hi, grid)
-        losses = [_panel_sse(panel, dataset, stocks, x)[0] for x in xs]
+        losses = [f(x) for x in xs]
         best = int(np.argmin(losses))
         sign_changes = 0
         diffs = np.sign(np.diff(losses))
@@ -111,9 +147,8 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
         unimodal = sign_changes <= 1
         if not unimodal:
             log.warning("gravity loss not unimodal on [%g, %g]; returning best grid point", lo, hi)
-            _, excl = _panel_sse(panel, dataset, stocks, xs[best])
             return GravityFit(float(xs[best]), float(losses[best]), at_boundary=False,
-                              unimodal=False, n_excluded=excl)
+                              unimodal=False, n_excluded=excluded)
         if best == grid - 1:
             lo, hi = hi * 0.9, hi * 3.0
             continue
@@ -121,7 +156,6 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
 
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, grid - 1)]
-    f = lambda x: _panel_sse(panel, dataset, stocks, x)[0]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -135,11 +169,10 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
             d = a + GOLDEN * (b - a)
             fd = f(d)
     beta = (a + b) / 2.0
-    sse, excluded = _panel_sse(panel, dataset, stocks, beta)
     at_boundary = best in (0, grid - 1)
     if at_boundary:
         log.warning("gravity exponent optimum at bracket edge (beta=%g)", beta)
-    return GravityFit(float(beta), float(sse), at_boundary=at_boundary, unimodal=True,
+    return GravityFit(float(beta), float(f(beta)), at_boundary=at_boundary, unimodal=True,
                       n_excluded=excluded)
 
 

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -89,11 +90,9 @@ def cmd_build_population(config: RunConfig, args) -> int:
     ctx = _context(dataset, config)
     out = Path(config.output_dir)
 
-    pop_rows = ((o, d, sex, age, month_label(m), count)
-                for (o, d, sex, age, m, count) in ctx.population.iter_rows(ctx.window_months))
     pop_path = reports.write_csv(out / "population.csv",
                                  ("origin", "destination", "sex", "age", "month", "count"),
-                                 pop_rows)
+                                 ctx.population.iter_rows(ctx.window_months), formatted=True)
     demo_rows = [
         (d.origin, d.destination, month_label(d.month), d.age_symmetry, d.sex_symmetry,
          d.asymmetry, d.family)
@@ -106,7 +105,7 @@ def cmd_build_population(config: RunConfig, args) -> int:
         demo_rows)
 
     for year in ANCHOR_YEARS:
-        total = sum(r.count for r in dataset.stocks if r.anchor_year == year)
+        total = reports.sequential_sum(r.count for r in dataset.stocks if r.anchor_year == year)
         print(f"total stock {year}: {total}")
     print(f"population rows: months {month_label(config.start)}..{month_label(config.end)}")
     reports.write_manifest(out, "build-population", config.echo(), _input_paths(config),
@@ -161,7 +160,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     months = list(ctx.window_months)
     flows_path = reports.write_csv(
         out / "flows.csv", ("sender", "recipient", "month", "amount_usd", "scenario_id"),
-        reports.flow_rows(ctx.corridors, months, grid, "factual"))
+        reports.flow_rows(ctx.corridors, months, grid, "factual"), formatted=True)
     outputs = [flows_path]
     if config.band_draws:
         totals = flows.sample_monthly_totals(ctx, params, None, config.seed, config.band_draws)
@@ -181,18 +180,16 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
 
     result = scenarios.run_counterfactual(ctx, params)
     months = list(result.months)
-    induced_rows = (
-        ("no_disaster", dest, origin, month_label(m), float(result.induced[c, mi]))
-        for c, (origin, dest) in enumerate(result.corridors)
-        for mi, m in enumerate(months)
-    )
+    sender, recipient, month = reports.corridor_month_columns(result.corridors, months)
     induced_path = reports.write_csv(
         out / "induced.csv", ("scenario_id", "sender", "recipient", "month", "amount_usd"),
-        induced_rows)
+        reports.columns(repeat("no_disaster"), sender, recipient, month, result.induced.ravel()),
+        formatted=True)
     cf_path = reports.write_csv(
         out / "flows_counterfactual.csv",
         ("sender", "recipient", "month", "amount_usd", "scenario_id"),
-        reports.flow_rows(result.corridors, months, result.counterfactual, "no_disaster"))
+        reports.flow_rows(result.corridors, months, result.counterfactual, "no_disaster"),
+        formatted=True)
     outputs = [induced_path, cf_path]
 
     for grouping, name in (("income-group", "summary_income_group.csv"),
@@ -231,7 +228,7 @@ def cmd_attribute(config: RunConfig, args) -> int:
          h.induced_usd / report.total_factual if report.total_factual else 0.0)
         for h in report.per_hazard
     ]
-    total_affected = sum(h.affected_persons for h in report.per_hazard)
+    total_affected = reports.sequential_sum(h.affected_persons for h in report.per_hazard)
     rows.append(("all", report.total_induced, total_affected,
                  report.total_induced / total_affected if total_affected else None,
                  report.share_of_total))
@@ -271,11 +268,12 @@ def cmd_attribute(config: RunConfig, args) -> int:
 def cmd_compare_baseline(config: RunConfig, args) -> int:
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
-    fit = baseline.calibrate_gravity(dataset.panel, dataset)
-    gravity = baseline.gravity_flows(dataset, fit.beta_exp)
-    grid = ctx.expected_flows(params)
+    stocks = baseline.annual_stocks(dataset, ctx.stocks)
+    fit = baseline.calibrate_gravity(dataset.panel, dataset, stocks=stocks)
+    gravity = baseline.gravity_flows(dataset, fit.beta_exp, stocks)
+    grid = ctx.expected_flows(params).tolist()
     structural = {
-        (dest, origin, m): float(grid[c, m])
+        (dest, origin, m): grid[c][m]
         for c, (origin, dest) in enumerate(ctx.corridors)
         for m in ctx.window_months
     }
@@ -310,15 +308,13 @@ def cmd_report(config: RunConfig, args) -> int:
     cube = ctx.probability_cube(params, cols=ctx.window)
     origins = sorted({o for o, _ in ctx.corridors})
     snapshot_months = [m for m in ctx.window_months if m % 12 == 11] or [config.end]
-    profile_rows = []
-    for origin in origins:
-        for m in snapshot_months:
-            for cum, p in probability_profile(ctx, params, origin, m, cube=cube):
-                profile_rows.append((origin, "ALL", month_label(m), cum, p))
+    profiles = [(origin, month_label(m), *probability_profile(ctx, params, origin, m, cube=cube))
+                for origin in origins for m in snapshot_months]
     profiles_path = reports.write_csv(
         out / "profiles.csv",
         ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
-        profile_rows)
+        chain.from_iterable(reports.columns(repeat(origin), repeat("ALL"), repeat(label), cum, p)
+                            for origin, label, cum, p in profiles), formatted=True)
 
     weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, :, None, :]
     groups = [dataset.income_group[(origin, year_of(m))]
@@ -335,7 +331,8 @@ def cmd_report(config: RunConfig, args) -> int:
 
     reports.write_manifest(out, "report", config.echo(),
                            _input_paths(config) + [params_path], [profiles_path, senders_path])
-    print(f"report: {len(profile_rows)} profile points for {len(origins)} origins; "
+    n_points = sum(len(cum) for _, _, cum, _ in profiles)
+    print(f"report: {n_points} profile points for {len(origins)} origins; "
           f"sender demographics over {len(groups) * np.count_nonzero(ctx.shares)} cohorts")
     return EXIT_OK
 

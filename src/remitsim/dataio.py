@@ -217,20 +217,22 @@ def _parse_month(path: Path, line: int, column: str, raw: str) -> int:
         raise _err(path, line, column, str(exc)) from None
 
 
-def _read_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line, fields) per non-blank data row, fields in ``FILE_COLUMNS`` order."""
     columns = FILE_COLUMNS[path.name]
     if not path.exists():
         raise DataValidationError(f"{path.name}: file not found at {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataValidationError(f"{path.name}: empty file, expected header {','.join(columns)}")
-        if tuple(reader.fieldnames) != columns:
+        if tuple(header) != columns:
             raise DataValidationError(
-                f"{path.name}: header {','.join(reader.fieldnames)} does not match "
+                f"{path.name}: header {','.join(header)} does not match "
                 f"required {','.join(columns)}")
-        for line, row in enumerate(reader, start=2):
-            if None in row or any(v is None for v in row.values()):
+        for line, row in enumerate(filter(None, reader), start=2):  # blank lines skipped
+            if len(row) != len(columns):
                 raise DataValidationError(f"{path.name}:{line}: wrong number of fields")
             yield line, row
 
@@ -241,15 +243,15 @@ def _read_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
 def _load_economics(path: Path) -> tuple[CountryEconomics, ...]:
     rows: list[CountryEconomics] = []
     seen: set[tuple[str, int]] = set()
-    for line, r in _read_rows(path):
+    for line, (country, year, gdp, population, group) in _read_rows(path):
         rec = CountryEconomics(
-            country=_parse_country(path, line, "country", r["country"]),
-            year=_parse_int(path, line, "year", r["year"], minimum=1900, maximum=2100),
-            gdp_per_capita=_parse_float(path, line, "gdp_per_capita", r["gdp_per_capita"],
+            country=_parse_country(path, line, "country", country),
+            year=_parse_int(path, line, "year", year, minimum=1900, maximum=2100),
+            gdp_per_capita=_parse_float(path, line, "gdp_per_capita", gdp,
                                         minimum=0.0, strict_min=True),
-            population=_parse_float(path, line, "population", r["population"],
+            population=_parse_float(path, line, "population", population,
                                     minimum=0.0, strict_min=True),
-            income_group=_parse_enum(path, line, "income_group", r["income_group"], INCOME_GROUPS),
+            income_group=_parse_enum(path, line, "income_group", group, INCOME_GROUPS),
         )
         key = (rec.country, rec.year)
         if key in seen:
@@ -262,13 +264,13 @@ def _load_economics(path: Path) -> tuple[CountryEconomics, ...]:
 def _load_stocks(path: Path) -> tuple[MigrantStockRecord, ...]:
     rows: list[MigrantStockRecord] = []
     seen: set[tuple[str, str, str, int]] = set()
-    for line, r in _read_rows(path):
+    for line, (origin, destination, sex, anchor_year, count) in _read_rows(path):
         rec = MigrantStockRecord(
-            origin=_parse_country(path, line, "origin", r["origin"]),
-            destination=_parse_country(path, line, "destination", r["destination"]),
-            sex=_parse_enum(path, line, "sex", r["sex"], SEXES),
-            anchor_year=_parse_int(path, line, "anchor_year", r["anchor_year"]),
-            count=_parse_float(path, line, "count", r["count"], minimum=0.0),
+            origin=_parse_country(path, line, "origin", origin),
+            destination=_parse_country(path, line, "destination", destination),
+            sex=_parse_enum(path, line, "sex", sex, SEXES),
+            anchor_year=_parse_int(path, line, "anchor_year", anchor_year),
+            count=_parse_float(path, line, "count", count, minimum=0.0),
         )
         if rec.anchor_year not in ANCHOR_YEARS:
             raise _err(path, line, "anchor_year",
@@ -296,11 +298,11 @@ def _load_age_profiles(path: Path) -> tuple[AgeProfile, ...]:
     rows: list[AgeProfile] = []
     seen: set[tuple[str, int]] = set()
     sums: dict[str, float] = {}
-    for line, r in _read_rows(path):
+    for line, (sex, age, share) in _read_rows(path):
         rec = AgeProfile(
-            sex=_parse_enum(path, line, "sex", r["sex"], SEXES),
-            age=_parse_int(path, line, "age", r["age"], minimum=0, maximum=MAX_AGE),
-            share=_parse_float(path, line, "share", r["share"], minimum=0.0, maximum=1.0),
+            sex=_parse_enum(path, line, "sex", sex, SEXES),
+            age=_parse_int(path, line, "age", age, minimum=0, maximum=MAX_AGE),
+            share=_parse_float(path, line, "share", share, minimum=0.0, maximum=1.0),
         )
         key = (rec.sex, rec.age)
         if key in seen:
@@ -318,11 +320,11 @@ def _load_age_profiles(path: Path) -> tuple[AgeProfile, ...]:
 def _load_surplus_profiles(path: Path) -> tuple[SurplusProfile, ...]:
     rows: list[SurplusProfile] = []
     seen: set[tuple[str, int]] = set()
-    for line, r in _read_rows(path):
+    for line, (country, age, surplus) in _read_rows(path):
         rec = SurplusProfile(
-            country=_parse_country(path, line, "country", r["country"], allow_global=True),
-            age=_parse_int(path, line, "age", r["age"], minimum=0, maximum=MAX_AGE),
-            surplus=_parse_float(path, line, "surplus", r["surplus"], minimum=0.0),
+            country=_parse_country(path, line, "country", country, allow_global=True),
+            age=_parse_int(path, line, "age", age, minimum=0, maximum=MAX_AGE),
+            surplus=_parse_float(path, line, "surplus", surplus, minimum=0.0),
         )
         if rec.age < 16 and rec.surplus != 0.0:
             raise _err(path, line, "surplus", f"must be 0 below age 16, got {rec.surplus} at age {rec.age}")
@@ -346,13 +348,13 @@ def _load_surplus_profiles(path: Path) -> tuple[SurplusProfile, ...]:
 def _load_disasters(path: Path, population: Mapping[tuple[str, int], float]) -> tuple[DisasterEvent, ...]:
     rows: list[DisasterEvent] = []
     seen: set[str] = set()
-    for line, r in _read_rows(path):
+    for line, (event_id, country, onset_month, hazard, affected) in _read_rows(path):
         rec = DisasterEvent(
-            event_id=r["event_id"],
-            country=_parse_country(path, line, "country", r["country"]),
-            onset_month=_parse_month(path, line, "onset_month", r["onset_month"]),
-            hazard=_parse_enum(path, line, "hazard", r["hazard"], HAZARDS),
-            affected=_parse_float(path, line, "affected", r["affected"], minimum=0.0),
+            event_id=event_id,
+            country=_parse_country(path, line, "country", country),
+            onset_month=_parse_month(path, line, "onset_month", onset_month),
+            hazard=_parse_enum(path, line, "hazard", hazard, HAZARDS),
+            affected=_parse_float(path, line, "affected", affected, minimum=0.0),
         )
         if not rec.event_id:
             raise _err(path, line, "event_id", "must be non-empty")
@@ -375,17 +377,26 @@ def _load_disasters(path: Path, population: Mapping[tuple[str, int], float]) -> 
 def _load_panel(path: Path) -> tuple[FlowObservation, ...]:
     rows: list[FlowObservation] = []
     seen: set[tuple[str, str, int]] = set()
-    for line, r in _read_rows(path):
-        rec = FlowObservation(
-            sender=_parse_country(path, line, "sender", r["sender"]),
-            recipient=_parse_country(path, line, "recipient", r["recipient"]),
-            month=_parse_month(path, line, "month", r["month"]),
-            amount_usd=_parse_float(path, line, "amount_usd", r["amount_usd"], minimum=0.0),
-        )
-        key = (rec.sender, rec.recipient, rec.month)
+    # the panel repeats few codes and months over many rows: validate each code
+    # once, and parse only the months outside the grid (they load, and calibration
+    # excludes them)
+    codes: set[str] = set()
+    grid_months = {month_label(m): m for m in range(WINDOW_MONTHS)}
+    for line, (sender, recipient, label, amount) in _read_rows(path):
+        if sender not in codes:
+            codes.add(_parse_country(path, line, "sender", sender))
+        if recipient not in codes:
+            codes.add(_parse_country(path, line, "recipient", recipient))
+        month = grid_months.get(label)
+        if month is None:
+            month = _parse_month(path, line, "month", label)
+        rec = FlowObservation(sender=sender, recipient=recipient, month=month,
+                              amount_usd=_parse_float(path, line, "amount_usd", amount,
+                                                      minimum=0.0))
+        key = (sender, recipient, month)
         if key in seen:
             raise _err(path, line, "month",
-                       f"duplicate observation for {rec.sender}->{rec.recipient} {month_label(rec.month)}")
+                       f"duplicate observation for {sender}->{recipient} {month_label(month)}")
         seen.add(key)
         rows.append(rec)
     return tuple(rows)
@@ -487,43 +498,46 @@ def write_dataset(ds: Dataset, data_dir: str | Path) -> list[Path]:
 # Monthly interpolation of quinquennial stocks
 
 def _natural_cubic_second_derivs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic spline through (x, y).
+    """Second derivatives of the natural cubic splines through (x, y[j]) for each row j.
 
     Natural boundary conditions: second derivative zero at both ends.
     Interior values come from the standard tridiagonal system, solved with
-    the Thomas algorithm.
+    the Thomas algorithm; the nodes ``x`` are shared, so the elimination
+    factors are too, and every row is solved in the same pass.
     """
     n = len(x)
-    m = np.zeros(n)
+    m = np.zeros(y.shape)
     if n < 3:
         return m
     h = np.diff(x)
     # system rows i = 1..n-2:  h[i-1] m[i-1] + 2(h[i-1]+h[i]) m[i] + h[i] m[i+1] = rhs
-    rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-    diag = 2.0 * (h[:-1] + h[1:]).copy()
-    lower = h[:-1].copy()
-    upper = h[1:].copy()
+    rhs = 6.0 * ((y[:, 2:] - y[:, 1:-1]) / h[1:] - (y[:, 1:-1] - y[:, :-2]) / h[:-1])
+    diag = 2.0 * (h[:-1] + h[1:])
+    lower = h[:-1]
+    upper = h[1:]
     k = n - 2
     for i in range(1, k):
         w = lower[i] / diag[i - 1]
         diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    sol = np.zeros(k)
-    sol[-1] = rhs[-1] / diag[-1]
+        rhs[:, i] -= w * rhs[:, i - 1]
+    sol = np.zeros(rhs.shape)
+    sol[:, -1] = rhs[:, -1] / diag[-1]
     for i in range(k - 2, -1, -1):
-        sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
-    m[1:-1] = sol
+        sol[:, i] = (rhs[:, i] - upper[i] * sol[:, i + 1]) / diag[i]
+    m[:, 1:-1] = sol
     return m
 
 
 def _eval_natural_cubic(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Each row's spline (nodes ``x``, values ``y``, second derivatives ``m``) at ``xq``."""
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
     xl, xu = x[idx], x[idx + 1]
-    yl, yu = y[idx], y[idx + 1]
-    ml, mu = m[idx], m[idx + 1]
+    yl, yu = y[:, idx], y[:, idx + 1]
+    ml, mu = m[:, idx], m[:, idx + 1]
     h = xu - xl
     a, b = xu - xq, xq - xl
-    out = (ml * a**3 + mu * b**3) / (6.0 * h) + (yl / h - h * ml / 6.0) * a + (yu / h - h * mu / 6.0) * b
+    a3, b3 = a**3, b**3  # shared by all rows
+    out = (ml * a3 + mu * b3) / (6.0 * h) + (yl / h - h * ml / 6.0) * a + (yu / h - h * mu / 6.0) * b
     # queries that land on a node return the anchor exactly
     out = np.where(b == 0.0, yl, out)
     out = np.where(a == 0.0, yu, out)
@@ -535,21 +549,34 @@ def interpolate_stocks_monthly(stocks: Sequence[MigrantStockRecord]) -> dict[tup
 
     Anchors sit at January 2010/2015/2020; the returned series covers the
     120 window months and is clamped at zero. At anchor months the series
-    equals the anchor exactly.
+    equals the anchor exactly. All series are evaluated in one array pass;
+    each is a read-only row of one (series, 120) array.
     """
     anchors: dict[tuple[str, str, str], dict[int, float]] = {}
     for r in stocks:
         anchors.setdefault((r.origin, r.destination, r.sex), {})[r.anchor_year] = r.count
-    nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
-    months = np.arange(WINDOW_MONTHS, dtype=float)
-    out: dict[tuple[str, str, str], np.ndarray] = {}
     for key, by_year in anchors.items():
         missing = sorted(set(ANCHOR_YEARS) - set(by_year))
         if missing:
             raise DataValidationError(f"corridor {key[0]}->{key[1]} sex {key[2]} missing anchor year(s) {missing}")
-        y = np.array([by_year[yr] for yr in ANCHOR_YEARS], dtype=float)
-        m2 = _natural_cubic_second_derivs(nodes, y)
-        series = np.maximum(_eval_natural_cubic(nodes, y, m2, months), 0.0)
-        series.flags.writeable = False
-        out[key] = series
-    return out
+    nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
+    months = np.arange(WINDOW_MONTHS, dtype=float)
+    y = np.array([[by_year[yr] for yr in ANCHOR_YEARS] for by_year in anchors.values()],
+                 dtype=float).reshape(len(anchors), len(ANCHOR_YEARS))
+    m2 = _natural_cubic_second_derivs(nodes, y)
+    series = np.maximum(_eval_natural_cubic(nodes, y, m2, months), 0.0)
+    series.flags.writeable = False
+    return dict(zip(anchors, series))
+
+
+def stock_grid(corridors: Sequence[tuple[str, str]],
+               series: Mapping[tuple[str, str, str], np.ndarray]) -> np.ndarray:
+    """(corridors, 120 months, 2 sexes) array of monthly ``series``; absent series are 0."""
+    grid = np.zeros((len(corridors), WINDOW_MONTHS, len(SEXES)))
+    for c, (origin, destination) in enumerate(corridors):
+        for s, sex in enumerate(SEXES):
+            monthly = series.get((origin, destination, sex))
+            if monthly is not None:
+                grid[c, :, s] = monthly
+    grid.flags.writeable = False
+    return grid

@@ -48,25 +48,19 @@ class SimulationContext:
         self.family = demographics_arrays(self.population)[2]  # pyramid asymmetry
         self.shares = np.vstack([self.population.shares[sex] for sex in SEXES])
 
-        years = np.array([year_of(m) for m in range(self.n_months)])
-        year_list = sorted(set(years))
+        # GDP covariates per (corridor, year), each year spread over its 12 months
+        years = range(year_of(0), year_of(self.n_months - 1) + 1)
         origins = sorted({o for o, _ in self.corridors})
         # static normalization: min-max over all origins and all grid years
-        keys = [(o, y) for o in origins for y in year_list]
-        norm_values = behavior.gdp_norm([dataset.gdp[key] for key in keys])
-        norm_map = dict(zip(keys, norm_values))
-
-        self.delta_gdp = np.zeros((self.n_corridors, self.n_months))
-        self.gdp_norm = np.zeros((self.n_corridors, self.n_months))
-        self.monthly_income = np.zeros((self.n_corridors, self.n_months))
-        for c, (origin, dest) in enumerate(self.corridors):
-            for year in year_list:
-                cols = years == year
-                gap = behavior.delta_gdp(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)],
-                                         clamp=clamp_delta_gdp)
-                self.delta_gdp[c, cols] = gap
-                self.gdp_norm[c, cols] = norm_map[(origin, year)]
-                self.monthly_income[c, cols] = dataset.gdp[(dest, year)] / 12.0
+        keys = [(o, y) for o in origins for y in years]
+        norm_map = dict(zip(keys, behavior.gdp_norm([dataset.gdp[key] for key in keys]).tolist()))
+        gdp = dataset.gdp
+        by_year = np.array([
+            [(behavior.delta_gdp(gdp[(dest, y)], gdp[(origin, y)], clamp=clamp_delta_gdp),
+              norm_map[(origin, y)], gdp[(dest, y)] / 12.0) for y in years]
+            for origin, dest in self.corridors]).reshape(self.n_corridors, len(years), 3)
+        self.delta_gdp, self.gdp_norm, self.monthly_income = (
+            np.repeat(by_year[:, :, k], 12, axis=1) for k in range(3))
 
         # corridor indices grouped by destination (shared surplus profile)
         # and by origin (shared disaster exposure)
@@ -113,9 +107,13 @@ class SimulationContext:
         """Per-country (n_months, 12) matrices of summed magnitudes by offset.
 
         ``active_ids`` restricts to a subset of event ids; None means all.
+        Only the all-events and no-event results are cached: calibration and
+        every scenario reuse those, while a per-hazard or per-event set is
+        built for one evaluation, so caching it would only grow the cache.
         """
-        if active_ids in self._mag_cache:
-            return self._mag_cache[active_ids]
+        cached = self._mag_cache.get(active_ids)
+        if cached is not None:
+            return cached
         mags: dict[str, np.ndarray] = {}
         for event_id, country, onset, magnitude in self._events:
             if active_ids is not None and event_id not in active_ids:
@@ -127,7 +125,8 @@ class SimulationContext:
                     arr[month, k] += magnitude
         for arr in mags.values():
             arr.flags.writeable = False
-        self._mag_cache[active_ids] = mags
+        if not active_ids:
+            self._mag_cache[active_ids] = mags
         return mags
 
     def disaster_scores(self, params: BehaviorParams,
@@ -270,14 +269,14 @@ def as_context(data: Dataset | SimulationContext) -> SimulationContext:
 def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: str,
                         month: int, destination: str | None = None,
                         active_ids: frozenset | None = None,
-                        cube: np.ndarray | None = None) -> list[tuple[float, float]]:
+                        cube: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Diaspora probability profile for one origin at one month.
 
-    (cumulative population fraction, probability) per cohort with a positive
-    count, by descending probability; ties keep corridor, sex, age order.
-    ``destination`` narrows the scope to a single corridor; None pools all
-    destinations of the origin's diaspora. ``month`` lies in the context's
-    window. Pass a precomputed window cube,
+    Two arrays, cumulative population fraction and probability, with one
+    entry per cohort with a positive count, by descending probability; ties
+    keep corridor, sex, age order. ``destination`` narrows the scope to a
+    single corridor; None pools all destinations of the origin's diaspora.
+    ``month`` lies in the context's window. Pass a precomputed window cube,
     ``ctx.probability_cube(params, active_ids, ctx.window)``, when profiling
     many origin-months.
     """
@@ -293,12 +292,12 @@ def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: 
     keep = counts > 0
     counts, probs = counts[keep], probs[keep]
     if counts.size == 0:
-        return []
+        return counts, probs
     # the denominator sums in cohort order, the numerators in probability order
     total = np.cumsum(counts)[-1]
     order = np.argsort(-probs, kind="stable")
     cum = np.cumsum(counts[order])
-    return list(zip((cum / total).tolist(), probs[order].tolist()))
+    return cum / total, probs[order]
 
 
 def scenario_none() -> frozenset:

@@ -8,12 +8,14 @@ quantities summarize each corridor-month population pyramid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, N_AGES, SEXES, interpolate_stocks_monthly
-from .months import WINDOW_MONTHS
+from .dataio import Dataset, N_AGES, SEXES, interpolate_stocks_monthly, stock_grid
+from .months import month_label
+from .reports import columns
 
 YOUNG_MAX_AGE = 24  # "young" band: ages 0..24
 PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
@@ -54,30 +56,27 @@ class Population:
         """Cohort counts for one corridor-month, shape (2 sexes, 101 ages)."""
         return self.stocks[corridor, month, :, None] * np.vstack([self.shares[s] for s in SEXES])
 
-    def iter_rows(self, months: Sequence[int]) -> Iterator[tuple[str, str, str, int, int, float]]:
-        """(origin, destination, sex, age, month, count) rows of ``months`` for ages
-        with nonzero share."""
-        nonzero = {sex: np.nonzero(self.shares[sex])[0] for sex in SEXES}
+    def iter_rows(self, months: Sequence[int]) -> Iterator[tuple[str, ...]]:
+        """Formatted (origin, destination, sex, age, month, count) rows of ``months``
+        for ages with nonzero share, one corridor at a time, for
+        ``reports.write_csv(..., formatted=True)``."""
+        months = list(months)
+        ages = {sex: np.flatnonzero(self.shares[sex]) for sex in SEXES}
+        sexes = [sex for sex in SEXES for _ in ages[sex]]
+        age_cells = [str(age) for sex in SEXES for age in ages[sex].tolist()]
+        labels = [month_label(m) for m in months for _ in sexes]
         for c, (origin, destination) in enumerate(self.corridors):
-            for month in months:
-                for s, sex in enumerate(SEXES):
-                    stock = self.stocks[c, month, s]
-                    for age in nonzero[sex]:
-                        yield origin, destination, sex, int(age), month, stock * self.shares[sex][age]
+            counts = np.concatenate([np.multiply.outer(self.stocks[c, months, s],
+                                                       self.shares[sex][ages[sex]])
+                                     for s, sex in enumerate(SEXES)], axis=1)
+            yield from columns(repeat(origin), repeat(destination), cycle(sexes),
+                               cycle(age_cells), labels, counts.ravel())
 
 
 def build_population(dataset: Dataset) -> Population:
     """Distribute interpolated monthly stocks across ages 0-100 per sex."""
-    series = interpolate_stocks_monthly(dataset.stocks)
-    corridors = dataset.corridors
-    stocks = np.zeros((len(corridors), WINDOW_MONTHS, 2))
-    for c, (origin, destination) in enumerate(corridors):
-        for s, sex in enumerate(SEXES):
-            monthly = series.get((origin, destination, sex))
-            if monthly is not None:
-                stocks[c, :, s] = monthly
-    stocks.flags.writeable = False
-    return Population(corridors, stocks, dataset.age_shares)
+    stocks = stock_grid(dataset.corridors, interpolate_stocks_monthly(dataset.stocks))
+    return Population(dataset.corridors, stocks, dataset.age_shares)
 
 
 def _sym_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:

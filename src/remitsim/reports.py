@@ -1,7 +1,12 @@
-"""CSV report writers and the run manifest.
+"""CSV report writers, the run manifest, and the sums that feed them.
 
-All writers format floats with ``repr`` (shortest round-trip) and a fixed
-newline, so identical runs produce byte-identical files. Manifests carry
+Floats are written as ``repr`` (shortest round-trip) with a fixed newline,
+and sums that reach an output add left to right (:func:`sequential_sum`),
+so identical runs produce byte-identical files on every Python version.
+:func:`write_csv` is the one CSV writer. Small reports pass it rows of
+values, formatted cell by cell by :func:`fmt_cell`; the large grids pass
+rows that :func:`columns` has formatted column by column, one ``repr`` pass
+over each float array, which gives the same strings. Manifests carry
 content hashes of every input and output, the seed, and the package
 version; they contain no timestamps.
 """
@@ -10,8 +15,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import chain, cycle, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .months import month_label
@@ -25,14 +33,45 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def sequential_sum(values: Iterable[float] | np.ndarray) -> float:
+    """Float sum in order, one rounding per addition, like ``sum`` before Python 3.12.
+
+    Since 3.12 the builtin ``sum`` compensates float rounding, so
+    ``sum([1e16, 1.0, -1e16])`` is 1.0 there and 0.0 before; ``np.sum``
+    adds pairwise. This sum gives 0.0 on every version.
+    """
+    arr = (values.astype(float, copy=False).ravel() if isinstance(values, np.ndarray) else
+            np.fromiter(values, dtype=float))
+    if arr.size == 0:
+        return 0.0
+    return 0.0 + float(np.add.accumulate(arr)[-1])  # 0.0 + x turns -0.0 into 0.0, as sum does
+
+
+def columns(*cols: Iterable[str] | np.ndarray) -> Iterator[tuple[str, ...]]:
+    """Lazy rows of formatted cells for ``write_csv(..., formatted=True)``.
+
+    Each column is a 1-D float array, whose values are formatted as
+    :func:`fmt_cell` formats a float, or an iterable of strings; rows end
+    with the shortest column.
+    """
+    return zip(*(map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in cols))
+
+
+def _repeat_each(values: Iterable[str], times: int) -> Iterator[str]:
+    """Each of ``values`` ``times`` times in a row: a column over row blocks."""
+    return chain.from_iterable(repeat(v, times) for v in values)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], *,
+              formatted: bool = False) -> Path:
+    """Write ``header`` and ``rows``. Cells are formatted by :func:`fmt_cell`,
+    unless ``formatted`` says the rows hold strings already, as from :func:`columns`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_cell(v) for v in row])
+        writer.writerows(rows if formatted else ([fmt_cell(v) for v in row] for row in rows))
     return path
 
 
@@ -63,9 +102,20 @@ def write_manifest(output_dir: str | Path, command: str, config_echo: dict,
     return write_json(Path(output_dir) / f"manifest-{command}.json", payload)
 
 
+def corridor_month_columns(corridors: Sequence[tuple[str, str]], months: Sequence[int]
+                           ) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
+    """Sender, recipient and month-label columns of the (corridor, month) cells
+    in C order; each month label is formatted once."""
+    n = len(months)
+    return (_repeat_each((dest for _, dest in corridors), n),
+            _repeat_each((origin for origin, _ in corridors), n),
+            cycle([month_label(m) for m in months]))
+
+
 def flow_rows(corridors: Sequence[tuple[str, str]], months: Sequence[int], flows,
-              scenario_id: str) -> Iterable[Sequence]:
-    """flows is (n_corridors, n_months) aligned with corridors x months."""
-    for c, (origin, dest) in enumerate(corridors):
-        for mi, month in enumerate(months):
-            yield dest, origin, month_label(month), float(flows[c, mi]), scenario_id
+              scenario_id: str) -> Iterator[tuple[str, ...]]:
+    """Formatted (sender, recipient, month, amount_usd, scenario_id) rows;
+    ``flows`` is (n_corridors, n_months) aligned with corridors x months."""
+    sender, recipient, month = corridor_month_columns(corridors, months)
+    return columns(sender, recipient, month, np.asarray(flows, dtype=float).ravel(),
+                   repeat(scenario_id))

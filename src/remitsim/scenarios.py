@@ -17,6 +17,7 @@ from .dataio import Dataset, HAZARDS
 from .engine import (SimulationContext, as_context, scenario_none, scenario_only_event,
                      scenario_only_hazard, scenario_without_hazard)
 from .months import year_of
+from .reports import sequential_sum
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,12 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
             induced = float(ctx.expected_flows(params, scenario_only_hazard(ctx.dataset, hazard))[:, win].sum() - base)
         else:
             induced = float(full - ctx.expected_flows(params, scenario_without_hazard(ctx.dataset, hazard))[:, win].sum())
-        affected = float(sum(e.affected for e in ctx.dataset.disasters if e.hazard == hazard))
+        affected = sequential_sum(e.affected for e in ctx.dataset.disasters if e.hazard == hazard)
         per_person = induced / affected if affected > 0 else None
         rows.append(HazardAttribution(hazard=hazard, induced_usd=induced,
                                       affected_persons=affected, usd_per_affected=per_person))
 
-    residual = total_induced - sum(r.induced_usd for r in rows)
+    residual = total_induced - sequential_sum(r.induced_usd for r in rows)
     share = total_induced / full if full > 0 else 0.0
     return AttributionReport(convention=convention, per_hazard=tuple(rows),
                              total_induced=total_induced, total_factual=float(full),
@@ -133,13 +134,11 @@ def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams
     without = ctx.expected_flows(params, scenario_none(), cols)
     diff = with_event - without
 
-    by_corridor = {}
-    for c, (origin, dest) in enumerate(ctx.corridors):
-        value = float(diff[c].sum())
-        if value != 0.0:
-            by_corridor[(dest, origin)] = value  # (sender, recipient)
+    by_corridor = {(dest, origin): value  # (sender, recipient)
+                   for (origin, dest), value in zip(ctx.corridors, diff.sum(axis=1).tolist())
+                   if value != 0.0}
     induced_total = float(diff.sum())
-    recipient_rows = [c for c, (o, _) in enumerate(ctx.corridors) if o == event.country]
+    recipient_rows = ctx.origin_groups.get(event.country, np.array([], dtype=int))
     baseline = float(without[recipient_rows].sum())
     relative = induced_total / baseline if baseline > 0 else None
     return EventAttribution(event_id=event_id, months=months, induced_by_corridor=by_corridor,
@@ -178,30 +177,34 @@ def summarize(result: ScenarioResult, dataset: Dataset, grouping: str,
     if grouping not in ("income-group", "country", "year"):
         raise ValueError(f"unknown grouping {grouping!r}")
 
-    induced: dict[str, float] = {}
-    factual: dict[str, float] = {}
-    for c, (origin, _) in enumerate(result.corridors):
-        for mi, month in enumerate(result.months):
-            year = year_of(month)
-            if grouping == "income-group":
-                key = dataset.income_group[(origin, year)]
-            elif grouping == "country":
-                key = origin
-            else:
-                key = str(year)
-            induced[key] = induced.get(key, 0.0) + float(result.induced[c, mi])
-            factual[key] = factual.get(key, 0.0) + float(result.factual[c, mi])
-
+    # a key per (corridor, year), spread to the cells; np.bincount adds each key's
+    # cells one at a time in C order (np.sum would add pairwise)
     years = sorted({year_of(m) for m in result.months})
+    if grouping == "income-group":
+        by_year = [[dataset.income_group[(origin, y)] for y in years]
+                   for origin, _ in result.corridors]
+    elif grouping == "country":
+        by_year = [[origin] * len(years) for origin, _ in result.corridors]
+    else:
+        by_year = [[str(y) for y in years]] * len(result.corridors)
+    keys = sorted({key for row in by_year for key in row})
+    code = {key: k for k, key in enumerate(keys)}
+    year_pos = [years.index(year_of(m)) for m in result.months]
+    cells = np.array([[code[key] for key in row] for row in by_year],
+                     dtype=np.intp).reshape(len(by_year), len(years))[:, year_pos].ravel()
+    induced = np.bincount(cells, weights=result.induced.ravel(), minlength=len(keys)).tolist()
+    factual = np.bincount(cells, weights=result.factual.ravel(), minlength=len(keys)).tolist()
+
     rows = []
-    for key in sorted(induced):
+    for key, ind, fac in zip(keys, induced, factual):
         per_capita = per_gdp = None
         if grouping == "country":
             pops = [dataset.population[(key, y)] for y in years]
-            per_capita = induced[key] / (sum(pops) / len(pops))
-            decade_gdp = sum(dataset.gdp[(key, y)] * dataset.population[(key, y)] for y in years)
-            per_gdp = induced[key] / decade_gdp if decade_gdp > 0 else None
-        share = induced[key] / factual[key] if factual[key] else 0.0
-        rows.append(SummaryRow(key=key, induced_usd=induced[key], factual_usd=factual[key],
+            per_capita = ind / (sequential_sum(pops) / len(pops))
+            decade_gdp = sequential_sum(dataset.gdp[(key, y)] * dataset.population[(key, y)]
+                                        for y in years)
+            per_gdp = ind / decade_gdp if decade_gdp > 0 else None
+        share = ind / fac if fac else 0.0
+        rows.append(SummaryRow(key=key, induced_usd=ind, factual_usd=fac,
                                share_of_factual=share, per_capita=per_capita, per_gdp=per_gdp))
     return rows

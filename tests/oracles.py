@@ -1,9 +1,10 @@
 """Scalar per-cohort reference implementations, used as test oracles.
 
-Each evaluates one cohort, event or corridor-month in plain Python; the
-package evaluates the same model through arrays in ``remitsim.engine``. This
-module never imports the engine, flows or scenarios modules, so it cannot
-reuse the code it checks.
+Each evaluates one cohort, event, corridor-month, stock series or panel
+observation in plain Python; the package evaluates the same model through
+arrays in ``remitsim.engine``, ``dataio``, ``baseline`` and ``scenarios``.
+This module never imports the engine, flows or scenarios modules, so it
+cannot reuse the code it checks.
 """
 from __future__ import annotations
 
@@ -15,8 +16,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from remitsim.baseline import gravity_per_migrant
 from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
-from remitsim.dataio import N_AGES, SEXES, Dataset, DisasterEvent, _serialize_tables
+from remitsim.dataio import (ANCHOR_YEARS, N_AGES, SEXES, Dataset, DataValidationError,
+                             DisasterEvent, FlowObservation, MigrantStockRecord, _serialize_tables)
+from remitsim.months import WINDOW_MONTHS, year_of
 from remitsim.population import (PARENTING_MAX_AGE, YOUNG_MAX_AGE, DiasporaDemographics,
                                  Population)
 
@@ -232,3 +236,110 @@ def sample_flows(counts: Sequence[float], probabilities: Sequence[float],
     rng = np.random.default_rng(seed)
     senders = rng.binomial(n, p, size=(draws, n.size)).sum(axis=1)
     return senders * params.rho * gdp_dest_monthly
+
+
+# ---------------------------------------------------------------------------
+# Stock spline one series at a time, and the gravity loss and the scenario
+# summaries one observation or cell at a time
+
+def _natural_cubic_second_derivs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    n = len(x)
+    m = np.zeros(n)
+    if n < 3:
+        return m
+    h = np.diff(x)
+    rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
+    diag = 2.0 * (h[:-1] + h[1:]).copy()
+    lower = h[:-1].copy()
+    upper = h[1:].copy()
+    k = n - 2
+    for i in range(1, k):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    sol = np.zeros(k)
+    sol[-1] = rhs[-1] / diag[-1]
+    for i in range(k - 2, -1, -1):
+        sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
+    m[1:-1] = sol
+    return m
+
+
+def _eval_natural_cubic(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    xl, xu = x[idx], x[idx + 1]
+    yl, yu = y[idx], y[idx + 1]
+    ml, mu = m[idx], m[idx + 1]
+    h = xu - xl
+    a, b = xu - xq, xq - xl
+    out = (ml * a**3 + mu * b**3) / (6.0 * h) + (yl / h - h * ml / 6.0) * a + (yu / h - h * mu / 6.0) * b
+    out = np.where(b == 0.0, yl, out)
+    out = np.where(a == 0.0, yu, out)
+    return out
+
+
+def interpolate_stocks_monthly(stocks: Sequence[MigrantStockRecord]
+                               ) -> dict[tuple[str, str, str], np.ndarray]:
+    """Natural cubic spline through the three anchors per series, clamped at 0."""
+    anchors: dict[tuple[str, str, str], dict[int, float]] = {}
+    for r in stocks:
+        anchors.setdefault((r.origin, r.destination, r.sex), {})[r.anchor_year] = r.count
+    nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
+    months = np.arange(WINDOW_MONTHS, dtype=float)
+    out: dict[tuple[str, str, str], np.ndarray] = {}
+    for key, by_year in anchors.items():
+        missing = sorted(set(ANCHOR_YEARS) - set(by_year))
+        if missing:
+            raise DataValidationError(f"corridor {key[0]}->{key[1]} sex {key[2]} missing anchor year(s) {missing}")
+        y = np.array([by_year[yr] for yr in ANCHOR_YEARS], dtype=float)
+        m2 = _natural_cubic_second_derivs(nodes, y)
+        out[key] = np.maximum(_eval_natural_cubic(nodes, y, m2, months), 0.0)
+    return out
+
+
+def annual_stocks(dataset: Dataset) -> dict[tuple[str, str, int], float]:
+    """Mean monthly stock per corridor-year, one series and one year at a time."""
+    out: dict[tuple[str, str, int], float] = {}
+    for (origin, dest, _sex), monthly in interpolate_stocks_monthly(dataset.stocks).items():
+        for year in range(2010, 2020):
+            lo = (year - 2010) * 12
+            key = (origin, dest, year)
+            out[key] = out.get(key, 0.0) + float(monthly[lo: lo + 12].mean())
+    return out
+
+
+def panel_sse(panel: Sequence[FlowObservation], dataset: Dataset,
+              stocks: Mapping[tuple[str, str, int], float], beta_exp: float) -> tuple[float, int]:
+    """(SSE of monthly gravity estimates against the panel, excluded observations)."""
+    sse = 0.0
+    excluded = 0
+    for obs in panel:
+        year = year_of(obs.month)
+        stock = stocks.get((obs.recipient, obs.sender, year))
+        if stock is None:
+            excluded += 1
+            continue
+        amount = gravity_per_migrant(dataset.gdp[(obs.sender, year)],
+                                     dataset.gdp[(obs.recipient, year)], beta_exp)
+        sse += (amount * stock / 12.0 - obs.amount_usd) ** 2
+    return sse, excluded
+
+
+def summary_totals(corridors: Sequence[tuple[str, str]], months: Sequence[int],
+                   induced: np.ndarray, factual: np.ndarray, dataset: Dataset,
+                   grouping: str) -> tuple[dict[str, float], dict[str, float]]:
+    """Induced and factual totals per summary key, adding cell by cell."""
+    induced_by: dict[str, float] = {}
+    factual_by: dict[str, float] = {}
+    for c, (origin, _) in enumerate(corridors):
+        for mi, month in enumerate(months):
+            year = year_of(month)
+            if grouping == "income-group":
+                key = dataset.income_group[(origin, year)]
+            elif grouping == "country":
+                key = origin
+            else:
+                key = str(year)
+            induced_by[key] = induced_by.get(key, 0.0) + float(induced[c, mi])
+            factual_by[key] = factual_by.get(key, 0.0) + float(factual[c, mi])
+    return induced_by, factual_by

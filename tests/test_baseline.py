@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from remitsim import fixtures
+import oracles
+from remitsim import baseline, fixtures
 from remitsim.baseline import (calibrate_gravity, compare_models, gravity_flows,
                                gravity_per_migrant, annual_stocks)
 from remitsim.dataio import FlowObservation
@@ -179,3 +180,37 @@ def test_missing_corridor_excluded_and_counted():
     report = compare_models(structural, gravity, panel)
     assert report.n_excluded == 1
     assert len(report.rows) == 1
+
+
+def test_annual_stocks_equal_per_series_oracle(desk_dataset, desk_ctx):
+    want = oracles.annual_stocks(desk_dataset)
+    assert annual_stocks(desk_dataset) == want
+    assert annual_stocks(desk_dataset, desk_ctx.stocks) == want
+
+
+def _panel_with_excluded_rows(dataset):
+    """The desk panel plus one observation after 2019 and one of an unmodelled sender."""
+    return list(dataset.panel) + [FlowObservation("DNA", "OGA", 130, 5.0e6),
+                                  FlowObservation("ZZZ", "OGA", 3, 1.0e6)]
+
+
+def test_gravity_loss_equals_scalar_oracle(desk_dataset):
+    panel = _panel_with_excluded_rows(desk_dataset)
+    stocks = annual_stocks(desk_dataset)
+    loss, excluded = baseline._gravity_loss(panel, desk_dataset, stocks)
+    assert excluded == 2
+    for beta in [*np.linspace(0.01, 2.0, 41), 0.3713, 1.0]:
+        assert loss(beta) == oracles.panel_sse(panel, desk_dataset, stocks, beta)[0], beta
+
+
+def test_gravity_fit_identical_to_scalar_loss_fit(desk_dataset, monkeypatch):
+    panel = _panel_with_excluded_rows(desk_dataset)
+    fit = calibrate_gravity(panel, desk_dataset)
+
+    def scalar_loss(panel, dataset, stocks):
+        excluded = oracles.panel_sse(panel, dataset, stocks, 1.0)[1]
+        return (lambda beta: oracles.panel_sse(panel, dataset, stocks, beta)[0]), excluded
+
+    monkeypatch.setattr(baseline, "_gravity_loss", scalar_loss)
+    assert calibrate_gravity(panel, desk_dataset) == fit
+    assert fit.n_excluded == 2

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -252,3 +254,25 @@ def test_bad_config_key_exit_2(tmp_path, capsys):
     config.write_text("no_such_key = 1\n", encoding="utf-8")
     assert run("build-population", "--config", config) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_every_command_reruns_byte_identical(fixture_dir, tmp_path):
+    """attribute, compare-baseline, report and build-population write the same
+    bytes, manifests included, when run again into the same directory."""
+    out = tmp_path / "out"
+    assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", out,
+               "--starts", 1, "--max-iter", 10, "--seed", 5) == 0
+    commands = [("attribute",), ("compare-baseline",), ("report",),
+                ("build-population", "--start", "2015-01", "--end", "2015-12")]
+    snapshots = []
+    for attempt in ("a", "b"):
+        for command in commands:
+            assert run(*command, "--data-dir", fixture_dir, "--output-dir", out) == 0
+        snapshots.append(shutil.copytree(out, tmp_path / attempt))
+    names = sorted(p.name for p in snapshots[0].iterdir() if p.suffix in (".csv", ".json"))
+    for name in ("attribution.csv", "attribution.json", "events.csv", "comparison.csv",
+                 "gravity.json", "profiles.csv", "sender_demographics.csv", "population.csv",
+                 "demographics.csv", "manifest-report.json", "manifest-build-population.json"):
+        assert name in names
+    for name in names:
+        assert filecmp.cmp(snapshots[0] / name, snapshots[1] / name, shallow=False), name

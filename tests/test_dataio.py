@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+import oracles
 from oracles import fingerprint
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import (DataValidationError, MigrantStockRecord, interpolate_stocks_monthly,
                              load_dataset, write_dataset)
 from remitsim.engine import SimulationContext
+from remitsim.months import month_index
 
 from conftest import small_csv_texts, write_csv_dir
 
@@ -209,3 +211,53 @@ def test_spline_matches_scipy_and_nodes(anchors):
     assert (series >= 0).all()
     oracle = CubicSpline([0, 60, 120], list(anchors), bc_type="natural")(np.arange(120.0))
     assert np.allclose(series, np.maximum(oracle, 0.0), rtol=1e-9, atol=1e-6)
+
+
+def test_spline_equals_per_series_oracle(desk_dataset):
+    got = interpolate_stocks_monthly(desk_dataset.stocks)
+    want = oracles.interpolate_stocks_monthly(desk_dataset.stocks)
+    assert list(got) == list(want)
+    for key, series in want.items():
+        assert np.array_equal(got[key], series), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(min_value=0, max_value=1e9, allow_nan=False)] * 3),
+                min_size=1, max_size=8))
+def test_spline_equals_oracle_on_drawn_anchors(anchor_sets):
+    records = [MigrantStockRecord("AAA", f"B{i:02d}", ("male", "female")[i % 2], year, value)
+               for i, anchors in enumerate(anchor_sets)
+               for year, value in zip((2010, 2015, 2020), anchors)]
+    got = interpolate_stocks_monthly(records)
+    want = oracles.interpolate_stocks_monthly(records)
+    assert list(got) == list(want)
+    for key, series in want.items():
+        assert np.array_equal(got[key], series), key
+
+
+# ---------------------------------------------------------------------------
+# Panel loading: codes and months are checked once, diagnostics stay per row
+
+def _panel_with_late_row(row: str) -> tuple[dict[str, str], int]:
+    """The small fixture's texts with ``row`` appended to panel.csv, and its line."""
+    texts = small_csv_texts()
+    texts["panel.csv"] += row + "\n"
+    return texts, texts["panel.csv"].count("\n")
+
+
+def test_bad_month_in_late_panel_row_names_line_and_column(tmp_path):
+    texts, line = _panel_with_late_row("BBB,AAA,2019-13,500000")
+    with pytest.raises(DataValidationError, match=rf"^panel\.csv:{line}: column 'month'"):
+        load_dataset(write_csv_dir(tmp_path / "bad", texts))
+
+
+def test_bad_code_in_late_panel_row_names_line_and_column(tmp_path):
+    texts, line = _panel_with_late_row("ab1,AAA,2013-01,500000")
+    with pytest.raises(DataValidationError, match=rf"^panel\.csv:{line}: column 'sender'"):
+        load_dataset(write_csv_dir(tmp_path / "bad", texts))
+
+
+def test_valid_month_outside_the_grid_loads(tmp_path):
+    texts, _ = _panel_with_late_row("BBB,AAA,2021-05,500000")
+    dataset = load_dataset(write_csv_dir(tmp_path / "data", texts))
+    assert dataset.panel[-1].month == month_index("2021-05") == 136

@@ -153,11 +153,17 @@ def test_window_validation(desk_dataset):
         SimulationContext(desk_dataset, start=0, end=200)
 
 
+def _points(*args, **kwargs) -> list[tuple[float, float]]:
+    """probability_profile as (cumulative fraction, probability) pairs."""
+    cum, probs = probability_profile(*args, **kwargs)
+    return list(zip(cum.tolist(), probs.tolist()))
+
+
 def test_probability_profile_scopes(desk_ctx):
     origin = desk_ctx.corridors[0][0]
-    pooled = probability_profile(desk_ctx, REFERENCE_PARAMS, origin, 60)
-    single = probability_profile(desk_ctx, REFERENCE_PARAMS, origin, 60,
-                                 destination=desk_ctx.corridors[0][1])
+    pooled = _points(desk_ctx, REFERENCE_PARAMS, origin, 60)
+    single = _points(desk_ctx, REFERENCE_PARAMS, origin, 60,
+                     destination=desk_ctx.corridors[0][1])
     assert pooled and single
     assert len(pooled) > len(single)
     assert pooled[-1][0] == pytest.approx(1.0)
@@ -172,7 +178,7 @@ def test_probability_profile_matches_scalar_oracle(desk_ctx):
         want = oracles.probability_profile(
             np.concatenate([desk_ctx.cohort_counts(c, 59).ravel() for c in rows]),
             np.concatenate([np.tile(cube[c, 59], 2) for c in rows]))
-        got = probability_profile(desk_ctx, REFERENCE_PARAMS, origin, 59, cube=cube)
+        got = _points(desk_ctx, REFERENCE_PARAMS, origin, 59, cube=cube)
         assert [p for _, p in got] == [p for _, p in want]
         assert [x for x, _ in got] == pytest.approx([x for x, _ in want], rel=1e-12)
 
@@ -183,8 +189,8 @@ def test_window_cube_matches_full_grid(desk_dataset, desk_ctx):
     assert cube.shape == (ctx.n_corridors, 6, 101)
     assert np.array_equal(cube, desk_ctx.probability_cube(REFERENCE_PARAMS)[:, 57:63])
     for origin in ("OGA", "OGJ"):
-        assert (probability_profile(ctx, REFERENCE_PARAMS, origin, 59, cube=cube)
-                == probability_profile(desk_ctx, REFERENCE_PARAMS, origin, 59))
+        assert (_points(ctx, REFERENCE_PARAMS, origin, 59, cube=cube)
+                == _points(desk_ctx, REFERENCE_PARAMS, origin, 59))
     with pytest.raises(ValueError, match="outside the window"):
         probability_profile(ctx, REFERENCE_PARAMS, "OGA", 63, cube=cube)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import MigrantCohort, age_symmetry, family_probability, sex_symmetry
 from remitsim.dataio import N_AGES, SEXES, interpolate_stocks_monthly
-from remitsim.months import year_of
+from remitsim.months import month_label, year_of
 from remitsim.population import (Population, build_population, demographics_arrays,
                                  demographics_table, sender_demographics)
 
@@ -251,3 +251,17 @@ def _income_dataset():
     class Stub:
         income_group = {("AAA", year): "lower-middle" for year in range(2010, 2020)}
     return Stub()
+
+
+def test_population_rows_equal_cell_by_cell_rows(desk_dataset):
+    pop = build_population(desk_dataset)
+    months = [59, 60, 119]
+    want = []
+    for c, (origin, destination) in enumerate(pop.corridors):
+        for month in months:
+            for s, sex in enumerate(SEXES):
+                for age in np.nonzero(pop.shares[sex])[0]:
+                    count = pop.stocks[c, month, s] * pop.shares[sex][age]
+                    want.append((origin, destination, sex, str(age), month_label(month),
+                                 repr(float(count))))
+    assert list(pop.iter_rows(months)) == want

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from oracles import kernel_value
 from remitsim import fixtures, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
@@ -273,3 +274,28 @@ def test_hazard_grouping_needs_attribution(desk_dataset):
     assert {r.key for r in rows} == {"drought", "earthquake", "flood", "storm"}
     with pytest.raises(ValueError):
         scenarios.summarize(result, desk_dataset, "continent")
+
+
+@pytest.mark.parametrize("window", [None, ("2016-07", "2017-03")])
+@pytest.mark.parametrize("grouping", ["income-group", "country", "year"])
+def test_summary_totals_equal_cell_by_cell_sums(desk_dataset, desk_ctx, grouping, window):
+    ctx = desk_ctx if window is None else SimulationContext(
+        desk_dataset, start=month_index(window[0]), end=month_index(window[1]))
+    result = scenarios.run_counterfactual(ctx, PARAMS)
+    induced, factual = oracles.summary_totals(result.corridors, result.months, result.induced,
+                                              result.factual, desk_dataset, grouping)
+    rows = scenarios.summarize(result, desk_dataset, grouping)
+    assert [r.key for r in rows] == sorted(induced)
+    assert [r.induced_usd for r in rows] == [induced[key] for key in sorted(induced)]
+    assert [r.factual_usd for r in rows] == [factual[key] for key in sorted(factual)]
+
+
+def test_magnitude_cache_keeps_only_shared_event_sets(desk_dataset):
+    ctx = SimulationContext(desk_dataset)
+    shared = [scenarios.attribute_event(ctx, PARAMS, e.event_id) for e in desk_dataset.disasters]
+    scenarios.attribute_by_hazard(ctx, PARAMS)
+    assert len(desk_dataset.disasters) > 2
+    assert set(ctx._mag_cache) <= {None, frozenset()}
+    fresh = [scenarios.attribute_event(SimulationContext(desk_dataset), PARAMS, e.event_id)
+             for e in desk_dataset.disasters]
+    assert shared == fresh
