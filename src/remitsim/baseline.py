@@ -15,7 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import SEXES, Dataset, FlowObservation, interpolate_stocks_monthly, stock_grid
+from .dataio import SEXES, Dataset, FlowObservation
+from .dataio import interpolate_stocks_monthly  # unused here; perfbench/tracer.py wraps the name
 from .months import WINDOW_MONTHS, year_of
 from .reports import sequential_sum
 
@@ -43,17 +44,14 @@ def gravity_per_migrant(y_dest: float, y_origin: float, beta_exp: float) -> floa
     return y_origin + (y_dest - y_origin) ** beta_exp
 
 
-def annual_stocks(dataset: Dataset,
-                  monthly: np.ndarray | None = None) -> dict[tuple[str, str, int], float]:
+def annual_stocks(dataset: Dataset, monthly: np.ndarray) -> dict[tuple[str, str, int], float]:
     """Mean of the monthly interpolated stock (both sexes) per corridor-year.
 
     ``monthly`` is the (corridors, 120 months, 2 sexes) stock grid of
-    ``dataset.corridors``, as ``SimulationContext.stocks`` holds it; without
-    it the stocks are interpolated here.
+    ``dataset.corridors``, as ``SimulationContext.stocks`` and
+    ``Population.stocks`` hold it.
     """
     corridors = dataset.corridors
-    if monthly is None:
-        monthly = stock_grid(corridors, interpolate_stocks_monthly(dataset.stocks))
     years = range(year_of(0), year_of(WINDOW_MONTHS - 1) + 1)
     # each year's 12 months contiguous in the last axis, so every mean reduces
     # its 12 values as the mean of a 12-month slice does
@@ -66,15 +64,13 @@ def annual_stocks(dataset: Dataset,
 
 
 def gravity_flows(dataset: Dataset, beta_exp: float,
-                  stocks: Mapping[tuple[str, str, int], float] | None = None
+                  stocks: Mapping[tuple[str, str, int], float]
                   ) -> dict[int, dict[tuple[str, str], float]]:
     """Annual bilateral flows per year: per-migrant amount times stock.
 
     Keyed year -> {(sender, recipient): USD/year}. ``stocks`` is
-    :func:`annual_stocks` of ``dataset``, computed here when not given.
+    :func:`annual_stocks` of ``dataset``.
     """
-    if stocks is None:
-        stocks = annual_stocks(dataset)
     out: dict[int, dict[tuple[str, str], float]] = {y: {} for y in range(2010, 2020)}
     for (origin, dest, year), stock in stocks.items():
         amount = gravity_per_migrant(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)], beta_exp)
@@ -118,21 +114,19 @@ def _gravity_loss(panel: Sequence[FlowObservation], dataset: Dataset,
     return sse, excluded
 
 
-def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset, *,
+def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset,
+                      stocks: Mapping[tuple[str, str, int], float], *,
                       bracket: tuple[float, float] = (0.01, 2.0), grid: int = 41,
-                      tol: float = 1e-4,
-                      stocks: Mapping[tuple[str, str, int], float] | None = None) -> GravityFit:
+                      tol: float = 1e-4) -> GravityFit:
     """Fit the exponent by golden-section search on the bracketed SSE.
 
     A coarse grid scan checks unimodality first; a non-unimodal profile
     returns the best grid point with a warning. A boundary optimum widens
     the bracket (once upward) and is flagged if it persists. ``stocks`` is
-    :func:`annual_stocks` of ``dataset``, computed here when not given.
+    :func:`annual_stocks` of ``dataset``.
     """
     if not panel:
         raise ValueError("panel is empty")
-    if stocks is None:
-        stocks = annual_stocks(dataset)
     f, excluded = _gravity_loss(panel, dataset, stocks)
     lo, hi = bracket
     for _ in range(2):  # allow one widening past the upper edge

@@ -11,7 +11,7 @@ import json
 import logging
 import os
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,7 @@ def cmd_build_population(config: RunConfig, args) -> int:
 
     pop_path = reports.write_csv(out / "population.csv",
                                  ("origin", "destination", "sex", "age", "month", "count"),
-                                 ctx.population.iter_rows(ctx.window_months), formatted=True)
+                                 reports.population_rows(ctx.population, ctx.window_months))
     demo_rows = [
         (d.origin, d.destination, month_label(d.month), d.age_symmetry, d.sex_symmetry,
          d.asymmetry, d.family)
@@ -160,7 +160,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     months = list(ctx.window_months)
     flows_path = reports.write_csv(
         out / "flows.csv", ("sender", "recipient", "month", "amount_usd", "scenario_id"),
-        reports.flow_rows(ctx.corridors, months, grid, "factual"), formatted=True)
+        reports.flow_rows(ctx.corridors, months, grid, "factual"))
     outputs = [flows_path]
     if config.band_draws:
         totals = flows.sample_monthly_totals(ctx, params, None, config.seed, config.band_draws)
@@ -183,13 +183,11 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
     sender, recipient, month = reports.corridor_month_columns(result.corridors, months)
     induced_path = reports.write_csv(
         out / "induced.csv", ("scenario_id", "sender", "recipient", "month", "amount_usd"),
-        reports.columns(repeat("no_disaster"), sender, recipient, month, result.induced.ravel()),
-        formatted=True)
+        reports.columns(repeat("no_disaster"), sender, recipient, month, result.induced.ravel()))
     cf_path = reports.write_csv(
         out / "flows_counterfactual.csv",
         ("sender", "recipient", "month", "amount_usd", "scenario_id"),
-        reports.flow_rows(result.corridors, months, result.counterfactual, "no_disaster"),
-        formatted=True)
+        reports.flow_rows(result.corridors, months, result.counterfactual, "no_disaster"))
     outputs = [induced_path, cf_path]
 
     for grouping, name in (("income-group", "summary_income_group.csv"),
@@ -269,7 +267,7 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
     stocks = baseline.annual_stocks(dataset, ctx.stocks)
-    fit = baseline.calibrate_gravity(dataset.panel, dataset, stocks=stocks)
+    fit = baseline.calibrate_gravity(dataset.panel, dataset, stocks)
     gravity = baseline.gravity_flows(dataset, fit.beta_exp, stocks)
     grid = ctx.expected_flows(params).tolist()
     structural = {
@@ -313,8 +311,8 @@ def cmd_report(config: RunConfig, args) -> int:
     profiles_path = reports.write_csv(
         out / "profiles.csv",
         ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
-        chain.from_iterable(reports.columns(repeat(origin), repeat("ALL"), repeat(label), cum, p)
-                            for origin, label, cum, p in profiles), formatted=True)
+        reports.concat_rows(reports.columns(repeat(origin), repeat("ALL"), repeat(label), cum, p)
+                            for origin, label, cum, p in profiles))
 
     weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, :, None, :]
     groups = [dataset.income_group[(origin, year_of(m))]

@@ -8,14 +8,11 @@ quantities summarize each corridor-month population pyramid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataio import Dataset, N_AGES, SEXES, interpolate_stocks_monthly, stock_grid
-from .months import month_label
-from .reports import columns
 
 YOUNG_MAX_AGE = 24  # "young" band: ages 0..24
 PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
@@ -56,21 +53,17 @@ class Population:
         """Cohort counts for one corridor-month, shape (2 sexes, 101 ages)."""
         return self.stocks[corridor, month, :, None] * np.vstack([self.shares[s] for s in SEXES])
 
-    def iter_rows(self, months: Sequence[int]) -> Iterator[tuple[str, ...]]:
-        """Formatted (origin, destination, sex, age, month, count) rows of ``months``
-        for ages with nonzero share, one corridor at a time, for
-        ``reports.write_csv(..., formatted=True)``."""
+    def cohorts(self) -> list[tuple[str, int]]:
+        """(sex, age) of every cohort with a nonzero age share, by sex then age."""
+        return [(sex, age) for sex in SEXES for age in np.flatnonzero(self.shares[sex]).tolist()]
+
+    def cohort_counts(self, corridor: int, months: Sequence[int]) -> np.ndarray:
+        """Counts of the :meth:`cohorts` of one corridor in ``months``,
+        shape (len(months), len(cohorts))."""
         months = list(months)
-        ages = {sex: np.flatnonzero(self.shares[sex]) for sex in SEXES}
-        sexes = [sex for sex in SEXES for _ in ages[sex]]
-        age_cells = [str(age) for sex in SEXES for age in ages[sex].tolist()]
-        labels = [month_label(m) for m in months for _ in sexes]
-        for c, (origin, destination) in enumerate(self.corridors):
-            counts = np.concatenate([np.multiply.outer(self.stocks[c, months, s],
-                                                       self.shares[sex][ages[sex]])
-                                     for s, sex in enumerate(SEXES)], axis=1)
-            yield from columns(repeat(origin), repeat(destination), cycle(sexes),
-                               cycle(age_cells), labels, counts.ravel())
+        return np.concatenate([np.multiply.outer(self.stocks[corridor, months, s],
+                                                 self.shares[sex][self.shares[sex] != 0])
+                               for s, sex in enumerate(SEXES)], axis=1)
 
 
 def build_population(dataset: Dataset) -> Population:

@@ -4,9 +4,10 @@ Floats are written as ``repr`` (shortest round-trip) with a fixed newline,
 and sums that reach an output add left to right (:func:`sequential_sum`),
 so identical runs produce byte-identical files on every Python version.
 :func:`write_csv` is the one CSV writer. Small reports pass it rows of
-values, formatted cell by cell by :func:`fmt_cell`; the large grids pass
-rows that :func:`columns` has formatted column by column, one ``repr`` pass
-over each float array, which gives the same strings. Manifests carry
+values, formatted cell by cell by :func:`fmt_cell`; the large grids
+(flows, induced flows, profiles, population) pass :class:`FormattedRows`
+that :func:`columns` builds column by column, one ``repr`` pass over each
+float array, which gives the same strings. Manifests carry
 content hashes of every input and output, the seed, and the package
 version; they contain no timestamps.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .months import month_label
+from .population import Population
 
 
 def fmt_cell(value) -> str:
@@ -47,14 +49,30 @@ def sequential_sum(values: Iterable[float] | np.ndarray) -> float:
     return 0.0 + float(np.add.accumulate(arr)[-1])  # 0.0 + x turns -0.0 into 0.0, as sum does
 
 
-def columns(*cols: Iterable[str] | np.ndarray) -> Iterator[tuple[str, ...]]:
-    """Lazy rows of formatted cells for ``write_csv(..., formatted=True)``.
+class FormattedRows:
+    """Lazy rows whose cells are strings already; :func:`write_csv` writes them as they are."""
+
+    def __init__(self, rows: Iterable[tuple[str, ...]]):
+        self._rows = rows
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return iter(self._rows)
+
+
+def columns(*cols: Iterable[str] | np.ndarray) -> FormattedRows:
+    """Rows of formatted cells, built column by column.
 
     Each column is a 1-D float array, whose values are formatted as
     :func:`fmt_cell` formats a float, or an iterable of strings; rows end
     with the shortest column.
     """
-    return zip(*(map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in cols))
+    return FormattedRows(zip(*(map(repr, c.tolist()) if isinstance(c, np.ndarray) else c
+                               for c in cols)))
+
+
+def concat_rows(blocks: Iterable[FormattedRows]) -> FormattedRows:
+    """The rows of ``blocks`` one after another; each block is built when it is reached."""
+    return FormattedRows(chain.from_iterable(blocks))
 
 
 def _repeat_each(values: Iterable[str], times: int) -> Iterator[str]:
@@ -62,16 +80,17 @@ def _repeat_each(values: Iterable[str], times: int) -> Iterator[str]:
     return chain.from_iterable(repeat(v, times) for v in values)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], *,
-              formatted: bool = False) -> Path:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write ``header`` and ``rows``. Cells are formatted by :func:`fmt_cell`,
-    unless ``formatted`` says the rows hold strings already, as from :func:`columns`."""
+    except in :class:`FormattedRows`, which hold strings already."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if not isinstance(rows, FormattedRows):
+        rows = ([fmt_cell(v) for v in row] for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows if formatted else ([fmt_cell(v) for v in row] for row in rows))
+        writer.writerows(rows)
     return path
 
 
@@ -113,9 +132,22 @@ def corridor_month_columns(corridors: Sequence[tuple[str, str]], months: Sequenc
 
 
 def flow_rows(corridors: Sequence[tuple[str, str]], months: Sequence[int], flows,
-              scenario_id: str) -> Iterator[tuple[str, ...]]:
+              scenario_id: str) -> FormattedRows:
     """Formatted (sender, recipient, month, amount_usd, scenario_id) rows;
     ``flows`` is (n_corridors, n_months) aligned with corridors x months."""
     sender, recipient, month = corridor_month_columns(corridors, months)
     return columns(sender, recipient, month, np.asarray(flows, dtype=float).ravel(),
                    repeat(scenario_id))
+
+
+def population_rows(population: Population, months: Sequence[int]) -> FormattedRows:
+    """(origin, destination, sex, age, month, count) rows of ``months`` for the
+    cohorts with a nonzero age share, built one corridor at a time."""
+    months = list(months)
+    cohorts = population.cohorts()
+    sexes = [sex for sex, _ in cohorts]
+    ages = [str(age) for _, age in cohorts]
+    labels = [month_label(m) for m in months for _ in cohorts]
+    return concat_rows(columns(repeat(origin), repeat(destination), cycle(sexes), cycle(ages),
+                               labels, population.cohort_counts(c, months).ravel())
+                       for c, (origin, destination) in enumerate(population.corridors))

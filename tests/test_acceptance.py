@@ -17,12 +17,12 @@ import pytest
 from oracles import (CovariateVector, activation_capacity, expected_flow, kernel_value,
                      probability, sample_flows, theta)
 from remitsim import fixtures, scenarios
-from remitsim.baseline import calibrate_gravity, compare_models, gravity_flows
+from remitsim.baseline import annual_stocks, calibrate_gravity, compare_models, gravity_flows
 from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import CalibrationConfig, calibrate, split_panel
 from remitsim.cli import main as cli_main
 from remitsim.dataio import DisasterEvent, FlowObservation
-from remitsim.engine import SimulationContext
+from remitsim.engine import SimulationContext, build_population
 from remitsim.flows import confidence_band
 from remitsim.months import month_index
 
@@ -183,13 +183,14 @@ def test_criterion_gravity_baseline_fixture():
     assert abs(row.se_gravity - 9181.54) / 9181.54 <= 0.02
 
     dataset = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2)
-    flows = gravity_flows(dataset, 0.75)
+    stocks = annual_stocks(dataset, build_population(dataset).stocks)
+    flows = gravity_flows(dataset, 0.75, stocks)
     planted = []
     for month in range(0, 120, 3):
         year = 2010 + month // 12
         for (sender, recipient), annual in flows[year].items():
             planted.append(FlowObservation(sender, recipient, month, annual / 12.0))
-    fit = calibrate_gravity(planted, dataset)
+    fit = calibrate_gravity(planted, dataset, stocks)
     assert abs(fit.beta_exp - 0.75) <= 0.01
     _report(f"gravity baseline fixture (recovered exponent = {fit.beta_exp:.4f})")
 

@@ -12,6 +12,12 @@ from remitsim.baseline import (calibrate_gravity, compare_models, gravity_flows,
                                gravity_per_migrant, annual_stocks)
 from remitsim.dataio import FlowObservation
 from remitsim.months import month_index, year_of
+from remitsim.population import build_population
+
+
+def _stocks(dataset):
+    """Annual corridor stocks of ``dataset``, from its interpolated stock grid."""
+    return annual_stocks(dataset, build_population(dataset).stocks)
 
 
 def test_per_migrant_branches():
@@ -41,8 +47,8 @@ def test_per_migrant_domain():
 
 def test_gravity_flows_products(desk_dataset):
     beta = 0.75
-    flows = gravity_flows(desk_dataset, beta)
-    stocks = annual_stocks(desk_dataset)
+    stocks = _stocks(desk_dataset)
+    flows = gravity_flows(desk_dataset, beta, stocks)
     year = 2014
     for (sender, recipient) in [("DNA", "OGA"), ("DNE", "OGJ")]:
         amount = gravity_per_migrant(desk_dataset.gdp[(sender, year)],
@@ -60,8 +66,8 @@ def test_gravity_flow_linear_in_stocks(desk_dataset):
     doubled = dataclasses.replace(
         desk_dataset,
         stocks=tuple(dataclasses.replace(r, count=2 * r.count) for r in desk_dataset.stocks))
-    base = gravity_flows(desk_dataset, 0.6)
-    double = gravity_flows(doubled, 0.6)
+    base = gravity_flows(desk_dataset, 0.6, _stocks(desk_dataset))
+    double = gravity_flows(doubled, 0.6, _stocks(doubled))
     for year in base:
         for key, value in base[year].items():
             assert double[year][key] == pytest.approx(2 * value, rel=1e-12)
@@ -73,13 +79,13 @@ def test_zero_stock_zero_flow():
     zeroed = dataclasses.replace(
         dataset,
         stocks=tuple(dataclasses.replace(r, count=0.0) for r in dataset.stocks))
-    flows = gravity_flows(zeroed, 0.75)
+    flows = gravity_flows(zeroed, 0.75, _stocks(zeroed))
     assert all(v == 0.0 for year in flows.values() for v in year.values())
 
 
 def _gravity_panel(dataset, beta):
     """Monthly panel generated exactly by the gravity model (annual / 12)."""
-    flows = gravity_flows(dataset, beta)
+    flows = gravity_flows(dataset, beta, _stocks(dataset))
     panel = []
     for month in range(0, 120, 3):
         year = year_of(month)
@@ -90,7 +96,7 @@ def _gravity_panel(dataset, beta):
 
 def test_planted_beta_recovery(desk_dataset):
     panel = _gravity_panel(desk_dataset, 0.75)
-    fit = calibrate_gravity(panel, desk_dataset)
+    fit = calibrate_gravity(panel, desk_dataset, _stocks(desk_dataset))
     assert fit.beta_exp == pytest.approx(0.75, abs=0.01)
     assert fit.unimodal and not fit.at_boundary
 
@@ -103,7 +109,7 @@ def test_flat_loss_degenerate_warning(caplog):
         stocks=tuple(dataclasses.replace(r, count=0.0) for r in dataset.stocks))
     panel = [FlowObservation("DNA", "OGA", m, 0.0) for m in range(12)]
     with caplog.at_level("WARNING"):
-        fit = calibrate_gravity(panel, zeroed)
+        fit = calibrate_gravity(panel, zeroed, _stocks(zeroed))
     assert fit.sse == 0.0
     assert fit.at_boundary  # zero everywhere; grid argmin sits at the edge
     assert any("bracket edge" in r.message for r in caplog.records)
@@ -112,13 +118,13 @@ def test_flat_loss_degenerate_warning(caplog):
 def test_boundary_optimum_flagged(desk_dataset):
     # structural-model panels want a tiny exponent; the fit lands at the edge
     panel = list(desk_dataset.panel)[:600]
-    fit = calibrate_gravity(panel, desk_dataset)
+    fit = calibrate_gravity(panel, desk_dataset, _stocks(desk_dataset))
     assert fit.at_boundary or fit.beta_exp > 0.011
 
 
 def test_calibrate_gravity_requires_panel(desk_dataset):
     with pytest.raises(ValueError):
-        calibrate_gravity([], desk_dataset)
+        calibrate_gravity([], desk_dataset, _stocks(desk_dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,7 @@ def test_missing_corridor_excluded_and_counted():
 
 def test_annual_stocks_equal_per_series_oracle(desk_dataset, desk_ctx):
     want = oracles.annual_stocks(desk_dataset)
-    assert annual_stocks(desk_dataset) == want
+    assert _stocks(desk_dataset) == want
     assert annual_stocks(desk_dataset, desk_ctx.stocks) == want
 
 
@@ -196,7 +202,7 @@ def _panel_with_excluded_rows(dataset):
 
 def test_gravity_loss_equals_scalar_oracle(desk_dataset):
     panel = _panel_with_excluded_rows(desk_dataset)
-    stocks = annual_stocks(desk_dataset)
+    stocks = _stocks(desk_dataset)
     loss, excluded = baseline._gravity_loss(panel, desk_dataset, stocks)
     assert excluded == 2
     for beta in [*np.linspace(0.01, 2.0, 41), 0.3713, 1.0]:
@@ -205,12 +211,12 @@ def test_gravity_loss_equals_scalar_oracle(desk_dataset):
 
 def test_gravity_fit_identical_to_scalar_loss_fit(desk_dataset, monkeypatch):
     panel = _panel_with_excluded_rows(desk_dataset)
-    fit = calibrate_gravity(panel, desk_dataset)
+    fit = calibrate_gravity(panel, desk_dataset, _stocks(desk_dataset))
 
     def scalar_loss(panel, dataset, stocks):
         excluded = oracles.panel_sse(panel, dataset, stocks, 1.0)[1]
         return (lambda beta: oracles.panel_sse(panel, dataset, stocks, beta)[0]), excluded
 
     monkeypatch.setattr(baseline, "_gravity_loss", scalar_loss)
-    assert calibrate_gravity(panel, desk_dataset) == fit
+    assert calibrate_gravity(panel, desk_dataset, _stocks(desk_dataset)) == fit
     assert fit.n_excluded == 2

@@ -12,6 +12,7 @@ from remitsim.dataio import N_AGES, SEXES, interpolate_stocks_monthly
 from remitsim.months import month_label, year_of
 from remitsim.population import (Population, build_population, demographics_arrays,
                                  demographics_table, sender_demographics)
+from remitsim.reports import population_rows
 
 
 def _cohort(count, *, sex="male", age=30, origin="AAA", dest="BBB", month=0):
@@ -264,4 +265,4 @@ def test_population_rows_equal_cell_by_cell_rows(desk_dataset):
                     count = pop.stocks[c, month, s] * pop.shares[sex][age]
                     want.append((origin, destination, sex, str(age), month_label(month),
                                  repr(float(count))))
-    assert list(pop.iter_rows(months)) == want
+    assert list(population_rows(pop, months)) == want

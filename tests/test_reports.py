@@ -47,5 +47,5 @@ def test_flow_rows_write_the_bytes_of_cell_rows(desk_ctx, tmp_path):
              for mi, m in enumerate(months)]
     by_cell = write_csv(tmp_path / "cells.csv", header, cells)
     by_column = write_csv(tmp_path / "columns.csv", header,
-                          flow_rows(desk_ctx.corridors, months, grid, "factual"), formatted=True)
+                          flow_rows(desk_ctx.corridors, months, grid, "factual"))
     assert by_cell.read_bytes() == by_column.read_bytes()
