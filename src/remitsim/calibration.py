@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +40,6 @@ class CalibrationConfig:
     tol: float = 1e-9  # relative loss-change convergence threshold
     seed: int = 0
     init: BehaviorParams = DEFAULT_INIT
-    threads: int = 1
 
 
 @dataclass
@@ -321,15 +319,6 @@ def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: 
         x0, max_iter=max_iter, tol=tol)
 
 
-def _run_start(args) -> MinimizeResult | None:
-    ctx, aligned, x0, max_iter, tol = args
-    try:
-        return _fit(ctx, aligned, x0, max_iter, tol)
-    except FloatingPointError as exc:
-        log.warning("optimizer start diverged: %s", exc)
-        return None
-
-
 def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservation],
               config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Fit the nine parameters to the train split; report held-out R^2.
@@ -348,17 +337,15 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
     if aligned_train.amounts.size == 0:
         raise CalibrationError("no train observation matches a modeled corridor")
 
-    jobs = [(ctx, aligned_train, x0, config.max_iter, config.tol)
-            for x0 in _start_points(config)]
-    if config.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_run_start, jobs))
-    else:
-        results = [_run_start(job) for job in jobs]
-
-    usable = [r for r in results if r is not None]
+    starts = _start_points(config)
+    usable = []
+    for x0 in starts:
+        try:
+            usable.append(_fit(ctx, aligned_train, x0, config.max_iter, config.tol))
+        except FloatingPointError as exc:
+            log.warning("optimizer start diverged: %s", exc)
     if not usable:
-        raise CalibrationError(f"all {len(jobs)} optimizer starts diverged")
+        raise CalibrationError(f"all {len(starts)} optimizer starts diverged")
     best = min(usable, key=lambda r: r.fx)
     # a zero-step run echoes the configured init exactly (the rho logit
     # round-trip would otherwise perturb it by an ulp)
@@ -381,20 +368,10 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
         start_losses=[r.fx for r in usable])
 
 
-def _run_replicate(args) -> np.ndarray | None:
-    ctx, c_idx, m_idx, amounts, x0, max_iter, tol = args
-    cols, month_pos = np.unique(m_idx, return_inverse=True)
-    aligned = PanelSlice(c_idx, m_idx, amounts, 0, (), cols, month_pos)
-    try:
-        return _fit(ctx, aligned, x0, max_iter, tol).x
-    except FloatingPointError:
-        return None
-
-
 def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation],
                      dataset: Dataset | SimulationContext, replicates: int = 200, *,
                      seed: int = 0, max_iter: int = 60, tol: float = 1e-9,
-                     threads: int = 1, replicate_start: BehaviorParams | None = None
+                     replicate_start: BehaviorParams | None = None
                      ) -> dict[str, tuple[float, float]]:
     """95% bootstrap intervals: resample train observations with replacement,
     re-fit each replicate, take the 2.5/97.5 percentiles.
@@ -415,22 +392,21 @@ def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation]
         raise CalibrationError("no train observations to bootstrap")
     x_hat = pack(result.params if replicate_start is None else replicate_start)
 
-    jobs = []
+    kept = []
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
         take = rng.integers(0, n, size=n)
-        jobs.append((ctx, aligned.corridor_idx[take], aligned.month_idx[take],
-                     aligned.amounts[take], x_hat, max_iter, tol))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            draws = list(pool.map(_run_replicate, jobs))
-    else:
-        draws = [_run_replicate(job) for job in jobs]
-
-    kept = [unpack(x) for x in draws if x is not None]
-    dropped = len(draws) - len(kept)
+        months = aligned.month_idx[take]
+        cols, month_pos = np.unique(months, return_inverse=True)
+        resample = PanelSlice(aligned.corridor_idx[take], months, aligned.amounts[take], 0, (),
+                              cols, month_pos)
+        try:
+            kept.append(unpack(_fit(ctx, resample, x_hat, max_iter, tol).x))
+        except FloatingPointError:
+            pass
+    dropped = replicates - len(kept)
     if dropped:
-        log.warning("dropped %d of %d bootstrap replicate(s)", dropped, len(draws))
+        log.warning("dropped %d of %d bootstrap replicate(s)", dropped, replicates)
     if not kept:
         raise CalibrationError("every bootstrap replicate diverged")
     cis = {}

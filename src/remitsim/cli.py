@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -118,12 +117,12 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     ctx = _context(dataset, config)
     panel = split_panel(dataset.panel, config.split_fraction, config.effective_split_seed)
     cal_config = CalibrationConfig(starts=config.starts, max_iter=config.max_iter,
-                                   tol=config.tol, seed=config.seed, threads=config.threads)
+                                   tol=config.tol, seed=config.seed)
     result = calibrate(ctx, panel, cal_config)
     cis = None
     if config.bootstrap_reps > 0:
         cis = param_confidence(result, panel, ctx, replicates=config.bootstrap_reps,
-                               seed=config.seed, threads=config.threads)
+                               seed=config.seed)
     payload = {
         "params": result.params.as_dict(),
         "param_cis": cis,
@@ -338,12 +337,21 @@ def cmd_report(config: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
+class _OneProcess(argparse.Action):
+    """``--threads 1``, still accepted so existing command lines parse; stores nothing."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value != 1:
+            parser.error(f"remitsim runs in one process; --threads accepts only 1, got {value}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run-config file (key = value lines)")
     parser.add_argument("--data-dir", help="input CSV directory")
     parser.add_argument("--output-dir", help="output directory")
     parser.add_argument("--seed", type=int, help="root random seed")
-    parser.add_argument("--threads", type=int, help="worker processes for parallel stages")
+    parser.add_argument("--threads", type=int, action=_OneProcess, default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--start", help="first simulated month, YYYY-MM")
     parser.add_argument("--end", help="last simulated month, YYYY-MM")
 
@@ -414,7 +422,6 @@ def _config_from_args(args) -> RunConfig:
         data_dir=Path(args.data_dir) if args.data_dir else None,
         output_dir=Path(args.output_dir) if args.output_dir else None,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.start:
         overrides["start"] = month_index(args.start)
@@ -423,11 +430,7 @@ def _config_from_args(args) -> RunConfig:
     for name in ("split_seed", "split_fraction", "starts", "max_iter", "tol", "bootstrap_reps"):
         if hasattr(args, name) and getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
-    config = build_config(args.config, **overrides)
-    cpus = os.cpu_count() or 1
-    if config.threads > cpus:
-        raise ValueError(f"threads = {config.threads} exceeds the {cpus} CPU(s) of this machine")
-    return config
+    return build_config(args.config, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ All inputs are UTF-8 CSV files with a mandatory header row (RFC-4180 quoting):
 
 Loading either succeeds completely or raises :class:`DataValidationError`
 naming the offending file, row and column; there are no partial loads.
-The returned :class:`Dataset` is immutable and safe to share across threads.
+The returned :class:`Dataset` is immutable.
 """
 from __future__ import annotations
 
@@ -218,7 +218,8 @@ def _parse_month(path: Path, line: int, column: str, raw: str) -> int:
 
 
 def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line, fields) per non-blank data row, fields in ``FILE_COLUMNS`` order."""
+    """(line, fields) per non-blank data row, fields in ``FILE_COLUMNS`` order;
+    ``line`` is the physical line the row ends on, blank lines counted."""
     columns = FILE_COLUMNS[path.name]
     if not path.exists():
         raise DataValidationError(f"{path.name}: file not found at {path}")
@@ -231,10 +232,10 @@ def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
             raise DataValidationError(
                 f"{path.name}: header {','.join(header)} does not match "
                 f"required {','.join(columns)}")
-        for line, row in enumerate(filter(None, reader), start=2):  # blank lines skipped
+        for row in filter(None, reader):  # blank lines skipped
             if len(row) != len(columns):
-                raise DataValidationError(f"{path.name}:{line}: wrong number of fields")
-            yield line, row
+                raise DataValidationError(f"{path.name}:{reader.line_num}: wrong number of fields")
+            yield reader.line_num, row
 
 
 # ---------------------------------------------------------------------------

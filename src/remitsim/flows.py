@@ -81,7 +81,7 @@ def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
     """Sampled global totals per window month, shape (draws, n_window_months).
 
     Each corridor-month uses its own seeded stream, so results do not depend
-    on the window, the evaluation order or the worker count.
+    on the window or the evaluation order.
     """
     cube = ctx.probability_cube(params, active_ids, ctx.window)
     return _sample_cells(ctx, params, cube, np.ndindex(cube.shape[:2]), seed, draws)

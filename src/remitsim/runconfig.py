@@ -29,15 +29,14 @@ class RunConfig:
     band_draws: int = 1000
     delta_gdp_clamp: bool = False
     attribution: str = "only_hazard"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.start <= self.end <= LAST_MONTH:
             raise ValueError(f"date range outside 2010-01..2019-12: [{self.start}, {self.end}]")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        if self.starts < 1 or self.max_iter < 0 or self.threads < 1:
-            raise ValueError("starts must be >= 1, max_iter >= 0, threads >= 1")
+        if self.starts < 1 or self.max_iter < 0:
+            raise ValueError("starts must be >= 1, max_iter >= 0")
         if self.bootstrap_reps < 0 or self.band_draws < 0:
             raise ValueError("bootstrap_reps and band_draws must be >= 0")
         if self.tol < 0:
@@ -73,7 +72,6 @@ _PARSERS = {
     "band_draws": int,
     "delta_gdp_clamp": None,  # bool, handled below
     "attribution": str,
-    "threads": int,
 }
 
 

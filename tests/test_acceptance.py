@@ -23,7 +23,7 @@ from remitsim.calibration import CalibrationConfig, calibrate, split_panel
 from remitsim.cli import main as cli_main
 from remitsim.dataio import DisasterEvent, FlowObservation
 from remitsim.engine import SimulationContext, build_population
-from remitsim.flows import confidence_band
+from remitsim.flows import _sample_cells, confidence_band
 from remitsim.months import month_index
 
 from test_scenarios import build_scenario_dataset
@@ -119,6 +119,34 @@ def test_criterion_sampler_oracle_equivalence():
     _report(f"sampler-oracle equivalence over {ctx.n_corridors} corridors")
 
 
+def _production_draws(ctx, cube, c: int, month: int, seed: int, draws: int) -> np.ndarray:
+    """Sampled USD totals of one corridor-month from the production sampler."""
+    return _sample_cells(ctx, REFERENCE_PARAMS, cube, [(c, month)], seed, draws)[:, month]
+
+
+def test_criterion_production_sampler_equivalence():
+    """The production sampler's mean is within 3 SE of the exact mean and its
+    variance within 5%, for every fixture corridor."""
+    dataset = fixtures.build_dataset(seed=7)
+    ctx = SimulationContext(dataset)
+    cube = ctx.probability_cube(REFERENCE_PARAMS)
+    month = 60
+    draws = 10_000
+    for c in range(ctx.n_corridors):
+        counts = np.rint(ctx.cohort_counts(c, month).ravel())
+        probs = np.tile(cube[c, month], 2)
+        gdpm = float(ctx.monthly_income[c, month])
+        totals = _production_draws(ctx, cube, c, month, seed=900, draws=draws)
+        exact_mean = expected_flow(counts, probs, REFERENCE_PARAMS, gdpm)
+        scale = REFERENCE_PARAMS.rho * gdpm
+        var_senders = float((counts * probs * (1 - probs)).sum())
+        se = scale * math.sqrt(var_senders / draws)
+        assert abs(totals.mean() - exact_mean) <= 3 * se + 1e-9
+        emp_var = (totals / scale).var()
+        assert abs(emp_var - var_senders) <= 0.05 * var_senders + 1e-9
+    _report(f"production sampler equivalence over {ctx.n_corridors} corridors")
+
+
 def test_criterion_confidence_band_calibration():
     """The nominal 95% band contains 95% +/- 2% of fresh stochastic replicates."""
     dataset = fixtures.build_dataset(seed=7)
@@ -136,6 +164,21 @@ def test_criterion_confidence_band_calibration():
     inside = float(((fresh >= band.lower) & (fresh <= band.upper)).mean())
     assert 0.93 <= inside <= 0.97
     _report(f"confidence band calibration (inside fraction = {inside:.4f})")
+
+
+def test_criterion_production_band_calibration():
+    """The nominal 95% band of the production sampler contains 95% +/- 2% of
+    fresh replicates from it."""
+    dataset = fixtures.build_dataset(seed=7)
+    ctx = SimulationContext(dataset)
+    cube = ctx.probability_cube(REFERENCE_PARAMS)
+    c = ctx.corridor_index("OGE", "DNC")
+    band = confidence_band(_production_draws(ctx, cube, c, 60, seed=101, draws=10_000),
+                           "corridor")
+    fresh = _production_draws(ctx, cube, c, 60, seed=202, draws=10_000)
+    inside = float(((fresh >= band.lower) & (fresh <= band.upper)).mean())
+    assert 0.93 <= inside <= 0.97
+    _report(f"production band calibration (inside fraction = {inside:.4f})")
 
 
 def test_criterion_counterfactual_identities():

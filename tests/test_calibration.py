@@ -284,15 +284,6 @@ def test_multistart_picks_best(small_dataset):
     assert result.train_sse == min(result.start_losses)
 
 
-def test_threads_do_not_change_results(small_dataset):
-    ctx = SimulationContext(small_dataset)
-    panel = split_panel(fixtures.generate_panel(small_dataset, REFERENCE_PARAMS), 0.8, 1)
-    serial = calibrate(ctx, panel, CalibrationConfig(starts=2, max_iter=5, seed=9, threads=1))
-    parallel = calibrate(ctx, panel, CalibrationConfig(starts=2, max_iter=5, seed=9, threads=2))
-    assert serial.params == parallel.params
-    assert serial.start_losses == parallel.start_losses
-
-
 # ---------------------------------------------------------------------------
 # Bootstrap confidence intervals
 

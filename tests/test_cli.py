@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import importlib
 import json
 import shutil
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from remitsim.behavior import REFERENCE_PARAMS
-from remitsim.cli import main
+from remitsim.cli import build_parser, main
 from remitsim.calibration import DEFAULT_INIT
 from remitsim.dataio import load_dataset
 
@@ -94,13 +95,33 @@ def test_calibrate_zero_iterations_echoes_init(fixture_dir, tmp_path):
     assert payload["params"] == DEFAULT_INIT.as_dict()
 
 
-def test_threads_above_cpu_count_exit_2(fixture_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+def test_threads_other_than_one_exit_2(fixture_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", out,
-               "--starts", 2, "--threads", 3) == 2
-    assert "threads = 3 exceeds the 2 CPU(s)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("calibrate", "--data-dir", fixture_dir, "--output-dir", out,
+            "--starts", 2, "--threads", 2)
+    assert exc.value.code == 2
+    assert "remitsim runs in one process" in capsys.readouterr().err
     assert not out.exists()  # rejected before any work started
+
+
+def test_threads_key_in_run_config_exit_2(fixture_dir, tmp_path, capsys):
+    config = tmp_path / "run.config"
+    config.write_text("seed = 1\nthreads = 1\n", encoding="utf-8")
+    assert run("calibrate", "--config", config, "--data-dir", fixture_dir,
+               "--output-dir", tmp_path / "out", "--starts", 1) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("run").WORKLOADS
+    parser = build_parser()
+    for workload in workloads.values():
+        for argv in workload.argv(1, tmp_path / "data", tmp_path / "out"):
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]
+            assert not hasattr(args, "threads")
 
 
 def test_output_dir_is_a_file_exit_2(fixture_dir, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 
 import oracles
 from oracles import fingerprint
+from remitsim import fixtures
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import (DataValidationError, MigrantStockRecord, interpolate_stocks_monthly,
                              load_dataset, write_dataset)
@@ -255,6 +256,19 @@ def test_bad_code_in_late_panel_row_names_line_and_column(tmp_path):
     texts, line = _panel_with_late_row("ab1,AAA,2013-01,500000")
     with pytest.raises(DataValidationError, match=rf"^panel\.csv:{line}: column 'sender'"):
         load_dataset(write_csv_dir(tmp_path / "bad", texts))
+
+
+def test_diagnostic_names_physical_line_after_blank_line(tmp_path):
+    data = tmp_path / "data"
+    fixtures.generate_fixture(data, seed=3, n_origins=3, n_destinations=2)
+    path = data / "panel.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(3, "")  # physical line 4 is blank
+    sender, recipient, _, amount = lines[14].split(",")  # physical line 15
+    lines[14] = f"{sender},{recipient},2019-13,{amount}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataValidationError, match=r"^panel\.csv:15: column 'month'"):
+        load_dataset(data)
 
 
 def test_valid_month_outside_the_grid_loads(tmp_path):

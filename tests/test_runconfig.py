@@ -36,10 +36,10 @@ def test_file_parsing_with_comments(tmp_path: Path):
 
 def test_overrides_win(tmp_path: Path):
     path = tmp_path / "run.config"
-    path.write_text("seed = 1\nthreads = 2\n", encoding="utf-8")
+    path.write_text("seed = 1\nstarts = 2\n", encoding="utf-8")
     config = build_config(path, seed=9)
     assert config.seed == 9
-    assert config.threads == 2
+    assert config.starts == 2
 
 
 def test_unknown_key_rejected(tmp_path: Path):
@@ -54,7 +54,6 @@ def test_bad_values_rejected(tmp_path: Path):
         ("split_fraction = 1.5", "split_fraction"),
         ("start = 2020-01", "date range"),
         ("attribution = sometimes", "attribution"),
-        ("threads = 0", "threads"),
     ]:
         path = tmp_path / "run.config"
         path.write_text(line + "\n", encoding="utf-8")
@@ -70,7 +69,7 @@ def test_bad_values_rejected(tmp_path: Path):
 
 def test_write_read_round_trip(tmp_path: Path):
     config = build_config(None, seed=7, start=24, end=59, split_fraction=0.7,
-                          delta_gdp_clamp=True, threads=3)
+                          delta_gdp_clamp=True, starts=3)
     path = tmp_path / "run.config"
     write_config_file(config, path)
     reloaded = build_config(path, data_dir=config.data_dir, output_dir=config.output_dir)
