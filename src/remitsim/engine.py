@@ -1,9 +1,14 @@
-"""Vectorized expected-flow evaluation over all corridor-months.
+"""Vectorized expected-flow evaluation over corridor-months.
 
 The SimulationContext precomputes every covariate that does not depend on
 the behavioural parameters (stocks, family proxy, GDP covariates, event
 magnitudes), so that repeated evaluations during calibration only pay for
-the score assembly and the logistic transform. This is the package's only
+the score assembly and the logistic transform. An evaluation covers all
+corridor-months, or only the corridor rows and month columns it is asked
+for: calibration restricts the months to the panel's, and a scenario
+restricts both to :meth:`SimulationContext.affected_cells`, the only cells
+where its event set can change a flow. A restricted evaluation equals the
+matching slice of the full grid bit for bit. This is the package's only
 evaluation path; the tests check it against per-cohort scalar oracles.
 """
 from __future__ import annotations
@@ -71,6 +76,8 @@ class SimulationContext:
             self.origin_groups.setdefault(origin, []).append(c)
         self.dest_groups = {d: np.array(v) for d, v in self.dest_groups.items()}
         self.origin_groups = {o: np.array(v) for o, v in self.origin_groups.items()}
+        self._origin_of = np.array([o for o, _ in self.corridors])
+        self._dest_of = np.array([d for _, d in self.corridors])
         self.surplus = {d: dataset.surplus_for(d) for d in self.dest_groups}
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
@@ -101,6 +108,22 @@ class SimulationContext:
     def corridor_index(self, origin: str, destination: str) -> int:
         return self.population.corridor_index(origin, destination)
 
+    @staticmethod
+    def _take(arr: np.ndarray, rows: np.ndarray | None, cols) -> np.ndarray:
+        """``arr`` restricted to corridor ``rows`` and month ``cols`` (None: all)."""
+        if rows is not None:
+            arr = arr[rows]
+        return arr if cols is None else arr[:, cols]
+
+    def _row_groups(self, groups: Mapping[str, np.ndarray], labels: np.ndarray,
+                    rows: np.ndarray | None) -> Mapping[str, np.ndarray]:
+        """``groups`` (label to corridor indices) itself, or with ``rows`` the
+        positions in ``rows`` of each label that has any, in the order of ``rows``."""
+        if rows is None:
+            return groups
+        of_rows = labels[rows]
+        return {key: np.flatnonzero(of_rows == key) for key in dict.fromkeys(of_rows.tolist())}
+
     # -- disaster machinery --------------------------------------------------
 
     def event_magnitudes(self, active_ids: frozenset | None = None) -> Mapping[str, np.ndarray]:
@@ -129,13 +152,38 @@ class SimulationContext:
             self._mag_cache[active_ids] = mags
         return mags
 
-    def disaster_scores(self, params: BehaviorParams,
-                        active_ids: frozenset | None = None) -> np.ndarray:
-        """Summed kernel scores per (corridor, month) for the active events."""
+    def affected_cells(self, ids_a: frozenset | None,
+                       ids_b: frozenset | None) -> tuple[np.ndarray, np.ndarray]:
+        """Where flows under the event sets ``ids_a`` and ``ids_b`` can differ.
+
+        Two sorted index arrays: the corridor rows of the origins of the events
+        in one set but not the other, and the window months those events reach
+        (onset .. onset + 11). None stands for all events. An event that
+        reaches no window month contributes neither. Within the window and
+        outside rows x months the two flow grids are bit-identical: every other
+        (corridor, month) sums the magnitudes of the same events in the same
+        order, and a month no event of the set reaches scores exactly 0.0.
+        """
+        rows: set[int] = set()
+        months: set[int] = set()
+        for event_id, country, onset, _ in self._events:
+            if (ids_a is None or event_id in ids_a) == (ids_b is None or event_id in ids_b):
+                continue
+            reach = range(max(onset, self.start), min(onset + DISASTER_WINDOW - 1, self.end) + 1)
+            if reach:
+                months.update(reach)
+                rows.update(self.origin_groups.get(country, ()))
+        return (np.array(sorted(rows), dtype=np.intp), np.array(sorted(months), dtype=np.intp))
+
+    def disaster_scores(self, params: BehaviorParams, active_ids: frozenset | None = None,
+                        rows: np.ndarray | None = None) -> np.ndarray:
+        """Summed kernel scores per (corridor, month) for the active events;
+        with ``rows``, for those corridors only, shape (len(rows), n_months)."""
         sin_vec = np.sin(np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift))
-        scores = np.zeros((self.n_corridors, self.n_months))
+        scores = np.zeros((self.n_corridors if rows is None else len(rows), self.n_months))
+        groups = self._row_groups(self.origin_groups, self._origin_of, rows)
         for country, mag in self.event_magnitudes(active_ids).items():
-            idx = self.origin_groups.get(country)
+            idx = groups.get(country)
             if idx is None:
                 continue
             scores[idx] = params.height * mag.sum(axis=1) + params.shape * (mag @ sin_vec)
@@ -144,18 +192,28 @@ class SimulationContext:
     # -- probability and flows ------------------------------------------------
 
     def _base_scores(self, params: BehaviorParams, active_ids: frozenset | None,
-                     cols: np.ndarray | None = None) -> np.ndarray:
-        base = (params.alpha
-                + params.beta1 * self.family
-                + params.beta2 * self.delta_gdp
-                + params.beta3 * self.gdp_norm
-                + self.disaster_scores(params, active_ids))
-        return base if cols is None else base[:, cols]
+                     cols: np.ndarray | slice | None = None,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+        if rows is None:
+            base = (params.alpha
+                    + params.beta1 * self.family
+                    + params.beta2 * self.delta_gdp
+                    + params.beta3 * self.gdp_norm
+                    + self.disaster_scores(params, active_ids))
+            return base if cols is None else base[:, cols]
+        # the same operations in the same order on the selected cells only
+        return (params.alpha
+                + params.beta1 * self._take(self.family, rows, cols)
+                + params.beta2 * self._take(self.delta_gdp, rows, cols)
+                + params.beta3 * self._take(self.gdp_norm, rows, cols)
+                + self._take(self.disaster_scores(params, active_ids, rows), None, cols))
 
-    def _group_probabilities(self, params: BehaviorParams, base: np.ndarray):
-        """Per destination group: (corridor indices, mask of the ages with earnings
-        surplus, logistic probabilities shaped (len(indices), base columns, ages))."""
-        for dest, idx in self.dest_groups.items():
+    def _group_probabilities(self, params: BehaviorParams, base: np.ndarray,
+                             rows: np.ndarray | None = None):
+        """Per destination group: (indices into the rows of ``base``, mask of the ages
+        with earnings surplus, logistic probabilities shaped (len(indices), base
+        columns, ages)). ``base`` covers all corridors, or the corridor ``rows``."""
+        for dest, idx in self._row_groups(self.dest_groups, self._dest_of, rows).items():
             surplus = self.surplus[dest]
             active = surplus > 0
             if not active.any():
@@ -166,24 +224,28 @@ class SimulationContext:
             yield idx, active, prob
 
     def expected_flows(self, params: BehaviorParams, active_ids: frozenset | None = None,
-                       cols: np.ndarray | None = None) -> np.ndarray:
+                       cols: np.ndarray | None = None,
+                       rows: np.ndarray | None = None) -> np.ndarray:
         """Expected monthly USD flow per (corridor, month).
 
         flow = rho * monthly income * sum over cohorts of count * probability;
         ages without earnings surplus contribute exactly 0. ``cols`` restricts
-        the evaluation to a subset of month columns (calibration hot path);
-        the default covers the full 2010-2019 grid.
+        the evaluation to a subset of month columns (calibration hot path) and
+        ``rows`` to a subset of corridors (scenarios); the result has shape
+        (len(rows), len(cols)) and equals that slice of the full 2010-2019 grid,
+        which the defaults cover.
         """
-        base = self._base_scores(params, active_ids, cols)
+        base = self._base_scores(params, active_ids, cols, rows)
         n_cols = base.shape[1]
-        stocks = self.stocks if cols is None else self.stocks[:, cols, :]
-        income = self.monthly_income if cols is None else self.monthly_income[:, cols]
+        stocks = self._take(self.stocks, rows, cols)
+        income = self._take(self.monthly_income, rows, cols)
         flows = np.zeros_like(base)
         w_m, w_f = self.shares
-        for idx, active, prob in self._group_probabilities(params, base):
-            rows = prob.reshape(-1, prob.shape[2])  # a view: prob is contiguous
-            per_m = rows @ w_m[active]
-            per_f = rows @ w_f[active]
+        matvec = np.matmul if rows is None else _aligned_matvec
+        for idx, active, prob in self._group_probabilities(params, base, rows):
+            cells = prob.reshape(-1, prob.shape[2])  # a view: prob is contiguous
+            per_m = matvec(cells, w_m[active])
+            per_f = matvec(cells, w_f[active])
             sent = (stocks[idx, :, 0].ravel() * per_m
                     + stocks[idx, :, 1].ravel() * per_f)
             flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
@@ -243,22 +305,40 @@ class SimulationContext:
         return jac
 
     def probability_cube(self, params: BehaviorParams, active_ids: frozenset | None = None,
-                         cols: np.ndarray | slice | None = None) -> np.ndarray:
+                         cols: np.ndarray | slice | None = None,
+                         rows: np.ndarray | None = None) -> np.ndarray:
         """Probability per (corridor, month, age); gated ages are exactly 0.
 
-        ``cols`` restricts the months as in :meth:`expected_flows`; pass
-        ``self.window`` for a cube over the report window only.
+        ``cols`` and ``rows`` restrict the months and corridors as in
+        :meth:`expected_flows`; pass ``cols=self.window`` for a cube over the
+        report window only.
         """
-        base = self._base_scores(params, active_ids, cols)
+        base = self._base_scores(params, active_ids, cols, rows)
         n_cols = base.shape[1]
-        cube = np.zeros((self.n_corridors, n_cols, N_AGES))
-        for idx, active, prob in self._group_probabilities(params, base):
+        cube = np.zeros((base.shape[0], n_cols, N_AGES))
+        for idx, active, prob in self._group_probabilities(params, base, rows):
             cube[np.ix_(idx, range(n_cols), np.flatnonzero(active))] = prob
         return cube
 
     def cohort_counts(self, corridor: int, month: int) -> np.ndarray:
         """(2, 101) fractional cohort counts for one corridor-month."""
         return self.population.counts(corridor, month)
+
+
+def _aligned_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` with every row computed as in a product of a multiple of 4 rows.
+
+    OpenBLAS sums the trailing ``len(matrix) % 4`` rows of a matrix-vector
+    product in another order than the others. A full-grid evaluation multiplies 120
+    months per corridor, a multiple of 4, so a restricted evaluation pads its
+    trailing rows to 4 to round every row the same way.
+    """
+    n_head = len(matrix) - len(matrix) % 4
+    if n_head == len(matrix):
+        return matrix @ vector
+    tail = np.zeros((4, matrix.shape[1]))
+    tail[:len(matrix) - n_head] = matrix[n_head:]
+    return np.concatenate([matrix[:n_head] @ vector, (tail @ vector)[:len(matrix) - n_head]])
 
 
 def as_context(data: Dataset | SimulationContext) -> SimulationContext:

@@ -56,17 +56,20 @@ def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.
 
 
 def _sample_cells(ctx: SimulationContext, params: BehaviorParams, cube: np.ndarray,
-                  cells: Iterable[tuple[int, int]], seed: int, draws: int) -> np.ndarray:
-    """Sampled flows of the (corridor, window position) ``cells``, summed per window
-    month, shape (draws, n_window_months); ``cube`` covers the window's months."""
+                  cells: Iterable[tuple[int, int]], seed: int, draws: int,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """Sampled flows of the (cube row, window position) ``cells``, summed per window
+    month, shape (draws, n_window_months). ``cube`` covers the window's months;
+    its row r holds corridor ``rows[r]``, or corridor r when ``rows`` is None."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     months = ctx.window_months
     totals = np.zeros((draws, len(months)))
-    for c, mi in cells:
+    for r, mi in cells:
+        c = r if rows is None else rows[r]
         month = months[mi]
         n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
-        p = cube[c, mi]
+        p = cube[r, mi]
         keep = (n > 0) & (p > 0)
         rng = np.random.default_rng(corridor_seed(seed, c, month))
         # age-major, so consecutive variates share (n, p) and numpy reuses its set-up
@@ -94,11 +97,13 @@ def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
     Both runs draw from the same corridor-month streams (common random
     numbers), so their draws are identical wherever the two probability rows
     are equal; only the corridor-months where the event sets change a probability
-    are sampled. Equals the difference of two ``sample_monthly_totals`` calls
-    up to the order of the floating-point sums.
+    are sampled. Both cubes cover only the affected corridors
+    (:meth:`SimulationContext.affected_cells`). Equals the difference of two
+    ``sample_monthly_totals`` calls up to the order of the floating-point sums.
     """
-    factual = ctx.probability_cube(params, None, ctx.window)
-    counter = ctx.probability_cube(params, active_ids, ctx.window)
+    rows, _ = ctx.affected_cells(None, active_ids)
+    factual = ctx.probability_cube(params, None, ctx.window, rows)
+    counter = ctx.probability_cube(params, active_ids, ctx.window, rows)
     cells = np.argwhere((factual != counter).any(axis=2))
-    return (_sample_cells(ctx, params, factual, cells, seed, draws)
-            - _sample_cells(ctx, params, counter, cells, seed, draws))
+    return (_sample_cells(ctx, params, factual, cells, seed, draws, rows)
+            - _sample_cells(ctx, params, counter, cells, seed, draws, rows))

@@ -4,6 +4,11 @@ The counterfactual re-runs the identical parameterized model with a filtered
 event set; differences against the factual run isolate disaster-induced
 flows. Because the logistic is nonlinear, per-hazard effects are not
 additive; the interaction residual is always reported, never hidden.
+
+Each scenario evaluates only the cells its event set changes
+(:meth:`SimulationContext.affected_cells`) and takes every other cell from a
+shared factual or no-event grid, so its outputs equal a full-grid evaluation
+bit for bit.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .behavior import BehaviorParams, DISASTER_WINDOW
+from .behavior import BehaviorParams
 from .dataio import Dataset, HAZARDS
 from .engine import (SimulationContext, as_context, scenario_none, scenario_only_event,
                      scenario_only_hazard, scenario_without_hazard)
@@ -66,6 +71,16 @@ class EventAttribution:
     relative_increase: float | None
 
 
+def _reevaluate(ctx: SimulationContext, params: BehaviorParams, grid: np.ndarray,
+                grid_ids: frozenset | None, active_ids: frozenset | None) -> np.ndarray:
+    """The full grid of flows under ``active_ids`` within the window, from ``grid``,
+    the full grid under ``grid_ids``: a copy with the affected cells evaluated anew."""
+    rows, months = ctx.affected_cells(grid_ids, active_ids)
+    out = grid.copy()
+    out[np.ix_(rows, months)] = ctx.expected_flows(params, active_ids, months, rows)
+    return out
+
+
 def run_counterfactual(dataset: Dataset | SimulationContext, params: BehaviorParams,
                        scenario_id: str = "no_disaster",
                        active_ids: frozenset | None = None) -> ScenarioResult:
@@ -77,8 +92,9 @@ def run_counterfactual(dataset: Dataset | SimulationContext, params: BehaviorPar
     if active_ids is None:
         active_ids = scenario_none()
     win = ctx.window
-    factual = ctx.expected_flows(params, None)[:, win]
-    counter = ctx.expected_flows(params, active_ids)[:, win]
+    grid = ctx.expected_flows(params, None)
+    factual = grid[:, win]
+    counter = _reevaluate(ctx, params, grid, None, active_ids)[:, win]
     return ScenarioResult(scenario_id=scenario_id, corridors=ctx.corridors,
                           months=tuple(ctx.window_months), factual=factual,
                           counterfactual=counter, induced=factual - counter)
@@ -95,16 +111,22 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
         raise ValueError(f"unknown convention {convention!r}")
     ctx = as_context(dataset)
     win = ctx.window
-    full = ctx.expected_flows(params, None)[:, win].sum()
-    base = ctx.expected_flows(params, scenario_none())[:, win].sum()
+    full_grid = ctx.expected_flows(params, None)
+    base_grid = _reevaluate(ctx, params, full_grid, None, scenario_none())
+    full = full_grid[:, win].sum()
+    base = base_grid[:, win].sum()
     total_induced = float(full - base)
 
     rows = []
     for hazard in HAZARDS:
         if convention == "only_hazard":
-            induced = float(ctx.expected_flows(params, scenario_only_hazard(ctx.dataset, hazard))[:, win].sum() - base)
+            only = scenario_only_hazard(ctx.dataset, hazard)
+            grid = _reevaluate(ctx, params, base_grid, scenario_none(), only)
+            induced = float(grid[:, win].sum() - base)
         else:
-            induced = float(full - ctx.expected_flows(params, scenario_without_hazard(ctx.dataset, hazard))[:, win].sum())
+            without = scenario_without_hazard(ctx.dataset, hazard)
+            grid = _reevaluate(ctx, params, full_grid, None, without)
+            induced = float(full - grid[:, win].sum())
         affected = sequential_sum(e.affected for e in ctx.dataset.disasters if e.hazard == hazard)
         per_person = induced / affected if affected > 0 else None
         rows.append(HazardAttribution(hazard=hazard, induced_usd=induced,
@@ -122,24 +144,26 @@ def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams
     """Flows attributable to a single event over the 12 months from onset."""
     ctx = as_context(dataset)
     only = scenario_only_event(ctx.dataset, event_id)
-    event = next(e for e in ctx.dataset.disasters if e.event_id == event_id)
-    months = tuple(m for m in range(event.onset_month, event.onset_month + DISASTER_WINDOW)
-                   if ctx.start <= m <= ctx.end)
+    # the event origin's corridors, over the event's months in the window
+    rows, cols = ctx.affected_cells(only, scenario_none())
+    months = tuple(cols.tolist())
     if not months:
         return EventAttribution(event_id=event_id, months=months, induced_by_corridor={},
                                 induced_usd_12m=0.0, baseline_usd_12m=0.0,
                                 relative_increase=None)
-    cols = np.array(months)
-    with_event = ctx.expected_flows(params, only, cols)
-    without = ctx.expected_flows(params, scenario_none(), cols)
-    diff = with_event - without
+    without = ctx.expected_flows(params, scenario_none(), cols, rows)
+    diff = ctx.expected_flows(params, only, cols, rows) - without
 
-    by_corridor = {(dest, origin): value  # (sender, recipient)
-                   for (origin, dest), value in zip(ctx.corridors, diff.sum(axis=1).tolist())
+    # the totals add in the order of an evaluation of all corridors at these
+    # months: over a zero-filled grid of all corridors, column-major as numpy
+    # lays out a column-indexed slice, and over the origin's rows in C order
+    grid = np.zeros((ctx.n_corridors, len(months)), order="F")
+    grid[rows] = diff
+    by_corridor = {(ctx.corridors[c][1], ctx.corridors[c][0]): value  # (sender, recipient)
+                   for c, value in zip(rows.tolist(), grid.sum(axis=1)[rows].tolist())
                    if value != 0.0}
-    induced_total = float(diff.sum())
-    recipient_rows = ctx.origin_groups.get(event.country, np.array([], dtype=int))
-    baseline = float(without[recipient_rows].sum())
+    induced_total = float(grid.sum())
+    baseline = float(np.ascontiguousarray(without).sum())
     relative = induced_total / baseline if baseline > 0 else None
     return EventAttribution(event_id=event_id, months=months, induced_by_corridor=by_corridor,
                             induced_usd_12m=induced_total, baseline_usd_12m=baseline,

@@ -5,6 +5,11 @@ observation in plain Python; the package evaluates the same model through
 arrays in ``remitsim.engine``, ``dataio``, ``baseline`` and ``scenarios``.
 This module never imports the engine, flows or scenarios modules, so it
 cannot reuse the code it checks.
+
+The last section's scenario references are given a ``SimulationContext``
+and evaluate every corridor-month of each event set through it; they return
+the fields of the scenario results as dicts. They check the scenarios'
+locality (evaluating only the affected cells), not the flow model.
 """
 from __future__ import annotations
 
@@ -18,11 +23,12 @@ import numpy as np
 
 from remitsim.baseline import gravity_per_migrant
 from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
-from remitsim.dataio import (ANCHOR_YEARS, N_AGES, SEXES, Dataset, DataValidationError,
+from remitsim.dataio import (ANCHOR_YEARS, HAZARDS, N_AGES, SEXES, Dataset, DataValidationError,
                              DisasterEvent, FlowObservation, MigrantStockRecord, _serialize_tables)
 from remitsim.months import WINDOW_MONTHS, year_of
 from remitsim.population import (PARENTING_MAX_AGE, YOUNG_MAX_AGE, DiasporaDemographics,
                                  Population)
+from remitsim.reports import sequential_sum
 
 log = logging.getLogger(__name__)
 
@@ -343,3 +349,82 @@ def summary_totals(corridors: Sequence[tuple[str, str]], months: Sequence[int],
             induced_by[key] = induced_by.get(key, 0.0) + float(induced[c, mi])
             factual_by[key] = factual_by.get(key, 0.0) + float(factual[c, mi])
     return induced_by, factual_by
+
+
+# ---------------------------------------------------------------------------
+# Scenario evaluation over full grids, one complete grid per event set
+
+def full_grid_counterfactual(ctx, params: BehaviorParams, scenario_id: str = "no_disaster",
+                             active_ids: frozenset | None = None) -> dict:
+    """``scenarios.run_counterfactual`` from two full 2010-2019 grids."""
+    if active_ids is None:
+        active_ids = frozenset()
+    win = ctx.window
+    factual = ctx.expected_flows(params, None)[:, win]
+    counter = ctx.expected_flows(params, active_ids)[:, win]
+    return dict(scenario_id=scenario_id, corridors=ctx.corridors,
+                months=tuple(ctx.window_months), factual=factual,
+                counterfactual=counter, induced=factual - counter)
+
+
+def full_grid_attribution(ctx, params: BehaviorParams, convention: str = "only_hazard") -> dict:
+    """``scenarios.attribute_by_hazard`` from one full grid per event set."""
+    def event_ids(keep) -> frozenset:
+        return frozenset(e.event_id for e in ctx.dataset.disasters if keep(e.hazard))
+
+    win = ctx.window
+    full = ctx.expected_flows(params, None)[:, win].sum()
+    base = ctx.expected_flows(params, frozenset())[:, win].sum()
+    total_induced = float(full - base)
+    rows = []
+    for hazard in HAZARDS:
+        if convention == "only_hazard":
+            only = event_ids(lambda h: h == hazard)
+            induced = float(ctx.expected_flows(params, only)[:, win].sum() - base)
+        else:
+            without = event_ids(lambda h: h != hazard)
+            induced = float(full - ctx.expected_flows(params, without)[:, win].sum())
+        affected = sequential_sum(e.affected for e in ctx.dataset.disasters if e.hazard == hazard)
+        per_person = induced / affected if affected > 0 else None
+        rows.append(dict(hazard=hazard, induced_usd=induced, affected_persons=affected,
+                         usd_per_affected=per_person))
+    residual = total_induced - sequential_sum(r["induced_usd"] for r in rows)
+    share = total_induced / full if full > 0 else 0.0
+    return dict(convention=convention, per_hazard=tuple(rows), total_induced=total_induced,
+                total_factual=float(full), interaction_residual=float(residual),
+                share_of_total=float(share))
+
+
+def full_grid_event_attribution(ctx, params: BehaviorParams, event_id: str) -> dict:
+    """``scenarios.attribute_event`` over all corridors at the event's months."""
+    event = next(e for e in ctx.dataset.disasters if e.event_id == event_id)
+    months = tuple(m for m in range(event.onset_month, event.onset_month + DISASTER_WINDOW)
+                   if ctx.start <= m <= ctx.end)
+    if not months:
+        return dict(event_id=event_id, months=months, induced_by_corridor={},
+                    induced_usd_12m=0.0, baseline_usd_12m=0.0, relative_increase=None)
+    cols = np.array(months)
+    with_event = ctx.expected_flows(params, frozenset({event_id}), cols)
+    without = ctx.expected_flows(params, frozenset(), cols)
+    diff = with_event - without
+    by_corridor = {(dest, origin): value
+                   for (origin, dest), value in zip(ctx.corridors, diff.sum(axis=1).tolist())
+                   if value != 0.0}
+    induced_total = float(diff.sum())
+    recipient_rows = [c for c, (origin, _) in enumerate(ctx.corridors) if origin == event.country]
+    baseline = float(without[np.array(recipient_rows, dtype=int)].sum())
+    relative = induced_total / baseline if baseline > 0 else None
+    return dict(event_id=event_id, months=months, induced_by_corridor=by_corridor,
+                induced_usd_12m=induced_total, baseline_usd_12m=baseline,
+                relative_increase=relative)
+
+
+def full_grid_induced_totals(ctx, params: BehaviorParams, active_ids: frozenset | None,
+                             seed: int, draws: int, sample_cells) -> np.ndarray:
+    """``flows.sample_induced_totals`` from two probability cubes over all corridors;
+    ``sample_cells`` is the cell sampler, ``flows._sample_cells``."""
+    factual = ctx.probability_cube(params, None, ctx.window)
+    counter = ctx.probability_cube(params, active_ids, ctx.window)
+    cells = np.argwhere((factual != counter).any(axis=2))
+    return (sample_cells(ctx, params, factual, cells, seed, draws)
+            - sample_cells(ctx, params, counter, cells, seed, draws))

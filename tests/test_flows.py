@@ -129,6 +129,65 @@ def test_sampler_rejects_zero_draws():
 
 
 # ---------------------------------------------------------------------------
+# The same sampler identities through the production sampler, which merges the
+# two sexes of an age and draws one binomial per age
+
+def _production_totals(small_dataset, monkeypatch, counts, probs, params, seed, draws):
+    """Sampled USD totals of one corridor-month with (2, 101) cohort ``counts`` and
+    per-age ``probs``, drawn by ``flows._sample_cells``; and the monthly income."""
+    month = 30
+    ctx = SimulationContext(small_dataset, start=month, end=month)
+    monkeypatch.setattr(ctx, "cohort_counts", lambda c, m: counts)
+    cube = np.zeros((ctx.n_corridors, 1, N_AGES))
+    cube[0, 0] = probs
+    totals = flows_module._sample_cells(ctx, params, cube, [(0, 0)], seed, draws)[:, 0]
+    return totals, float(ctx.monthly_income[0, month])
+
+
+def test_two_agent_enumeration_production(small_dataset, monkeypatch):
+    # two agents of different ages at P=0.5: senders are 0/1/2 with probability 1/4, 1/2, 1/4
+    params = BehaviorParams(0, 0, 0, 0, 0, 0, 0, 0, rho=0.5)
+    counts = np.zeros((2, N_AGES))
+    counts[0, 30] = counts[1, 45] = 1.0
+    probs = np.zeros(N_AGES)
+    probs[[30, 45]] = 0.5
+    totals, gdpm = _production_totals(small_dataset, monkeypatch, counts, probs, params,
+                                      seed=9, draws=100_000)
+    senders = np.rint(totals / (params.rho * gdpm)).astype(int)
+    freq = np.bincount(senders, minlength=3) / senders.size
+    # 4 sigma of a binomial proportion at 100k draws is under 0.007
+    assert freq[0] == pytest.approx(0.25, abs=0.007)
+    assert freq[1] == pytest.approx(0.50, abs=0.007)
+    assert freq[2] == pytest.approx(0.25, abs=0.007)
+
+
+def test_sampler_mean_within_clt_bound_production(small_dataset, monkeypatch):
+    rng = np.random.default_rng(6)
+    counts = np.rint(rng.uniform(20, 400, size=(2, N_AGES)))
+    probs = rng.uniform(0.05, 0.95, size=N_AGES)
+    draws = 10_000
+    totals, gdpm = _production_totals(small_dataset, monkeypatch, counts, probs, PARAMS,
+                                      seed=77, draws=draws)
+    exact_mean = expected_flow(counts.ravel(), np.tile(probs, 2), PARAMS, gdpm)
+    var_senders = float((counts * probs * (1 - probs)).sum())
+    se = PARAMS.rho * gdpm * np.sqrt(var_senders / draws)
+    assert abs(totals.mean() - exact_mean) <= 3 * se
+
+
+def test_sampler_variance_matches_formula_production(small_dataset, monkeypatch):
+    rng = np.random.default_rng(7)
+    counts = np.zeros((2, N_AGES))
+    counts[0, :100] = np.rint(rng.uniform(20, 400, size=100))
+    probs = np.zeros(N_AGES)
+    probs[:100] = rng.uniform(0.05, 0.95, size=100)
+    totals, gdpm = _production_totals(small_dataset, monkeypatch, counts, probs, PARAMS,
+                                      seed=13, draws=100_000)
+    senders = totals / (PARAMS.rho * gdpm)
+    expected_var = float((counts * probs * (1 - probs)).sum())
+    assert senders.var() == pytest.approx(expected_var, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
 # Confidence bands
 
 def test_band_constant_samples():
