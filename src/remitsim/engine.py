@@ -7,9 +7,11 @@ the score assembly and the logistic transform. An evaluation covers all
 corridor-months, or only the corridor rows and month columns it is asked
 for: calibration restricts the months to the panel's, and a scenario
 restricts both to :meth:`SimulationContext.affected_cells`, the only cells
-where its event set can change a flow. A restricted evaluation equals the
-matching slice of the full grid bit for bit. This is the package's only
-evaluation path; the tests check it against per-cohort scalar oracles.
+where its event set can change a flow. A row-restricted evaluation equals
+the matching slice of the full grid bit for bit, at any BLAS thread count;
+a column-only one may differ from it in the last bits. This is the
+package's only evaluation path; the tests check it against per-cohort
+scalar oracles.
 """
 from __future__ import annotations
 
@@ -194,14 +196,6 @@ class SimulationContext:
     def _base_scores(self, params: BehaviorParams, active_ids: frozenset | None,
                      cols: np.ndarray | slice | None = None,
                      rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            base = (params.alpha
-                    + params.beta1 * self.family
-                    + params.beta2 * self.delta_gdp
-                    + params.beta3 * self.gdp_norm
-                    + self.disaster_scores(params, active_ids))
-            return base if cols is None else base[:, cols]
-        # the same operations in the same order on the selected cells only
         return (params.alpha
                 + params.beta1 * self._take(self.family, rows, cols)
                 + params.beta2 * self._take(self.delta_gdp, rows, cols)
@@ -232,8 +226,9 @@ class SimulationContext:
         ages without earnings surplus contribute exactly 0. ``cols`` restricts
         the evaluation to a subset of month columns (calibration hot path) and
         ``rows`` to a subset of corridors (scenarios); the result has shape
-        (len(rows), len(cols)) and equals that slice of the full 2010-2019 grid,
-        which the defaults cover.
+        (len(rows), len(cols)). With ``rows`` it equals that slice of the full
+        2010-2019 grid, which the defaults cover, bit for bit; without, the
+        last cells of a destination group may differ in the last bits.
         """
         base = self._base_scores(params, active_ids, cols, rows)
         n_cols = base.shape[1]
@@ -241,11 +236,10 @@ class SimulationContext:
         income = self._take(self.monthly_income, rows, cols)
         flows = np.zeros_like(base)
         w_m, w_f = self.shares
-        matvec = np.matmul if rows is None else _aligned_matvec
         for idx, active, prob in self._group_probabilities(params, base, rows):
             cells = prob.reshape(-1, prob.shape[2])  # a view: prob is contiguous
-            per_m = matvec(cells, w_m[active])
-            per_f = matvec(cells, w_f[active])
+            per_m = _matvec(cells, w_m[active], pad_tail=rows is not None)
+            per_f = _matvec(cells, w_f[active], pad_tail=rows is not None)
             sent = (stocks[idx, :, 0].ravel() * per_m
                     + stocks[idx, :, 1].ravel() * per_f)
             flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
@@ -325,20 +319,36 @@ class SimulationContext:
         return self.population.counts(corridor, month)
 
 
-def _aligned_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` with every row computed as in a product of a multiple of 4 rows.
+# Rows per BLAS matrix-vector product: a multiple of 4, and few enough
+# (64 x 101 ages) that OpenBLAS computes each product on one thread.
+_PRODUCT_ROWS = 64
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray, pad_tail: bool) -> np.ndarray:
+    """``matrix @ vector``, each row rounded the same at every BLAS thread count.
 
     OpenBLAS sums the trailing ``len(matrix) % 4`` rows of a matrix-vector
-    product in another order than the others. A full-grid evaluation multiplies 120
-    months per corridor, a multiple of 4, so a restricted evaluation pads its
-    trailing rows to 4 to round every row the same way.
+    product in another order than the others, and splits a large product
+    across threads at boundaries that need not be multiples of 4; numpy takes
+    a one-row product as a dot product. So the rows go in products of 64 that
+    start at multiples of 4, and a one-row remainder joins the product before
+    it. A full grid multiplies 120 months per corridor, a multiple of 4;
+    ``pad_tail`` pads the trailing rows of a restricted evaluation to 4 so
+    that they round the same way.
     """
-    n_head = len(matrix) - len(matrix) % 4
-    if n_head == len(matrix):
-        return matrix @ vector
-    tail = np.zeros((4, matrix.shape[1]))
-    tail[:len(matrix) - n_head] = matrix[n_head:]
-    return np.concatenate([matrix[:n_head] @ vector, (tail @ vector)[:len(matrix) - n_head]])
+    n_head = len(matrix) - len(matrix) % _PRODUCT_ROWS
+    if n_head and len(matrix) - n_head == 1:
+        n_head -= _PRODUCT_ROWS
+    rest = matrix[n_head:]
+    if pad_tail and len(rest) % 4:
+        padded = np.zeros((len(rest) + 4 - len(rest) % 4, matrix.shape[1]))
+        padded[:len(rest)] = rest
+        rest = padded
+    last = (rest @ vector)[:len(matrix) - n_head]
+    if not n_head:
+        return last
+    head = np.matmul(matrix[:n_head].reshape(-1, _PRODUCT_ROWS, matrix.shape[1]), vector)
+    return np.concatenate([head.ravel(), last])
 
 
 def as_context(data: Dataset | SimulationContext) -> SimulationContext:

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import remitsim
 from remitsim import fixtures, flows, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import HAZARDS, DisasterEvent
-from remitsim.engine import SimulationContext, scenario_none
+from remitsim.engine import SimulationContext, _matvec, scenario_none
 from remitsim.months import month_index
 
 PARAMS = REFERENCE_PARAMS
@@ -105,6 +110,45 @@ def test_restricted_evaluation_equals_full_grid_slice(case, data):
                           cube[rows][:, ctx.window])
 
 
+def test_matvec_rows_round_as_in_four_row_products():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 3, 5, 63, 64, 65, 66, 129, 4988):
+        matrix, vector = rng.random((n, 101)), rng.random(101)
+        blocks = [np.zeros((4, 101)) for _ in range(0, n, 4)]
+        for k, block in enumerate(blocks):
+            rows = matrix[4 * k:4 * k + 4]
+            block[:len(rows)] = rows
+        want = np.concatenate([np.zeros(0)] + [block @ vector for block in blocks])[:n]
+        assert np.array_equal(_matvec(matrix, vector, pad_tail=True), want), n
+
+
+_MATVEC_DIGEST = """
+import hashlib
+import numpy as np
+from remitsim.engine import _matvec
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+# 4,988 rows x 101 ages and more: OpenBLAS 0.3.31 splits such products across threads
+for n in (4988, 5044, 5349, 9601, 130):
+    matrix, vector = rng.random((n, 101)), rng.random(101)
+    for pad_tail in (True, False):
+        digest.update(_matvec(matrix, vector, pad_tail).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_matvec_bytes_do_not_depend_on_blas_threads(threads):
+    src = str(Path(remitsim.__file__).parents[1])
+    digests = []
+    for n_threads in ("1", threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests.append(subprocess.run([sys.executable, "-c", _MATVEC_DIGEST], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert digests[0] == digests[1]
+
+
 # ---------------------------------------------------------------------------
 # Edge cases
 
@@ -172,14 +216,6 @@ def test_attribution_equals_full_grids(desk_dataset, window, convention):
     ctx = _window_ctx(desk_dataset, window)
     _assert_same_fields(scenarios.attribute_by_hazard(ctx, PARAMS, convention),
                         oracles.full_grid_attribution(ctx, PARAMS, convention))
-
-
-@pytest.mark.parametrize("window", [None, BANDS_WINDOW])
-def test_event_attribution_equals_full_grid_reference(desk_dataset, window):
-    ctx = _window_ctx(desk_dataset, window)
-    for event in desk_dataset.disasters:
-        _assert_same_fields(scenarios.attribute_event(ctx, PARAMS, event.event_id),
-                            oracles.full_grid_event_attribution(ctx, PARAMS, event.event_id))
 
 
 @pytest.mark.parametrize("window, draws", [(BANDS_WINDOW, 1000), (None, 20)])

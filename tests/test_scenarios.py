@@ -202,28 +202,6 @@ def test_large_event_relative_increase_and_oracle():
     assert ev.relative_increase == pytest.approx(oracle_induced / oracle_baseline, rel=1e-12)
 
 
-def _full_grid_attribution(ctx, params, event_id) -> scenarios.EventAttribution:
-    """Per-event attribution from two full 2010-2019 grids, sliced to the event's months."""
-    event = next(e for e in ctx.dataset.disasters if e.event_id == event_id)
-    months = tuple(m for m in range(event.onset_month, event.onset_month + 12)
-                   if ctx.start <= m <= ctx.end)
-    without = ctx.expected_flows(params, frozenset())
-    diff = ctx.expected_flows(params, frozenset({event_id})) - without
-    cols = list(months)
-    by_corridor = {}
-    for c, (origin, dest) in enumerate(ctx.corridors):
-        value = float(diff[c, cols].sum())
-        if value != 0.0:
-            by_corridor[(dest, origin)] = value
-    induced = float(diff[:, cols].sum())
-    rows = [c for c, (o, _) in enumerate(ctx.corridors) if o == event.country]
-    baseline = float(without[np.ix_(rows, cols)].sum()) if rows else 0.0
-    return scenarios.EventAttribution(
-        event_id=event_id, months=months, induced_by_corridor=by_corridor,
-        induced_usd_12m=induced, baseline_usd_12m=baseline,
-        relative_increase=induced / baseline if baseline > 0 else None)
-
-
 @pytest.mark.parametrize("window", [None, ("2016-07", "2016-12")])
 def test_event_attribution_equals_full_grids(desk_dataset, desk_ctx, window):
     ctx = desk_ctx if window is None else SimulationContext(
@@ -231,7 +209,8 @@ def test_event_attribution_equals_full_grids(desk_dataset, desk_ctx, window):
     empty = 0
     for event in desk_dataset.disasters:
         got = scenarios.attribute_event(ctx, PARAMS, event.event_id)
-        assert got == _full_grid_attribution(ctx, PARAMS, event.event_id)
+        assert dataclasses.asdict(got) == oracles.full_grid_event_attribution(
+            ctx, PARAMS, event.event_id)
         empty += not got.months
     assert empty == (0 if window is None else 6)  # two events act in 2016-H2
 
