@@ -11,10 +11,13 @@ import oracles
 from oracles import fingerprint
 from remitsim import fixtures
 from remitsim.behavior import REFERENCE_PARAMS
-from remitsim.dataio import (DataValidationError, MigrantStockRecord, interpolate_stocks_monthly,
-                             load_dataset, write_dataset)
+from remitsim.dataio import (AFFECTED_SANITY_FACTOR, ANCHOR_YEARS, GLOBAL_SURPLUS, HAZARDS,
+                             INCOME_GROUPS, MAX_AGE, N_AGES, PANEL_YEARS, SEXES, AgeProfile,
+                             CountryEconomics, DataValidationError, Dataset, DisasterEvent,
+                             FlowObservation, MigrantStockRecord, SurplusProfile,
+                             interpolate_stocks_monthly, load_dataset, write_dataset)
 from remitsim.engine import SimulationContext
-from remitsim.months import month_index
+from remitsim.months import WINDOW_MONTHS, month_index, year_of
 
 from conftest import small_csv_texts, write_csv_dir
 
@@ -275,3 +278,193 @@ def test_valid_month_outside_the_grid_loads(tmp_path):
     texts, _ = _panel_with_late_row("BBB,AAA,2021-05,500000")
     dataset = load_dataset(write_csv_dir(tmp_path / "data", texts))
     assert dataset.panel[-1].month == month_index("2021-05") == 136
+
+
+# ---------------------------------------------------------------------------
+# Diagnostic parity: each violation, planted in a late row after a blank line,
+# names its physical line, column and reason exactly
+
+VIOLATIONS = [
+    # economics.csv: country,year,gdp_per_capita,population,income_group
+    ("economics.csv", "DDD,2012,abc,1000000,low",
+     "column 'gdp_per_capita': not a number: 'abc'"),
+    ("economics.csv", "DDD,2012,10000,inf,low", "column 'population': not finite: 'inf'"),
+    ("economics.csv", "DDD,2012,0,1000000,low",
+     "column 'gdp_per_capita': must be > 0.0, got 0.0"),
+    ("economics.csv", "DDD,1800,10000,1000000,low", "column 'year': must be >= 1900, got 1800"),
+    ("economics.csv", "DDD,20x2,10000,1000000,low", "column 'year': not an integer: '20x2'"),
+    ("economics.csv", "DDD,2012,10000,1000000,middle",
+     "column 'income_group': 'middle' not one of low/lower-middle/upper-middle/high"),
+    ("economics.csv", "dd1,2012,10000,1000000,low",
+     "column 'country': not an ISO-3166 alpha-3 code: 'dd1'"),
+    ("economics.csv", "AAA,2012,10000,1000000,lower-middle",
+     "column 'country': duplicate row for ('AAA', 2012)"),
+    ("economics.csv", "DDD,2012,10000", "wrong number of fields"),
+    # stocks.csv: origin,destination,sex,anchor_year,count
+    ("stocks.csv", "AAA,DDD,male,2010,x", "column 'count': not a number: 'x'"),
+    ("stocks.csv", "AAA,DDD,male,2010,nan", "column 'count': not finite: 'nan'"),
+    ("stocks.csv", "AAA,DDD,male,2010,-5", "column 'count': must be >= 0.0, got -5.0"),
+    ("stocks.csv", "AAA,DDD,other,2010,5", "column 'sex': 'other' not one of male/female"),
+    ("stocks.csv", "AAA,dd,male,2010,5",
+     "column 'destination': not an ISO-3166 alpha-3 code: 'dd'"),
+    ("stocks.csv", "AAA,DDD,male,2012,5",
+     "column 'anchor_year': must be one of (2010, 2015, 2020), got 2012"),
+    ("stocks.csv", "AAA,AAA,male,2010,5", "column 'destination': origin equals destination (AAA)"),
+    ("stocks.csv", "AAA,BBB,male,2015,7",
+     "column 'anchor_year': duplicate anchor for ('AAA', 'BBB', 'male')"),
+    ("stocks.csv", "AAA,DDD,male,2010,5,6", "wrong number of fields"),
+    # age_profiles.csv: sex,age,share
+    ("age_profiles.csv", "male,50,abc", "column 'share': not a number: 'abc'"),
+    ("age_profiles.csv", "male,50,1.5", "column 'share': must be <= 1.0, got 1.5"),
+    ("age_profiles.csv", "male,101,0.1", "column 'age': must be <= 100, got 101"),
+    ("age_profiles.csv", "other,50,0.1", "column 'sex': 'other' not one of male/female"),
+    ("age_profiles.csv", "male,30,0.1", "column 'age': duplicate row for ('male', 30)"),
+    ("age_profiles.csv", "male,50", "wrong number of fields"),
+    # surplus_profiles.csv: country,age,surplus
+    ("surplus_profiles.csv", "DDD,50,-1", "column 'surplus': must be >= 0.0, got -1.0"),
+    ("surplus_profiles.csv", "DDD,50,inf", "column 'surplus': not finite: 'inf'"),
+    ("surplus_profiles.csv", "DDD,-1,0", "column 'age': must be >= 0, got -1"),
+    ("surplus_profiles.csv", "Global,50,1.0",
+     "column 'country': not an ISO-3166 alpha-3 code: 'Global'"),
+    ("surplus_profiles.csv", "DDD,10,0.5",
+     "column 'surplus': must be 0 below age 16, got 0.5 at age 10"),
+    ("surplus_profiles.csv", "GLOBAL_DEFAULT,50,1.0",
+     "column 'age': duplicate row for ('GLOBAL_DEFAULT', 50)"),
+    ("surplus_profiles.csv", "DDD,50,1.0,2", "wrong number of fields"),
+    # disasters.csv: event_id,country,onset_month,hazard,affected
+    ("disasters.csv", ",AAA,2012-05,flood,100", "column 'event_id': must be non-empty"),
+    ("disasters.csv", "EV2,AAA,2012-13,flood,100",
+     "column 'onset_month': invalid month number in '2012-13'"),
+    ("disasters.csv", "EV2,AAA,May 2012,flood,100",
+     "column 'onset_month': invalid year-month 'May 2012', expected YYYY-MM"),
+    ("disasters.csv", "EV2,AAA,2012-05,heatwave,100",
+     "column 'hazard': 'heatwave' not one of drought/earthquake/flood/storm"),
+    ("disasters.csv", "EV2,aaa,2012-05,flood,100",
+     "column 'country': not an ISO-3166 alpha-3 code: 'aaa'"),
+    ("disasters.csv", "EV1,AAA,2012-05,flood,100", "column 'event_id': duplicate event_id 'EV1'"),
+    ("disasters.csv", "EV2,AAA,2012-05,flood,abc", "column 'affected': not a number: 'abc'"),
+    ("disasters.csv", "EV2,AAA,2012-05,flood,-1", "column 'affected': must be >= 0.0, got -1.0"),
+    ("disasters.csv", "EV2,DDD,2012-05,flood,100",
+     "column 'country': no economics row for DDD in onset year 2012"),
+    ("disasters.csv", "EV2,AAA,2025-05,flood,1",
+     "column 'country': no economics row for AAA in onset year 2025"),
+    ("disasters.csv", "EV2,AAA,2012-05,flood,10000001",
+     "column 'affected': 10000001.0 exceeds 10x the population of AAA in 2012 (1000000.0)"),
+    ("disasters.csv", "EV2,AAA,2012-05", "wrong number of fields"),
+    # panel.csv: sender,recipient,month,amount_usd
+    ("panel.csv", "BBB,AAA,2013-01,abc", "column 'amount_usd': not a number: 'abc'"),
+    ("panel.csv", "BBB,AAA,2013-01,nan", "column 'amount_usd': not finite: 'nan'"),
+    ("panel.csv", "BBB,AAA,2013-01,-1", "column 'amount_usd': must be >= 0.0, got -1.0"),
+    ("panel.csv", "BBB,AAA,2019-13,1", "column 'month': invalid month number in '2019-13'"),
+    ("panel.csv", "ab1,AAA,2013-01,1", "column 'sender': not an ISO-3166 alpha-3 code: 'ab1'"),
+    ("panel.csv", "BBB,aaa,2013-01,1",
+     "column 'recipient': not an ISO-3166 alpha-3 code: 'aaa'"),
+    ("panel.csv", "BBB,AAA,2010-01,1",
+     "column 'month': duplicate observation for BBB->AAA 2010-01"),
+    ("panel.csv", "BBB,AAA,2013-01", "wrong number of fields"),
+    # rows with two violations: the one checked first is named
+    ("stocks.csv", "AAA,AAA,male,2012,-5", "column 'count': must be >= 0.0, got -5.0"),
+    ("stocks.csv", "AAA,AAA,male,2012,5",
+     "column 'anchor_year': must be one of (2010, 2015, 2020), got 2012"),
+    ("surplus_profiles.csv", "GLOBAL_DEFAULT,10,0.5",
+     "column 'surplus': must be 0 below age 16, got 0.5 at age 10"),
+    ("disasters.csv", ",AAA,2012-05,flood,-1", "column 'affected': must be >= 0.0, got -1.0"),
+    ("disasters.csv", "EV1,DDD,2012-05,flood,1", "column 'event_id': duplicate event_id 'EV1'"),
+    ("panel.csv", "BBB,AAA,2010-01,-1", "column 'amount_usd': must be >= 0.0, got -1.0"),
+]
+
+
+def _plant(name: str, *late_rows: str) -> tuple[dict[str, str], int]:
+    """The small fixture's texts with a blank physical line 3 in ``name`` and
+    ``late_rows`` appended to it, and the physical line of the first of them."""
+    texts = small_csv_texts()
+    lines = texts[name].splitlines()
+    lines.insert(2, "")
+    line = len(lines) + 1
+    texts[name] = "\n".join([*lines, *late_rows]) + "\n"
+    return texts, line
+
+
+@pytest.mark.parametrize("name,row,message", VIOLATIONS,
+                         ids=[f"{name}:{row}" for name, row, _ in VIOLATIONS])
+def test_violation_names_physical_line_column_and_reason(tmp_path, name, row, message):
+    texts, line = _plant(name, row)
+    with pytest.raises(DataValidationError) as caught:
+        load_dataset(write_csv_dir(tmp_path / "bad", texts))
+    assert str(caught.value) == f"{name}:{line}: {message}"
+
+
+@pytest.mark.parametrize("name,rows,bad,message", [
+    ("panel.csv", ["BBB,AAA,2013-01,-1", "BBB,AAA"], 0,
+     "column 'amount_usd': must be >= 0.0, got -1.0"),
+    ("panel.csv", ["BBB,AAA,2013-02,1", "CCC,AAA,2013-03,-1", "BBB,AAA,2013-02,1"], 1,
+     "column 'amount_usd': must be >= 0.0, got -1.0"),
+    ("panel.csv", ["BBB,AAA,2013-02,1", "BBB,AAA,2013-02,1", "ab1,AAA,2013-01,1"], 1,
+     "column 'month': duplicate observation for BBB->AAA 2013-02"),
+    ("stocks.csv", ["AAA,DDD,male,2011,5", "AAA,DDD,male"], 0,
+     "column 'anchor_year': must be one of (2010, 2015, 2020), got 2011"),
+    ("economics.csv", ["DDD,2012,1,1,middle", "EEE,2012,1,1,low,extra"], 0,
+     "column 'income_group': 'middle' not one of low/lower-middle/upper-middle/high"),
+])
+def test_first_bad_row_is_named_before_later_ones(tmp_path, name, rows, bad, message):
+    texts, line = _plant(name, *rows)
+    with pytest.raises(DataValidationError) as caught:
+        load_dataset(write_csv_dir(tmp_path / "bad", texts))
+    assert str(caught.value) == f"{name}:{line + bad}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# Round trip of drawn datasets, edge floats included
+
+EDGE_FLOATS = (5e-324, 1e308, 1e-05, 1.0)
+POSITIVE = st.sampled_from(EDGE_FLOATS) | st.floats(min_value=0.0, max_value=1e308,
+                                                    exclude_min=True)
+NONNEGATIVE = st.sampled_from((0.0, -0.0)) | POSITIVE
+ZERO = st.sampled_from((0.0, -0.0))
+EVENT_IDS = st.text(alphabet='AZaz09 ,"-\n\r', min_size=1, max_size=6)
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    origins = ["OAA", "OAB", "OAC"][:draw(st.integers(1, 3))]
+    destinations = ["DAA", "DAB"][:draw(st.integers(1, 2))]
+    countries = origins + destinations
+    economics = tuple(CountryEconomics(c, y, draw(POSITIVE), draw(POSITIVE),
+                                       draw(st.sampled_from(INCOME_GROUPS)))
+                      for c in countries for y in PANEL_YEARS)
+    corridors = draw(st.lists(st.sampled_from([(o, d) for o in origins for d in destinations]),
+                              min_size=1, unique=True))
+    stocks = tuple(MigrantStockRecord(o, d, sex, year, draw(NONNEGATIVE))
+                   for o, d in corridors for sex in SEXES for year in ANCHOR_YEARS)
+    age_profiles = []
+    for sex in SEXES:
+        ages = draw(st.lists(st.integers(0, MAX_AGE), min_size=1, max_size=4, unique=True))
+        tiny = [draw(st.sampled_from((0.0, -0.0, 1e-05, 5e-324))) for _ in ages[1:]]
+        shares = [1.0 - sum(tiny), *tiny]
+        age_profiles += [AgeProfile(sex, age, share) for age, share in zip(ages, shares)]
+    surplus_profiles = tuple(
+        SurplusProfile(country, age, draw(ZERO if age < 16 else NONNEGATIVE))
+        for country in [GLOBAL_SURPLUS, *draw(st.lists(st.sampled_from(destinations),
+                                                       unique=True))]
+        for age in range(N_AGES))
+    population = {(r.country, r.year): r.population for r in economics}
+    disasters = []
+    for event_id in draw(st.lists(EVENT_IDS, max_size=3, unique=True)):
+        country, onset = draw(st.sampled_from(origins)), draw(st.integers(0, WINDOW_MONTHS - 1))
+        limit = AFFECTED_SANITY_FACTOR * population[(country, year_of(onset))]
+        disasters.append(DisasterEvent(event_id, country, onset, draw(st.sampled_from(HAZARDS)),
+                                       min(draw(NONNEGATIVE), limit)))
+    keys = draw(st.lists(st.tuples(st.sampled_from(destinations), st.sampled_from(origins),
+                                   st.integers(-12, 150)), max_size=8, unique=True))
+    panel = tuple(FlowObservation(s, r, m, draw(NONNEGATIVE)) for s, r, m in keys)
+    return Dataset(economics=economics, stocks=stocks, age_profiles=tuple(age_profiles),
+                   surplus_profiles=surplus_profiles, disasters=tuple(disasters), panel=panel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(datasets())
+def test_drawn_dataset_round_trips(tmp_path_factory, dataset):
+    directory = write_dataset(dataset, tmp_path_factory.mktemp("drawn"))[0].parent
+    reloaded = load_dataset(directory)
+    assert reloaded == dataset
+    assert fingerprint(reloaded) == fingerprint(dataset)  # repr tells -0.0 from 0.0
