@@ -55,22 +55,21 @@ REFERENCE_PARAMS = BehaviorParams(
 PARAM_NAMES = ("alpha", "beta0", "beta1", "beta2", "beta3", "height", "shape", "shift", "rho")
 
 
-def delta_gdp(gdp_dest: float, gdp_origin: float, *, clamp: bool = False) -> float:
-    """Relative GDP-per-capita gap between destination and origin.
+def delta_gdp(gdp_dest, gdp_origin, *, clamp: bool = False) -> np.ndarray:
+    """Relative GDP-per-capita gap between destination and origin, elementwise.
 
     Piecewise normalization: the gap is divided by the smaller of the two
     values, giving an antisymmetric signed ratio. It is NOT bounded to
     [-1, 1]; ``clamp=True`` optionally restricts it to that range.
     """
-    if gdp_dest <= 0 or gdp_origin <= 0:
-        raise ValueError(f"GDP per capita must be positive, got ({gdp_dest}, {gdp_origin})")
-    if gdp_dest > gdp_origin:
-        value = (gdp_dest - gdp_origin) / gdp_origin
-    else:
-        value = -(gdp_origin - gdp_dest) / gdp_dest
-    if clamp:
-        value = min(1.0, max(-1.0, value))
-    return value
+    dest, origin = np.broadcast_arrays(np.asarray(gdp_dest, dtype=float),
+                                       np.asarray(gdp_origin, dtype=float))
+    bad = np.flatnonzero((dest <= 0) | (origin <= 0))
+    if bad.size:
+        raise ValueError(f"GDP per capita must be positive, got "
+                         f"({dest.flat[bad[0]]}, {origin.flat[bad[0]]})")
+    value = np.where(dest > origin, (dest - origin) / origin, -(origin - dest) / dest)
+    return np.clip(value, -1.0, 1.0) if clamp else value
 
 
 def gdp_norm(values: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Input schemas, validated loading, and monthly interpolation of migrant stocks.
 
-All inputs are UTF-8 CSV files with a mandatory header row (RFC-4180 quoting):
+All inputs are UTF-8 CSV files, with or without a byte-order mark, with a
+mandatory header row (RFC-4180 quoting); blank lines are skipped:
 
     economics.csv        country,year,gdp_per_capita,population,income_group
     stocks.csv           origin,destination,sex,anchor_year,count
@@ -10,15 +11,20 @@ All inputs are UTF-8 CSV files with a mandatory header row (RFC-4180 quoting):
     panel.csv            sender,recipient,month,amount_usd
 
 Loading either succeeds completely or raises :class:`DataValidationError`
-naming the offending file, row and column; there are no partial loads.
-The returned :class:`Dataset` is immutable.
+naming the offending file, physical line and column; there are no partial
+loads. Each file is checked column by column: codes and categories over
+their distinct values, numbers as ``float`` and ``int`` parse them with
+bounds checked over the whole column, keys with one set. Only when a check
+fails is the file read again row by row, through the same per-field rules,
+to name the first bad row. The returned :class:`Dataset` is immutable.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import methodcaller
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -37,6 +43,7 @@ GLOBAL_SURPLUS = "GLOBAL_DEFAULT"
 # EMDAT-style double counting can push `affected` past the population;
 # beyond 10x it is treated as corrupt input.
 AFFECTED_SANITY_FACTOR = 10.0
+MIN_SURPLUS_AGE = 16  # no earnings surplus below this age
 
 FILE_COLUMNS = {
     "economics.csv": ("country", "year", "gdp_per_capita", "population", "income_group"),
@@ -196,10 +203,13 @@ def _parse_int(path: Path, line: int, column: str, raw: str, *, minimum: int | N
     return value
 
 
+def _is_code(raw: str, *, allow_global: bool = False) -> bool:
+    return ((allow_global and raw == GLOBAL_SURPLUS)
+            or (len(raw) == 3 and raw.isalpha() and raw.isupper()))
+
+
 def _parse_country(path: Path, line: int, column: str, raw: str, *, allow_global: bool = False) -> str:
-    if allow_global and raw == GLOBAL_SURPLUS:
-        return raw
-    if len(raw) != 3 or not raw.isalpha() or not raw.isupper():
+    if not _is_code(raw, allow_global=allow_global):
         raise _err(path, line, column, f"not an ISO-3166 alpha-3 code: {raw!r}")
     return raw
 
@@ -217,31 +227,138 @@ def _parse_month(path: Path, line: int, column: str, raw: str) -> int:
         raise _err(path, line, column, str(exc)) from None
 
 
+# ---------------------------------------------------------------------------
+# Reading: whole columns, or numbered rows for the diagnostic
+
+def _data_rows(path: Path, fh):
+    """A CSV reader over the rows of ``fh`` after its header, which must be ``path``'s."""
+    columns = FILE_COLUMNS[path.name]
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise DataValidationError(f"{path.name}: empty file, expected header {','.join(columns)}")
+    if tuple(header) != columns:
+        raise DataValidationError(
+            f"{path.name}: header {','.join(header)} does not match "
+            f"required {','.join(columns)}")
+    return reader
+
+
+_COUNT_COMMAS = methodcaller("count", ",")
+
+
+def _open(path: Path):
+    if not path.exists():
+        raise DataValidationError(f"{path.name}: file not found at {path}")
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _read_columns(path: Path) -> list[tuple[str, ...]] | None:
+    """The fields of the non-blank data rows as columns in ``FILE_COLUMNS``
+    order, split at commas and newlines. None when the text has a quote or a
+    carriage return, which only the CSV reader reads right, or when a row has
+    the wrong number of fields; the row-wise reading then takes over."""
+    width = len(FILE_COLUMNS[path.name])
+    with _open(path) as fh:
+        _data_rows(path, fh)  # the header, read as CSV
+        text = fh.read()
+    if '"' in text or "\r" in text:
+        return None
+    lines = list(filter(None, text.split("\n")))  # blank lines skipped
+    if not set(map(_COUNT_COMMAS, lines)) <= {width - 1}:
+        return None
+    # tuples of strings leave the garbage collector's lists once scanned
+    fields = tuple(",".join(lines).split(",")) if lines else ()
+    return [fields[k::width] for k in range(width)]
+
+
 def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """(line, fields) per non-blank data row, fields in ``FILE_COLUMNS`` order;
     ``line`` is the physical line the row ends on, blank lines counted."""
-    columns = FILE_COLUMNS[path.name]
-    if not path.exists():
-        raise DataValidationError(f"{path.name}: file not found at {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataValidationError(f"{path.name}: empty file, expected header {','.join(columns)}")
-        if tuple(header) != columns:
-            raise DataValidationError(
-                f"{path.name}: header {','.join(header)} does not match "
-                f"required {','.join(columns)}")
-        for row in filter(None, reader):  # blank lines skipped
-            if len(row) != len(columns):
+    width = len(FILE_COLUMNS[path.name])
+    with _open(path) as fh:
+        reader = _data_rows(path, fh)
+        for row in filter(None, reader):
+            if len(row) != width:
                 raise DataValidationError(f"{path.name}:{reader.line_num}: wrong number of fields")
             yield reader.line_num, row
 
 
+def _load(path: Path, by_columns, by_rows) -> tuple:
+    """The records of ``path``: ``by_columns(*columns)`` checks whole columns
+    and builds them, or returns None when a check fails; then ``by_rows(path)``
+    checks row by row and raises naming the first bad row, its line and column.
+    Both apply the same rules, so only a bad file pays for the row pass."""
+    columns = _read_columns(path)
+    records = None if columns is None else by_columns(*columns)
+    return by_rows(path) if records is None else records
+
+
+# Column checks. Each accepts exactly the values its row-wise _parse_* twin
+# accepts and parses them the same way (``float`` and ``int`` themselves).
+
+def _floats(raw: Sequence[str], *, minimum: float | None = None, maximum: float | None = None,
+            strict_min: bool = False) -> tuple[float, ...] | None:
+    try:
+        values = tuple(map(float, raw))
+    except ValueError:
+        return None
+    arr = np.array(values, dtype=float)
+    ok = np.isfinite(arr)
+    if minimum is not None:
+        ok &= (arr > minimum) if strict_min else (arr >= minimum)
+    if maximum is not None:
+        ok &= arr <= maximum
+    return values if ok.all() else None
+
+
+def _ints(raw: Sequence[str], *, minimum: int | None = None,
+          maximum: int | None = None) -> tuple[int, ...] | None:
+    try:
+        values = tuple(map(int, raw))
+    except ValueError:
+        return None
+    if values and ((minimum is not None and min(values) < minimum)
+                   or (maximum is not None and max(values) > maximum)):
+        return None
+    return values
+
+
+def _months(raw: Sequence[str]) -> tuple[int, ...] | None:
+    try:
+        by_label = {label: month_index(label) for label in set(raw)}
+    except ValueError:
+        return None
+    return tuple(map(by_label.__getitem__, raw))
+
+
+def _codes_ok(*columns: Sequence[str], allow_global: bool = False) -> bool:
+    return all(_is_code(code, allow_global=allow_global) for code in set().union(*columns))
+
+
+def _unique(*columns: Sequence) -> bool:
+    return len(set(zip(*columns))) == len(columns[0])
+
+
 # ---------------------------------------------------------------------------
-# Per-file loaders
+# Per-file loaders: a column pass, and the row pass that names the first bad row
 
 def _load_economics(path: Path) -> tuple[CountryEconomics, ...]:
+    return _load(path, _economics_columns, _economics_rows)
+
+
+def _economics_columns(country, year, gdp, population, group):
+    years = _ints(year, minimum=1900, maximum=2100)
+    gdps = _floats(gdp, minimum=0.0, strict_min=True)
+    populations = _floats(population, minimum=0.0, strict_min=True)
+    if (years is None or gdps is None or populations is None or not _codes_ok(country)
+            or not set(group) <= set(INCOME_GROUPS) or not _unique(country, years)):
+        return None
+    return tuple(map(CountryEconomics, country, years, gdps, populations, group))
+
+
+def _economics_rows(path: Path) -> tuple[CountryEconomics, ...]:
     rows: list[CountryEconomics] = []
     seen: set[tuple[str, int]] = set()
     for line, (country, year, gdp, population, group) in _read_rows(path):
@@ -263,6 +380,31 @@ def _load_economics(path: Path) -> tuple[CountryEconomics, ...]:
 
 
 def _load_stocks(path: Path) -> tuple[MigrantStockRecord, ...]:
+    rows = _load(path, _stock_columns, _stock_rows)
+    # anchor-year completeness per (origin, destination, sex)
+    anchors: dict[tuple[str, str, str], set[int]] = {}
+    for rec in rows:
+        anchors.setdefault((rec.origin, rec.destination, rec.sex), set()).add(rec.anchor_year)
+    for (o, d, s), years in sorted(anchors.items()):
+        missing = sorted(set(ANCHOR_YEARS) - years)
+        if missing:
+            raise DataValidationError(
+                f"{path.name}: corridor {o}->{d} sex {s} missing anchor year(s) {missing}")
+    return rows
+
+
+def _stock_columns(origin, destination, sex, anchor_year, count):
+    years = _ints(anchor_year)
+    counts = _floats(count, minimum=0.0)
+    if (years is None or counts is None or not _codes_ok(origin, destination)
+            or not set(sex) <= set(SEXES) or not set(years) <= set(ANCHOR_YEARS)
+            or any(o == d for o, d in zip(origin, destination))
+            or not _unique(origin, destination, sex, years)):
+        return None
+    return tuple(map(MigrantStockRecord, origin, destination, sex, years, counts))
+
+
+def _stock_rows(path: Path) -> tuple[MigrantStockRecord, ...]:
     rows: list[MigrantStockRecord] = []
     seen: set[tuple[str, str, str, int]] = set()
     for line, (origin, destination, sex, anchor_year, count) in _read_rows(path):
@@ -283,22 +425,33 @@ def _load_stocks(path: Path) -> tuple[MigrantStockRecord, ...]:
             raise _err(path, line, "anchor_year", f"duplicate anchor for {key[:3]}")
         seen.add(key)
         rows.append(rec)
-    # anchor-year completeness per (origin, destination, sex)
-    anchors: dict[tuple[str, str, str], set[int]] = {}
-    for rec in rows:
-        anchors.setdefault((rec.origin, rec.destination, rec.sex), set()).add(rec.anchor_year)
-    for (o, d, s), years in sorted(anchors.items()):
-        missing = sorted(set(ANCHOR_YEARS) - years)
-        if missing:
-            raise DataValidationError(
-                f"{path.name}: corridor {o}->{d} sex {s} missing anchor year(s) {missing}")
     return tuple(rows)
 
 
 def _load_age_profiles(path: Path) -> tuple[AgeProfile, ...]:
+    rows = _load(path, _age_columns, _age_rows)
+    sums: dict[str, float] = {}
+    for rec in rows:
+        sums[rec.sex] = sums.get(rec.sex, 0.0) + rec.share
+    for sex, total in sorted(sums.items()):
+        if abs(total - 1.0) > 1e-9:
+            raise DataValidationError(
+                f"{path.name}: shares for sex {sex} sum to {total!r}, expected 1 +/- 1e-9")
+    return rows
+
+
+def _age_columns(sex, age, share):
+    ages = _ints(age, minimum=0, maximum=MAX_AGE)
+    shares = _floats(share, minimum=0.0, maximum=1.0)
+    if (ages is None or shares is None or not set(sex) <= set(SEXES)
+            or not _unique(sex, ages)):
+        return None
+    return tuple(map(AgeProfile, sex, ages, shares))
+
+
+def _age_rows(path: Path) -> tuple[AgeProfile, ...]:
     rows: list[AgeProfile] = []
     seen: set[tuple[str, int]] = set()
-    sums: dict[str, float] = {}
     for line, (sex, age, share) in _read_rows(path):
         rec = AgeProfile(
             sex=_parse_enum(path, line, "sex", sex, SEXES),
@@ -309,31 +462,12 @@ def _load_age_profiles(path: Path) -> tuple[AgeProfile, ...]:
         if key in seen:
             raise _err(path, line, "age", f"duplicate row for {key}")
         seen.add(key)
-        sums[rec.sex] = sums.get(rec.sex, 0.0) + rec.share
         rows.append(rec)
-    for sex, total in sorted(sums.items()):
-        if abs(total - 1.0) > 1e-9:
-            raise DataValidationError(
-                f"{path.name}: shares for sex {sex} sum to {total!r}, expected 1 +/- 1e-9")
     return tuple(rows)
 
 
 def _load_surplus_profiles(path: Path) -> tuple[SurplusProfile, ...]:
-    rows: list[SurplusProfile] = []
-    seen: set[tuple[str, int]] = set()
-    for line, (country, age, surplus) in _read_rows(path):
-        rec = SurplusProfile(
-            country=_parse_country(path, line, "country", country, allow_global=True),
-            age=_parse_int(path, line, "age", age, minimum=0, maximum=MAX_AGE),
-            surplus=_parse_float(path, line, "surplus", surplus, minimum=0.0),
-        )
-        if rec.age < 16 and rec.surplus != 0.0:
-            raise _err(path, line, "surplus", f"must be 0 below age 16, got {rec.surplus} at age {rec.age}")
-        key = (rec.country, rec.age)
-        if key in seen:
-            raise _err(path, line, "age", f"duplicate row for {key}")
-        seen.add(key)
-        rows.append(rec)
+    rows = _load(path, _surplus_columns, _surplus_rows)
     by_country: dict[str, set[int]] = {}
     for rec in rows:
         by_country.setdefault(rec.country, set()).add(rec.age)
@@ -343,10 +477,56 @@ def _load_surplus_profiles(path: Path) -> tuple[SurplusProfile, ...]:
             raise DataValidationError(
                 f"{path.name}: profile {country} missing age(s) {missing[:5]}"
                 f"{'...' if len(missing) > 5 else ''}; every age 0-100 is required")
+    return rows
+
+
+def _surplus_columns(country, age, surplus):
+    ages = _ints(age, minimum=0, maximum=MAX_AGE)
+    values = _floats(surplus, minimum=0.0)
+    if (ages is None or values is None or not _codes_ok(country, allow_global=True)
+            or any(a < MIN_SURPLUS_AGE and v != 0.0 for a, v in zip(ages, values))
+            or not _unique(country, ages)):
+        return None
+    return tuple(map(SurplusProfile, country, ages, values))
+
+
+def _surplus_rows(path: Path) -> tuple[SurplusProfile, ...]:
+    rows: list[SurplusProfile] = []
+    seen: set[tuple[str, int]] = set()
+    for line, (country, age, surplus) in _read_rows(path):
+        rec = SurplusProfile(
+            country=_parse_country(path, line, "country", country, allow_global=True),
+            age=_parse_int(path, line, "age", age, minimum=0, maximum=MAX_AGE),
+            surplus=_parse_float(path, line, "surplus", surplus, minimum=0.0),
+        )
+        if rec.age < MIN_SURPLUS_AGE and rec.surplus != 0.0:
+            raise _err(path, line, "surplus",
+                       f"must be 0 below age {MIN_SURPLUS_AGE}, got {rec.surplus} at age {rec.age}")
+        key = (rec.country, rec.age)
+        if key in seen:
+            raise _err(path, line, "age", f"duplicate row for {key}")
+        seen.add(key)
+        rows.append(rec)
     return tuple(rows)
 
 
 def _load_disasters(path: Path, population: Mapping[tuple[str, int], float]) -> tuple[DisasterEvent, ...]:
+    return _load(path, partial(_disaster_columns, population), partial(_disaster_rows, population))
+
+
+def _disaster_columns(population, event_id, country, onset_month, hazard, affected):
+    onsets = _months(onset_month)
+    values = _floats(affected, minimum=0.0)
+    if (onsets is None or values is None or not all(event_id) or not _codes_ok(country)
+            or not set(hazard) <= set(HAZARDS) or not _unique(event_id)):
+        return None
+    pops = [population.get((c, year_of(m))) for c, m in zip(country, onsets)]
+    if None in pops or any(a > AFFECTED_SANITY_FACTOR * p for a, p in zip(values, pops)):
+        return None
+    return tuple(map(DisasterEvent, event_id, country, onsets, hazard, values))
+
+
+def _disaster_rows(population, path: Path) -> tuple[DisasterEvent, ...]:
     rows: list[DisasterEvent] = []
     seen: set[str] = set()
     for line, (event_id, country, onset_month, hazard, affected) in _read_rows(path):
@@ -376,28 +556,32 @@ def _load_disasters(path: Path, population: Mapping[tuple[str, int], float]) -> 
 
 
 def _load_panel(path: Path) -> tuple[FlowObservation, ...]:
+    return _load(path, _panel_columns, _panel_rows)
+
+
+def _panel_columns(sender, recipient, month, amount_usd):
+    months = _months(month)
+    amounts = _floats(amount_usd, minimum=0.0)
+    if (months is None or amounts is None or not _codes_ok(sender, recipient)
+            or not _unique(sender, recipient, months)):
+        return None
+    return tuple(map(FlowObservation, sender, recipient, months, amounts))
+
+
+def _panel_rows(path: Path) -> tuple[FlowObservation, ...]:
     rows: list[FlowObservation] = []
     seen: set[tuple[str, str, int]] = set()
-    # the panel repeats few codes and months over many rows: validate each code
-    # once, and parse only the months outside the grid (they load, and calibration
-    # excludes them)
-    codes: set[str] = set()
-    grid_months = {month_label(m): m for m in range(WINDOW_MONTHS)}
     for line, (sender, recipient, label, amount) in _read_rows(path):
-        if sender not in codes:
-            codes.add(_parse_country(path, line, "sender", sender))
-        if recipient not in codes:
-            codes.add(_parse_country(path, line, "recipient", recipient))
-        month = grid_months.get(label)
-        if month is None:
-            month = _parse_month(path, line, "month", label)
-        rec = FlowObservation(sender=sender, recipient=recipient, month=month,
-                              amount_usd=_parse_float(path, line, "amount_usd", amount,
-                                                      minimum=0.0))
-        key = (sender, recipient, month)
+        rec = FlowObservation(
+            sender=_parse_country(path, line, "sender", sender),
+            recipient=_parse_country(path, line, "recipient", recipient),
+            month=_parse_month(path, line, "month", label),
+            amount_usd=_parse_float(path, line, "amount_usd", amount, minimum=0.0),
+        )
+        key = (rec.sender, rec.recipient, rec.month)
         if key in seen:
             raise _err(path, line, "month",
-                       f"duplicate observation for {sender}->{recipient} {month_label(month)}")
+                       f"duplicate observation for {sender}->{recipient} {month_label(rec.month)}")
         seen.add(key)
         rows.append(rec)
     return tuple(rows)

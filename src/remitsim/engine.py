@@ -55,19 +55,21 @@ class SimulationContext:
         self.family = demographics_arrays(self.population)[2]  # pyramid asymmetry
         self.shares = np.vstack([self.population.shares[sex] for sex in SEXES])
 
-        # GDP covariates per (corridor, year), each year spread over its 12 months
+        # GDP covariates per (corridor, year) from one (country, year) array,
+        # each year spread over its 12 months
         years = range(year_of(0), year_of(self.n_months - 1) + 1)
-        origins = sorted({o for o, _ in self.corridors})
+        countries = sorted({country for corridor in self.corridors for country in corridor})
+        gdp = np.array([[dataset.gdp[(country, y)] for y in years] for country in countries])
+        row_of = {country: i for i, country in enumerate(countries)}
+        origin = np.array([row_of[o] for o, _ in self.corridors], dtype=int)
+        dest = np.array([row_of[d] for _, d in self.corridors], dtype=int)
         # static normalization: min-max over all origins and all grid years
-        keys = [(o, y) for o in origins for y in years]
-        norm_map = dict(zip(keys, behavior.gdp_norm([dataset.gdp[key] for key in keys]).tolist()))
-        gdp = dataset.gdp
-        by_year = np.array([
-            [(behavior.delta_gdp(gdp[(dest, y)], gdp[(origin, y)], clamp=clamp_delta_gdp),
-              norm_map[(origin, y)], gdp[(dest, y)] / 12.0) for y in years]
-            for origin, dest in self.corridors]).reshape(self.n_corridors, len(years), 3)
+        origins = np.unique(origin)
+        norm = behavior.gdp_norm(gdp[origins])[np.searchsorted(origins, origin)]
         self.delta_gdp, self.gdp_norm, self.monthly_income = (
-            np.repeat(by_year[:, :, k], 12, axis=1) for k in range(3))
+            np.repeat(by_year, 12, axis=1) for by_year in (
+                behavior.delta_gdp(gdp[dest], gdp[origin], clamp=clamp_delta_gdp),
+                norm, gdp[dest] / 12.0))
 
         # corridor indices grouped by destination (shared surplus profile)
         # and by origin (shared disaster exposure)

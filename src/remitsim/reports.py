@@ -3,11 +3,14 @@
 Floats are written as ``repr`` (shortest round-trip) with a fixed newline,
 and sums that reach an output add left to right (:func:`sequential_sum`),
 so identical runs produce byte-identical files on every Python version.
-:func:`write_csv` is the one CSV writer. Small reports pass it rows of
-values, formatted cell by cell by :func:`fmt_cell`; the large grids
+:func:`write_csv` is the one CSV writer, and writes the bytes of
+``csv.writer``. Small reports pass it rows of values, formatted cell by
+cell by :func:`fmt_cell` and written by ``csv.writer``. The large grids
 (flows, induced flows, profiles, population) pass :class:`FormattedRows`
 that :func:`columns` builds column by column, one ``repr`` pass over each
-float array, which gives the same strings. Manifests carry
+float array, which gives the same strings; they are streamed in blocks of
+comma-joined lines, and a block whose text shows a cell that
+``csv.writer`` would quote goes through ``csv.writer``. Manifests carry
 content hashes of every input and output, the seed, and the package
 version; they contain no timestamps.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -25,6 +28,8 @@ import numpy as np
 from . import __version__
 from .months import month_label
 from .population import Population
+
+_BLOCK_ROWS = 8192  # rows joined into one string before it is written
 
 
 def fmt_cell(value) -> str:
@@ -81,17 +86,40 @@ def _repeat_each(values: Iterable[str], times: int) -> Iterator[str]:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write ``header`` and ``rows``. Cells are formatted by :func:`fmt_cell`,
-    except in :class:`FormattedRows`, which hold strings already."""
+    """Write ``header`` and ``rows`` as ``csv.writer`` would. Cells are formatted
+    by :func:`fmt_cell`, except in :class:`FormattedRows`, which hold strings
+    already and are written block by block as joined lines (:func:`_write_lines`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if not isinstance(rows, FormattedRows):
-        rows = ([fmt_cell(v) for v in row] for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, FormattedRows):
+            _write_lines(fh, writer, iter(rows))
+        else:
+            writer.writerows([fmt_cell(v) for v in row] for row in rows)
     return path
+
+
+def _write_lines(fh, writer, rows: Iterator[tuple[str, ...]]) -> None:
+    """Write ``rows`` in blocks of ``_BLOCK_ROWS``, each as its cells joined by
+    commas and its rows ended by newlines, when that is what ``writer`` writes.
+
+    The writer quotes a cell that holds a comma, a quote or a newline (from
+    Python 3.13 a CR too), and writes a row of one empty cell as ``""``. A
+    block's joined text shows neither when its commas number exactly the
+    cells minus the rows (no cell holds one, and no row is empty), its
+    newlines the rows, it holds no quote or CR, and it has no empty line. Any
+    other block goes through ``writer``.
+    """
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        text = "\n".join(map(",".join, block)) + "\n"
+        if (text.count(",") == sum(map(len, block)) - len(block)
+                and text.count("\n") == len(block) and '"' not in text and "\r" not in text
+                and not text.startswith("\n") and "\n\n" not in text):
+            fh.write(text)
+        else:
+            writer.writerows(block)
 
 
 def write_json(path: str | Path, payload: dict) -> Path:

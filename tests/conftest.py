@@ -101,7 +101,7 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
     demo = oracles.family_probability(cohorts)
     family = demo.family if demo is not None else 1.0
     year = year_of(month)
-    gap = behavior.delta_gdp(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)], clamp=clamp)
+    gap = oracles.delta_gdp(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)], clamp=clamp)
 
     origins = sorted({o for o, _ in dataset.corridors})
     years = sorted(range(2010, 2020))

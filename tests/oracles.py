@@ -128,6 +128,19 @@ class CovariateVector:
     disaster_score: float
 
 
+def delta_gdp(gdp_dest: float, gdp_origin: float, *, clamp: bool = False) -> float:
+    """Relative GDP gap of one corridor-year: divided by the smaller GDP, signed."""
+    if gdp_dest <= 0 or gdp_origin <= 0:
+        raise ValueError(f"GDP per capita must be positive, got ({gdp_dest}, {gdp_origin})")
+    if gdp_dest > gdp_origin:
+        value = (gdp_dest - gdp_origin) / gdp_origin
+    else:
+        value = -(gdp_origin - gdp_dest) / gdp_dest
+    if clamp:
+        value = min(1.0, max(-1.0, value))
+    return value
+
+
 def kernel_value(magnitude: float, offset: int, params: BehaviorParams) -> float:
     """Score contribution of one event at an integer month offset from onset.
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (NEVER_REMITS, CovariateVector, activation_capacity, disaster_score,
                      kernel_value, probability, probability_profile, theta)
+from oracles import delta_gdp as oracle_delta_gdp
 from remitsim.behavior import BehaviorParams, REFERENCE_PARAMS, delta_gdp, gdp_norm
 from remitsim.dataio import DisasterEvent
 
@@ -45,6 +46,24 @@ def test_delta_gdp_domain_error():
 @given(a=st.floats(min_value=1e-3, max_value=1e9), b=st.floats(min_value=1e-3, max_value=1e9))
 def test_delta_gdp_antisymmetric(a, b):
     assert delta_gdp(a, b) == pytest.approx(-delta_gdp(b, a), rel=1e-12, abs=1e-15)
+
+
+GDP = st.floats(min_value=1e-150, max_value=1e150) | st.sampled_from((1.0, 2.0, 30000.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(GDP, GDP), min_size=1, max_size=12), st.booleans())
+def test_delta_gdp_arrays_equal_the_scalar_oracle(pairs, clamp):
+    dest, origin = np.array(pairs).T
+    got = delta_gdp(dest, origin, clamp=clamp)
+    want = np.array([oracle_delta_gdp(d, o, clamp=clamp) for d, o in pairs])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_delta_gdp_names_the_first_nonpositive_pair():
+    with pytest.raises(ValueError, match=r"got \(0\.0, 5\.0\)"):
+        delta_gdp(np.array([1.0, 0.0, -1.0]), np.array([2.0, 5.0, 6.0]))
 
 
 # ---------------------------------------------------------------------------

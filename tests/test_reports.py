@@ -1,16 +1,20 @@
-"""Output formatting and sums: column-formatted rows and in-order float sums."""
+"""Output formatting and sums: column-formatted rows, their CSV bytes, and in-order float sums."""
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import repeat
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.months import month_label
-from remitsim.reports import columns, flow_rows, fmt_cell, sequential_sum, write_csv
+from remitsim.reports import (_BLOCK_ROWS, FormattedRows, columns, flow_rows, fmt_cell,
+                              sequential_sum, write_csv)
 
 
 def test_sequential_sum_does_not_compensate():
@@ -49,3 +53,56 @@ def test_flow_rows_write_the_bytes_of_cell_rows(desk_ctx, tmp_path):
     by_column = write_csv(tmp_path / "columns.csv", header,
                           flow_rows(desk_ctx.corridors, months, grid, "factual"))
     assert by_cell.read_bytes() == by_column.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Formatted rows are written as csv.writer writes them
+
+AWKWARD = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", " leading", repr(-0.0), repr(1e-05),
+           repr(1e+16), "plain"]
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _formatted_bytes(tmp_path, header, rows) -> bytes:
+    return write_csv(tmp_path / "out.csv", header, FormattedRows(iter(rows))).read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [(cell, "x", cell) for cell in AWKWARD],
+    [("a", "b", "c"), ("d,e", "f")],  # commas add up to a full block's, one sits in a cell
+    [("a", "b", "c"), ("",)],  # one empty cell: csv.writer writes ""
+    [("",), ("a", "b", "c")],
+    [("a", "b", "c"), (), (" ",), ("1e+16", "-0.0", "x")],
+], ids=["awkward", "comma-in-short-row", "empty-cell-last", "empty-cell-first", "ragged"])
+def test_awkward_cells_write_the_bytes_of_csv_writer(tmp_path, rows):
+    header = ("a", "b", "c")
+    assert _formatted_bytes(tmp_path, header, rows) == _csv_writer_bytes(header, rows)
+
+
+@pytest.mark.parametrize("cell", AWKWARD)
+@pytest.mark.parametrize("at", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 2])
+def test_awkward_row_at_a_block_boundary(tmp_path, cell, at):
+    rows = [(str(i), repr(i / 7)) for i in range(2 * _BLOCK_ROWS + 3)]
+    rows[at] = (cell, cell)
+    expected = _csv_writer_bytes(("i", "v"), rows)
+    assert _formatted_bytes(tmp_path, ("i", "v"), rows) == expected
+    # a single-cell row of an empty string is written as "" by csv.writer
+    rows[at] = ("",)
+    assert _formatted_bytes(tmp_path, ("i", "v"), rows) == _csv_writer_bytes(("i", "v"), rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.text(alphabet=' ,"\r\nab-0.e+', max_size=4), max_size=4),
+                max_size=12))
+def test_drawn_rows_write_the_bytes_of_csv_writer(tmp_path_factory, rows):
+    rows = [tuple(row) for row in rows]
+    path = tmp_path_factory.mktemp("drawn") / "out.csv"
+    assert write_csv(path, ("h",), FormattedRows(rows)).read_bytes() == _csv_writer_bytes(("h",),
+                                                                                         rows)
