@@ -244,9 +244,6 @@ def _data_rows(path: Path, fh):
     return reader
 
 
-_COUNT_COMMAS = methodcaller("count", ",")
-
-
 def _open(path: Path):
     if not path.exists():
         raise DataValidationError(f"{path.name}: file not found at {path}")
@@ -254,7 +251,7 @@ def _open(path: Path):
     return open(path, newline="", encoding="utf-8-sig")
 
 
-def _read_columns(path: Path) -> list[tuple[str, ...]] | None:
+def _read_columns(path: Path) -> list[list[str]] | None:
     """The fields of the non-blank data rows as columns in ``FILE_COLUMNS``
     order, split at commas and newlines. None when the text has a quote or a
     carriage return, which only the CSV reader reads right, or when a row has
@@ -266,10 +263,9 @@ def _read_columns(path: Path) -> list[tuple[str, ...]] | None:
     if '"' in text or "\r" in text:
         return None
     lines = list(filter(None, text.split("\n")))  # blank lines skipped
-    if not set(map(_COUNT_COMMAS, lines)) <= {width - 1}:
+    if not set(map(methodcaller("count", ","), lines)) <= {width - 1}:
         return None
-    # tuples of strings leave the garbage collector's lists once scanned
-    fields = tuple(",".join(lines).split(",")) if lines else ()
+    fields = ",".join(lines).split(",") if lines else []
     return [fields[k::width] for k in range(width)]
 
 
@@ -289,7 +285,8 @@ def _load(path: Path, by_columns, by_rows) -> tuple:
     """The records of ``path``: ``by_columns(*columns)`` checks whole columns
     and builds them, or returns None when a check fails; then ``by_rows(path)``
     checks row by row and raises naming the first bad row, its line and column.
-    Both apply the same rules, so only a bad file pays for the row pass."""
+    Both apply the same rules, so only a bad file, or one whose text the column
+    reading leaves to the CSV reader, pays for the row pass."""
     columns = _read_columns(path)
     records = None if columns is None else by_columns(*columns)
     return by_rows(path) if records is None else records
@@ -299,9 +296,9 @@ def _load(path: Path, by_columns, by_rows) -> tuple:
 # accepts and parses them the same way (``float`` and ``int`` themselves).
 
 def _floats(raw: Sequence[str], *, minimum: float | None = None, maximum: float | None = None,
-            strict_min: bool = False) -> tuple[float, ...] | None:
+            strict_min: bool = False) -> list[float] | None:
     try:
-        values = tuple(map(float, raw))
+        values = list(map(float, raw))
     except ValueError:
         return None
     arr = np.array(values, dtype=float)
@@ -314,9 +311,9 @@ def _floats(raw: Sequence[str], *, minimum: float | None = None, maximum: float 
 
 
 def _ints(raw: Sequence[str], *, minimum: int | None = None,
-          maximum: int | None = None) -> tuple[int, ...] | None:
+          maximum: int | None = None) -> list[int] | None:
     try:
-        values = tuple(map(int, raw))
+        values = list(map(int, raw))
     except ValueError:
         return None
     if values and ((minimum is not None and min(values) < minimum)
@@ -325,12 +322,12 @@ def _ints(raw: Sequence[str], *, minimum: int | None = None,
     return values
 
 
-def _months(raw: Sequence[str]) -> tuple[int, ...] | None:
+def _months(raw: Sequence[str]) -> list[int] | None:
     try:
         by_label = {label: month_index(label) for label in set(raw)}
     except ValueError:
         return None
-    return tuple(map(by_label.__getitem__, raw))
+    return list(map(by_label.__getitem__, raw))
 
 
 def _codes_ok(*columns: Sequence[str], allow_global: bool = False) -> bool:
