@@ -29,7 +29,11 @@ from . import __version__
 from .months import month_label
 from .population import Population
 
-_BLOCK_ROWS = 8192  # rows joined into one string before it is written
+# Rows joined into one string before it is written. A block's row tuples
+# are alive together; past about 2,000 of them (CPython's tuple free list)
+# each new one counts toward a garbage collection, which costs the grid
+# writers about a tenth of their time.
+_BLOCK_ROWS = 1024
 
 
 def fmt_cell(value) -> str:
