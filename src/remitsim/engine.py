@@ -64,12 +64,13 @@ class SimulationContext:
         origin = np.array([row_of[o] for o, _ in self.corridors], dtype=int)
         dest = np.array([row_of[d] for _, d in self.corridors], dtype=int)
         # static normalization: min-max over all origins and all grid years
-        origins = np.unique(origin)
-        norm = behavior.gdp_norm(gdp[origins])[np.searchsorted(origins, origin)]
+        origins = sorted(set(origin.tolist()))
+        norm = np.zeros_like(gdp)
+        norm[origins] = behavior.gdp_norm(gdp[origins])
         self.delta_gdp, self.gdp_norm, self.monthly_income = (
             np.repeat(by_year, 12, axis=1) for by_year in (
                 behavior.delta_gdp(gdp[dest], gdp[origin], clamp=clamp_delta_gdp),
-                norm, gdp[dest] / 12.0))
+                norm[origin], gdp[dest] / 12.0))
 
         # corridor indices grouped by destination (shared surplus profile)
         # and by origin (shared disaster exposure)
