@@ -76,7 +76,7 @@ def _formatted_bytes(tmp_path, header, rows) -> bytes:
 
 @pytest.mark.parametrize("rows", [
     [(cell, "x", cell) for cell in AWKWARD],
-    [("a", "b", "c"), ("d,e", "f")],  # commas add up to a full block's, one sits in a cell
+    [("a", "b", "c"), ("d,e", "f")],  # commas total rows x (columns - 1); one sits in a cell
     [("a", "b", "c"), ("",)],  # one empty cell: csv.writer writes ""
     [("",), ("a", "b", "c")],
     [("a", "b", "c"), (), (" ",), ("1e+16", "-0.0", "x")],
@@ -91,8 +91,7 @@ def test_awkward_cells_write_the_bytes_of_csv_writer(tmp_path, rows):
 def test_awkward_row_at_a_block_boundary(tmp_path, cell, at):
     rows = [(str(i), repr(i / 7)) for i in range(2 * _BLOCK_ROWS + 3)]
     rows[at] = (cell, cell)
-    expected = _csv_writer_bytes(("i", "v"), rows)
-    assert _formatted_bytes(tmp_path, ("i", "v"), rows) == expected
+    assert _formatted_bytes(tmp_path, ("i", "v"), rows) == _csv_writer_bytes(("i", "v"), rows)
     # a single-cell row of an empty string is written as "" by csv.writer
     rows[at] = ("",)
     assert _formatted_bytes(tmp_path, ("i", "v"), rows) == _csv_writer_bytes(("i", "v"), rows)
