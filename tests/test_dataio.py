@@ -292,6 +292,8 @@ VIOLATIONS = [
     ("economics.csv", "DDD,2012,0,1000000,low",
      "column 'gdp_per_capita': must be > 0.0, got 0.0"),
     ("economics.csv", "DDD,1800,10000,1000000,low", "column 'year': must be >= 1900, got 1800"),
+    ("economics.csv", "DDD,2101,10000,1000000,low", "column 'year': must be <= 2100, got 2101"),
+    ("economics.csv", "DDD,2012,10000,-0.0,low", "column 'population': must be > 0.0, got -0.0"),
     ("economics.csv", "DDD,20x2,10000,1000000,low", "column 'year': not an integer: '20x2'"),
     ("economics.csv", "DDD,2012,10000,1000000,middle",
      "column 'income_group': 'middle' not one of low/lower-middle/upper-middle/high"),
@@ -305,6 +307,7 @@ VIOLATIONS = [
     ("stocks.csv", "AAA,DDD,male,2010,nan", "column 'count': not finite: 'nan'"),
     ("stocks.csv", "AAA,DDD,male,2010,-5", "column 'count': must be >= 0.0, got -5.0"),
     ("stocks.csv", "AAA,DDD,other,2010,5", "column 'sex': 'other' not one of male/female"),
+    ("stocks.csv", "AAA,DDD,male,20x0,5", "column 'anchor_year': not an integer: '20x0'"),
     ("stocks.csv", "AAA,dd,male,2010,5",
      "column 'destination': not an ISO-3166 alpha-3 code: 'dd'"),
     ("stocks.csv", "AAA,DDD,male,2012,5",
@@ -317,6 +320,8 @@ VIOLATIONS = [
     ("age_profiles.csv", "male,50,abc", "column 'share': not a number: 'abc'"),
     ("age_profiles.csv", "male,50,1.5", "column 'share': must be <= 1.0, got 1.5"),
     ("age_profiles.csv", "male,101,0.1", "column 'age': must be <= 100, got 101"),
+    ("age_profiles.csv", "male,-1,0.1", "column 'age': must be >= 0, got -1"),
+    ("age_profiles.csv", "male,50,-0.5", "column 'share': must be >= 0.0, got -0.5"),
     ("age_profiles.csv", "other,50,0.1", "column 'sex': 'other' not one of male/female"),
     ("age_profiles.csv", "male,30,0.1", "column 'age': duplicate row for ('male', 30)"),
     ("age_profiles.csv", "male,50", "wrong number of fields"),
@@ -324,6 +329,8 @@ VIOLATIONS = [
     ("surplus_profiles.csv", "DDD,50,-1", "column 'surplus': must be >= 0.0, got -1.0"),
     ("surplus_profiles.csv", "DDD,50,inf", "column 'surplus': not finite: 'inf'"),
     ("surplus_profiles.csv", "DDD,-1,0", "column 'age': must be >= 0, got -1"),
+    ("surplus_profiles.csv", "DDD,101,0", "column 'age': must be <= 100, got 101"),
+    ("surplus_profiles.csv", "DDD,x,0", "column 'age': not an integer: 'x'"),
     ("surplus_profiles.csv", "Global,50,1.0",
      "column 'country': not an ISO-3166 alpha-3 code: 'Global'"),
     ("surplus_profiles.csv", "DDD,10,0.5",
