@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import SEXES, Dataset, FlowObservation
+from .dataio import SEXES, Dataset, FlowObservation, Panel, as_panel
 from .dataio import interpolate_stocks_monthly  # unused here; perfbench/tracer.py wraps the name
 from .months import WINDOW_MONTHS, year_of
 from .reports import sequential_sum
@@ -78,7 +78,7 @@ def gravity_flows(dataset: Dataset, beta_exp: float,
     return out
 
 
-def _gravity_loss(panel: Sequence[FlowObservation], dataset: Dataset,
+def _gravity_loss(panel: Panel | Sequence[FlowObservation], dataset: Dataset,
                   stocks: Mapping[tuple[str, str, int], float]
                   ) -> tuple[Callable[[float], float], int]:
     """(SSE as a function of the exponent, number of excluded observations).
@@ -87,19 +87,15 @@ def _gravity_loss(panel: Sequence[FlowObservation], dataset: Dataset,
     and adds the squared errors in panel order. The per-observation arrays
     are built once; observations without a modelled stock are excluded.
     """
-    included = []
-    excluded = 0
-    for obs in panel:
-        year = year_of(obs.month)
-        stock = stocks.get((obs.recipient, obs.sender, year))
-        if stock is None:
-            excluded += 1
-            continue
-        included.append((stock, dataset.gdp[(obs.sender, year)], dataset.gdp[(obs.recipient, year)],
-                         obs.amount_usd))
-    stock, y_dest, y_origin, observed = np.array(included, dtype=float).reshape(-1, 4).T
-    if ((y_dest <= 0) | (y_origin <= 0)).any():
-        raise ValueError("incomes must be positive")
+    panel = as_panel(panel)
+    stock = panel.lookup(stocks, ("recipient", "sender", "year"))
+    modelled = ~np.isnan(stock)
+    included, stock = panel[modelled], stock[modelled]
+    y_dest = included.lookup(dataset.gdp, ("sender", "year"))
+    y_origin = included.lookup(dataset.gdp, ("recipient", "year"))
+    observed = included.amount_usd
+    if not ((y_dest > 0) & (y_origin > 0)).all():
+        raise ValueError("incomes must be known and positive")
     richer = y_dest >= y_origin
     gaps, gap_of = np.unique(y_dest[richer] - y_origin[richer], return_inverse=True)
     gaps = gaps.tolist()
@@ -111,10 +107,10 @@ def _gravity_loss(panel: Sequence[FlowObservation], dataset: Dataset,
         error = per_migrant * stock / 12.0 - observed
         return sequential_sum(error * error)
 
-    return sse, excluded
+    return sse, len(panel) - len(included)
 
 
-def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset,
+def calibrate_gravity(panel: Panel | Sequence[FlowObservation], dataset: Dataset,
                       stocks: Mapping[tuple[str, str, int], float], *,
                       bracket: tuple[float, float] = (0.01, 2.0), grid: int = 41,
                       tol: float = 1e-4) -> GravityFit:
@@ -170,6 +166,20 @@ def calibrate_gravity(panel: Sequence[FlowObservation], dataset: Dataset,
                       n_excluded=excluded)
 
 
+def _means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each run ``values[start:start + length]``, bit for bit.
+
+    The runs of one length are averaged as the rows of one array, and numpy
+    sums each row pairwise, as it sums a 1-D array; ``np.add.reduceat``
+    would sum them in sequence.
+    """
+    means = np.empty(len(starts))
+    for length in np.unique(lengths).tolist():
+        which = np.flatnonzero(lengths == length)
+        means[which] = values[starts[which, None] + np.arange(length)].mean(axis=1)
+    return means
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     sender: str
@@ -190,34 +200,41 @@ class ComparisonReport:
     n_excluded: int
 
 
-def compare_models(structural: Mapping[tuple[str, str, int], float],
+def compare_models(structural: np.ndarray | Mapping[tuple[str, str, int], float],
                    gravity: Mapping[int, Mapping[tuple[str, str], float]],
-                   panel: Sequence[FlowObservation]) -> ComparisonReport:
+                   panel: Panel | Sequence[FlowObservation]) -> ComparisonReport:
     """Average-yearly corridor comparison of both estimators against the panel.
 
-    ``structural`` maps (sender, recipient, month index) to monthly USD;
+    ``structural`` holds each observation's simulated monthly USD, NaN where
+    there is none, or maps (sender, recipient, month index) to it;
     ``gravity`` maps year to annual corridor matrices. Corridors missing from
     either estimate are excluded and counted.
     """
-    by_corridor: dict[tuple[str, str], list[FlowObservation]] = {}
-    for obs in panel:
-        by_corridor.setdefault((obs.sender, obs.recipient), []).append(obs)
+    panel = as_panel(panel)
+    if isinstance(structural, Mapping):
+        structural = panel.lookup(structural, ("sender", "recipient", "month"))
+    # corridors in (sender, recipient) order, their observations in panel order
+    corridor = panel.sender * len(panel.codes) + panel.recipient
+    order = np.argsort(corridor, kind="stable")
+    _, starts, lengths = np.unique(corridor[order], return_index=True, return_counts=True)
+    simulated = _means(structural[order], starts, lengths)  # NaN where any value is
+    years = panel.year[order]
+    groups = zip(map(panel.codes.__getitem__, panel.sender[order[starts]].tolist()),
+                 map(panel.codes.__getitem__, panel.recipient[order[starts]].tolist()),
+                 starts.tolist(), (starts + lengths).tolist(),
+                 (12.0 * _means(panel.amount_usd[order], starts, lengths)).tolist(),
+                 (12.0 * simulated).tolist(), np.isnan(simulated).tolist())
 
     rows = []
     excluded = 0
     rel_s: list[float] = []
     rel_g: list[float] = []
-    for (sender, recipient), group in sorted(by_corridor.items()):
-        months = [o.month for o in group]
-        years = sorted({year_of(m) for m in months})
-        try:
-            structural_monthly = [structural[(sender, recipient, m)] for m in months]
-            gravity_yearly = [gravity[y][(sender, recipient)] for y in years]
-        except KeyError:
+    for sender, recipient, lo, hi, observed, struct, unsimulated in groups:
+        gravity_yearly = [gravity.get(y, {}).get((sender, recipient))
+                          for y in sorted(set(years[lo:hi].tolist()))]
+        if unsimulated or None in gravity_yearly:
             excluded += 1
             continue
-        observed = 12.0 * float(np.mean([o.amount_usd for o in group]))
-        struct = 12.0 * float(np.mean(structural_monthly))
         grav = float(np.mean(gravity_yearly))
         row = ComparisonRow(sender=sender, recipient=recipient, observed_usd=observed,
                             structural_usd=struct, gravity_usd=grav,

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .behavior import BehaviorParams, PARAM_NAMES
-from .dataio import Dataset, FlowObservation
+from .dataio import Dataset, FlowObservation, Panel, as_panel
 from .engine import SimulationContext, as_context
 from .months import month_label
 
@@ -78,13 +78,14 @@ class PanelSlice:
     month_pos: np.ndarray
 
 
-def split_panel(panel: Sequence[FlowObservation], fraction: float = 0.8,
-                seed: int = 0) -> tuple[FlowObservation, ...]:
+def split_panel(panel: Panel | Sequence[FlowObservation], fraction: float = 0.8,
+                seed: int = 0) -> Panel:
     """Tag observations train/test by uniform random assignment.
 
     The train share is round(n * fraction), so proportions are within one
     observation of the requested fraction. Deterministic per seed.
     """
+    panel = as_panel(panel)
     if not panel:
         raise ValueError("panel is empty")
     if not 0.0 < fraction < 1.0:
@@ -94,47 +95,43 @@ def split_panel(panel: Sequence[FlowObservation], fraction: float = 0.8,
     perm = np.random.default_rng(seed).permutation(n)
     tags = np.full(n, "test", dtype=object)
     tags[perm[:n_train]] = "train"
-    return tuple(dataclasses.replace(obs, split_tag=tags[i]) for i, obs in enumerate(panel))
+    return dataclasses.replace(panel, split_tag=tags)
 
 
-def align_panel(panel: Sequence[FlowObservation], ctx: SimulationContext) -> PanelSlice:
+def align_panel(panel: Panel | Sequence[FlowObservation], ctx: SimulationContext) -> PanelSlice:
     """Map observations onto context indices.
 
     Observations of unmodeled corridors and observations outside the
     context window are excluded; each kind is warned about with its count.
     ``excluded`` samples the unmodeled corridors, ``n_excluded`` counts both.
     """
-    index = {c: i for i, c in enumerate(ctx.corridors)}
-    c_idx: list[int] = []
-    m_idx: list[int] = []
-    amounts: list[float] = []
-    unmodeled: list[tuple[str, str]] = []
-    out_of_window = 0
-    for obs in panel:
-        corridor = (obs.recipient, obs.sender)  # (origin, destination)
-        ci = index.get(corridor)
-        if ci is None:
-            unmodeled.append(corridor)
-        elif not ctx.start <= obs.month <= ctx.end:
-            out_of_window += 1
-        else:
-            c_idx.append(ci)
-            m_idx.append(obs.month)
-            amounts.append(obs.amount_usd)
-    if unmodeled:
+    panel = as_panel(panel)
+    corridor = panel.corridor_index(ctx.corridors)
+    unmodeled = np.flatnonzero(corridor < 0)
+    in_window = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
+    out_of_window = len(panel) - len(unmodeled) - int(np.count_nonzero(in_window))
+
+    def corridors_of(rows: np.ndarray) -> list[tuple[str, str]]:
+        return list(zip(map(panel.codes.__getitem__, panel.recipient[rows].tolist()),
+                        map(panel.codes.__getitem__, panel.sender[rows].tolist())))
+
+    # the first observation of each unmodeled corridor, in panel order
+    keys = panel.recipient[unmodeled] * len(panel.codes) + panel.sender[unmodeled]
+    firsts = unmodeled[np.sort(np.unique(keys, return_index=True)[1])]
+    if len(unmodeled):
         log.warning("excluded %d panel observation(s) without modeled population, e.g. %s",
-                    len(unmodeled), unmodeled[:3])
+                    len(unmodeled), corridors_of(unmodeled[:3]))
     if out_of_window:
         log.warning("excluded %d panel observation(s) outside the window %s..%s",
                     out_of_window, month_label(ctx.start), month_label(ctx.end))
-    month_arr = np.array(m_idx, dtype=int)
+    month_arr = panel.month[in_window]
     cols, month_pos = np.unique(month_arr, return_inverse=True)
-    return PanelSlice(np.array(c_idx, dtype=int), month_arr,
-                      np.array(amounts, dtype=float), len(unmodeled) + out_of_window,
-                      tuple(dict.fromkeys(unmodeled))[:10], cols, month_pos)
+    return PanelSlice(corridor[in_window], month_arr, panel.amount_usd[in_window],
+                      len(unmodeled) + out_of_window, tuple(corridors_of(firsts[:10])), cols,
+                      month_pos)
 
 
-def loss(params: BehaviorParams, panel: Sequence[FlowObservation],
+def loss(params: BehaviorParams, panel: Panel | Sequence[FlowObservation],
          ctx: SimulationContext) -> float:
     """Sum of squared differences, simulated minus observed, in USD^2."""
     aligned = align_panel(panel, ctx)
@@ -319,7 +316,7 @@ def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: 
         x0, max_iter=max_iter, tol=tol)
 
 
-def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservation],
+def calibrate(dataset: Dataset | SimulationContext, panel: Panel | Sequence[FlowObservation],
               config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Fit the nine parameters to the train split; report held-out R^2.
 
@@ -328,12 +325,12 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
     non-finite is dropped, and calibration fails only if every start does.
     """
     ctx = as_context(dataset)
-    train = [o for o in panel if o.split_tag == "train"]
-    test = [o for o in panel if o.split_tag == "test"]
-    if not train:
+    panel = as_panel(panel)
+    train = panel.split_tag == "train"
+    if not train.any():
         raise CalibrationError("no observations tagged 'train'; run split_panel first")
-    aligned_train = align_panel(train, ctx)
-    aligned_test = align_panel(test, ctx)
+    aligned_train = align_panel(panel[train], ctx)
+    aligned_test = align_panel(panel[panel.split_tag == "test"], ctx)
     if aligned_train.amounts.size == 0:
         raise CalibrationError("no train observation matches a modeled corridor")
 
@@ -368,7 +365,7 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Sequence[FlowObservat
         start_losses=[r.fx for r in usable])
 
 
-def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation],
+def param_confidence(result: CalibrationResult, panel: Panel | Sequence[FlowObservation],
                      dataset: Dataset | SimulationContext, replicates: int = 200, *,
                      seed: int = 0, max_iter: int = 60, tol: float = 1e-9,
                      replicate_start: BehaviorParams | None = None
@@ -385,8 +382,8 @@ def param_confidence(result: CalibrationResult, panel: Sequence[FlowObservation]
     widened, if needed, to include the point estimate.
     """
     ctx = as_context(dataset)
-    train = [o for o in panel if o.split_tag == "train"]
-    aligned = align_panel(train, ctx)
+    panel = as_panel(panel)
+    aligned = align_panel(panel[panel.split_tag == "train"], ctx)
     n = aligned.amounts.size
     if n == 0:
         raise CalibrationError("no train observations to bootstrap")

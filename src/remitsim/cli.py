@@ -7,6 +7,7 @@ failure, 4 missing upstream artifacts (e.g. calibration.json).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -268,13 +269,12 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     stocks = baseline.annual_stocks(dataset, ctx.stocks)
     fit = baseline.calibrate_gravity(dataset.panel, dataset, stocks)
     gravity = baseline.gravity_flows(dataset, fit.beta_exp, stocks)
-    grid = ctx.expected_flows(params).tolist()
-    structural = {
-        (dest, origin, m): grid[c][m]
-        for c, (origin, dest) in enumerate(ctx.corridors)
-        for m in ctx.window_months
-    }
-    report = baseline.compare_models(structural, gravity, dataset.panel)
+    panel = dataset.panel
+    corridor = panel.corridor_index(ctx.corridors)
+    simulated = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
+    structural = np.full(len(panel), np.nan)
+    structural[simulated] = ctx.expected_flows(params)[corridor[simulated], panel.month[simulated]]
+    report = baseline.compare_models(structural, gravity, panel)
     comp_path = reports.write_csv(
         out / "comparison.csv",
         ("sender", "recipient", "observed_usd", "structural_usd", "gravity_usd",
@@ -434,6 +434,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # a process entry: keep the objects made by imports out of every
+        # garbage collection, which would otherwise scan them all again
+        gc.freeze()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:

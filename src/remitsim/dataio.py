@@ -16,11 +16,14 @@ loads. Each file is checked column by column: codes and categories over
 their distinct values, numbers as ``float`` and ``int`` parse them with
 bounds checked over the whole column, keys with one set. Only when a check
 fails is the file read again row by row, through the same per-field rules,
-to name the first bad row. The returned :class:`Dataset` is immutable.
+to name the first bad row. The returned :class:`Dataset` is immutable; its
+panel is held as read-only columns (:class:`Panel`), built straight from
+the checked columns, with no record per observation.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -109,16 +112,143 @@ class FlowObservation:
     split_tag: str = "unassigned"
 
 
+_CODE_FIELDS = ("sender", "recipient")
+
+
+@dataclass(frozen=True, eq=False)
+class Panel:
+    """Flow observations as read-only columns, in input order.
+
+    ``sender`` and ``recipient`` index ``codes``, the sorted country codes,
+    so ordering by code index orders by code. ``month`` counts months since
+    2010-01; ``split_tag`` is an object array of a few shared strings. A
+    panel is a sequence of :class:`FlowObservation`: iterating or indexing
+    with an int yields records, while indexing with a slice, a mask or an
+    index array gives a Panel. Panels are equal when their observations are.
+    """
+
+    codes: tuple[str, ...]
+    sender: np.ndarray
+    recipient: np.ndarray
+    month: np.ndarray
+    amount_usd: np.ndarray
+    split_tag: np.ndarray
+
+    def __post_init__(self):
+        for name in (*_CODE_FIELDS, "month", "amount_usd", "split_tag"):
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def from_columns(cls, sender: Sequence[str], recipient: Sequence[str], month: Sequence[int],
+                     amount_usd: Sequence[float], split_tag: Sequence[str] | None = None) -> Panel:
+        codes = tuple(sorted(set(sender).union(recipient)))
+        index = {code: i for i, code in enumerate(codes)}.__getitem__
+        n = len(month)
+        tags = (np.full(n, "unassigned", dtype=object) if split_tag is None
+                else np.array(split_tag, dtype=object))
+        return cls(codes, np.fromiter(map(index, sender), np.intp, n),
+                   np.fromiter(map(index, recipient), np.intp, n), np.array(month, dtype=np.intp),
+                   np.array(amount_usd, dtype=float), tags)
+
+    def __len__(self) -> int:
+        return len(self.month)
+
+    def _columns(self) -> tuple[Iterator, ...]:
+        code = self.codes.__getitem__
+        return (map(code, self.sender.tolist()), map(code, self.recipient.tolist()),
+                self.month.tolist(), self.amount_usd.tolist(), self.split_tag.tolist())
+
+    def __iter__(self) -> Iterator[FlowObservation]:
+        return map(FlowObservation, *self._columns())
+
+    def __getitem__(self, which):
+        if isinstance(which, (int, np.integer)):
+            code = self.codes.__getitem__
+            return FlowObservation(code(self.sender[which]), code(self.recipient[which]),
+                                   int(self.month[which]), float(self.amount_usd[which]),
+                                   str(self.split_tag[which]))
+        return Panel(self.codes, self.sender[which], self.recipient[which], self.month[which],
+                     self.amount_usd[which], self.split_tag[which])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Panel):
+            return NotImplemented
+        codes, other_codes = np.array(self.codes, dtype=str), np.array(other.codes, dtype=str)
+        return len(self) == len(other) and all(
+            np.array_equal(mine, theirs) for mine, theirs in zip(
+                (codes[self.sender], codes[self.recipient], self.month, self.amount_usd,
+                 self.split_tag),
+                (other_codes[other.sender], other_codes[other.recipient], other.month,
+                 other.amount_usd, other.split_tag)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    @property
+    def year(self) -> np.ndarray:
+        return year_of(self.month)
+
+    def corridor_index(self, corridors: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Each observation's row in ``corridors``, (origin, destination) pairs,
+        or -1; an observation's corridor is (recipient, sender)."""
+        return self.lookup({corridor: i for i, corridor in enumerate(corridors)},
+                           ("recipient", "sender"), -1, np.intp)
+
+    def lookup(self, mapping: Mapping, fields: Sequence[str], missing=np.nan,
+               dtype=float) -> np.ndarray:
+        """``mapping.get(key, missing)`` per observation, as a ``dtype`` array.
+
+        The key is the tuple of the observation's ``fields`` ("sender",
+        "recipient", "month" or "year"), codes as strings. Each distinct key
+        is looked up once.
+        """
+        flat, lows, dims = _flat_keys([getattr(self, field) for field in fields])
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        parts = [(part + low).tolist()
+                 for part, low in zip(np.unravel_index(distinct, dims), lows)]
+        parts = [list(map(self.codes.__getitem__, part)) if field in _CODE_FIELDS else part
+                 for field, part in zip(fields, parts)]
+        values = np.array([mapping.get(key, missing) for key in zip(*parts)], dtype=dtype)
+        return values[inverse]
+
+
+def _flat_keys(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], list[int]]:
+    """One int per row of the int ``columns``, equal where the rows are, with
+    the lowest value and the extent of each column, which decode it."""
+    lows = [int(column.min()) if len(column) else 0 for column in columns]
+    dims = [int(column.max()) - low + 1 if len(column) else 1
+            for column, low in zip(columns, lows)]
+    flat = np.ravel_multi_index([column - low for column, low in zip(columns, lows)], dims)
+    return flat, lows, dims
+
+
+def as_panel(panel: Panel | Sequence[FlowObservation]) -> Panel:
+    """``panel`` itself, or a Panel of its FlowObservation records."""
+    if isinstance(panel, Panel):
+        return panel
+    records = tuple(panel)
+    return Panel.from_columns([r.sender for r in records], [r.recipient for r in records],
+                              [r.month for r in records], [r.amount_usd for r in records],
+                              [r.split_tag for r in records])
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Everything the engine consumes, loaded and cross-checked."""
+    """Everything the engine consumes, loaded and cross-checked.
+
+    ``panel`` may be given as a sequence of FlowObservation records; it is
+    held as a :class:`Panel`.
+    """
 
     economics: tuple[CountryEconomics, ...]
     stocks: tuple[MigrantStockRecord, ...]
     age_profiles: tuple[AgeProfile, ...]
     surplus_profiles: tuple[SurplusProfile, ...]
     disasters: tuple[DisasterEvent, ...]
-    panel: tuple[FlowObservation, ...]
+    panel: Panel
+
+    def __post_init__(self):
+        object.__setattr__(self, "panel", as_panel(self.panel))
 
     @cached_property
     def gdp(self) -> Mapping[tuple[str, int], float]:
@@ -552,20 +682,21 @@ def _disaster_rows(population, path: Path) -> tuple[DisasterEvent, ...]:
     return tuple(rows)
 
 
-def _load_panel(path: Path) -> tuple[FlowObservation, ...]:
+def _load_panel(path: Path) -> Panel:
     return _load(path, _panel_columns, _panel_rows)
 
 
 def _panel_columns(sender, recipient, month, amount_usd):
     months = _months(month)
     amounts = _floats(amount_usd, minimum=0.0)
-    if (months is None or amounts is None or not _codes_ok(sender, recipient)
-            or not _unique(sender, recipient, months)):
+    if months is None or amounts is None:
         return None
-    return tuple(map(FlowObservation, sender, recipient, months, amounts))
+    panel = Panel.from_columns(sender, recipient, months, amounts)
+    keys = np.sort(_flat_keys([panel.sender, panel.recipient, panel.month])[0])
+    return panel if _codes_ok(panel.codes) and (keys[1:] != keys[:-1]).all() else None
 
 
-def _panel_rows(path: Path) -> tuple[FlowObservation, ...]:
+def _panel_rows(path: Path) -> Panel:
     rows: list[FlowObservation] = []
     seen: set[tuple[str, str, int]] = set()
     for line, (sender, recipient, label, amount) in _read_rows(path):
@@ -581,7 +712,7 @@ def _panel_rows(path: Path) -> tuple[FlowObservation, ...]:
                        f"duplicate observation for {sender}->{recipient} {month_label(rec.month)}")
         seen.add(key)
         rows.append(rec)
-    return tuple(rows)
+    return as_panel(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +773,8 @@ def _check_cross_references(ds: Dataset) -> None:
 # ---------------------------------------------------------------------------
 # Writing (round-trip support and fixture generation)
 
-def _serialize_tables(ds: Dataset) -> list[tuple[str, list[list[str]]]]:
-    tables: list[tuple[str, list[list[str]]]] = []
+def _serialize_tables(ds: Dataset) -> list[tuple[str, list[Sequence[str]]]]:
+    tables: list[tuple[str, list[Sequence[str]]]] = []
     tables.append(("economics.csv", [
         [r.country, str(r.year), repr(r.gdp_per_capita), repr(r.population), r.income_group]
         for r in ds.economics]))
@@ -656,8 +787,9 @@ def _serialize_tables(ds: Dataset) -> list[tuple[str, list[list[str]]]]:
     tables.append(("disasters.csv", [
         [r.event_id, r.country, month_label(r.onset_month), r.hazard, repr(r.affected)]
         for r in ds.disasters]))
-    tables.append(("panel.csv", [
-        [r.sender, r.recipient, month_label(r.month), repr(r.amount_usd)] for r in ds.panel]))
+    sender, recipient, month, amount_usd, _ = ds.panel._columns()
+    tables.append(("panel.csv", list(zip(sender, recipient, map(month_label, month),
+                                         map(repr, amount_usd)))))
     return tables
 
 
@@ -671,9 +803,25 @@ def write_dataset(ds: Dataset, data_dir: str | Path) -> list[Path]:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(FILE_COLUMNS[name])
-            writer.writerows(rows)
+            for row in rows:
+                if any("\r" in cell for cell in row):
+                    fh.write(_cr_quoted_line(row))
+                else:
+                    writer.writerow(row)
         written.append(path)
     return written
+
+
+def _cr_quoted_line(row: Sequence[str]) -> str:
+    """``row`` as a CSV line ending in "\\n", each field holding a CR quoted.
+
+    Before Python 3.13, ``csv.writer`` leaves a lone CR unquoted under a
+    "\\n" terminator, and the reader then ends the row there. Under "\\r\\n"
+    it quotes such fields, as Python 3.13 does under either terminator.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue()[:-2] + "\n"
 
 
 # ---------------------------------------------------------------------------

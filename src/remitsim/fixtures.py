@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .behavior import REFERENCE_PARAMS, BehaviorParams
-from .dataio import (AgeProfile, CountryEconomics, Dataset, DisasterEvent, FlowObservation,
-                     GLOBAL_SURPLUS, MigrantStockRecord, N_AGES, SEXES, SurplusProfile,
-                     write_dataset)
+from .dataio import (AgeProfile, CountryEconomics, Dataset, DisasterEvent, GLOBAL_SURPLUS,
+                     MigrantStockRecord, N_AGES, Panel, SEXES, SurplusProfile, write_dataset)
 from .months import WINDOW_MONTHS, month_index
 
 # GDP levels are chosen so the GDP-gap covariate spans roughly [-4, +14]:
@@ -132,11 +131,11 @@ def build_dataset(seed: int = 0, *, n_origins: int = 10, n_destinations: int = 5
 
 
 def generate_panel(dataset: Dataset, params: BehaviorParams, *, noise: float = 0.0,
-                   rng: np.random.Generator | None = None) -> tuple[FlowObservation, ...]:
+                   rng: np.random.Generator | None = None) -> Panel:
     """Model-generated panel: one observation per corridor-month.
 
     ``noise`` applies a multiplicative 1 + noise * N(0,1) factor, floored at
-    0.05 to keep amounts non-negative.
+    0.05 to keep amounts non-negative; the draws run corridor by corridor.
     """
     from .engine import SimulationContext  # deferred: fixtures is imported by engine tests
 
@@ -144,14 +143,11 @@ def generate_panel(dataset: Dataset, params: BehaviorParams, *, noise: float = 0
     flows = ctx.expected_flows(params)
     if rng is None:
         rng = np.random.default_rng(0)
-    panel = []
-    for c, (origin, dest) in enumerate(ctx.corridors):
-        factors = (1.0 + noise * rng.standard_normal(WINDOW_MONTHS)) if noise else np.ones(WINDOW_MONTHS)
-        for m in range(WINDOW_MONTHS):
-            amount = flows[c, m] * max(0.05, factors[m])
-            panel.append(FlowObservation(sender=dest, recipient=origin, month=m,
-                                         amount_usd=float(amount)))
-    return tuple(panel)
+    factors = (1.0 + noise * rng.standard_normal(flows.shape)) if noise else np.ones(flows.shape)
+    return Panel.from_columns([d for _, d in ctx.corridors for _ in range(WINDOW_MONTHS)],
+                              [o for o, _ in ctx.corridors for _ in range(WINDOW_MONTHS)],
+                              np.tile(np.arange(WINDOW_MONTHS), ctx.n_corridors),
+                              (flows * np.maximum(0.05, factors)).ravel())
 
 
 def generate_fixture(data_dir: str | Path, seed: int = 0, *, n_origins: int = 10,

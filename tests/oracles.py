@@ -2,7 +2,8 @@
 
 Each evaluates one cohort, event, corridor-month, stock series or panel
 observation in plain Python; the package evaluates the same model through
-arrays in ``remitsim.engine``, ``dataio``, ``baseline`` and ``scenarios``.
+arrays in ``remitsim.engine``, ``dataio``, ``calibration``, ``baseline`` and
+``scenarios``.
 This module never imports the engine, flows or scenarios modules, so it
 cannot reuse the code it checks.
 
@@ -13,6 +14,7 @@ locality (evaluating only the affected cells), not the flow model.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 import math
@@ -21,11 +23,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from remitsim.baseline import gravity_per_migrant
+from remitsim.baseline import ComparisonReport, ComparisonRow, gravity_per_migrant
 from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
 from remitsim.dataio import (ANCHOR_YEARS, HAZARDS, N_AGES, SEXES, Dataset, DataValidationError,
                              DisasterEvent, FlowObservation, MigrantStockRecord, _serialize_tables)
-from remitsim.months import WINDOW_MONTHS, year_of
+from remitsim.months import WINDOW_MONTHS, month_label, year_of
 from remitsim.population import (PARENTING_MAX_AGE, YOUNG_MAX_AGE, DiasporaDemographics,
                                  Population)
 from remitsim.reports import sequential_sum
@@ -340,8 +342,104 @@ def panel_sse(panel: Sequence[FlowObservation], dataset: Dataset,
             continue
         amount = gravity_per_migrant(dataset.gdp[(obs.sender, year)],
                                      dataset.gdp[(obs.recipient, year)], beta_exp)
-        sse += (amount * stock / 12.0 - obs.amount_usd) ** 2
+        error = amount * stock / 12.0 - obs.amount_usd
+        # a product, the correctly rounded square: ** 2 calls the C library's
+        # pow, which rounds some squares one ulp off
+        sse += error * error
     return sse, excluded
+
+
+def split_panel(panel: Sequence[FlowObservation], fraction: float,
+                seed: int) -> tuple[FlowObservation, ...]:
+    """``calibration.split_panel``, tagging one record at a time."""
+    n = len(panel)
+    n_train = int(round(n * fraction))
+    perm = np.random.default_rng(seed).permutation(n)
+    tags = np.full(n, "test", dtype=object)
+    tags[perm[:n_train]] = "train"
+    return tuple(dataclasses.replace(obs, split_tag=tags[i]) for i, obs in enumerate(panel))
+
+
+def align_panel(panel: Sequence[FlowObservation], ctx) -> dict:
+    """``calibration.align_panel``, one observation at a time: the fields of
+    its ``PanelSlice`` and, under "warnings", the messages it logs."""
+    index = {c: i for i, c in enumerate(ctx.corridors)}
+    c_idx: list[int] = []
+    m_idx: list[int] = []
+    amounts: list[float] = []
+    unmodeled: list[tuple[str, str]] = []
+    out_of_window = 0
+    for obs in panel:
+        corridor = (obs.recipient, obs.sender)  # (origin, destination)
+        ci = index.get(corridor)
+        if ci is None:
+            unmodeled.append(corridor)
+        elif not ctx.start <= obs.month <= ctx.end:
+            out_of_window += 1
+        else:
+            c_idx.append(ci)
+            m_idx.append(obs.month)
+            amounts.append(obs.amount_usd)
+    warnings = []
+    if unmodeled:
+        warnings.append("excluded %d panel observation(s) without modeled population, e.g. %s"
+                        % (len(unmodeled), unmodeled[:3]))
+    if out_of_window:
+        warnings.append("excluded %d panel observation(s) outside the window %s..%s"
+                        % (out_of_window, month_label(ctx.start), month_label(ctx.end)))
+    month_arr = np.array(m_idx, dtype=int)
+    cols, month_pos = np.unique(month_arr, return_inverse=True)
+    return dict(corridor_idx=np.array(c_idx, dtype=int), month_idx=month_arr,
+                amounts=np.array(amounts, dtype=float), n_excluded=len(unmodeled) + out_of_window,
+                excluded=tuple(dict.fromkeys(unmodeled))[:10], cols=cols, month_pos=month_pos,
+                warnings=warnings)
+
+
+def compare_models(structural: Mapping[tuple[str, str, int], float],
+                   gravity: Mapping[int, Mapping[tuple[str, str], float]],
+                   panel: Sequence[FlowObservation]) -> ComparisonReport:
+    """``baseline.compare_models``, grouping the records corridor by corridor."""
+    by_corridor: dict[tuple[str, str], list[FlowObservation]] = {}
+    for obs in panel:
+        by_corridor.setdefault((obs.sender, obs.recipient), []).append(obs)
+
+    rows = []
+    excluded = 0
+    rel_s: list[float] = []
+    rel_g: list[float] = []
+    for (sender, recipient), group in sorted(by_corridor.items()):
+        months = [o.month for o in group]
+        years = sorted({year_of(m) for m in months})
+        try:
+            structural_monthly = [structural[(sender, recipient, m)] for m in months]
+            gravity_yearly = [gravity[y][(sender, recipient)] for y in years]
+        except KeyError:
+            excluded += 1
+            continue
+        observed = 12.0 * float(np.mean([o.amount_usd for o in group]))
+        struct = 12.0 * float(np.mean(structural_monthly))
+        grav = float(np.mean(gravity_yearly))
+        row = ComparisonRow(sender=sender, recipient=recipient, observed_usd=observed,
+                            structural_usd=struct, gravity_usd=grav,
+                            se_structural=(struct - observed) ** 2,
+                            se_gravity=(grav - observed) ** 2)
+        rows.append(row)
+        if observed > 0:
+            rel_s.append(abs(struct - observed) / observed)
+            rel_g.append(abs(grav - observed) / observed)
+
+    ratio = None
+    if rel_g and float(np.mean(rel_g)) > 0:
+        ratio = float(np.mean(rel_s)) / float(np.mean(rel_g))
+    over = sorted(rows, key=lambda r: r.gravity_usd - r.observed_usd, reverse=True)
+    under = sorted(rows, key=lambda r: r.gravity_usd - r.observed_usd)
+    top = min(5, len(rows))
+    return ComparisonReport(
+        rows=tuple(sorted(rows, key=lambda r: -r.observed_usd)),
+        mean_relative_error_ratio=ratio,
+        largest_overestimates=tuple((r.sender, r.recipient) for r in over[:top]),
+        largest_underestimates=tuple((r.sender, r.recipient) for r in under[:top]),
+        n_excluded=excluded)
 
 
 def summary_totals(corridors: Sequence[tuple[str, str]], months: Sequence[int],

@@ -428,8 +428,7 @@ POSITIVE = st.sampled_from(EDGE_FLOATS) | st.floats(min_value=0.0, max_value=1e3
                                                     exclude_min=True)
 NONNEGATIVE = st.sampled_from((0.0, -0.0)) | POSITIVE
 ZERO = st.sampled_from((0.0, -0.0))
-# no CR: csv.writer leaves a lone CR unquoted under a "\n" line terminator
-EVENT_IDS = st.text(alphabet='AZaz09 ,"-\n', min_size=1, max_size=6)
+EVENT_IDS = st.text(alphabet='AZaz09 ,"-\n\r', min_size=1, max_size=6)
 
 
 @st.composite
