@@ -12,24 +12,29 @@ mandatory header row (RFC-4180 quoting); blank lines are skipped:
 
 Loading either succeeds completely or raises :class:`DataValidationError`
 naming the offending file, physical line and column; there are no partial
-loads. Each file is checked column by column: codes and categories over
-their distinct values, numbers as ``float`` and ``int`` parse them with
-bounds checked over the whole column, keys with one set. Only when a check
-fails is the file read again row by row, through the same per-field rules,
-to name the first bad row. The returned :class:`Dataset` is immutable; its
-panel is held as read-only columns (:class:`Panel`), built straight from
-the checked columns, with no record per observation.
+loads. Each file has one :class:`Schema`: an ordered list of rules, first
+the row width, then each field's (type, bounds, code, category, month) in
+column order, then the rules across a row (keys, cross-checks). Every rule
+masks the bad rows of whole columns at once. The first bad row is the least
+row of any mask, and the message is that of the first rule it breaks, in
+schema order. Quote-free text is split at newlines and commas; text with a
+quote or a carriage return goes through the CSV reader into the same
+columns. The returned :class:`Dataset` is immutable; its panel is held as
+read-only columns (:class:`Panel`), built straight from the checked columns,
+with no record per observation.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
-import math
+import operator
+import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from operator import methodcaller
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,16 +52,6 @@ GLOBAL_SURPLUS = "GLOBAL_DEFAULT"
 # beyond 10x it is treated as corrupt input.
 AFFECTED_SANITY_FACTOR = 10.0
 MIN_SURPLUS_AGE = 16  # no earnings surplus below this age
-
-FILE_COLUMNS = {
-    "economics.csv": ("country", "year", "gdp_per_capita", "population", "income_group"),
-    "stocks.csv": ("origin", "destination", "sex", "anchor_year", "count"),
-    "age_profiles.csv": ("sex", "age", "share"),
-    "surplus_profiles.csv": ("country", "age", "surplus"),
-    "disasters.csv": ("event_id", "country", "onset_month", "hazard", "affected"),
-    "panel.csv": ("sender", "recipient", "month", "amount_usd"),
-}
-
 
 class DataValidationError(ValueError):
     """A schema or cross-reference violation in an input file."""
@@ -298,425 +293,361 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Field parsing
+# Schemas: each file's rules, in the order a row is checked
 
-def _err(path: Path, line: int, column: str, message: str) -> DataValidationError:
-    return DataValidationError(f"{path.name}:{line}: column '{column}': {message}")
+@dataclass(frozen=True)
+class _Table:
+    """One file's columns by name: the ``text``, the parsed ``values`` (0 where
+    the parse ``rejected`` the text) and, for fields parsed per distinct text,
+    each row's index among the distinct texts (``codes``). ``wrong`` masks the
+    rows of the wrong width; ``population`` is economics' by (country, year)."""
+
+    text: Mapping[str, Sequence[str]]
+    values: dict[str, np.ndarray]
+    rejected: dict[str, np.ndarray]
+    codes: dict[str, np.ndarray]
+    wrong: np.ndarray
+    population: Mapping[tuple[str, int], float]
+
+    def __getitem__(self, column: str) -> np.ndarray:
+        return self.values[column]
+
+    def cell(self, column: str, row: int):
+        return self.values[column][row:row + 1].tolist()[0]
 
 
-def _parse_float(path: Path, line: int, column: str, raw: str, *, minimum: float | None = None,
-                 maximum: float | None = None, strict_min: bool = False) -> float:
+class Rule(NamedTuple):
+    """An input rule: ``bad(table)`` masks the rows that break it, and
+    ``says(table, row)`` words the break in one row, at ``column``."""
+
+    column: str | None
+    bad: Callable[[_Table], np.ndarray]
+    says: Callable[[_Table, int], str]
+
+
+@dataclass(frozen=True)
+class Field:
+    """A column. ``parse`` turns a text into its value, or refuses it with
+    ValueError, which ``says(text)`` words; that is the field's first rule, and
+    ``rules`` follow. Each distinct text is parsed once, or each row's if
+    ``per_row`` (numbers, which are mostly distinct)."""
+
+    column: str
+    parse: Callable[[str], object] = str
+    says: Callable[[str], str] = repr
+    rules: tuple[Rule, ...] = ()
+    dtype: object = object
+    per_row: bool = False
+
+    def checks(self) -> tuple[Rule, ...]:
+        return (Rule(self.column, lambda t: t.rejected[self.column],
+                     lambda t, row: self.says(t.text[self.column][row])), *self.rules)
+
+
+@dataclass(frozen=True)
+class Schema:
+    """A file's fields in column order, then its rules across a row."""
+
+    name: str
+    fields: tuple[Field, ...]
+    row_rules: tuple[Rule, ...]
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        width = Rule(None, lambda t: t.wrong, lambda t, row: "wrong number of fields")
+        return width, *(rule for field in self.fields for rule in field.checks()), *self.row_rules
+
+
+def _accepting(accepts: Callable[[str], object]) -> Callable[[str], str]:
+    """A parse that keeps each text ``accepts`` and refuses the others."""
+    def parse(text: str) -> str:
+        if not accepts(text):
+            raise ValueError(text)
+        return text
+    return parse
+
+
+def _code(column: str, global_default: bool = False) -> Field:
+    codes = re.compile(f"[A-Z]{{3}}|{GLOBAL_SURPLUS}" if global_default else "[A-Z]{3}")
+    return Field(column, _accepting(codes.fullmatch),
+                 lambda text: f"not an ISO-3166 alpha-3 code: {text!r}")
+
+
+def _enum(column: str, allowed: tuple[str, ...]) -> Field:
+    return Field(column, _accepting(allowed.__contains__),
+                 lambda text: f"{text!r} not one of {'/'.join(allowed)}")
+
+
+def _month_error(text: str) -> str:
     try:
-        value = float(raw)
-    except ValueError:
-        raise _err(path, line, column, f"not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise _err(path, line, column, f"not finite: {raw!r}")
-    if minimum is not None and (value < minimum or (strict_min and value == minimum)):
-        bound = "> " if strict_min else ">= "
-        raise _err(path, line, column, f"must be {bound}{minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _err(path, line, column, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _parse_int(path: Path, line: int, column: str, raw: str, *, minimum: int | None = None,
-               maximum: int | None = None) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _err(path, line, column, f"not an integer: {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise _err(path, line, column, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _err(path, line, column, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _is_code(raw: str, *, allow_global: bool = False) -> bool:
-    return ((allow_global and raw == GLOBAL_SURPLUS)
-            or (len(raw) == 3 and raw.isalpha() and raw.isupper()))
-
-
-def _parse_country(path: Path, line: int, column: str, raw: str, *, allow_global: bool = False) -> str:
-    if not _is_code(raw, allow_global=allow_global):
-        raise _err(path, line, column, f"not an ISO-3166 alpha-3 code: {raw!r}")
-    return raw
-
-
-def _parse_enum(path: Path, line: int, column: str, raw: str, allowed: Sequence[str]) -> str:
-    if raw not in allowed:
-        raise _err(path, line, column, f"{raw!r} not one of {'/'.join(allowed)}")
-    return raw
-
-
-def _parse_month(path: Path, line: int, column: str, raw: str) -> int:
-    try:
-        return month_index(raw)
+        month_index(text)
     except ValueError as exc:
-        raise _err(path, line, column, str(exc)) from None
+        return str(exc)
+
+
+def _month(column: str) -> Field:
+    return Field(column, month_index, _month_error, dtype=np.intp)
+
+
+def _bounds(column: str, minimum=None, maximum=None, strict: bool = False) -> tuple[Rule, ...]:
+    """Rules: ``column`` >= ``minimum`` (> if ``strict``) and <= ``maximum``, where given."""
+    rules = []
+    if minimum is not None:
+        below = operator.le if strict else operator.lt
+        rules.append(Rule(column, lambda t: below(t[column], minimum),
+                          lambda t, row: f"must be {'>' if strict else '>='} {minimum}, "
+                                         f"got {t.cell(column, row)}"))
+    if maximum is not None:
+        rules.append(Rule(column, lambda t: t[column] > maximum,
+                          lambda t, row: f"must be <= {maximum}, got {t.cell(column, row)}"))
+    return tuple(rules)
+
+
+def _int(column: str, minimum: int | None = None, maximum: int | None = None) -> Field:
+    # dtype None: an int past int64 stays a Python int, in an object array
+    return Field(column, int, lambda text: f"not an integer: {text!r}",
+                 _bounds(column, minimum, maximum), dtype=None)
+
+
+def _float(column: str, minimum: float | None = None, maximum: float | None = None,
+           strict: bool = False) -> Field:
+    finite = Rule(column, lambda t: ~np.isfinite(t[column]),
+                  lambda t, row: f"not finite: {t.text[column][row]!r}")
+    return Field(column, float, lambda text: f"not a number: {text!r}",
+                 (finite, *_bounds(column, minimum, maximum, strict)), dtype=float, per_row=True)
+
+
+def _unique(column: str, key: tuple[str, ...], says: Callable[..., str]) -> Rule:
+    """Rule: no row repeats an earlier row's ``key`` columns; ``says(*key)`` words a repeat."""
+    def bad(t: _Table) -> np.ndarray:
+        codes = [t.codes[name] for name in key]
+        order = np.lexsort(codes[::-1])  # stable: equal rows stay in row order
+        same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in codes])
+        repeats = np.zeros(len(order), bool)
+        repeats[order[1:][same]] = True
+        return repeats
+    return Rule(column, bad, lambda t, row: says(*(t.cell(name, row) for name in key)))
+
+
+def _populations(t: _Table, times: float = 1.0) -> np.ndarray:
+    """``times`` each event's country population in its onset year; NaN if unknown."""
+    return np.array([times * t.population.get((country, year_of(month)), np.nan) for country, month
+                     in zip(t["country"].tolist(), t["onset_month"].tolist())], dtype=float)
+
+
+def _too_many_affected(t: _Table, row: int) -> str:
+    country, year = t.cell("country", row), year_of(t.cell("onset_month", row))
+    return (f"{t.cell('affected', row)} exceeds {AFFECTED_SANITY_FACTOR:g}x the population of "
+            f"{country} in {year} ({t.population[(country, year)]})")
+
+
+SCHEMAS = {schema.name: schema for schema in (
+    Schema("economics.csv",
+           (_code("country"), _int("year", 1900, 2100), _float("gdp_per_capita", 0.0, strict=True),
+            _float("population", 0.0, strict=True), _enum("income_group", INCOME_GROUPS)),
+           (_unique("country", ("country", "year"), lambda *key: f"duplicate row for {key}"),)),
+    Schema("stocks.csv",
+           (_code("origin"), _code("destination"), _enum("sex", SEXES), _int("anchor_year"),
+            _float("count", 0.0)),
+           (Rule("anchor_year", lambda t: ~np.isin(t["anchor_year"], ANCHOR_YEARS),
+                 lambda t, row: f"must be one of {ANCHOR_YEARS}, got {t.cell('anchor_year', row)}"),
+            Rule("destination", lambda t: t["origin"] == t["destination"],
+                 lambda t, row: f"origin equals destination ({t.cell('origin', row)})"),
+            _unique("anchor_year", ("origin", "destination", "sex", "anchor_year"),
+                    lambda *key: f"duplicate anchor for {key[:3]}"))),
+    Schema("age_profiles.csv",
+           (_enum("sex", SEXES), _int("age", 0, MAX_AGE), _float("share", 0.0, 1.0)),
+           (_unique("age", ("sex", "age"), lambda *key: f"duplicate row for {key}"),)),
+    Schema("surplus_profiles.csv",
+           (_code("country", global_default=True), _int("age", 0, MAX_AGE), _float("surplus", 0.0)),
+           (Rule("surplus", lambda t: (t["age"] < MIN_SURPLUS_AGE) & (t["surplus"] != 0.0),
+                 lambda t, row: f"must be 0 below age {MIN_SURPLUS_AGE}, "
+                                f"got {t.cell('surplus', row)} at age {t.cell('age', row)}"),
+            _unique("age", ("country", "age"), lambda *key: f"duplicate row for {key}"))),
+    Schema("disasters.csv",
+           (Field("event_id"), _code("country"), _month("onset_month"), _enum("hazard", HAZARDS),
+            _float("affected", 0.0)),
+           (Rule("event_id", lambda t: t["event_id"] == "", lambda t, row: "must be non-empty"),
+            _unique("event_id", ("event_id",), lambda event_id: f"duplicate event_id {event_id!r}"),
+            Rule("country", lambda t: np.isnan(_populations(t)),
+                 lambda t, row: f"no economics row for {t.cell('country', row)} in onset year "
+                                f"{year_of(t.cell('onset_month', row))}"),
+            Rule("affected",
+                 lambda t: t["affected"] > _populations(t, AFFECTED_SANITY_FACTOR),
+                 _too_many_affected))),
+    Schema("panel.csv",
+           (_code("sender"), _code("recipient"), _month("month"), _float("amount_usd", 0.0)),
+           (_unique("month", ("sender", "recipient", "month"), lambda sender, recipient, month:
+                    f"duplicate observation for {sender}->{recipient} {month_label(month)}"),)),
+)}
+FILE_COLUMNS = {name: tuple(f.column for f in schema.fields) for name, schema in SCHEMAS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Reading: whole columns, or numbered rows for the diagnostic
+# Reading and checking one file
 
-def _data_rows(path: Path, fh):
-    """A CSV reader over the rows of ``fh`` after its header, which must be ``path``'s."""
-    columns = FILE_COLUMNS[path.name]
-    reader = csv.reader(fh)
-    header = next(reader, None)
+def _text(path: Path) -> str:
+    """``path``'s text, without the byte-order mark that spreadsheet exports put first."""
+    if not path.exists():
+        raise DataValidationError(f"{path.name}: file not found at {path}")
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise DataValidationError(f"{path.name}:{line}: not UTF-8 text: {exc.reason} "
+                                  f"(byte 0x{data[exc.start]:02x})") from None
+
+
+def _csv_rows(path: Path, text: str) -> tuple[list[str] | None, list[list[str]], list[int]]:
+    """The header of ``text``, the non-blank rows after it and the physical line
+    each ends on, by the CSV reader; a CSV error names the line its row starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, ends, start = [], [], 1
+    try:
+        header = next(reader, None)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                ends.append(reader.line_num)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataValidationError(f"{path.name}:{start}: unreadable CSV row: {exc}") from None
+    return header, rows, ends
+
+
+def _fit(rows: Sequence[list[str]], width: int) -> tuple[list[Sequence[str]], np.ndarray]:
+    """``rows`` as ``width`` columns, and the mask of the rows of another width,
+    which are cut or padded with "" to fit."""
+    wrong = np.array([len(row) != width for row in rows], dtype=bool)
+    if wrong.any():
+        rows = [(row + [""] * width)[:width] for row in rows]
+    return list(zip(*rows)) if rows else [()] * width, wrong
+
+
+def _check_header(path: Path, header: Sequence[str] | None, columns: tuple[str, ...]) -> None:
     if header is None:
         raise DataValidationError(f"{path.name}: empty file, expected header {','.join(columns)}")
     if tuple(header) != columns:
-        raise DataValidationError(
-            f"{path.name}: header {','.join(header)} does not match "
-            f"required {','.join(columns)}")
-    return reader
+        raise DataValidationError(f"{path.name}: header {','.join(header)} does not match "
+                                  f"required {','.join(columns)}")
 
 
-def _open(path: Path):
-    if not path.exists():
-        raise DataValidationError(f"{path.name}: file not found at {path}")
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
-    return open(path, newline="", encoding="utf-8-sig")
-
-
-def _read_columns(path: Path) -> list[list[str]] | None:
-    """The fields of the non-blank data rows as columns in ``FILE_COLUMNS``
-    order, split at commas and newlines. None when the text has a quote or a
-    carriage return, which only the CSV reader reads right, or when a row has
-    the wrong number of fields; the row-wise reading then takes over."""
-    width = len(FILE_COLUMNS[path.name])
-    with _open(path) as fh:
-        _data_rows(path, fh)  # the header, read as CSV
-        text = fh.read()
+def _read(path: Path, columns: tuple[str, ...]
+          ) -> tuple[list[Sequence[str]], np.ndarray, Callable[[int], int]]:
+    """The fields of ``path``'s non-blank data rows as ``columns``, the mask of
+    the rows with the wrong number of fields, and the physical line that a row
+    ends on, by row index, blank lines counted. Text without quotes and carriage
+    returns is split at newlines and commas; other text goes through the CSV
+    reader."""
+    text, width = _text(path), len(columns)
     if '"' in text or "\r" in text:
-        return None
-    lines = list(filter(None, text.split("\n")))  # blank lines skipped
-    if not set(map(methodcaller("count", ","), lines)) <= {width - 1}:
-        return None
-    fields = ",".join(lines).split(",") if lines else []
-    return [fields[k::width] for k in range(width)]
+        header, rows, ends = _csv_rows(path, text)
+        _check_header(path, header, columns)
+        return (*_fit(rows, width), ends.__getitem__)
+    head, _, body = text.partition("\n")
+    _check_header(path, head.split(",") if text else None, columns)
+    lines = body.split("\n")
+    rows = list(filter(None, lines))  # blank lines skipped
+
+    def line_of(row: int) -> int:
+        return [number for number, line in enumerate(lines, 2) if line][row]
+
+    if not set(map(operator.methodcaller("count", ","), rows)) <= {width - 1}:
+        return (*_fit([row.split(",") for row in rows], width), line_of)
+    fields = ",".join(rows).split(",") if rows else []
+    return [fields[k::width] for k in range(width)], np.zeros(len(rows), bool), line_of
 
 
-def _read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line, fields) per non-blank data row, fields in ``FILE_COLUMNS`` order;
-    ``line`` is the physical line the row ends on, blank lines counted."""
-    width = len(FILE_COLUMNS[path.name])
-    with _open(path) as fh:
-        reader = _data_rows(path, fh)
-        for row in filter(None, reader):
-            if len(row) != width:
-                raise DataValidationError(f"{path.name}:{reader.line_num}: wrong number of fields")
-            yield reader.line_num, row
+def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``field``'s values in ``texts``, 0 where its parse refuses the text; the
+    mask of those; and each row's index among the distinct texts parsed."""
+    if field.per_row:
+        try:
+            return (np.array(list(map(field.parse, texts)), dtype=field.dtype),
+                    np.zeros(len(texts), bool), np.arange(len(texts)))
+        except ValueError:
+            distinct, codes = texts, np.arange(len(texts))
+    else:
+        distinct = list(set(texts))
+        index = dict(zip(distinct, range(len(distinct))))
+        codes = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+    values, refused = [], []
+    for text in distinct:
+        try:
+            values.append(field.parse(text))
+            refused.append(False)
+        except ValueError:
+            values.append(0)
+            refused.append(True)
+    return np.array(values, dtype=field.dtype)[codes], np.array(refused, bool)[codes], codes
 
 
-def _load(path: Path, by_columns, by_rows) -> tuple:
-    """The records of ``path``: ``by_columns(*columns)`` checks whole columns
-    and builds them, or returns None when a check fails; then ``by_rows(path)``
-    checks row by row and raises naming the first bad row, its line and column.
-    Both apply the same rules, so only a bad file, or one whose text the column
-    reading leaves to the CSV reader, pays for the row pass."""
-    columns = _read_columns(path)
-    records = None if columns is None else by_columns(*columns)
-    return by_rows(path) if records is None else records
+def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = None
+             ) -> list[np.ndarray]:
+    """The parsed columns of ``path``, in schema order, once its schema's rules hold.
+
+    Each rule masks the rows that break it. The first bad row is the least row
+    of any mask; the error names its physical line and the first rule, in
+    schema order, that it breaks.
+    """
+    schema = SCHEMAS[path.name]
+    texts, wrong, line_of = _read(path, FILE_COLUMNS[path.name])
+    table = _Table(dict(zip(FILE_COLUMNS[path.name], texts)), {}, {}, {}, wrong, population or {})
+    for field, text in zip(schema.fields, texts):
+        column = field.column
+        table.values[column], table.rejected[column], table.codes[column] = _parse(field, text)
+    hits = [(int(mask.argmax()), k) for k, rule in enumerate(schema.rules)
+            if (mask := rule.bad(table)).any()]
+    if hits:
+        row, k = min(hits)
+        column, _, says = schema.rules[k]
+        where = f" column '{column}':" if column else ""
+        raise DataValidationError(f"{path.name}:{line_of(row)}:{where} {says(table, row)}")
+    return list(table.values.values())
 
 
-# Column checks. Each accepts exactly the values its row-wise _parse_* twin
-# accepts and parses them the same way (``float`` and ``int`` themselves).
-
-def _floats(raw: Sequence[str], *, minimum: float | None = None, maximum: float | None = None,
-            strict_min: bool = False) -> list[float] | None:
-    try:
-        values = list(map(float, raw))
-    except ValueError:
-        return None
-    arr = np.array(values, dtype=float)
-    ok = np.isfinite(arr)
-    if minimum is not None:
-        ok &= (arr > minimum) if strict_min else (arr >= minimum)
-    if maximum is not None:
-        ok &= arr <= maximum
-    return values if ok.all() else None
-
-
-def _ints(raw: Sequence[str], *, minimum: int | None = None,
-          maximum: int | None = None) -> list[int] | None:
-    try:
-        values = list(map(int, raw))
-    except ValueError:
-        return None
-    if values and ((minimum is not None and min(values) < minimum)
-                   or (maximum is not None and max(values) > maximum)):
-        return None
-    return values
-
-
-def _months(raw: Sequence[str]) -> list[int] | None:
-    try:
-        by_label = {label: month_index(label) for label in set(raw)}
-    except ValueError:
-        return None
-    return list(map(by_label.__getitem__, raw))
-
-
-def _codes_ok(*columns: Sequence[str], allow_global: bool = False) -> bool:
-    return all(_is_code(code, allow_global=allow_global) for code in set().union(*columns))
-
-
-def _unique(*columns: Sequence) -> bool:
-    return len(set(zip(*columns))) == len(columns[0])
+def _records(record: type, path: Path, population: Mapping | None = None) -> tuple:
+    return tuple(map(record, *(values.tolist() for values in _checked(path, population))))
 
 
 # ---------------------------------------------------------------------------
-# Per-file loaders: a column pass, and the row pass that names the first bad row
+# Whole-file checks and dataset assembly
 
-def _load_economics(path: Path) -> tuple[CountryEconomics, ...]:
-    return _load(path, _economics_columns, _economics_rows)
-
-
-def _economics_columns(country, year, gdp, population, group):
-    years = _ints(year, minimum=1900, maximum=2100)
-    gdps = _floats(gdp, minimum=0.0, strict_min=True)
-    populations = _floats(population, minimum=0.0, strict_min=True)
-    if (years is None or gdps is None or populations is None or not _codes_ok(country)
-            or not set(group) <= set(INCOME_GROUPS) or not _unique(country, years)):
-        return None
-    return tuple(map(CountryEconomics, country, years, gdps, populations, group))
+def _check_anchor_years(stocks: Sequence[MigrantStockRecord]) -> None:
+    # the rules leave at most one row per anchor year, so a short group misses some
+    counts = Counter((r.origin, r.destination, r.sex) for r in stocks)
+    short = sorted(key for key, n in counts.items() if n < len(ANCHOR_YEARS))
+    if short:
+        o, d, s = short[0]
+        have = {r.anchor_year for r in stocks if (r.origin, r.destination, r.sex) == (o, d, s)}
+        raise DataValidationError(f"stocks.csv: corridor {o}->{d} sex {s} missing anchor "
+                                  f"year(s) {sorted(set(ANCHOR_YEARS) - have)}")
 
 
-def _economics_rows(path: Path) -> tuple[CountryEconomics, ...]:
-    rows: list[CountryEconomics] = []
-    seen: set[tuple[str, int]] = set()
-    for line, (country, year, gdp, population, group) in _read_rows(path):
-        rec = CountryEconomics(
-            country=_parse_country(path, line, "country", country),
-            year=_parse_int(path, line, "year", year, minimum=1900, maximum=2100),
-            gdp_per_capita=_parse_float(path, line, "gdp_per_capita", gdp,
-                                        minimum=0.0, strict_min=True),
-            population=_parse_float(path, line, "population", population,
-                                    minimum=0.0, strict_min=True),
-            income_group=_parse_enum(path, line, "income_group", group, INCOME_GROUPS),
-        )
-        key = (rec.country, rec.year)
-        if key in seen:
-            raise _err(path, line, "country", f"duplicate row for {key}")
-        seen.add(key)
-        rows.append(rec)
-    return tuple(rows)
-
-
-def _load_stocks(path: Path) -> tuple[MigrantStockRecord, ...]:
-    rows = _load(path, _stock_columns, _stock_rows)
-    # anchor-year completeness per (origin, destination, sex)
-    anchors: dict[tuple[str, str, str], set[int]] = {}
-    for rec in rows:
-        anchors.setdefault((rec.origin, rec.destination, rec.sex), set()).add(rec.anchor_year)
-    for (o, d, s), years in sorted(anchors.items()):
-        missing = sorted(set(ANCHOR_YEARS) - years)
-        if missing:
-            raise DataValidationError(
-                f"{path.name}: corridor {o}->{d} sex {s} missing anchor year(s) {missing}")
-    return rows
-
-
-def _stock_columns(origin, destination, sex, anchor_year, count):
-    years = _ints(anchor_year)
-    counts = _floats(count, minimum=0.0)
-    if (years is None or counts is None or not _codes_ok(origin, destination)
-            or not set(sex) <= set(SEXES) or not set(years) <= set(ANCHOR_YEARS)
-            or any(o == d for o, d in zip(origin, destination))
-            or not _unique(origin, destination, sex, years)):
-        return None
-    return tuple(map(MigrantStockRecord, origin, destination, sex, years, counts))
-
-
-def _stock_rows(path: Path) -> tuple[MigrantStockRecord, ...]:
-    rows: list[MigrantStockRecord] = []
-    seen: set[tuple[str, str, str, int]] = set()
-    for line, (origin, destination, sex, anchor_year, count) in _read_rows(path):
-        rec = MigrantStockRecord(
-            origin=_parse_country(path, line, "origin", origin),
-            destination=_parse_country(path, line, "destination", destination),
-            sex=_parse_enum(path, line, "sex", sex, SEXES),
-            anchor_year=_parse_int(path, line, "anchor_year", anchor_year),
-            count=_parse_float(path, line, "count", count, minimum=0.0),
-        )
-        if rec.anchor_year not in ANCHOR_YEARS:
-            raise _err(path, line, "anchor_year",
-                       f"must be one of {ANCHOR_YEARS}, got {rec.anchor_year}")
-        if rec.origin == rec.destination:
-            raise _err(path, line, "destination", f"origin equals destination ({rec.origin})")
-        key = (rec.origin, rec.destination, rec.sex, rec.anchor_year)
-        if key in seen:
-            raise _err(path, line, "anchor_year", f"duplicate anchor for {key[:3]}")
-        seen.add(key)
-        rows.append(rec)
-    return tuple(rows)
-
-
-def _load_age_profiles(path: Path) -> tuple[AgeProfile, ...]:
-    rows = _load(path, _age_columns, _age_rows)
+def _check_share_sums(age_profiles: Sequence[AgeProfile]) -> None:
     sums: dict[str, float] = {}
-    for rec in rows:
+    for rec in age_profiles:
         sums[rec.sex] = sums.get(rec.sex, 0.0) + rec.share
     for sex, total in sorted(sums.items()):
         if abs(total - 1.0) > 1e-9:
             raise DataValidationError(
-                f"{path.name}: shares for sex {sex} sum to {total!r}, expected 1 +/- 1e-9")
-    return rows
+                f"age_profiles.csv: shares for sex {sex} sum to {total!r}, expected 1 +/- 1e-9")
 
 
-def _age_columns(sex, age, share):
-    ages = _ints(age, minimum=0, maximum=MAX_AGE)
-    shares = _floats(share, minimum=0.0, maximum=1.0)
-    if (ages is None or shares is None or not set(sex) <= set(SEXES)
-            or not _unique(sex, ages)):
-        return None
-    return tuple(map(AgeProfile, sex, ages, shares))
-
-
-def _age_rows(path: Path) -> tuple[AgeProfile, ...]:
-    rows: list[AgeProfile] = []
-    seen: set[tuple[str, int]] = set()
-    for line, (sex, age, share) in _read_rows(path):
-        rec = AgeProfile(
-            sex=_parse_enum(path, line, "sex", sex, SEXES),
-            age=_parse_int(path, line, "age", age, minimum=0, maximum=MAX_AGE),
-            share=_parse_float(path, line, "share", share, minimum=0.0, maximum=1.0),
-        )
-        key = (rec.sex, rec.age)
-        if key in seen:
-            raise _err(path, line, "age", f"duplicate row for {key}")
-        seen.add(key)
-        rows.append(rec)
-    return tuple(rows)
-
-
-def _load_surplus_profiles(path: Path) -> tuple[SurplusProfile, ...]:
-    rows = _load(path, _surplus_columns, _surplus_rows)
+def _check_surplus_ages(surplus_profiles: Sequence[SurplusProfile]) -> None:
     by_country: dict[str, set[int]] = {}
-    for rec in rows:
+    for rec in surplus_profiles:
         by_country.setdefault(rec.country, set()).add(rec.age)
     for country, ages in sorted(by_country.items()):
         missing = sorted(set(range(N_AGES)) - ages)
         if missing:
             raise DataValidationError(
-                f"{path.name}: profile {country} missing age(s) {missing[:5]}"
+                f"surplus_profiles.csv: profile {country} missing age(s) {missing[:5]}"
                 f"{'...' if len(missing) > 5 else ''}; every age 0-100 is required")
-    return rows
 
-
-def _surplus_columns(country, age, surplus):
-    ages = _ints(age, minimum=0, maximum=MAX_AGE)
-    values = _floats(surplus, minimum=0.0)
-    if (ages is None or values is None or not _codes_ok(country, allow_global=True)
-            or any(a < MIN_SURPLUS_AGE and v != 0.0 for a, v in zip(ages, values))
-            or not _unique(country, ages)):
-        return None
-    return tuple(map(SurplusProfile, country, ages, values))
-
-
-def _surplus_rows(path: Path) -> tuple[SurplusProfile, ...]:
-    rows: list[SurplusProfile] = []
-    seen: set[tuple[str, int]] = set()
-    for line, (country, age, surplus) in _read_rows(path):
-        rec = SurplusProfile(
-            country=_parse_country(path, line, "country", country, allow_global=True),
-            age=_parse_int(path, line, "age", age, minimum=0, maximum=MAX_AGE),
-            surplus=_parse_float(path, line, "surplus", surplus, minimum=0.0),
-        )
-        if rec.age < MIN_SURPLUS_AGE and rec.surplus != 0.0:
-            raise _err(path, line, "surplus",
-                       f"must be 0 below age {MIN_SURPLUS_AGE}, got {rec.surplus} at age {rec.age}")
-        key = (rec.country, rec.age)
-        if key in seen:
-            raise _err(path, line, "age", f"duplicate row for {key}")
-        seen.add(key)
-        rows.append(rec)
-    return tuple(rows)
-
-
-def _load_disasters(path: Path, population: Mapping[tuple[str, int], float]) -> tuple[DisasterEvent, ...]:
-    return _load(path, partial(_disaster_columns, population), partial(_disaster_rows, population))
-
-
-def _disaster_columns(population, event_id, country, onset_month, hazard, affected):
-    onsets = _months(onset_month)
-    values = _floats(affected, minimum=0.0)
-    if (onsets is None or values is None or not all(event_id) or not _codes_ok(country)
-            or not set(hazard) <= set(HAZARDS) or not _unique(event_id)):
-        return None
-    pops = [population.get((c, year_of(m))) for c, m in zip(country, onsets)]
-    if None in pops or any(a > AFFECTED_SANITY_FACTOR * p for a, p in zip(values, pops)):
-        return None
-    return tuple(map(DisasterEvent, event_id, country, onsets, hazard, values))
-
-
-def _disaster_rows(population, path: Path) -> tuple[DisasterEvent, ...]:
-    rows: list[DisasterEvent] = []
-    seen: set[str] = set()
-    for line, (event_id, country, onset_month, hazard, affected) in _read_rows(path):
-        rec = DisasterEvent(
-            event_id=event_id,
-            country=_parse_country(path, line, "country", country),
-            onset_month=_parse_month(path, line, "onset_month", onset_month),
-            hazard=_parse_enum(path, line, "hazard", hazard, HAZARDS),
-            affected=_parse_float(path, line, "affected", affected, minimum=0.0),
-        )
-        if not rec.event_id:
-            raise _err(path, line, "event_id", "must be non-empty")
-        if rec.event_id in seen:
-            raise _err(path, line, "event_id", f"duplicate event_id {rec.event_id!r}")
-        seen.add(rec.event_id)
-        onset_year = year_of(rec.onset_month)
-        pop = population.get((rec.country, onset_year))
-        if pop is None:
-            raise _err(path, line, "country",
-                       f"no economics row for {rec.country} in onset year {onset_year}")
-        if rec.affected > AFFECTED_SANITY_FACTOR * pop:
-            raise _err(path, line, "affected",
-                       f"{rec.affected} exceeds {AFFECTED_SANITY_FACTOR:g}x the population of "
-                       f"{rec.country} in {onset_year} ({pop})")
-        rows.append(rec)
-    return tuple(rows)
-
-
-def _load_panel(path: Path) -> Panel:
-    return _load(path, _panel_columns, _panel_rows)
-
-
-def _panel_columns(sender, recipient, month, amount_usd):
-    months = _months(month)
-    amounts = _floats(amount_usd, minimum=0.0)
-    if months is None or amounts is None:
-        return None
-    panel = Panel.from_columns(sender, recipient, months, amounts)
-    keys = np.sort(_flat_keys([panel.sender, panel.recipient, panel.month])[0])
-    return panel if _codes_ok(panel.codes) and (keys[1:] != keys[:-1]).all() else None
-
-
-def _panel_rows(path: Path) -> Panel:
-    rows: list[FlowObservation] = []
-    seen: set[tuple[str, str, int]] = set()
-    for line, (sender, recipient, label, amount) in _read_rows(path):
-        rec = FlowObservation(
-            sender=_parse_country(path, line, "sender", sender),
-            recipient=_parse_country(path, line, "recipient", recipient),
-            month=_parse_month(path, line, "month", label),
-            amount_usd=_parse_float(path, line, "amount_usd", amount, minimum=0.0),
-        )
-        key = (rec.sender, rec.recipient, rec.month)
-        if key in seen:
-            raise _err(path, line, "month",
-                       f"duplicate observation for {sender}->{recipient} {month_label(rec.month)}")
-        seen.add(key)
-        rows.append(rec)
-    return as_panel(rows)
-
-
-# ---------------------------------------------------------------------------
-# Dataset assembly
 
 def load_dataset(data_dir: str | Path) -> Dataset:
     """Load and cross-validate all six input files from ``data_dir``.
@@ -725,13 +656,16 @@ def load_dataset(data_dir: str | Path) -> Dataset:
     returned partially loaded.
     """
     data_dir = Path(data_dir)
-    economics = _load_economics(data_dir / "economics.csv")
-    stocks = _load_stocks(data_dir / "stocks.csv")
-    age_profiles = _load_age_profiles(data_dir / "age_profiles.csv")
-    surplus_profiles = _load_surplus_profiles(data_dir / "surplus_profiles.csv")
+    economics = _records(CountryEconomics, data_dir / "economics.csv")
+    stocks = _records(MigrantStockRecord, data_dir / "stocks.csv")
+    _check_anchor_years(stocks)
+    age_profiles = _records(AgeProfile, data_dir / "age_profiles.csv")
+    _check_share_sums(age_profiles)
+    surplus_profiles = _records(SurplusProfile, data_dir / "surplus_profiles.csv")
+    _check_surplus_ages(surplus_profiles)
     population = {(r.country, r.year): r.population for r in economics}
-    disasters = _load_disasters(data_dir / "disasters.csv", population)
-    panel = _load_panel(data_dir / "panel.csv")
+    disasters = _records(DisasterEvent, data_dir / "disasters.csv", population)
+    panel = Panel.from_columns(*_checked(data_dir / "panel.csv"))
 
     dataset = Dataset(economics=economics, stocks=stocks, age_profiles=age_profiles,
                       surplus_profiles=surplus_profiles, disasters=disasters, panel=panel)

@@ -8,12 +8,12 @@ WINDOW_MONTHS = 120  # 2010-01 .. 2019-12
 FIRST_MONTH = 0
 LAST_MONTH = WINDOW_MONTHS - 1
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile("([0-9]{4})-([0-9]{2})")  # ASCII digits; matched whole
 
 
 def month_index(label: str) -> int:
     """Convert a ``YYYY-MM`` label to months elapsed since 2010-01."""
-    m = _MONTH_RE.match(label)
+    m = _MONTH_RE.fullmatch(label)
     if m is None:
         raise ValueError(f"invalid year-month {label!r}, expected YYYY-MM")
     year, month = int(m.group(1)), int(m.group(2))

@@ -78,6 +78,27 @@ def test_malformed_csv_exit_2(tmp_path, capsys):
     assert "drought/earthquake/flood/storm" in capsys.readouterr().err
 
 
+def test_stray_quote_exit_2(tmp_path, capsys):
+    """An unclosed quote at line 6 swallows the rows after it, up to the CSV field limit."""
+    lines = small_csv_texts()["panel.csv"].splitlines()
+    lines[5] = lines[5].replace(",2010-03,", ',"2010-03,')
+    lines += ["CCC,AAA,2013-01,1"] * 10_000  # 180,000 characters after the quote
+    data = write_csv_dir(tmp_path / "data", {**small_csv_texts(), "panel.csv": "\n".join(lines)})
+    assert run("calibrate", "--data-dir", data, "--output-dir", tmp_path / "o") == 2
+    assert ("data error: panel.csv:6: unreadable CSV row: field larger than field limit (131072)\n"
+            in capsys.readouterr().err)
+
+
+def test_invalid_utf8_exit_2(tmp_path, capsys):
+    data = write_csv_dir(tmp_path / "data", small_csv_texts())
+    lines = (data / "panel.csv").read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b"BBB", b"B\xffB")
+    (data / "panel.csv").write_bytes(b"\n".join(lines))
+    assert run("calibrate", "--data-dir", data, "--output-dir", tmp_path / "o") == 2
+    assert ("data error: panel.csv:4: not UTF-8 text: invalid start byte (byte 0xff)\n"
+            in capsys.readouterr().err)
+
+
 def test_simulate_without_params_exit_4(fixture_dir, tmp_path, capsys):
     assert run("simulate", "--data-dir", fixture_dir, "--output-dir", tmp_path / "o") == 4
     assert "calibrate" in capsys.readouterr().err

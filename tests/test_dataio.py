@@ -281,8 +281,9 @@ def test_valid_month_outside_the_grid_loads(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Diagnostic parity: each violation, planted in a late row after a blank line,
-# names its physical line, column and reason exactly
+# Diagnostics: each violation, planted in a late row after a blank line, names
+# its physical line, column and reason exactly, through the comma split and,
+# with an earlier field quoted, through the CSV reader
 
 VIOLATIONS = [
     # economics.csv: country,year,gdp_per_capita,population,income_group
@@ -369,6 +370,13 @@ VIOLATIONS = [
     ("panel.csv", "BBB,AAA,2010-01,1",
      "column 'month': duplicate observation for BBB->AAA 2010-01"),
     ("panel.csv", "BBB,AAA,2013-01", "wrong number of fields"),
+    ("panel.csv", "\u00c4\u00d6\u00dc,AAA,2013-01,1",
+     "column 'sender': not an ISO-3166 alpha-3 code: '\u00c4\u00d6\u00dc'"),
+    ("panel.csv", 'BBB,AAA,"2013-01\n",1',
+     "column 'month': invalid year-month '2013-01\\n', expected YYYY-MM"),
+    ("panel.csv", "BBB,AAA,\u0662\u0660\u0661\u0663-\u0660\u0661,1",
+     "column 'month': invalid year-month '\u0662\u0660\u0661\u0663-\u0660\u0661', "
+     "expected YYYY-MM"),
     # rows with two violations: the one checked first is named
     ("stocks.csv", "AAA,AAA,male,2012,-5", "column 'count': must be >= 0.0, got -5.0"),
     ("stocks.csv", "AAA,AAA,male,2012,5",
@@ -381,24 +389,38 @@ VIOLATIONS = [
 ]
 
 
-def _plant(name: str, *late_rows: str) -> tuple[dict[str, str], int]:
+def _plant(name: str, *late_rows: str, quoted: bool = False) -> tuple[dict[str, str], int]:
     """The small fixture's texts with a blank physical line 3 in ``name`` and
-    ``late_rows`` appended to it, and the physical line of the first of them."""
+    ``late_rows`` appended to it, and the physical line of the first of them.
+    If ``quoted``, the first field of line 2 is quoted, which sends the file
+    through the CSV reader."""
     texts = small_csv_texts()
     lines = texts[name].splitlines()
+    if quoted:
+        first, _, rest = lines[1].partition(",")
+        lines[1] = f'"{first}",{rest}'
     lines.insert(2, "")
     line = len(lines) + 1
     texts[name] = "\n".join([*lines, *late_rows]) + "\n"
     return texts, line
 
 
+def _end_line(line: int, rows: list[str], k: int) -> int:
+    """The physical line that ``rows[k]`` ends on, when ``rows`` start on ``line``."""
+    return line + "\n".join(rows[:k + 1]).count("\n")
+
+
+READERS = pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
+
+
+@READERS
 @pytest.mark.parametrize("name,row,message", VIOLATIONS,
                          ids=[f"{name}:{row}" for name, row, _ in VIOLATIONS])
-def test_violation_names_physical_line_column_and_reason(tmp_path, name, row, message):
-    texts, line = _plant(name, row)
+def test_violation_names_physical_line_column_and_reason(tmp_path, name, row, message, quoted):
+    texts, line = _plant(name, row, quoted=quoted)
     with pytest.raises(DataValidationError) as caught:
         load_dataset(write_csv_dir(tmp_path / "bad", texts))
-    assert str(caught.value) == f"{name}:{line}: {message}"
+    assert str(caught.value) == f"{name}:{_end_line(line, [row], 0)}: {message}"
 
 
 @pytest.mark.parametrize("name,rows,bad,message", [
@@ -412,12 +434,25 @@ def test_violation_names_physical_line_column_and_reason(tmp_path, name, row, me
      "column 'anchor_year': must be one of (2010, 2015, 2020), got 2011"),
     ("economics.csv", ["DDD,2012,1,1,middle", "EEE,2012,1,1,low,extra"], 0,
      "column 'income_group': 'middle' not one of low/lower-middle/upper-middle/high"),
+    # a row holding a line break spans two physical lines; a row's line is the one it ends on
+    ("disasters.csv", ['"EV\n9",AAA,2012-05,flood,100', "EV3,AAA,2012-05,flood,-1"], 1,
+     "column 'affected': must be >= 0.0, got -1.0"),
 ])
-def test_first_bad_row_is_named_before_later_ones(tmp_path, name, rows, bad, message):
-    texts, line = _plant(name, *rows)
+@READERS
+def test_first_bad_row_is_named_before_later_ones(tmp_path, name, rows, bad, message, quoted):
+    texts, line = _plant(name, *rows, quoted=quoted)
     with pytest.raises(DataValidationError) as caught:
         load_dataset(write_csv_dir(tmp_path / "bad", texts))
-    assert str(caught.value) == f"{name}:{line + bad}: {message}"
+    assert str(caught.value) == f"{name}:{_end_line(line, rows, bad)}: {message}"
+
+
+def test_quoted_copy_loads_equal(desk_dataset, tmp_path):
+    """Every file with one field quoted loads through the CSV reader, to the same dataset."""
+    for path in write_dataset(desk_dataset, tmp_path / "copy"):
+        header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+        field, _, others = first.partition(",")
+        path.write_text(f'{header}\n"{field}",{others}\n{rest}', encoding="utf-8")
+    assert load_dataset(tmp_path / "copy") == desk_dataset
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ def test_year_of():
     assert year_of(119) == 2019
 
 
-@pytest.mark.parametrize("bad", ["2010-13", "2010-00", "201-01", "2010/01", "2010-1", "x"])
+@pytest.mark.parametrize("bad", ["2010-13", "2010-00", "201-01", "2010/01", "2010-1", "x",
+                                 "2010-01\n", " 2010-01", "\u0662\u0660\u0661\u0660-\u0660\u0661"])
 def test_invalid_labels(bad):
     with pytest.raises(ValueError):
         month_index(bad)

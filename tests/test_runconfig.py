@@ -53,6 +53,7 @@ def test_bad_values_rejected(tmp_path: Path):
     for line, match in [
         ("split_fraction = 1.5", "split_fraction"),
         ("start = 2020-01", "date range"),
+        ("end = \u0662\u0660\u0661\u0663-\u0660\u0661", "invalid year-month"),
         ("attribution = sometimes", "attribution"),
     ]:
         path = tmp_path / "run.config"
