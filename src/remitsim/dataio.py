@@ -298,14 +298,15 @@ class Dataset:
 @dataclass(frozen=True)
 class _Table:
     """One file's columns by name: the ``text``, the parsed ``values`` (0 where
-    the parse ``rejected`` the text) and, for fields parsed per distinct text,
-    each row's index among the distinct texts (``codes``). ``wrong`` masks the
-    rows of the wrong width; ``population`` is economics' by (country, year)."""
+    the parse ``rejected`` the text) and each row's index among the texts
+    parsed (``codes``: rows of equal text share one, unless the field parses
+    per row). ``wrong`` masks the rows of the wrong width; ``population`` is
+    economics' by (country, year)."""
 
     text: Mapping[str, Sequence[str]]
-    values: dict[str, np.ndarray]
-    rejected: dict[str, np.ndarray]
-    codes: dict[str, np.ndarray]
+    values: Mapping[str, np.ndarray]
+    rejected: Mapping[str, np.ndarray]
+    codes: Mapping[str, np.ndarray]
     wrong: np.ndarray
     population: Mapping[tuple[str, int], float]
 
@@ -313,6 +314,7 @@ class _Table:
         return self.values[column]
 
     def cell(self, column: str, row: int):
+        """One parsed value as a Python scalar, which prints plainly inside a tuple."""
         return self.values[column][row:row + 1].tolist()[0]
 
 
@@ -330,11 +332,12 @@ class Field:
     """A column. ``parse`` turns a text into its value, or refuses it with
     ValueError, which ``says(text)`` words; that is the field's first rule, and
     ``rules`` follow. Each distinct text is parsed once, or each row's if
-    ``per_row`` (numbers, which are mostly distinct)."""
+    ``per_row`` (numbers, which are mostly distinct). A field with the default
+    ``parse`` keeps any text."""
 
     column: str
     parse: Callable[[str], object] = str
-    says: Callable[[str], str] = repr
+    says: Callable[[str], str] | None = None
     rules: tuple[Rule, ...] = ()
     dtype: object = object
     per_row: bool = False
@@ -422,7 +425,8 @@ def _unique(column: str, key: tuple[str, ...], says: Callable[..., str]) -> Rule
     def bad(t: _Table) -> np.ndarray:
         codes = [t.codes[name] for name in key]
         order = np.lexsort(codes[::-1])  # stable: equal rows stay in row order
-        same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in codes])
+        ordered = [c[order] for c in codes]
+        same = np.logical_and.reduce([c[1:] == c[:-1] for c in ordered])
         repeats = np.zeros(len(order), bool)
         repeats[order[1:][same]] = True
         return repeats
@@ -593,12 +597,11 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
     of any mask; the error names its physical line and the first rule, in
     schema order, that it breaks.
     """
-    schema = SCHEMAS[path.name]
-    texts, wrong, line_of = _read(path, FILE_COLUMNS[path.name])
-    table = _Table(dict(zip(FILE_COLUMNS[path.name], texts)), {}, {}, {}, wrong, population or {})
-    for field, text in zip(schema.fields, texts):
-        column = field.column
-        table.values[column], table.rejected[column], table.codes[column] = _parse(field, text)
+    schema, columns = SCHEMAS[path.name], FILE_COLUMNS[path.name]
+    texts, wrong, line_of = _read(path, columns)
+    values, rejected, codes = zip(*map(_parse, schema.fields, texts))
+    table = _Table(dict(zip(columns, texts)), dict(zip(columns, values)),
+                   dict(zip(columns, rejected)), dict(zip(columns, codes)), wrong, population or {})
     hits = [(int(mask.argmax()), k) for k, rule in enumerate(schema.rules)
             if (mask := rule.bad(table)).any()]
     if hits:
