@@ -295,7 +295,6 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # Schemas: each file's rules, in the order a row is checked
 
-@dataclass(frozen=True)
 class _Table:
     """One file's columns by name: the ``text``, the parsed ``values`` (0 where
     the parse ``rejected`` the text) and each row's index among the texts
@@ -303,12 +302,13 @@ class _Table:
     per row). ``wrong`` masks the rows of the wrong width; ``population`` is
     economics' by (country, year)."""
 
-    text: Mapping[str, Sequence[str]]
-    values: Mapping[str, np.ndarray]
-    rejected: Mapping[str, np.ndarray]
-    codes: Mapping[str, np.ndarray]
-    wrong: np.ndarray
-    population: Mapping[tuple[str, int], float]
+    __slots__ = ("text", "values", "rejected", "codes", "wrong", "population")
+
+    def __init__(self, text: Mapping[str, Sequence[str]], values: Mapping[str, np.ndarray],
+                 rejected: Mapping[str, np.ndarray], codes: Mapping[str, np.ndarray],
+                 wrong: np.ndarray, population: Mapping[tuple[str, int], float]):
+        self.text, self.values, self.rejected, self.codes = text, values, rejected, codes
+        self.wrong, self.population = wrong, population
 
     def __getitem__(self, column: str) -> np.ndarray:
         return self.values[column]
@@ -327,8 +327,7 @@ class Rule(NamedTuple):
     says: Callable[[_Table, int], str]
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A column. ``parse`` turns a text into its value, or refuses it with
     ValueError, which ``says(text)`` words; that is the field's first rule, and
     ``rules`` follow. Each distinct text is parsed once, or each row's if
@@ -347,16 +346,15 @@ class Field:
                      lambda t, row: self.says(t.text[self.column][row])), *self.rules)
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(NamedTuple):
     """A file's fields in column order, then its rules across a row."""
 
     name: str
     fields: tuple[Field, ...]
     row_rules: tuple[Rule, ...]
 
-    @cached_property
     def rules(self) -> tuple[Rule, ...]:
+        """Every rule, in the order a row is checked."""
         width = Rule(None, lambda t: t.wrong, lambda t, row: "wrong number of fields")
         return width, *(rule for field in self.fields for rule in field.checks()), *self.row_rules
 
@@ -602,11 +600,11 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
     values, rejected, codes = zip(*map(_parse, schema.fields, texts))
     table = _Table(dict(zip(columns, texts)), dict(zip(columns, values)),
                    dict(zip(columns, rejected)), dict(zip(columns, codes)), wrong, population or {})
-    hits = [(int(mask.argmax()), k) for k, rule in enumerate(schema.rules)
-            if (mask := rule.bad(table)).any()]
+    rules = schema.rules()
+    hits = [(int(mask.argmax()), k) for k, rule in enumerate(rules) if (mask := rule.bad(table)).any()]
     if hits:
         row, k = min(hits)
-        column, _, says = schema.rules[k]
+        column, _, says = rules[k]
         where = f" column '{column}':" if column else ""
         raise DataValidationError(f"{path.name}:{line_of(row)}:{where} {says(table, row)}")
     return list(table.values.values())
