@@ -28,6 +28,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import operator
 import re
 from collections import Counter
@@ -296,18 +297,17 @@ class Dataset:
 # Schemas: each file's rules, in the order a row is checked
 
 class _Table:
-    """One file's columns by name: the ``text``, the parsed ``values`` (0 where
-    the parse ``rejected`` the text) and each row's index among the texts
-    parsed (``codes``: rows of equal text share one, unless the field parses
-    per row). ``wrong`` masks the rows of the wrong width; ``population`` is
-    economics' by (country, year)."""
+    """One file's columns by name: the parsed ``values`` (0 where the parse
+    refused the text), each row's ``keys`` and the parse's ``refusals``, as
+    :func:`_parse` gives them. ``wrong`` masks the rows of the wrong width;
+    ``population`` is economics' by (country, year)."""
 
-    __slots__ = ("text", "values", "rejected", "codes", "wrong", "population")
+    __slots__ = ("values", "keys", "refusals", "wrong", "population")
 
-    def __init__(self, text: Mapping[str, Sequence[str]], values: Mapping[str, np.ndarray],
-                 rejected: Mapping[str, np.ndarray], codes: Mapping[str, np.ndarray],
-                 wrong: np.ndarray, population: Mapping[tuple[str, int], float]):
-        self.text, self.values, self.rejected, self.codes = text, values, rejected, codes
+    def __init__(self, values: Mapping[str, np.ndarray], keys: Mapping[str, np.ndarray],
+                 refusals: Mapping[str, list[str]], wrong: np.ndarray,
+                 population: Mapping[tuple[str, int], float]):
+        self.values, self.keys, self.refusals = values, keys, refusals
         self.wrong, self.population = wrong, population
 
     def __getitem__(self, column: str) -> np.ndarray:
@@ -328,22 +328,18 @@ class Rule(NamedTuple):
 
 
 class Field(NamedTuple):
-    """A column. ``parse`` turns a text into its value, or refuses it with
-    ValueError, which ``says(text)`` words; that is the field's first rule, and
-    ``rules`` follow. Each distinct text is parsed once, or each row's if
-    ``per_row`` (numbers, which are mostly distinct). A field with the default
-    ``parse`` keeps any text."""
+    """A column. ``parse`` turns a text into its value, or refuses it with a
+    ValueError that words the refusal; that is the field's first rule, and
+    ``rules`` follow. The default ``parse`` keeps any text. A ``per_row``
+    field's texts, mostly distinct, are parsed row by row (see :func:`_parse`).
+    ``show`` writes a value as text that ``parse`` reads back to it."""
 
     column: str
     parse: Callable[[str], object] = str
-    says: Callable[[str], str] | None = None
     rules: tuple[Rule, ...] = ()
     dtype: object = object
     per_row: bool = False
-
-    def checks(self) -> tuple[Rule, ...]:
-        return (Rule(self.column, lambda t: t.rejected[self.column],
-                     lambda t, row: self.says(t.text[self.column][row])), *self.rules)
+    show: Callable[[object], str] = str
 
 
 class Schema(NamedTuple):
@@ -356,38 +352,33 @@ class Schema(NamedTuple):
     def rules(self) -> tuple[Rule, ...]:
         """Every rule, in the order a row is checked."""
         width = Rule(None, lambda t: t.wrong, lambda t, row: "wrong number of fields")
-        return width, *(rule for field in self.fields for rule in field.checks()), *self.row_rules
+        return (width, *(rule for field in self.fields for rule in (_parsed(field.column),
+                                                                    *field.rules)),
+                *self.row_rules)
 
 
-def _accepting(accepts: Callable[[str], object]) -> Callable[[str], str]:
-    """A parse that keeps each text ``accepts`` and refuses the others."""
-    def parse(text: str) -> str:
-        if not accepts(text):
-            raise ValueError(text)
-        return text
-    return parse
+def _parsed(column: str) -> Rule:
+    """Rule: ``column``'s parse accepts the text; its refusal words the break."""
+    return Rule(column, lambda t: t.keys[column] < 0,
+                lambda t, row: t.refusals[column][-1 - t.keys[column][row]])
 
 
 def _code(column: str, global_default: bool = False) -> Field:
     codes = re.compile(f"[A-Z]{{3}}|{GLOBAL_SURPLUS}" if global_default else "[A-Z]{3}")
-    return Field(column, _accepting(codes.fullmatch),
-                 lambda text: f"not an ISO-3166 alpha-3 code: {text!r}")
+
+    def parse(text: str) -> str:
+        if codes.fullmatch(text) is None:
+            raise ValueError(f"not an ISO-3166 alpha-3 code: {text!r}")
+        return text
+    return Field(column, parse)
 
 
 def _enum(column: str, allowed: tuple[str, ...]) -> Field:
-    return Field(column, _accepting(allowed.__contains__),
-                 lambda text: f"{text!r} not one of {'/'.join(allowed)}")
-
-
-def _month_error(text: str) -> str:
-    try:
-        month_index(text)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _month(column: str) -> Field:
-    return Field(column, month_index, _month_error, dtype=np.intp)
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"{text!r} not one of {'/'.join(allowed)}")
+        return text
+    return Field(column, parse)
 
 
 def _bounds(column: str, minimum=None, maximum=None, strict: bool = False) -> tuple[Rule, ...]:
@@ -404,27 +395,46 @@ def _bounds(column: str, minimum=None, maximum=None, strict: bool = False) -> tu
     return tuple(rules)
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 def _int(column: str, minimum: int | None = None, maximum: int | None = None) -> Field:
     # dtype None: an int past int64 stays a Python int, in an object array
-    return Field(column, int, lambda text: f"not an integer: {text!r}",
-                 _bounds(column, minimum, maximum), dtype=None)
+    return Field(column, _integer, _bounds(column, minimum, maximum), dtype=None)
 
 
 def _float(column: str, minimum: float | None = None, maximum: float | None = None,
            strict: bool = False) -> Field:
-    finite = Rule(column, lambda t: ~np.isfinite(t[column]),
-                  lambda t, row: f"not finite: {t.text[column][row]!r}")
-    return Field(column, float, lambda text: f"not a number: {text!r}",
-                 (finite, *_bounds(column, minimum, maximum, strict)), dtype=float, per_row=True)
+    return Field(column, _number, _bounds(column, minimum, maximum, strict), dtype=float,
+                 per_row=True, show=repr)
+
+
+def _month(column: str) -> Field:
+    # month_index words its own refusals
+    return Field(column, month_index, dtype=np.intp, show=month_label)
 
 
 def _unique(column: str, key: tuple[str, ...], says: Callable[..., str]) -> Rule:
-    """Rule: no row repeats an earlier row's ``key`` columns; ``says(*key)`` words a repeat."""
+    """Rule: no row repeats an earlier row's ``key`` values; ``says(*key)`` words a repeat."""
     def bad(t: _Table) -> np.ndarray:
-        codes = [t.codes[name] for name in key]
-        order = np.lexsort(codes[::-1])  # stable: equal rows stay in row order
-        ordered = [c[order] for c in codes]
-        same = np.logical_and.reduce([c[1:] == c[:-1] for c in ordered])
+        keys = [t.keys[name] for name in key]
+        order = np.lexsort(keys[::-1])  # stable: equal rows stay in row order
+        ordered = [k[order] for k in keys]
+        same = np.logical_and.reduce([k[1:] == k[:-1] for k in ordered])
         repeats = np.zeros(len(order), bool)
         repeats[order[1:][same]] = True
         return repeats
@@ -563,28 +573,39 @@ def _read(path: Path, columns: tuple[str, ...]
     return [fields[k::width] for k in range(width)], np.zeros(len(rows), bool), line_of
 
 
-def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``field``'s values in ``texts``, 0 where its parse refuses the text; the
-    mask of those; and each row's index among the distinct texts parsed."""
+def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``field``'s value in each of ``texts`` (0 where its parse refuses the
+    text), each row's key and the parse's refusals. A row's key is the index
+    of its value among the distinct values, so equal values share a key however
+    they are spelled; a refused row's key is -1 - k, for refusal k.
+
+    Each distinct text is parsed once; a ``per_row`` field's texts, which are
+    mostly distinct, are first parsed in row order, which is faster when the
+    parse accepts them all.
+    """
     if field.per_row:
         try:
-            return (np.array(list(map(field.parse, texts)), dtype=field.dtype),
-                    np.zeros(len(texts), bool), np.arange(len(texts)))
+            values = np.array(list(map(field.parse, texts)), dtype=field.dtype)
         except ValueError:
-            distinct, codes = texts, np.arange(len(texts))
-    else:
-        distinct = list(set(texts))
-        index = dict(zip(distinct, range(len(distinct))))
-        codes = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
-    values, refused = [], []
+            pass  # refusals are worded per distinct text below
+        else:
+            return values, np.unique(values, return_inverse=True)[1], []
+    distinct = list(set(texts))
+    index = dict(zip(distinct, range(len(distinct))))
+    rows = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+    values, keys, refusals, same = [], [], [], {}
     for text in distinct:
         try:
-            values.append(field.parse(text))
-            refused.append(False)
-        except ValueError:
+            value = field.parse(text)
+        except ValueError as exc:
             values.append(0)
-            refused.append(True)
-    return np.array(values, dtype=field.dtype)[codes], np.array(refused, bool)[codes], codes
+            keys.append(-1 - len(refusals))
+            refusals.append(str(exc))
+        else:
+            values.append(value)
+            keys.append(same.setdefault(value, len(same)))
+    return (np.array(values, dtype=field.dtype)[rows], np.array(keys, dtype=np.intp)[rows],
+            refusals)
 
 
 def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = None
@@ -597,9 +618,9 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
     """
     schema, columns = SCHEMAS[path.name], FILE_COLUMNS[path.name]
     texts, wrong, line_of = _read(path, columns)
-    values, rejected, codes = zip(*map(_parse, schema.fields, texts))
-    table = _Table(dict(zip(columns, texts)), dict(zip(columns, values)),
-                   dict(zip(columns, rejected)), dict(zip(columns, codes)), wrong, population or {})
+    values, keys, refusals = zip(*map(_parse, schema.fields, texts))
+    table = _Table(dict(zip(columns, values)), dict(zip(columns, keys)),
+                   dict(zip(columns, refusals)), wrong, population or {})
     rules = schema.rules()
     hits = [(int(mask.argmax()), k) for k, rule in enumerate(rules) if (mask := rule.bad(table)).any()]
     if hits:
@@ -607,7 +628,7 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
         column, _, says = rules[k]
         where = f" column '{column}':" if column else ""
         raise DataValidationError(f"{path.name}:{line_of(row)}:{where} {says(table, row)}")
-    return list(table.values.values())
+    return list(values)
 
 
 def _records(record: type, path: Path, population: Mapping | None = None) -> tuple:
@@ -618,7 +639,7 @@ def _records(record: type, path: Path, population: Mapping | None = None) -> tup
 # Whole-file checks and dataset assembly
 
 def _check_anchor_years(stocks: Sequence[MigrantStockRecord]) -> None:
-    # the rules leave at most one row per anchor year, so a short group misses some
+    # the key rule leaves at most one row per anchor year, so a short group misses some
     counts = Counter((r.origin, r.destination, r.sex) for r in stocks)
     short = sorted(key for key, n in counts.items() if n < len(ANCHOR_YEARS))
     if short:
@@ -708,24 +729,14 @@ def _check_cross_references(ds: Dataset) -> None:
 # ---------------------------------------------------------------------------
 # Writing (round-trip support and fixture generation)
 
-def _serialize_tables(ds: Dataset) -> list[tuple[str, list[Sequence[str]]]]:
-    tables: list[tuple[str, list[Sequence[str]]]] = []
-    tables.append(("economics.csv", [
-        [r.country, str(r.year), repr(r.gdp_per_capita), repr(r.population), r.income_group]
-        for r in ds.economics]))
-    tables.append(("stocks.csv", [
-        [r.origin, r.destination, r.sex, str(r.anchor_year), repr(r.count)] for r in ds.stocks]))
-    tables.append(("age_profiles.csv", [
-        [r.sex, str(r.age), repr(r.share)] for r in ds.age_profiles]))
-    tables.append(("surplus_profiles.csv", [
-        [r.country, str(r.age), repr(r.surplus)] for r in ds.surplus_profiles]))
-    tables.append(("disasters.csv", [
-        [r.event_id, r.country, month_label(r.onset_month), r.hazard, repr(r.affected)]
-        for r in ds.disasters]))
-    sender, recipient, month, amount_usd, _ = ds.panel._columns()
-    tables.append(("panel.csv", list(zip(sender, recipient, map(month_label, month),
-                                         map(repr, amount_usd)))))
-    return tables
+def _serialize_tables(ds: Dataset) -> Iterator[tuple[str, Iterator[tuple[str, ...]]]]:
+    """Each file's name and its rows, from the Dataset field of the same name,
+    each value written as its schema's field shows it."""
+    for name, schema in SCHEMAS.items():
+        table = getattr(ds, name.removesuffix(".csv"))
+        columns = (table._columns() if isinstance(table, Panel) else
+                   [map(operator.attrgetter(field.column), table) for field in schema.fields])
+        yield name, zip(*(map(field.show, column) for field, column in zip(schema.fields, columns)))
 
 
 def write_dataset(ds: Dataset, data_dir: str | Path) -> list[Path]:

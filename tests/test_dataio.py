@@ -302,6 +302,8 @@ VIOLATIONS = [
      "column 'country': not an ISO-3166 alpha-3 code: 'dd1'"),
     ("economics.csv", "AAA,2012,10000,1000000,lower-middle",
      "column 'country': duplicate row for ('AAA', 2012)"),
+    ("economics.csv", "AAA,02012,10000,1000000,lower-middle",
+     "column 'country': duplicate row for ('AAA', 2012)"),
     ("economics.csv", "DDD,2012,10000", "wrong number of fields"),
     # stocks.csv: origin,destination,sex,anchor_year,count
     ("stocks.csv", "AAA,DDD,male,2010,x", "column 'count': not a number: 'x'"),
@@ -316,6 +318,8 @@ VIOLATIONS = [
     ("stocks.csv", "AAA,AAA,male,2010,5", "column 'destination': origin equals destination (AAA)"),
     ("stocks.csv", "AAA,BBB,male,2015,7",
      "column 'anchor_year': duplicate anchor for ('AAA', 'BBB', 'male')"),
+    ("stocks.csv", "AAA,BBB,male, 2015,7",
+     "column 'anchor_year': duplicate anchor for ('AAA', 'BBB', 'male')"),
     ("stocks.csv", "AAA,DDD,male,2010,5,6", "wrong number of fields"),
     # age_profiles.csv: sex,age,share
     ("age_profiles.csv", "male,50,abc", "column 'share': not a number: 'abc'"),
@@ -325,6 +329,7 @@ VIOLATIONS = [
     ("age_profiles.csv", "male,50,-0.5", "column 'share': must be >= 0.0, got -0.5"),
     ("age_profiles.csv", "other,50,0.1", "column 'sex': 'other' not one of male/female"),
     ("age_profiles.csv", "male,30,0.1", "column 'age': duplicate row for ('male', 30)"),
+    ("age_profiles.csv", "male,+3_0,0.1", "column 'age': duplicate row for ('male', 30)"),
     ("age_profiles.csv", "male,50", "wrong number of fields"),
     # surplus_profiles.csv: country,age,surplus
     ("surplus_profiles.csv", "DDD,50,-1", "column 'surplus': must be >= 0.0, got -1.0"),
@@ -337,6 +342,8 @@ VIOLATIONS = [
     ("surplus_profiles.csv", "DDD,10,0.5",
      "column 'surplus': must be 0 below age 16, got 0.5 at age 10"),
     ("surplus_profiles.csv", "GLOBAL_DEFAULT,50,1.0",
+     "column 'age': duplicate row for ('GLOBAL_DEFAULT', 50)"),
+    ("surplus_profiles.csv", "GLOBAL_DEFAULT,050,1.0",
      "column 'age': duplicate row for ('GLOBAL_DEFAULT', 50)"),
     ("surplus_profiles.csv", "DDD,50,1.0,2", "wrong number of fields"),
     # disasters.csv: event_id,country,onset_month,hazard,affected
@@ -430,8 +437,14 @@ def test_violation_names_physical_line_column_and_reason(tmp_path, name, row, me
      "column 'amount_usd': must be >= 0.0, got -1.0"),
     ("panel.csv", ["BBB,AAA,2013-02,1", "BBB,AAA,2013-02,1", "ab1,AAA,2013-01,1"], 1,
      "column 'month': duplicate observation for BBB->AAA 2013-02"),
+    # each refused row is named with its own text
+    ("panel.csv", ["BBB,AAA,2013-02,x1", "BBB,AAA,2013-03,x2", "BBB,AAA,2013-04,x3"], 0,
+     "column 'amount_usd': not a number: 'x1'"),
     ("stocks.csv", ["AAA,DDD,male,2011,5", "AAA,DDD,male"], 0,
      "column 'anchor_year': must be one of (2010, 2015, 2020), got 2011"),
+    # keys compare as values: three rows, but 2015 twice and no 2020
+    ("stocks.csv", ["AAA,DDD,male,2010,5", "AAA,DDD,male,2015,5", "AAA,DDD,male, 2015,5"], 2,
+     "column 'anchor_year': duplicate anchor for ('AAA', 'DDD', 'male')"),
     ("economics.csv", ["DDD,2012,1,1,middle", "EEE,2012,1,1,low,extra"], 0,
      "column 'income_group': 'middle' not one of low/lower-middle/upper-middle/high"),
     # a row holding a line break spans two physical lines; a row's line is the one it ends on
