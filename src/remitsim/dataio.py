@@ -15,13 +15,14 @@ naming the offending file, physical line and column; there are no partial
 loads. Each file has one :class:`Schema`: an ordered list of rules, first
 the row width, then each field's (type, bounds, code, category, month) in
 column order, then the rules across a row (keys, cross-checks). Every rule
-masks the bad rows of whole columns at once. The first bad row is the least
-row of any mask, and the message is that of the first rule it breaks, in
-schema order. Quote-free text is split at newlines and commas; text with a
-quote or a carriage return goes through the CSV reader into the same
-columns. The returned :class:`Dataset` is immutable; its panel is held as
-read-only columns (:class:`Panel`), built straight from the checked columns,
-with no record per observation.
+masks the bad rows of whole columns at once; keys compare parsed values, not
+their spelling. The first bad row is the least row of any mask, and the
+message is that of the first rule it breaks, in schema order. Quote-free
+text is split at newlines and commas; text with a quote or a carriage return
+goes through the CSV reader into the same columns. The returned
+:class:`Dataset` is immutable; its panel is held as read-only columns
+(:class:`Panel`), built straight from the checked columns, with no record
+per observation.
 """
 from __future__ import annotations
 
@@ -330,15 +331,16 @@ class Rule(NamedTuple):
 class Field(NamedTuple):
     """A column. ``parse`` turns a text into its value, or refuses it with a
     ValueError that words the refusal; that is the field's first rule, and
-    ``rules`` follow. The default ``parse`` keeps any text. A ``per_row``
-    field's texts, mostly distinct, are parsed row by row (see :func:`_parse`).
+    ``rules`` follow. The default ``parse`` keeps any text. ``parse_all``, if
+    given, parses a whole column at once, accepting and reading each text as
+    ``parse`` does, and raises ValueError if ``parse`` would refuse any text.
     ``show`` writes a value as text that ``parse`` reads back to it."""
 
     column: str
     parse: Callable[[str], object] = str
     rules: tuple[Rule, ...] = ()
     dtype: object = object
-    per_row: bool = False
+    parse_all: Callable[[Sequence[str]], np.ndarray] | None = None
     show: Callable[[object], str] = str
 
 
@@ -412,6 +414,14 @@ def _number(text: str) -> float:
     return value
 
 
+def _numbers(texts: Sequence[str]) -> np.ndarray:
+    """:func:`_number` of each of ``texts``, as one array, or ValueError."""
+    values = np.array(list(map(float, texts)), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("not finite")
+    return values
+
+
 def _int(column: str, minimum: int | None = None, maximum: int | None = None) -> Field:
     # dtype None: an int past int64 stays a Python int, in an object array
     return Field(column, _integer, _bounds(column, minimum, maximum), dtype=None)
@@ -420,7 +430,7 @@ def _int(column: str, minimum: int | None = None, maximum: int | None = None) ->
 def _float(column: str, minimum: float | None = None, maximum: float | None = None,
            strict: bool = False) -> Field:
     return Field(column, _number, _bounds(column, minimum, maximum, strict), dtype=float,
-                 per_row=True, show=repr)
+                 parse_all=_numbers, show=repr)
 
 
 def _month(column: str) -> Field:
@@ -579,13 +589,12 @@ def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, 
     of its value among the distinct values, so equal values share a key however
     they are spelled; a refused row's key is -1 - k, for refusal k.
 
-    Each distinct text is parsed once; a ``per_row`` field's texts, which are
-    mostly distinct, are first parsed in row order, which is faster when the
-    parse accepts them all.
+    Each distinct text is parsed once, unless the field's ``parse_all`` takes
+    the whole column, which is faster for columns of mostly distinct numbers.
     """
-    if field.per_row:
+    if field.parse_all is not None:
         try:
-            values = np.array(list(map(field.parse, texts)), dtype=field.dtype)
+            values = field.parse_all(texts)
         except ValueError:
             pass  # refusals are worded per distinct text below
         else:
