@@ -272,8 +272,11 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     panel = dataset.panel
     corridor = panel.corridor_index(ctx.corridors)
     simulated = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
+    # all rows at the panel's window months: an exact slice of the full grid
+    months, col = np.unique(panel.month[simulated], return_inverse=True)
     structural = np.full(len(panel), np.nan)
-    structural[simulated] = ctx.expected_flows(params)[corridor[simulated], panel.month[simulated]]
+    structural[simulated] = ctx.expected_flows(params, None, months,
+                                               np.arange(ctx.n_corridors))[corridor[simulated], col]
     report = baseline.compare_models(structural, gravity, panel)
     comp_path = reports.write_csv(
         out / "comparison.csv",

@@ -32,7 +32,6 @@ import io
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -397,25 +396,43 @@ def _bounds(column: str, minimum=None, maximum=None, strict: bool = False) -> tu
     return tuple(rules)
 
 
+# what int and float take besides a plain ASCII number: whitespace around it,
+# _ between its digits (and any script's digits, which no ASCII text holds)
+_NOT_IN_NUMBERS = "".join(c for c in map(chr, range(128)) if c.isspace()) + "_"
+
+
+def _plain(text: str) -> bool:
+    """``text`` is ASCII and holds no character of ``_NOT_IN_NUMBERS``."""
+    return text.isascii() and not any(c in text for c in _NOT_IN_NUMBERS)
+
+
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+    if _plain(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"not an integer: {text!r}")
 
 
 def _number(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"not finite: {text!r}")
-    return value
+    if _plain(text):
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if not math.isfinite(value):
+                raise ValueError(f"not finite: {text!r}")
+            return value
+    raise ValueError(f"not a number: {text!r}")
 
 
 def _numbers(texts: Sequence[str]) -> np.ndarray:
-    """:func:`_number` of each of ``texts``, as one array, or ValueError."""
+    """:func:`_number` of each of ``texts``, as one array, or ValueError. The
+    characters are checked over the whole column's text at once."""
+    if not _plain(",".join(texts)):
+        raise ValueError("not plain ASCII numbers")
     values = np.array(list(map(float, texts)), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("not finite")
@@ -647,15 +664,21 @@ def _records(record: type, path: Path, population: Mapping | None = None) -> tup
 # ---------------------------------------------------------------------------
 # Whole-file checks and dataset assembly
 
-def _check_anchor_years(stocks: Sequence[MigrantStockRecord]) -> None:
-    # the key rule leaves at most one row per anchor year, so a short group misses some
-    counts = Counter((r.origin, r.destination, r.sex) for r in stocks)
-    short = sorted(key for key, n in counts.items() if n < len(ANCHOR_YEARS))
+def _check_anchor_years(stocks: Sequence[MigrantStockRecord]
+                        ) -> dict[tuple[str, str, str], dict[int, float]]:
+    """Each (origin, destination, sex) series' count by anchor year, once every
+    series has every anchor year; else the error names the first series, in
+    sorted order, that misses one."""
+    anchors: dict[tuple[str, str, str], dict[int, float]] = {}
+    for r in stocks:
+        anchors.setdefault((r.origin, r.destination, r.sex), {})[r.anchor_year] = r.count
+    years = set(ANCHOR_YEARS)
+    short = [key for key, by_year in anchors.items() if not by_year.keys() >= years]
     if short:
-        o, d, s = short[0]
-        have = {r.anchor_year for r in stocks if (r.origin, r.destination, r.sex) == (o, d, s)}
+        o, d, s = first = min(short)
         raise DataValidationError(f"stocks.csv: corridor {o}->{d} sex {s} missing anchor "
-                                  f"year(s) {sorted(set(ANCHOR_YEARS) - have)}")
+                                  f"year(s) {sorted(years - anchors[first].keys())}")
+    return anchors
 
 
 def _check_share_sums(age_profiles: Sequence[AgeProfile]) -> None:
@@ -837,13 +860,7 @@ def interpolate_stocks_monthly(stocks: Sequence[MigrantStockRecord]) -> dict[tup
     equals the anchor exactly. All series are evaluated in one array pass;
     each is a read-only row of one (series, 120) array.
     """
-    anchors: dict[tuple[str, str, str], dict[int, float]] = {}
-    for r in stocks:
-        anchors.setdefault((r.origin, r.destination, r.sex), {})[r.anchor_year] = r.count
-    for key, by_year in anchors.items():
-        missing = sorted(set(ANCHOR_YEARS) - set(by_year))
-        if missing:
-            raise DataValidationError(f"corridor {key[0]}->{key[1]} sex {key[2]} missing anchor year(s) {missing}")
+    anchors = _check_anchor_years(stocks)
     nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
     months = np.arange(WINDOW_MONTHS, dtype=float)
     y = np.array([[by_year[yr] for yr in ANCHOR_YEARS] for by_year in anchors.values()],

@@ -5,13 +5,21 @@ the behavioural parameters (stocks, family proxy, GDP covariates, event
 magnitudes), so that repeated evaluations during calibration only pay for
 the score assembly and the logistic transform. An evaluation covers all
 corridor-months, or only the corridor rows and month columns it is asked
-for: calibration restricts the months to the panel's, and a scenario
-restricts both to :meth:`SimulationContext.affected_cells`, the only cells
-where its event set can change a flow. A row-restricted evaluation equals
-the matching slice of the full grid bit for bit, at any BLAS thread count;
-a column-only one may differ from it in the last bits. This is the
-package's only evaluation path; the tests check it against per-cohort
-scalar oracles.
+for: calibration restricts the months to the panel's, ``compare-baseline``
+to the panel's window months over all rows, and a scenario each origin's
+rows and months to a block of :meth:`SimulationContext.affected_cells`, the
+only cells where its event set can change a flow.
+
+One kernel computes the logistic: per destination group, the cohort
+probabilities of at most ``_BLOCK_CELLS`` cells at a time, in place in one
+reused buffer, and the flows reduce each block with the 64-row products of
+:func:`_matvec`. Blocks start at multiples of 64 cells, so every cell rounds
+as if its group were taken whole. A row-restricted evaluation (``rows=``,
+with or without ``cols=``) equals the matching slice of the full grid bit
+for bit, at any BLAS thread count; a column-only one may differ from it in
+the last bits of a group's last cells. This is the package's only
+evaluation path; the tests check it against the whole-group logistic and
+against per-cohort scalar oracles.
 """
 from __future__ import annotations
 
@@ -84,6 +92,9 @@ class SimulationContext:
         self._origin_of = np.array([o for o, _ in self.corridors])
         self._dest_of = np.array([d for _, d in self.corridors])
         self.surplus = {d: dataset.surplus_for(d) for d in self.dest_groups}
+        # per destination with an earnings surplus at some age: the mask of
+        # those ages and the surplus at them
+        self._surplus_ages = {d: (s > 0, s[s > 0]) for d, s in self.surplus.items() if (s > 0).any()}
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
         self._events = []
@@ -96,6 +107,7 @@ class SimulationContext:
                 magnitude = 1.0
             self._events.append((e.event_id, e.country, e.onset_month, magnitude))
         self._mag_cache: dict[frozenset | None, Mapping[str, np.ndarray]] = {}
+        self._mag_latest: dict[frozenset, Mapping[str, np.ndarray]] = {}
 
         for arr in (self.family, self.delta_gdp, self.gdp_norm, self.monthly_income, self.shares):
             arr.flags.writeable = False
@@ -135,11 +147,12 @@ class SimulationContext:
         """Per-country (n_months, 12) matrices of summed magnitudes by offset.
 
         ``active_ids`` restricts to a subset of event ids; None means all.
-        Only the all-events and no-event results are cached: calibration and
-        every scenario reuse those, while a per-hazard or per-event set is
-        built for one evaluation, so caching it would only grow the cache.
+        The all-events and no-event results stay cached: calibration and
+        every scenario reuse those. Of the other sets only the latest is
+        kept: a scenario evaluates its per-hazard or per-event set in one
+        block per origin, one after another, and then never again.
         """
-        cached = self._mag_cache.get(active_ids)
+        cached = self._mag_cache.get(active_ids, self._mag_latest.get(active_ids))
         if cached is not None:
             return cached
         mags: dict[str, np.ndarray] = {}
@@ -153,32 +166,36 @@ class SimulationContext:
                     arr[month, k] += magnitude
         for arr in mags.values():
             arr.flags.writeable = False
-        if not active_ids:
+        if active_ids:
+            self._mag_latest = {active_ids: mags}
+        else:
             self._mag_cache[active_ids] = mags
         return mags
 
     def affected_cells(self, ids_a: frozenset | None,
-                       ids_b: frozenset | None) -> tuple[np.ndarray, np.ndarray]:
-        """Where flows under the event sets ``ids_a`` and ``ids_b`` can differ.
+                       ids_b: frozenset | None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Where flows under the event sets ``ids_a`` and ``ids_b`` can differ,
+        as one block per origin.
 
-        Two sorted index arrays: the corridor rows of the origins of the events
-        in one set but not the other, and the window months those events reach
-        (onset .. onset + 11). None stands for all events. An event that
-        reaches no window month contributes neither. Within the window and
-        outside rows x months the two flow grids are bit-identical: every other
-        (corridor, month) sums the magnitudes of the same events in the same
-        order, and a month no event of the set reaches scores exactly 0.0.
+        A (rows, months) pair of sorted index arrays for each country, in code
+        order, with an event in one set but not the other that reaches a
+        window month: the corridor rows of that origin (none if no corridor
+        starts there) and the window months its differing events reach
+        (onset .. onset + 11). None stands for all events. Within the window
+        and outside the blocks the two flow grids are bit-identical: every
+        other (corridor, month) sums the magnitudes of the same events in the
+        same order, and a month no event of the set reaches scores exactly 0.0.
         """
-        rows: set[int] = set()
-        months: set[int] = set()
+        months: dict[str, set[int]] = {}
         for event_id, country, onset, _ in self._events:
             if (ids_a is None or event_id in ids_a) == (ids_b is None or event_id in ids_b):
                 continue
             reach = range(max(onset, self.start), min(onset + DISASTER_WINDOW - 1, self.end) + 1)
             if reach:
-                months.update(reach)
-                rows.update(self.origin_groups.get(country, ()))
-        return (np.array(sorted(rows), dtype=np.intp), np.array(sorted(months), dtype=np.intp))
+                months.setdefault(country, set()).update(reach)
+        no_rows = np.array([], dtype=np.intp)
+        return [(self.origin_groups.get(country, no_rows), np.array(sorted(reached), dtype=np.intp))
+                for country, reached in sorted(months.items())]
 
     def disaster_scores(self, params: BehaviorParams, active_ids: frozenset | None = None,
                         rows: np.ndarray | None = None) -> np.ndarray:
@@ -206,19 +223,31 @@ class SimulationContext:
                 + self._take(self.disaster_scores(params, active_ids, rows), None, cols))
 
     def _group_probabilities(self, params: BehaviorParams, base: np.ndarray,
-                             rows: np.ndarray | None = None):
-        """Per destination group: (indices into the rows of ``base``, mask of the ages
-        with earnings surplus, logistic probabilities shaped (len(indices), base
-        columns, ages)). ``base`` covers all corridors, or the corridor ``rows``."""
+                             rows: np.ndarray | None = None, whole: bool = False):
+        """The logistic, per destination group with an earnings surplus at some age.
+
+        Yields (indices into the rows of ``base``, mask of the ages with
+        earnings surplus, blocks). ``base`` covers all corridors, or the
+        corridor ``rows``. A group's cells run corridor by corridor, the
+        columns of ``base`` within each; ``blocks`` yields (cell slice,
+        probabilities shaped (cells, active ages)) over them, in the blocks of
+        :func:`_blocks`, or all in one if ``whole``. Every block is written in
+        place into one buffer, so it holds only until the next is drawn.
+        """
+        groups = []
         for dest, idx in self._row_groups(self.dest_groups, self._dest_of, rows).items():
-            surplus = self.surplus[dest]
-            active = surplus > 0
-            if not active.any():
-                continue
-            # one expression, so numpy reuses its temporaries in place
-            with np.errstate(over="ignore"):
-                prob = 1.0 / (1.0 + np.exp(-(base[idx][:, :, None] + params.beta0 * surplus[active])))
-            yield idx, active, prob
+            if dest in self._surplus_ages:
+                active, surplus = self._surplus_ages[dest]
+                groups.append((idx, active, params.beta0 * surplus))
+        if not groups:
+            return
+        most = max(len(idx) for idx, _, _ in groups) * base.shape[1]
+        ages = max(len(shift) for _, _, shift in groups)
+        buffer = np.empty((most if whole else min(most, _BLOCK_CELLS + 1)) * ages)
+        for idx, active, shift in groups:
+            scores = base[idx].ravel()
+            yield idx, active, _logistic_blocks(scores, shift, buffer,
+                                                _blocks(len(scores), None if whole else _BLOCK_CELLS))
 
     def expected_flows(self, params: BehaviorParams, active_ids: frozenset | None = None,
                        cols: np.ndarray | None = None,
@@ -237,16 +266,23 @@ class SimulationContext:
         n_cols = base.shape[1]
         stocks = self._take(self.stocks, rows, cols)
         income = self._take(self.monthly_income, rows, cols)
-        flows = np.zeros_like(base)
-        w_m, w_f = self.shares
-        for idx, active, prob in self._group_probabilities(params, base, rows):
-            cells = prob.reshape(-1, prob.shape[2])  # a view: prob is contiguous
-            per_m = _matvec(cells, w_m[active], pad_tail=rows is not None)
-            per_f = _matvec(cells, w_f[active], pad_tail=rows is not None)
-            sent = (stocks[idx, :, 0].ravel() * per_m
-                    + stocks[idx, :, 1].ravel() * per_f)
-            flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
-        return flows
+        # each cell's sums over ages of weight x probability, per sex; every
+        # array takes the memory layout of base, which later sums follow
+        per_m, per_f = np.zeros_like(base), np.zeros_like(base)
+        pad_tail = rows is not None
+        for idx, active, blocks in self._group_probabilities(params, base, rows):
+            w_m, w_f = self.shares[:, active]
+            sums = np.empty((2, len(idx) * n_cols))
+            for cells, prob in blocks:
+                sums[0, cells] = _matvec(prob, w_m, pad_tail)
+                sums[1, cells] = _matvec(prob, w_f, pad_tail)
+            per_m[idx], per_f[idx] = sums.reshape(2, len(idx), n_cols)
+        # in place; one product or sum commutes exactly in floating point, so each
+        # cell rounds as (rho x income) x (men x sum_m + women x sum_f)
+        per_m *= stocks[..., 0]
+        per_f *= stocks[..., 1]
+        per_m += per_f
+        return np.multiply(params.rho * income, per_m, out=per_m)
 
     def flow_jacobian(self, params: BehaviorParams, rows: np.ndarray, cols: np.ndarray,
                       col_pos: np.ndarray) -> np.ndarray:
@@ -264,9 +300,11 @@ class SimulationContext:
         stocks = self.stocks[:, cols, :]
         sums = np.zeros((3, self.n_corridors, n_cols))  # S1, S2, S3
         w_m, w_f = self.shares
-        for idx, active, prob in self._group_probabilities(params, base):
+        # whole groups: the matrix products below round differently by row count,
+        # so blocks would move the Jacobian's last bits
+        for idx, active, blocks in self._group_probabilities(params, base, whole=True):
             surplus = self.surplus[self.corridors[idx[0]][1]][active]  # one destination per group
-            flat = prob.reshape(-1, prob.shape[2])
+            (_, flat), = blocks
             wm, wf = w_m[active], w_f[active]
             level = flat @ np.stack([wm, wf], axis=1)
             slope = (flat * (1.0 - flat)) @ np.stack([wm, wf, wm * surplus, wf * surplus], axis=1)
@@ -313,8 +351,12 @@ class SimulationContext:
         base = self._base_scores(params, active_ids, cols, rows)
         n_cols = base.shape[1]
         cube = np.zeros((base.shape[0], n_cols, N_AGES))
-        for idx, active, prob in self._group_probabilities(params, base, rows):
-            cube[np.ix_(idx, range(n_cols), np.flatnonzero(active))] = prob
+        by_cell = cube.reshape(-1, N_AGES)  # a view, one row per (row of base, column)
+        for idx, active, blocks in self._group_probabilities(params, base, rows):
+            cell_rows = (idx[:, None] * n_cols + np.arange(n_cols)).ravel()
+            ages = np.flatnonzero(active)
+            for cells, prob in blocks:
+                by_cell[np.ix_(cell_rows[cells], ages)] = prob
         return cube
 
     def cohort_counts(self, corridor: int, month: int) -> np.ndarray:
@@ -325,6 +367,40 @@ class SimulationContext:
 # Rows per BLAS matrix-vector product: a multiple of 4, and few enough
 # (64 x 101 ages) that OpenBLAS computes each product on one thread.
 _PRODUCT_ROWS = 64
+# Cells per block of the logistic: a multiple of _PRODUCT_ROWS, and few enough
+# that a block of cells x ages (at most 0.8 MB) stays in cache from the
+# logistic's first in-place pass to the last product that reduces it.
+_BLOCK_CELLS = 1024
+
+
+def _blocks(n_cells: int, size: int | None) -> list[slice]:
+    """Slices of ``n_cells`` cells: ``size`` each from cell 0, or one over all if
+    ``size`` is None or they fit in one. A one-cell remainder joins the block
+    before it, as :func:`_matvec` joins a one-row remainder to the product
+    before it; so for a ``size`` that is a multiple of _PRODUCT_ROWS, each cell
+    of the blocks meets the same products as in one block over all."""
+    if size is None or n_cells <= size:
+        return [slice(0, n_cells)]
+    starts = list(range(0, n_cells, size))
+    if n_cells - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_cells])]
+
+
+def _logistic_blocks(scores: np.ndarray, shift: np.ndarray, buffer: np.ndarray,
+                     blocks: list[slice]):
+    """Per block of ``scores``: (the block, 1 / (1 + exp(-(score + shift)))
+    shaped (cells, len(shift))), each written in place at the start of ``buffer``
+    by the same operations, in the same order, as one expression over all."""
+    for cells in blocks:
+        prob = buffer[:(cells.stop - cells.start) * len(shift)].reshape(-1, len(shift))
+        np.add(scores[cells, None], shift, out=prob)
+        np.negative(prob, out=prob)
+        with np.errstate(over="ignore"):
+            np.exp(prob, out=prob)
+        np.add(1.0, prob, out=prob)
+        np.divide(1.0, prob, out=prob)
+        yield cells, prob
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray, pad_tail: bool) -> np.ndarray:

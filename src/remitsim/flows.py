@@ -97,11 +97,12 @@ def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
     Both runs draw from the same corridor-month streams (common random
     numbers), so their draws are identical wherever the two probability rows
     are equal; only the corridor-months where the event sets change a probability
-    are sampled. Both cubes cover only the affected corridors
+    are sampled. Both cubes cover only the corridors of the affected blocks
     (:meth:`SimulationContext.affected_cells`). Equals the difference of two
     ``sample_monthly_totals`` calls up to the order of the floating-point sums.
     """
-    rows, _ = ctx.affected_cells(None, active_ids)
+    blocks = ctx.affected_cells(None, active_ids)
+    rows = np.unique(np.concatenate([np.array([], dtype=np.intp), *(r for r, _ in blocks)]))
     factual = ctx.probability_cube(params, None, ctx.window, rows)
     counter = ctx.probability_cube(params, active_ids, ctx.window, rows)
     cells = np.argwhere((factual != counter).any(axis=2))

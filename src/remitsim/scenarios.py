@@ -5,10 +5,12 @@ event set; differences against the factual run isolate disaster-induced
 flows. Because the logistic is nonlinear, per-hazard effects are not
 additive; the interaction residual is always reported, never hidden.
 
-Each scenario evaluates only the cells its event set changes
-(:meth:`SimulationContext.affected_cells`) and takes every other cell from a
-shared factual or no-event grid, so its outputs equal a full-grid evaluation
-bit for bit.
+Each scenario evaluates only the cells its event set changes, in one block
+per origin country: that origin's corridors over the window months its
+changed events reach (:meth:`SimulationContext.affected_cells`). Every
+other cell comes from a shared factual or no-event grid, and a restricted
+evaluation equals the slice of a full one, so the outputs equal a full-grid
+evaluation bit for bit.
 """
 from __future__ import annotations
 
@@ -74,10 +76,11 @@ class EventAttribution:
 def _reevaluate(ctx: SimulationContext, params: BehaviorParams, grid: np.ndarray,
                 grid_ids: frozenset | None, active_ids: frozenset | None) -> np.ndarray:
     """The full grid of flows under ``active_ids`` within the window, from ``grid``,
-    the full grid under ``grid_ids``: a copy with the affected cells evaluated anew."""
-    rows, months = ctx.affected_cells(grid_ids, active_ids)
+    the full grid under ``grid_ids``: a copy with each block of affected cells
+    evaluated anew."""
     out = grid.copy()
-    out[np.ix_(rows, months)] = ctx.expected_flows(params, active_ids, months, rows)
+    for rows, months in ctx.affected_cells(grid_ids, active_ids):
+        out[np.ix_(rows, months)] = ctx.expected_flows(params, active_ids, months, rows)
     return out
 
 
@@ -144,13 +147,14 @@ def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams
     """Flows attributable to a single event over the 12 months from onset."""
     ctx = as_context(dataset)
     only = scenario_only_event(ctx.dataset, event_id)
-    # the event origin's corridors, over the event's months in the window
-    rows, cols = ctx.affected_cells(only, scenario_none())
-    months = tuple(cols.tolist())
-    if not months:
-        return EventAttribution(event_id=event_id, months=months, induced_by_corridor={},
+    # one block: the event origin's corridors, over the event's months in the window
+    blocks = ctx.affected_cells(only, scenario_none())
+    if not blocks:
+        return EventAttribution(event_id=event_id, months=(), induced_by_corridor={},
                                 induced_usd_12m=0.0, baseline_usd_12m=0.0,
                                 relative_increase=None)
+    (rows, cols), = blocks
+    months = tuple(cols.tolist())
     without = ctx.expected_flows(params, scenario_none(), cols, rows)
     diff = ctx.expected_flows(params, only, cols, rows) - without
 

@@ -2,9 +2,11 @@
 dataset, and a per-cohort brute-force flow oracle independent of the engine."""
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import oracles
 from remitsim import behavior, fixtures
@@ -13,6 +15,11 @@ from remitsim.dataio import Dataset, load_dataset
 from remitsim.engine import SimulationContext
 from remitsim.months import year_of
 from remitsim.population import build_population
+
+# Under HYPOTHESIS_PROFILE=ci the properties draw the same examples on every
+# run and print the blob that replays a failure, so a CI failure reproduces.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # ---------------------------------------------------------------------------
 # Minimal hand-written CSV fixture (2 corridors, 1 event)

@@ -7,10 +7,14 @@ arrays in ``remitsim.engine``, ``dataio``, ``calibration``, ``baseline`` and
 This module never imports the engine, flows or scenarios modules, so it
 cannot reuse the code it checks.
 
-The last section's scenario references are given a ``SimulationContext``
-and evaluate every corridor-month of each event set through it; they return
-the fields of the scenario results as dicts. They check the scenarios'
-locality (evaluating only the affected cells), not the flow model.
+The last two sections take a ``SimulationContext`` and reuse its
+covariates. The whole-group kernel computes each destination group's
+logistic in one expression over all its cells and reduces it in one pass,
+as the engine did before it worked in blocks; it checks the block kernel's
+bits, not the flow model. The scenario references evaluate every
+corridor-month of each event set through the context and return the fields
+of the scenario results as dicts. They check the scenarios' locality
+(evaluating only the affected cells), not the flow model.
 """
 from __future__ import annotations
 
@@ -460,6 +464,53 @@ def summary_totals(corridors: Sequence[tuple[str, str]], months: Sequence[int],
             induced_by[key] = induced_by.get(key, 0.0) + float(induced[c, mi])
             factual_by[key] = factual_by.get(key, 0.0) + float(factual[c, mi])
     return induced_by, factual_by
+
+
+# ---------------------------------------------------------------------------
+# The flow kernel with each destination group's logistic taken whole
+
+def _whole_groups(ctx, params: BehaviorParams, base: np.ndarray, rows: np.ndarray | None):
+    """Per destination group with an earnings surplus at some age: (indices into
+    the rows of ``base``, mask of those ages, the logistic of all the group's
+    cells in one expression, shaped (len(indices), base columns, ages))."""
+    for dest, idx in ctx._row_groups(ctx.dest_groups, ctx._dest_of, rows).items():
+        surplus = ctx.surplus[dest]
+        active = surplus > 0
+        if not active.any():
+            continue
+        with np.errstate(over="ignore"):
+            prob = 1.0 / (1.0 + np.exp(-(base[idx][:, :, None] + params.beta0 * surplus[active])))
+        yield idx, active, prob
+
+
+def whole_group_flows(ctx, params: BehaviorParams, active_ids: frozenset | None,
+                      cols: np.ndarray | None, rows: np.ndarray | None, matvec) -> np.ndarray:
+    """``ctx.expected_flows`` with each group's cells reduced in one ``matvec``
+    call (``engine._matvec``)."""
+    base = ctx._base_scores(params, active_ids, cols, rows)
+    n_cols = base.shape[1]
+    stocks = ctx._take(ctx.stocks, rows, cols)
+    income = ctx._take(ctx.monthly_income, rows, cols)
+    flows = np.zeros_like(base)
+    w_m, w_f = ctx.shares
+    for idx, active, prob in _whole_groups(ctx, params, base, rows):
+        cells = prob.reshape(-1, prob.shape[2])
+        per_m = matvec(cells, w_m[active], pad_tail=rows is not None)
+        per_f = matvec(cells, w_f[active], pad_tail=rows is not None)
+        sent = stocks[idx, :, 0].ravel() * per_m + stocks[idx, :, 1].ravel() * per_f
+        flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
+    return flows
+
+
+def whole_group_cube(ctx, params: BehaviorParams, active_ids: frozenset | None,
+                     cols: np.ndarray | slice | None, rows: np.ndarray | None) -> np.ndarray:
+    """``ctx.probability_cube`` from each group's logistic taken whole."""
+    base = ctx._base_scores(params, active_ids, cols, rows)
+    n_cols = base.shape[1]
+    cube = np.zeros((base.shape[0], n_cols, N_AGES))
+    for idx, active, prob in _whole_groups(ctx, params, base, rows):
+        cube[np.ix_(idx, range(n_cols), np.flatnonzero(active))] = prob
+    return cube
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,16 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from remitsim import baseline
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.cli import build_parser, main
 from remitsim.calibration import DEFAULT_INIT
 from remitsim.dataio import load_dataset
+from remitsim.engine import SimulationContext
+from remitsim.months import month_index
 
 from conftest import small_csv_texts, write_csv_dir
 
@@ -274,6 +278,29 @@ def test_compare_baseline_and_report(fixture_dir, tmp_path):
     senders = _read_csv(out / "sender_demographics.csv")
     groups = {r["group"] for r in senders}
     assert "ALL" in groups and len(groups) >= 2
+
+
+def test_compare_baseline_reads_the_full_grid(fixture_dir, tmp_path, monkeypatch):
+    """The structural flows compared at the panel cells in the window are the
+    full grid's, bit for bit; the other cells are NaN."""
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    compared = []
+    compare_models = baseline.compare_models
+    monkeypatch.setattr(baseline, "compare_models",
+                        lambda structural, *args: compared.append(structural)
+                        or compare_models(structural, *args))
+    assert run("compare-baseline", "--data-dir", fixture_dir, "--output-dir", tmp_path / "out",
+               "--params", params, "--start", "2012-01", "--end", "2012-06") == 0
+
+    dataset = load_dataset(fixture_dir)
+    ctx = SimulationContext(dataset)
+    panel = dataset.panel
+    inside = (panel.month >= month_index("2012-01")) & (panel.month <= month_index("2012-06"))
+    want = np.full(len(panel), np.nan)
+    want[inside] = ctx.expected_flows(REFERENCE_PARAMS)[panel.corridor_index(ctx.corridors)[inside],
+                                                        panel.month[inside]]
+    assert compared[0].tobytes() == want.tobytes()
 
 
 def test_band_does_not_depend_on_window(tmp_path):

@@ -305,6 +305,13 @@ VIOLATIONS = [
     ("economics.csv", "AAA,02012,10000,1000000,lower-middle",
      "column 'country': duplicate row for ('AAA', 2012)"),
     ("economics.csv", "DDD,2012,10000", "wrong number of fields"),
+    # numbers are ASCII, without spaces or _: int and float take more
+    ("economics.csv", "DDD,\u0662\u0660\u0661\u0662,10000,1000000,low",
+     "column 'year': not an integer: '\u0662\u0660\u0661\u0662'"),
+    ("economics.csv", "DDD,2012,1_0000,1000000,low",
+     "column 'gdp_per_capita': not a number: '1_0000'"),
+    ("economics.csv", "DDD,2012,10000, 1000000 ,low",
+     "column 'population': not a number: ' 1000000 '"),
     # stocks.csv: origin,destination,sex,anchor_year,count
     ("stocks.csv", "AAA,DDD,male,2010,x", "column 'count': not a number: 'x'"),
     ("stocks.csv", "AAA,DDD,male,2010,nan", "column 'count': not finite: 'nan'"),
@@ -318,7 +325,7 @@ VIOLATIONS = [
     ("stocks.csv", "AAA,AAA,male,2010,5", "column 'destination': origin equals destination (AAA)"),
     ("stocks.csv", "AAA,BBB,male,2015,7",
      "column 'anchor_year': duplicate anchor for ('AAA', 'BBB', 'male')"),
-    ("stocks.csv", "AAA,BBB,male, 2015,7",
+    ("stocks.csv", "AAA,BBB,male,02015,7",
      "column 'anchor_year': duplicate anchor for ('AAA', 'BBB', 'male')"),
     ("stocks.csv", "AAA,DDD,male,2010,5,6", "wrong number of fields"),
     # age_profiles.csv: sex,age,share
@@ -329,7 +336,7 @@ VIOLATIONS = [
     ("age_profiles.csv", "male,50,-0.5", "column 'share': must be >= 0.0, got -0.5"),
     ("age_profiles.csv", "other,50,0.1", "column 'sex': 'other' not one of male/female"),
     ("age_profiles.csv", "male,30,0.1", "column 'age': duplicate row for ('male', 30)"),
-    ("age_profiles.csv", "male,+3_0,0.1", "column 'age': duplicate row for ('male', 30)"),
+    ("age_profiles.csv", "male,+30,0.1", "column 'age': duplicate row for ('male', 30)"),
     ("age_profiles.csv", "male,50", "wrong number of fields"),
     # surplus_profiles.csv: country,age,surplus
     ("surplus_profiles.csv", "DDD,50,-1", "column 'surplus': must be >= 0.0, got -1.0"),
@@ -377,6 +384,8 @@ VIOLATIONS = [
     ("panel.csv", "BBB,AAA,2010-01,1",
      "column 'month': duplicate observation for BBB->AAA 2010-01"),
     ("panel.csv", "BBB,AAA,2013-01", "wrong number of fields"),
+    ("panel.csv", "BBB,AAA,2013-01,\u0665\u0660\u0660\u0660\u0660\u0660",
+     "column 'amount_usd': not a number: '\u0665\u0660\u0660\u0660\u0660\u0660'"),
     ("panel.csv", "\u00c4\u00d6\u00dc,AAA,2013-01,1",
      "column 'sender': not an ISO-3166 alpha-3 code: '\u00c4\u00d6\u00dc'"),
     ("panel.csv", 'BBB,AAA,"2013-01\n",1',
@@ -443,7 +452,7 @@ def test_violation_names_physical_line_column_and_reason(tmp_path, name, row, me
     ("stocks.csv", ["AAA,DDD,male,2011,5", "AAA,DDD,male"], 0,
      "column 'anchor_year': must be one of (2010, 2015, 2020), got 2011"),
     # keys compare as values: three rows, but 2015 twice and no 2020
-    ("stocks.csv", ["AAA,DDD,male,2010,5", "AAA,DDD,male,2015,5", "AAA,DDD,male, 2015,5"], 2,
+    ("stocks.csv", ["AAA,DDD,male,2010,5", "AAA,DDD,male,2015,5", "AAA,DDD,male,02015,5"], 2,
      "column 'anchor_year': duplicate anchor for ('AAA', 'DDD', 'male')"),
     ("economics.csv", ["DDD,2012,1,1,middle", "EEE,2012,1,1,low,extra"], 0,
      "column 'income_group': 'middle' not one of low/lower-middle/upper-middle/high"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -80,13 +81,12 @@ def scenario_cases(draw):
 @given(case=scenario_cases())
 def test_event_sets_differ_only_at_affected_cells(case):
     ctx, params, ids_a, ids_b = case
-    rows, months = ctx.affected_cells(ids_a, ids_b)
-    assert np.array_equal(rows, np.unique(rows)) and np.array_equal(months, np.unique(months))
-    assert all(ctx.start <= m <= ctx.end for m in months.tolist())
-    assert months.size or not rows.size
-
     outside = np.ones((ctx.n_corridors, ctx.n_months), dtype=bool)
-    outside[np.ix_(rows, months)] = False
+    for rows, months in ctx.affected_cells(ids_a, ids_b):
+        assert np.array_equal(rows, np.unique(rows)) and np.array_equal(months, np.unique(months))
+        assert all(ctx.start <= m <= ctx.end for m in months.tolist()) and months.size
+        assert outside[rows].all()  # one block per origin: the blocks share no row
+        outside[np.ix_(rows, months)] = False
     outside[:, :ctx.start] = outside[:, ctx.end + 1:] = False
     grid_a = ctx.expected_flows(params, ids_a)
     grid_b = ctx.expected_flows(params, ids_b)
@@ -108,6 +108,34 @@ def test_restricted_evaluation_equals_full_grid_slice(case, data):
     assert np.array_equal(ctx.probability_cube(params, ids, cols, rows), cube[np.ix_(rows, cols)])
     assert np.array_equal(ctx.probability_cube(params, ids, ctx.window, rows),
                           cube[rows][:, ctx.window])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=scenario_cases())
+def test_reevaluation_evaluates_exactly_the_reached_cells(case):
+    """The cells a scenario hands to expected_flows are each origin's corridors
+    times the window months its differing events reach: no more, none twice."""
+    ctx, params, ids_a, ids_b = case
+    grid_a = ctx.expected_flows(params, ids_a)
+    handed = []
+
+    def recording(params, active_ids=None, cols=None, rows=None):
+        handed.extend(itertools.product(rows.tolist(), cols.tolist()))
+        return SimulationContext.expected_flows(ctx, params, active_ids, cols, rows)
+
+    ctx.expected_flows = recording  # the case's own context
+    got = scenarios._reevaluate(ctx, params, grid_a, ids_a, ids_b)
+
+    reached = set()
+    for event in ctx.dataset.disasters:
+        if (ids_a is None or event.event_id in ids_a) != (ids_b is None or event.event_id in ids_b):
+            rows = [c for c, (origin, _) in enumerate(ctx.corridors) if origin == event.country]
+            months = [m for m in range(event.onset_month, event.onset_month + 12)
+                      if ctx.start <= m <= ctx.end]
+            reached.update(itertools.product(rows, months))
+    assert len(handed) == len(set(handed)) and set(handed) == reached
+    want = SimulationContext.expected_flows(ctx, params, ids_b)
+    assert np.array_equal(got[:, ctx.window], want[:, ctx.window])
 
 
 def test_matvec_rows_round_as_in_four_row_products():
@@ -166,7 +194,7 @@ def test_event_without_modelled_corridor(desk_dataset):
     event = DisasterEvent("DEST", "DNA", month_index("2014-05"), "flood",
                           0.3 * pop[("DNA", 2014)])
     ctx = SimulationContext(dataclasses.replace(desk_dataset, disasters=(event,)))
-    rows, months = ctx.affected_cells(frozenset({"DEST"}), scenario_none())
+    (rows, months), = ctx.affected_cells(frozenset({"DEST"}), scenario_none())
     assert rows.size == 0 and months.size == 12
     ev = scenarios.attribute_event(ctx, PARAMS, "DEST")
     assert (ev.induced_usd_12m, ev.baseline_usd_12m, ev.relative_increase) == (0.0, 0.0, None)
@@ -181,8 +209,7 @@ def test_events_outside_the_window_evaluate_no_cells(desk_dataset, monkeypatch):
                         if e.onset_month + 11 < ctx.start or e.onset_month > ctx.end)
     assert outside  # the desk events of 2010-2015 and 2017-2018
     inside = frozenset(e.event_id for e in desk_dataset.disasters) - outside
-    rows, months = ctx.affected_cells(None, inside)  # the sets differ by the outside events
-    assert rows.size == 0 and months.size == 0
+    assert ctx.affected_cells(None, inside) == []  # the sets differ by the outside events
 
     evaluated = []
     original = ctx.expected_flows
@@ -194,7 +221,8 @@ def test_events_outside_the_window_evaluate_no_cells(desk_dataset, monkeypatch):
 
     monkeypatch.setattr(ctx, "expected_flows", counting)
     result = scenarios.run_counterfactual(ctx, PARAMS, "inside", inside)
-    assert evaluated == [ctx.n_corridors * ctx.n_months, 0]
+    # no cell is evaluated beyond the factual grid
+    assert evaluated[0] == sum(evaluated) == ctx.n_corridors * ctx.n_months
     assert np.array_equal(result.counterfactual, result.factual)
 
 
