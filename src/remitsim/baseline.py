@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +24,7 @@ log = logging.getLogger(__name__)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class GravityFit:
+class GravityFit(NamedTuple):
     beta_exp: float
     sse: float
     at_boundary: bool
@@ -180,8 +178,7 @@ def _means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return means
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     sender: str
     recipient: str
     observed_usd: float  # average yearly
@@ -191,8 +188,7 @@ class ComparisonRow:
     se_gravity: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     mean_relative_error_ratio: float | None  # structural over gravity
     largest_overestimates: tuple[tuple[str, str], ...]  # by the gravity model
@@ -200,19 +196,15 @@ class ComparisonReport:
     n_excluded: int
 
 
-def compare_models(structural: np.ndarray | Mapping[tuple[str, str, int], float],
-                   gravity: Mapping[int, Mapping[tuple[str, str], float]],
+def compare_models(structural: np.ndarray, gravity: Mapping[int, Mapping[tuple[str, str], float]],
                    panel: Panel | Sequence[FlowObservation]) -> ComparisonReport:
     """Average-yearly corridor comparison of both estimators against the panel.
 
-    ``structural`` holds each observation's simulated monthly USD, NaN where
-    there is none, or maps (sender, recipient, month index) to it;
-    ``gravity`` maps year to annual corridor matrices. Corridors missing from
-    either estimate are excluded and counted.
+    ``structural`` holds each observation's simulated monthly USD, in panel
+    order, NaN where there is none; ``gravity`` maps year to annual corridor
+    matrices. Corridors missing from either estimate are excluded and counted.
     """
     panel = as_panel(panel)
-    if isinstance(structural, Mapping):
-        structural = panel.lookup(structural, ("sender", "recipient", "month"))
     # corridors in (sender, recipient) order, their observations in panel order
     corridor = panel.sender * len(panel.codes) + panel.recipient
     order = np.argsort(corridor, kind="stable")

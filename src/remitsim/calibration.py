@@ -14,7 +14,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class CalibrationError(RuntimeError):
     """All optimizer starts diverged or calibration could not run."""
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
+class CalibrationConfig(NamedTuple):
     starts: int = 8
     max_iter: int = 500
     tol: float = 1e-9  # relative loss-change convergence threshold
@@ -61,8 +60,7 @@ class CalibrationResult:
     start_losses: list[float]
 
 
-@dataclass(frozen=True)
-class PanelSlice:
+class PanelSlice(NamedTuple):
     """Panel observations aligned to (corridor, month) indices of a context.
 
     ``cols`` holds the distinct months touched by the panel, and
@@ -164,8 +162,7 @@ def unpack(x: np.ndarray) -> BehaviorParams:
     return BehaviorParams(*x[:-1], rho=rho)
 
 
-@dataclass
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     x: np.ndarray
     fx: float
     iterations: int

@@ -3,6 +3,11 @@ scenarios and reports into reproducible runs.
 
 Exit codes: 0 success, 2 data or configuration errors, 3 calibration
 failure, 4 missing upstream artifacts (e.g. calibration.json).
+
+Every process runs one command, and compiles the modules it imports, so
+``scenarios``, ``baseline``, ``fixtures`` and ``flows`` are imported inside
+the commands that call them: ``simulate`` without bands, ``report`` and
+``calibrate`` load none of them.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, fixtures, flows, reports, scenarios
+from . import reports
 from .behavior import BehaviorParams
 from .calibration import (CalibrationConfig, CalibrationError, calibrate, param_confidence,
                           split_panel)
@@ -60,6 +65,7 @@ def _prepare(config: RunConfig, args) -> tuple[Dataset, SimulationContext, Behav
 
 def _aggregate_bands(totals: np.ndarray, months: list[int], prefix: str) -> list:
     """Empirical bands for the all-months total and each calendar year."""
+    from . import flows
     bands = [flows.confidence_band(totals.sum(axis=1), f"{prefix}:total")]
     for year in sorted({year_of(m) for m in months}):
         cols = [i for i, m in enumerate(months) if year_of(m) == year]
@@ -75,6 +81,7 @@ def _band_rows(bands) -> list:
 # Commands
 
 def cmd_fixtures_generate(config: RunConfig, args) -> int:
+    from . import fixtures
     dataset = fixtures.generate_fixture(
         config.data_dir, seed=config.seed, n_origins=args.origins,
         n_destinations=args.destinations, noise=args.noise, with_events=not args.no_events)
@@ -163,6 +170,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
         reports.flow_rows(ctx.corridors, months, grid, "factual"))
     outputs = [flows_path]
     if config.band_draws:
+        from . import flows
         totals = flows.sample_monthly_totals(ctx, params, None, config.seed, config.band_draws)
         bands_path = reports.write_csv(out / "bands.csv",
                                        ("aggregate_id", "level", "lower", "mean", "upper"),
@@ -176,6 +184,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 
 def cmd_counterfactual(config: RunConfig, args) -> int:
+    from . import scenarios
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
     result = scenarios.run_counterfactual(ctx, params)
@@ -203,6 +212,7 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
             rows))
 
     if config.band_draws:
+        from . import flows
         induced = flows.sample_induced_totals(ctx, params, scenario_none(), config.seed,
                                               config.band_draws)
         outputs.append(reports.write_csv(
@@ -217,10 +227,12 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
 
 
 def cmd_attribute(config: RunConfig, args) -> int:
+    from . import scenarios
     dataset, ctx, params, params_path, out = _prepare(config, args)
     convention = args.convention or config.attribution
 
-    report = scenarios.attribute_by_hazard(ctx, params, convention)
+    grids = scenarios.event_grids(ctx, params)
+    report = scenarios.attribute_by_hazard(ctx, params, convention, grids=grids)
     rows = [
         (h.hazard, h.induced_usd, h.affected_persons, h.usd_per_affected,
          h.induced_usd / report.total_factual if report.total_factual else 0.0)
@@ -248,7 +260,7 @@ def cmd_attribute(config: RunConfig, args) -> int:
 
     event_rows = []
     for event in dataset.disasters:
-        ev = scenarios.attribute_event(ctx, params, event.event_id)
+        ev = scenarios.attribute_event(ctx, params, event.event_id, no_event=grids[1])
         event_rows.append((ev.event_id, ev.induced_usd_12m, ev.baseline_usd_12m,
                            ev.relative_increase))
     events_path = reports.write_csv(
@@ -264,6 +276,7 @@ def cmd_attribute(config: RunConfig, args) -> int:
 
 
 def cmd_compare_baseline(config: RunConfig, args) -> int:
+    from . import baseline
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
     stocks = baseline.annual_stocks(dataset, ctx.stocks)
@@ -313,7 +326,9 @@ def cmd_report(config: RunConfig, args) -> int:
     profiles_path = reports.write_csv(
         out / "profiles.csv",
         ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
-        reports.concat_rows(reports.columns(repeat(origin), repeat("ALL"), repeat(label), cum, p)
+        # the two sexes of an age share a probability: format each distinct one once
+        reports.concat_rows(reports.columns(repeat(origin), repeat("ALL"), repeat(label), cum,
+                                            reports.distinct_reprs(p))
                             for origin, label, cum, p in profiles))
 
     weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, :, None, :]

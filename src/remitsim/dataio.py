@@ -58,8 +58,7 @@ class DataValidationError(ValueError):
     """A schema or cross-reference violation in an input file."""
 
 
-@dataclass(frozen=True)
-class CountryEconomics:
+class CountryEconomics(NamedTuple):
     country: str
     year: int
     gdp_per_capita: float
@@ -67,8 +66,7 @@ class CountryEconomics:
     income_group: str
 
 
-@dataclass(frozen=True)
-class MigrantStockRecord:
+class MigrantStockRecord(NamedTuple):
     origin: str
     destination: str
     sex: str
@@ -76,22 +74,19 @@ class MigrantStockRecord:
     count: float
 
 
-@dataclass(frozen=True)
-class AgeProfile:
+class AgeProfile(NamedTuple):
     sex: str
     age: int
     share: float
 
 
-@dataclass(frozen=True)
-class SurplusProfile:
+class SurplusProfile(NamedTuple):
     country: str
     age: int
     surplus: float
 
 
-@dataclass(frozen=True)
-class DisasterEvent:
+class DisasterEvent(NamedTuple):
     event_id: str
     country: str
     onset_month: int  # month index since 2010-01
@@ -99,8 +94,7 @@ class DisasterEvent:
     affected: float
 
 
-@dataclass(frozen=True)
-class FlowObservation:
+class FlowObservation(NamedTuple):
     sender: str
     recipient: str
     month: int  # month index since 2010-01

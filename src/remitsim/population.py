@@ -7,8 +7,7 @@ quantities summarize each corridor-month population pyramid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,8 +18,7 @@ PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
 PARENTING_MAX_AGE = 50
 
 
-@dataclass(frozen=True)
-class DiasporaDemographics:
+class DiasporaDemographics(NamedTuple):
     origin: str
     destination: str
     month: int
@@ -111,8 +109,7 @@ def demographics_table(population: Population) -> list[DiasporaDemographics]:
     return out
 
 
-@dataclass(frozen=True)
-class SenderDemographicsRow:
+class SenderDemographicsRow(NamedTuple):
     group: str  # origin income group, or ALL
     expected_senders: float
     male_share: float

@@ -79,6 +79,15 @@ def columns(*cols: Iterable[str] | np.ndarray) -> FormattedRows:
                                for c in cols)))
 
 
+def distinct_reprs(values: np.ndarray) -> Iterator[str]:
+    """The cells of the float array ``values`` as :func:`columns` formats them,
+    each distinct value formatted once: for a column that repeats its values.
+    Values are distinct by their bits, so -0.0 and 0.0 keep their own cells."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    return map(list(map(repr, bits.view(float).tolist())).__getitem__, inverse.tolist())
+
+
 def concat_rows(blocks: Iterable[FormattedRows]) -> FormattedRows:
     """The rows of ``blocks`` one after another; each block is built when it is reached."""
     return FormattedRows(chain.from_iterable(blocks))

@@ -14,8 +14,7 @@ evaluation bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .months import year_of
 from .reports import sequential_sum
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Paired factual/counterfactual flow grids plus their difference."""
 
     scenario_id: str
@@ -45,16 +43,14 @@ class ScenarioResult:
         return float(self.factual.sum())
 
 
-@dataclass(frozen=True)
-class HazardAttribution:
+class HazardAttribution(NamedTuple):
     hazard: str
     induced_usd: float
     affected_persons: float
     usd_per_affected: float | None  # None when nobody was affected
 
 
-@dataclass(frozen=True)
-class AttributionReport:
+class AttributionReport(NamedTuple):
     convention: str  # only_hazard | leave_one_out
     per_hazard: tuple[HazardAttribution, ...]
     total_induced: float
@@ -63,8 +59,7 @@ class AttributionReport:
     share_of_total: float
 
 
-@dataclass(frozen=True)
-class EventAttribution:
+class EventAttribution(NamedTuple):
     event_id: str
     months: tuple[int, ...]  # the up-to-12 window months after onset
     induced_by_corridor: Mapping[tuple[str, str], float]
@@ -103,19 +98,27 @@ def run_counterfactual(dataset: Dataset | SimulationContext, params: BehaviorPar
                           counterfactual=counter, induced=factual - counter)
 
 
+def event_grids(ctx: SimulationContext, params: BehaviorParams) -> tuple[np.ndarray, np.ndarray]:
+    """The full grids of flows under all events and under none; the second
+    holds the no-event flows within the window, the factual ones outside it."""
+    full_grid = ctx.expected_flows(params, None)
+    return full_grid, _reevaluate(ctx, params, full_grid, None, scenario_none())
+
+
 def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorParams,
-                        convention: str = "only_hazard") -> AttributionReport:
+                        convention: str = "only_hazard", *,
+                        grids: tuple[np.ndarray, np.ndarray] | None = None) -> AttributionReport:
     """Per-hazard induced totals under the chosen isolation convention.
 
     only_hazard: flows(only h) - flows(none). leave_one_out: flows(all) -
-    flows(all but h).
+    flows(all but h). ``grids`` are the context's :func:`event_grids`, if
+    the caller has them already.
     """
     if convention not in ("only_hazard", "leave_one_out"):
         raise ValueError(f"unknown convention {convention!r}")
     ctx = as_context(dataset)
     win = ctx.window
-    full_grid = ctx.expected_flows(params, None)
-    base_grid = _reevaluate(ctx, params, full_grid, None, scenario_none())
+    full_grid, base_grid = event_grids(ctx, params) if grids is None else grids
     full = full_grid[:, win].sum()
     base = base_grid[:, win].sum()
     total_induced = float(full - base)
@@ -143,8 +146,12 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
 
 
 def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams,
-                    event_id: str) -> EventAttribution:
-    """Flows attributable to a single event over the 12 months from onset."""
+                    event_id: str, *, no_event: np.ndarray | None = None) -> EventAttribution:
+    """Flows attributable to a single event over the 12 months from onset.
+
+    ``no_event`` is the no-event grid of :func:`event_grids`, if the caller
+    has it: the flows without the event are read from it, not evaluated.
+    """
     ctx = as_context(dataset)
     only = scenario_only_event(ctx.dataset, event_id)
     # one block: the event origin's corridors, over the event's months in the window
@@ -155,7 +162,8 @@ def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams
                                 relative_increase=None)
     (rows, cols), = blocks
     months = tuple(cols.tolist())
-    without = ctx.expected_flows(params, scenario_none(), cols, rows)
+    without = (ctx.expected_flows(params, scenario_none(), cols, rows) if no_event is None
+               else no_event[np.ix_(rows, cols)])
     diff = ctx.expected_flows(params, only, cols, rows) - without
 
     # the totals add in the order of an evaluation of all corridors at these
@@ -174,8 +182,7 @@ def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams
                             relative_increase=relative)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     key: str
     induced_usd: float
     factual_usd: float

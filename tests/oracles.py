@@ -18,7 +18,6 @@ of the scenario results as dicts. They check the scenarios' locality
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import logging
 import math
@@ -361,7 +360,7 @@ def split_panel(panel: Sequence[FlowObservation], fraction: float,
     perm = np.random.default_rng(seed).permutation(n)
     tags = np.full(n, "test", dtype=object)
     tags[perm[:n_train]] = "train"
-    return tuple(dataclasses.replace(obs, split_tag=tags[i]) for i, obs in enumerate(panel))
+    return tuple(obs._replace(split_tag=tags[i]) for i, obs in enumerate(panel))
 
 
 def align_panel(panel: Sequence[FlowObservation], ctx) -> dict:

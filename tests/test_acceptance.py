@@ -21,7 +21,7 @@ from remitsim.baseline import annual_stocks, calibrate_gravity, compare_models, 
 from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import CalibrationConfig, calibrate, split_panel
 from remitsim.cli import main as cli_main
-from remitsim.dataio import DisasterEvent, FlowObservation
+from remitsim.dataio import DisasterEvent, FlowObservation, as_panel
 from remitsim.engine import SimulationContext, build_population
 from remitsim.flows import _sample_cells, confidence_band
 from remitsim.months import month_index
@@ -221,7 +221,8 @@ def test_criterion_gravity_baseline_fixture():
     panel = [FlowObservation("USA", "MEX", m, 27.46 / 12.0) for m in months]
     structural = {("USA", "MEX", m): 26.49 / 12.0 for m in months}
     gravity = {2010: {("USA", "MEX"): 123.28}, 2011: {("USA", "MEX"): 123.28}}
-    row = compare_models(structural, gravity, panel).rows[0]
+    row = compare_models(as_panel(panel).lookup(structural, ("sender", "recipient", "month")),
+                         gravity, panel).rows[0]
     assert abs(row.se_structural - 0.95) / 0.95 <= 0.02
     assert abs(row.se_gravity - 9181.54) / 9181.54 <= 0.02
 

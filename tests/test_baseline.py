@@ -10,7 +10,7 @@ import oracles
 from remitsim import baseline, fixtures
 from remitsim.baseline import (calibrate_gravity, compare_models, gravity_flows,
                                gravity_per_migrant, annual_stocks)
-from remitsim.dataio import FlowObservation
+from remitsim.dataio import FlowObservation, as_panel
 from remitsim.months import month_index, year_of
 from remitsim.population import build_population
 
@@ -65,7 +65,7 @@ def test_gravity_flow_linear_in_stocks(desk_dataset):
     import dataclasses
     doubled = dataclasses.replace(
         desk_dataset,
-        stocks=tuple(dataclasses.replace(r, count=2 * r.count) for r in desk_dataset.stocks))
+        stocks=tuple(r._replace(count=2 * r.count) for r in desk_dataset.stocks))
     base = gravity_flows(desk_dataset, 0.6, _stocks(desk_dataset))
     double = gravity_flows(doubled, 0.6, _stocks(doubled))
     for year in base:
@@ -78,7 +78,7 @@ def test_zero_stock_zero_flow():
     dataset = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2)
     zeroed = dataclasses.replace(
         dataset,
-        stocks=tuple(dataclasses.replace(r, count=0.0) for r in dataset.stocks))
+        stocks=tuple(r._replace(count=0.0) for r in dataset.stocks))
     flows = gravity_flows(zeroed, 0.75, _stocks(zeroed))
     assert all(v == 0.0 for year in flows.values() for v in year.values())
 
@@ -106,7 +106,7 @@ def test_flat_loss_degenerate_warning(caplog):
     dataset = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2)
     zeroed = dataclasses.replace(
         dataset,
-        stocks=tuple(dataclasses.replace(r, count=0.0) for r in dataset.stocks))
+        stocks=tuple(r._replace(count=0.0) for r in dataset.stocks))
     panel = [FlowObservation("DNA", "OGA", m, 0.0) for m in range(12)]
     with caplog.at_level("WARNING"):
         fit = calibrate_gravity(panel, zeroed, _stocks(zeroed))
@@ -134,12 +134,17 @@ def _mk_panel(sender, recipient, yearly_usd, months):
     return [FlowObservation(sender, recipient, m, yearly_usd / 12.0) for m in months]
 
 
+def _aligned(structural, panel):
+    """The (sender, recipient, month) values of ``structural`` in ``panel`` order, NaN if absent."""
+    return as_panel(panel).lookup(structural, ("sender", "recipient", "month"))
+
+
 def test_identical_estimates_ratio_one():
     months = list(range(12))
     panel = _mk_panel("BBB", "AAA", 120.0, months)
     structural = {("BBB", "AAA", m): 10.0 for m in months}
     gravity = {2010: {("BBB", "AAA"): 120.0}}
-    report = compare_models(structural, gravity, panel)
+    report = compare_models(_aligned(structural, panel), gravity, panel)
     row = report.rows[0]
     assert row.se_structural == row.se_gravity == 0.0
     assert report.mean_relative_error_ratio is None  # gravity error is zero
@@ -152,7 +157,7 @@ def test_benchmark_row_squared_errors():
     panel = _mk_panel("USA", "MEX", 27.46, months)
     structural = {("USA", "MEX", m): 26.49 / 12.0 for m in months}
     gravity = {2010: {("USA", "MEX"): 123.28}, 2011: {("USA", "MEX"): 123.28}}
-    report = compare_models(structural, gravity, panel)
+    report = compare_models(_aligned(structural, panel), gravity, panel)
     row = report.rows[0]
     assert row.observed_usd == pytest.approx(27.46, rel=1e-12)
     assert row.se_structural == pytest.approx(0.95, rel=0.02)
@@ -172,7 +177,7 @@ def test_relative_error_ratio_45_percent():
         structural[("AAA", "XXX", m)] = 109.0 / 12.0
         structural[("BBB", "XXX", m)] = 91.0 / 12.0
     gravity = {2010: {("AAA", "XXX"): 120.0, ("BBB", "XXX"): 80.0}}
-    report = compare_models(structural, gravity, panel)
+    report = compare_models(_aligned(structural, panel), gravity, panel)
     assert report.mean_relative_error_ratio == pytest.approx(0.45, rel=1e-9)
     assert report.largest_overestimates[0] == ("AAA", "XXX")
     assert report.largest_underestimates[0] == ("BBB", "XXX")
@@ -183,7 +188,7 @@ def test_missing_corridor_excluded_and_counted():
     panel = _mk_panel("AAA", "XXX", 50.0, months) + _mk_panel("BBB", "YYY", 60.0, months)
     structural = {("AAA", "XXX", m): 4.0 for m in months}
     gravity = {2010: {("AAA", "XXX"): 50.0}}
-    report = compare_models(structural, gravity, panel)
+    report = compare_models(_aligned(structural, panel), gravity, panel)
     assert report.n_excluded == 1
     assert len(report.rows) == 1
 

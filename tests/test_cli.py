@@ -5,19 +5,24 @@ import csv
 import filecmp
 import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from remitsim import baseline
+import remitsim
+from remitsim import baseline, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.cli import build_parser, main
 from remitsim.calibration import DEFAULT_INIT
 from remitsim.dataio import load_dataset
 from remitsim.engine import SimulationContext
 from remitsim.months import month_index
+from remitsim.reports import fmt_cell
 
 from conftest import small_csv_texts, write_csv_dir
 
@@ -301,6 +306,47 @@ def test_compare_baseline_reads_the_full_grid(fixture_dir, tmp_path, monkeypatch
     want[inside] = ctx.expected_flows(REFERENCE_PARAMS)[panel.corridor_index(ctx.corridors)[inside],
                                                         panel.month[inside]]
     assert compared[0].tobytes() == want.tobytes()
+
+
+def test_attribute_evaluates_each_event_once(fixture_dir, tmp_path, monkeypatch):
+    """attribute reads each event's no-event flows from the no-event grid that the
+    per-hazard attribution builds: one evaluation per event with cells in the window,
+    and events.csv holds the values of a fresh evaluation."""
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    calls = []
+    expected_flows = SimulationContext.expected_flows
+    monkeypatch.setattr(SimulationContext, "expected_flows",
+                        lambda *args, **kwargs: calls.append(args)
+                        or expected_flows(*args, **kwargs))
+    assert run("attribute", "--data-dir", fixture_dir, "--output-dir", tmp_path / "out",
+               "--params", params) == 0
+    in_command = len(calls)
+
+    ctx = SimulationContext(load_dataset(fixture_dir))
+    calls.clear()
+    scenarios.attribute_by_hazard(ctx, REFERENCE_PARAMS)
+    by_hazard = len(calls)
+    fresh = [scenarios.attribute_event(ctx, REFERENCE_PARAMS, e.event_id)
+             for e in ctx.dataset.disasters]
+    assert any(ev.months for ev in fresh)
+    assert in_command == by_hazard + sum(bool(ev.months) for ev in fresh)
+    assert [list(row.values()) for row in _read_csv(tmp_path / "out" / "events.csv")] == [
+        [fmt_cell(v) for v in (ev.event_id, ev.induced_usd_12m, ev.baseline_usd_12m,
+                               ev.relative_increase)] for ev in fresh]
+
+
+def test_cli_import_loads_no_command_module():
+    """Importing the CLI leaves the modules that only some commands run unloaded."""
+    src = str(Path(remitsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                    os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, remitsim.cli; print(sorted(sys.modules))"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    for name in ("scenarios", "baseline", "fixtures", "flows"):
+        assert f"'remitsim.{name}'" not in loaded
+    assert "'remitsim.engine'" in loaded
 
 
 def test_band_does_not_depend_on_window(tmp_path):

@@ -150,6 +150,37 @@ def test_round_trip_desk_scale(desk_dataset, tmp_path):
     assert load_dataset(tmp_path / "copy") == desk_dataset
 
 
+RECORD_TABLES = {CountryEconomics: "economics", MigrantStockRecord: "stocks",
+                 AgeProfile: "age_profiles", SurplusProfile: "surplus_profiles",
+                 DisasterEvent: "disasters", FlowObservation: "panel"}
+
+
+@pytest.mark.parametrize("record_type", RECORD_TABLES, ids=lambda t: t.__name__)
+def test_records_are_immutable_values(desk_dataset, tmp_path, record_type):
+    """Input records compare and hash by value, refuse assignment, build by keyword
+    and survive the write/load round trip."""
+    records = tuple(getattr(desk_dataset, RECORD_TABLES[record_type]))
+    record = records[0]
+    assert type(record) is record_type
+    twin = record_type(**record._asdict())
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert len(set(records) | {twin}) == len(records)
+    assert twin._replace(**{record._fields[-1]: None}) != record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], "XXX")
+    assert repr(record) == f"{record_type.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in record._asdict().items()) + ")"
+
+    write_dataset(desk_dataset, tmp_path / "copy")
+    again = tuple(getattr(load_dataset(tmp_path / "copy"), RECORD_TABLES[record_type]))
+    assert again == records and {type(r) for r in again} == {record_type}
+
+
+def test_flow_observation_defaults_to_unassigned():
+    assert FlowObservation("AAA", "BBB", 3, 1.0) == FlowObservation(
+        sender="AAA", recipient="BBB", month=3, amount_usd=1.0, split_tag="unassigned")
+
+
 def test_dataset_immutable_under_operations(small_dataset):
     before = fingerprint(small_dataset)
     ctx = SimulationContext(small_dataset)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.months import month_label
-from remitsim.reports import (_BLOCK_ROWS, FormattedRows, columns, flow_rows, fmt_cell,
-                              sequential_sum, write_csv)
+from remitsim.reports import (_BLOCK_ROWS, FormattedRows, columns, distinct_reprs, flow_rows,
+                              fmt_cell, sequential_sum, write_csv)
 
 
 def test_sequential_sum_does_not_compensate():
@@ -40,6 +40,15 @@ def test_float_columns_format_like_fmt_cell(values):
     arr = np.array(values)
     rows = list(columns(arr, repeat("x")))
     assert rows == [(fmt_cell(v), "x") for v in arr]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, 1e-300, float("nan"), float("inf")])
+                | st.floats(), max_size=40).map(lambda v: v + v[::2]))
+def test_distinct_reprs_format_like_columns(values):
+    """Repeated values, -0.0 beside 0.0, NaN and infinities: each cell as columns writes it."""
+    arr = np.array(values, dtype=float)
+    assert list(distinct_reprs(arr)) == [row[0] for row in columns(arr)]
 
 
 def test_flow_rows_write_the_bytes_of_cell_rows(desk_ctx, tmp_path):

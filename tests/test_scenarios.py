@@ -209,10 +209,23 @@ def test_event_attribution_equals_full_grids(desk_dataset, desk_ctx, window):
     empty = 0
     for event in desk_dataset.disasters:
         got = scenarios.attribute_event(ctx, PARAMS, event.event_id)
-        assert dataclasses.asdict(got) == oracles.full_grid_event_attribution(
+        assert got._asdict() == oracles.full_grid_event_attribution(
             ctx, PARAMS, event.event_id)
         empty += not got.months
     assert empty == (0 if window is None else 6)  # two events act in 2016-H2
+
+
+@pytest.mark.parametrize("window", [None, ("2016-07", "2016-12"), ("2012-05", "2013-02")])
+def test_event_attribution_from_the_no_event_grid_is_bit_identical(desk_dataset, window):
+    """Reading the no-event flows from the shared grid gives every field of a
+    fresh evaluation, bit for bit (repr tells -0.0 from 0.0)."""
+    ctx = SimulationContext(desk_dataset) if window is None else SimulationContext(
+        desk_dataset, start=month_index(window[0]), end=month_index(window[1]))
+    no_event = scenarios.event_grids(ctx, PARAMS)[1]
+    for event in desk_dataset.disasters:
+        fresh = scenarios.attribute_event(ctx, PARAMS, event.event_id)
+        shared = scenarios.attribute_event(ctx, PARAMS, event.event_id, no_event=no_event)
+        assert repr(shared) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------
