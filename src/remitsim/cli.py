@@ -16,7 +16,6 @@ import gc
 import json
 import logging
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .calibration import (CalibrationConfig, CalibrationError, calibrate, param_
 from .dataio import ANCHOR_YEARS, Dataset, DataValidationError, FILE_COLUMNS, load_dataset
 from .engine import SimulationContext, probability_profile, scenario_none
 from .months import month_index, month_label, year_of
-from .population import demographics_table, sender_demographics
+from .population import sender_demographics
 from .runconfig import RunConfig, build_config, write_config_file
 
 log = logging.getLogger(__name__)
@@ -99,17 +98,11 @@ def cmd_build_population(config: RunConfig, args) -> int:
 
     pop_path = reports.write_csv(out / "population.csv",
                                  ("origin", "destination", "sex", "age", "month", "count"),
-                                 reports.population_rows(ctx.population, ctx.window_months))
-    demo_rows = [
-        (d.origin, d.destination, month_label(d.month), d.age_symmetry, d.sex_symmetry,
-         d.asymmetry, d.family)
-        for d in demographics_table(ctx.population)
-        if config.start <= d.month <= config.end
-    ]
+                                 reports.population_grid(ctx.population, ctx.window_months))
     demo_path = reports.write_csv(
         out / "demographics.csv",
         ("origin", "destination", "month", "age_symmetry", "sex_symmetry", "asymmetry", "family"),
-        demo_rows)
+        reports.demographics_grid(ctx.population, config.start, config.end))
 
     for year in ANCHOR_YEARS:
         total = reports.sequential_sum(r.count for r in dataset.stocks if r.anchor_year == year)
@@ -167,7 +160,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     months = list(ctx.window_months)
     flows_path = reports.write_csv(
         out / "flows.csv", ("sender", "recipient", "month", "amount_usd", "scenario_id"),
-        reports.flow_rows(ctx.corridors, months, grid, "factual"))
+        reports.flow_grid(ctx.corridors, months, grid, "factual"))
     outputs = [flows_path]
     if config.band_draws:
         from . import flows
@@ -189,14 +182,14 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
 
     result = scenarios.run_counterfactual(ctx, params)
     months = list(result.months)
-    sender, recipient, month = reports.corridor_month_columns(result.corridors, months)
+    labels, index = reports.corridor_month_labels(result.corridors, months)
     induced_path = reports.write_csv(
         out / "induced.csv", ("scenario_id", "sender", "recipient", "month", "amount_usd"),
-        reports.columns(repeat("no_disaster"), sender, recipient, month, result.induced.ravel()))
+        reports.Grid((("no_disaster",), *labels, None), [(0, *index, result.induced.ravel())]))
     cf_path = reports.write_csv(
         out / "flows_counterfactual.csv",
         ("sender", "recipient", "month", "amount_usd", "scenario_id"),
-        reports.flow_rows(result.corridors, months, result.counterfactual, "no_disaster"))
+        reports.flow_grid(result.corridors, months, result.counterfactual, "no_disaster"))
     outputs = [induced_path, cf_path]
 
     for grouping, name in (("income-group", "summary_income_group.csv"),
@@ -323,14 +316,8 @@ def cmd_report(config: RunConfig, args) -> int:
     snapshot_months = [m for m in ctx.window_months if m % 12 == 11] or [config.end]
     profiles = [(origin, month_label(m), *probability_profile(ctx, params, origin, m, cube=cube))
                 for origin in origins for m in snapshot_months]
-    profiles_path = reports.write_csv(
-        out / "profiles.csv",
-        ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
-        # the two sexes of an age share a probability: format each distinct one once
-        reports.concat_rows(reports.columns(repeat(origin), repeat("ALL"), repeat(label), cum,
-                                            reports.distinct_reprs(p))
-                            for origin, label, cum, p in profiles))
-
+    # the sender weights, the command's largest array, come and go before the
+    # profile grid's buffers are allocated
     weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, :, None, :]
     groups = [dataset.income_group[(origin, year_of(m))]
               for origin, _ in ctx.corridors for m in ctx.window_months]
@@ -339,6 +326,13 @@ def cmd_report(config: RunConfig, args) -> int:
          r.share_20_39, r.share_under_40, r.empty)
         for r in sender_demographics(weights.reshape(-1, *ctx.shares.shape), groups)
     ]
+    del weights
+    profiles_path = reports.write_csv(
+        out / "profiles.csv",
+        ("origin", "destination_scope", "month", "cum_population_fraction", "probability"),
+        reports.Grid(([origin for origin, *_ in profiles], ("ALL",),
+                      [label for _, label, *_ in profiles], None, None),
+                     ((i, 0, i, cum, p) for i, (_, _, cum, p) in enumerate(profiles))))
     senders_path = reports.write_csv(
         out / "sender_demographics.csv",
         ("group", "expected_senders", "male_share", "female_share", "mean_age",

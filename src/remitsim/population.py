@@ -18,16 +18,6 @@ PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
 PARENTING_MAX_AGE = 50
 
 
-class DiasporaDemographics(NamedTuple):
-    origin: str
-    destination: str
-    month: int
-    age_symmetry: float
-    sex_symmetry: float
-    asymmetry: float
-    family: float
-
-
 class Population:
     """Cohort counts for every corridor-month, stored as dense arrays.
 
@@ -92,21 +82,6 @@ def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray,
     age_sym = _sym_grid(stocks @ young_frac, stocks @ parenting_frac)
     sex_sym = _sym_grid(stocks[:, :, 0], stocks[:, :, 1])
     return age_sym, sex_sym, 1.0 - sex_sym * age_sym
-
-
-def demographics_table(population: Population) -> list[DiasporaDemographics]:
-    """Per corridor-month demographics; empty corridor-months are omitted."""
-    age_sym, sex_sym, asym = demographics_arrays(population)
-    total = population.stocks.sum(axis=2)
-    out = []
-    for c, (origin, destination) in enumerate(population.corridors):
-        for month in range(population.n_months):
-            if total[c, month] > 0:
-                out.append(DiasporaDemographics(
-                    origin=origin, destination=destination, month=month,
-                    age_symmetry=float(age_sym[c, month]), sex_symmetry=float(sex_sym[c, month]),
-                    asymmetry=float(asym[c, month]), family=float(asym[c, month])))
-    return out
 
 
 class SenderDemographicsRow(NamedTuple):

@@ -6,34 +6,39 @@ so identical runs produce byte-identical files on every Python version.
 :func:`write_csv` is the one CSV writer, and writes the bytes of
 ``csv.writer``. Small reports pass it rows of values, formatted cell by
 cell by :func:`fmt_cell` and written by ``csv.writer``. The large grids
-(flows, induced flows, profiles, population) pass :class:`FormattedRows`
-that :func:`columns` builds column by column, one ``repr`` pass over each
-float array, which gives the same strings; they are streamed in blocks of
-comma-joined lines, and a block whose text shows a cell that
-``csv.writer`` would quote goes through ``csv.writer``. Manifests carry
-content hashes of every input and output, the seed, and the package
-version; they contain no timestamps.
+(flows, induced flows, profiles, population, demographics) pass a
+:class:`Grid` of columns. Its float columns are formatted by
+:func:`remitsim.floattext.repr_bytes` into the bytes of ``repr``, and its
+string columns are small tables of distinct strings with an index per row;
+the columns are joined block by block into the bytes ``csv.writer`` writes.
+A grid holding a string that ``csv.writer`` would quote, an empty one or
+a NUL is written by ``csv.writer`` instead. Manifests carry content hashes
+of every input and output, the seed, and the package version; they contain
+no timestamps.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-from itertools import chain, cycle, islice, repeat
+import re
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .months import month_label
-from .population import Population
+from .population import Population, demographics_arrays
 
-# Rows joined into one string before it is written. A block's row tuples
-# are alive together; past about 2,000 of them (CPython's tuple free list)
-# each new one counts toward a garbage collection, and 8,192-row blocks
-# made the grid writers about a quarter slower.
-_BLOCK_ROWS = 1024
+# Rows formatted and written at once: enough to spread numpy's per-call cost,
+# few enough that a block's matrices stay under a megabyte.
+GRID_BLOCK_ROWS = 8192
+
+# A label that csv.writer quotes (a comma, a quote, a line end; a CR from
+# Python 3.13), an empty one (csv.writer writes a row of one empty cell as ""),
+# or one holding a NUL, the padding of the grid writer's matrices.
+_NOT_PLAIN = re.compile('[,"\r\n\0]|^$')
 
 
 def fmt_cell(value) -> str:
@@ -58,81 +63,79 @@ def sequential_sum(values: Iterable[float] | np.ndarray) -> float:
     return 0.0 + float(np.add.accumulate(arr)[-1])  # 0.0 + x turns -0.0 into 0.0, as sum does
 
 
-class FormattedRows:
-    """Lazy rows whose cells are strings already; :func:`write_csv` writes them as they are."""
+class Grid(NamedTuple):
+    """CSV rows given column by column, for :func:`write_csv`.
 
-    def __init__(self, rows: Iterable[tuple[str, ...]]):
-        self._rows = rows
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self._rows)
-
-
-def columns(*cols: Iterable[str] | np.ndarray) -> FormattedRows:
-    """Rows of formatted cells, built column by column.
-
-    Each column is a 1-D float array, whose values are formatted as
-    :func:`fmt_cell` formats a float, or an iterable of strings; rows end
-    with the shortest column.
+    ``labels[j]`` holds the strings of column ``j``, and its cells are
+    indices into them; a column whose ``labels`` are None holds floats,
+    written as ``repr`` writes them. Each of ``parts`` holds one array per
+    column, all of one length, or an int in place of the index array of a
+    column that repeats one label down the part. Parts are written one
+    after another, each built only when it is reached.
     """
-    return FormattedRows(zip(*(map(repr, c.tolist()) if isinstance(c, np.ndarray) else c
-                               for c in cols)))
+    labels: tuple[Sequence[str] | None, ...]
+    parts: Iterable[tuple[np.ndarray | int, ...]]
+
+    def cells(self) -> Iterator[list]:
+        """The rows of the grid as lists of cell values, as :func:`fmt_cell` takes them."""
+        for part in self.parts:
+            n = max(len(col) for col in part if np.ndim(col))
+            cols = [col.tolist() if names is None else
+                    [names[col]] * n if np.ndim(col) == 0 else [names[i] for i in col.tolist()]
+                    for names, col in zip(self.labels, part)]
+            yield from map(list, zip(*cols))
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The bytes ``csv.writer`` writes for the rows of the grid, when it quotes
+        none of its labels, as ``uint8`` arrays of at most ``GRID_BLOCK_ROWS`` rows."""
+        from .floattext import repr_bytes
+        ends = [b","] * (len(self.labels) - 1) + [b"\n"]
+        # a label's bytes end in the comma or newline after it
+        tables = [None if names is None else _label_bytes(names, end)
+                  for names, end in zip(self.labels, ends)]
+        for part in self.parts:
+            n = max(len(col) for col in part if np.ndim(col))
+            for start in range(0, n, GRID_BLOCK_ROWS):
+                rows = slice(start, min(start + GRID_BLOCK_ROWS, n))
+                size = rows.stop - start
+                fields = []
+                for table, col, end in zip(tables, part, ends):
+                    if table is None:
+                        fields += [repr_bytes(col[rows]),
+                                   np.broadcast_to(np.frombuffer(end, np.uint8), (size, 1))]
+                    elif np.ndim(col) == 0:
+                        fields.append(np.broadcast_to(table[col], (size, table.shape[1])))
+                    else:
+                        fields.append(table.take(col[rows], axis=0))
+                text = np.concatenate(fields, axis=1).ravel()
+                yield text[text != 0]
 
 
-def distinct_reprs(values: np.ndarray) -> Iterator[str]:
-    """The cells of the float array ``values`` as :func:`columns` formats them,
-    each distinct value formatted once: for a column that repeats its values.
-    Values are distinct by their bits, so -0.0 and 0.0 keep their own cells."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
-                              return_inverse=True)
-    return map(list(map(repr, bits.view(float).tolist())).__getitem__, inverse.tolist())
+def _label_bytes(names: Sequence[str], end: bytes) -> np.ndarray:
+    """The UTF-8 bytes of ``names``, each followed by ``end``, one NUL-padded row each."""
+    encoded = [name.encode("utf-8") + end for name in names]
+    width = max(map(len, encoded), default=1)
+    return np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
 
 
-def concat_rows(blocks: Iterable[FormattedRows]) -> FormattedRows:
-    """The rows of ``blocks`` one after another; each block is built when it is reached."""
-    return FormattedRows(chain.from_iterable(blocks))
-
-
-def _repeat_each(values: Iterable[str], times: int) -> Iterator[str]:
-    """Each of ``values`` ``times`` times in a row: a column over row blocks."""
-    return chain.from_iterable(repeat(v, times) for v in values)
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence] | Grid) -> Path:
     """Write ``header`` and ``rows`` as ``csv.writer`` would. Cells are formatted
-    by :func:`fmt_cell`, except in :class:`FormattedRows`, which hold strings
-    already and are written block by block as joined lines (:func:`_write_lines`)."""
+    by :func:`fmt_cell`; a :class:`Grid` is written block by block as bytes
+    (:meth:`Grid.blocks`), unless one of its labels is not plain text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, FormattedRows):
-            _write_lines(fh, writer, iter(rows))
+        if isinstance(rows, Grid) and not any(map(_NOT_PLAIN.search, {
+                name for names in rows.labels if names is not None for name in names})):
+            fh.flush()
+            for block in rows.blocks():
+                fh.buffer.write(block)
         else:
-            writer.writerows([fmt_cell(v) for v in row] for row in rows)
+            writer.writerows([fmt_cell(v) for v in row] for row in
+                             (rows.cells() if isinstance(rows, Grid) else rows))
     return path
-
-
-def _write_lines(fh, writer, rows: Iterator[tuple[str, ...]]) -> None:
-    """Write ``rows`` in blocks of ``_BLOCK_ROWS``, each as its cells joined by
-    commas and its rows ended by newlines, when that is what ``writer`` writes.
-
-    The writer quotes a cell that holds a comma, a quote or a newline (from
-    Python 3.13 a CR too), and writes a row of one empty cell as ``""``. A
-    block's joined text shows neither when its commas number exactly the
-    cells minus the rows (no cell holds one, and no row is empty), its
-    newlines the rows, it holds no quote or CR, and it has no empty line. Any
-    other block goes through ``writer``.
-    """
-    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        text = "\n".join(map(",".join, block)) + "\n"
-        if (text.count(",") == sum(map(len, block)) - len(block)
-                and text.count("\n") == len(block) and '"' not in text and "\r" not in text
-                and not text.startswith("\n") and "\n\n" not in text):
-            fh.write(text)
-        else:
-            writer.writerows(block)
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
@@ -162,33 +165,46 @@ def write_manifest(output_dir: str | Path, command: str, config_echo: dict,
     return write_json(Path(output_dir) / f"manifest-{command}.json", payload)
 
 
-def corridor_month_columns(corridors: Sequence[tuple[str, str]], months: Sequence[int]
-                           ) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
-    """Sender, recipient and month-label columns of the (corridor, month) cells
-    in C order; each month label is formatted once."""
-    n = len(months)
-    return (_repeat_each((dest for _, dest in corridors), n),
-            _repeat_each((origin for origin, _ in corridors), n),
-            cycle([month_label(m) for m in months]))
+def corridor_month_labels(corridors: Sequence[tuple[str, str]], months: Sequence[int]
+                          ) -> tuple[tuple[list[str], ...], tuple[np.ndarray, ...]]:
+    """Grid labels and index arrays of the sender, recipient and month-label
+    columns of the (corridor, month) cells in C order."""
+    corridor = np.repeat(np.arange(len(corridors)), len(months))
+    month = np.tile(np.arange(len(months)), len(corridors))
+    return (([dest for _, dest in corridors], [origin for origin, _ in corridors],
+             [month_label(m) for m in months]), (corridor, corridor, month))
 
 
-def flow_rows(corridors: Sequence[tuple[str, str]], months: Sequence[int], flows,
-              scenario_id: str) -> FormattedRows:
-    """Formatted (sender, recipient, month, amount_usd, scenario_id) rows;
-    ``flows`` is (n_corridors, n_months) aligned with corridors x months."""
-    sender, recipient, month = corridor_month_columns(corridors, months)
-    return columns(sender, recipient, month, np.asarray(flows, dtype=float).ravel(),
-                   repeat(scenario_id))
+def flow_grid(corridors: Sequence[tuple[str, str]], months: Sequence[int], flows,
+              scenario_id: str) -> Grid:
+    """(sender, recipient, month, amount_usd, scenario_id) rows; ``flows`` is
+    (n_corridors, n_months) aligned with corridors x months."""
+    labels, index = corridor_month_labels(corridors, months)
+    return Grid((*labels, None, (scenario_id,)),
+                [(*index, np.asarray(flows, dtype=float).ravel(), 0)])
 
 
-def population_rows(population: Population, months: Sequence[int]) -> FormattedRows:
+def population_grid(population: Population, months: Sequence[int]) -> Grid:
     """(origin, destination, sex, age, month, count) rows of ``months`` for the
-    cohorts with a nonzero age share, built one corridor at a time."""
+    cohorts with a nonzero age share, one part per corridor."""
     months = list(months)
     cohorts = population.cohorts()
-    sexes = [sex for sex, _ in cohorts]
-    ages = [str(age) for _, age in cohorts]
-    labels = [month_label(m) for m in months for _ in cohorts]
-    return concat_rows(columns(repeat(origin), repeat(destination), cycle(sexes), cycle(ages),
-                               labels, population.cohort_counts(c, months).ravel())
-                       for c, (origin, destination) in enumerate(population.corridors))
+    cohort = np.tile(np.arange(len(cohorts)), len(months))
+    month = np.repeat(np.arange(len(months)), len(cohorts))
+    labels = ([o for o, _ in population.corridors], [d for _, d in population.corridors],
+              [sex for sex, _ in cohorts], [str(age) for _, age in cohorts],
+              [month_label(m) for m in months], None)
+    return Grid(labels, ((c, c, cohort, cohort, month, population.cohort_counts(c, months).ravel())
+                         for c in range(len(population.corridors))))
+
+
+def demographics_grid(population: Population, start: int, end: int) -> Grid:
+    """(origin, destination, month, age_symmetry, sex_symmetry, asymmetry,
+    family) rows of the populated corridor-months from ``start`` to ``end``;
+    the family proxy is the asymmetry."""
+    age_sym, sex_sym, asym = demographics_arrays(population)
+    months = np.arange(population.n_months)
+    c, m = np.nonzero((population.stocks.sum(axis=2) > 0) & (months >= start) & (months <= end))
+    labels = ([o for o, _ in population.corridors], [d for _, d in population.corridors],
+              [month_label(i) for i in range(population.n_months)], None, None, None, None)
+    return Grid(labels, [(c, c, m, age_sym[c, m], sex_sym[c, m], asym[c, m], asym[c, m])])

@@ -22,7 +22,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
 from remitsim.dataio import (ANCHOR_YEARS, HAZARDS, N_AGES, SEXES, Dataset, DataValidationError,
                              DisasterEvent, FlowObservation, MigrantStockRecord, _serialize_tables)
 from remitsim.months import WINDOW_MONTHS, month_label, year_of
-from remitsim.population import (PARENTING_MAX_AGE, YOUNG_MAX_AGE, DiasporaDemographics,
-                                 Population)
+from remitsim.population import PARENTING_MAX_AGE, YOUNG_MAX_AGE, Population
 from remitsim.reports import sequential_sum
 
 log = logging.getLogger(__name__)
@@ -106,6 +105,16 @@ def sex_symmetry(cohorts: Iterable[MigrantCohort]) -> float:
         else:
             female += c.count
     return _symmetry(male, female)
+
+
+class DiasporaDemographics(NamedTuple):
+    origin: str
+    destination: str
+    month: int
+    age_symmetry: float
+    sex_symmetry: float
+    asymmetry: float
+    family: float
 
 
 def family_probability(cohorts: Sequence[MigrantCohort]) -> DiasporaDemographics | None:

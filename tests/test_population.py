@@ -1,6 +1,9 @@
 """Cohort allocation, pyramid symmetries, and sender demographics."""
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,8 @@ from oracles import MigrantCohort, age_symmetry, family_probability, sex_symmetr
 from remitsim.dataio import N_AGES, SEXES, interpolate_stocks_monthly
 from remitsim.months import month_label, year_of
 from remitsim.population import (Population, build_population, demographics_arrays,
-                                 demographics_table, sender_demographics)
-from remitsim.reports import population_rows
+                                 sender_demographics)
+from remitsim.reports import demographics_grid, fmt_cell, population_grid
 
 
 def _cohort(count, *, sex="male", age=30, origin="AAA", dest="BBB", month=0):
@@ -188,11 +191,27 @@ def test_vectorized_demographics_match_scalar(desk_dataset):
         assert asym[c, m] == pytest.approx(demo.asymmetry, rel=1e-9)
 
 
-def test_demographics_table_omits_empty(small_dataset):
+def test_demographics_grid_omits_empty_and_keeps_the_window(small_dataset):
     pop = build_population(small_dataset)
-    rows = demographics_table(pop)
+    rows = list(demographics_grid(pop, 0, pop.n_months - 1).cells())
     assert len(rows) == 2 * 120  # both corridors populated every month
-    assert all(0.0 <= r.family <= 1.0 for r in rows)
+    assert all(0.0 <= r[6] <= 1.0 for r in rows)
+    empty = Population(pop.corridors, pop.stocks.copy(), pop.shares)
+    empty.stocks[1, 5:] = 0.0
+    rows = list(demographics_grid(empty, 3, 9).cells())
+    assert [(r[1], r[2]) for r in rows] == [
+        *((pop.corridors[0][1], month_label(m)) for m in range(3, 10)),
+        *((pop.corridors[1][1], month_label(m)) for m in range(3, 5))]
+
+
+def test_demographics_grid_equals_cell_by_cell_rows(desk_dataset):
+    pop = build_population(desk_dataset)
+    age_sym, sex_sym, asym = demographics_arrays(pop)
+    want = [[origin, dest, month_label(m), float(age_sym[c, m]), float(sex_sym[c, m]),
+             float(asym[c, m]), float(asym[c, m])]
+            for c, (origin, dest) in enumerate(pop.corridors) for m in range(24, 60)
+            if pop.stocks[c, m].sum() > 0]
+    assert list(demographics_grid(pop, 24, 59).cells()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +273,7 @@ def _income_dataset():
     return Stub()
 
 
-def test_population_rows_equal_cell_by_cell_rows(desk_dataset):
+def test_population_grid_equals_cell_by_cell_rows(desk_dataset):
     pop = build_population(desk_dataset)
     months = [59, 60, 119]
     want = []
@@ -265,4 +284,7 @@ def test_population_rows_equal_cell_by_cell_rows(desk_dataset):
                     count = pop.stocks[c, month, s] * pop.shares[sex][age]
                     want.append((origin, destination, sex, str(age), month_label(month),
                                  repr(float(count))))
-    assert list(population_rows(pop, months)) == want
+    assert [tuple(fmt_cell(v) for v in row) for row in population_grid(pop, months).cells()] == want
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerows(want)
+    assert b"".join(population_grid(pop, months).blocks()) == buffer.getvalue().encode()

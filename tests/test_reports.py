@@ -1,20 +1,19 @@
-"""Output formatting and sums: column-formatted rows, their CSV bytes, and in-order float sums."""
+"""Output formatting and sums: grids written as the bytes of csv.writer, and in-order float sums."""
 from __future__ import annotations
 
 import csv
 import io
 import math
-from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remitsim import reports
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.months import month_label
-from remitsim.reports import (_BLOCK_ROWS, FormattedRows, columns, distinct_reprs, flow_rows,
-                              fmt_cell, sequential_sum, write_csv)
+from remitsim.reports import Grid, flow_grid, fmt_cell, sequential_sum, write_csv
 
 
 def test_sequential_sum_does_not_compensate():
@@ -34,24 +33,7 @@ def test_sequential_sum_is_a_left_fold(values):
     assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=20))
-def test_float_columns_format_like_fmt_cell(values):
-    arr = np.array(values)
-    rows = list(columns(arr, repeat("x")))
-    assert rows == [(fmt_cell(v), "x") for v in arr]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, 1e-300, float("nan"), float("inf")])
-                | st.floats(), max_size=40).map(lambda v: v + v[::2]))
-def test_distinct_reprs_format_like_columns(values):
-    """Repeated values, -0.0 beside 0.0, NaN and infinities: each cell as columns writes it."""
-    arr = np.array(values, dtype=float)
-    assert list(distinct_reprs(arr)) == [row[0] for row in columns(arr)]
-
-
-def test_flow_rows_write_the_bytes_of_cell_rows(desk_ctx, tmp_path):
+def test_flow_grid_writes_the_bytes_of_cell_rows(desk_ctx, tmp_path):
     months = list(range(70, 80))
     grid = desk_ctx.expected_flows(REFERENCE_PARAMS)[:, 70:80]
     header = ("sender", "recipient", "month", "amount_usd", "scenario_id")
@@ -60,57 +42,85 @@ def test_flow_rows_write_the_bytes_of_cell_rows(desk_ctx, tmp_path):
              for mi, m in enumerate(months)]
     by_cell = write_csv(tmp_path / "cells.csv", header, cells)
     by_column = write_csv(tmp_path / "columns.csv", header,
-                          flow_rows(desk_ctx.corridors, months, grid, "factual"))
+                          flow_grid(desk_ctx.corridors, months, grid, "factual"))
     assert by_cell.read_bytes() == by_column.read_bytes()
 
 
 # ---------------------------------------------------------------------------
-# Formatted rows are written as csv.writer writes them
+# Grids are written as csv.writer writes their cells
 
-AWKWARD = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", " leading", repr(-0.0), repr(1e-05),
-           repr(1e+16), "plain"]
+AWKWARD = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", " leading", "nul\0here", repr(-0.0),
+           repr(1e-05), repr(1e+16), "plain"]
+ODD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.5e-310, 1e-05,
+              1e16, 0.1]
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([fmt_cell(v) for v in row] for row in rows)
     return buffer.getvalue().encode("utf-8")
 
 
-def _formatted_bytes(tmp_path, header, rows) -> bytes:
-    return write_csv(tmp_path / "out.csv", header, FormattedRows(iter(rows))).read_bytes()
+def _grid_and_rows(names, index, values):
+    """A (label, float, constant label) grid and its rows of cell values."""
+    grid = Grid((names, None, ("k",)), [(np.asarray(index), np.asarray(values, dtype=float), 0)])
+    rows = [(names[i], float(v), "k") for i, v in zip(index, values)]
+    return grid, rows
 
 
-@pytest.mark.parametrize("rows", [
-    [(cell, "x", cell) for cell in AWKWARD],
-    [("a", "b", "c"), ("d,e", "f")],  # commas total rows x (columns - 1); one sits in a cell
-    [("a", "b", "c"), ("",)],  # one empty cell: csv.writer writes ""
-    [("",), ("a", "b", "c")],
-    [("a", "b", "c"), (), (" ",), ("1e+16", "-0.0", "x")],
-], ids=["awkward", "comma-in-short-row", "empty-cell-last", "empty-cell-first", "ragged"])
-def test_awkward_cells_write_the_bytes_of_csv_writer(tmp_path, rows):
-    header = ("a", "b", "c")
-    assert _formatted_bytes(tmp_path, header, rows) == _csv_writer_bytes(header, rows)
+def _grid_bytes(tmp_path, header, grid) -> bytes:
+    return write_csv(tmp_path / "grid.csv", header, grid).read_bytes()
 
 
-@pytest.mark.parametrize("cell", AWKWARD)
-@pytest.mark.parametrize("at", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 2])
-def test_awkward_row_at_a_block_boundary(tmp_path, cell, at):
-    rows = [(str(i), repr(i / 7)) for i in range(2 * _BLOCK_ROWS + 3)]
-    rows[at] = (cell, cell)
-    assert _formatted_bytes(tmp_path, ("i", "v"), rows) == _csv_writer_bytes(("i", "v"), rows)
-    # a single-cell row of an empty string is written as "" by csv.writer
-    rows[at] = ("",)
-    assert _formatted_bytes(tmp_path, ("i", "v"), rows) == _csv_writer_bytes(("i", "v"), rows)
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
+def test_block_edges(tmp_path, monkeypatch, size):
+    """Grids of B - 1, B, B + 1 and 2B + 1 rows for blocks of B = 8 rows, in one part or two."""
+    monkeypatch.setattr(reports, "GRID_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(size)
+    names = ["DNA", "OGB", "x"]
+    index = rng.integers(0, len(names), size)
+    values = rng.lognormal(5, 6, size) * rng.choice([-1.0, 1.0], size)
+    grid, rows = _grid_and_rows(names, index.tolist(), values)
+    header = ("name", "value", "const")
+    want = _csv_writer_bytes(header, rows)
+    assert b"".join(grid.blocks()) == want.split(b"\n", 1)[1]
+    assert _grid_bytes(tmp_path, header, grid) == want
+    halves = Grid(grid.labels, [(index[:size // 2], values[:size // 2], 0),
+                                (index[size // 2:], values[size // 2:], 0)])
+    assert _grid_bytes(tmp_path, header, halves) == _csv_writer_bytes(header, rows)
+
+
+@pytest.mark.parametrize("name", AWKWARD)
+@pytest.mark.parametrize("at", [0, 7, 8, 18])
+def test_awkward_label_at_a_block_edge(tmp_path, monkeypatch, name, at):
+    """A label that csv.writer quotes, or writes as "", in any one row of any
+    block, sends the whole grid through csv.writer."""
+    monkeypatch.setattr(reports, "GRID_BLOCK_ROWS", 8)
+    index = [0] * 19
+    index[at] = 1
+    grid, rows = _grid_and_rows(["plain", name], index, [i / 7 for i in range(19)])
+    header = ("name", "value", "const")
+    assert _grid_bytes(tmp_path, header, grid) == _csv_writer_bytes(header, rows)
+
+
+def test_non_ascii_labels_and_odd_floats(tmp_path):
+    names = ["Côte d'Ivoire", "São Tomé", "日本"]
+    index = [i % 3 for i in range(len(ODD_FLOATS))]
+    grid, rows = _grid_and_rows(names, index, ODD_FLOATS)
+    header = ("name", "value", "const")
+    want = _csv_writer_bytes(header, rows)
+    assert b"".join(grid.blocks()) == want.split(b"\n", 1)[1]
+    assert _grid_bytes(tmp_path, header, grid) == want
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.text(alphabet=' ,"\r\nab-0.e+', max_size=4), max_size=4),
-                max_size=12))
-def test_drawn_rows_write_the_bytes_of_csv_writer(tmp_path_factory, rows):
-    rows = [tuple(row) for row in rows]
+@given(st.lists(st.text(alphabet=' ,"\r\nab\0é-0.e+', max_size=4), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.floats()), max_size=12))
+def test_drawn_grids_write_the_bytes_of_csv_writer(tmp_path_factory, names, cells):
+    index = [i % len(names) for i, _ in cells]
+    grid, rows = _grid_and_rows(names, index, [v for _, v in cells])
     path = tmp_path_factory.mktemp("drawn") / "out.csv"
-    assert write_csv(path, ("h",), FormattedRows(rows)).read_bytes() == _csv_writer_bytes(("h",),
-                                                                                         rows)
+    assert write_csv(path, ("h", "v", "k"), grid).read_bytes() == _csv_writer_bytes(("h", "v", "k"),
+                                                                                     rows)
