@@ -1,11 +1,14 @@
 """The float-to-text kernel against ``repr``, value by value."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remitsim import floattext
 from remitsim.floattext import repr_bytes
 
 # a numpy scalar that overflows warns, and numpy 1.x warns of conversions that NEP 50
@@ -83,3 +86,75 @@ def test_grid_like_values():
 def test_empty_and_single():
     assert repr_bytes(np.array([])).shape[0] == 0
     assert _texts([0.1]) == ["0.1"]
+
+
+# ---------------------------------------------------------------------------
+# The limb arithmetic, against Python integers
+
+_LIMB = 2**64
+# limbs where carries and borrows start or stop: 0, 1, the top bit, all ones
+_EDGE_LIMBS = [0, 1, 2, 2**32 - 1, 2**32, 2**63 - 1, 2**63, _LIMB - 2, _LIMB - 1]
+_limbs = st.one_of(st.sampled_from(_EDGE_LIMBS), st.integers(0, _LIMB - 1))
+
+
+def _value(*limbs) -> int:
+    return sum(int(limb) << 64 * i for i, limb in enumerate(reversed(limbs)))
+
+
+def _arrays(*limbs) -> list[np.ndarray]:
+    return [np.array([limb], dtype=np.uint64) for limb in limbs]
+
+
+def _high_limbs(a, b, op) -> tuple[int, int]:
+    """The two high limbs of ``op(a, b)`` for three-limb ``a`` and ``b``, modulo 2**192."""
+    r = op(_value(*a), _value(*b)) % _LIMB**3
+    return r >> 128, (r >> 64) % _LIMB
+
+
+# a1 == b1 with a0 < b0 borrows through a middle limb of 0; r1 == 2**64 - 1
+# with a carry out of the low limb carries through to the high limb
+_CRAFTED = [((5, 7, 1), (2, 7, 2)), ((5, 0, 0), (2, 0, 1)), ((1, _LIMB - 1, _LIMB - 1), (0, 0, 1)),
+            ((0, _LIMB - 2, _LIMB - 1), (0, 1, 1)), ((0, _LIMB - 1, 0), (0, 0, _LIMB - 1)),
+            ((3, 2**63, 2**63), (4, 2**63, 2**63)), ((0, 0, 0), (0, 0, 1))]
+
+
+def _assert_add_and_sub(a, b):
+    got_add = floattext._add(*_arrays(*a), *_arrays(*b))
+    got_sub = floattext._sub(*_arrays(*a), *_arrays(*b))
+    assert tuple(int(limb[0]) for limb in got_add) == _high_limbs(a, b, int.__add__)
+    assert tuple(int(limb[0]) for limb in got_sub) == _high_limbs(a, b, int.__sub__)
+
+
+@pytest.mark.parametrize("a, b", _CRAFTED + [(b, a) for a, b in _CRAFTED])
+def test_add_and_sub_carry_and_borrow(a, b):
+    _assert_add_and_sub(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_limbs, _limbs, _limbs), st.tuples(_limbs, _limbs, _limbs))
+def test_drawn_add_and_sub(a, b):
+    _assert_add_and_sub(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_limbs, st.integers(0, 2**59 - 1) | st.sampled_from([0, 2**59 - 1, 2**32 - 1, 2**32]))
+def test_mul_gives_the_128_bit_product(a, b):
+    """``_mul`` takes b as 32-bit limbs, the high one below 2**27."""
+    high, low = floattext._mul(*_arrays(a, b >> 32, b % 2**32))
+    assert (int(high[0]), int(low[0])) == divmod(a * b, _LIMB)
+
+
+def test_g_is_floor_plus_one_over_every_exponent():
+    """g = floor(10**-k * 2**-r) + 1 with r = floor(log2 10**-k) - 125, for
+    every k of the table, also where 10**-k * 2**-r is an integer, so that
+    floor + 1 is not its ceiling."""
+    for k in range(floattext._K_MIN, floattext._K_MIN + floattext._K_COUNT):
+        scale = Fraction(10)**-k
+        log2 = scale.numerator.bit_length() - scale.denominator.bit_length()
+        log2 -= Fraction(2)**log2 > scale
+        r = log2 - 125
+        exact = scale / Fraction(2)**r
+        want = exact.numerator // exact.denominator + 1
+        high, low = floattext._g(k)
+        assert 2**125 < want <= 2**126, k
+        assert high * _LIMB + low == want, k

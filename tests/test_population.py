@@ -212,6 +212,9 @@ def test_demographics_grid_equals_cell_by_cell_rows(desk_dataset):
             for c, (origin, dest) in enumerate(pop.corridors) for m in range(24, 60)
             if pop.stocks[c, m].sum() > 0]
     assert list(demographics_grid(pop, 24, 59).cells()) == want
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerows([fmt_cell(v) for v in row] for row in want)
+    assert b"".join(demographics_grid(pop, 24, 59).blocks()) == buffer.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
