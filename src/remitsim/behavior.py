@@ -5,7 +5,8 @@ family proxy, the GDP gap between destination and origin, the origin's
 normalized income level, and any active disaster effects. The score maps to
 a monthly sending probability through a logistic; cohorts with no earnings
 surplus never remit. :mod:`engine` evaluates the score and the logistic over
-arrays; this module holds the parameters and the GDP covariates.
+arrays; this module holds the parameters, the GDP covariates and the error
+that a failed fit of the parameters raises.
 """
 from __future__ import annotations
 
@@ -53,6 +54,14 @@ REFERENCE_PARAMS = BehaviorParams(
 )
 
 PARAM_NAMES = ("alpha", "beta0", "beta1", "beta2", "beta3", "height", "shape", "shift", "rho")
+
+
+class CalibrationError(RuntimeError):
+    """All optimizer starts diverged or calibration could not run.
+
+    It lives here, beside the parameters that calibration fits, so that the
+    CLI can catch it without importing :mod:`calibration`.
+    """
 
 
 def delta_gdp(gdp_dest, gdp_origin, *, clamp: bool = False) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .behavior import BehaviorParams, PARAM_NAMES
+from .behavior import BehaviorParams, CalibrationError, PARAM_NAMES
 from .dataio import Dataset, FlowObservation, Panel, as_panel
 from .engine import SimulationContext, as_context
 from .months import month_label
@@ -27,10 +27,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_INIT = BehaviorParams(alpha=0.0, beta0=0.0, beta1=0.0, beta2=0.0, beta3=0.0,
                               height=0.1, shape=0.1, shift=0.0, rho=0.1)
-
-
-class CalibrationError(RuntimeError):
-    """All optimizer starts diverged or calibration could not run."""
 
 
 class CalibrationConfig(NamedTuple):
@@ -93,7 +89,7 @@ def split_panel(panel: Panel | Sequence[FlowObservation], fraction: float = 0.8,
     perm = np.random.default_rng(seed).permutation(n)
     tags = np.full(n, "test", dtype=object)
     tags[perm[:n_train]] = "train"
-    return dataclasses.replace(panel, split_tag=tags)
+    return panel.replace(split_tag=tags)
 
 
 def align_panel(panel: Panel | Sequence[FlowObservation], ctx: SimulationContext) -> PanelSlice:

@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 data or configuration errors, 3 calibration
 failure, 4 missing upstream artifacts (e.g. calibration.json).
 
 Every process runs one command, and compiles the modules it imports, so
-``scenarios``, ``baseline``, ``fixtures`` and ``flows`` are imported inside
-the commands that call them: ``simulate`` without bands, ``report`` and
-``calibrate`` load none of them.
+``calibration``, ``scenarios``, ``baseline``, ``fixtures`` and ``flows`` are
+imported inside the commands that call them: ``simulate`` without bands and
+``report`` load none of them, and ``calibrate`` loads only ``calibration``.
 """
 from __future__ import annotations
 
@@ -21,9 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .behavior import BehaviorParams
-from .calibration import (CalibrationConfig, CalibrationError, calibrate, param_confidence,
-                          split_panel)
+from .behavior import BehaviorParams, CalibrationError
 from .dataio import ANCHOR_YEARS, Dataset, DataValidationError, FILE_COLUMNS, load_dataset
 from .engine import SimulationContext, probability_profile, scenario_none
 from .months import month_index, month_label, year_of
@@ -105,7 +103,7 @@ def cmd_build_population(config: RunConfig, args) -> int:
         reports.demographics_grid(ctx.population, config.start, config.end))
 
     for year in ANCHOR_YEARS:
-        total = reports.sequential_sum(r.count for r in dataset.stocks if r.anchor_year == year)
+        total = reports.sequential_sum(dataset.stocks.count[dataset.stocks.anchor_year == year])
         print(f"total stock {year}: {total}")
     print(f"population rows: months {month_label(config.start)}..{month_label(config.end)}")
     reports.write_manifest(out, "build-population", config.echo(), _input_paths(config),
@@ -113,7 +111,14 @@ def cmd_build_population(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def calibrate(ctx: SimulationContext, panel, config):
+    """:func:`remitsim.calibration.calibrate`, its module imported on the first call."""
+    from .calibration import calibrate
+    return calibrate(ctx, panel, config)
+
+
 def cmd_calibrate(config: RunConfig, args) -> int:
+    from .calibration import CalibrationConfig, param_confidence, split_panel
     dataset = load_dataset(config.data_dir)
     ctx = _context(dataset, config)
     panel = split_panel(dataset.panel, config.split_fraction, config.effective_split_seed)

@@ -20,15 +20,16 @@ their spelling. The first bad row is the least row of any mask, and the
 message is that of the first rule it breaks, in schema order. Quote-free
 text is split at newlines and commas; text with a quote or a carriage return
 goes through the CSV reader into the same columns. The returned
-:class:`Dataset` is immutable; its panel is held as read-only columns
-(:class:`Panel`), built straight from the checked columns, with no record
-per observation.
+:class:`Dataset` is immutable; its stock table and its panel are held as
+read-only columns (:class:`Stocks`, :class:`Panel`), built from the keys of
+the checked columns, with no record per row.
 """
 from __future__ import annotations
 
 import codecs
 import csv
 import io
+import itertools
 import math
 import operator
 import re
@@ -102,19 +103,80 @@ class FlowObservation(NamedTuple):
     split_tag: str = "unassigned"
 
 
-_CODE_FIELDS = ("sender", "recipient")
+class _Columns:
+    """A table as read-only columns, in input order: a sequence of records.
+
+    A table holds ``codes`` and then one column per field of its record, in
+    field order. A column of labels (country codes, sexes) holds each row's
+    index in the tuple of labels that :meth:`_labels` gives it. Iterating or
+    indexing with an int yields records, while indexing with a slice, a mask
+    or an index array gives a table of the same kind. Tables are equal when
+    their records are. Attributes cannot be set.
+    """
+
+    _COLUMNS: tuple[str, ...]  # the record's fields
+
+    def __init__(self, codes: tuple[str, ...], *columns: np.ndarray):
+        for column in columns:
+            column.flags.writeable = False
+        self.__dict__.update(codes=codes, **dict(zip(self._COLUMNS, columns, strict=True)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def replace(self, **columns: np.ndarray) -> _Columns:
+        """This table with the named ``columns`` replaced."""
+        return type(self)(self.codes, *(columns.get(name, getattr(self, name))
+                                        for name in self._COLUMNS))
+
+    def _labels(self) -> Mapping[str, tuple[str, ...]]:
+        """The label columns, each with the labels it indexes."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._COLUMNS[0]))
+
+    def _columns(self) -> list[Iterator]:
+        """Each column's values, labels as text."""
+        labels = self._labels()
+        return [map(labels[name].__getitem__, getattr(self, name).tolist()) if name in labels
+                else iter(getattr(self, name).tolist()) for name in self._COLUMNS]
+
+    def __getitem__(self, which):
+        if isinstance(which, (int, np.integer)):
+            return next(iter(self[[which]]))
+        return type(self)(self.codes, *(getattr(self, name)[which] for name in self._COLUMNS))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
-@dataclass(frozen=True, eq=False)
-class Panel:
+def _as_table(kind: type, table) -> _Columns:
+    """``table`` itself if it is a ``kind``, else a ``kind`` of its records."""
+    if isinstance(table, kind):
+        return table
+    records = tuple(table)
+    return kind.from_columns(*(zip(*records) if records else [()] * len(kind._COLUMNS)))
+
+
+def _indices(labels: Sequence[str], column: Sequence[str]) -> np.ndarray:
+    """Each value of ``column``'s index in ``labels``."""
+    index = {label: i for i, label in enumerate(labels)}.__getitem__
+    return np.fromiter(map(index, column), np.intp, len(column))
+
+
+class Panel(_Columns):
     """Flow observations as read-only columns, in input order.
 
     ``sender`` and ``recipient`` index ``codes``, the sorted country codes,
     so ordering by code index orders by code. ``month`` counts months since
     2010-01; ``split_tag`` is an object array of a few shared strings. A
-    panel is a sequence of :class:`FlowObservation`: iterating or indexing
-    with an int yields records, while indexing with a slice, a mask or an
-    index array gives a Panel. Panels are equal when their observations are.
+    panel is a sequence of :class:`FlowObservation` records.
     """
 
     codes: tuple[str, ...]
@@ -124,55 +186,21 @@ class Panel:
     amount_usd: np.ndarray
     split_tag: np.ndarray
 
-    def __post_init__(self):
-        for name in (*_CODE_FIELDS, "month", "amount_usd", "split_tag"):
-            getattr(self, name).flags.writeable = False
+    _COLUMNS = FlowObservation._fields
 
     @classmethod
     def from_columns(cls, sender: Sequence[str], recipient: Sequence[str], month: Sequence[int],
                      amount_usd: Sequence[float], split_tag: Sequence[str] | None = None) -> Panel:
         codes = tuple(sorted(set(sender).union(recipient)))
-        index = {code: i for i, code in enumerate(codes)}.__getitem__
-        n = len(month)
-        tags = (np.full(n, "unassigned", dtype=object) if split_tag is None
-                else np.array(split_tag, dtype=object))
-        return cls(codes, np.fromiter(map(index, sender), np.intp, n),
-                   np.fromiter(map(index, recipient), np.intp, n), np.array(month, dtype=np.intp),
-                   np.array(amount_usd, dtype=float), tags)
+        tags = _unassigned(len(month)) if split_tag is None else np.array(split_tag, dtype=object)
+        return cls(codes, _indices(codes, sender), _indices(codes, recipient),
+                   np.array(month, dtype=np.intp), np.array(amount_usd, dtype=float), tags)
 
-    def __len__(self) -> int:
-        return len(self.month)
-
-    def _columns(self) -> tuple[Iterator, ...]:
-        code = self.codes.__getitem__
-        return (map(code, self.sender.tolist()), map(code, self.recipient.tolist()),
-                self.month.tolist(), self.amount_usd.tolist(), self.split_tag.tolist())
+    def _labels(self) -> Mapping[str, tuple[str, ...]]:
+        return {"sender": self.codes, "recipient": self.codes}
 
     def __iter__(self) -> Iterator[FlowObservation]:
         return map(FlowObservation, *self._columns())
-
-    def __getitem__(self, which):
-        if isinstance(which, (int, np.integer)):
-            code = self.codes.__getitem__
-            return FlowObservation(code(self.sender[which]), code(self.recipient[which]),
-                                   int(self.month[which]), float(self.amount_usd[which]),
-                                   str(self.split_tag[which]))
-        return Panel(self.codes, self.sender[which], self.recipient[which], self.month[which],
-                     self.amount_usd[which], self.split_tag[which])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Panel):
-            return NotImplemented
-        codes, other_codes = np.array(self.codes, dtype=str), np.array(other.codes, dtype=str)
-        return len(self) == len(other) and all(
-            np.array_equal(mine, theirs) for mine, theirs in zip(
-                (codes[self.sender], codes[self.recipient], self.month, self.amount_usd,
-                 self.split_tag),
-                (other_codes[other.sender], other_codes[other.recipient], other.month,
-                 other.amount_usd, other.split_tag)))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     @property
     def year(self) -> np.ndarray:
@@ -196,10 +224,17 @@ class Panel:
         distinct, inverse = np.unique(flat, return_inverse=True)
         parts = [(part + low).tolist()
                  for part, low in zip(np.unravel_index(distinct, dims), lows)]
-        parts = [list(map(self.codes.__getitem__, part)) if field in _CODE_FIELDS else part
+        parts = [list(map(self.codes.__getitem__, part)) if field in self._labels() else part
                  for field, part in zip(fields, parts)]
         values = np.array([mapping.get(key, missing) for key in zip(*parts)], dtype=dtype)
         return values[inverse]
+
+
+def _unassigned(n: int) -> np.ndarray:
+    """``n`` "unassigned" split tags, an object array; np.full takes 15 times longer."""
+    tags = np.empty(n, dtype=object)
+    tags.fill("unassigned")
+    return tags
 
 
 def _flat_keys(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], list[int]]:
@@ -214,30 +249,80 @@ def _flat_keys(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], li
 
 def as_panel(panel: Panel | Sequence[FlowObservation]) -> Panel:
     """``panel`` itself, or a Panel of its FlowObservation records."""
-    if isinstance(panel, Panel):
-        return panel
-    records = tuple(panel)
-    return Panel.from_columns([r.sender for r in records], [r.recipient for r in records],
-                              [r.month for r in records], [r.amount_usd for r in records],
-                              [r.split_tag for r in records])
+    return _as_table(Panel, panel)
+
+
+class Stocks(_Columns):
+    """Migrant stock anchors as read-only columns, in input order.
+
+    ``origin`` and ``destination`` index ``codes``, the sorted country codes,
+    and ``sex`` indexes :data:`SEXES`. A table of stocks is a sequence of
+    :class:`MigrantStockRecord` records.
+    """
+
+    codes: tuple[str, ...]
+    origin: np.ndarray
+    destination: np.ndarray
+    sex: np.ndarray
+    anchor_year: np.ndarray
+    count: np.ndarray
+
+    _COLUMNS = MigrantStockRecord._fields
+
+    @classmethod
+    def from_columns(cls, origin: Sequence[str], destination: Sequence[str], sex: Sequence[str],
+                     anchor_year: Sequence[int], count: Sequence[float]) -> Stocks:
+        codes = tuple(sorted(set(origin).union(destination)))
+        return cls(codes, _indices(codes, origin), _indices(codes, destination),
+                   _indices(SEXES, sex), np.array(anchor_year, dtype=np.intp),
+                   np.array(count, dtype=float))
+
+    def _labels(self) -> Mapping[str, tuple[str, ...]]:
+        return {"origin": self.codes, "destination": self.codes, "sex": SEXES}
+
+    def __iter__(self) -> Iterator[MigrantStockRecord]:
+        return map(MigrantStockRecord, *self._columns())
+
+    @cached_property
+    def _corridor_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ``origin * len(codes) + destination``, ascending, and
+        each row's index among them."""
+        return np.unique(self.origin * len(self.codes) + self.destination, return_inverse=True)
+
+    @cached_property
+    def corridor_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The origin and the destination code index of each of :attr:`corridors`."""
+        return divmod(self._corridor_keys[0], len(self.codes))
+
+    @cached_property
+    def corridors(self) -> tuple[tuple[str, str], ...]:
+        """Sorted (origin, destination) pairs present."""
+        code = self.codes.__getitem__
+        return tuple(zip(*(map(code, part.tolist()) for part in self.corridor_codes)))
+
+    @cached_property
+    def anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The series and their anchors, as :func:`_check_anchor_years` gives them."""
+        return _check_anchor_years(self)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Everything the engine consumes, loaded and cross-checked.
 
-    ``panel`` may be given as a sequence of FlowObservation records; it is
-    held as a :class:`Panel`.
+    ``stocks`` and ``panel`` may be given as sequences of records; they are
+    held as :class:`Stocks` and :class:`Panel`.
     """
 
     economics: tuple[CountryEconomics, ...]
-    stocks: tuple[MigrantStockRecord, ...]
+    stocks: Stocks
     age_profiles: tuple[AgeProfile, ...]
     surplus_profiles: tuple[SurplusProfile, ...]
     disasters: tuple[DisasterEvent, ...]
     panel: Panel
 
     def __post_init__(self):
+        object.__setattr__(self, "stocks", _as_table(Stocks, self.stocks))
         object.__setattr__(self, "panel", as_panel(self.panel))
 
     @cached_property
@@ -252,10 +337,10 @@ class Dataset:
     def income_group(self) -> Mapping[tuple[str, int], str]:
         return {(r.country, r.year): r.income_group for r in self.economics}
 
-    @cached_property
+    @property
     def corridors(self) -> tuple[tuple[str, str], ...]:
         """Sorted (origin, destination) pairs present in the stock table."""
-        return tuple(sorted({(r.origin, r.destination) for r in self.stocks}))
+        return self.stocks.corridors
 
     @cached_property
     def age_shares(self) -> Mapping[str, np.ndarray]:
@@ -292,20 +377,30 @@ class Dataset:
 
 class _Table:
     """One file's columns by name: the parsed ``values`` (0 where the parse
-    refused the text), each row's ``keys`` and the parse's ``refusals``, as
-    :func:`_parse` gives them. ``wrong`` masks the rows of the wrong width;
-    ``population`` is economics' by (country, year)."""
+    refused the text), each row's ``keys``, the parse's ``refusals`` and the
+    distinct values that the keys index (``labels``), as :func:`_parse` gives
+    them. ``wrong`` masks the rows of the wrong width; ``population`` is
+    economics' by (country, year)."""
 
-    __slots__ = ("values", "keys", "refusals", "wrong", "population")
+    __slots__ = ("values", "keys", "refusals", "labels", "wrong", "population")
 
     def __init__(self, values: Mapping[str, np.ndarray], keys: Mapping[str, np.ndarray],
-                 refusals: Mapping[str, list[str]], wrong: np.ndarray,
-                 population: Mapping[tuple[str, int], float]):
-        self.values, self.keys, self.refusals = values, keys, refusals
+                 refusals: Mapping[str, list[str]], labels: Mapping[str, list | None],
+                 wrong: np.ndarray, population: Mapping[tuple[str, int], float]):
+        self.values, self.keys, self.refusals, self.labels = values, keys, refusals, labels
         self.wrong, self.population = wrong, population
 
     def __getitem__(self, column: str) -> np.ndarray:
         return self.values[column]
+
+    def codes(self, *columns: str) -> tuple[str, ...]:
+        """The sorted distinct values of the text ``columns``."""
+        return tuple(sorted(set().union(*(self.labels[column] for column in columns))))
+
+    def indices(self, column: str, labels: Sequence[str]) -> np.ndarray:
+        """Each row's index in ``labels`` of its value in the text ``column``,
+        read off the column's keys; every row's value must be in ``labels``."""
+        return _indices(labels, self.labels[column])[self.keys[column]]
 
     def cell(self, column: str, row: int):
         """One parsed value as a Python scalar, which prints plainly inside a tuple."""
@@ -588,20 +683,25 @@ def _read(path: Path, columns: tuple[str, ...]
     def line_of(row: int) -> int:
         return [number for number, line in enumerate(lines, 2) if line][row]
 
-    if not set(map(operator.methodcaller("count", ","), rows)) <= {width - 1}:
+    if not set(map(str.count, rows, itertools.repeat(","))) <= {width - 1}:
         return (*_fit([row.split(",") for row in rows], width), line_of)
     fields = ",".join(rows).split(",") if rows else []
     return [fields[k::width] for k in range(width)], np.zeros(len(rows), bool), line_of
 
 
-def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _parse(field: Field, texts: Sequence[str]
+           ) -> tuple[np.ndarray, np.ndarray, list[str], list | None]:
     """``field``'s value in each of ``texts`` (0 where its parse refuses the
-    text), each row's key and the parse's refusals. A row's key is the index
-    of its value among the distinct values, so equal values share a key however
-    they are spelled; a refused row's key is -1 - k, for refusal k.
+    text), each row's key, the parse's refusals and the distinct accepted
+    values in key order. A row's key is the index of its value among the
+    distinct values, so equal values share a key however they are spelled; a
+    refused row's key is -1 - k, for refusal k.
 
     Each distinct text is parsed once, unless the field's ``parse_all`` takes
     the whole column, which is faster for columns of mostly distinct numbers.
+    A column that ``parse_all`` takes (the float columns) refuses nothing and
+    lists no distinct values: a row's key is then the bits of its float value,
+    with -0.0 as 0.0, as an unsigned int, so equal values still share a key.
     """
     if field.parse_all is not None:
         try:
@@ -609,7 +709,7 @@ def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, 
         except ValueError:
             pass  # refusals are worded per distinct text below
         else:
-            return values, np.unique(values, return_inverse=True)[1], []
+            return values, (values + 0.0).view(np.uint64), [], None
     distinct = list(set(texts))
     index = dict(zip(distinct, range(len(distinct))))
     rows = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
@@ -625,11 +725,10 @@ def _parse(field: Field, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, 
             values.append(value)
             keys.append(same.setdefault(value, len(same)))
     return (np.array(values, dtype=field.dtype)[rows], np.array(keys, dtype=np.intp)[rows],
-            refusals)
+            refusals, list(same))
 
 
-def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = None
-             ) -> list[np.ndarray]:
+def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = None) -> _Table:
     """The parsed columns of ``path``, in schema order, once its schema's rules hold.
 
     Each rule masks the rows that break it. The first bad row is the least row
@@ -638,9 +737,8 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
     """
     schema, columns = SCHEMAS[path.name], FILE_COLUMNS[path.name]
     texts, wrong, line_of = _read(path, columns)
-    values, keys, refusals = zip(*map(_parse, schema.fields, texts))
-    table = _Table(dict(zip(columns, values)), dict(zip(columns, keys)),
-                   dict(zip(columns, refusals)), wrong, population or {})
+    parsed = zip(*map(_parse, schema.fields, texts))  # values, keys, refusals, labels
+    table = _Table(*(dict(zip(columns, part)) for part in parsed), wrong, population or {})
     rules = schema.rules()
     hits = [(int(mask.argmax()), k) for k, rule in enumerate(rules) if (mask := rule.bad(table)).any()]
     if hits:
@@ -648,31 +746,40 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
         column, _, says = rules[k]
         where = f" column '{column}':" if column else ""
         raise DataValidationError(f"{path.name}:{line_of(row)}:{where} {says(table, row)}")
-    return list(values)
+    return table
 
 
 def _records(record: type, path: Path, population: Mapping | None = None) -> tuple:
-    return tuple(map(record, *(values.tolist() for values in _checked(path, population))))
+    return tuple(map(record, *(values.tolist()
+                               for values in _checked(path, population).values.values())))
 
 
 # ---------------------------------------------------------------------------
 # Whole-file checks and dataset assembly
 
-def _check_anchor_years(stocks: Sequence[MigrantStockRecord]
-                        ) -> dict[tuple[str, str, str], dict[int, float]]:
-    """Each (origin, destination, sex) series' count by anchor year, once every
-    series has every anchor year; else the error names the first series, in
-    sorted order, that misses one."""
-    anchors: dict[tuple[str, str, str], dict[int, float]] = {}
-    for r in stocks:
-        anchors.setdefault((r.origin, r.destination, r.sex), {})[r.anchor_year] = r.count
-    years = set(ANCHOR_YEARS)
-    short = [key for key, by_year in anchors.items() if not by_year.keys() >= years]
+def _check_anchor_years(stocks: Stocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each (origin, destination, sex) series of ``stocks``, in corridor order
+    and then :data:`SEXES` order: its corridor's row in ``stocks.corridors``,
+    its sex's index and its counts at ANCHOR_YEARS, shape (series, 3), once
+    every series has every anchor year; else the error names the first series,
+    in sorted order, that misses one. Rows of other years are not read."""
+    keys, series = np.unique(stocks._corridor_keys[1] * len(SEXES) + stocks.sex,
+                             return_inverse=True)
+    year = np.searchsorted(ANCHOR_YEARS, stocks.anchor_year)
+    anchor = np.isin(stocks.anchor_year, ANCHOR_YEARS)
+    have = np.zeros((len(keys), len(ANCHOR_YEARS)), bool)
+    have[series[anchor], year[anchor]] = True
+    counts = np.zeros(have.shape)
+    counts[series[anchor], year[anchor]] = stocks.count[anchor]
+    corridor, sex = divmod(keys, len(SEXES))
+    short = np.flatnonzero(~have.all(axis=1)).tolist()
     if short:
-        o, d, s = first = min(short)
+        first = min(short, key=lambda k: (*stocks.corridors[corridor[k]], SEXES[sex[k]]))
+        (o, d), s = stocks.corridors[corridor[first]], SEXES[sex[first]]
+        missing = [year for year, known in zip(ANCHOR_YEARS, have[first]) if not known]
         raise DataValidationError(f"stocks.csv: corridor {o}->{d} sex {s} missing anchor "
-                                  f"year(s) {sorted(years - anchors[first].keys())}")
-    return anchors
+                                  f"year(s) {missing}")
+    return corridor, sex, counts
 
 
 def _check_share_sums(age_profiles: Sequence[AgeProfile]) -> None:
@@ -705,20 +812,33 @@ def load_dataset(data_dir: str | Path) -> Dataset:
     """
     data_dir = Path(data_dir)
     economics = _records(CountryEconomics, data_dir / "economics.csv")
-    stocks = _records(MigrantStockRecord, data_dir / "stocks.csv")
-    _check_anchor_years(stocks)
+    table = _checked(data_dir / "stocks.csv")
+    codes = table.codes("origin", "destination")
+    stocks = Stocks(codes, table.indices("origin", codes), table.indices("destination", codes),
+                    table.indices("sex", SEXES), table["anchor_year"], table["count"])
+    stocks.anchors  # the anchor-year check, once; the stock spline reads its result
     age_profiles = _records(AgeProfile, data_dir / "age_profiles.csv")
     _check_share_sums(age_profiles)
     surplus_profiles = _records(SurplusProfile, data_dir / "surplus_profiles.csv")
     _check_surplus_ages(surplus_profiles)
     population = {(r.country, r.year): r.population for r in economics}
     disasters = _records(DisasterEvent, data_dir / "disasters.csv", population)
-    panel = Panel.from_columns(*_checked(data_dir / "panel.csv"))
+    table = _checked(data_dir / "panel.csv")
+    codes = table.codes("sender", "recipient")
+    panel = Panel(codes, table.indices("sender", codes), table.indices("recipient", codes),
+                  table["month"], table["amount_usd"], _unassigned(len(table["month"])))
 
     dataset = Dataset(economics=economics, stocks=stocks, age_profiles=age_profiles,
                       surplus_profiles=surplus_profiles, disasters=disasters, panel=panel)
     _check_cross_references(dataset)
     return dataset
+
+
+def _present(labels: Sequence[str], *columns: np.ndarray) -> set[str]:
+    """The ``labels`` that the index ``columns`` hold. Counted with bincount:
+    numpy 2's np.unique, asked for no indices, imports numpy.ma (about 15 ms)."""
+    counts = np.bincount(np.concatenate(columns), minlength=len(labels))
+    return {labels[i] for i in np.flatnonzero(counts).tolist()}
 
 
 def _check_cross_references(ds: Dataset) -> None:
@@ -727,7 +847,8 @@ def _check_cross_references(ds: Dataset) -> None:
         econ_years.setdefault(r.country, set()).add(r.year)
 
     # Modeled countries need GDP and population for every simulated year.
-    modeled = {r.origin for r in ds.stocks} | {r.destination for r in ds.stocks}
+    stocks = ds.stocks
+    modeled = _present(stocks.codes, stocks.origin, stocks.destination)
     modeled |= {e.country for e in ds.disasters}
     for country in sorted(modeled):
         have = econ_years.get(country, set())
@@ -737,14 +858,14 @@ def _check_cross_references(ds: Dataset) -> None:
                 f"economics.csv: unknown country code or missing years for {country}: "
                 f"needs every year {PANEL_YEARS[0]}-{PANEL_YEARS[-1]}, missing {missing}")
 
-    sexes_in_stocks = {r.sex for r in ds.stocks}
+    sexes_in_stocks = _present(SEXES, stocks.sex)
     profiled = {r.sex for r in ds.age_profiles}
     for sex in sorted(sexes_in_stocks - profiled):
         raise DataValidationError(f"age_profiles.csv: no profile for sex {sex} present in stocks.csv")
 
     have_surplus = set(ds.surplus_by_country)
     if GLOBAL_SURPLUS not in have_surplus:
-        destinations = {r.destination for r in ds.stocks}
+        destinations = _present(stocks.codes, stocks.destination)
         uncovered = sorted(destinations - have_surplus)
         if uncovered:
             raise DataValidationError(
@@ -760,7 +881,7 @@ def _serialize_tables(ds: Dataset) -> Iterator[tuple[str, Iterator[tuple[str, ..
     each value written as its schema's field shows it."""
     for name, schema in SCHEMAS.items():
         table = getattr(ds, name.removesuffix(".csv"))
-        columns = (table._columns() if isinstance(table, Panel) else
+        columns = (table._columns() if isinstance(table, _Columns) else
                    [map(operator.attrgetter(field.column), table) for field in schema.fields])
         yield name, zip(*(map(field.show, column) for field, column in zip(schema.fields, columns)))
 
@@ -831,48 +952,55 @@ def _natural_cubic_second_derivs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _eval_natural_cubic(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Each row's spline (nodes ``x``, values ``y``, second derivatives ``m``) at ``xq``."""
+    """Each row's spline (nodes ``x``, values ``y``, second derivatives ``m``)
+    at the ascending ``xq``, one node interval at a time.
+
+    Within an interval the terms of a row are computed once and broadcast
+    over the interval's queries; every query takes the same operations, in
+    the same order, as one expression over all. A query that lands on a node
+    returns the node's value exactly.
+    """
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-    xl, xu = x[idx], x[idx + 1]
-    yl, yu = y[:, idx], y[:, idx + 1]
-    ml, mu = m[:, idx], m[:, idx + 1]
-    h = xu - xl
-    a, b = xu - xq, xq - xl
+    a, b = x[idx + 1] - xq, xq - x[idx]
     a3, b3 = a**3, b**3  # shared by all rows
-    out = (ml * a3 + mu * b3) / (6.0 * h) + (yl / h - h * ml / 6.0) * a + (yu / h - h * mu / 6.0) * b
-    # queries that land on a node return the anchor exactly
-    out = np.where(b == 0.0, yl, out)
-    out = np.where(a == 0.0, yu, out)
+    out = np.empty((len(y), len(xq)))
+    bounds = np.searchsorted(idx, np.arange(len(x))).tolist()  # each interval's queries
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        h = x[i + 1] - x[i]
+        yl, yu, ml, mu = y[:, i, None], y[:, i + 1, None], m[:, i, None], m[:, i + 1, None]
+        q = slice(lo, hi)
+        block = out[:, q]
+        np.add((ml * a3[q] + mu * b3[q]) / (6.0 * h) + (yl / h - h * ml / 6.0) * a[q],
+               (yu / h - h * mu / 6.0) * b[q], out=block)
+        block[:, b[q] == 0.0] = yl
+        block[:, a[q] == 0.0] = yu
     return out
 
 
-def interpolate_stocks_monthly(stocks: Sequence[MigrantStockRecord]) -> dict[tuple[str, str, str], np.ndarray]:
-    """Natural cubic spline through the three anchors, evaluated monthly.
+def interpolate_stocks_monthly(stocks: Stocks | Sequence[MigrantStockRecord]) -> np.ndarray:
+    """Natural cubic spline through each series' three anchors, evaluated monthly.
 
-    Anchors sit at January 2010/2015/2020; the returned series covers the
-    120 window months and is clamped at zero. At anchor months the series
-    equals the anchor exactly. All series are evaluated in one array pass;
-    each is a read-only row of one (series, 120) array.
+    One read-only row of the 120 window months per series of
+    :attr:`Stocks.anchors` (corridor order, then SEXES order), clamped at
+    zero; at anchor months a row equals the anchor exactly. The spline reads
+    the anchor matrix of the anchor-year check, which a loaded table ran on
+    load and records given here run now. All series are evaluated at once.
     """
-    anchors = _check_anchor_years(stocks)
+    anchors = _as_table(Stocks, stocks).anchors[2]
     nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
     months = np.arange(WINDOW_MONTHS, dtype=float)
-    y = np.array([[by_year[yr] for yr in ANCHOR_YEARS] for by_year in anchors.values()],
-                 dtype=float).reshape(len(anchors), len(ANCHOR_YEARS))
-    m2 = _natural_cubic_second_derivs(nodes, y)
-    series = np.maximum(_eval_natural_cubic(nodes, y, m2, months), 0.0)
+    m2 = _natural_cubic_second_derivs(nodes, anchors)
+    series = np.maximum(_eval_natural_cubic(nodes, anchors, m2, months), 0.0)
     series.flags.writeable = False
-    return dict(zip(anchors, series))
+    return series
 
 
-def stock_grid(corridors: Sequence[tuple[str, str]],
-               series: Mapping[tuple[str, str, str], np.ndarray]) -> np.ndarray:
-    """(corridors, 120 months, 2 sexes) array of monthly ``series``; absent series are 0."""
-    grid = np.zeros((len(corridors), WINDOW_MONTHS, len(SEXES)))
-    for c, (origin, destination) in enumerate(corridors):
-        for s, sex in enumerate(SEXES):
-            monthly = series.get((origin, destination, sex))
-            if monthly is not None:
-                grid[c, :, s] = monthly
+def stock_grid(stocks: Stocks, series: np.ndarray) -> np.ndarray:
+    """(corridors, 120 months, 2 sexes) array over ``stocks.corridors`` of the
+    monthly ``series`` of :attr:`Stocks.anchors`, placed by its index arrays; a
+    sex without a series in a corridor is 0."""
+    corridor, sex, _ = stocks.anchors
+    grid = np.zeros((len(stocks.corridors), WINDOW_MONTHS, len(SEXES)))
+    grid[corridor, :, sex] = series
     grid.flags.writeable = False
     return grid

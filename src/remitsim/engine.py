@@ -10,16 +10,19 @@ to the panel's window months over all rows, and a scenario each origin's
 rows and months to a block of :meth:`SimulationContext.affected_cells`, the
 only cells where its event set can change a flow.
 
-One kernel computes the logistic: per destination group, the cohort
-probabilities of at most ``_BLOCK_CELLS`` cells at a time, in place in one
-reused buffer, and the flows reduce each block with the 64-row products of
-:func:`_matvec`. Blocks start at multiples of 64 cells, so every cell rounds
-as if its group were taken whole. A row-restricted evaluation (``rows=``,
-with or without ``cols=``) equals the matching slice of the full grid bit
-for bit, at any BLAS thread count; a column-only one may differ from it in
-the last bits of a group's last cells. This is the package's only
-evaluation path; the tests check it against the whole-group logistic and
-against per-cohort scalar oracles.
+One kernel computes the logistic: per group of corridors that share a
+surplus profile, the cohort probabilities of at most ``_BLOCK_CELLS`` cells
+at a time, in place in one reused buffer, and the flows reduce each block
+with the 64-row products of :func:`_matvec`. Blocks start at multiples of 64
+cells, so every cell rounds as if its group were taken whole. A
+row-restricted evaluation (``rows=``, with or without ``cols=``) takes one
+group per surplus profile and equals the matching slice of the full grid bit
+for bit, at any BLAS thread count. The full grid, a column-only evaluation
+and the Jacobian take one group per destination, because the unpadded tail
+of a column-only group rounds by the group's size: a column-only evaluation
+may differ from the full grid in the last bits of a group's last cells.
+This is the package's only evaluation path; the tests check it against the
+whole-group logistic and against per-cohort scalar oracles.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import behavior
 from .behavior import BehaviorParams, DISASTER_WINDOW
-from .dataio import Dataset, N_AGES, SEXES
+from .dataio import Dataset, GLOBAL_SURPLUS, N_AGES, SEXES
 from .months import WINDOW_MONTHS, year_of
 from .population import build_population, demographics_arrays
 
@@ -63,38 +66,43 @@ class SimulationContext:
         self.family = demographics_arrays(self.population)[2]  # pyramid asymmetry
         self.shares = np.vstack([self.population.shares[sex] for sex in SEXES])
 
+        # each corridor's origin and destination, as indices of the stock codes
+        codes = np.array(dataset.stocks.codes)
+        origin, dest = dataset.stocks.corridor_codes
+
         # GDP covariates per (corridor, year) from one (country, year) array,
         # each year spread over its 12 months
         years = range(year_of(0), year_of(self.n_months - 1) + 1)
-        countries = sorted({country for corridor in self.corridors for country in corridor})
-        gdp = np.array([[dataset.gdp[(country, y)] for y in years] for country in countries])
-        row_of = {country: i for i, country in enumerate(countries)}
-        origin = np.array([row_of[o] for o, _ in self.corridors], dtype=int)
-        dest = np.array([row_of[d] for _, d in self.corridors], dtype=int)
+        # the codes present, ascending, by bincount (not np.unique: see dataio._present)
+        countries = np.flatnonzero(np.bincount(np.concatenate([origin, dest]),
+                                               minlength=len(codes)))
+        gdp = np.array([[dataset.gdp[(country, y)] for y in years]
+                        for country in codes[countries].tolist()])
+        origin_row, dest_row = np.searchsorted(countries, origin), np.searchsorted(countries, dest)
         # static normalization: min-max over all origins and all grid years
-        origins = sorted(set(origin.tolist()))
+        origins = np.flatnonzero(np.bincount(origin_row, minlength=len(countries)))
         norm = np.zeros_like(gdp)
         norm[origins] = behavior.gdp_norm(gdp[origins])
         self.delta_gdp, self.gdp_norm, self.monthly_income = (
             np.repeat(by_year, 12, axis=1) for by_year in (
-                behavior.delta_gdp(gdp[dest], gdp[origin], clamp=clamp_delta_gdp),
-                norm[origin], gdp[dest] / 12.0))
+                behavior.delta_gdp(gdp[dest_row], gdp[origin_row], clamp=clamp_delta_gdp),
+                norm[origin_row], gdp[dest_row] / 12.0))
 
         # corridor indices grouped by destination (shared surplus profile)
         # and by origin (shared disaster exposure)
-        self.dest_groups: dict[str, np.ndarray] = {}
-        self.origin_groups: dict[str, np.ndarray] = {}
-        for c, (origin, dest) in enumerate(self.corridors):
-            self.dest_groups.setdefault(dest, []).append(c)
-            self.origin_groups.setdefault(origin, []).append(c)
-        self.dest_groups = {d: np.array(v) for d, v in self.dest_groups.items()}
-        self.origin_groups = {o: np.array(v) for o, v in self.origin_groups.items()}
-        self._origin_of = np.array([o for o, _ in self.corridors])
-        self._dest_of = np.array([d for _, d in self.corridors])
+        self._origin_of, self._dest_of = codes[origin], codes[dest]
+        self.dest_groups = _positions(self._dest_of)
+        self.origin_groups = _positions(self._origin_of)
         self.surplus = {d: dataset.surplus_for(d) for d in self.dest_groups}
-        # per destination with an earnings surplus at some age: the mask of
-        # those ages and the surplus at them
-        self._surplus_ages = {d: (s > 0, s[s > 0]) for d, s in self.surplus.items() if (s > 0).any()}
+        # each destination's surplus profile (its own or GLOBAL_DEFAULT), and
+        # each corridor's
+        self._profile = {d: d if d in dataset.surplus_by_country else GLOBAL_SURPLUS
+                         for d in self.dest_groups}
+        self._profile_of = np.array([self._profile[d] for d in self._dest_of.tolist()])
+        # per profile with an earnings surplus at some age: the mask of those
+        # ages and the surplus at them
+        self._surplus_ages = {self._profile[d]: (s > 0, s[s > 0])
+                              for d, s in self.surplus.items() if (s > 0).any()}
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
         self._events = []
@@ -136,10 +144,7 @@ class SimulationContext:
                     rows: np.ndarray | None) -> Mapping[str, np.ndarray]:
         """``groups`` (label to corridor indices) itself, or with ``rows`` the
         positions in ``rows`` of each label that has any, in the order of ``rows``."""
-        if rows is None:
-            return groups
-        of_rows = labels[rows]
-        return {key: np.flatnonzero(of_rows == key) for key in dict.fromkeys(of_rows.tolist())}
+        return groups if rows is None else _positions(labels[rows])
 
     # -- disaster machinery --------------------------------------------------
 
@@ -224,20 +229,24 @@ class SimulationContext:
 
     def _group_probabilities(self, params: BehaviorParams, base: np.ndarray,
                              rows: np.ndarray | None = None, whole: bool = False):
-        """The logistic, per destination group with an earnings surplus at some age.
+        """The logistic, per group with an earnings surplus at some age.
 
         Yields (indices into the rows of ``base``, mask of the ages with
-        earnings surplus, blocks). ``base`` covers all corridors, or the
-        corridor ``rows``. A group's cells run corridor by corridor, the
+        earnings surplus, blocks). ``base`` covers all corridors, in one group
+        per destination, or the corridor ``rows``, in one group per surplus
+        profile. A group's cells run corridor by corridor, the
         columns of ``base`` within each; ``blocks`` yields (cell slice,
         probabilities shaped (cells, active ages)) over them, in the blocks of
         :func:`_blocks`, or all in one if ``whole``. Every block is written in
         place into one buffer, so it holds only until the next is drawn.
         """
+        profiles = ([(idx, self._profile[dest]) for dest, idx in self.dest_groups.items()]
+                    if rows is None else
+                    [(idx, profile) for profile, idx in _positions(self._profile_of[rows]).items()])
         groups = []
-        for dest, idx in self._row_groups(self.dest_groups, self._dest_of, rows).items():
-            if dest in self._surplus_ages:
-                active, surplus = self._surplus_ages[dest]
+        for idx, profile in profiles:
+            if profile in self._surplus_ages:
+                active, surplus = self._surplus_ages[profile]
                 groups.append((idx, active, params.beta0 * surplus))
         if not groups:
             return
@@ -371,6 +380,11 @@ _PRODUCT_ROWS = 64
 # that a block of cells x ages (at most 0.8 MB) stays in cache from the
 # logistic's first in-place pass to the last product that reduces it.
 _BLOCK_CELLS = 1024
+
+
+def _positions(labels: np.ndarray) -> dict[str, np.ndarray]:
+    """The positions in ``labels`` of each distinct label, in order of first appearance."""
+    return {key: np.flatnonzero(labels == key) for key in dict.fromkeys(labels.tolist())}
 
 
 def _blocks(n_cells: int, size: int | None) -> list[slice]:

@@ -56,13 +56,13 @@ class Population:
 
 def build_population(dataset: Dataset) -> Population:
     """Distribute interpolated monthly stocks across ages 0-100 per sex."""
-    stocks = stock_grid(dataset.corridors, interpolate_stocks_monthly(dataset.stocks))
+    stocks = stock_grid(dataset.stocks, interpolate_stocks_monthly(dataset.stocks))
     return Population(dataset.corridors, stocks, dataset.age_shares)
 
 
 def _sym_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tot = a + b
-    return np.where(tot > 0, 2.0 * np.minimum(a, b) / np.where(tot > 0, tot, 1.0), 0.0)
+    return np.divide(2.0 * np.minimum(a, b), tot, out=np.zeros_like(tot), where=tot > 0)
 
 
 def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

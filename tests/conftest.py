@@ -5,13 +5,14 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import oracles
 from remitsim import behavior, fixtures
 from remitsim.behavior import BehaviorParams
-from remitsim.dataio import Dataset, load_dataset
+from remitsim.dataio import SEXES, Dataset, Stocks, interpolate_stocks_monthly, load_dataset
 from remitsim.engine import SimulationContext
 from remitsim.months import year_of
 from remitsim.population import build_population
@@ -132,3 +133,12 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
         p = oracles.probability(oracles.theta(cov, params))
         total += cohort.count * p * params.rho * monthly_income
     return total
+
+
+def monthly_by_key(stocks) -> dict[tuple[str, str, str], np.ndarray]:
+    """The rows of ``interpolate_stocks_monthly(stocks)``, a Stocks table or a
+    sequence of records, by (origin, destination, sex)."""
+    table = stocks if isinstance(stocks, Stocks) else Stocks.from_columns(*zip(*stocks))
+    corridor, sex, _ = table.anchors
+    keys = [(*table.corridors[c], SEXES[s]) for c, s in zip(corridor.tolist(), sex.tolist())]
+    return dict(zip(keys, interpolate_stocks_monthly(stocks)))

@@ -344,7 +344,7 @@ def test_cli_import_loads_no_command_module():
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, remitsim.cli; print(sorted(sys.modules))"],
         env=env, check=True, capture_output=True, text=True).stdout
-    for name in ("scenarios", "baseline", "fixtures", "flows"):
+    for name in ("calibration", "scenarios", "baseline", "fixtures", "flows"):
         assert f"'remitsim.{name}'" not in loaded
     assert "'remitsim.engine'" in loaded
 

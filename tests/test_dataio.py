@@ -1,25 +1,27 @@
 """Loading, validation diagnostics, round-trips, and the stock spline."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import oracles
 from oracles import fingerprint
-from remitsim import fixtures
+from remitsim import dataio, fixtures
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import (AFFECTED_SANITY_FACTOR, ANCHOR_YEARS, GLOBAL_SURPLUS, HAZARDS,
                              INCOME_GROUPS, MAX_AGE, N_AGES, PANEL_YEARS, SEXES, AgeProfile,
                              CountryEconomics, DataValidationError, Dataset, DisasterEvent,
-                             FlowObservation, MigrantStockRecord, SurplusProfile,
+                             FlowObservation, MigrantStockRecord, Stocks, SurplusProfile,
                              interpolate_stocks_monthly, load_dataset, write_dataset)
 from remitsim.engine import SimulationContext
 from remitsim.months import WINDOW_MONTHS, month_index, year_of
 
-from conftest import small_csv_texts, write_csv_dir
+from conftest import monthly_by_key, small_csv_texts, write_csv_dir
 
 
 def test_valid_load_row_counts(small_dataset):
@@ -150,6 +152,57 @@ def test_round_trip_desk_scale(desk_dataset, tmp_path):
     assert load_dataset(tmp_path / "copy") == desk_dataset
 
 
+def test_dataset_of_records_equals_the_loaded_one(desk_dataset, tmp_path):
+    """A Dataset built from the loaded one's records equals it, and both write
+    the same files, which load back to it."""
+    write_dataset(desk_dataset, tmp_path / "loaded")
+    loaded = load_dataset(tmp_path / "loaded")
+    of_records = Dataset(*(tuple(getattr(loaded, name)) for name in RECORD_TABLES.values()))
+    assert isinstance(of_records.stocks, Stocks) and of_records == loaded
+    assert of_records.corridors == loaded.corridors
+    write_dataset(of_records, tmp_path / "of_records")
+    for name in dataio.SCHEMAS:
+        assert ((tmp_path / "of_records" / name).read_bytes()
+                == (tmp_path / "loaded" / name).read_bytes()), name
+    assert load_dataset(tmp_path / "of_records") == loaded
+
+
+def test_load_and_context_build_no_stock_or_flow_record(desk_dataset, tmp_path, monkeypatch):
+    """load_dataset and SimulationContext read the stock table and the panel as
+    columns, and run the anchor-year check once."""
+    write_dataset(desk_dataset, tmp_path / "data")
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a record was built")
+    checks = []
+    check = dataio._check_anchor_years
+    monkeypatch.setattr(dataio, "MigrantStockRecord", no_record)
+    monkeypatch.setattr(dataio, "FlowObservation", no_record)
+    monkeypatch.setattr(dataio, "_check_anchor_years", lambda stocks: checks.append(1) or check(stocks))
+    dataset = load_dataset(tmp_path / "data")
+    ctx = SimulationContext(dataset, start=24, end=35)
+    assert len(checks) == 1 and ctx.n_corridors == len(desk_dataset.corridors)
+    # the patched names are the ones that build records
+    for table in (dataset.stocks, dataset.panel):
+        with pytest.raises(AssertionError, match="record was built"):
+            next(iter(table))
+
+
+def test_stocks_table_records_in_and_out(small_dataset):
+    records = list(small_dataset.stocks)
+    assert all(type(r) is MigrantStockRecord for r in records)
+    stocks = Stocks.from_columns(*zip(*records))
+    assert stocks == small_dataset.stocks and tuple(stocks) == tuple(records)
+    assert stocks[-1] == records[-1] and list(stocks[1:4]) == records[1:4]
+    assert stocks.codes == ("AAA", "BBB", "CCC") and stocks.corridors == small_dataset.corridors
+    assert stocks != stocks.replace(count=stocks.count * 2.0)
+    for name in MigrantStockRecord._fields:
+        with pytest.raises(ValueError):
+            getattr(stocks, name)[0] = getattr(stocks, name)[1]
+    with pytest.raises(AttributeError):
+        stocks.count = stocks.count
+
+
 RECORD_TABLES = {CountryEconomics: "economics", MigrantStockRecord: "stocks",
                  AgeProfile: "age_profiles", SurplusProfile: "surplus_profiles",
                  DisasterEvent: "disasters", FlowObservation: "panel"}
@@ -198,7 +251,7 @@ def _records(a2010, a2015, a2020):
 
 
 def _series(a2010, a2015, a2020):
-    return interpolate_stocks_monthly(_records(a2010, a2015, a2020))[("AAA", "BBB", "male")]
+    return monthly_by_key(_records(a2010, a2015, a2020))[("AAA", "BBB", "male")]
 
 
 def test_constant_anchors_constant_series():
@@ -236,6 +289,23 @@ def test_missing_anchor_raises():
         interpolate_stocks_monthly(records)
 
 
+def test_anchor_check_runs_on_records_given_to_a_dataset(small_dataset):
+    stocks = [r for r in small_dataset.stocks
+              if (r.destination, r.sex, r.anchor_year) != ("CCC", "male", 2015)]
+    dataset = dataclasses.replace(small_dataset, stocks=tuple(stocks))
+    with pytest.raises(DataValidationError,
+                       match=r"^stocks\.csv: corridor AAA->CCC sex male missing anchor year\(s\) \[2015\]$"):
+        SimulationContext(dataset)
+
+
+def test_queries_on_nodes_return_the_anchors():
+    """Also the last node, which no window month reaches."""
+    nodes = np.array([0.0, 60.0, 120.0])
+    anchors = np.array([[1.0, 2.0, 3.0], [0.1, 7e5, 0.3], [0.0, 0.0, 0.0]])
+    m2 = dataio._natural_cubic_second_derivs(nodes, anchors)
+    assert np.array_equal(dataio._eval_natural_cubic(nodes, anchors, m2, nodes), anchors)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(*[st.floats(min_value=0, max_value=1e7, allow_nan=False)] * 3))
 def test_spline_matches_scipy_and_nodes(anchors):
@@ -249,7 +319,7 @@ def test_spline_matches_scipy_and_nodes(anchors):
 
 
 def test_spline_equals_per_series_oracle(desk_dataset):
-    got = interpolate_stocks_monthly(desk_dataset.stocks)
+    got = monthly_by_key(desk_dataset.stocks)
     want = oracles.interpolate_stocks_monthly(desk_dataset.stocks)
     assert list(got) == list(want)
     for key, series in want.items():
@@ -259,11 +329,13 @@ def test_spline_equals_per_series_oracle(desk_dataset):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(*[st.floats(min_value=0, max_value=1e9, allow_nan=False)] * 3),
                 min_size=1, max_size=8))
+@example([(1e6, 1e3, 1e6), (0.0, 0.0, 1200.0)])  # the second dips below zero: clamped
+@example([(0.0, 0.0, 0.0), (5.0, 4.0, 3.0)])  # a zero series
 def test_spline_equals_oracle_on_drawn_anchors(anchor_sets):
     records = [MigrantStockRecord("AAA", f"B{i:02d}", ("male", "female")[i % 2], year, value)
                for i, anchors in enumerate(anchor_sets)
                for year, value in zip((2010, 2015, 2020), anchors)]
-    got = interpolate_stocks_monthly(records)
+    got = monthly_by_key(records)
     want = oracles.interpolate_stocks_monthly(records)
     assert list(got) == list(want)
     for key, series in want.items():

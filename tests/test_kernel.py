@@ -102,3 +102,30 @@ def test_jacobian_takes_whole_groups(monkeypatch, desk_ctx):
     want = desk_ctx.flow_jacobian(PARAMS, rows, cols, col_pos)
     monkeypatch.setattr(engine, "_BLOCK_CELLS", SMALL_BLOCK)
     assert desk_ctx.flow_jacobian(PARAMS, rows, cols, col_pos).tobytes() == want.tobytes()
+
+
+def test_row_evaluations_take_one_pass_per_surplus_profile(monkeypatch, desk_ctx):
+    """Destinations without a profile of their own share GLOBAL_DEFAULT's: a
+    rows= evaluation runs the logistic once per profile present, and still
+    equals the full grid's slice bit for bit."""
+    own = [d for d in desk_ctx.dest_groups if d in desk_ctx.dataset.surplus_by_country]
+    shared = [d for d in desk_ctx.dest_groups if d not in desk_ctx.dataset.surplus_by_country]
+    assert len(shared) >= 2 and own
+    rows = np.sort(np.concatenate([desk_ctx.dest_groups[d] for d in (*shared, own[0])]))
+    cols = np.arange(30, 90, 3)
+    full = desk_ctx.expected_flows(PARAMS)
+    full_cube = desk_ctx.probability_cube(PARAMS)
+    calls = []
+    logistic = engine._logistic_blocks
+    monkeypatch.setattr(engine, "_logistic_blocks",
+                        lambda *args: calls.append(1) or logistic(*args))
+    for columns, want, cube in ((None, full[rows], full_cube[rows]),
+                                (cols, full[rows][:, cols], full_cube[rows][:, cols])):
+        del calls[:]
+        assert desk_ctx.expected_flows(PARAMS, None, columns, rows).tobytes() == want.tobytes()
+        assert len(calls) == 2  # GLOBAL_DEFAULT and own[0]'s profile
+        assert desk_ctx.probability_cube(PARAMS, None, columns, rows).tobytes() == cube.tobytes()
+    # the full grid and the column-only path keep one pass per destination
+    del calls[:]
+    desk_ctx.expected_flows(PARAMS, None, cols)
+    assert len(calls) == len(desk_ctx.dest_groups)

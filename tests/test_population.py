@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import MigrantCohort, age_symmetry, family_probability, sex_symmetry
-from remitsim.dataio import N_AGES, SEXES, interpolate_stocks_monthly
+from remitsim.dataio import N_AGES, SEXES
 from remitsim.months import month_label, year_of
 from remitsim.population import (Population, build_population, demographics_arrays,
                                  sender_demographics)
 from remitsim.reports import demographics_grid, fmt_cell, population_grid
+
+from conftest import monthly_by_key
 
 
 def _cohort(count, *, sex="male", age=30, origin="AAA", dest="BBB", month=0):
@@ -71,7 +73,7 @@ def test_uniform_profile_split():
 
 def test_counts_equal_stock_times_share(small_dataset):
     pop = build_population(small_dataset)
-    series = interpolate_stocks_monthly(small_dataset.stocks)
+    series = monthly_by_key(small_dataset.stocks)
     for month in (0, 17, 60, 119):
         counts = pop.counts(pop.corridor_index("AAA", "BBB"), month)
         for s, sex in enumerate(("male", "female")):
@@ -82,7 +84,7 @@ def test_counts_equal_stock_times_share(small_dataset):
 
 def test_mass_conservation(desk_dataset):
     pop = build_population(desk_dataset)
-    series = interpolate_stocks_monthly(desk_dataset.stocks)
+    series = monthly_by_key(desk_dataset.stocks)
     rng = np.random.default_rng(0)
     for _ in range(25):
         c = int(rng.integers(len(pop.corridors)))
