@@ -776,7 +776,7 @@ def _check_anchor_years(stocks: Stocks) -> tuple[np.ndarray, np.ndarray, np.ndar
     if short:
         first = min(short, key=lambda k: (*stocks.corridors[corridor[k]], SEXES[sex[k]]))
         (o, d), s = stocks.corridors[corridor[first]], SEXES[sex[first]]
-        missing = [year for year, known in zip(ANCHOR_YEARS, have[first]) if not known]
+        missing = [y for y, known in zip(ANCHOR_YEARS, have[first]) if not known]
         raise DataValidationError(f"stocks.csv: corridor {o}->{d} sex {s} missing anchor "
                                   f"year(s) {missing}")
     return corridor, sex, counts
