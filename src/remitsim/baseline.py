@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .dataio import SEXES, Dataset, FlowObservation, Panel, as_panel
+from .dataio import SEXES, Dataset, Panel
 from .dataio import interpolate_stocks_monthly  # unused here; perfbench/tracer.py wraps the name
 from .months import WINDOW_MONTHS, year_of
 from .reports import sequential_sum
@@ -76,7 +76,7 @@ def gravity_flows(dataset: Dataset, beta_exp: float,
     return out
 
 
-def _gravity_loss(panel: Panel | Sequence[FlowObservation], dataset: Dataset,
+def _gravity_loss(panel: Panel, dataset: Dataset,
                   stocks: Mapping[tuple[str, str, int], float]
                   ) -> tuple[Callable[[float], float], int]:
     """(SSE as a function of the exponent, number of excluded observations).
@@ -85,7 +85,6 @@ def _gravity_loss(panel: Panel | Sequence[FlowObservation], dataset: Dataset,
     and adds the squared errors in panel order. The per-observation arrays
     are built once; observations without a modelled stock are excluded.
     """
-    panel = as_panel(panel)
     stock = panel.lookup(stocks, ("recipient", "sender", "year"))
     modelled = ~np.isnan(stock)
     included, stock = panel[modelled], stock[modelled]
@@ -108,7 +107,7 @@ def _gravity_loss(panel: Panel | Sequence[FlowObservation], dataset: Dataset,
     return sse, len(panel) - len(included)
 
 
-def calibrate_gravity(panel: Panel | Sequence[FlowObservation], dataset: Dataset,
+def calibrate_gravity(panel: Panel, dataset: Dataset,
                       stocks: Mapping[tuple[str, str, int], float], *,
                       bracket: tuple[float, float] = (0.01, 2.0), grid: int = 41,
                       tol: float = 1e-4) -> GravityFit:
@@ -172,7 +171,8 @@ def _means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     would sum them in sequence.
     """
     means = np.empty(len(starts))
-    for length in np.unique(lengths).tolist():
+    # the distinct lengths, ascending, by bincount (not np.unique: see dataio._present)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         which = np.flatnonzero(lengths == length)
         means[which] = values[starts[which, None] + np.arange(length)].mean(axis=1)
     return means
@@ -197,14 +197,13 @@ class ComparisonReport(NamedTuple):
 
 
 def compare_models(structural: np.ndarray, gravity: Mapping[int, Mapping[tuple[str, str], float]],
-                   panel: Panel | Sequence[FlowObservation]) -> ComparisonReport:
+                   panel: Panel) -> ComparisonReport:
     """Average-yearly corridor comparison of both estimators against the panel.
 
     ``structural`` holds each observation's simulated monthly USD, in panel
     order, NaN where there is none; ``gravity`` maps year to annual corridor
     matrices. Corridors missing from either estimate are excluded and counted.
     """
-    panel = as_panel(panel)
     # corridors in (sender, recipient) order, their observations in panel order
     corridor = panel.sender * len(panel.codes) + panel.recipient
     order = np.argsort(corridor, kind="stable")

@@ -14,13 +14,13 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .behavior import BehaviorParams, CalibrationError, PARAM_NAMES
-from .dataio import Dataset, FlowObservation, Panel, as_panel
-from .engine import SimulationContext, as_context
+from .dataio import Panel
+from .engine import SimulationContext
 from .months import month_label
 
 log = logging.getLogger(__name__)
@@ -72,14 +72,12 @@ class PanelSlice(NamedTuple):
     month_pos: np.ndarray
 
 
-def split_panel(panel: Panel | Sequence[FlowObservation], fraction: float = 0.8,
-                seed: int = 0) -> Panel:
+def split_panel(panel: Panel, fraction: float = 0.8, seed: int = 0) -> Panel:
     """Tag observations train/test by uniform random assignment.
 
     The train share is round(n * fraction), so proportions are within one
     observation of the requested fraction. Deterministic per seed.
     """
-    panel = as_panel(panel)
     if not panel:
         raise ValueError("panel is empty")
     if not 0.0 < fraction < 1.0:
@@ -92,14 +90,13 @@ def split_panel(panel: Panel | Sequence[FlowObservation], fraction: float = 0.8,
     return panel.replace(split_tag=tags)
 
 
-def align_panel(panel: Panel | Sequence[FlowObservation], ctx: SimulationContext) -> PanelSlice:
+def align_panel(panel: Panel, ctx: SimulationContext) -> PanelSlice:
     """Map observations onto context indices.
 
     Observations of unmodeled corridors and observations outside the
     context window are excluded; each kind is warned about with its count.
     ``excluded`` samples the unmodeled corridors, ``n_excluded`` counts both.
     """
-    panel = as_panel(panel)
     corridor = panel.corridor_index(ctx.corridors)
     unmodeled = np.flatnonzero(corridor < 0)
     in_window = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
@@ -125,8 +122,7 @@ def align_panel(panel: Panel | Sequence[FlowObservation], ctx: SimulationContext
                       month_pos)
 
 
-def loss(params: BehaviorParams, panel: Panel | Sequence[FlowObservation],
-         ctx: SimulationContext) -> float:
+def loss(params: BehaviorParams, panel: Panel, ctx: SimulationContext) -> float:
     """Sum of squared differences, simulated minus observed, in USD^2."""
     aligned = align_panel(panel, ctx)
     return _sse(ctx, aligned, params)
@@ -309,7 +305,7 @@ def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: 
         x0, max_iter=max_iter, tol=tol)
 
 
-def calibrate(dataset: Dataset | SimulationContext, panel: Panel | Sequence[FlowObservation],
+def calibrate(ctx: SimulationContext, panel: Panel,
               config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Fit the nine parameters to the train split; report held-out R^2.
 
@@ -317,8 +313,6 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Panel | Sequence[Flow
     of ``config.starts`` optimizer runs wins; a start whose loss turns
     non-finite is dropped, and calibration fails only if every start does.
     """
-    ctx = as_context(dataset)
-    panel = as_panel(panel)
     train = panel.split_tag == "train"
     if not train.any():
         raise CalibrationError("no observations tagged 'train'; run split_panel first")
@@ -358,8 +352,8 @@ def calibrate(dataset: Dataset | SimulationContext, panel: Panel | Sequence[Flow
         start_losses=[r.fx for r in usable])
 
 
-def param_confidence(result: CalibrationResult, panel: Panel | Sequence[FlowObservation],
-                     dataset: Dataset | SimulationContext, replicates: int = 200, *,
+def param_confidence(result: CalibrationResult, panel: Panel, ctx: SimulationContext,
+                     replicates: int = 200, *,
                      seed: int = 0, max_iter: int = 60, tol: float = 1e-9,
                      replicate_start: BehaviorParams | None = None
                      ) -> dict[str, tuple[float, float]]:
@@ -374,8 +368,6 @@ def param_confidence(result: CalibrationResult, panel: Panel | Sequence[FlowObse
     fits early). Diverged replicates are dropped and counted. Intervals are
     widened, if needed, to include the point estimate.
     """
-    ctx = as_context(dataset)
-    panel = as_panel(panel)
     aligned = align_panel(panel[panel.split_tag == "train"], ctx)
     n = aligned.amounts.size
     if n == 0:

@@ -247,11 +247,6 @@ def _flat_keys(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], li
     return flat, lows, dims
 
 
-def as_panel(panel: Panel | Sequence[FlowObservation]) -> Panel:
-    """``panel`` itself, or a Panel of its FlowObservation records."""
-    return _as_table(Panel, panel)
-
-
 class Stocks(_Columns):
     """Migrant stock anchors as read-only columns, in input order.
 
@@ -311,7 +306,8 @@ class Dataset:
     """Everything the engine consumes, loaded and cross-checked.
 
     ``stocks`` and ``panel`` may be given as sequences of records; they are
-    held as :class:`Stocks` and :class:`Panel`.
+    held as :class:`Stocks` and :class:`Panel`. This is the one place where
+    records become tables: the functions that read them take the tables.
     """
 
     economics: tuple[CountryEconomics, ...]
@@ -323,7 +319,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "stocks", _as_table(Stocks, self.stocks))
-        object.__setattr__(self, "panel", as_panel(self.panel))
+        object.__setattr__(self, "panel", _as_table(Panel, self.panel))
 
     @cached_property
     def gdp(self) -> Mapping[tuple[str, int], float]:
@@ -363,13 +359,6 @@ class Dataset:
         for v in out.values():
             v.flags.writeable = False
         return out
-
-    def surplus_for(self, country: str) -> np.ndarray:
-        """Destination surplus profile, falling back to GLOBAL_DEFAULT."""
-        by = self.surplus_by_country
-        if country in by:
-            return by[country]
-        return by[GLOBAL_SURPLUS]
 
 
 # ---------------------------------------------------------------------------
@@ -921,33 +910,15 @@ def _cr_quoted_line(row: Sequence[str]) -> str:
 # Monthly interpolation of quinquennial stocks
 
 def _natural_cubic_second_derivs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic splines through (x, y[j]) for each row j.
+    """Second derivatives of the natural cubic splines through (x, y[j]) for
+    each row j, at the three nodes ``x``.
 
-    Natural boundary conditions: second derivative zero at both ends.
-    Interior values come from the standard tridiagonal system, solved with
-    the Thomas algorithm; the nodes ``x`` are shared, so the elimination
-    factors are too, and every row is solved in the same pass.
+    Natural boundary conditions: second derivative zero at both ends. The
+    middle one solves the single equation of the standard tridiagonal system,
+    2(h0 + h1) m1 = 6((y2 - y1)/h1 - (y1 - y0)/h0).
     """
-    n = len(x)
-    m = np.zeros(y.shape)
-    if n < 3:
-        return m
-    h = np.diff(x)
-    # system rows i = 1..n-2:  h[i-1] m[i-1] + 2(h[i-1]+h[i]) m[i] + h[i] m[i+1] = rhs
-    rhs = 6.0 * ((y[:, 2:] - y[:, 1:-1]) / h[1:] - (y[:, 1:-1] - y[:, :-2]) / h[:-1])
-    diag = 2.0 * (h[:-1] + h[1:])
-    lower = h[:-1]
-    upper = h[1:]
-    k = n - 2
-    for i in range(1, k):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[:, i] -= w * rhs[:, i - 1]
-    sol = np.zeros(rhs.shape)
-    sol[:, -1] = rhs[:, -1] / diag[-1]
-    for i in range(k - 2, -1, -1):
-        sol[:, i] = (rhs[:, i] - upper[i] * sol[:, i + 1]) / diag[i]
-    m[:, 1:-1] = sol
+    (h0, h1), m = np.diff(x), np.zeros(y.shape)
+    m[:, 1] = 6.0 * ((y[:, 2] - y[:, 1]) / h1 - (y[:, 1] - y[:, 0]) / h0) / (2.0 * (h0 + h1))
     return m
 
 
@@ -977,16 +948,16 @@ def _eval_natural_cubic(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq: np.ndar
     return out
 
 
-def interpolate_stocks_monthly(stocks: Stocks | Sequence[MigrantStockRecord]) -> np.ndarray:
+def interpolate_stocks_monthly(stocks: Stocks) -> np.ndarray:
     """Natural cubic spline through each series' three anchors, evaluated monthly.
 
     One read-only row of the 120 window months per series of
     :attr:`Stocks.anchors` (corridor order, then SEXES order), clamped at
     zero; at anchor months a row equals the anchor exactly. The spline reads
     the anchor matrix of the anchor-year check, which a loaded table ran on
-    load and records given here run now. All series are evaluated at once.
+    load. All series are evaluated at once.
     """
-    anchors = _as_table(Stocks, stocks).anchors[2]
+    anchors = stocks.anchors[2]
     nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
     months = np.arange(WINDOW_MONTHS, dtype=float)
     m2 = _natural_cubic_second_derivs(nodes, anchors)

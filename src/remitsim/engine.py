@@ -93,7 +93,6 @@ class SimulationContext:
         self._origin_of, self._dest_of = codes[origin], codes[dest]
         self.dest_groups = _positions(self._dest_of)
         self.origin_groups = _positions(self._origin_of)
-        self.surplus = {d: dataset.surplus_for(d) for d in self.dest_groups}
         # each destination's surplus profile (its own or GLOBAL_DEFAULT), and
         # each corridor's
         self._profile = {d: d if d in dataset.surplus_by_country else GLOBAL_SURPLUS
@@ -101,8 +100,8 @@ class SimulationContext:
         self._profile_of = np.array([self._profile[d] for d in self._dest_of.tolist()])
         # per profile with an earnings surplus at some age: the mask of those
         # ages and the surplus at them
-        self._surplus_ages = {self._profile[d]: (s > 0, s[s > 0])
-                              for d, s in self.surplus.items() if (s > 0).any()}
+        profiles = {p: dataset.surplus_by_country[p] for p in self._profile.values()}
+        self._surplus_ages = {p: (s > 0, s[s > 0]) for p, s in profiles.items() if (s > 0).any()}
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
         self._events = []
@@ -312,7 +311,7 @@ class SimulationContext:
         # whole groups: the matrix products below round differently by row count,
         # so blocks would move the Jacobian's last bits
         for idx, active, blocks in self._group_probabilities(params, base, whole=True):
-            surplus = self.surplus[self.corridors[idx[0]][1]][active]  # one destination per group
+            surplus = self._surplus_ages[self._profile_of[idx[0]]][1]  # one destination per group
             (_, flat), = blocks
             wm, wf = w_m[active], w_f[active]
             level = flat @ np.stack([wm, wf], axis=1)
@@ -444,32 +443,23 @@ def _matvec(matrix: np.ndarray, vector: np.ndarray, pad_tail: bool) -> np.ndarra
     return np.concatenate([head.ravel(), last])
 
 
-def as_context(data: Dataset | SimulationContext) -> SimulationContext:
-    """``data`` itself if it is a context, else a full-window context over it."""
-    return data if isinstance(data, SimulationContext) else SimulationContext(data)
-
-
 def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: str,
-                        month: int, destination: str | None = None,
-                        active_ids: frozenset | None = None,
+                        month: int, active_ids: frozenset | None = None,
                         cube: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Diaspora probability profile for one origin at one month.
+    """Diaspora probability profile for one origin at one month, pooling all
+    destinations of the origin's diaspora.
 
     Two arrays, cumulative population fraction and probability, with one
     entry per cohort with a positive count, by descending probability; ties
-    keep corridor, sex, age order. ``destination`` narrows the scope to a
-    single corridor; None pools all destinations of the origin's diaspora.
-    ``month`` lies in the context's window. Pass a precomputed window cube,
-    ``ctx.probability_cube(params, active_ids, ctx.window)``, when profiling
-    many origin-months.
+    keep corridor, sex, age order. ``month`` lies in the context's window.
+    Pass a precomputed window cube, ``ctx.probability_cube(params,
+    active_ids, ctx.window)``, when profiling many origin-months.
     """
     if not ctx.start <= month <= ctx.end:
         raise ValueError(f"month {month} outside the window [{ctx.start}, {ctx.end}]")
     if cube is None:
         cube = ctx.probability_cube(params, active_ids, ctx.window)
     idx = ctx.origin_groups.get(origin, np.array([], dtype=int))
-    if destination is not None:
-        idx = idx[[ctx.corridors[c][1] == destination for c in idx]]
     counts = ctx.stocks[idx, month, :, None] * ctx.shares  # (corridors, sexes, ages)
     probs = np.broadcast_to(cube[idx, month - ctx.start, None, :], counts.shape)
     keep = counts > 0

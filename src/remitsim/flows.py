@@ -102,7 +102,9 @@ def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
     ``sample_monthly_totals`` calls up to the order of the floating-point sums.
     """
     blocks = ctx.affected_cells(None, active_ids)
-    rows = np.unique(np.concatenate([np.array([], dtype=np.intp), *(r for r, _ in blocks)]))
+    # the rows, ascending, by bincount (not np.unique: see dataio._present)
+    rows = np.flatnonzero(np.bincount(np.concatenate([np.array([], dtype=np.intp),
+                                                      *(r for r, _ in blocks)])))
     factual = ctx.probability_cube(params, None, ctx.window, rows)
     counter = ctx.probability_cube(params, active_ids, ctx.window, rows)
     cells = np.argwhere((factual != counter).any(axis=2))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .behavior import BehaviorParams
 from .dataio import Dataset, HAZARDS
-from .engine import (SimulationContext, as_context, scenario_none, scenario_only_event,
-                     scenario_only_hazard, scenario_without_hazard)
+from .engine import (SimulationContext, scenario_none, scenario_only_event, scenario_only_hazard,
+                     scenario_without_hazard)
 from .months import year_of
 from .reports import sequential_sum
 
@@ -79,14 +79,13 @@ def _reevaluate(ctx: SimulationContext, params: BehaviorParams, grid: np.ndarray
     return out
 
 
-def run_counterfactual(dataset: Dataset | SimulationContext, params: BehaviorParams,
+def run_counterfactual(ctx: SimulationContext, params: BehaviorParams,
                        scenario_id: str = "no_disaster",
                        active_ids: frozenset | None = None) -> ScenarioResult:
     """Factual (all events) versus a counterfactual with only ``active_ids``.
 
     The default empty filter is the no-disaster scenario.
     """
-    ctx = as_context(dataset)
     if active_ids is None:
         active_ids = scenario_none()
     win = ctx.window
@@ -105,7 +104,7 @@ def event_grids(ctx: SimulationContext, params: BehaviorParams) -> tuple[np.ndar
     return full_grid, _reevaluate(ctx, params, full_grid, None, scenario_none())
 
 
-def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorParams,
+def attribute_by_hazard(ctx: SimulationContext, params: BehaviorParams,
                         convention: str = "only_hazard", *,
                         grids: tuple[np.ndarray, np.ndarray] | None = None) -> AttributionReport:
     """Per-hazard induced totals under the chosen isolation convention.
@@ -116,7 +115,6 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
     """
     if convention not in ("only_hazard", "leave_one_out"):
         raise ValueError(f"unknown convention {convention!r}")
-    ctx = as_context(dataset)
     win = ctx.window
     full_grid, base_grid = event_grids(ctx, params) if grids is None else grids
     full = full_grid[:, win].sum()
@@ -145,14 +143,13 @@ def attribute_by_hazard(dataset: Dataset | SimulationContext, params: BehaviorPa
                              interaction_residual=float(residual), share_of_total=float(share))
 
 
-def attribute_event(dataset: Dataset | SimulationContext, params: BehaviorParams,
-                    event_id: str, *, no_event: np.ndarray | None = None) -> EventAttribution:
+def attribute_event(ctx: SimulationContext, params: BehaviorParams, event_id: str, *,
+                    no_event: np.ndarray | None = None) -> EventAttribution:
     """Flows attributable to a single event over the 12 months from onset.
 
     ``no_event`` is the no-event grid of :func:`event_grids`, if the caller
     has it: the flows without the event are read from it, not evaluated.
     """
-    ctx = as_context(dataset)
     only = scenario_only_event(ctx.dataset, event_id)
     # one block: the event origin's corridors, over the event's months in the window
     blocks = ctx.affected_cells(only, scenario_none())
@@ -191,24 +188,12 @@ class SummaryRow(NamedTuple):
     per_gdp: float | None
 
 
-def summarize(result: ScenarioResult, dataset: Dataset, grouping: str,
-              attribution: AttributionReport | None = None) -> list[SummaryRow]:
+def summarize(result: ScenarioResult, dataset: Dataset, grouping: str) -> list[SummaryRow]:
     """Plot-ready grouped totals of induced and factual flows.
 
     Groupings: ``income-group`` and ``country`` follow the recipient (income
-    group as of each observation year), ``year`` partitions time, ``hazard``
-    tabulates a per-hazard attribution report.
+    group as of each observation year), ``year`` partitions time.
     """
-    if grouping == "hazard":
-        if attribution is None:
-            raise ValueError("hazard grouping needs an AttributionReport")
-        rows = [SummaryRow(key=h.hazard, induced_usd=h.induced_usd,
-                           factual_usd=attribution.total_factual,
-                           share_of_factual=(h.induced_usd / attribution.total_factual
-                                             if attribution.total_factual else 0.0),
-                           per_capita=None, per_gdp=None)
-                for h in attribution.per_hazard]
-        return rows
     if grouping not in ("income-group", "country", "year"):
         raise ValueError(f"unknown grouping {grouping!r}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import settings
 import oracles
 from remitsim import behavior, fixtures
 from remitsim.behavior import BehaviorParams
-from remitsim.dataio import SEXES, Dataset, Stocks, interpolate_stocks_monthly, load_dataset
+from remitsim.dataio import (SEXES, Dataset, FlowObservation, Panel, Stocks,
+                             interpolate_stocks_monthly, load_dataset)
 from remitsim.engine import SimulationContext
 from remitsim.months import year_of
 from remitsim.population import build_population
@@ -124,7 +126,7 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
         magnitude = min(event.affected / pop, 1.0)
         score += oracles.kernel_value(magnitude, month - event.onset_month, params)
 
-    surplus = dataset.surplus_for(dest)
+    surplus = oracles.surplus_profile(dataset, dest)
     monthly_income = dataset.gdp[(dest, year)] / 12.0
     total = 0.0
     for cohort in cohorts:
@@ -141,4 +143,10 @@ def monthly_by_key(stocks) -> dict[tuple[str, str, str], np.ndarray]:
     table = stocks if isinstance(stocks, Stocks) else Stocks.from_columns(*zip(*stocks))
     corridor, sex, _ = table.anchors
     keys = [(*table.corridors[c], SEXES[s]) for c, s in zip(corridor.tolist(), sex.tolist())]
-    return dict(zip(keys, interpolate_stocks_monthly(stocks)))
+    return dict(zip(keys, interpolate_stocks_monthly(table)))
+
+
+def panel_of(records: Iterable[FlowObservation]) -> Panel:
+    """A Panel of FlowObservation records, split tags included."""
+    records = tuple(records)
+    return Panel.from_columns(*(zip(*records) if records else [()] * len(Panel._COLUMNS)))

@@ -28,8 +28,9 @@ import numpy as np
 
 from remitsim.baseline import ComparisonReport, ComparisonRow, gravity_per_migrant
 from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
-from remitsim.dataio import (ANCHOR_YEARS, HAZARDS, N_AGES, SEXES, Dataset, DataValidationError,
-                             DisasterEvent, FlowObservation, MigrantStockRecord, _serialize_tables)
+from remitsim.dataio import (ANCHOR_YEARS, GLOBAL_SURPLUS, HAZARDS, N_AGES, SEXES, Dataset,
+                             DataValidationError, DisasterEvent, FlowObservation,
+                             MigrantStockRecord, _serialize_tables)
 from remitsim.months import WINDOW_MONTHS, month_label, year_of
 from remitsim.population import PARENTING_MAX_AGE, YOUNG_MAX_AGE, Population
 from remitsim.reports import sequential_sum
@@ -44,6 +45,12 @@ def events_by_country(dataset: Dataset) -> Mapping[str, tuple[DisasterEvent, ...
     for e in dataset.disasters:
         out.setdefault(e.country, []).append(e)
     return {c: tuple(evs) for c, evs in out.items()}
+
+
+def surplus_profile(dataset: Dataset, destination: str) -> np.ndarray:
+    """The destination's own surplus profile, else the GLOBAL_DEFAULT one."""
+    by_country = dataset.surplus_by_country
+    return by_country[destination if destination in by_country else GLOBAL_SURPLUS]
 
 
 def fingerprint(dataset: Dataset) -> str:
@@ -482,7 +489,7 @@ def _whole_groups(ctx, params: BehaviorParams, base: np.ndarray, rows: np.ndarra
     the rows of ``base``, mask of those ages, the logistic of all the group's
     cells in one expression, shaped (len(indices), base columns, ages))."""
     for dest, idx in ctx._row_groups(ctx.dest_groups, ctx._dest_of, rows).items():
-        surplus = ctx.surplus[dest]
+        surplus = surplus_profile(ctx.dataset, dest)
         active = surplus > 0
         if not active.any():
             continue

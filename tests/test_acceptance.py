@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import panel_of
 from oracles import (CovariateVector, activation_capacity, expected_flow, kernel_value,
                      probability, sample_flows, theta)
 from remitsim import fixtures, scenarios
@@ -21,7 +22,7 @@ from remitsim.baseline import annual_stocks, calibrate_gravity, compare_models, 
 from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import CalibrationConfig, calibrate, split_panel
 from remitsim.cli import main as cli_main
-from remitsim.dataio import DisasterEvent, FlowObservation, as_panel
+from remitsim.dataio import DisasterEvent, FlowObservation
 from remitsim.engine import SimulationContext, build_population
 from remitsim.flows import _sample_cells, confidence_band
 from remitsim.months import month_index
@@ -184,7 +185,7 @@ def test_criterion_production_band_calibration():
 def test_criterion_counterfactual_identities():
     """Null scenario, locality, window confinement, quadratic residual scaling."""
     eventless = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2, with_events=False)
-    null = scenarios.run_counterfactual(eventless, REFERENCE_PARAMS)
+    null = scenarios.run_counterfactual(SimulationContext(eventless), REFERENCE_PARAMS)
     assert (null.induced == 0.0).all()
 
     pop = {c.country: c.population for c in eventless.economics}
@@ -208,7 +209,8 @@ def test_criterion_counterfactual_identities():
         )
         ds = build_scenario_dataset(origins=[("ORR", 25000, 150000.0, 0.5)],
                                     dests=[("DSA", 40000), ("DSB", 34000)], events=events)
-        return scenarios.attribute_by_hazard(ds, REFERENCE_PARAMS).interaction_residual
+        return scenarios.attribute_by_hazard(SimulationContext(ds),
+                                             REFERENCE_PARAMS).interaction_residual
 
     ratio = residual(1.0) / residual(0.5)
     assert 3.5 <= ratio <= 4.5
@@ -218,10 +220,10 @@ def test_criterion_counterfactual_identities():
 def test_criterion_gravity_baseline_fixture():
     """Benchmark-row squared errors within 2% and planted-exponent recovery."""
     months = list(range(24))
-    panel = [FlowObservation("USA", "MEX", m, 27.46 / 12.0) for m in months]
+    panel = panel_of(FlowObservation("USA", "MEX", m, 27.46 / 12.0) for m in months)
     structural = {("USA", "MEX", m): 26.49 / 12.0 for m in months}
     gravity = {2010: {("USA", "MEX"): 123.28}, 2011: {("USA", "MEX"): 123.28}}
-    row = compare_models(as_panel(panel).lookup(structural, ("sender", "recipient", "month")),
+    row = compare_models(panel.lookup(structural, ("sender", "recipient", "month")),
                          gravity, panel).rows[0]
     assert abs(row.se_structural - 0.95) / 0.95 <= 0.02
     assert abs(row.se_gravity - 9181.54) / 9181.54 <= 0.02
@@ -234,7 +236,7 @@ def test_criterion_gravity_baseline_fixture():
         year = 2010 + month // 12
         for (sender, recipient), annual in flows[year].items():
             planted.append(FlowObservation(sender, recipient, month, annual / 12.0))
-    fit = calibrate_gravity(planted, dataset, stocks)
+    fit = calibrate_gravity(panel_of(planted), dataset, stocks)
     assert abs(fit.beta_exp - 0.75) <= 0.01
     _report(f"gravity baseline fixture (recovered exponent = {fit.beta_exp:.4f})")
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import panel_of
 from remitsim import baseline, fixtures
 from remitsim.baseline import (calibrate_gravity, compare_models, gravity_flows,
                                gravity_per_migrant, annual_stocks)
-from remitsim.dataio import FlowObservation, as_panel
+from remitsim.dataio import FlowObservation
 from remitsim.months import month_index, year_of
 from remitsim.population import build_population
 
@@ -91,7 +92,7 @@ def _gravity_panel(dataset, beta):
         year = year_of(month)
         for (sender, recipient), annual in flows[year].items():
             panel.append(FlowObservation(sender, recipient, month, annual / 12.0))
-    return panel
+    return panel_of(panel)
 
 
 def test_planted_beta_recovery(desk_dataset):
@@ -107,7 +108,7 @@ def test_flat_loss_degenerate_warning(caplog):
     zeroed = dataclasses.replace(
         dataset,
         stocks=tuple(r._replace(count=0.0) for r in dataset.stocks))
-    panel = [FlowObservation("DNA", "OGA", m, 0.0) for m in range(12)]
+    panel = panel_of(FlowObservation("DNA", "OGA", m, 0.0) for m in range(12))
     with caplog.at_level("WARNING"):
         fit = calibrate_gravity(panel, zeroed, _stocks(zeroed))
     assert fit.sse == 0.0
@@ -117,14 +118,14 @@ def test_flat_loss_degenerate_warning(caplog):
 
 def test_boundary_optimum_flagged(desk_dataset):
     # structural-model panels want a tiny exponent; the fit lands at the edge
-    panel = list(desk_dataset.panel)[:600]
+    panel = desk_dataset.panel[:600]
     fit = calibrate_gravity(panel, desk_dataset, _stocks(desk_dataset))
     assert fit.at_boundary or fit.beta_exp > 0.011
 
 
 def test_calibrate_gravity_requires_panel(desk_dataset):
     with pytest.raises(ValueError):
-        calibrate_gravity([], desk_dataset, _stocks(desk_dataset))
+        calibrate_gravity(panel_of([]), desk_dataset, _stocks(desk_dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +137,12 @@ def _mk_panel(sender, recipient, yearly_usd, months):
 
 def _aligned(structural, panel):
     """The (sender, recipient, month) values of ``structural`` in ``panel`` order, NaN if absent."""
-    return as_panel(panel).lookup(structural, ("sender", "recipient", "month"))
+    return panel.lookup(structural, ("sender", "recipient", "month"))
 
 
 def test_identical_estimates_ratio_one():
     months = list(range(12))
-    panel = _mk_panel("BBB", "AAA", 120.0, months)
+    panel = panel_of(_mk_panel("BBB", "AAA", 120.0, months))
     structural = {("BBB", "AAA", m): 10.0 for m in months}
     gravity = {2010: {("BBB", "AAA"): 120.0}}
     report = compare_models(_aligned(structural, panel), gravity, panel)
@@ -154,7 +155,7 @@ def test_benchmark_row_squared_errors():
     # observed 27.46, structural 26.49, gravity 123.28 (billions):
     # squared errors 0.9409 and 9181.47
     months = list(range(24))
-    panel = _mk_panel("USA", "MEX", 27.46, months)
+    panel = panel_of(_mk_panel("USA", "MEX", 27.46, months))
     structural = {("USA", "MEX", m): 26.49 / 12.0 for m in months}
     gravity = {2010: {("USA", "MEX"): 123.28}, 2011: {("USA", "MEX"): 123.28}}
     report = compare_models(_aligned(structural, panel), gravity, panel)
@@ -169,8 +170,8 @@ def test_benchmark_row_squared_errors():
 
 def test_relative_error_ratio_45_percent():
     months = list(range(12))
-    panel = (_mk_panel("AAA", "XXX", 100.0, months)
-             + _mk_panel("BBB", "XXX", 100.0, months))
+    panel = panel_of(_mk_panel("AAA", "XXX", 100.0, months)
+                     + _mk_panel("BBB", "XXX", 100.0, months))
     # structural off by 9% where gravity is off by 20%: ratio 0.45
     structural = {}
     for m in months:
@@ -185,7 +186,7 @@ def test_relative_error_ratio_45_percent():
 
 def test_missing_corridor_excluded_and_counted():
     months = list(range(6))
-    panel = _mk_panel("AAA", "XXX", 50.0, months) + _mk_panel("BBB", "YYY", 60.0, months)
+    panel = panel_of(_mk_panel("AAA", "XXX", 50.0, months) + _mk_panel("BBB", "YYY", 60.0, months))
     structural = {("AAA", "XXX", m): 4.0 for m in months}
     gravity = {2010: {("AAA", "XXX"): 50.0}}
     report = compare_models(_aligned(structural, panel), gravity, panel)
@@ -201,8 +202,8 @@ def test_annual_stocks_equal_per_series_oracle(desk_dataset, desk_ctx):
 
 def _panel_with_excluded_rows(dataset):
     """The desk panel plus one observation after 2019 and one of an unmodelled sender."""
-    return list(dataset.panel) + [FlowObservation("DNA", "OGA", 130, 5.0e6),
-                                  FlowObservation("ZZZ", "OGA", 3, 1.0e6)]
+    return panel_of([*dataset.panel, FlowObservation("DNA", "OGA", 130, 5.0e6),
+                     FlowObservation("ZZZ", "OGA", 3, 1.0e6)])
 
 
 def test_gravity_loss_equals_scalar_oracle(desk_dataset):

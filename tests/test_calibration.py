@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import panel_of
 from oracles import kernel_value
 from remitsim import fixtures
 from remitsim.behavior import PARAM_NAMES, REFERENCE_PARAMS, BehaviorParams
@@ -25,7 +26,7 @@ def _obs(i, amount=1.0):
 
 
 def test_split_80_20_on_ten():
-    panel = [_obs(i) for i in range(10)]
+    panel = panel_of(_obs(i) for i in range(10))
     tagged = split_panel(panel, 0.8, seed=0)
     assert sum(o.split_tag == "train" for o in tagged) == 8
     assert sum(o.split_tag == "test" for o in tagged) == 2
@@ -35,12 +36,12 @@ def test_split_half_on_thousand():
     panel = [_obs(i) for i in range(120)] + [
         FlowObservation("CCC", "AAA", i, 1.0) for i in range(120)]
     panel = panel * 5  # not unique, but split_panel only tags
-    tagged = split_panel(panel[:1000], 0.5, seed=3)
+    tagged = split_panel(panel_of(panel[:1000]), 0.5, seed=3)
     assert sum(o.split_tag == "train" for o in tagged) == 500
 
 
 def test_split_deterministic_and_partition():
-    panel = [_obs(i) for i in range(57)]
+    panel = panel_of(_obs(i) for i in range(57))
     a = split_panel(panel, 0.8, seed=11)
     b = split_panel(panel, 0.8, seed=11)
     assert a == b
@@ -53,9 +54,9 @@ def test_split_deterministic_and_partition():
 
 def test_split_validation():
     with pytest.raises(ValueError):
-        split_panel([], 0.8, seed=0)
+        split_panel(panel_of([]), 0.8, seed=0)
     with pytest.raises(ValueError):
-        split_panel([_obs(0)], 1.0, seed=0)
+        split_panel(panel_of([_obs(0)]), 1.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_loss_single_observation_gap(small_dataset):
     sim = ctx.expected_flows(REFERENCE_PARAMS)
     c = ctx.corridor_index("AAA", "BBB")
     obs = FlowObservation("BBB", "AAA", 14, sim[c, 14] + 0.97e9)
-    value = loss(REFERENCE_PARAMS, [obs], ctx)
+    value = loss(REFERENCE_PARAMS, panel_of([obs]), ctx)
     assert value == pytest.approx(0.9409e18, rel=1e-9)
 
 
@@ -83,8 +84,8 @@ def test_loss_quadratic_scaling(small_dataset):
     ctx = SimulationContext(small_dataset)
     sim = ctx.expected_flows(REFERENCE_PARAMS)
     c = ctx.corridor_index("AAA", "CCC")
-    single = [FlowObservation("CCC", "AAA", 5, sim[c, 5] + 1e6)]
-    double = [FlowObservation("CCC", "AAA", 5, sim[c, 5] + 2e6)]
+    single = panel_of([FlowObservation("CCC", "AAA", 5, sim[c, 5] + 1e6)])
+    double = panel_of([FlowObservation("CCC", "AAA", 5, sim[c, 5] + 2e6)])
     assert loss(REFERENCE_PARAMS, double, ctx) == pytest.approx(
         4 * loss(REFERENCE_PARAMS, single, ctx), rel=1e-12)
 
@@ -94,7 +95,7 @@ def test_loss_excludes_unmodeled_corridors(small_dataset, caplog):
     panel = [FlowObservation("YYY", "ZZZ", 3, 100.0),
              FlowObservation("BBB", "AAA", 3, 100.0)]
     with caplog.at_level("WARNING"):
-        aligned = align_panel(panel, ctx)
+        aligned = align_panel(panel_of(panel), ctx)
     assert aligned.n_excluded == 1
     assert aligned.amounts.size == 1
     assert ("ZZZ", "YYY") in aligned.excluded
@@ -103,7 +104,7 @@ def test_loss_excludes_unmodeled_corridors(small_dataset, caplog):
     # a modeled corridor observed outside the window is warned about on its own
     caplog.clear()
     with caplog.at_level("WARNING"):
-        aligned = align_panel(panel + [FlowObservation("BBB", "AAA", 40, 100.0)],
+        aligned = align_panel(panel_of(panel + [FlowObservation("BBB", "AAA", 40, 100.0)]),
                               SimulationContext(small_dataset, start=0, end=11))
     assert aligned.n_excluded == 2 and aligned.excluded == (("ZZZ", "YYY"),)
     messages = " | ".join(r.getMessage() for r in caplog.records)
@@ -120,7 +121,7 @@ def _noisy_small_fit(noise=0.05):
     ctx = SimulationContext(dataset)
     panel = fixtures.generate_panel(dataset, REFERENCE_PARAMS, noise=noise,
                                     rng=np.random.default_rng(5))
-    aligned = align_panel(list(panel), ctx)
+    aligned = align_panel(panel, ctx)
     x = pack(BehaviorParams(0.1, 0.9, -4.0, 2.5, -3.0, 0.12, 0.2, -0.5, 0.2))
     return ctx, aligned, x
 
@@ -199,7 +200,7 @@ def test_minimize_rejects_nonfinite_start():
 
 def _desk_train(desk_ctx, desk_dataset):
     panel = split_panel(desk_dataset.panel, 0.8, seed=11)
-    return align_panel([o for o in panel if o.split_tag == "train"], desk_ctx)
+    return align_panel(panel[panel.split_tag == "train"], desk_ctx)
 
 
 def test_stop_reason_max_iter(desk_ctx, desk_dataset):
@@ -254,7 +255,8 @@ def test_calibrate_requires_split(small_dataset):
 
 def test_calibrate_fails_without_modeled_corridors(small_dataset):
     ctx = SimulationContext(small_dataset)
-    panel = split_panel([FlowObservation("YYY", "ZZZ", m, 10.0) for m in range(10)], 0.8, 0)
+    panel = split_panel(panel_of(FlowObservation("YYY", "ZZZ", m, 10.0) for m in range(10)),
+                        0.8, 0)
     with pytest.raises(CalibrationError, match="modeled"):
         calibrate(ctx, panel, CalibrationConfig(starts=1, max_iter=1))
 
@@ -332,7 +334,7 @@ def test_bootstrap_coverage_experiment():
     for t in range(trials):
         rng = np.random.default_rng((1000, t))
         panel = fixtures.generate_panel(dataset, true, noise=0.02, rng=rng)
-        panel = [o for o in panel if o.month < 36 and o.month % 3 == 0]
+        panel = panel[(panel.month < 36) & (panel.month % 3 == 0)]
         panel = split_panel(panel, 0.8, seed=t)
         config = CalibrationConfig(starts=1, max_iter=20, tol=1e-12, seed=t, init=true)
         result = calibrate(ctx, panel, config)

@@ -349,6 +349,29 @@ def test_cli_import_loads_no_command_module():
     assert "'remitsim.engine'" in loaded
 
 
+def test_compare_baseline_loads_no_numpy_ma(tmp_path):
+    """compare-baseline on the desk fixture never imports numpy.ma, which numpy 2
+    loads on first use (about 10 ms in a fresh process); numpy 1 loads it with
+    numpy itself, so there the check holds trivially."""
+    data = tmp_path / "data"
+    assert run("fixtures", "generate", "--data-dir", data, "--seed", 7) == 0
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    src = str(Path(remitsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                    os.environ.get("PYTHONPATH")])))
+    argv = ["compare-baseline", "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
+            "--params", str(params)]
+    script = ("import sys, numpy; with_numpy = 'numpy.ma' in sys.modules; "
+              "from remitsim.cli import main; code = main(sys.argv[1:]); "
+              "print(code, with_numpy, 'numpy.ma' in sys.modules)")
+    printed = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+    code, with_numpy, loaded = printed[-3:]
+    assert code == "0"
+    assert loaded == with_numpy
+
+
 def test_band_does_not_depend_on_window(tmp_path):
     data = tmp_path / "data"
     assert run("fixtures", "generate", "--data-dir", data, "--seed", 7) == 0

@@ -284,9 +284,9 @@ def test_clamp_engages_only_below_zero():
 
 
 def test_missing_anchor_raises():
-    records = _records(1, 2, 3)[:2]
+    stocks = Stocks.from_columns(*zip(*_records(1, 2, 3)[:2]))
     with pytest.raises(DataValidationError, match="missing anchor"):
-        interpolate_stocks_monthly(records)
+        interpolate_stocks_monthly(stocks)
 
 
 def test_anchor_check_runs_on_records_given_to_a_dataset(small_dataset):

@@ -159,13 +159,12 @@ def _points(*args, **kwargs) -> list[tuple[float, float]]:
     return list(zip(cum.tolist(), probs.tolist()))
 
 
-def test_probability_profile_scopes(desk_ctx):
+def test_probability_profile_pools_the_diaspora(desk_ctx):
     origin = desk_ctx.corridors[0][0]
     pooled = _points(desk_ctx, REFERENCE_PARAMS, origin, 60)
-    single = _points(desk_ctx, REFERENCE_PARAMS, origin, 60,
-                     destination=desk_ctx.corridors[0][1])
-    assert pooled and single
-    assert len(pooled) > len(single)
+    rows = desk_ctx.origin_groups[origin]
+    assert len(rows) > 1  # one point per cohort with people, over every destination
+    assert len(pooled) == sum(np.count_nonzero(desk_ctx.cohort_counts(c, 60)) for c in rows)
     assert pooled[-1][0] == pytest.approx(1.0)
     probs = [p for _, p in pooled]
     assert probs == sorted(probs, reverse=True)

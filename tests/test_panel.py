@@ -2,6 +2,7 @@
 alignment, gravity loss and comparison held to their record-wise oracles."""
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import panel_of
 from remitsim import baseline, fixtures
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.calibration import align_panel, split_panel
-from remitsim.dataio import FlowObservation, Panel, as_panel
+from remitsim.dataio import FlowObservation, Panel
 from remitsim.engine import SimulationContext
 from remitsim.population import build_population
 
@@ -32,15 +34,17 @@ def _bits(arr: np.ndarray) -> bytes:
 def test_records_in_and_out(small_dataset):
     records = list(small_dataset.panel)
     assert all(type(r) is FlowObservation for r in records)
-    assert as_panel(records) == small_dataset.panel
-    assert tuple(as_panel(records)) == tuple(records)
+    from_records = dataclasses.replace(small_dataset, panel=records).panel
+    assert type(from_records) is Panel and from_records == small_dataset.panel
+    assert tuple(from_records) == tuple(records)
     assert small_dataset.panel[-1] == records[-1] and small_dataset.panel[2] == records[2]
     assert list(small_dataset.panel[1:3]) == records[1:3]
     tagged = split_panel(small_dataset.panel, 0.5, seed=1)
     assert tagged != small_dataset.panel
     assert {r.split_tag for r in tagged} == {"train", "test"}
     assert type(records[0].month) is int and type(records[0].amount_usd) is float
-    assert as_panel(()) == Panel.from_columns([], [], [], []) and len(as_panel(())) == 0
+    empty = dataclasses.replace(small_dataset, panel=()).panel
+    assert empty == Panel.from_columns([], [], [], []) and len(empty) == 0
 
 
 def test_panel_arrays_are_read_only(small_dataset):
@@ -71,7 +75,7 @@ def panels(draw) -> list[FlowObservation]:
 def test_columnar_panel_equals_record_oracles(records, a, b, seed):
     start, end = min(a, b), max(a, b)
     ctx = SimulationContext(DATASET, start=start, end=end)
-    panel = as_panel(records)
+    panel = panel_of(records)
 
     assert tuple(split_panel(panel, 0.6, seed)) == oracles.split_panel(records, 0.6, seed)
 
@@ -105,7 +109,7 @@ def test_columnar_panel_equals_record_oracles(records, a, b, seed):
     report = repr(oracles.compare_models(mapping, gravity, records))  # repr tells -0.0 from 0.0
     assert repr(baseline.compare_models(structural, gravity, panel)) == report
     aligned = panel.lookup(mapping, ("sender", "recipient", "month"))
-    assert repr(baseline.compare_models(aligned, gravity, records)) == report
+    assert repr(baseline.compare_models(aligned, gravity, panel)) == report
 
 
 class _Messages(logging.Handler):

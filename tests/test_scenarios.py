@@ -55,7 +55,7 @@ def two_corridor_event_dataset() -> Dataset:
 
 def test_zero_event_dataset_induces_nothing():
     dataset = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2, with_events=False)
-    result = scenarios.run_counterfactual(dataset, PARAMS)
+    result = scenarios.run_counterfactual(SimulationContext(dataset), PARAMS)
     assert (result.induced == 0.0).all()
     assert np.array_equal(result.factual, result.counterfactual)
 
@@ -88,7 +88,7 @@ def test_null_scenario_reproduces_counterfactual_bit_exactly(two_corridor_event_
 
 
 def test_induced_is_factual_minus_counterfactual(two_corridor_event_dataset):
-    result = scenarios.run_counterfactual(two_corridor_event_dataset, PARAMS)
+    result = scenarios.run_counterfactual(SimulationContext(two_corridor_event_dataset), PARAMS)
     assert np.array_equal(result.induced, result.factual - result.counterfactual)
     assert 0.0 <= result.total_induced() / result.total_factual() < 1.0
 
@@ -97,7 +97,7 @@ def test_induced_is_factual_minus_counterfactual(two_corridor_event_dataset):
 # Per-hazard attribution
 
 def test_single_hazard_attribution_exhausts_total(two_corridor_event_dataset):
-    report = scenarios.attribute_by_hazard(two_corridor_event_dataset, PARAMS)
+    report = scenarios.attribute_by_hazard(SimulationContext(two_corridor_event_dataset), PARAMS)
     by_hazard = {h.hazard: h for h in report.per_hazard}
     assert by_hazard["flood"].induced_usd == pytest.approx(report.total_induced, rel=1e-12)
     for hazard in ("storm", "earthquake", "drought"):
@@ -106,34 +106,34 @@ def test_single_hazard_attribution_exhausts_total(two_corridor_event_dataset):
     assert report.interaction_residual == pytest.approx(0.0, abs=1e-6)
 
 
-def _residual_dataset(scale: float) -> Dataset:
+def _residual_ctx(scale: float) -> SimulationContext:
     events = [
         DisasterEvent("FL", "ORR", month_index("2012-03"), "flood", 100000.0 * scale),
         DisasterEvent("ST", "ORR", month_index("2012-05"), "storm", 120000.0 * scale),
     ]
-    return build_scenario_dataset(
+    return SimulationContext(build_scenario_dataset(
         origins=[("ORR", 25000, 150000.0, 0.5)],
-        dests=[("DSA", 40000), ("DSB", 34000)], events=events)
+        dests=[("DSA", 40000), ("DSB", 34000)], events=events))
 
 
 def test_small_event_residual_and_quadratic_scaling():
-    full = scenarios.attribute_by_hazard(_residual_dataset(1.0), PARAMS)
+    full = scenarios.attribute_by_hazard(_residual_ctx(1.0), PARAMS)
     assert abs(full.interaction_residual) <= 0.01 * full.total_induced
-    half = scenarios.attribute_by_hazard(_residual_dataset(0.5), PARAMS)
+    half = scenarios.attribute_by_hazard(_residual_ctx(0.5), PARAMS)
     ratio = full.interaction_residual / half.interaction_residual
     assert 3.5 <= ratio <= 4.5
 
 
 def test_leave_one_out_convention_differs_but_agrees_on_total():
-    dataset = _residual_dataset(1.0)
-    only = scenarios.attribute_by_hazard(dataset, PARAMS, "only_hazard")
-    loo = scenarios.attribute_by_hazard(dataset, PARAMS, "leave_one_out")
+    ctx = _residual_ctx(1.0)
+    only = scenarios.attribute_by_hazard(ctx, PARAMS, "only_hazard")
+    loo = scenarios.attribute_by_hazard(ctx, PARAMS, "leave_one_out")
     assert only.total_induced == pytest.approx(loo.total_induced, rel=1e-12)
     flood_only = next(h for h in only.per_hazard if h.hazard == "flood")
     flood_loo = next(h for h in loo.per_hazard if h.hazard == "flood")
     assert flood_only.induced_usd != flood_loo.induced_usd
     with pytest.raises(ValueError):
-        scenarios.attribute_by_hazard(dataset, PARAMS, "nope")
+        scenarios.attribute_by_hazard(ctx, PARAMS, "nope")
 
 
 def test_per_person_ordering_earthquake_over_drought():
@@ -144,7 +144,7 @@ def test_per_person_ordering_earthquake_over_drought():
         dests=[("DSA", 40000), ("DSB", 34000)],
         events=[DisasterEvent("EQ", "ORQ", month_index("2014-03"), "earthquake", 80000.0),
                 DisasterEvent("DR", "ORW", month_index("2012-06"), "drought", 400000.0)])
-    report = scenarios.attribute_by_hazard(dataset, PARAMS)
+    report = scenarios.attribute_by_hazard(SimulationContext(dataset), PARAMS)
     eq = next(h for h in report.per_hazard if h.hazard == "earthquake")
     dr = next(h for h in report.per_hazard if h.hazard == "drought")
     assert eq.affected_persons < dr.affected_persons
@@ -167,7 +167,7 @@ def test_zero_affected_event_induces_nothing():
     dataset = build_scenario_dataset(
         origins=[("ORZ", 20000, 100000.0, 0.5)], dests=[("DSA", 40000)],
         events=[DisasterEvent("NIL", "ORZ", month_index("2015-02"), "storm", 0.0)])
-    ev = scenarios.attribute_event(dataset, PARAMS, "NIL")
+    ev = scenarios.attribute_event(SimulationContext(dataset), PARAMS, "NIL")
     assert ev.induced_usd_12m == 0.0
     assert ev.induced_by_corridor == {}
 
@@ -175,7 +175,7 @@ def test_zero_affected_event_induces_nothing():
 def test_unknown_event_id():
     dataset = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2)
     with pytest.raises(KeyError):
-        scenarios.attribute_event(dataset, PARAMS, "MISSING")
+        scenarios.attribute_event(SimulationContext(dataset), PARAMS, "MISSING")
 
 
 def test_large_event_relative_increase_and_oracle():
@@ -232,22 +232,22 @@ def test_event_attribution_from_the_no_event_grid_is_bit_identical(desk_dataset,
 # Summaries
 
 def test_single_group_share(two_corridor_event_dataset):
-    result = scenarios.run_counterfactual(two_corridor_event_dataset, PARAMS)
+    result = scenarios.run_counterfactual(SimulationContext(two_corridor_event_dataset), PARAMS)
     rows = scenarios.summarize(result, two_corridor_event_dataset, "income-group")
     assert len(rows) == 1  # every fixture country is upper-middle income
     assert rows[0].induced_usd == pytest.approx(result.total_induced(), rel=1e-12)
 
 
-def test_year_grouping_partitions_total(desk_dataset):
-    result = scenarios.run_counterfactual(desk_dataset, PARAMS)
+def test_year_grouping_partitions_total(desk_dataset, desk_ctx):
+    result = scenarios.run_counterfactual(desk_ctx, PARAMS)
     rows = scenarios.summarize(result, desk_dataset, "year")
     assert sorted(r.key for r in rows) == [str(y) for y in range(2010, 2020)]
     assert sum(r.induced_usd for r in rows) == pytest.approx(result.total_induced(), rel=1e-9)
     assert sum(r.factual_usd for r in rows) == pytest.approx(result.total_factual(), rel=1e-9)
 
 
-def test_country_grouping_against_flat_summation(desk_dataset):
-    result = scenarios.run_counterfactual(desk_dataset, PARAMS)
+def test_country_grouping_against_flat_summation(desk_dataset, desk_ctx):
+    result = scenarios.run_counterfactual(desk_ctx, PARAMS)
     rows = scenarios.summarize(result, desk_dataset, "country")
     by_country = {}
     for c, (origin, _) in enumerate(result.corridors):
@@ -257,15 +257,11 @@ def test_country_grouping_against_flat_summation(desk_dataset):
         assert row.per_capita is not None and row.per_gdp is not None
 
 
-def test_hazard_grouping_needs_attribution(desk_dataset):
-    result = scenarios.run_counterfactual(desk_dataset, PARAMS)
-    with pytest.raises(ValueError):
-        scenarios.summarize(result, desk_dataset, "hazard")
-    report = scenarios.attribute_by_hazard(desk_dataset, PARAMS)
-    rows = scenarios.summarize(result, desk_dataset, "hazard", attribution=report)
-    assert {r.key for r in rows} == {"drought", "earthquake", "flood", "storm"}
-    with pytest.raises(ValueError):
-        scenarios.summarize(result, desk_dataset, "continent")
+@pytest.mark.parametrize("grouping", ["hazard", "continent"])
+def test_unknown_grouping_rejected(desk_dataset, desk_ctx, grouping):
+    result = scenarios.run_counterfactual(desk_ctx, PARAMS)
+    with pytest.raises(ValueError, match="unknown grouping"):
+        scenarios.summarize(result, desk_dataset, grouping)
 
 
 @pytest.mark.parametrize("window", [None, ("2016-07", "2017-03")])
