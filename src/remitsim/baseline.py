@@ -227,10 +227,11 @@ def compare_models(structural: np.ndarray, gravity: Mapping[int, Mapping[tuple[s
             excluded += 1
             continue
         grav = float(np.mean(gravity_yearly))
+        # squares by product: ** 2 calls the C library's pow, which may round differently
+        err_s, err_g = struct - observed, grav - observed
         row = ComparisonRow(sender=sender, recipient=recipient, observed_usd=observed,
                             structural_usd=struct, gravity_usd=grav,
-                            se_structural=(struct - observed) ** 2,
-                            se_gravity=(grav - observed) ** 2)
+                            se_structural=err_s * err_s, se_gravity=err_g * err_g)
         rows.append(row)
         if observed > 0:
             rel_s.append(abs(struct - observed) / observed)

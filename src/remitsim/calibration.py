@@ -2,7 +2,7 @@
 
 The objective is the summed squared error between expected-value flows and
 train observations. Minimization is Levenberg-Marquardt over the analytic
-Jacobian of the flows (``SimulationContext.flow_jacobian``), with Marquardt's
+Jacobian of the flows (:func:`flow_jacobian`), with Marquardt's
 diagonal scaling; only steps that lower the loss are accepted, so the loss
 history is strictly decreasing. The remitted-fraction parameter is optimized
 through a logit reparameterization so it stays inside (0, 1). Uncertainty
@@ -18,10 +18,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .behavior import BehaviorParams, CalibrationError, PARAM_NAMES
+from .behavior import DISASTER_WINDOW, BehaviorParams, CalibrationError, PARAM_NAMES
 from .dataio import Panel
-from .engine import SimulationContext
+from .engine import SimulationContext, _row_sums, _unbuffered
 from .months import month_label
+from .reports import sequential_sum
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +136,58 @@ def _residuals(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorPara
 
 def _sse(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) -> float:
     resid = _residuals(ctx, aligned, params)
-    return float(resid @ resid)
+    return sequential_sum(resid * resid)
+
+
+@_unbuffered
+def flow_jacobian(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarray,
+                  cols: np.ndarray, col_pos: np.ndarray) -> np.ndarray:
+    """Derivatives of the expected flows at the cells ``(rows, cols[col_pos])``.
+
+    Shape (len(rows), 9), one column per parameter in ``PARAM_NAMES`` order,
+    except that the last is taken with respect to logit(rho); all events
+    are active. Per cell, with sigma the logistic of a cohort of count n·w,
+    S1 = sum n·w·sigma, S2 = sum n·w·sigma·(1 - sigma) and
+    S3 = sum n·w·sigma·(1 - sigma)·surplus; the flow is rho·income·S1, and
+    each score coefficient enters through rho·income·S2 times its covariate.
+    The sums over ages and onset offsets add in the engine's fixed order.
+    """
+    months = cols[col_pos]
+    # the cells alone, one per row of a one-column grid, grouped by surplus profile
+    base = ctx._base_scores(params, None, cols)[rows, col_pos, None]
+    sums = np.zeros((3, len(rows)))  # S1, S2, S3
+    for idx, active, surplus, blocks in ctx._group_probabilities(params, base, rows):
+        w_m, w_f = ctx.shares[:, active]
+        weights = np.stack([w_m, w_f, w_m * surplus, w_f * surplus])
+        n_m, n_f = ctx.stocks[rows[idx], months[idx]].T
+        group = np.empty((3, 2, len(idx)))  # per sum, per sex
+        for cells, prob in blocks:
+            group[0, :, cells] = _row_sums(prob, weights[:2])
+            group[1:, :, cells] = _row_sums(prob * (1.0 - prob), weights).reshape(2, 2, -1)
+        sums[:, idx] = group[:, 0] * n_m + group[:, 1] * n_f
+
+    # per (corridor, month): summed magnitudes, and the kernel's sin and d(sin)/d(shift) terms
+    phase = np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift)
+    terms = np.stack([np.ones(DISASTER_WINDOW), np.sin(phase), np.pi / 6.0 * np.cos(phase)])
+    events = np.zeros((3, ctx.n_corridors, ctx.n_months))
+    for idx, by_term in ctx.event_sums(terms, None, ctx.origin_groups):
+        events[:, idx] = by_term[:, None]
+
+    s1, s2, s3 = sums
+    scale = params.rho * ctx.monthly_income[rows, months]
+    d_score = scale * s2  # derivative of the flow with respect to the score
+    ev = events[:, rows, months]
+    jac = np.empty((len(rows), 9))
+    jac[:, 0] = d_score
+    jac[:, 1] = scale * s3
+    jac[:, 2] = d_score * ctx.family[rows, months]
+    jac[:, 3] = d_score * ctx.delta_gdp[rows, months]
+    jac[:, 4] = d_score * ctx.gdp_norm[rows, months]
+    jac[:, 5] = d_score * ev[0]
+    jac[:, 6] = d_score * ev[1]
+    jac[:, 7] = d_score * params.shape * ev[2]
+    jac[:, 8] = scale * s1 * (1.0 - params.rho)
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +352,8 @@ def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: 
          tol: float) -> MinimizeResult:
     return minimize_lm(
         lambda x: _residuals(ctx, aligned, unpack(x)),
-        lambda x: ctx.flow_jacobian(unpack(x), aligned.corridor_idx, aligned.cols,
-                                    aligned.month_pos),
+        lambda x: flow_jacobian(ctx, unpack(x), aligned.corridor_idx, aligned.cols,
+                                aligned.month_pos),
         x0, max_iter=max_iter, tol=tol)
 
 

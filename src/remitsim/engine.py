@@ -11,21 +11,22 @@ rows and months to a block of :meth:`SimulationContext.affected_cells`, the
 only cells where its event set can change a flow.
 
 One kernel computes the logistic: per group of corridors that share a
-surplus profile, the cohort probabilities of at most ``_BLOCK_CELLS`` cells
-at a time, in place in one reused buffer, and the flows reduce each block
-with the 64-row products of :func:`_matvec`. Blocks start at multiples of 64
-cells, so every cell rounds as if its group were taken whole. A
-row-restricted evaluation (``rows=``, with or without ``cols=``) takes one
-group per surplus profile and equals the matching slice of the full grid bit
-for bit, at any BLAS thread count. The full grid, a column-only evaluation
-and the Jacobian take one group per destination, because the unpadded tail
-of a column-only group rounds by the group's size: a column-only evaluation
-may differ from the full grid in the last bits of a group's last cells.
-This is the package's only evaluation path; the tests check it against the
-whole-group logistic and against per-cohort scalar oracles.
+surplus profile, the cohort probabilities of at most ``_BLOCK_CELLS`` cells at
+a time, age-major (active ages x cells), in place in one reused buffer. The
+flows weight each block with elementwise products and sum it over ages with
+:func:`_row_sums`, which adds one age at a time in a fixed order, one
+rounding per addition (Demmel and Nguyen, "Parallel Reproducible Summation",
+IEEE Trans. Computers 64(7), 2015); the event kernels sum over onset offsets
+the same way. No BLAS product is involved, so the bytes do not depend on the
+BLAS build, its CPU kernel or its thread count, and each cell's value does
+not depend on its group or block: every restricted evaluation (``rows=``,
+``cols=`` or both) is an exact slice of the full grid. This is the package's
+only evaluation path; the tests check it against each destination group's
+logistic taken whole and against per-cohort scalar oracles.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from typing import Mapping
 
@@ -38,6 +39,24 @@ from .months import WINDOW_MONTHS, year_of
 from .population import build_population, demographics_arrays
 
 log = logging.getLogger(__name__)
+
+
+def _unbuffered(evaluate):
+    """Run ``evaluate`` with numpy's smallest ufunc buffer.
+
+    numpy (2.x) runs a broadcast operation over rows shorter than its buffer
+    (8,192 elements by default), such as a block's active ages x cells, through
+    copies into the buffer, at several times the cost; with a 16-element buffer
+    it runs row by row. Every value stays the same.
+    """
+    @functools.wraps(evaluate)
+    def wrapper(*args, **kwargs):
+        size = np.setbufsize(16)
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            np.setbufsize(size)
+    return wrapper
 
 
 class SimulationContext:
@@ -88,20 +107,19 @@ class SimulationContext:
                 behavior.delta_gdp(gdp[dest_row], gdp[origin_row], clamp=clamp_delta_gdp),
                 norm[origin_row], gdp[dest_row] / 12.0))
 
-        # corridor indices grouped by destination (shared surplus profile)
-        # and by origin (shared disaster exposure)
-        self._origin_of, self._dest_of = codes[origin], codes[dest]
-        self.dest_groups = _positions(self._dest_of)
+        # corridor indices grouped by origin (shared disaster exposure) and by
+        # surplus profile (the destination's own or GLOBAL_DEFAULT)
+        self._origin_of = codes[origin]
         self.origin_groups = _positions(self._origin_of)
-        # each destination's surplus profile (its own or GLOBAL_DEFAULT), and
-        # each corridor's
-        self._profile = {d: d if d in dataset.surplus_by_country else GLOBAL_SURPLUS
-                         for d in self.dest_groups}
-        self._profile_of = np.array([self._profile[d] for d in self._dest_of.tolist()])
-        # per profile with an earnings surplus at some age: the mask of those
-        # ages and the surplus at them
-        profiles = {p: dataset.surplus_by_country[p] for p in self._profile.values()}
-        self._surplus_ages = {p: (s > 0, s[s > 0]) for p, s in profiles.items() if (s > 0).any()}
+        surplus = dataset.surplus_by_country
+        profile_of = [d if d in surplus else GLOBAL_SURPLUS for d in codes[dest].tolist()]
+        profiles = {p: k for k, p in enumerate(dict.fromkeys(profile_of))}
+        self._profile_of = np.array([profiles[p] for p in profile_of])  # as indices
+        self._profile_groups = _positions(self._profile_of)
+        # per profile index with an earnings surplus at some age: the mask of
+        # those ages and the surplus at them
+        self._surplus_ages = {k: (surplus[p] > 0, surplus[p][surplus[p] > 0])
+                              for p, k in profiles.items() if (surplus[p] > 0).any()}
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
         self._events = []
@@ -113,8 +131,8 @@ class SimulationContext:
                             e.event_id, e.affected, pop)
                 magnitude = 1.0
             self._events.append((e.event_id, e.country, e.onset_month, magnitude))
-        self._mag_cache: dict[frozenset | None, Mapping[str, np.ndarray]] = {}
-        self._mag_latest: dict[frozenset, Mapping[str, np.ndarray]] = {}
+        self._mag_cache: dict[frozenset | None, tuple[list[str], np.ndarray]] = {}
+        self._mag_latest: dict[frozenset, tuple[list[str], np.ndarray]] = {}
 
         for arr in (self.family, self.delta_gdp, self.gdp_norm, self.monthly_income, self.shares):
             arr.flags.writeable = False
@@ -139,16 +157,19 @@ class SimulationContext:
             arr = arr[rows]
         return arr if cols is None else arr[:, cols]
 
-    def _row_groups(self, groups: Mapping[str, np.ndarray], labels: np.ndarray,
-                    rows: np.ndarray | None) -> Mapping[str, np.ndarray]:
+    def _row_groups(self, groups: Mapping, labels: np.ndarray,
+                    rows: np.ndarray | None) -> Mapping:
         """``groups`` (label to corridor indices) itself, or with ``rows`` the
         positions in ``rows`` of each label that has any, in the order of ``rows``."""
         return groups if rows is None else _positions(labels[rows])
 
     # -- disaster machinery --------------------------------------------------
 
-    def event_magnitudes(self, active_ids: frozenset | None = None) -> Mapping[str, np.ndarray]:
-        """Per-country (n_months, 12) matrices of summed magnitudes by offset.
+    def event_magnitudes(self, active_ids: frozenset | None = None
+                         ) -> tuple[list[str], np.ndarray]:
+        """The countries with an active event, in the order of their first
+        event, and their summed magnitudes by offset from the onset, country
+        and month: shape (12, countries, n_months).
 
         ``active_ids`` restricts to a subset of event ids; None means all.
         The all-events and no-event results stay cached: calibration and
@@ -159,22 +180,34 @@ class SimulationContext:
         cached = self._mag_cache.get(active_ids, self._mag_latest.get(active_ids))
         if cached is not None:
             return cached
-        mags: dict[str, np.ndarray] = {}
-        for event_id, country, onset, magnitude in self._events:
-            if active_ids is not None and event_id not in active_ids:
-                continue
-            arr = mags.setdefault(country, np.zeros((self.n_months, DISASTER_WINDOW)))
+        countries: dict[str, int] = {}
+        active = [(countries.setdefault(country, len(countries)), onset, magnitude)
+                  for event_id, country, onset, magnitude in self._events
+                  if active_ids is None or event_id in active_ids]
+        mags = np.zeros((DISASTER_WINDOW, len(countries), self.n_months))
+        for c, onset, magnitude in active:
             for k in range(DISASTER_WINDOW):
-                month = onset + k
-                if 0 <= month < self.n_months:
-                    arr[month, k] += magnitude
-        for arr in mags.values():
-            arr.flags.writeable = False
+                if 0 <= onset + k < self.n_months:
+                    mags[k, c, onset + k] += magnitude
+        mags.flags.writeable = False
+        result = list(countries), mags
         if active_ids:
-            self._mag_latest = {active_ids: mags}
+            self._mag_latest = {active_ids: result}
         else:
-            self._mag_cache[active_ids] = mags
-        return mags
+            self._mag_cache[active_ids] = result
+        return result
+
+    def event_sums(self, terms: np.ndarray, active_ids: frozenset | None,
+                   groups: Mapping[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per country of ``groups`` (country to row indices) with an active
+        event: (its rows, per row of ``terms``, one weight per onset offset, the
+        weighted sum over the offsets of its magnitudes, shape (len(terms),
+        n_months))."""
+        countries, mags = self.event_magnitudes(active_ids)
+        present = [(c, groups[country]) for c, country in enumerate(countries) if country in groups]
+        picked = mags[:, [c for c, _ in present]].reshape(DISASTER_WINDOW, -1)
+        sums = _row_sums(picked, terms).reshape(len(terms), len(present), self.n_months)
+        return [(idx, sums[:, k]) for k, (_, idx) in enumerate(present)]
 
     def affected_cells(self, ids_a: frozenset | None,
                        ids_b: frozenset | None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -205,14 +238,12 @@ class SimulationContext:
                         rows: np.ndarray | None = None) -> np.ndarray:
         """Summed kernel scores per (corridor, month) for the active events;
         with ``rows``, for those corridors only, shape (len(rows), n_months)."""
-        sin_vec = np.sin(np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift))
+        kernel = np.stack([np.ones(DISASTER_WINDOW),
+                           np.sin(np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift))])
         scores = np.zeros((self.n_corridors if rows is None else len(rows), self.n_months))
         groups = self._row_groups(self.origin_groups, self._origin_of, rows)
-        for country, mag in self.event_magnitudes(active_ids).items():
-            idx = groups.get(country)
-            if idx is None:
-                continue
-            scores[idx] = params.height * mag.sum(axis=1) + params.shape * (mag @ sin_vec)
+        for idx, (summed, sin_term) in self.event_sums(kernel, active_ids, groups):
+            scores[idx] = params.height * summed + params.shape * sin_term
         return scores
 
     # -- probability and flows ------------------------------------------------
@@ -227,36 +258,30 @@ class SimulationContext:
                 + self._take(self.disaster_scores(params, active_ids, rows), None, cols))
 
     def _group_probabilities(self, params: BehaviorParams, base: np.ndarray,
-                             rows: np.ndarray | None = None, whole: bool = False):
-        """The logistic, per group with an earnings surplus at some age.
+                             rows: np.ndarray | None = None):
+        """The logistic, per group of the rows of ``base`` that share a surplus
+        profile with an earnings surplus at some age.
 
-        Yields (indices into the rows of ``base``, mask of the ages with
-        earnings surplus, blocks). ``base`` covers all corridors, in one group
-        per destination, or the corridor ``rows``, in one group per surplus
-        profile. A group's cells run corridor by corridor, the
+        Yields (indices into the rows of ``base``, mask of the ages with earnings
+        surplus, the surplus at them, blocks). ``base`` covers all corridors, or
+        the corridor ``rows``. A group's cells run corridor by corridor, the
         columns of ``base`` within each; ``blocks`` yields (cell slice,
-        probabilities shaped (cells, active ages)) over them, in the blocks of
-        :func:`_blocks`, or all in one if ``whole``. Every block is written in
-        place into one buffer, so it holds only until the next is drawn.
+        probabilities shaped (active ages, cells)) over them, ``_BLOCK_CELLS``
+        cells at a time. Every block is written in place into one buffer, so it
+        holds only until the next is drawn.
         """
-        profiles = ([(idx, self._profile[dest]) for dest, idx in self.dest_groups.items()]
-                    if rows is None else
-                    [(idx, profile) for profile, idx in _positions(self._profile_of[rows]).items()])
-        groups = []
-        for idx, profile in profiles:
-            if profile in self._surplus_ages:
-                active, surplus = self._surplus_ages[profile]
-                groups.append((idx, active, params.beta0 * surplus))
+        groups = [(idx, *self._surplus_ages[profile]) for profile, idx
+                  in self._row_groups(self._profile_groups, self._profile_of, rows).items()
+                  if profile in self._surplus_ages]
         if not groups:
             return
         most = max(len(idx) for idx, _, _ in groups) * base.shape[1]
-        ages = max(len(shift) for _, _, shift in groups)
-        buffer = np.empty((most if whole else min(most, _BLOCK_CELLS + 1)) * ages)
-        for idx, active, shift in groups:
-            scores = base[idx].ravel()
-            yield idx, active, _logistic_blocks(scores, shift, buffer,
-                                                _blocks(len(scores), None if whole else _BLOCK_CELLS))
+        buffer = np.empty(min(most, _BLOCK_CELLS) * max(len(surplus) for *_, surplus in groups))
+        for idx, active, surplus in groups:
+            yield idx, active, surplus, _logistic_blocks(base[idx].ravel(),
+                                                         -params.beta0 * surplus, buffer)
 
+    @_unbuffered
     def expected_flows(self, params: BehaviorParams, active_ids: frozenset | None = None,
                        cols: np.ndarray | None = None,
                        rows: np.ndarray | None = None) -> np.ndarray:
@@ -266,9 +291,8 @@ class SimulationContext:
         ages without earnings surplus contribute exactly 0. ``cols`` restricts
         the evaluation to a subset of month columns (calibration hot path) and
         ``rows`` to a subset of corridors (scenarios); the result has shape
-        (len(rows), len(cols)). With ``rows`` it equals that slice of the full
-        2010-2019 grid, which the defaults cover, bit for bit; without, the
-        last cells of a destination group may differ in the last bits.
+        (len(rows), len(cols)) and equals that slice of the full 2010-2019
+        grid, which the defaults cover, bit for bit.
         """
         base = self._base_scores(params, active_ids, cols, rows)
         n_cols = base.shape[1]
@@ -277,13 +301,11 @@ class SimulationContext:
         # each cell's sums over ages of weight x probability, per sex; every
         # array takes the memory layout of base, which later sums follow
         per_m, per_f = np.zeros_like(base), np.zeros_like(base)
-        pad_tail = rows is not None
-        for idx, active, blocks in self._group_probabilities(params, base, rows):
-            w_m, w_f = self.shares[:, active]
+        for idx, active, _, blocks in self._group_probabilities(params, base, rows):
+            weights = self.shares[:, active]
             sums = np.empty((2, len(idx) * n_cols))
             for cells, prob in blocks:
-                sums[0, cells] = _matvec(prob, w_m, pad_tail)
-                sums[1, cells] = _matvec(prob, w_f, pad_tail)
+                sums[:, cells] = _row_sums(prob, weights)
             per_m[idx], per_f[idx] = sums.reshape(2, len(idx), n_cols)
         # in place; one product or sum commutes exactly in floating point, so each
         # cell rounds as (rho x income) x (men x sum_m + women x sum_f)
@@ -292,61 +314,7 @@ class SimulationContext:
         per_m += per_f
         return np.multiply(params.rho * income, per_m, out=per_m)
 
-    def flow_jacobian(self, params: BehaviorParams, rows: np.ndarray, cols: np.ndarray,
-                      col_pos: np.ndarray) -> np.ndarray:
-        """Derivatives of the expected flows at the cells ``(rows, cols[col_pos])``.
-
-        Shape (len(rows), 9), one column per parameter in ``PARAM_NAMES`` order,
-        except that the last is taken with respect to logit(rho); all events
-        are active. Per cell, with sigma the logistic of a cohort of count n·w,
-        S1 = sum n·w·sigma, S2 = sum n·w·sigma·(1 - sigma) and
-        S3 = sum n·w·sigma·(1 - sigma)·surplus; the flow is rho·income·S1, and
-        each score coefficient enters through rho·income·S2 times its covariate.
-        """
-        base = self._base_scores(params, None, cols)
-        n_cols = base.shape[1]
-        stocks = self.stocks[:, cols, :]
-        sums = np.zeros((3, self.n_corridors, n_cols))  # S1, S2, S3
-        w_m, w_f = self.shares
-        # whole groups: the matrix products below round differently by row count,
-        # so blocks would move the Jacobian's last bits
-        for idx, active, blocks in self._group_probabilities(params, base, whole=True):
-            surplus = self._surplus_ages[self._profile_of[idx[0]]][1]  # one destination per group
-            (_, flat), = blocks
-            wm, wf = w_m[active], w_f[active]
-            level = flat @ np.stack([wm, wf], axis=1)
-            slope = (flat * (1.0 - flat)) @ np.stack([wm, wf, wm * surplus, wf * surplus], axis=1)
-            per_sex = np.stack([level, slope[:, :2], slope[:, 2:]])  # (3, cells, sexes)
-            counts = stocks[idx].reshape(-1, 2)  # cells in the row order of flat
-            sums[:, idx] = (per_sex * counts).sum(axis=2).reshape(3, len(idx), n_cols)
-
-        # per (corridor, month): summed magnitudes, and the kernel's sin and d(sin)/d(shift) terms
-        phase = np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift)
-        terms = np.stack([np.ones(DISASTER_WINDOW), np.sin(phase), np.pi / 6.0 * np.cos(phase)],
-                         axis=1)
-        events = np.zeros((self.n_corridors, self.n_months, 3))
-        for country, mag in self.event_magnitudes(None).items():
-            idx = self.origin_groups.get(country)
-            if idx is not None:
-                events[idx] = mag @ terms
-
-        months = cols[col_pos]
-        s1, s2, s3 = sums[:, rows, col_pos]
-        scale = params.rho * self.monthly_income[rows, months]
-        d_score = scale * s2  # derivative of the flow with respect to the score
-        ev = events[rows, months]
-        jac = np.empty((len(rows), 9))
-        jac[:, 0] = d_score
-        jac[:, 1] = scale * s3
-        jac[:, 2] = d_score * self.family[rows, months]
-        jac[:, 3] = d_score * self.delta_gdp[rows, months]
-        jac[:, 4] = d_score * self.gdp_norm[rows, months]
-        jac[:, 5] = d_score * ev[:, 0]
-        jac[:, 6] = d_score * ev[:, 1]
-        jac[:, 7] = d_score * params.shape * ev[:, 2]
-        jac[:, 8] = scale * s1 * (1.0 - params.rho)
-        return jac
-
+    @_unbuffered
     def probability_cube(self, params: BehaviorParams, active_ids: frozenset | None = None,
                          cols: np.ndarray | slice | None = None,
                          rows: np.ndarray | None = None) -> np.ndarray:
@@ -360,11 +328,11 @@ class SimulationContext:
         n_cols = base.shape[1]
         cube = np.zeros((base.shape[0], n_cols, N_AGES))
         by_cell = cube.reshape(-1, N_AGES)  # a view, one row per (row of base, column)
-        for idx, active, blocks in self._group_probabilities(params, base, rows):
+        for idx, active, _, blocks in self._group_probabilities(params, base, rows):
             cell_rows = (idx[:, None] * n_cols + np.arange(n_cols)).ravel()
             ages = np.flatnonzero(active)
             for cells, prob in blocks:
-                by_cell[np.ix_(cell_rows[cells], ages)] = prob
+                by_cell[np.ix_(cell_rows[cells], ages)] = np.ascontiguousarray(prob.T)
         return cube
 
     def cohort_counts(self, corridor: int, month: int) -> np.ndarray:
@@ -372,43 +340,26 @@ class SimulationContext:
         return self.population.counts(corridor, month)
 
 
-# Rows per BLAS matrix-vector product: a multiple of 4, and few enough
-# (64 x 101 ages) that OpenBLAS computes each product on one thread.
-_PRODUCT_ROWS = 64
-# Cells per block of the logistic: a multiple of _PRODUCT_ROWS, and few enough
-# that a block of cells x ages (at most 0.8 MB) stays in cache from the
-# logistic's first in-place pass to the last product that reduces it.
-_BLOCK_CELLS = 1024
+# Cells per block of the logistic: few enough that a block of active ages x
+# cells (at most 0.4 MB) and its weighted copies stay in cache from the
+# logistic's first in-place pass to the last sum that reduces them.
+_BLOCK_CELLS = 512
 
 
-def _positions(labels: np.ndarray) -> dict[str, np.ndarray]:
+def _positions(labels: np.ndarray) -> dict:
     """The positions in ``labels`` of each distinct label, in order of first appearance."""
     return {key: np.flatnonzero(labels == key) for key in dict.fromkeys(labels.tolist())}
 
 
-def _blocks(n_cells: int, size: int | None) -> list[slice]:
-    """Slices of ``n_cells`` cells: ``size`` each from cell 0, or one over all if
-    ``size`` is None or they fit in one. A one-cell remainder joins the block
-    before it, as :func:`_matvec` joins a one-row remainder to the product
-    before it; so for a ``size`` that is a multiple of _PRODUCT_ROWS, each cell
-    of the blocks meets the same products as in one block over all."""
-    if size is None or n_cells <= size:
-        return [slice(0, n_cells)]
-    starts = list(range(0, n_cells, size))
-    if n_cells - starts[-1] == 1:
-        starts.pop()
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_cells])]
-
-
-def _logistic_blocks(scores: np.ndarray, shift: np.ndarray, buffer: np.ndarray,
-                     blocks: list[slice]):
-    """Per block of ``scores``: (the block, 1 / (1 + exp(-(score + shift)))
-    shaped (cells, len(shift))), each written in place at the start of ``buffer``
-    by the same operations, in the same order, as one expression over all."""
-    for cells in blocks:
-        prob = buffer[:(cells.stop - cells.start) * len(shift)].reshape(-1, len(shift))
-        np.add(scores[cells, None], shift, out=prob)
-        np.negative(prob, out=prob)
+def _logistic_blocks(scores: np.ndarray, neg_shift: np.ndarray, buffer: np.ndarray):
+    """Per block of at most ``_BLOCK_CELLS`` cells of ``scores``: (the block's
+    slice, 1 / (1 + exp(-(score + shift))) shaped (len(neg_shift), cells)), each
+    written in place at the start of ``buffer``. ``neg_shift`` is -shift, and
+    ``-shift - score`` rounds exactly as ``-(score + shift)``."""
+    for start in range(0, len(scores), _BLOCK_CELLS):
+        cells = slice(start, min(start + _BLOCK_CELLS, len(scores)))
+        prob = buffer[:len(neg_shift) * (cells.stop - start)].reshape(len(neg_shift), -1)
+        np.subtract(neg_shift[:, None], scores[cells], out=prob)
         with np.errstate(over="ignore"):
             np.exp(prob, out=prob)
         np.add(1.0, prob, out=prob)
@@ -416,31 +367,19 @@ def _logistic_blocks(scores: np.ndarray, shift: np.ndarray, buffer: np.ndarray,
         yield cells, prob
 
 
-def _matvec(matrix: np.ndarray, vector: np.ndarray, pad_tail: bool) -> np.ndarray:
-    """``matrix @ vector``, each row rounded the same at every BLAS thread count.
+def _row_sums(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row ``w`` of ``weights``, the sums over the rows of ``block`` of
+    ``w[i] * block[i]``: shape (len(weights), block columns).
 
-    OpenBLAS sums the trailing ``len(matrix) % 4`` rows of a matrix-vector
-    product in another order than the others, and splits a large product
-    across threads at boundaries that need not be multiples of 4; numpy takes
-    a one-row product as a dot product. So the rows go in products of 64 that
-    start at multiples of 4, and a one-row remainder joins the product before
-    it. A full grid multiplies 120 months per corridor, a multiple of 4;
-    ``pad_tail`` pads the trailing rows of a restricted evaluation to 4 so
-    that they round the same way.
+    Each column adds its products in row order, one rounding per addition,
+    the same on any machine: ``np.add.reduce`` over the rows of a C-ordered
+    array adds one row at a time. Over a single column it adds pairwise
+    instead, so a single column is summed as two.
     """
-    n_head = len(matrix) - len(matrix) % _PRODUCT_ROWS
-    if n_head and len(matrix) - n_head == 1:
-        n_head -= _PRODUCT_ROWS
-    rest = matrix[n_head:]
-    if pad_tail and len(rest) % 4:
-        padded = np.zeros((len(rest) + 4 - len(rest) % 4, matrix.shape[1]))
-        padded[:len(rest)] = rest
-        rest = padded
-    last = (rest @ vector)[:len(matrix) - n_head]
-    if not n_head:
-        return last
-    head = np.matmul(matrix[:n_head].reshape(-1, _PRODUCT_ROWS, matrix.shape[1]), vector)
-    return np.concatenate([head.ravel(), last])
+    if block.shape[1] == 1:
+        return _row_sums(np.repeat(block, 2, axis=1), weights)[:, :1]
+    products = np.empty((len(weights), *block.shape))  # C-ordered, whatever the inputs
+    return np.add.reduce(np.multiply(block, weights[:, :, None], out=products), axis=1)
 
 
 def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: str,

@@ -78,9 +78,11 @@ def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray,
     young_frac = np.array([shares[sex][: YOUNG_MAX_AGE + 1].sum() for sex in SEXES])
     parenting_frac = np.array(
         [shares[sex][PARENTING_MIN_AGE: PARENTING_MAX_AGE + 1].sum() for sex in SEXES])
-    stocks = population.stocks  # (n_c, n_m, 2)
-    age_sym = _sym_grid(stocks @ young_frac, stocks @ parenting_frac)
-    sex_sym = _sym_grid(stocks[:, :, 0], stocks[:, :, 1])
+    men, women = population.stocks[..., 0], population.stocks[..., 1]
+    # products added elementwise, not by a BLAS product, whose rounding varies by CPU kernel
+    age_sym = _sym_grid(men * young_frac[0] + women * young_frac[1],
+                        men * parenting_frac[0] + women * parenting_frac[1])
+    sex_sym = _sym_grid(men, women)
     return age_sym, sex_sym, 1.0 - sex_sym * age_sym
 
 
@@ -115,9 +117,10 @@ def sender_demographics(weights: np.ndarray, groups: Sequence[str]) -> list[Send
             continue
         male = float(by_cohort[0].sum())
         by_age = by_cohort.sum(axis=0)
+        age_sum = np.add.accumulate(by_age * np.arange(N_AGES))[-1]  # left to right, not BLAS
         rows.append(SenderDemographicsRow(
             group=group, expected_senders=total, male_share=male / total,
-            female_share=1.0 - male / total, mean_age=float(by_age @ np.arange(N_AGES)) / total,
+            female_share=1.0 - male / total, mean_age=float(age_sum) / total,
             share_20_39=float(by_age[20:40].sum()) / total,
             share_under_40=float(by_age[:40].sum()) / total, empty=False))
     return rows

@@ -9,12 +9,12 @@ cannot reuse the code it checks.
 
 The last two sections take a ``SimulationContext`` and reuse its
 covariates. The whole-group kernel computes each destination group's
-logistic in one expression over all its cells and reduces it in one pass,
-as the engine did before it worked in blocks; it checks the block kernel's
-bits, not the flow model. The scenario references evaluate every
-corridor-month of each event set through the context and return the fields
-of the scenario results as dicts. They check the scenarios' locality
-(evaluating only the affected cells), not the flow model.
+logistic in one expression over all its cells and sums it over ages in one
+left-to-right pass; it checks the block kernel's bits, not the flow model.
+The scenario references evaluate every corridor-month of each event set
+through the context and return the fields of the scenario results as dicts.
+They check the scenarios' locality (evaluating only the affected cells), not
+the flow model.
 """
 from __future__ import annotations
 
@@ -440,8 +440,8 @@ def compare_models(structural: Mapping[tuple[str, str, int], float],
         grav = float(np.mean(gravity_yearly))
         row = ComparisonRow(sender=sender, recipient=recipient, observed_usd=observed,
                             structural_usd=struct, gravity_usd=grav,
-                            se_structural=(struct - observed) ** 2,
-                            se_gravity=(grav - observed) ** 2)
+                            se_structural=(struct - observed) * (struct - observed),
+                            se_gravity=(grav - observed) * (grav - observed))
         rows.append(row)
         if observed > 0:
             rel_s.append(abs(struct - observed) / observed)
@@ -488,32 +488,43 @@ def _whole_groups(ctx, params: BehaviorParams, base: np.ndarray, rows: np.ndarra
     """Per destination group with an earnings surplus at some age: (indices into
     the rows of ``base``, mask of those ages, the logistic of all the group's
     cells in one expression, shaped (len(indices), base columns, ages))."""
-    for dest, idx in ctx._row_groups(ctx.dest_groups, ctx._dest_of, rows).items():
+    dests = np.array([dest for _, dest in ctx.corridors])
+    if rows is not None:
+        dests = dests[rows]
+    for dest in dict.fromkeys(dests.tolist()):
         surplus = surplus_profile(ctx.dataset, dest)
         active = surplus > 0
         if not active.any():
             continue
+        idx = np.flatnonzero(dests == dest)
         with np.errstate(over="ignore"):
             prob = 1.0 / (1.0 + np.exp(-(base[idx][:, :, None] + params.beta0 * surplus[active])))
         yield idx, active, prob
 
 
+def _age_sum(prob: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of ``prob`` of weight x probability, added one
+    age at a time from the youngest, one rounding per addition."""
+    total = weights[0] * prob[..., 0]
+    for age in range(1, len(weights)):
+        total = total + weights[age] * prob[..., age]
+    return total
+
+
 def whole_group_flows(ctx, params: BehaviorParams, active_ids: frozenset | None,
-                      cols: np.ndarray | None, rows: np.ndarray | None, matvec) -> np.ndarray:
-    """``ctx.expected_flows`` with each group's cells reduced in one ``matvec``
-    call (``engine._matvec``)."""
+                      cols: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray:
+    """``ctx.expected_flows`` with each group's cells summed over ages in one
+    left-to-right pass."""
     base = ctx._base_scores(params, active_ids, cols, rows)
-    n_cols = base.shape[1]
     stocks = ctx._take(ctx.stocks, rows, cols)
     income = ctx._take(ctx.monthly_income, rows, cols)
     flows = np.zeros_like(base)
     w_m, w_f = ctx.shares
     for idx, active, prob in _whole_groups(ctx, params, base, rows):
-        cells = prob.reshape(-1, prob.shape[2])
-        per_m = matvec(cells, w_m[active], pad_tail=rows is not None)
-        per_f = matvec(cells, w_f[active], pad_tail=rows is not None)
-        sent = stocks[idx, :, 0].ravel() * per_m + stocks[idx, :, 1].ravel() * per_f
-        flows[idx] = params.rho * income[idx] * sent.reshape(len(idx), n_cols)
+        per_m = _age_sum(prob, w_m[active])
+        per_f = _age_sum(prob, w_f[active])
+        sent = stocks[idx, :, 0] * per_m + stocks[idx, :, 1] * per_f
+        flows[idx] = params.rho * income[idx] * sent
     return flows
 
 

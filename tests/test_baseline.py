@@ -168,6 +168,19 @@ def test_benchmark_row_squared_errors():
     assert row.se_gravity == pytest.approx(9181.4724, rel=1e-9)
 
 
+def test_squared_errors_are_correctly_rounded_products():
+    # glibc 2.36's pow rounds this square one ulp low: 583078584592.7798 ** 2
+    # gives 3.399806358107194e+23, the correctly rounded product ...195e+23
+    error = 583078584592.7798
+    months = list(range(12))
+    panel = panel_of(_mk_panel("BBB", "AAA", 0.0, months))
+    structural = {("BBB", "AAA", m): 0.0 for m in months}
+    gravity = {2010: {("BBB", "AAA"): error}}
+    row, = compare_models(_aligned(structural, panel), gravity, panel).rows
+    assert (row.observed_usd, row.gravity_usd) == (0.0, error)
+    assert row.se_gravity == error * error == 3.399806358107195e+23
+
+
 def test_relative_error_ratio_45_percent():
     months = list(range(12))
     panel = panel_of(_mk_panel("AAA", "XXX", 100.0, months)

@@ -11,9 +11,9 @@ from oracles import kernel_value
 from remitsim import fixtures
 from remitsim.behavior import PARAM_NAMES, REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import (CalibrationConfig, CalibrationError, DEFAULT_INIT, align_panel,
-                                  calibrate, loss, minimize_lm, pack, param_confidence,
-                                  split_panel, unpack, _canonical_kernel, _fit, _residuals,
-                                  _sse)
+                                  calibrate, flow_jacobian, loss, minimize_lm, pack,
+                                  param_confidence, split_panel, unpack, _canonical_kernel, _fit,
+                                  _residuals, _sse)
 from remitsim.dataio import FlowObservation
 from remitsim.engine import SimulationContext
 
@@ -128,8 +128,8 @@ def _noisy_small_fit(noise=0.05):
 
 def _lm_functions(ctx, aligned):
     residual = lambda x: _residuals(ctx, aligned, unpack(x))
-    jacobian = lambda x: ctx.flow_jacobian(unpack(x), aligned.corridor_idx, aligned.cols,
-                                           aligned.month_pos)
+    jacobian = lambda x: flow_jacobian(ctx, unpack(x), aligned.corridor_idx, aligned.cols,
+                                       aligned.month_pos)
     return residual, jacobian
 
 

@@ -12,6 +12,7 @@ import oracles
 from oracles import kernel_value
 from remitsim import fixtures
 from remitsim.behavior import REFERENCE_PARAMS
+from remitsim.calibration import flow_jacobian
 from remitsim.dataio import Dataset
 from remitsim.engine import (SimulationContext, probability_profile, scenario_none,
                              scenario_only_event, scenario_only_hazard, scenario_without_hazard)
@@ -46,7 +47,7 @@ def test_flow_jacobian_matches_finite_differences(desk_ctx):
     cols = np.arange(0, 120, 3)
     rows, col_pos = (a.ravel() for a in np.meshgrid(np.arange(desk_ctx.n_corridors),
                                                        np.arange(len(cols)), indexing="ij"))
-    jac = desk_ctx.flow_jacobian(params, rows, cols, col_pos)
+    jac = flow_jacobian(desk_ctx, params, rows, cols, col_pos)
     assert jac.shape == (len(rows), 9)
     logit = np.log(params.rho / (1.0 - params.rho))
 

@@ -1,6 +1,7 @@
 """The blocked logistic kernel: bit for bit equal to each destination group's
 logistic taken whole (``oracles.whole_group_flows`` and ``whole_group_cube``)
-on every evaluation path, and close to the per-cohort scalar oracle."""
+and to the matching slice of the full grid on every evaluation path, and
+close to the per-cohort scalar oracle."""
 from __future__ import annotations
 
 import functools
@@ -11,7 +12,8 @@ import pytest
 import oracles
 from remitsim import engine, fixtures
 from remitsim.behavior import REFERENCE_PARAMS
-from remitsim.engine import SimulationContext, _blocks, _matvec
+from remitsim.calibration import flow_jacobian
+from remitsim.engine import SimulationContext
 
 from conftest import brute_force_flow
 
@@ -24,7 +26,7 @@ SMALL_BLOCK = 64
 def _one_destination(n_origins: int) -> SimulationContext:
     """A context whose ``n_origins`` corridors all share one destination group."""
     ctx = SimulationContext(fixtures.build_dataset(3, n_origins=n_origins, n_destinations=1))
-    assert len(ctx.dest_groups) == 1 and ctx.n_corridors == n_origins
+    assert len({dest for _, dest in ctx.corridors}) == 1 and ctx.n_corridors == n_origins
     return ctx
 
 
@@ -32,7 +34,7 @@ def _assert_as_whole_groups(ctx, active_ids, cols, rows):
     """expected_flows and probability_cube equal the whole-group kernel bit for bit;
     the flows also in memory layout, which the order of sums over them follows."""
     got = ctx.expected_flows(PARAMS, active_ids, cols, rows)
-    want = oracles.whole_group_flows(ctx, PARAMS, active_ids, cols, rows, _matvec)
+    want = oracles.whole_group_flows(ctx, PARAMS, active_ids, cols, rows)
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
     assert got.flags.f_contiguous == want.flags.f_contiguous
     cube = ctx.probability_cube(PARAMS, active_ids, cols, rows)
@@ -41,18 +43,20 @@ def _assert_as_whole_groups(ctx, active_ids, cols, rows):
     return got
 
 
-def test_blocks_start_at_multiples_of_the_size():
-    assert _blocks(0, 64) == [slice(0, 0)]
-    assert _blocks(63, 64) == [slice(0, 63)]
-    assert _blocks(64, 64) == [slice(0, 64)]
-    assert _blocks(65, 64) == [slice(0, 65)]  # a one-cell remainder joins the block before
-    assert _blocks(66, 64) == [slice(0, 64), slice(64, 66)]
-    assert _blocks(129, 64) == [slice(0, 64), slice(64, 129)]
-    assert _blocks(1200, 1024) == [slice(0, 1024), slice(1024, 1200)]
-    assert _blocks(7, None) == [slice(0, 7)]
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 64])
+def test_row_sums_add_one_row_at_a_time(n_cells):
+    """Each column's products add as a left fold over the rows, also in a single
+    column, which np.add.reduce alone would sum pairwise; the weights come
+    F-ordered, as the engine's selected age shares do."""
+    rng = np.random.default_rng(n_cells)
+    block, weights = rng.random((85, n_cells)), np.asfortranarray(rng.random((3, 85)))
+    want = weights[:, :1] * block[0]
+    for row in range(1, len(block)):
+        want = want + weights[:, row:row + 1] * block[row]
+    assert engine._row_sums(block, weights).tobytes() == want.tobytes()
 
 
-# group cells as corridors x months: B - 1, B, B + 1 (a one-row tail) and 2B + 1
+# group cells as corridors x months: B - 1, B, B + 1 and 2B + 1 (one-cell tail blocks)
 @pytest.mark.parametrize("n_corridors, n_months", [(7, 9), (8, 8), (5, 13), (3, 43)],
                          ids=["B-1", "B", "B+1", "2B+1"])
 def test_block_edges_round_as_whole_groups(monkeypatch, n_corridors, n_months):
@@ -74,17 +78,21 @@ def test_block_edges_round_as_whole_groups(monkeypatch, n_corridors, n_months):
 
 @pytest.mark.parametrize("block", [SMALL_BLOCK, 192, engine._BLOCK_CELLS])
 def test_every_path_rounds_as_whole_groups(monkeypatch, desk_ctx, block):
+    """Every path equals the whole-group kernel and the matching slice of the
+    full grid bit for bit: rows= and cols= (scenarios), cols= alone
+    (calibration), rows= alone, and one corridor in one month."""
     monkeypatch.setattr(engine, "_BLOCK_CELLS", block)
     rng = np.random.default_rng(block)
     floods = frozenset(e.event_id for e in desk_ctx.dataset.disasters if e.hazard == "flood")
-    _assert_as_whole_groups(desk_ctx, None, None, None)  # the full grid
     for active_ids in (None, frozenset(), floods):
+        full = _assert_as_whole_groups(desk_ctx, active_ids, None, None)
         for _ in range(3):
             rows = np.sort(rng.choice(desk_ctx.n_corridors, int(rng.integers(1, 40)), replace=False))
             cols = np.sort(rng.choice(120, int(rng.integers(1, 120)), replace=False))
-            _assert_as_whole_groups(desk_ctx, active_ids, cols, rows)
-            _assert_as_whole_groups(desk_ctx, active_ids, cols, None)
-            _assert_as_whole_groups(desk_ctx, active_ids, None, rows)
+            for r, c in ((rows, cols), (None, cols), (rows, None), (rows[:1], cols[:1])):
+                got = _assert_as_whole_groups(desk_ctx, active_ids, c, r)
+                want = full[:, c] if r is None else full[r] if c is None else full[np.ix_(r, c)]
+                assert got.tobytes() == want.tobytes()
 
 
 def test_cube_from_blocks_equals_the_whole_cube(monkeypatch, desk_ctx):
@@ -95,23 +103,25 @@ def test_cube_from_blocks_equals_the_whole_cube(monkeypatch, desk_ctx):
             == whole[:, desk_ctx.window].tobytes())
 
 
-def test_jacobian_takes_whole_groups(monkeypatch, desk_ctx):
+def test_jacobian_does_not_depend_on_the_block_size(monkeypatch, desk_ctx):
     cols = np.arange(0, 120, 2)
     rows, col_pos = (a.ravel() for a in np.meshgrid(np.arange(desk_ctx.n_corridors),
                                                        np.arange(len(cols)), indexing="ij"))
-    want = desk_ctx.flow_jacobian(PARAMS, rows, cols, col_pos)
+    want = flow_jacobian(desk_ctx, PARAMS, rows, cols, col_pos)
     monkeypatch.setattr(engine, "_BLOCK_CELLS", SMALL_BLOCK)
-    assert desk_ctx.flow_jacobian(PARAMS, rows, cols, col_pos).tobytes() == want.tobytes()
+    assert flow_jacobian(desk_ctx, PARAMS, rows, cols, col_pos).tobytes() == want.tobytes()
 
 
-def test_row_evaluations_take_one_pass_per_surplus_profile(monkeypatch, desk_ctx):
-    """Destinations without a profile of their own share GLOBAL_DEFAULT's: a
-    rows= evaluation runs the logistic once per profile present, and still
-    equals the full grid's slice bit for bit."""
-    own = [d for d in desk_ctx.dest_groups if d in desk_ctx.dataset.surplus_by_country]
-    shared = [d for d in desk_ctx.dest_groups if d not in desk_ctx.dataset.surplus_by_country]
+def test_evaluations_take_one_pass_per_surplus_profile(monkeypatch, desk_ctx):
+    """Destinations without a profile of their own share GLOBAL_DEFAULT's: every
+    evaluation runs the logistic once per profile present, and a restricted
+    one still equals the full grid's slice bit for bit."""
+    dests = np.array([dest for _, dest in desk_ctx.corridors])
+    profiled = desk_ctx.dataset.surplus_by_country
+    own = [d for d in dict.fromkeys(dests.tolist()) if d in profiled]
+    shared = [d for d in dict.fromkeys(dests.tolist()) if d not in profiled]
     assert len(shared) >= 2 and own
-    rows = np.sort(np.concatenate([desk_ctx.dest_groups[d] for d in (*shared, own[0])]))
+    rows = np.flatnonzero(np.isin(dests, [*shared, own[0]]))
     cols = np.arange(30, 90, 3)
     full = desk_ctx.expected_flows(PARAMS)
     full_cube = desk_ctx.probability_cube(PARAMS)
@@ -125,7 +135,8 @@ def test_row_evaluations_take_one_pass_per_surplus_profile(monkeypatch, desk_ctx
         assert desk_ctx.expected_flows(PARAMS, None, columns, rows).tobytes() == want.tobytes()
         assert len(calls) == 2  # GLOBAL_DEFAULT and own[0]'s profile
         assert desk_ctx.probability_cube(PARAMS, None, columns, rows).tobytes() == cube.tobytes()
-    # the full grid and the column-only path keep one pass per destination
-    del calls[:]
-    desk_ctx.expected_flows(PARAMS, None, cols)
-    assert len(calls) == len(desk_ctx.dest_groups)
+    # the full grid and the column-only path: GLOBAL_DEFAULT and each own profile
+    for columns in (None, cols):
+        del calls[:]
+        desk_ctx.expected_flows(PARAMS, None, columns)
+        assert len(calls) == 1 + len(own)

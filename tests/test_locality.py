@@ -21,7 +21,7 @@ import remitsim
 from remitsim import fixtures, flows, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.dataio import HAZARDS, DisasterEvent
-from remitsim.engine import SimulationContext, _matvec, scenario_none
+from remitsim.engine import SimulationContext, scenario_none
 from remitsim.months import month_index
 
 PARAMS = REFERENCE_PARAMS
@@ -107,6 +107,7 @@ def test_restricted_evaluation_equals_full_grid_slice(case, data):
     cube = ctx.probability_cube(params, ids)
     assert np.array_equal(ctx.expected_flows(params, ids, cols, rows), flows[np.ix_(rows, cols)])
     assert np.array_equal(ctx.expected_flows(params, ids, None, rows), flows[rows])
+    assert np.array_equal(ctx.expected_flows(params, ids, cols), flows[:, cols])
     assert np.array_equal(ctx.probability_cube(params, ids, cols, rows), cube[np.ix_(rows, cols)])
     assert np.array_equal(ctx.probability_cube(params, ids, ctx.window, rows),
                           cube[rows][:, ctx.window])
@@ -140,43 +141,55 @@ def test_reevaluation_evaluates_exactly_the_reached_cells(case):
     assert np.array_equal(got[:, ctx.window], want[:, ctx.window])
 
 
-def test_matvec_rows_round_as_in_four_row_products():
-    rng = np.random.default_rng(3)
-    for n in (0, 1, 2, 3, 5, 63, 64, 65, 66, 129, 4988):
-        matrix, vector = rng.random((n, 101)), rng.random(101)
-        blocks = [np.zeros((4, 101)) for _ in range(0, n, 4)]
-        for k, block in enumerate(blocks):
-            rows = matrix[4 * k:4 * k + 4]
-            block[:len(rows)] = rows
-        want = np.concatenate([np.zeros(0)] + [block @ vector for block in blocks])[:n]
-        assert np.array_equal(_matvec(matrix, vector, pad_tail=True), want), n
-
-
-_MATVEC_DIGEST = """
+_OUTPUT_DIGEST = """
 import hashlib
 import numpy as np
-from remitsim.engine import _matvec
+from remitsim import fixtures
+from remitsim.behavior import REFERENCE_PARAMS as P
+from remitsim.calibration import flow_jacobian
+from remitsim.engine import SimulationContext
+ctx = SimulationContext(fixtures.build_dataset(7))
 rng = np.random.default_rng(5)
-digest = hashlib.sha256()
-# 4,988 rows x 101 ages and more: OpenBLAS 0.3.31 splits such products across threads
-for n in (4988, 5044, 5349, 9601, 130):
-    matrix, vector = rng.random((n, 101)), rng.random(101)
-    for pad_tail in (True, False):
-        digest.update(_matvec(matrix, vector, pad_tail).tobytes())
-print(digest.hexdigest())
+rows = np.sort(rng.choice(ctx.n_corridors, 17, replace=False))
+cols = np.sort(rng.choice(120, 53, replace=False))
+cells = [a.ravel() for a in np.meshgrid(rows, np.arange(len(cols)), indexing="ij")]
+for name, arr in [("flows", ctx.expected_flows(P)), ("cols", ctx.expected_flows(P, None, cols)),
+                  ("rows", ctx.expected_flows(P, frozenset(), cols, rows)),
+                  ("cube", ctx.probability_cube(P)), ("family", ctx.family),
+                  ("jacobian", flow_jacobian(ctx, P, cells[0], cols, cells[1]))]:
+    print(name, hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("threads", ["2", "4"])
-def test_matvec_bytes_do_not_depend_on_blas_threads(threads):
+def _digests(var: str, value: str | None) -> str:
+    """The digests of ``_OUTPUT_DIGEST`` with ``var`` set to ``value`` (None: unset)."""
     src = str(Path(remitsim.__file__).parents[1])
-    digests = []
-    for n_threads in ("1", threads):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n_threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        digests.append(subprocess.run([sys.executable, "-c", _MATVEC_DIGEST], env=env, check=True,
-                                      capture_output=True, text=True).stdout)
-    assert digests[0] == digests[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(var, None)
+    if value is not None:
+        env[var] = value
+    return subprocess.run([sys.executable, "-c", _OUTPUT_DIGEST], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _reports_core(coretype: str) -> bool:
+    """Whether numpy's OpenBLAS reports running the ``coretype`` kernel when asked to."""
+    env = dict(os.environ, OPENBLAS_VERBOSE="2", OPENBLAS_CORETYPE=coretype)
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True,
+                           text=True)
+    return f"Core: {coretype}" in probe.stdout + probe.stderr
+
+
+@pytest.mark.parametrize("var, first, second", [("OPENBLAS_NUM_THREADS", "1", "4"),
+                                                ("OPENBLAS_CORETYPE", None, "Nehalem")])
+def test_output_bytes_do_not_depend_on_blas(var, first, second):
+    """The flows on every path, the probability cube, the family covariate and
+    the Jacobian have the same bytes at one and four BLAS threads, and under
+    the CPU's own OpenBLAS kernel and the Nehalem kernel (SSE only, no FMA)."""
+    if var == "OPENBLAS_CORETYPE" and not _reports_core(second):
+        pytest.skip(f"numpy's BLAS does not report running the {second} kernel")
+    assert _digests(var, first) == _digests(var, second)
 
 
 # ---------------------------------------------------------------------------
