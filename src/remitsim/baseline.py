@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import SEXES, Dataset, Panel
+from .dataio import PANEL_YEARS, SEXES, Panel
 from .dataio import interpolate_stocks_monthly  # unused here; perfbench/tracer.py wraps the name
-from .months import WINDOW_MONTHS, year_of
+from .engine import SimulationContext
 from .reports import sequential_sum
 
 log = logging.getLogger(__name__)
@@ -32,83 +32,74 @@ class GravityFit(NamedTuple):
     n_excluded: int
 
 
-def gravity_per_migrant(y_dest: float, y_origin: float, beta_exp: float) -> float:
-    """Annual per-migrant amount: origin income, plus the income gap raised
-    to the exponent when the destination is at least as rich."""
-    if y_dest <= 0 or y_origin <= 0:
-        raise ValueError(f"incomes must be positive, got ({y_dest}, {y_origin})")
-    if y_dest < y_origin:
-        return y_origin
-    return y_origin + (y_dest - y_origin) ** beta_exp
+def per_migrant(y_dest: np.ndarray, y_origin: np.ndarray, beta_exp: float) -> np.ndarray:
+    """Annual per-migrant amount per cell: the origin income, plus the income
+    gap raised to the exponent where the destination is at least as rich."""
+    if not ((y_dest > 0) & (y_origin > 0)).all():
+        raise ValueError("incomes must be positive")
+    richer = y_dest >= y_origin
+    gaps, gap_of = np.unique(y_dest[richer] - y_origin[richer], return_inverse=True)
+    amount = y_origin.copy()
+    # Python ** on each distinct gap: np.power may round differently
+    amount[richer] += np.array([gap ** beta_exp for gap in gaps.tolist()])[gap_of]
+    return amount
 
 
-def annual_stocks(dataset: Dataset, monthly: np.ndarray) -> dict[tuple[str, str, int], float]:
-    """Mean of the monthly interpolated stock (both sexes) per corridor-year.
+def annual_stocks(monthly: np.ndarray) -> np.ndarray:
+    """Mean of the monthly interpolated stock (both sexes) per (corridor, year),
+    shape (corridors, 10 years from 2010).
 
-    ``monthly`` is the (corridors, 120 months, 2 sexes) stock grid of
-    ``dataset.corridors``, as ``SimulationContext.stocks`` and
-    ``Population.stocks`` hold it.
+    ``monthly`` is a context's (corridors, 120 months, 2 sexes) stock grid,
+    ``SimulationContext.stocks``.
     """
-    corridors = dataset.corridors
-    years = range(year_of(0), year_of(WINDOW_MONTHS - 1) + 1)
     # each year's 12 months contiguous in the last axis, so every mean reduces
     # its 12 values as the mean of a 12-month slice does
     by_sex = np.ascontiguousarray(monthly.transpose(0, 2, 1))
-    means = by_sex.reshape(len(corridors), len(SEXES), len(years), 12).mean(axis=3)
-    totals = (0.0 + means[:, 0]) + means[:, 1]  # from 0.0, like a running sum: no -0.0
-    return {(origin, dest, year): value
-            for (origin, dest), row in zip(corridors, totals.tolist())
-            for year, value in zip(years, row)}
+    means = by_sex.reshape(len(monthly), len(SEXES), len(PANEL_YEARS), 12).mean(axis=3)
+    return (0.0 + means[:, 0]) + means[:, 1]  # from 0.0, like a running sum: no -0.0
 
 
-def gravity_flows(dataset: Dataset, beta_exp: float,
-                  stocks: Mapping[tuple[str, str, int], float]
-                  ) -> dict[int, dict[tuple[str, str], float]]:
-    """Annual bilateral flows per year: per-migrant amount times stock.
-
-    Keyed year -> {(sender, recipient): USD/year}. ``stocks`` is
-    :func:`annual_stocks` of ``dataset``.
-    """
-    out: dict[int, dict[tuple[str, str], float]] = {y: {} for y in range(2010, 2020)}
-    for (origin, dest, year), stock in stocks.items():
-        amount = gravity_per_migrant(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)], beta_exp)
-        out[year][(dest, origin)] = amount * stock
-    return out
+def gravity_flows(ctx: SimulationContext, beta_exp: float, stocks: np.ndarray) -> np.ndarray:
+    """Annual flow per (corridor, year) of the context, in USD: the
+    per-migrant amount times the stock. ``stocks`` is :func:`annual_stocks`
+    of ``ctx.stocks``."""
+    return per_migrant(ctx.dest_gdp, ctx.origin_gdp, beta_exp) * stocks
 
 
-def _gravity_loss(panel: Panel, dataset: Dataset,
-                  stocks: Mapping[tuple[str, str, int], float]
+def _cells(panel: Panel, corridors: Sequence[tuple[str, str]]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each observation's row in ``corridors`` and year index since 2010, and
+    the mask of the observations with a modelled stock: a corridor of
+    ``corridors`` in one of the years 2010-2019."""
+    row, year = panel.corridor_index(corridors), panel.year - PANEL_YEARS[0]
+    return row, year, (row >= 0) & (year >= 0) & (year < len(PANEL_YEARS))
+
+
+def _gravity_loss(panel: Panel, ctx: SimulationContext, stocks: np.ndarray
                   ) -> tuple[Callable[[float], float], int]:
     """(SSE as a function of the exponent, number of excluded observations).
 
     The SSE compares monthly gravity estimates (annual / 12) with the panel
-    and adds the squared errors in panel order. The per-observation arrays
-    are built once; observations without a modelled stock are excluded.
+    and adds the squared errors in panel order. The incomes and stocks of the
+    observed (corridor, year) cells are gathered once; observations without a
+    modelled stock are excluded.
     """
-    stock = panel.lookup(stocks, ("recipient", "sender", "year"))
-    modelled = ~np.isnan(stock)
-    included, stock = panel[modelled], stock[modelled]
-    y_dest = included.lookup(dataset.gdp, ("sender", "year"))
-    y_origin = included.lookup(dataset.gdp, ("recipient", "year"))
-    observed = included.amount_usd
-    if not ((y_dest > 0) & (y_origin > 0)).all():
-        raise ValueError("incomes must be known and positive")
-    richer = y_dest >= y_origin
-    gaps, gap_of = np.unique(y_dest[richer] - y_origin[richer], return_inverse=True)
-    gaps = gaps.tolist()
+    at, year, modelled = _cells(panel, ctx.corridors)
+    # the distinct (corridor, year) cells observed, and each observation's cell
+    cells, cell_of = np.unique(at[modelled] * len(PANEL_YEARS) + year[modelled],
+                               return_inverse=True)
+    y_dest, y_origin, stock = (grid.ravel()[cells] for grid in (ctx.dest_gdp, ctx.origin_gdp,
+                                                                stocks))
+    observed = panel.amount_usd[modelled]
 
     def sse(beta_exp: float) -> float:
-        per_migrant = y_origin.copy()
-        # Python ** on each distinct gap, as in gravity_per_migrant: np.power may round differently
-        per_migrant[richer] += np.array([gap ** beta_exp for gap in gaps])[gap_of]
-        error = per_migrant * stock / 12.0 - observed
+        error = (per_migrant(y_dest, y_origin, beta_exp) * stock)[cell_of] / 12.0 - observed
         return sequential_sum(error * error)
 
-    return sse, len(panel) - len(included)
+    return sse, len(panel) - len(observed)
 
 
-def calibrate_gravity(panel: Panel, dataset: Dataset,
-                      stocks: Mapping[tuple[str, str, int], float], *,
+def calibrate_gravity(panel: Panel, ctx: SimulationContext, stocks: np.ndarray, *,
                       bracket: tuple[float, float] = (0.01, 2.0), grid: int = 41,
                       tol: float = 1e-4) -> GravityFit:
     """Fit the exponent by golden-section search on the bracketed SSE.
@@ -116,11 +107,11 @@ def calibrate_gravity(panel: Panel, dataset: Dataset,
     A coarse grid scan checks unimodality first; a non-unimodal profile
     returns the best grid point with a warning. A boundary optimum widens
     the bracket (once upward) and is flagged if it persists. ``stocks`` is
-    :func:`annual_stocks` of ``dataset``.
+    :func:`annual_stocks` of ``ctx.stocks``.
     """
     if not panel:
         raise ValueError("panel is empty")
-    f, excluded = _gravity_loss(panel, dataset, stocks)
+    f, excluded = _gravity_loss(panel, ctx, stocks)
     lo, hi = bracket
     for _ in range(2):  # allow one widening past the upper edge
         xs = np.linspace(lo, hi, grid)
@@ -196,37 +187,47 @@ class ComparisonReport(NamedTuple):
     n_excluded: int
 
 
-def compare_models(structural: np.ndarray, gravity: Mapping[int, Mapping[tuple[str, str], float]],
-                   panel: Panel) -> ComparisonReport:
+def compare_models(structural: np.ndarray, gravity: np.ndarray, panel: Panel,
+                   corridors: Sequence[tuple[str, str]]) -> ComparisonReport:
     """Average-yearly corridor comparison of both estimators against the panel.
 
     ``structural`` holds each observation's simulated monthly USD, in panel
-    order, NaN where there is none; ``gravity`` maps year to annual corridor
-    matrices. Corridors missing from either estimate are excluded and counted.
+    order, NaN where there is none; ``gravity[c, y]`` is the annual USD of
+    ``corridors[c]`` in year 2010 + y, as :func:`gravity_flows` gives it, NaN
+    where there is none. Corridors missing from either estimate are excluded
+    and counted.
     """
     # corridors in (sender, recipient) order, their observations in panel order
     corridor = panel.sender * len(panel.codes) + panel.recipient
     order = np.argsort(corridor, kind="stable")
     _, starts, lengths = np.unique(corridor[order], return_index=True, return_counts=True)
     simulated = _means(structural[order], starts, lengths)  # NaN where any value is
-    years = panel.year[order]
+
+    # the gravity estimate of each corridor's distinct observed years, ascending
+    at, year, modelled = _cells(panel, corridors)
+    annual = np.full(len(panel), np.nan)
+    annual[modelled] = gravity[at[modelled], year[modelled]]
+    by_year = np.lexsort((year, corridor))
+    first = np.ones(len(panel), dtype=bool)  # the first observation of each corridor-year
+    first[1:] = (np.diff(corridor[by_year]) != 0) | (np.diff(year[by_year]) != 0)
+    _, year_starts, year_counts = np.unique(corridor[by_year[first]], return_index=True,
+                                            return_counts=True)
+    estimated = _means(annual[by_year[first]], year_starts, year_counts)  # NaN where any is
+
     groups = zip(map(panel.codes.__getitem__, panel.sender[order[starts]].tolist()),
                  map(panel.codes.__getitem__, panel.recipient[order[starts]].tolist()),
-                 starts.tolist(), (starts + lengths).tolist(),
                  (12.0 * _means(panel.amount_usd[order], starts, lengths)).tolist(),
-                 (12.0 * simulated).tolist(), np.isnan(simulated).tolist())
+                 (12.0 * simulated).tolist(), estimated.tolist(),
+                 (np.isnan(simulated) | np.isnan(estimated)).tolist())
 
     rows = []
     excluded = 0
     rel_s: list[float] = []
     rel_g: list[float] = []
-    for sender, recipient, lo, hi, observed, struct, unsimulated in groups:
-        gravity_yearly = [gravity.get(y, {}).get((sender, recipient))
-                          for y in sorted(set(years[lo:hi].tolist()))]
-        if unsimulated or None in gravity_yearly:
+    for sender, recipient, observed, struct, grav, missing in groups:
+        if missing:
             excluded += 1
             continue
-        grav = float(np.mean(gravity_yearly))
         # squares by product: ** 2 calls the C library's pow, which may round differently
         err_s, err_g = struct - observed, grav - observed
         row = ComparisonRow(sender=sender, recipient=recipient, observed_usd=observed,

@@ -96,11 +96,11 @@ def cmd_build_population(config: RunConfig, args) -> int:
 
     pop_path = reports.write_csv(out / "population.csv",
                                  ("origin", "destination", "sex", "age", "month", "count"),
-                                 reports.population_grid(ctx.population, ctx.window_months))
+                                 reports.population_grid(ctx))
     demo_path = reports.write_csv(
         out / "demographics.csv",
         ("origin", "destination", "month", "age_symmetry", "sex_symmetry", "asymmetry", "family"),
-        reports.demographics_grid(ctx.population, config.start, config.end))
+        reports.demographics_grid(ctx))
 
     for year in ANCHOR_YEARS:
         total = reports.sequential_sum(dataset.stocks.count[dataset.stocks.anchor_year == year])
@@ -277,9 +277,9 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     from . import baseline
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
-    stocks = baseline.annual_stocks(dataset, ctx.stocks)
-    fit = baseline.calibrate_gravity(dataset.panel, dataset, stocks)
-    gravity = baseline.gravity_flows(dataset, fit.beta_exp, stocks)
+    stocks = baseline.annual_stocks(ctx.stocks)
+    fit = baseline.calibrate_gravity(dataset.panel, ctx, stocks)
+    gravity = baseline.gravity_flows(ctx, fit.beta_exp, stocks)
     panel = dataset.panel
     corridor = panel.corridor_index(ctx.corridors)
     simulated = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
@@ -288,7 +288,7 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     structural = np.full(len(panel), np.nan)
     structural[simulated] = ctx.expected_flows(params, None, months,
                                                np.arange(ctx.n_corridors))[corridor[simulated], col]
-    report = baseline.compare_models(structural, gravity, panel)
+    report = baseline.compare_models(structural, gravity, panel, ctx.corridors)
     comp_path = reports.write_csv(
         out / "comparison.csv",
         ("sender", "recipient", "observed_usd", "structural_usd", "gravity_usd",
@@ -323,7 +323,7 @@ def cmd_report(config: RunConfig, args) -> int:
                 for origin in origins for m in snapshot_months]
     # the sender weights, the command's largest array, come and go before the
     # profile grid's buffers are allocated
-    weights = ctx.stocks[:, ctx.window, :, None] * ctx.shares * cube[:, :, None, :]
+    weights = ctx.cohort_counts(slice(None), ctx.window) * cube[:, :, None, :]
     groups = [dataset.income_group[(origin, year_of(m))]
               for origin, _ in ctx.corridors for m in ctx.window_months]
     demo_rows = [

@@ -209,25 +209,12 @@ class Panel(_Columns):
     def corridor_index(self, corridors: Sequence[tuple[str, str]]) -> np.ndarray:
         """Each observation's row in ``corridors``, (origin, destination) pairs,
         or -1; an observation's corridor is (recipient, sender)."""
-        return self.lookup({corridor: i for i, corridor in enumerate(corridors)},
-                           ("recipient", "sender"), -1, np.intp)
-
-    def lookup(self, mapping: Mapping, fields: Sequence[str], missing=np.nan,
-               dtype=float) -> np.ndarray:
-        """``mapping.get(key, missing)`` per observation, as a ``dtype`` array.
-
-        The key is the tuple of the observation's ``fields`` ("sender",
-        "recipient", "month" or "year"), codes as strings. Each distinct key
-        is looked up once.
-        """
-        flat, lows, dims = _flat_keys([getattr(self, field) for field in fields])
-        distinct, inverse = np.unique(flat, return_inverse=True)
-        parts = [(part + low).tolist()
-                 for part, low in zip(np.unravel_index(distinct, dims), lows)]
-        parts = [list(map(self.codes.__getitem__, part)) if field in self._labels() else part
-                 for field, part in zip(fields, parts)]
-        values = np.array([mapping.get(key, missing) for key in zip(*parts)], dtype=dtype)
-        return values[inverse]
+        position = {code: i for i, code in enumerate(self.codes)}
+        rows = np.full((len(self.codes), len(self.codes)), -1, dtype=np.intp)
+        for row, (origin, destination) in enumerate(corridors):
+            if origin in position and destination in position:
+                rows[position[origin], position[destination]] = row
+        return rows[self.recipient, self.sender]
 
 
 def _unassigned(n: int) -> np.ndarray:
@@ -235,16 +222,6 @@ def _unassigned(n: int) -> np.ndarray:
     tags = np.empty(n, dtype=object)
     tags.fill("unassigned")
     return tags
-
-
-def _flat_keys(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int], list[int]]:
-    """One int per row of the int ``columns``, equal where the rows are, with
-    the lowest value and the extent of each column, which decode it."""
-    lows = [int(column.min()) if len(column) else 0 for column in columns]
-    dims = [int(column.max()) - low + 1 if len(column) else 1
-            for column, low in zip(columns, lows)]
-    flat = np.ravel_multi_index([column - low for column, low in zip(columns, lows)], dims)
-    return flat, lows, dims
 
 
 class Stocks(_Columns):

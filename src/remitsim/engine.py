@@ -62,10 +62,14 @@ def _unbuffered(evaluate):
 class SimulationContext:
     """Dataset-derived arrays for one simulation window.
 
-    Covariates are laid out as (n_corridors, 120 months) arrays over the
-    full 2010-2019 grid; ``start``/``end`` only restrict which months are
-    reported, so events and splines behave identically under narrowed
-    windows. Instances are read-only after construction and safe to share.
+    The one home of the per-corridor arrays, each with a row per
+    ``corridors`` entry: the monthly ``stocks`` per sex (cohort counts are
+    those times ``shares``, see :meth:`cohort_counts`), the destination and
+    origin GDP per year, and the covariates. Covariates are laid out as
+    (n_corridors, 120 months) arrays over the full 2010-2019 grid;
+    ``start``/``end`` only restrict which months are reported, so events and
+    splines behave identically under narrowed windows. Instances are
+    read-only after construction and safe to share.
     """
 
     def __init__(self, dataset: Dataset, *, start: int = 0, end: int = WINDOW_MONTHS - 1,
@@ -76,14 +80,15 @@ class SimulationContext:
         self.start = start
         self.end = end
         self.clamp_delta_gdp = clamp_delta_gdp
-        self.population = build_population(dataset)
-        self.corridors = self.population.corridors
+        self.corridors = dataset.corridors
         self.n_corridors = len(self.corridors)
         self.n_months = WINDOW_MONTHS
+        self._corridor_rows = {corridor: c for c, corridor in enumerate(self.corridors)}
 
-        self.stocks = self.population.stocks  # (n_c, n_m, 2)
-        self.family = demographics_arrays(self.population)[2]  # pyramid asymmetry
-        self.shares = np.vstack([self.population.shares[sex] for sex in SEXES])
+        # the cohorts: stocks per (corridor, month, sex) and age shares per (sex, age)
+        self.stocks = build_population(dataset)
+        self.shares = np.vstack([dataset.age_shares[sex] for sex in SEXES])
+        self.family = demographics_arrays(self.stocks, self.shares)[2]  # pyramid asymmetry
 
         # each corridor's origin and destination, as indices of the stock codes
         codes = np.array(dataset.stocks.codes)
@@ -102,10 +107,11 @@ class SimulationContext:
         origins = np.flatnonzero(np.bincount(origin_row, minlength=len(countries)))
         norm = np.zeros_like(gdp)
         norm[origins] = behavior.gdp_norm(gdp[origins])
+        self.dest_gdp, self.origin_gdp = gdp[dest_row], gdp[origin_row]  # (n_c, years)
         self.delta_gdp, self.gdp_norm, self.monthly_income = (
             np.repeat(by_year, 12, axis=1) for by_year in (
-                behavior.delta_gdp(gdp[dest_row], gdp[origin_row], clamp=clamp_delta_gdp),
-                norm[origin_row], gdp[dest_row] / 12.0))
+                behavior.delta_gdp(self.dest_gdp, self.origin_gdp, clamp=clamp_delta_gdp),
+                norm[origin_row], self.dest_gdp / 12.0))
 
         # corridor indices grouped by origin (shared disaster exposure) and by
         # surplus profile (the destination's own or GLOBAL_DEFAULT)
@@ -134,7 +140,8 @@ class SimulationContext:
         self._mag_cache: dict[frozenset | None, tuple[list[str], np.ndarray]] = {}
         self._mag_latest: dict[frozenset, tuple[list[str], np.ndarray]] = {}
 
-        for arr in (self.family, self.delta_gdp, self.gdp_norm, self.monthly_income, self.shares):
+        for arr in (self.stocks, self.shares, self.family, self.dest_gdp, self.origin_gdp,
+                    self.delta_gdp, self.gdp_norm, self.monthly_income):
             arr.flags.writeable = False
 
     # -- window helpers ----------------------------------------------------
@@ -148,7 +155,7 @@ class SimulationContext:
         return range(self.start, self.end + 1)
 
     def corridor_index(self, origin: str, destination: str) -> int:
-        return self.population.corridor_index(origin, destination)
+        return self._corridor_rows[(origin, destination)]
 
     @staticmethod
     def _take(arr: np.ndarray, rows: np.ndarray | None, cols) -> np.ndarray:
@@ -335,9 +342,15 @@ class SimulationContext:
                 by_cell[np.ix_(cell_rows[cells], ages)] = np.ascontiguousarray(prob.T)
         return cube
 
-    def cohort_counts(self, corridor: int, month: int) -> np.ndarray:
-        """(2, 101) fractional cohort counts for one corridor-month."""
-        return self.population.counts(corridor, month)
+    def cohort_counts(self, corridors, months) -> np.ndarray:
+        """Fractional cohort counts, each a stock times its age share.
+
+        ``corridors`` and ``months`` index the first two axes of
+        :attr:`stocks` as numpy indexes them (an int, an index array or a
+        slice each); the result ends in the (2 sexes, 101 ages) axes, so one
+        corridor-month gives shape (2, 101).
+        """
+        return self.stocks[corridors, months, :, None] * self.shares
 
 
 # Cells per block of the logistic: few enough that a block of active ages x
@@ -399,7 +412,7 @@ def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: 
     if cube is None:
         cube = ctx.probability_cube(params, active_ids, ctx.window)
     idx = ctx.origin_groups.get(origin, np.array([], dtype=int))
-    counts = ctx.stocks[idx, month, :, None] * ctx.shares  # (corridors, sexes, ages)
+    counts = ctx.cohort_counts(idx, month)  # (corridors, sexes, ages)
     probs = np.broadcast_to(cube[idx, month - ctx.start, None, :], counts.shape)
     keep = counts > 0
     counts, probs = counts[keep], probs[keep]

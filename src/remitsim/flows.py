@@ -16,8 +16,7 @@ import numpy as np
 
 from .behavior import BehaviorParams
 from .engine import SimulationContext
-
-MIN_BAND_SAMPLES = 1000
+from .runconfig import MIN_BAND_SAMPLES
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
-"""Synthetic cohort population and diaspora-level demographics.
+"""Monthly corridor stocks and diaspora-level demographics.
 
 Monthly corridor stocks are distributed over ages proportionally to the
 per-sex age profiles; counts stay fractional (expected-value math is exact
-on reals, the stochastic sampler integerizes separately). Demographic
-quantities summarize each corridor-month population pyramid.
+on reals, the stochastic sampler integerizes separately). The simulation
+context holds the stock grid and the shares and gives the counts.
+Demographic quantities summarize each corridor-month population pyramid.
 """
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,46 +19,11 @@ PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
 PARENTING_MAX_AGE = 50
 
 
-class Population:
-    """Cohort counts for every corridor-month, stored as dense arrays.
-
-    ``stocks[c, m, s]`` is the interpolated stock of sex ``s`` for corridor
-    ``c`` in month ``m``; age cohorts are the outer product with the global
-    per-sex age shares and are materialized lazily.
-    """
-
-    def __init__(self, corridors: Sequence[tuple[str, str]], stocks: np.ndarray,
-                 shares: Mapping[str, np.ndarray]):
-        self.corridors = tuple(corridors)
-        self.stocks = stocks
-        self.shares = {sex: np.asarray(shares[sex], dtype=float) for sex in SEXES}
-        self.n_months = stocks.shape[1]
-        self._index = {c: i for i, c in enumerate(self.corridors)}
-
-    def corridor_index(self, origin: str, destination: str) -> int:
-        return self._index[(origin, destination)]
-
-    def counts(self, corridor: int, month: int) -> np.ndarray:
-        """Cohort counts for one corridor-month, shape (2 sexes, 101 ages)."""
-        return self.stocks[corridor, month, :, None] * np.vstack([self.shares[s] for s in SEXES])
-
-    def cohorts(self) -> list[tuple[str, int]]:
-        """(sex, age) of every cohort with a nonzero age share, by sex then age."""
-        return [(sex, age) for sex in SEXES for age in np.flatnonzero(self.shares[sex]).tolist()]
-
-    def cohort_counts(self, corridor: int, months: Sequence[int]) -> np.ndarray:
-        """Counts of the :meth:`cohorts` of one corridor in ``months``,
-        shape (len(months), len(cohorts))."""
-        months = list(months)
-        return np.concatenate([np.multiply.outer(self.stocks[corridor, months, s],
-                                                 self.shares[sex][self.shares[sex] != 0])
-                               for s, sex in enumerate(SEXES)], axis=1)
-
-
-def build_population(dataset: Dataset) -> Population:
-    """Distribute interpolated monthly stocks across ages 0-100 per sex."""
-    stocks = stock_grid(dataset.stocks, interpolate_stocks_monthly(dataset.stocks))
-    return Population(dataset.corridors, stocks, dataset.age_shares)
+def build_population(dataset: Dataset) -> np.ndarray:
+    """The (corridors, 120 months, 2 sexes) grid of interpolated monthly stocks
+    of ``dataset.corridors``. A cohort's count is its sex's stock times its age
+    share: :meth:`remitsim.engine.SimulationContext.cohort_counts`."""
+    return stock_grid(dataset.stocks, interpolate_stocks_monthly(dataset.stocks))
 
 
 def _sym_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,8 +31,11 @@ def _sym_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(2.0 * np.minimum(a, b), tot, out=np.zeros_like(tot), where=tot > 0)
 
 
-def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(age_symmetry, sex_symmetry, asymmetry) per (corridor, month).
+def demographics_arrays(stocks: np.ndarray, shares: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(age_symmetry, sex_symmetry, asymmetry) per (corridor, month) of the
+    :func:`build_population` grid ``stocks``, with ``shares`` the (2 sexes,
+    101 ages) age shares.
 
     Age symmetry is min(young, parenting) / mean(young, parenting), with ages
     0-24 young, 25-50 parenting and 51+ in neither band; sex symmetry is the
@@ -74,11 +43,10 @@ def demographics_arrays(population: Population) -> tuple[np.ndarray, np.ndarray,
     parts are empty. The family proxy is 1 - sex symmetry * age symmetry,
     so empty corridor-months get asymmetry 1 (their flow is zero regardless).
     """
-    shares = population.shares
-    young_frac = np.array([shares[sex][: YOUNG_MAX_AGE + 1].sum() for sex in SEXES])
-    parenting_frac = np.array(
-        [shares[sex][PARENTING_MIN_AGE: PARENTING_MAX_AGE + 1].sum() for sex in SEXES])
-    men, women = population.stocks[..., 0], population.stocks[..., 1]
+    young_frac = np.array([row[: YOUNG_MAX_AGE + 1].sum() for row in shares])
+    parenting_frac = np.array([row[PARENTING_MIN_AGE: PARENTING_MAX_AGE + 1].sum()
+                               for row in shares])
+    men, women = stocks[..., 0], stocks[..., 1]
     # products added elementwise, not by a BLAS product, whose rounding varies by CPU kernel
     age_sym = _sym_grid(men * young_frac[0] + women * young_frac[1],
                         men * parenting_frac[0] + women * parenting_frac[1])

@@ -28,8 +28,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
+from .dataio import SEXES
+from .engine import SimulationContext
 from .months import month_label
-from .population import Population, demographics_arrays
+from .population import demographics_arrays
 
 # Rows formatted and written at once: enough to spread numpy's per-call cost,
 # few enough that a block's matrices stay under a megabyte.
@@ -184,27 +186,29 @@ def flow_grid(corridors: Sequence[tuple[str, str]], months: Sequence[int], flows
                 [(*index, np.asarray(flows, dtype=float).ravel(), 0)])
 
 
-def population_grid(population: Population, months: Sequence[int]) -> Grid:
-    """(origin, destination, sex, age, month, count) rows of ``months`` for the
-    cohorts with a nonzero age share, one part per corridor."""
-    months = list(months)
-    cohorts = population.cohorts()
-    cohort = np.tile(np.arange(len(cohorts)), len(months))
-    month = np.repeat(np.arange(len(months)), len(cohorts))
-    labels = ([o for o, _ in population.corridors], [d for _, d in population.corridors],
-              [sex for sex, _ in cohorts], [str(age) for _, age in cohorts],
+def population_grid(ctx: SimulationContext) -> Grid:
+    """(origin, destination, sex, age, month, count) rows of the window months
+    for the cohorts with a nonzero age share, one part per corridor."""
+    months = ctx.window_months
+    populated = ctx.shares != 0
+    sex, age = np.nonzero(populated)  # by sex, then age
+    cohort = np.tile(np.arange(len(age)), len(months))
+    month = np.repeat(np.arange(len(months)), len(age))
+    labels = ([o for o, _ in ctx.corridors], [d for _, d in ctx.corridors],
+              [SEXES[s] for s in sex.tolist()], [str(a) for a in age.tolist()],
               [month_label(m) for m in months], None)
-    return Grid(labels, ((c, c, cohort, cohort, month, population.cohort_counts(c, months).ravel())
-                         for c in range(len(population.corridors))))
+    return Grid(labels, ((c, c, cohort, cohort, month,
+                          ctx.cohort_counts(c, ctx.window)[:, populated].ravel())
+                         for c in range(ctx.n_corridors)))
 
 
-def demographics_grid(population: Population, start: int, end: int) -> Grid:
+def demographics_grid(ctx: SimulationContext) -> Grid:
     """(origin, destination, month, age_symmetry, sex_symmetry, asymmetry,
-    family) rows of the populated corridor-months from ``start`` to ``end``;
-    the family proxy is the asymmetry."""
-    age_sym, sex_sym, asym = demographics_arrays(population)
-    months = np.arange(population.n_months)
-    c, m = np.nonzero((population.stocks.sum(axis=2) > 0) & (months >= start) & (months <= end))
-    labels = ([o for o, _ in population.corridors], [d for _, d in population.corridors],
-              [month_label(i) for i in range(population.n_months)], None, None, None, None)
+    family) rows of the populated corridor-months of the window; the family
+    proxy is the asymmetry."""
+    age_sym, sex_sym, asym = demographics_arrays(ctx.stocks, ctx.shares)
+    months = np.arange(ctx.n_months)
+    c, m = np.nonzero((ctx.stocks.sum(axis=2) > 0) & (months >= ctx.start) & (months <= ctx.end))
+    labels = ([o for o, _ in ctx.corridors], [d for _, d in ctx.corridors],
+              [month_label(i) for i in range(ctx.n_months)], None, None, None, None)
     return Grid(labels, [(c, c, m, age_sym[c, m], sex_sym[c, m], asym[c, m], asym[c, m])])

@@ -11,6 +11,7 @@ from pathlib import Path
 from .months import LAST_MONTH, month_index
 
 ATTRIBUTION_CONVENTIONS = ("only_hazard", "leave_one_out")
+MIN_BAND_SAMPLES = 1000  # the fewest draws a percentile band is taken from
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,11 @@ class RunConfig:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.starts < 1 or self.max_iter < 0:
             raise ValueError("starts must be >= 1, max_iter >= 0")
-        if self.bootstrap_reps < 0 or self.band_draws < 0:
-            raise ValueError("bootstrap_reps and band_draws must be >= 0")
+        if self.bootstrap_reps < 0:
+            raise ValueError(f"bootstrap_reps must be >= 0, got {self.bootstrap_reps}")
+        if self.band_draws != 0 and self.band_draws < MIN_BAND_SAMPLES:
+            raise ValueError(f"band_draws must be 0 (no bands) or >= {MIN_BAND_SAMPLES}, "
+                             f"got {self.band_draws}")
         if self.tol < 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.attribution not in ATTRIBUTION_CONVENTIONS:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import settings
 import oracles
 from remitsim import behavior, fixtures
 from remitsim.behavior import BehaviorParams
-from remitsim.dataio import (SEXES, Dataset, FlowObservation, Panel, Stocks,
+from remitsim.dataio import (PANEL_YEARS, SEXES, Dataset, FlowObservation, Panel, Stocks,
                              interpolate_stocks_monthly, load_dataset)
 from remitsim.engine import SimulationContext
 from remitsim.months import year_of
@@ -106,8 +106,7 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
                      month: int, *, clamp: bool = False,
                      active_ids: frozenset | None = None) -> float:
     """Expected corridor-month flow summed cohort by cohort via the scalar ops."""
-    population = build_population(dataset)
-    cohorts = oracles.cohorts(population, origin, dest, month)
+    cohorts = oracles.cohorts(dataset, build_population(dataset), origin, dest, month)
     demo = oracles.family_probability(cohorts)
     family = demo.family if demo is not None else 1.0
     year = year_of(month)
@@ -144,6 +143,25 @@ def monthly_by_key(stocks) -> dict[tuple[str, str, str], np.ndarray]:
     corridor, sex, _ = table.anchors
     keys = [(*table.corridors[c], SEXES[s]) for c, s in zip(corridor.tolist(), sex.tolist())]
     return dict(zip(keys, interpolate_stocks_monthly(table)))
+
+
+def aligned(mapping: Mapping[tuple[str, str, int], float], panel: Panel) -> np.ndarray:
+    """``mapping[(sender, recipient, month)]`` per observation, in panel order;
+    NaN where ``mapping`` has no value."""
+    return np.array([mapping.get(obs[:3], np.nan) for obs in panel], dtype=float)
+
+
+def gravity_grid(gravity: Mapping[int, Mapping[tuple[str, str], float]]
+                 ) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """A year -> {(sender, recipient): annual USD} mapping as
+    ``baseline.compare_models`` takes it: (origin, destination) corridors and
+    their (corridors, 10 years) array from 2010, NaN where the mapping has no value."""
+    pairs = sorted({pair for by_pair in gravity.values() for pair in by_pair})
+    grid = np.full((len(pairs), len(PANEL_YEARS)), np.nan)
+    for year, by_pair in gravity.items():
+        for pair, value in by_pair.items():
+            grid[pairs.index(pair), year - PANEL_YEARS[0]] = value
+    return [(recipient, sender) for sender, recipient in pairs], grid
 
 
 def panel_of(records: Iterable[FlowObservation]) -> Panel:

@@ -26,13 +26,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from remitsim.baseline import ComparisonReport, ComparisonRow, gravity_per_migrant
+from remitsim.baseline import ComparisonReport, ComparisonRow
 from remitsim.behavior import DISASTER_WINDOW, BehaviorParams
 from remitsim.dataio import (ANCHOR_YEARS, GLOBAL_SURPLUS, HAZARDS, N_AGES, SEXES, Dataset,
                              DataValidationError, DisasterEvent, FlowObservation,
                              MigrantStockRecord, _serialize_tables)
 from remitsim.months import WINDOW_MONTHS, month_label, year_of
-from remitsim.population import PARENTING_MAX_AGE, YOUNG_MAX_AGE, Population
+from remitsim.population import PARENTING_MAX_AGE, YOUNG_MAX_AGE
 from remitsim.reports import sequential_sum
 
 log = logging.getLogger(__name__)
@@ -74,12 +74,15 @@ class MigrantCohort:
     count: float
 
 
-def cohorts(population: Population, origin: str, destination: str,
+def cohorts(dataset: Dataset, stocks: np.ndarray, origin: str, destination: str,
             month: int) -> list[MigrantCohort]:
-    counts = population.counts(population.corridor_index(origin, destination), month)
-    return [MigrantCohort(origin, destination, sex, age, month, float(counts[s, age]))
-            for s, sex in enumerate(SEXES) for age in range(N_AGES)
-            if population.shares[sex][age] > 0]
+    """The cohorts with a positive age share of one corridor-month: its sex's
+    stock in ``stocks``, the (corridors, months, sexes) grid of
+    ``dataset.corridors``, times the age share."""
+    stock = stocks[dataset.corridors.index((origin, destination)), month].tolist()
+    return [MigrantCohort(origin, destination, sex, age, month, stock[s] * share)
+            for s, sex in enumerate(SEXES)
+            for age, share in enumerate(dataset.age_shares[sex].tolist()) if share > 0]
 
 
 def _symmetry(a: float, b: float) -> float:
@@ -345,6 +348,29 @@ def annual_stocks(dataset: Dataset) -> dict[tuple[str, str, int], float]:
             lo = (year - 2010) * 12
             key = (origin, dest, year)
             out[key] = out.get(key, 0.0) + float(monthly[lo: lo + 12].mean())
+    return out
+
+
+def gravity_per_migrant(y_dest: float, y_origin: float, beta_exp: float) -> float:
+    """Annual per-migrant amount: origin income, plus the income gap raised
+    to the exponent when the destination is at least as rich."""
+    if y_dest <= 0 or y_origin <= 0:
+        raise ValueError(f"incomes must be positive, got ({y_dest}, {y_origin})")
+    if y_dest < y_origin:
+        return y_origin
+    return y_origin + (y_dest - y_origin) ** beta_exp
+
+
+def gravity_flows(dataset: Dataset, beta_exp: float,
+                  stocks: Mapping[tuple[str, str, int], float]
+                  ) -> dict[int, dict[tuple[str, str], float]]:
+    """Annual flows year -> {(sender, recipient): USD}, per-migrant amount
+    times stock, one corridor-year at a time; ``stocks`` is :func:`annual_stocks`."""
+    out: dict[int, dict[tuple[str, str], float]] = {y: {} for y in range(2010, 2020)}
+    for (origin, dest, year), stock in stocks.items():
+        amount = gravity_per_migrant(dataset.gdp[(dest, year)], dataset.gdp[(origin, year)],
+                                     beta_exp)
+        out[year][(dest, origin)] = amount * stock
     return out
 
 

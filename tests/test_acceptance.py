@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import panel_of
+from conftest import aligned, gravity_grid, panel_of
 from oracles import (CovariateVector, activation_capacity, expected_flow, kernel_value,
                      probability, sample_flows, theta)
 from remitsim import fixtures, scenarios
@@ -23,7 +23,7 @@ from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
 from remitsim.calibration import CalibrationConfig, calibrate, split_panel
 from remitsim.cli import main as cli_main
 from remitsim.dataio import DisasterEvent, FlowObservation
-from remitsim.engine import SimulationContext, build_population
+from remitsim.engine import SimulationContext
 from remitsim.flows import _sample_cells, confidence_band
 from remitsim.months import month_index
 
@@ -223,20 +223,20 @@ def test_criterion_gravity_baseline_fixture():
     panel = panel_of(FlowObservation("USA", "MEX", m, 27.46 / 12.0) for m in months)
     structural = {("USA", "MEX", m): 26.49 / 12.0 for m in months}
     gravity = {2010: {("USA", "MEX"): 123.28}, 2011: {("USA", "MEX"): 123.28}}
-    row = compare_models(panel.lookup(structural, ("sender", "recipient", "month")),
-                         gravity, panel).rows[0]
+    corridors, grid = gravity_grid(gravity)
+    row = compare_models(aligned(structural, panel), grid, panel, corridors).rows[0]
     assert abs(row.se_structural - 0.95) / 0.95 <= 0.02
     assert abs(row.se_gravity - 9181.54) / 9181.54 <= 0.02
 
-    dataset = fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2)
-    stocks = annual_stocks(dataset, build_population(dataset).stocks)
-    flows = gravity_flows(dataset, 0.75, stocks)
+    ctx = SimulationContext(fixtures.build_dataset(seed=3, n_origins=2, n_destinations=2))
+    stocks = annual_stocks(ctx.stocks)
+    flows = gravity_flows(ctx, 0.75, stocks).tolist()
     planted = []
     for month in range(0, 120, 3):
-        year = 2010 + month // 12
-        for (sender, recipient), annual in flows[year].items():
-            planted.append(FlowObservation(sender, recipient, month, annual / 12.0))
-    fit = calibrate_gravity(panel_of(planted), dataset, stocks)
+        year = month // 12
+        for (origin, dest), annual in zip(ctx.corridors, flows):
+            planted.append(FlowObservation(dest, origin, month, annual[year] / 12.0))
+    fit = calibrate_gravity(panel_of(planted), ctx, stocks)
     assert abs(fit.beta_exp - 0.75) <= 0.01
     _report(f"gravity baseline fixture (recovered exponent = {fit.beta_exp:.4f})")
 

@@ -387,6 +387,36 @@ def test_band_does_not_depend_on_window(tmp_path):
     assert bands["2016-12"] == bands["2017-01"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "counterfactual"])
+def test_too_few_band_draws_exit_2_before_any_output(fixture_dir, tmp_path, capsys, command):
+    """band_draws from 1 to 999 is a configuration error, raised before the
+    command samples or writes anything."""
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    config = tmp_path / "run.config"
+    for draws in (1, 999):
+        config.write_text(f"band_draws = {draws}\n", encoding="utf-8")
+        out = tmp_path / f"out-{draws}"
+        assert run(command, "--config", config, "--data-dir", fixture_dir, "--output-dir", out,
+                   "--params", params, "--start", "2012-01", "--end", "2012-02") == 2
+        assert "band_draws must be 0 (no bands) or >= 1000" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_zero_band_draws_skip_bands(fixture_dir, tmp_path):
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    config = tmp_path / "run.config"
+    config.write_text("band_draws = 0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("simulate", "counterfactual"):
+        assert run(command, "--config", config, "--data-dir", fixture_dir, "--output-dir", out,
+                   "--params", params, "--start", "2012-01", "--end", "2012-02") == 0
+    names = {p.name for p in out.iterdir()}
+    assert {"flows.csv", "induced.csv", "manifest-simulate.json"} <= names
+    assert not names & {"bands.csv", "induced_bands.csv"}
+
+
 def test_bad_config_key_exit_2(tmp_path, capsys):
     config = tmp_path / "run.config"
     config.write_text("no_such_key = 1\n", encoding="utf-8")

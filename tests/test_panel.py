@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import panel_of
+from conftest import aligned, panel_of
 from remitsim import baseline, fixtures
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.calibration import align_panel, split_panel
 from remitsim.dataio import FlowObservation, Panel
 from remitsim.engine import SimulationContext
-from remitsim.population import build_population
 
 DATASET = fixtures.build_dataset(seed=3, n_origins=3, n_destinations=2)
-STOCKS = baseline.annual_stocks(DATASET, build_population(DATASET).stocks)
+STOCKS = oracles.annual_stocks(DATASET)
 FULL_GRID = SimulationContext(DATASET).expected_flows(REFERENCE_PARAMS)
 ORIGINS = sorted({o for o, _ in DATASET.corridors}) + ["YYY"]  # YYY: no modelled stock
 DESTINATIONS = sorted({d for _, d in DATASET.corridors}) + ["ZZZ"]
@@ -93,7 +92,20 @@ def test_columnar_panel_equals_record_oracles(records, a, b, seed):
         else:
             assert getattr(got, field) == value, field
 
-    loss, excluded = baseline._gravity_loss(panel, DATASET, STOCKS)
+    # the gravity arrays cell by cell against the corridor-year oracles; repr
+    # tells -0.0 from 0.0
+    stocks = baseline.annual_stocks(ctx.stocks)
+    gravity = baseline.gravity_flows(ctx, 0.75, stocks)
+    oracle_gravity = oracles.gravity_flows(DATASET, 0.75, STOCKS)
+    assert stocks.shape == gravity.shape == (ctx.n_corridors, 10)
+    assert len(STOCKS) == stocks.size
+    cells = zip(stocks.tolist(), gravity.tolist())
+    for (origin, dest), (stock_row, gravity_row) in zip(ctx.corridors, cells):
+        for year, stock, flow in zip(range(2010, 2020), stock_row, gravity_row):
+            assert repr(stock) == repr(STOCKS[(origin, dest, year)]), (origin, dest, year)
+            assert repr(flow) == repr(oracle_gravity[year][(dest, origin)]), (origin, dest, year)
+
+    loss, excluded = baseline._gravity_loss(panel, ctx, stocks)
     for beta in (0.01, 0.3713, 1.0, 1.9):
         assert (loss(beta), excluded) == oracles.panel_sse(records, DATASET, STOCKS, beta), beta
 
@@ -105,11 +117,10 @@ def test_columnar_panel_equals_record_oracles(records, a, b, seed):
     simulated = (corridor >= 0) & (panel.month >= start) & (panel.month <= end)
     structural = np.full(len(panel), np.nan)
     structural[simulated] = FULL_GRID[corridor[simulated], panel.month[simulated]]
-    gravity = baseline.gravity_flows(DATASET, 0.75, STOCKS)
-    report = repr(oracles.compare_models(mapping, gravity, records))  # repr tells -0.0 from 0.0
-    assert repr(baseline.compare_models(structural, gravity, panel)) == report
-    aligned = panel.lookup(mapping, ("sender", "recipient", "month"))
-    assert repr(baseline.compare_models(aligned, gravity, panel)) == report
+    report = repr(oracles.compare_models(mapping, oracle_gravity, records))
+    assert repr(baseline.compare_models(structural, gravity, panel, ctx.corridors)) == report
+    assert repr(baseline.compare_models(aligned(mapping, panel), gravity, panel,
+                                        ctx.corridors)) == report
 
 
 class _Messages(logging.Handler):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import MigrantCohort, age_symmetry, family_probability, sex_symmetry
-from remitsim.dataio import N_AGES, SEXES
+from remitsim.dataio import N_AGES, SEXES, AgeProfile
+from remitsim.engine import SimulationContext
 from remitsim.months import month_label, year_of
-from remitsim.population import (Population, build_population, demographics_arrays,
-                                 sender_demographics)
+from remitsim.population import build_population, demographics_arrays, sender_demographics
 from remitsim.reports import demographics_grid, fmt_cell, population_grid
 
 from conftest import monthly_by_key
@@ -47,50 +48,70 @@ def _band_cohorts(young=0.0, parenting=0.0, older=0.0, sex="male"):
 # ---------------------------------------------------------------------------
 # Proportional allocation
 
-def test_degenerate_profile_single_age():
-    shares = {"male": np.zeros(101), "female": np.zeros(101)}
-    shares["male"][30] = 1.0
-    shares["female"][30] = 1.0
-    stocks = np.zeros((1, 1, 2))
-    stocks[0, 0, 0] = 1000.0
-    pop = Population([("AAA", "BBB")], stocks, shares)
-    cohorts = [c for c in oracles.cohorts(pop, "AAA", "BBB", 0) if c.count > 0]
-    assert len(cohorts) == 1
-    assert cohorts[0].age == 30 and cohorts[0].count == 1000.0
+def _with_ages(dataset, male: dict[int, float], female: dict[int, float]) -> SimulationContext:
+    """A context of ``dataset`` under the age shares ``male`` and ``female`` (age: share)."""
+    profiles = [AgeProfile(sex, age, share) for sex, shares in zip(SEXES, (male, female))
+                for age, share in shares.items()]
+    return SimulationContext(dataclasses.replace(dataset, age_profiles=tuple(profiles)))
 
 
-def test_uniform_profile_split():
-    shares = {"male": np.zeros(101), "female": np.zeros(101)}
-    shares["male"][:100] = 0.01  # uniform over 100 ages
-    shares["female"][:100] = 0.01
-    stocks = np.zeros((1, 1, 2))
-    stocks[0, 0, 0] = 1000.0
-    pop = Population([("AAA", "BBB")], stocks, shares)
-    counts = pop.counts(0, 0)
-    assert np.allclose(counts[0, :100], 10.0)
+def test_degenerate_profile_single_age(small_dataset):
+    ctx = _with_ages(small_dataset, {30: 1.0}, {30: 1.0})
+    c = ctx.corridor_index("AAA", "BBB")
+    cohorts = [x for x in oracles.cohorts(ctx.dataset, ctx.stocks, "AAA", "BBB", 0) if x.count > 0]
+    assert [(c.sex, c.age) for c in cohorts] == [("male", 30), ("female", 30)]
+    counts = ctx.cohort_counts(c, 0)
+    assert counts.shape == (2, 101)
+    assert np.flatnonzero(counts[0]).tolist() == [30] and counts[0, 30] == ctx.stocks[c, 0, 0]
+
+
+def test_uniform_profile_split(small_dataset):
+    uniform = dict.fromkeys(range(100), 0.01)  # uniform over 100 ages
+    ctx = _with_ages(small_dataset, uniform, uniform)
+    c = ctx.corridor_index("AAA", "BBB")
+    counts = ctx.cohort_counts(c, 0)
+    assert np.allclose(counts[0, :100], ctx.stocks[c, 0, 0] / 100)
     assert counts[0, 100] == 0.0
 
 
 def test_counts_equal_stock_times_share(small_dataset):
-    pop = build_population(small_dataset)
+    ctx = SimulationContext(small_dataset)
     series = monthly_by_key(small_dataset.stocks)
     for month in (0, 17, 60, 119):
-        counts = pop.counts(pop.corridor_index("AAA", "BBB"), month)
+        counts = ctx.cohort_counts(ctx.corridor_index("AAA", "BBB"), month)
         for s, sex in enumerate(("male", "female")):
             stock = series[("AAA", "BBB", sex)][month]
             expected = stock * small_dataset.age_shares[sex]
             assert np.allclose(counts[s], expected, rtol=1e-12)
 
 
-def test_mass_conservation(desk_dataset):
-    pop = build_population(desk_dataset)
+def test_cohort_counts_index_as_numpy_does(desk_ctx):
+    """One corridor-month, rows at one month, all rows over a window: the
+    products of the corridor-month's counts, in the stock grid's layout."""
+    rows = desk_ctx.origin_groups["OGA"]
+    one = desk_ctx.cohort_counts(3, 40)
+    assert one.shape == (2, 101) and one.size == 202
+    assert _bits(desk_ctx.cohort_counts(rows, 40)) == _bits(
+        np.stack([desk_ctx.cohort_counts(c, 40) for c in rows]))
+    window = desk_ctx.cohort_counts(slice(None), slice(38, 41))
+    assert window.shape == (desk_ctx.n_corridors, 3, 2, 101)
+    assert _bits(window[3, 2]) == _bits(one)
+    for s in range(2):
+        assert _bits(one[s]) == _bits(desk_ctx.stocks[3, 40, s] * desk_ctx.shares[s])
+
+
+def _bits(arr: np.ndarray) -> bytes:
+    return arr.dtype.str.encode() + arr.tobytes()
+
+
+def test_mass_conservation(desk_dataset, desk_ctx):
     series = monthly_by_key(desk_dataset.stocks)
     rng = np.random.default_rng(0)
     for _ in range(25):
-        c = int(rng.integers(len(pop.corridors)))
+        c = int(rng.integers(desk_ctx.n_corridors))
         m = int(rng.integers(120))
-        origin, dest = pop.corridors[c]
-        counts = pop.counts(c, m)
+        origin, dest = desk_ctx.corridors[c]
+        counts = desk_ctx.cohort_counts(c, m)
         for s, sex in enumerate(("male", "female")):
             stock = series[(origin, dest, sex)][m]
             assert counts[s].sum() == pytest.approx(stock, rel=1e-6)
@@ -177,15 +198,15 @@ def test_symmetry_bounds_and_permutation(young, parenting, male_extra):
         assert demo.family == demo.asymmetry
 
 
-def test_vectorized_demographics_match_scalar(desk_dataset):
-    pop = build_population(desk_dataset)
-    age_sym, sex_sym, asym = demographics_arrays(pop)
+def test_vectorized_demographics_match_scalar(desk_dataset, desk_ctx):
+    age_sym, sex_sym, asym = demographics_arrays(desk_ctx.stocks, desk_ctx.shares)
+    assert _bits(asym) == _bits(desk_ctx.family)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        c = int(rng.integers(len(pop.corridors)))
+        c = int(rng.integers(desk_ctx.n_corridors))
         m = int(rng.integers(120))
-        origin, dest = pop.corridors[c]
-        demo = family_probability(oracles.cohorts(pop, origin, dest, m))
+        origin, dest = desk_ctx.corridors[c]
+        demo = family_probability(oracles.cohorts(desk_dataset, desk_ctx.stocks, origin, dest, m))
         if demo is None:
             continue
         assert age_sym[c, m] == pytest.approx(demo.age_symmetry, rel=1e-9)
@@ -194,37 +215,37 @@ def test_vectorized_demographics_match_scalar(desk_dataset):
 
 
 def test_demographics_grid_omits_empty_and_keeps_the_window(small_dataset):
-    pop = build_population(small_dataset)
-    rows = list(demographics_grid(pop, 0, pop.n_months - 1).cells())
+    ctx = SimulationContext(small_dataset)
+    rows = list(demographics_grid(ctx).cells())
     assert len(rows) == 2 * 120  # both corridors populated every month
     assert all(0.0 <= r[6] <= 1.0 for r in rows)
-    empty = Population(pop.corridors, pop.stocks.copy(), pop.shares)
+    empty = SimulationContext(small_dataset, start=3, end=9)
+    empty.stocks = empty.stocks.copy()
     empty.stocks[1, 5:] = 0.0
-    rows = list(demographics_grid(empty, 3, 9).cells())
+    rows = list(demographics_grid(empty).cells())
     assert [(r[1], r[2]) for r in rows] == [
-        *((pop.corridors[0][1], month_label(m)) for m in range(3, 10)),
-        *((pop.corridors[1][1], month_label(m)) for m in range(3, 5))]
+        *((ctx.corridors[0][1], month_label(m)) for m in range(3, 10)),
+        *((ctx.corridors[1][1], month_label(m)) for m in range(3, 5))]
 
 
 def test_demographics_grid_equals_cell_by_cell_rows(desk_dataset):
-    pop = build_population(desk_dataset)
-    age_sym, sex_sym, asym = demographics_arrays(pop)
+    ctx = SimulationContext(desk_dataset, start=24, end=59)
+    age_sym, sex_sym, asym = demographics_arrays(ctx.stocks, ctx.shares)
     want = [[origin, dest, month_label(m), float(age_sym[c, m]), float(sex_sym[c, m]),
              float(asym[c, m]), float(asym[c, m])]
-            for c, (origin, dest) in enumerate(pop.corridors) for m in range(24, 60)
-            if pop.stocks[c, m].sum() > 0]
-    assert list(demographics_grid(pop, 24, 59).cells()) == want
+            for c, (origin, dest) in enumerate(ctx.corridors) for m in range(24, 60)
+            if ctx.stocks[c, m].sum() > 0]
+    assert list(demographics_grid(ctx).cells()) == want
     buffer = io.StringIO(newline="")
     csv.writer(buffer, lineterminator="\n").writerows([fmt_cell(v) for v in row] for row in want)
-    assert b"".join(demographics_grid(pop, 24, 59).blocks()) == buffer.getvalue().encode()
+    assert b"".join(demographics_grid(ctx).blocks()) == buffer.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
 # Sender demographics
 
 def test_uniform_probabilities_reproduce_population_shares(small_dataset):
-    pop = build_population(small_dataset)
-    cohorts = oracles.cohorts(pop, "AAA", "BBB", 0)
+    cohorts = oracles.cohorts(small_dataset, build_population(small_dataset), "AAA", "BBB", 0)
     probs = [0.4] * len(cohorts)
     rows = sender_demographics(*_weights(cohorts, probs, small_dataset))
     total = sum(c.count for c in cohorts)
@@ -243,10 +264,10 @@ def test_degenerate_sender_shares():
 
 
 def test_weighted_average_oracle(desk_dataset):
-    pop = build_population(desk_dataset)
+    stocks = build_population(desk_dataset)
     cohorts = []
     for corridor in [("OGA", "DNA"), ("OGC", "DNE"), ("OGJ", "DNB")]:
-        cohorts.extend(oracles.cohorts(pop, *corridor, 36))
+        cohorts.extend(oracles.cohorts(desk_dataset, stocks, *corridor, 36))
     rng = np.random.default_rng(2)
     probs = rng.uniform(0, 1, size=len(cohorts)).tolist()
     rows = sender_demographics(*_weights(cohorts, probs, desk_dataset))
@@ -278,18 +299,19 @@ def _income_dataset():
     return Stub()
 
 
-def test_population_grid_equals_cell_by_cell_rows(desk_dataset):
-    pop = build_population(desk_dataset)
-    months = [59, 60, 119]
+@pytest.mark.parametrize("start, end", [(59, 60), (119, 119)])
+def test_population_grid_equals_cell_by_cell_rows(desk_dataset, start, end):
+    ctx = SimulationContext(desk_dataset, start=start, end=end)
+    shares = desk_dataset.age_shares
     want = []
-    for c, (origin, destination) in enumerate(pop.corridors):
-        for month in months:
+    for c, (origin, destination) in enumerate(ctx.corridors):
+        for month in range(start, end + 1):
             for s, sex in enumerate(SEXES):
-                for age in np.nonzero(pop.shares[sex])[0]:
-                    count = pop.stocks[c, month, s] * pop.shares[sex][age]
+                for age in np.nonzero(shares[sex])[0]:
+                    count = ctx.stocks[c, month, s] * shares[sex][age]
                     want.append((origin, destination, sex, str(age), month_label(month),
                                  repr(float(count))))
-    assert [tuple(fmt_cell(v) for v in row) for row in population_grid(pop, months).cells()] == want
+    assert [tuple(fmt_cell(v) for v in row) for row in population_grid(ctx).cells()] == want
     buffer = io.StringIO(newline="")
     csv.writer(buffer, lineterminator="\n").writerows(want)
-    assert b"".join(population_grid(pop, months).blocks()) == buffer.getvalue().encode()
+    assert b"".join(population_grid(ctx).blocks()) == buffer.getvalue().encode()

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from remitsim.runconfig import RunConfig, build_config, read_config_file, write_config_file
+from remitsim.runconfig import (MIN_BAND_SAMPLES, RunConfig, build_config, read_config_file,
+                                write_config_file)
 
 
 def test_defaults():
@@ -66,6 +67,14 @@ def test_bad_values_rejected(tmp_path: Path):
     path.write_text("seed 42\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key = value"):
         read_config_file(path)
+
+
+def test_band_draws_are_zero_or_enough_for_a_band():
+    assert RunConfig(band_draws=0).band_draws == 0  # no bands
+    assert RunConfig(band_draws=MIN_BAND_SAMPLES).band_draws == MIN_BAND_SAMPLES == 1000
+    for draws in (-1, 1, MIN_BAND_SAMPLES - 1):
+        with pytest.raises(ValueError, match="band_draws must be 0"):
+            RunConfig(band_draws=draws)
 
 
 def test_write_read_round_trip(tmp_path: Path):

@@ -1,0 +1,78 @@
+"""Run every remitsim command from two source trees and compare the outputs.
+
+    python3 tools/same_outputs.py BASE_SRC WORK_DIR
+
+Writes the desk fixture (seed 7) and the benchmark's scale inputs
+(``perfbench/inputs.make_inputs("scale", 1, ...)``) into ``WORK_DIR/inputs``
+once. Then runs every command on both datasets, first with ``BASE_SRC``
+(the ``src`` directory of another checkout) and then with this checkout's
+``src``, each into ``WORK_DIR/out``, and moves each tree's outputs aside. The
+runs use the same paths because the manifests echo them. Exits 1 if
+``diff -r`` finds any difference between the two trees' outputs. ``WORK_DIR``
+must not exist yet.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = "1"
+# the commands that read calibrated parameters: given the reference ones
+NEEDS_PARAMS = ("simulate", "counterfactual", "attribute", "compare-baseline", "report")
+
+# per dataset: the windows of the commands that would otherwise write
+# hundreds of megabytes (scale) or sample 1000 band draws per month (desk)
+COMMANDS = {
+    "desk": [("build-population",), ("calibrate", "--starts", "1", "--max-iter", "20"),
+             ("simulate", "--start", "2016-07", "--end", "2016-12"),
+             ("counterfactual", "--start", "2016-07", "--end", "2016-12"),
+             ("attribute",), ("compare-baseline",), ("report",)],
+    "scale": [("build-population", "--start", "2019-10", "--end", "2019-12"),
+              ("calibrate", "--starts", "1", "--max-iter", "5"),
+              ("simulate",), ("counterfactual",), ("attribute",), ("compare-baseline",),
+              ("report", "--start", "2019-10", "--end", "2019-12")],
+}
+
+
+def make_inputs(inputs: Path) -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from perfbench.inputs import make_inputs as make
+    make("desk", 7, inputs / "desk")
+    make("scale", 1, inputs / "scale")
+
+
+def run_all(src: Path, inputs: Path, out: Path) -> None:
+    """Every command of ``src`` on each dataset, into ``out``/<dataset>."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [("fixture", ["fixtures", "generate", "--data-dir", str(out / "fixture"),
+                         "--seed", "7"])]
+    for name, commands in COMMANDS.items():
+        data = inputs / name
+        common = ["--config", str(data / "run.config"), "--data-dir", str(data),
+                  "--output-dir", str(out / name), "--seed", SEED]
+        params = ["--params", str(data / "reference" / "calibration.json")]
+        runs += [(name, [cmd, *common, *(params if cmd in NEEDS_PARAMS else []), *rest])
+                 for cmd, *rest in commands]
+    for name, argv in runs:
+        print(f"{src}: {name} {argv[0]}", flush=True)
+        subprocess.run([sys.executable, "-m", "remitsim.cli", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+
+def main(argv: list[str]) -> int:
+    base_src, work = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    work.mkdir(parents=True)  # a new directory: the runs move and compare all of it
+    make_inputs(work / "inputs")
+    for label, src in (("base", base_src), ("head", ROOT / "src")):
+        run_all(src, work / "inputs", work / "out")
+        (work / "out").rename(work / label)
+    diff = subprocess.run(["diff", "-r", str(work / "base"), str(work / "head")])
+    print("outputs identical" if diff.returncode == 0 else "outputs differ")
+    return 0 if diff.returncode == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
