@@ -17,10 +17,11 @@ the row width, then each field's (type, bounds, code, category, month) in
 column order, then the rules across a row (keys, cross-checks). Every rule
 masks the bad rows of whole columns at once; keys compare parsed values, not
 their spelling. The first bad row is the least row of any mask, and the
-message is that of the first rule it breaks, in schema order. Quote-free
-text is split at newlines and commas; text with a quote or a carriage return
-goes through the CSV reader into the same columns. The returned
-:class:`Dataset` is immutable; its stock table and its panel are held as
+message is that of the first rule it breaks, in schema order. np.loadtxt
+reads plain ASCII text into fixed-width columns; text with a quote, a
+carriage return, whitespace or NUL within a line, or a non-ASCII byte, and
+text that np.loadtxt refuses, goes through the CSV reader into the same
+columns. The returned :class:`Dataset` is immutable; its stock table and its panel are held as
 read-only columns (:class:`Stocks`, :class:`Panel`), built from the keys of
 the checked columns, with no record per row.
 """
@@ -29,10 +30,10 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import itertools
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -341,36 +342,52 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # Schemas: each file's rules, in the order a row is checked
 
+class _Parsed(NamedTuple):
+    """A column as :func:`_parse` gives it: each row's index among the distinct
+    texts and its key, and each distinct text's value (0 if refused); or, with
+    ``rows`` and ``keys`` None, each row's float value."""
+
+    rows: np.ndarray | None
+    keys: np.ndarray | None
+    values: np.ndarray
+    refusals: list[str]
+    labels: list | None
+
+
 class _Table:
-    """One file's columns by name: the parsed ``values`` (0 where the parse
-    refused the text), each row's ``keys``, the parse's ``refusals`` and the
-    distinct values that the keys index (``labels``), as :func:`_parse` gives
-    them. ``wrong`` masks the rows of the wrong width; ``population`` is
-    economics' by (country, year)."""
+    """One file's parsed columns by name. ``wrong`` masks the rows of the wrong
+    width; ``population`` is economics' by (country, year)."""
 
-    __slots__ = ("values", "keys", "refusals", "labels", "wrong", "population")
+    __slots__ = ("parsed", "wrong", "population")
 
-    def __init__(self, values: Mapping[str, np.ndarray], keys: Mapping[str, np.ndarray],
-                 refusals: Mapping[str, list[str]], labels: Mapping[str, list | None],
-                 wrong: np.ndarray, population: Mapping[tuple[str, int], float]):
-        self.values, self.keys, self.refusals, self.labels = values, keys, refusals, labels
-        self.wrong, self.population = wrong, population
+    def __init__(self, parsed: Mapping[str, _Parsed], wrong: np.ndarray,
+                 population: Mapping[tuple[str, int], float]):
+        self.parsed, self.wrong, self.population = parsed, wrong, population
 
     def __getitem__(self, column: str) -> np.ndarray:
-        return self.values[column]
+        """Each row's value in ``column``, 0 where the parse refused the text."""
+        rows, _, values, _, _ = self.parsed[column]
+        return values if rows is None else values[rows]
+
+    def keys(self, column: str) -> np.ndarray:
+        """Each row's key in ``column``: equal values share a key however they
+        are spelled, and a refused row's key is negative. A float column's key
+        is the bits of its value, with -0.0 as 0.0, as an unsigned int."""
+        _, keys, values, _, _ = self.parsed[column]
+        return (values + 0.0).view(np.uint64) if keys is None else keys
 
     def codes(self, *columns: str) -> tuple[str, ...]:
         """The sorted distinct values of the text ``columns``."""
-        return tuple(sorted(set().union(*(self.labels[column] for column in columns))))
+        return tuple(sorted(set().union(*(self.parsed[column].labels for column in columns))))
 
     def indices(self, column: str, labels: Sequence[str]) -> np.ndarray:
         """Each row's index in ``labels`` of its value in the text ``column``,
         read off the column's keys; every row's value must be in ``labels``."""
-        return _indices(labels, self.labels[column])[self.keys[column]]
+        return _indices(labels, self.parsed[column].labels)[self.parsed[column].keys]
 
     def cell(self, column: str, row: int):
         """One parsed value as a Python scalar, which prints plainly inside a tuple."""
-        return self.values[column][row:row + 1].tolist()[0]
+        return self[column][row:row + 1].tolist()[0]
 
 
 class Rule(NamedTuple):
@@ -385,16 +402,17 @@ class Rule(NamedTuple):
 class Field(NamedTuple):
     """A column. ``parse`` turns a text into its value, or refuses it with a
     ValueError that words the refusal; that is the field's first rule, and
-    ``rules`` follow. The default ``parse`` keeps any text. ``parse_all``, if
-    given, parses a whole column at once, accepting and reading each text as
-    ``parse`` does, and raises ValueError if ``parse`` would refuse any text.
-    ``show`` writes a value as text that ``parse`` reads back to it."""
+    ``rules`` follow. The default ``parse`` keeps any text. ``read`` is the
+    type np.loadtxt reads the column as: float64 for numbers, which it reads as
+    ``parse`` does once the text is plain and the value finite; else text, as
+    fixed-width bytes that no accepted text fills, or as ``str``. ``show``
+    writes a value as text that ``parse`` reads back to it."""
 
     column: str
     parse: Callable[[str], object] = str
     rules: tuple[Rule, ...] = ()
     dtype: object = object
-    parse_all: Callable[[Sequence[str]], np.ndarray] | None = None
+    read: str = "O"
     show: Callable[[object], str] = str
 
 
@@ -415,8 +433,14 @@ class Schema(NamedTuple):
 
 def _parsed(column: str) -> Rule:
     """Rule: ``column``'s parse accepts the text; its refusal words the break."""
-    return Rule(column, lambda t: t.keys[column] < 0,
-                lambda t, row: t.refusals[column][-1 - t.keys[column][row]])
+    return Rule(column, lambda t: t.keys(column) < 0,
+                lambda t, row: t.parsed[column].refusals[-1 - t.keys(column)[row]])
+
+
+def _text_bytes(longest: int) -> str:
+    """Fixed-width bytes, a power of two wide, that hold a text of up to
+    ``longest`` characters and that a longer one, which np.loadtxt cuts, fills."""
+    return f"S{1 << longest.bit_length()}"
 
 
 def _code(column: str, global_default: bool = False) -> Field:
@@ -426,7 +450,7 @@ def _code(column: str, global_default: bool = False) -> Field:
         if codes.fullmatch(text) is None:
             raise ValueError(f"not an ISO-3166 alpha-3 code: {text!r}")
         return text
-    return Field(column, parse)
+    return Field(column, parse, read=_text_bytes(len(GLOBAL_SURPLUS) if global_default else 3))
 
 
 def _enum(column: str, allowed: tuple[str, ...]) -> Field:
@@ -434,7 +458,7 @@ def _enum(column: str, allowed: tuple[str, ...]) -> Field:
         if text not in allowed:
             raise ValueError(f"{text!r} not one of {'/'.join(allowed)}")
         return text
-    return Field(column, parse)
+    return Field(column, parse, read=_text_bytes(max(map(len, allowed))))
 
 
 def _bounds(column: str, minimum=None, maximum=None, strict: bool = False) -> tuple[Rule, ...]:
@@ -451,9 +475,10 @@ def _bounds(column: str, minimum=None, maximum=None, strict: bool = False) -> tu
     return tuple(rules)
 
 
+_SPACES = "".join(c for c in map(chr, range(128)) if c.isspace())
 # what int and float take besides a plain ASCII number: whitespace around it,
 # _ between its digits (and any script's digits, which no ASCII text holds)
-_NOT_IN_NUMBERS = "".join(c for c in map(chr, range(128)) if c.isspace()) + "_"
+_NOT_IN_NUMBERS = _SPACES + "_"
 
 
 def _plain(text: str) -> bool:
@@ -483,37 +508,30 @@ def _number(text: str) -> float:
     raise ValueError(f"not a number: {text!r}")
 
 
-def _numbers(texts: Sequence[str]) -> np.ndarray:
-    """:func:`_number` of each of ``texts``, as one array, or ValueError. The
-    characters are checked over the whole column's text at once."""
-    if not _plain(",".join(texts)):
-        raise ValueError("not plain ASCII numbers")
-    values = np.array(list(map(float, texts)), dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("not finite")
-    return values
-
-
 def _int(column: str, minimum: int | None = None, maximum: int | None = None) -> Field:
-    # dtype None: an int past int64 stays a Python int, in an object array
-    return Field(column, _integer, _bounds(column, minimum, maximum), dtype=None)
+    # dtype None: an int past int64 stays a Python int, in an object array.
+    # np.loadtxt reads texts of up to 7 characters, which _integer parses, so
+    # "2012.0" stays refused; a longer one fills the bytes: the CSV reader's
+    return Field(column, _integer, _bounds(column, minimum, maximum), dtype=None,
+                 read=_text_bytes(7))
 
 
 def _float(column: str, minimum: float | None = None, maximum: float | None = None,
            strict: bool = False) -> Field:
     return Field(column, _number, _bounds(column, minimum, maximum, strict), dtype=float,
-                 parse_all=_numbers, show=repr)
+                 read="f8", show=repr)
 
 
 def _month(column: str) -> Field:
     # month_index words its own refusals
-    return Field(column, month_index, dtype=np.intp, show=month_label)
+    return Field(column, month_index, dtype=np.intp, read=_text_bytes(len("YYYY-MM")),
+                 show=month_label)
 
 
 def _unique(column: str, key: tuple[str, ...], says: Callable[..., str]) -> Rule:
     """Rule: no row repeats an earlier row's ``key`` values; ``says(*key)`` words a repeat."""
     def bad(t: _Table) -> np.ndarray:
-        keys = [t.keys[name] for name in key]
+        keys = [t.keys(name) for name in key]
         order = np.lexsort(keys[::-1])  # stable: equal rows stay in row order
         ordered = [k[order] for k in keys]
         same = np.logical_and.reduce([k[1:] == k[:-1] for k in ordered])
@@ -580,11 +598,19 @@ FILE_COLUMNS = {name: tuple(f.column for f in schema.fields) for name, schema in
 # ---------------------------------------------------------------------------
 # Reading and checking one file
 
-def _text(path: Path) -> str:
-    """``path``'s text, without the byte-order mark that spreadsheet exports put first."""
+def _bytes(path: Path) -> bytes:
+    """``path``'s bytes, after the byte-order mark that spreadsheet exports put first."""
     if not path.exists():
         raise DataValidationError(f"{path.name}: file not found at {path}")
-    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    with path.open("rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        return fh.read()
+
+
+def _text(path: Path) -> str:
+    """``path``'s text, after a byte-order mark."""
+    data = _bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -592,6 +618,58 @@ def _text(path: Path) -> str:
         line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         raise DataValidationError(f"{path.name}:{line}: not UTF-8 text: {exc.reason} "
                                   f"(byte 0x{data[exc.start]:02x})") from None
+
+
+def _distinct(texts: Sequence) -> tuple[list[str], np.ndarray]:
+    """The distinct ``texts`` and each row's index among them. Fixed-width
+    bytes, as np.loadtxt reads them, are ASCII."""
+    if isinstance(texts, np.ndarray) and texts.dtype.kind == "S":
+        # sorted as unsigned ints where they fit, five times faster; and not
+        # by np.unique, whose inverse takes several times the column's memory
+        same = np.dtype(f"u{texts.itemsize}") if texts.itemsize <= 8 else texts.dtype
+        values = np.ascontiguousarray(texts).view(same)
+        ordered = np.sort(values)
+        distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+        return ([text.decode() for text in distinct.view(texts.dtype).tolist()],
+                np.searchsorted(distinct, values))
+    distinct = list(set(texts))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+
+
+# The bytes that send a file to the CSV reader: quotes and CRs, which
+# np.loadtxt does not read as RFC 4180 does, and what it reads otherwise than
+# the rules: whitespace, which it strips around numbers, NUL, which it strips
+# from the end of fixed-width bytes, and non-ASCII bytes (it strips U+00A0).
+_NOT_LOADTXT = tuple(c.encode() for c in '"\0' + _SPACES if c != "\n")
+
+
+def _loadtxt(path: Path, fields: Sequence[Field]) -> tuple[list, np.ndarray] | None:
+    """Each of ``fields``' column in ``path``'s data rows, as :func:`_parse`
+    takes it, and the mask of the rows of the wrong width (none), by np.loadtxt,
+    which skips blank lines. None where np.loadtxt refuses the text, or may have
+    read it otherwise than the rules: a number that is not finite, a text that
+    fills its fixed-width bytes."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+            rows = np.loadtxt(path, [(field.column, field.read) for field in fields],
+                              delimiter=",", comments=None, skiprows=1, encoding="utf-8-sig",
+                              ndmin=1)
+    except ValueError:
+        return None
+    columns = []
+    for field in fields:
+        column = rows[field.column]
+        if column.dtype == float:
+            if not np.isfinite(column).all():
+                return None
+            columns.append(column.copy())
+            continue
+        columns.append(_distinct(column))
+        if column.dtype.kind == "S" and column.itemsize in map(len, columns[-1][0]):
+            return None
+    return columns, np.zeros(len(rows), bool)
 
 
 def _csv_rows(path: Path, text: str) -> tuple[list[str] | None, list[list[str]], list[int]]:
@@ -612,15 +690,6 @@ def _csv_rows(path: Path, text: str) -> tuple[list[str] | None, list[list[str]],
     return header, rows, ends
 
 
-def _fit(rows: Sequence[list[str]], width: int) -> tuple[list[Sequence[str]], np.ndarray]:
-    """``rows`` as ``width`` columns, and the mask of the rows of another width,
-    which are cut or padded with "" to fit."""
-    wrong = np.array([len(row) != width for row in rows], dtype=bool)
-    if wrong.any():
-        rows = [(row + [""] * width)[:width] for row in rows]
-    return list(zip(*rows)) if rows else [()] * width, wrong
-
-
 def _check_header(path: Path, header: Sequence[str] | None, columns: tuple[str, ...]) -> None:
     if header is None:
         raise DataValidationError(f"{path.name}: empty file, expected header {','.join(columns)}")
@@ -629,56 +698,44 @@ def _check_header(path: Path, header: Sequence[str] | None, columns: tuple[str, 
                                   f"required {','.join(columns)}")
 
 
-def _read(path: Path, columns: tuple[str, ...]
-          ) -> tuple[list[Sequence[str]], np.ndarray, Callable[[int], int]]:
-    """The fields of ``path``'s non-blank data rows as ``columns``, the mask of
-    the rows with the wrong number of fields, and the physical line that a row
-    ends on, by row index, blank lines counted. Text without quotes and carriage
-    returns is split at newlines and commas; other text goes through the CSV
-    reader."""
-    text, width = _text(path), len(columns)
-    if '"' in text or "\r" in text:
-        header, rows, ends = _csv_rows(path, text)
-        _check_header(path, header, columns)
-        return (*_fit(rows, width), ends.__getitem__)
-    head, _, body = text.partition("\n")
-    _check_header(path, head.split(",") if text else None, columns)
-    lines = body.split("\n")
-    rows = list(filter(None, lines))  # blank lines skipped
+def _read(path: Path, fields: Sequence[Field]) -> tuple[list, np.ndarray, Callable[[int], int]]:
+    """Each column of ``path``'s non-blank data rows as :func:`_parse` takes
+    it, the mask of the rows with the wrong number of fields, and the physical
+    line that a row ends on, by row index, blank lines counted.
 
-    def line_of(row: int) -> int:
-        return [number for number, line in enumerate(lines, 2) if line][row]
-
-    if not set(map(str.count, rows, itertools.repeat(","))) <= {width - 1}:
-        return (*_fit([row.split(",") for row in rows], width), line_of)
-    fields = ",".join(rows).split(",") if rows else []
-    return [fields[k::width] for k in range(width)], np.zeros(len(rows), bool), line_of
-
-
-def _parse(field: Field, texts: Sequence[str]
-           ) -> tuple[np.ndarray, np.ndarray, list[str], list | None]:
-    """``field``'s value in each of ``texts`` (0 where its parse refuses the
-    text), each row's key, the parse's refusals and the distinct accepted
-    values in key order. A row's key is the index of its value among the
-    distinct values, so equal values share a key however they are spelled; a
-    refused row's key is -1 - k, for refusal k.
-
-    Each distinct text is parsed once, unless the field's ``parse_all`` takes
-    the whole column, which is faster for columns of mostly distinct numbers.
-    A column that ``parse_all`` takes (the float columns) refuses nothing and
-    lists no distinct values: a row's key is then the bits of its float value,
-    with -0.0 as 0.0, as an unsigned int, so equal values still share a key.
+    np.loadtxt reads a file unless it holds a byte of ``_NOT_LOADTXT``, or
+    refuses or may misread its text; then the CSV reader does, and a row of
+    another width is cut or padded with "" to fit. Only the CSV reader gives a
+    Python ``str`` per field.
     """
-    if field.parse_all is not None:
-        try:
-            values = field.parse_all(texts)
-        except ValueError:
-            pass  # refusals are worded per distinct text below
-        else:
-            return values, (values + 0.0).view(np.uint64), [], None
-    distinct = list(set(texts))
-    index = dict(zip(distinct, range(len(distinct))))
-    rows = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+    columns, data = tuple(field.column for field in fields), _bytes(path)
+    if data and data.isascii() and not any(c in data for c in _NOT_LOADTXT):
+        _check_header(path, data.partition(b"\n")[0].decode().split(","), columns)
+        del data  # np.loadtxt reads the file again, in chunks
+        read = _loadtxt(path, fields)
+        if read is not None:
+            def line_of(row: int) -> int:
+                lines = _bytes(path).split(b"\n")[1:]
+                return [number for number, line in enumerate(lines, 2) if line][row]
+            return (*read, line_of)
+    header, rows, ends = _csv_rows(path, _text(path))
+    _check_header(path, header, columns)
+    wrong = np.array([len(row) != len(columns) for row in rows], dtype=bool)
+    if wrong.any():
+        rows = [(row + [""] * len(columns))[:len(columns)] for row in rows]
+    texts = zip(*rows) if rows else [()] * len(columns)
+    return list(map(_distinct, texts)), wrong, ends.__getitem__
+
+
+def _parse(field: Field, column: np.ndarray | tuple[list[str], np.ndarray]) -> _Parsed:
+    """``field``'s parse of ``column``: the float values that np.loadtxt read,
+    which refuse nothing; or the distinct texts and each row's index among
+    them, where each distinct text is parsed once. A row's key is the index of
+    its value among the distinct values, so equal values share a key however
+    they are spelled; a refused row's key is -1 - k, for refusal k."""
+    if isinstance(column, np.ndarray):
+        return _Parsed(None, None, column, [], None)
+    distinct, rows = column
     values, keys, refusals, same = [], [], [], {}
     for text in distinct:
         try:
@@ -690,8 +747,10 @@ def _parse(field: Field, texts: Sequence[str]
         else:
             values.append(value)
             keys.append(same.setdefault(value, len(same)))
-    return (np.array(values, dtype=field.dtype)[rows], np.array(keys, dtype=np.intp)[rows],
-            refusals, list(same))
+    keys = np.array(keys, dtype=np.intp)
+    # each distinct text its own value, as is usual: the row indices are the keys
+    keys = rows if np.array_equal(keys, np.arange(len(keys))) else keys[rows]
+    return _Parsed(rows, keys, np.array(values, dtype=field.dtype), refusals, list(same))
 
 
 def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = None) -> _Table:
@@ -701,10 +760,10 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
     of any mask; the error names its physical line and the first rule, in
     schema order, that it breaks.
     """
-    schema, columns = SCHEMAS[path.name], FILE_COLUMNS[path.name]
-    texts, wrong, line_of = _read(path, columns)
-    parsed = zip(*map(_parse, schema.fields, texts))  # values, keys, refusals, labels
-    table = _Table(*(dict(zip(columns, part)) for part in parsed), wrong, population or {})
+    schema = SCHEMAS[path.name]
+    columns, wrong, line_of = _read(path, schema.fields)
+    table = _Table({field.column: _parse(field, column)
+                    for field, column in zip(schema.fields, columns)}, wrong, population or {})
     rules = schema.rules()
     hits = [(int(mask.argmax()), k) for k, rule in enumerate(rules) if (mask := rule.bad(table)).any()]
     if hits:
@@ -716,8 +775,8 @@ def _checked(path: Path, population: Mapping[tuple[str, int], float] | None = No
 
 
 def _records(record: type, path: Path, population: Mapping | None = None) -> tuple:
-    return tuple(map(record, *(values.tolist()
-                               for values in _checked(path, population).values.values())))
+    table = _checked(path, population)
+    return tuple(map(record, *(table[column].tolist() for column in record._fields)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,26 @@ def confidence_band(samples: Sequence[float], aggregate_id: str = "total",
     if arr.size < MIN_BAND_SAMPLES:
         raise ValueError(f"need >= {MIN_BAND_SAMPLES} samples for a band, got {arr.size}")
     tail = 100.0 * (1.0 - level) / 2.0
-    lower, upper = np.percentile(arr, [tail, 100.0 - tail])
-    return UncertaintyBand(aggregate_id=aggregate_id, lower=float(lower),
-                           mean=float(arr.mean()), upper=float(upper), level=level)
+    lower, upper = _percentiles(arr, (tail, 100.0 - tail))
+    return UncertaintyBand(aggregate_id=aggregate_id, lower=lower,
+                           mean=float(arr.mean()), upper=upper, level=level)
+
+
+def _percentiles(samples: np.ndarray, percents: Sequence[float]) -> list[float]:
+    """``np.percentile(samples, percents)`` by its default, linear, rule, bit
+    for bit, from the order statistics that one partition places: at the
+    virtual index v = (n - 1) * (percent / 100), with a and b the values of
+    rank floor(v) and the next, and g = v - floor(v), a + (b - a) * g, or
+    b - (b - a) * (1 - g) where g >= 0.5. np.percentile imports numpy.ma
+    (10-19 ms in a fresh process) for a np.unique of its ranks."""
+    points = [(samples.size - 1) * (percent / 100) for percent in percents]
+    ranks = [(int(point), min(int(point) + 1, samples.size - 1)) for point in points]
+    ordered = np.partition(samples, sorted({rank for pair in ranks for rank in pair}))
+    bands = []
+    for point, (k, j) in zip(points, ranks):
+        a, b, g = ordered[k], ordered[j], point - k
+        bands.append(float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g))
+    return bands
 
 
 def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.SeedSequence:

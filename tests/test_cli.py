@@ -349,10 +349,9 @@ def test_cli_import_loads_no_command_module():
     assert "'remitsim.engine'" in loaded
 
 
-def test_compare_baseline_loads_no_numpy_ma(tmp_path):
-    """compare-baseline on the desk fixture never imports numpy.ma, which numpy 2
-    loads on first use (about 10 ms in a fresh process); numpy 1 loads it with
-    numpy itself, so there the check holds trivially."""
+def _loads_numpy_ma(tmp_path: Path, command: str, *options: str) -> tuple[str, str, str]:
+    """The exit code of ``command`` on the desk fixture in a fresh process,
+    whether numpy itself imported numpy.ma and whether it is imported at the end."""
     data = tmp_path / "data"
     assert run("fixtures", "generate", "--data-dir", data, "--seed", 7) == 0
     params = tmp_path / "calibration.json"
@@ -360,14 +359,31 @@ def test_compare_baseline_loads_no_numpy_ma(tmp_path):
     src = str(Path(remitsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
                                                                     os.environ.get("PYTHONPATH")])))
-    argv = ["compare-baseline", "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
-            "--params", str(params)]
+    argv = [command, "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
+            "--params", str(params), *options]
     script = ("import sys, numpy; with_numpy = 'numpy.ma' in sys.modules; "
               "from remitsim.cli import main; code = main(sys.argv[1:]); "
               "print(code, with_numpy, 'numpy.ma' in sys.modules)")
     printed = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
-    code, with_numpy, loaded = printed[-3:]
+    return tuple(printed[-3:])
+
+
+def test_compare_baseline_loads_no_numpy_ma(tmp_path):
+    """compare-baseline on the desk fixture never imports numpy.ma, which numpy 2
+    loads on first use (about 10 ms in a fresh process); numpy 1 loads it with
+    numpy itself, so there the check holds trivially."""
+    code, with_numpy, loaded = _loads_numpy_ma(tmp_path, "compare-baseline")
+    assert code == "0"
+    assert loaded == with_numpy
+
+
+@pytest.mark.parametrize("command", ["simulate", "counterfactual"])
+def test_band_command_loads_no_numpy_ma(tmp_path, command):
+    """simulate and counterfactual with bands (1000 draws over two months)
+    take the band ends from a partition and never import numpy.ma."""
+    code, with_numpy, loaded = _loads_numpy_ma(tmp_path, command, "--start", "2016-11",
+                                               "--end", "2016-12", "--seed", "7")
     assert code == "0"
     assert loaded == with_numpy
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,6 +497,28 @@ VIOLATIONS = [
     ("panel.csv", "BBB,AAA,\u0662\u0660\u0661\u0663-\u0660\u0661,1",
      "column 'month': invalid year-month '\u0662\u0660\u0661\u0663-\u0660\u0661', "
      "expected YYYY-MM"),
+    # texts that np.loadtxt reads otherwise than the rules: it cuts a text to
+    # its fixed width, reads a number past float64 as inf, strips whitespace
+    # around numbers and NUL at the end of a text, and skips blank lines
+    ("panel.csv", "AAAA,AAA,2013-01,1", "column 'sender': not an ISO-3166 alpha-3 code: 'AAAA'"),
+    ("panel.csv", "ABCDE,AAA,2013-01,1",
+     "column 'sender': not an ISO-3166 alpha-3 code: 'ABCDE'"),
+    ("panel.csv", "BBB,AAA,2013-01-31,1",
+     "column 'month': invalid year-month '2013-01-31', expected YYYY-MM"),
+    ("surplus_profiles.csv", "GLOBAL_DEFAULTX,50,1.0",
+     "column 'country': not an ISO-3166 alpha-3 code: 'GLOBAL_DEFAULTX'"),
+    ("disasters.csv", "EV#2,AAA,2012-05,flood,-1", "column 'affected': must be >= 0.0, got -1.0"),
+    ("panel.csv", "BBB,AAA,2013-01,1e400", "column 'amount_usd': not finite: '1e400'"),
+    ("stocks.csv", "AAA,DDD,male,2010,Infinity", "column 'count': not finite: 'Infinity'"),
+    ("economics.csv", "DDD,2012.0,10000,1000000,low", "column 'year': not an integer: '2012.0'"),
+    ("economics.csv", "DDD,99999999999999999999,10000,1000000,low",
+     "column 'year': must be <= 2100, got 99999999999999999999"),
+    ("panel.csv", "   ", "wrong number of fields"),
+    ("panel.csv", "BBB,AAA\x00,2013-01,1",
+     "column 'recipient': not an ISO-3166 alpha-3 code: 'AAA\\x00'"),
+    ("panel.csv", "BBB,A\x00A,2013-01,1",
+     "column 'recipient': not an ISO-3166 alpha-3 code: 'A\\x00A'"),
+    ("panel.csv", "BBB,AAA,2013-01,-1\n\n", "column 'amount_usd': must be >= 0.0, got -1.0"),
     # rows with two violations: the one checked first is named
     ("stocks.csv", "AAA,AAA,male,2012,-5", "column 'count': must be >= 0.0, got -5.0"),
     ("stocks.csv", "AAA,AAA,male,2012,5",
@@ -525,8 +548,9 @@ def _plant(name: str, *late_rows: str, quoted: bool = False) -> tuple[dict[str, 
 
 
 def _end_line(line: int, rows: list[str], k: int) -> int:
-    """The physical line that ``rows[k]`` ends on, when ``rows`` start on ``line``."""
-    return line + "\n".join(rows[:k + 1]).count("\n")
+    """The physical line that ``rows[k]`` ends on, when ``rows`` start on
+    ``line``; blank lines after it are not part of it."""
+    return line + "\n".join(rows[:k + 1]).rstrip("\n").count("\n")
 
 
 READERS = pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
@@ -569,6 +593,37 @@ def test_first_bad_row_is_named_before_later_ones(tmp_path, name, rows, bad, mes
     with pytest.raises(DataValidationError) as caught:
         load_dataset(write_csv_dir(tmp_path / "bad", texts))
     assert str(caught.value) == f"{name}:{_end_line(line, rows, bad)}: {message}"
+
+
+def test_hash_in_a_field_is_data(tmp_path, monkeypatch):
+    """A '#' starts no comment: it loads as part of its field, and a plain
+    file with one needs no CSV reader."""
+    texts = small_csv_texts()
+    texts["disasters.csv"] += "EV#2,AAA,2013-05,storm,100\n"
+    monkeypatch.setattr(dataio, "_csv_rows", None)
+    assert load_dataset(write_csv_dir(tmp_path, texts)).disasters[-1].event_id == "EV#2"
+
+
+def test_event_id_of_any_length_loads(tmp_path):
+    texts = small_csv_texts()
+    texts["disasters.csv"] += "EV" + "9" * 5000 + ",AAA,2013-05,storm,100\n"
+    assert load_dataset(write_csv_dir(tmp_path, texts)).disasters[-1].event_id == "EV" + "9" * 5000
+
+
+def test_load_peak_memory_under_three_times_the_input(tmp_path):
+    """Load holds no Python object per field: its traced peak on the desk
+    fixture stays under 3x the CSV bytes (12.5x when the text was split into
+    one str per field)."""
+    paths = write_dataset(fixtures.build_dataset(seed=7), tmp_path)
+    size = sum(path.stat().st_size for path in paths)
+    load_dataset(tmp_path)  # imports and first-call caches are not the load's
+    tracemalloc.start()
+    try:
+        load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size, f"peak {peak} B for {size} B of CSV"
 
 
 def test_quoted_copy_loads_equal(desk_dataset, tmp_path):

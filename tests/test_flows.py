@@ -220,6 +220,33 @@ def test_band_matches_exact_binomial_quantiles():
     assert band.mean == pytest.approx(n * p, rel=0.02)
 
 
+def _drawn_samples(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
+    """``n`` samples: floats over many orders of magnitude, ties of integers,
+    one constant, or shifted binomial totals, all signs."""
+    if kind == 0:
+        return rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-700.0, 700.0, n))
+    if kind == 1:
+        return rng.integers(-50, 50, size=n).astype(float)
+    if kind == 2:
+        return np.full(n, rng.normal())
+    return rng.binomial(1000, 0.3, size=n) * 12.5 - 3000.0
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+def test_band_ends_are_np_percentile_bit_for_bit(level):
+    """The band's ends come from a partition, not from np.percentile (which
+    imports numpy.ma), with np.percentile's linear rule and its bits. (A band
+    of constant samples is refused when their mean rounds below them.)"""
+    rng = np.random.default_rng(19)
+    tail = 100.0 * (1.0 - level) / 2.0
+    sizes = [flows_module.MIN_BAND_SAMPLES, 1001, 20_000, *rng.integers(1000, 20_001, 80)]
+    for trial, n in enumerate(sizes):
+        samples = _drawn_samples(rng, int(n), trial % 4)
+        want = np.percentile(samples, [tail, 100.0 - tail])
+        got = np.array(flows_module._percentiles(samples, (tail, 100.0 - tail)))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (n, trial % 4)
+
+
 def test_band_ordering_enforced():
     with pytest.raises(ValueError):
         UncertaintyBand("x", lower=2.0, mean=1.0, upper=3.0)
