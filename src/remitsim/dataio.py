@@ -21,9 +21,9 @@ message is that of the first rule it breaks, in schema order. np.loadtxt
 reads plain ASCII text into fixed-width columns; text with a quote, a
 carriage return, whitespace or NUL within a line, or a non-ASCII byte, and
 text that np.loadtxt refuses, goes through the CSV reader into the same
-columns. The returned :class:`Dataset` is immutable; its stock table and its panel are held as
-read-only columns (:class:`Stocks`, :class:`Panel`), built from the keys of
-the checked columns, with no record per row.
+columns. The returned :class:`Dataset` is immutable; its stock table and its
+panel are held as read-only columns (:class:`Stocks`, :class:`Panel`), built
+from the keys of the checked columns, with no record per row.
 """
 from __future__ import annotations
 
@@ -599,13 +599,10 @@ FILE_COLUMNS = {name: tuple(f.column for f in schema.fields) for name, schema in
 # Reading and checking one file
 
 def _bytes(path: Path) -> bytes:
-    """``path``'s bytes, after the byte-order mark that spreadsheet exports put first."""
+    """``path``'s bytes, without the byte-order mark that spreadsheet exports put first."""
     if not path.exists():
         raise DataValidationError(f"{path.name}: file not found at {path}")
-    with path.open("rb") as fh:
-        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            fh.seek(0)
-        return fh.read()
+    return path.read_bytes().removeprefix(codecs.BOM_UTF8)
 
 
 def _text(path: Path) -> str:
@@ -624,8 +621,9 @@ def _distinct(texts: Sequence) -> tuple[list[str], np.ndarray]:
     """The distinct ``texts`` and each row's index among them. Fixed-width
     bytes, as np.loadtxt reads them, are ASCII."""
     if isinstance(texts, np.ndarray) and texts.dtype.kind == "S":
-        # sorted as unsigned ints where they fit, five times faster; and not
-        # by np.unique, whose inverse takes several times the column's memory
+        # sorted as unsigned ints where they fit, which takes a tenth of the
+        # time of sorting bytes; and not by np.unique, whose inverse takes
+        # several times the column's memory
         same = np.dtype(f"u{texts.itemsize}") if texts.itemsize <= 8 else texts.dtype
         values = np.ascontiguousarray(texts).view(same)
         ordered = np.sort(values)
@@ -709,22 +707,37 @@ def _read(path: Path, fields: Sequence[Field]) -> tuple[list, np.ndarray, Callab
     Python ``str`` per field.
     """
     columns, data = tuple(field.column for field in fields), _bytes(path)
-    if data and data.isascii() and not any(c in data for c in _NOT_LOADTXT):
-        _check_header(path, data.partition(b"\n")[0].decode().split(","), columns)
-        del data  # np.loadtxt reads the file again, in chunks
+    plain = data and data.isascii() and not any(c in data for c in _NOT_LOADTXT)
+    head = data.partition(b"\n")[0]
+    del data  # either reader reads the file again, np.loadtxt in chunks
+    if plain:
+        _check_header(path, head.decode().split(","), columns)
         read = _loadtxt(path, fields)
         if read is not None:
-            def line_of(row: int) -> int:
-                lines = _bytes(path).split(b"\n")[1:]
-                return [number for number, line in enumerate(lines, 2) if line][row]
-            return (*read, line_of)
+            return (*read, lambda row: _csv_rows(path, _text(path))[2][row])
     header, rows, ends = _csv_rows(path, _text(path))
     _check_header(path, header, columns)
-    wrong = np.array([len(row) != len(columns) for row in rows], dtype=bool)
+    width = len(columns)
+    wrong = np.array([len(row) != width for row in rows], dtype=bool)
     if wrong.any():
-        rows = [(row + [""] * len(columns))[:len(columns)] for row in rows]
-    texts = zip(*rows) if rows else [()] * len(columns)
-    return list(map(_distinct, texts)), wrong, ends.__getitem__
+        rows = [(row + [""] * width)[:width] for row in rows]
+    texts = zip(*rows) if rows else [()] * width
+    return list(map(_csv_column, fields, texts)), wrong, ends.__getitem__
+
+
+def _csv_column(field: Field, texts: Sequence[str]) -> np.ndarray | tuple[list[str], np.ndarray]:
+    """``texts`` as :func:`_parse` takes them: a float column's values if every
+    text is a plain, finite number (the characters checked over the whole
+    column at once), else the distinct texts and each row's index among them."""
+    if field.read == "f8" and _plain(",".join(texts)):
+        try:
+            values = np.array(list(map(float, texts)), dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return _distinct(texts)
 
 
 def _parse(field: Field, column: np.ndarray | tuple[list[str], np.ndarray]) -> _Parsed:
@@ -748,7 +761,8 @@ def _parse(field: Field, column: np.ndarray | tuple[list[str], np.ndarray]) -> _
             values.append(value)
             keys.append(same.setdefault(value, len(same)))
     keys = np.array(keys, dtype=np.intp)
-    # each distinct text its own value, as is usual: the row indices are the keys
+    # each distinct text its own value, as is usual: the row indices are the
+    # keys, and the rules' key columns (three on panel.csv) cost no memory
     keys = rows if np.array_equal(keys, np.arange(len(keys))) else keys[rows]
     return _Parsed(rows, keys, np.array(values, dtype=field.dtype), refusals, list(same))
 
