@@ -60,8 +60,9 @@ class CalibrationResult:
 class PanelSlice(NamedTuple):
     """Panel observations aligned to (corridor, month) indices of a context.
 
-    ``cols`` holds the distinct months touched by the panel, and
-    ``month_pos`` indexes into it; the loss only evaluates those columns.
+    ``(corridor_idx, month_idx)`` indexes the context's grid at the
+    observations' cells, one per observation and repeats allowed; the loss
+    evaluates the model at those cells only.
     """
 
     corridor_idx: np.ndarray
@@ -69,8 +70,6 @@ class PanelSlice(NamedTuple):
     amounts: np.ndarray
     n_excluded: int
     excluded: tuple[tuple[str, str], ...]  # sample of unmodeled corridors
-    cols: np.ndarray
-    month_pos: np.ndarray
 
 
 def split_panel(panel: Panel, fraction: float = 0.8, seed: int = 0) -> Panel:
@@ -116,11 +115,8 @@ def align_panel(panel: Panel, ctx: SimulationContext) -> PanelSlice:
     if out_of_window:
         log.warning("excluded %d panel observation(s) outside the window %s..%s",
                     out_of_window, month_label(ctx.start), month_label(ctx.end))
-    month_arr = panel.month[in_window]
-    cols, month_pos = np.unique(month_arr, return_inverse=True)
-    return PanelSlice(corridor[in_window], month_arr, panel.amount_usd[in_window],
-                      len(unmodeled) + out_of_window, tuple(corridors_of(firsts[:10])), cols,
-                      month_pos)
+    return PanelSlice(corridor[in_window], panel.month[in_window], panel.amount_usd[in_window],
+                      len(unmodeled) + out_of_window, tuple(corridors_of(firsts[:10])))
 
 
 def loss(params: BehaviorParams, panel: Panel, ctx: SimulationContext) -> float:
@@ -130,8 +126,8 @@ def loss(params: BehaviorParams, panel: Panel, ctx: SimulationContext) -> float:
 
 
 def _residuals(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) -> np.ndarray:
-    flows = ctx.expected_flows(params, None, cols=aligned.cols)
-    return flows[aligned.corridor_idx, aligned.month_pos] - aligned.amounts
+    at = aligned.corridor_idx, aligned.month_idx
+    return ctx.expected_flows(params, None, at) - aligned.amounts
 
 
 def _sse(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) -> float:
@@ -140,11 +136,13 @@ def _sse(ctx: SimulationContext, aligned: PanelSlice, params: BehaviorParams) ->
 
 
 @_unbuffered
-def flow_jacobian(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarray,
-                  cols: np.ndarray, col_pos: np.ndarray) -> np.ndarray:
-    """Derivatives of the expected flows at the cells ``(rows, cols[col_pos])``.
+def flow_jacobian(ctx: SimulationContext, params: BehaviorParams, at) -> np.ndarray:
+    """Derivatives of the expected flows at the cells ``at`` of the context's
+    grid, any numpy index of it, as :meth:`SimulationContext.expected_flows`
+    takes.
 
-    Shape (len(rows), 9), one column per parameter in ``PARAM_NAMES`` order,
+    Shape (cells, 9), the cells in the order of the grid's ``[at]`` flattened,
+    one column per parameter in ``PARAM_NAMES`` order,
     except that the last is taken with respect to logit(rho); all events
     are active. Per cell, with sigma the logistic of a cohort of count n·w,
     S1 = sum n·w·sigma, S2 = sum n·w·sigma·(1 - sigma) and
@@ -152,37 +150,34 @@ def flow_jacobian(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarr
     each score coefficient enters through rho·income·S2 times its covariate.
     The sums over ages and onset offsets add in the engine's fixed order.
     """
-    months = cols[col_pos]
-    # the cells alone, one per row of a one-column grid, grouped by surplus profile
-    base = ctx._base_scores(params, None, cols)[rows, col_pos, None]
-    sums = np.zeros((3, len(rows)))  # S1, S2, S3
-    for idx, active, surplus, blocks in ctx._group_probabilities(params, base, rows):
+    base = ctx._base_scores(params, None, at).ravel()
+    stocks = ctx.stocks[at].reshape(-1, 2)
+    sums = np.zeros((3, base.size))  # S1, S2, S3
+    for pos, active, surplus, blocks in ctx._group_probabilities(params, base, at):
         w_m, w_f = ctx.shares[:, active]
         weights = np.stack([w_m, w_f, w_m * surplus, w_f * surplus])
-        n_m, n_f = ctx.stocks[rows[idx], months[idx]].T
-        group = np.empty((3, 2, len(idx)))  # per sum, per sex
+        n_m, n_f = stocks[pos].T
+        group = np.empty((3, 2, len(pos)))  # per sum, per sex
         for cells, prob in blocks:
             group[0, :, cells] = _row_sums(prob, weights[:2])
             group[1:, :, cells] = _row_sums(prob * (1.0 - prob), weights).reshape(2, 2, -1)
-        sums[:, idx] = group[:, 0] * n_m + group[:, 1] * n_f
+        sums[:, pos] = group[:, 0] * n_m + group[:, 1] * n_f
 
-    # per (corridor, month): summed magnitudes, and the kernel's sin and d(sin)/d(shift) terms
+    # per cell: summed magnitudes, and the kernel's sin and d(sin)/d(shift) terms
     phase = np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift)
     terms = np.stack([np.ones(DISASTER_WINDOW), np.sin(phase), np.pi / 6.0 * np.cos(phase)])
-    events = np.zeros((3, ctx.n_corridors, ctx.n_months))
-    for idx, by_term in ctx.event_sums(terms, None, ctx.origin_groups):
-        events[:, idx] = by_term[:, None]
+    columns, by_term = ctx.event_sums(terms, None, at)
+    ev = by_term[:, np.ravel(columns)]
 
     s1, s2, s3 = sums
-    scale = params.rho * ctx.monthly_income[rows, months]
+    scale = params.rho * np.ravel(ctx.monthly_income[at])
     d_score = scale * s2  # derivative of the flow with respect to the score
-    ev = events[:, rows, months]
-    jac = np.empty((len(rows), 9))
+    jac = np.empty((base.size, 9))
     jac[:, 0] = d_score
     jac[:, 1] = scale * s3
-    jac[:, 2] = d_score * ctx.family[rows, months]
-    jac[:, 3] = d_score * ctx.delta_gdp[rows, months]
-    jac[:, 4] = d_score * ctx.gdp_norm[rows, months]
+    jac[:, 2] = d_score * np.ravel(ctx.family[at])
+    jac[:, 3] = d_score * np.ravel(ctx.delta_gdp[at])
+    jac[:, 4] = d_score * np.ravel(ctx.gdp_norm[at])
     jac[:, 5] = d_score * ev[0]
     jac[:, 6] = d_score * ev[1]
     jac[:, 7] = d_score * params.shape * ev[2]
@@ -352,8 +347,7 @@ def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: 
          tol: float) -> MinimizeResult:
     return minimize_lm(
         lambda x: _residuals(ctx, aligned, unpack(x)),
-        lambda x: flow_jacobian(ctx, unpack(x), aligned.corridor_idx, aligned.cols,
-                                aligned.month_pos),
+        lambda x: flow_jacobian(ctx, unpack(x), (aligned.corridor_idx, aligned.month_idx)),
         x0, max_iter=max_iter, tol=tol)
 
 
@@ -430,10 +424,8 @@ def param_confidence(result: CalibrationResult, panel: Panel, ctx: SimulationCon
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
         take = rng.integers(0, n, size=n)
-        months = aligned.month_idx[take]
-        cols, month_pos = np.unique(months, return_inverse=True)
-        resample = PanelSlice(aligned.corridor_idx[take], months, aligned.amounts[take], 0, (),
-                              cols, month_pos)
+        resample = PanelSlice(aligned.corridor_idx[take], aligned.month_idx[take],
+                              aligned.amounts[take], 0, ())
         try:
             kept.append(unpack(_fit(ctx, resample, x_hat, max_iter, tol).x))
         except FloatingPointError:

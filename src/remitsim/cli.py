@@ -161,7 +161,7 @@ def cmd_calibrate(config: RunConfig, args) -> int:
 def cmd_simulate(config: RunConfig, args) -> int:
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
-    grid = ctx.expected_flows(params)[:, ctx.window]
+    grid = ctx.expected_flows(params, None, (slice(None), ctx.window))
     months = list(ctx.window_months)
     flows_path = reports.write_csv(
         out / "flows.csv", ("sender", "recipient", "month", "amount_usd", "scenario_id"),
@@ -283,11 +283,9 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     panel = dataset.panel
     corridor = panel.corridor_index(ctx.corridors)
     simulated = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
-    # all rows at the panel's window months: an exact slice of the full grid
-    months, col = np.unique(panel.month[simulated], return_inverse=True)
     structural = np.full(len(panel), np.nan)
-    structural[simulated] = ctx.expected_flows(params, None, months,
-                                               np.arange(ctx.n_corridors))[corridor[simulated], col]
+    structural[simulated] = ctx.expected_flows(params, None,
+                                               (corridor[simulated], panel.month[simulated]))
     report = baseline.compare_models(structural, gravity, panel, ctx.corridors)
     comp_path = reports.write_csv(
         out / "comparison.csv",
@@ -316,7 +314,7 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
 def cmd_report(config: RunConfig, args) -> int:
     dataset, ctx, params, params_path, out = _prepare(config, args)
 
-    cube = ctx.probability_cube(params, cols=ctx.window)
+    cube = ctx.probability_cube(params, None, (slice(None), ctx.window))
     origins = sorted({o for o, _ in ctx.corridors})
     snapshot_months = [m for m in ctx.window_months if m % 12 == 11] or [config.end]
     profiles = [(origin, month_label(m), *probability_profile(ctx, params, origin, m, cube=cube))

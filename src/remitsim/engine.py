@@ -3,32 +3,31 @@
 The SimulationContext precomputes every covariate that does not depend on
 the behavioural parameters (stocks, family proxy, GDP covariates, event
 magnitudes), so that repeated evaluations during calibration only pay for
-the score assembly and the logistic transform. An evaluation covers all
-corridor-months, or only the corridor rows and month columns it is asked
-for: calibration restricts the months to the panel's, ``compare-baseline``
-to the panel's window months over all rows, and a scenario each origin's
-rows and months to a block of :meth:`SimulationContext.affected_cells`, the
-only cells where its event set can change a flow.
+the score assembly and the logistic transform. An evaluation takes any
+numpy index ``at`` of the (corridors, 120 months) grid and returns the full
+grid's ``[at]``: calibration and ``compare-baseline`` pass the panel's cells,
+a scenario each block ``np.ix_(rows, months)`` of
+:meth:`SimulationContext.affected_cells`, the sampler and the reports the
+window ``(slice(None), ctx.window)``. Only those cells are evaluated, and the
+disaster kernel only for their origins; ``at=None`` reads each covariate in place.
 
-One kernel computes the logistic: per group of corridors that share a
-surplus profile, the cohort probabilities of at most ``_BLOCK_CELLS`` cells at
-a time, age-major (active ages x cells), in place in one reused buffer. The
-flows weight each block with elementwise products and sum it over ages with
-:func:`_row_sums`, which adds one age at a time in a fixed order, one
+One kernel computes the logistic: per group of cells whose corridors share
+a surplus profile, the cohort probabilities of at most ``_BLOCK_CELLS`` cells
+at a time, age-major (active ages x cells), in place in one reused buffer.
+The flows weight each block with elementwise products and sum it over ages
+with :func:`_row_sums`, which adds one age at a time in a fixed order, one
 rounding per addition (Demmel and Nguyen, "Parallel Reproducible Summation",
 IEEE Trans. Computers 64(7), 2015); the event kernels sum over onset offsets
 the same way. No BLAS product is involved, so the bytes do not depend on the
 BLAS build, its CPU kernel or its thread count, and each cell's value does
-not depend on its group or block: every restricted evaluation (``rows=``,
-``cols=`` or both) is an exact slice of the full grid. This is the package's
-only evaluation path; the tests check it against each destination group's
-logistic taken whole and against per-cohort scalar oracles.
+not depend on its group, its block or the other cells asked for. This is the
+package's only evaluation path; the tests check it against each destination
+group's logistic taken whole and against per-cohort scalar oracles.
 """
 from __future__ import annotations
 
 import functools
 import logging
-from typing import Mapping
 
 import numpy as np
 
@@ -113,19 +112,23 @@ class SimulationContext:
                 behavior.delta_gdp(self.dest_gdp, self.origin_gdp, clamp=clamp_delta_gdp),
                 norm[origin_row], self.dest_gdp / 12.0))
 
-        # corridor indices grouped by origin (shared disaster exposure) and by
-        # surplus profile (the destination's own or GLOBAL_DEFAULT)
-        self._origin_of = codes[origin]
-        self.origin_groups = _positions(self._origin_of)
+        # corridor indices grouped by origin (shared disaster exposure), and each
+        # corridor's surplus profile (the destination's own or GLOBAL_DEFAULT)
+        self.origin_groups = _positions(codes[origin])
         surplus = dataset.surplus_by_country
         profile_of = [d if d in surplus else GLOBAL_SURPLUS for d in codes[dest].tolist()]
         profiles = {p: k for k, p in enumerate(dict.fromkeys(profile_of))}
-        self._profile_of = np.array([profiles[p] for p in profile_of])  # as indices
-        self._profile_groups = _positions(self._profile_of)
         # per profile index with an earnings surplus at some age: the mask of
         # those ages and the surplus at them
         self._surplus_ages = {k: (surplus[p] > 0, surplus[p][surplus[p] > 0])
                               for p, k in profiles.items() if (surplus[p] > 0).any()}
+
+        # per cell of the (corridors, months) grid, as read-only broadcast views
+        # that an index of the grid gathers from: its month and its profile
+        grid = (self.n_corridors, self.n_months)
+        self._cell_months = np.broadcast_to(np.arange(self.n_months), grid)
+        self._cell_profiles = np.broadcast_to(
+            np.array([profiles[p] for p in profile_of], dtype=np.intp)[:, None], grid)
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
         self._events = []
@@ -157,26 +160,14 @@ class SimulationContext:
     def corridor_index(self, origin: str, destination: str) -> int:
         return self._corridor_rows[(origin, destination)]
 
-    @staticmethod
-    def _take(arr: np.ndarray, rows: np.ndarray | None, cols) -> np.ndarray:
-        """``arr`` restricted to corridor ``rows`` and month ``cols`` (None: all)."""
-        if rows is not None:
-            arr = arr[rows]
-        return arr if cols is None else arr[:, cols]
-
-    def _row_groups(self, groups: Mapping, labels: np.ndarray,
-                    rows: np.ndarray | None) -> Mapping:
-        """``groups`` (label to corridor indices) itself, or with ``rows`` the
-        positions in ``rows`` of each label that has any, in the order of ``rows``."""
-        return groups if rows is None else _positions(labels[rows])
-
     # -- disaster machinery --------------------------------------------------
 
     def event_magnitudes(self, active_ids: frozenset | None = None
-                         ) -> tuple[list[str], np.ndarray]:
-        """The countries with an active event, in the order of their first
-        event, and their summed magnitudes by offset from the onset, country
-        and month: shape (12, countries, n_months).
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """Per corridor, its origin's index on the country axis of the
+        magnitudes (-1: no active event), and the summed magnitudes by offset
+        from the onset, country with an active event (in the order of their
+        first event) and month: shape (12, countries, n_months).
 
         ``active_ids`` restricts to a subset of event ids; None means all.
         The all-events and no-event results stay cached: calibration and
@@ -196,8 +187,11 @@ class SimulationContext:
             for k in range(DISASTER_WINDOW):
                 if 0 <= onset + k < self.n_months:
                     mags[k, c, onset + k] += magnitude
-        mags.flags.writeable = False
-        result = list(countries), mags
+        country_of = np.full(self.n_corridors, -1, dtype=np.intp)
+        for country, c in countries.items():
+            country_of[self.origin_groups.get(country, [])] = c
+        mags.flags.writeable = country_of.flags.writeable = False
+        result = country_of, mags
         if active_ids:
             self._mag_latest = {active_ids: result}
         else:
@@ -205,16 +199,24 @@ class SimulationContext:
         return result
 
     def event_sums(self, terms: np.ndarray, active_ids: frozenset | None,
-                   groups: Mapping[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per country of ``groups`` (country to row indices) with an active
-        event: (its rows, per row of ``terms``, one weight per onset offset, the
-        weighted sum over the offsets of its magnitudes, shape (len(terms),
-        n_months))."""
-        countries, mags = self.event_magnitudes(active_ids)
-        present = [(c, groups[country]) for c, country in enumerate(countries) if country in groups]
-        picked = mags[:, [c for c, _ in present]].reshape(DISASTER_WINDOW, -1)
-        sums = _row_sums(picked, terms).reshape(len(terms), len(present), self.n_months)
-        return [(idx, sums[:, k]) for k, (_, idx) in enumerate(present)]
+                   at) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``terms`` (one weight per onset offset), the weighted sums
+        over the offsets of the magnitudes at the grid's cells ``at``, as
+        (columns, table): ``table[:, columns]`` holds them, shaped as the grid's
+        ``[at]``. Column 0 of ``table`` is 0.0, the sum at every cell whose
+        origin has no active event; the others hold the sums per month of the
+        origins of the cells asked for, and of no other."""
+        country_of, mags = self.event_magnitudes(active_ids)
+        countries = np.broadcast_to(country_of[:, None], self._cell_months.shape)[at]
+        # the active origins of the cells, ascending (bincount: see dataio._present)
+        present = np.flatnonzero(np.bincount(np.ravel(countries) + 1,
+                                             minlength=mags.shape[1] + 1)[1:])
+        table = np.zeros((len(terms), 1 + len(present) * self.n_months))
+        table[:, 1:] = _row_sums(mags[:, present].reshape(DISASTER_WINDOW, -1), terms)
+        # per origin (-1: none), its first column, and the months beyond it
+        first = np.zeros(mags.shape[1] + 1, dtype=np.intp)
+        first[present + 1] = 1 + np.arange(len(present)) * self.n_months
+        return first[countries + 1] + (countries >= 0) * self._cell_months[at], table
 
     def affected_cells(self, ids_a: frozenset | None,
                        ids_b: frozenset | None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -242,80 +244,73 @@ class SimulationContext:
                 for country, reached in sorted(months.items())]
 
     def disaster_scores(self, params: BehaviorParams, active_ids: frozenset | None = None,
-                        rows: np.ndarray | None = None) -> np.ndarray:
-        """Summed kernel scores per (corridor, month) for the active events;
-        with ``rows``, for those corridors only, shape (len(rows), n_months)."""
+                        at=None) -> np.ndarray:
+        """Summed kernel scores of the active events at the grid's cells ``at``
+        (None: all), shaped as the grid's ``[at]``."""
         kernel = np.stack([np.ones(DISASTER_WINDOW),
                            np.sin(np.pi / 6.0 * (np.arange(DISASTER_WINDOW) + params.shift))])
-        scores = np.zeros((self.n_corridors if rows is None else len(rows), self.n_months))
-        groups = self._row_groups(self.origin_groups, self._origin_of, rows)
-        for idx, (summed, sin_term) in self.event_sums(kernel, active_ids, groups):
-            scores[idx] = params.height * summed + params.shape * sin_term
-        return scores
+        columns, (summed, sin_term) = self.event_sums(kernel, active_ids,
+                                                      ... if at is None else at)
+        scores = params.height * summed + params.shape * sin_term
+        scores[0] = 0.0  # no active event
+        return scores[columns]
 
     # -- probability and flows ------------------------------------------------
 
     def _base_scores(self, params: BehaviorParams, active_ids: frozenset | None,
-                     cols: np.ndarray | slice | None = None,
-                     rows: np.ndarray | None = None) -> np.ndarray:
+                     at) -> np.ndarray:
+        """The scores at the grid's cells ``at`` (not None), shaped as the grid's ``[at]``."""
         return (params.alpha
-                + params.beta1 * self._take(self.family, rows, cols)
-                + params.beta2 * self._take(self.delta_gdp, rows, cols)
-                + params.beta3 * self._take(self.gdp_norm, rows, cols)
-                + self._take(self.disaster_scores(params, active_ids, rows), None, cols))
+                + params.beta1 * self.family[at]
+                + params.beta2 * self.delta_gdp[at]
+                + params.beta3 * self.gdp_norm[at]
+                + self.disaster_scores(params, active_ids, at))
 
-    def _group_probabilities(self, params: BehaviorParams, base: np.ndarray,
-                             rows: np.ndarray | None = None):
-        """The logistic, per group of the rows of ``base`` that share a surplus
-        profile with an earnings surplus at some age.
+    def _group_probabilities(self, params: BehaviorParams, base: np.ndarray, at):
+        """The logistic, per group of the grid's cells ``at``, scored ``base``
+        (flattened), whose corridors share a surplus profile with an earnings
+        surplus at some age.
 
-        Yields (indices into the rows of ``base``, mask of the ages with earnings
-        surplus, the surplus at them, blocks). ``base`` covers all corridors, or
-        the corridor ``rows``. A group's cells run corridor by corridor, the
-        columns of ``base`` within each; ``blocks`` yields (cell slice,
-        probabilities shaped (active ages, cells)) over them, ``_BLOCK_CELLS``
-        cells at a time. Every block is written in place into one buffer, so it
-        holds only until the next is drawn.
+        Yields (the group's positions in ``base``, ascending; mask of the ages
+        with earnings surplus, the surplus at them, blocks). ``blocks`` yields
+        (slice of the positions, probabilities shaped (active ages, cells)),
+        ``_BLOCK_CELLS`` cells at a time, each written in place into one buffer.
         """
-        groups = [(idx, *self._surplus_ages[profile]) for profile, idx
-                  in self._row_groups(self._profile_groups, self._profile_of, rows).items()
-                  if profile in self._surplus_ages]
+        profiles = np.ravel(self._cell_profiles[at])
+        groups = [(np.flatnonzero(profiles == p), *ages) for p, ages in self._surplus_ages.items()]
+        groups = [group for group in groups if len(group[0])]
         if not groups:
             return
-        most = max(len(idx) for idx, _, _ in groups) * base.shape[1]
+        most = max(len(pos) for pos, _, _ in groups)
         buffer = np.empty(min(most, _BLOCK_CELLS) * max(len(surplus) for *_, surplus in groups))
-        for idx, active, surplus in groups:
-            yield idx, active, surplus, _logistic_blocks(base[idx].ravel(),
-                                                         -params.beta0 * surplus, buffer)
+        for pos, active, surplus in groups:
+            yield pos, active, surplus, _logistic_blocks(base[pos], -params.beta0 * surplus,
+                                                         buffer)
 
     @_unbuffered
     def expected_flows(self, params: BehaviorParams, active_ids: frozenset | None = None,
-                       cols: np.ndarray | None = None,
-                       rows: np.ndarray | None = None) -> np.ndarray:
-        """Expected monthly USD flow per (corridor, month).
+                       at=None) -> np.ndarray:
+        """Expected monthly USD flow at the cells ``at`` of the (corridor, month)
+        grid, any numpy index of it; None covers the whole grid.
 
         flow = rho * monthly income * sum over cohorts of count * probability;
-        ages without earnings surplus contribute exactly 0. ``cols`` restricts
-        the evaluation to a subset of month columns (calibration hot path) and
-        ``rows`` to a subset of corridors (scenarios); the result has shape
-        (len(rows), len(cols)) and equals that slice of the full 2010-2019
-        grid, which the defaults cover, bit for bit.
+        ages without earnings surplus contribute exactly 0. The result equals
+        the full 2010-2019 grid's ``[at]`` bit for bit.
         """
-        base = self._base_scores(params, active_ids, cols, rows)
-        n_cols = base.shape[1]
-        stocks = self._take(self.stocks, rows, cols)
-        income = self._take(self.monthly_income, rows, cols)
-        # each cell's sums over ages of weight x probability, per sex; every
-        # array takes the memory layout of base, which later sums follow
+        at = ... if at is None else at
+        base = self._base_scores(params, active_ids, at).ravel()
+        # each cell's sums over ages of weight x probability, per sex
         per_m, per_f = np.zeros_like(base), np.zeros_like(base)
-        for idx, active, _, blocks in self._group_probabilities(params, base, rows):
+        for pos, active, _, blocks in self._group_probabilities(params, base, at):
             weights = self.shares[:, active]
-            sums = np.empty((2, len(idx) * n_cols))
+            sums = np.empty((2, len(pos)))
             for cells, prob in blocks:
                 sums[:, cells] = _row_sums(prob, weights)
-            per_m[idx], per_f[idx] = sums.reshape(2, len(idx), n_cols)
+            per_m[pos], per_f[pos] = sums
         # in place; one product or sum commutes exactly in floating point, so each
         # cell rounds as (rho x income) x (men x sum_m + women x sum_f)
+        stocks, income = self.stocks[at], self.monthly_income[at]
+        per_m, per_f = per_m.reshape(np.shape(income)), per_f.reshape(np.shape(income))
         per_m *= stocks[..., 0]
         per_f *= stocks[..., 1]
         per_m += per_f
@@ -323,24 +318,22 @@ class SimulationContext:
 
     @_unbuffered
     def probability_cube(self, params: BehaviorParams, active_ids: frozenset | None = None,
-                         cols: np.ndarray | slice | None = None,
-                         rows: np.ndarray | None = None) -> np.ndarray:
-        """Probability per (corridor, month, age); gated ages are exactly 0.
+                         at=None) -> np.ndarray:
+        """Probability per cell ``at`` of the (corridor, month) grid and age, shaped
+        as the grid's ``[at]`` plus an age axis; gated ages are exactly 0.
 
-        ``cols`` and ``rows`` restrict the months and corridors as in
-        :meth:`expected_flows`; pass ``cols=self.window`` for a cube over the
-        report window only.
+        ``at`` indexes the grid as in :meth:`expected_flows`; pass
+        ``(slice(None), self.window)`` for a cube over the report window only.
         """
-        base = self._base_scores(params, active_ids, cols, rows)
-        n_cols = base.shape[1]
-        cube = np.zeros((base.shape[0], n_cols, N_AGES))
-        by_cell = cube.reshape(-1, N_AGES)  # a view, one row per (row of base, column)
-        for idx, active, _, blocks in self._group_probabilities(params, base, rows):
-            cell_rows = (idx[:, None] * n_cols + np.arange(n_cols)).ravel()
+        at = ... if at is None else at
+        scores = self._base_scores(params, active_ids, at)
+        base = scores.ravel()
+        cube = np.zeros((base.size, N_AGES))
+        for pos, active, _, blocks in self._group_probabilities(params, base, at):
             ages = np.flatnonzero(active)
             for cells, prob in blocks:
-                by_cell[np.ix_(cell_rows[cells], ages)] = np.ascontiguousarray(prob.T)
-        return cube
+                cube[np.ix_(pos[cells], ages)] = np.ascontiguousarray(prob.T)
+        return cube.reshape(*scores.shape, N_AGES)
 
     def cohort_counts(self, corridors, months) -> np.ndarray:
         """Fractional cohort counts, each a stock times its age share.
@@ -405,12 +398,12 @@ def probability_profile(ctx: SimulationContext, params: BehaviorParams, origin: 
     entry per cohort with a positive count, by descending probability; ties
     keep corridor, sex, age order. ``month`` lies in the context's window.
     Pass a precomputed window cube, ``ctx.probability_cube(params,
-    active_ids, ctx.window)``, when profiling many origin-months.
+    active_ids, (slice(None), ctx.window))``, when profiling many origin-months.
     """
     if not ctx.start <= month <= ctx.end:
         raise ValueError(f"month {month} outside the window [{ctx.start}, {ctx.end}]")
     if cube is None:
-        cube = ctx.probability_cube(params, active_ids, ctx.window)
+        cube = ctx.probability_cube(params, active_ids, (slice(None), ctx.window))
     idx = ctx.origin_groups.get(origin, np.array([], dtype=int))
     counts = ctx.cohort_counts(idx, month)  # (corridors, sexes, ages)
     probs = np.broadcast_to(cube[idx, month - ctx.start, None, :], counts.shape)

@@ -34,23 +34,32 @@ class UncertaintyBand:
 
 def confidence_band(samples: Sequence[float], aggregate_id: str = "total",
                     level: float = 0.95) -> UncertaintyBand:
-    """Empirical central band (2.5/97.5 percentiles at the default level)."""
+    """Empirical central band (2.5/97.5 percentiles at the default level).
+    The mean is clamped into the band, where rounding (identical samples) or
+    skew past a tail puts it outside."""
     arr = np.asarray(samples, dtype=float)
     if arr.size < MIN_BAND_SAMPLES:
         raise ValueError(f"need >= {MIN_BAND_SAMPLES} samples for a band, got {arr.size}")
     tail = 100.0 * (1.0 - level) / 2.0
     lower, upper = _percentiles(arr, (tail, 100.0 - tail))
-    return UncertaintyBand(aggregate_id=aggregate_id, lower=lower,
-                           mean=float(arr.mean()), upper=upper, level=level)
+    mean = min(max(float(arr.mean()), lower), upper)
+    return UncertaintyBand(aggregate_id=aggregate_id, lower=lower, mean=mean, upper=upper,
+                           level=level)
 
 
 def _percentiles(samples: np.ndarray, percents: Sequence[float]) -> list[float]:
-    """``np.percentile(samples, percents)`` by its default, linear, rule, bit
-    for bit, from the order statistics that one partition places: at the
-    virtual index v = (n - 1) * (percent / 100), with a and b the values of
-    rank floor(v) and the next, and g = v - floor(v), a + (b - a) * g, or
+    """``np.percentile(samples, percents)`` by its default, linear, rule, from
+    the order statistics that one partition places: at the virtual index
+    v = (n - 1) * (percent / 100), with a and b the values of rank floor(v)
+    and the next, and g = v - floor(v), a + (b - a) * g, or
     b - (b - a) * (1 - g) where g >= 0.5. np.percentile imports numpy.ma
-    (10-19 ms in a fresh process) for a np.unique of its ranks."""
+    (10-19 ms in a fresh process) for a np.unique of its ranks.
+
+    Bit for bit equal to np.percentile's on samples without -0.0: where -0.0
+    and +0.0 tie at the ranks read, np.percentile, which also partitions on
+    ranks 0 and n - 1, may order them otherwise and return the other zero.
+    Band totals (sums from +0.0 of non-negative values, and their
+    differences) never hold -0.0."""
     points = [(samples.size - 1) * (percent / 100) for percent in percents]
     ranks = [(int(point), min(int(point) + 1, samples.size - 1)) for point in points]
     ordered = np.partition(samples, sorted({rank for pair in ranks for rank in pair}))
@@ -102,7 +111,7 @@ def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
     Each corridor-month uses its own seeded stream, so results do not depend
     on the window or the evaluation order.
     """
-    cube = ctx.probability_cube(params, active_ids, ctx.window)
+    cube = ctx.probability_cube(params, active_ids, (slice(None), ctx.window))
     return _sample_cells(ctx, params, cube, np.ndindex(cube.shape[:2]), seed, draws)
 
 
@@ -113,16 +122,17 @@ def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
     Both runs draw from the same corridor-month streams (common random
     numbers), so their draws are identical wherever the two probability rows
     are equal; only the corridor-months where the event sets change a probability
-    are sampled. Both cubes cover only the corridors of the affected blocks
-    (:meth:`SimulationContext.affected_cells`). Equals the difference of two
+    are sampled. Both cubes cover only the window months of the corridors of
+    the affected blocks (:meth:`SimulationContext.affected_cells`). Equals the difference of two
     ``sample_monthly_totals`` calls up to the order of the floating-point sums.
     """
     blocks = ctx.affected_cells(None, active_ids)
     # the rows, ascending, by bincount (not np.unique: see dataio._present)
     rows = np.flatnonzero(np.bincount(np.concatenate([np.array([], dtype=np.intp),
                                                       *(r for r, _ in blocks)])))
-    factual = ctx.probability_cube(params, None, ctx.window, rows)
-    counter = ctx.probability_cube(params, active_ids, ctx.window, rows)
+    at = rows, ctx.window
+    factual = ctx.probability_cube(params, None, at)
+    counter = ctx.probability_cube(params, active_ids, at)
     cells = np.argwhere((factual != counter).any(axis=2))
     return (_sample_cells(ctx, params, factual, cells, seed, draws, rows)
             - _sample_cells(ctx, params, counter, cells, seed, draws, rows))

@@ -7,10 +7,10 @@ additive; the interaction residual is always reported, never hidden.
 
 Each scenario evaluates only the cells its event set changes, in one block
 per origin country: that origin's corridors over the window months its
-changed events reach (:meth:`SimulationContext.affected_cells`). Every
-other cell comes from a shared factual or no-event grid, and a restricted
-evaluation equals the slice of a full one, so the outputs equal a full-grid
-evaluation bit for bit.
+changed events reach (:meth:`SimulationContext.affected_cells`), evaluated
+at ``np.ix_(rows, months)``. Every other cell comes from a shared factual or
+no-event grid, and an evaluation equals the full grid's cells it asks for,
+so the outputs equal a full-grid evaluation bit for bit.
 """
 from __future__ import annotations
 
@@ -75,7 +75,8 @@ def _reevaluate(ctx: SimulationContext, params: BehaviorParams, grid: np.ndarray
     evaluated anew."""
     out = grid.copy()
     for rows, months in ctx.affected_cells(grid_ids, active_ids):
-        out[np.ix_(rows, months)] = ctx.expected_flows(params, active_ids, months, rows)
+        at = np.ix_(rows, months)
+        out[at] = ctx.expected_flows(params, active_ids, at)
     return out
 
 
@@ -159,9 +160,10 @@ def attribute_event(ctx: SimulationContext, params: BehaviorParams, event_id: st
                                 relative_increase=None)
     (rows, cols), = blocks
     months = tuple(cols.tolist())
-    without = (ctx.expected_flows(params, scenario_none(), cols, rows) if no_event is None
-               else no_event[np.ix_(rows, cols)])
-    diff = ctx.expected_flows(params, only, cols, rows) - without
+    at = np.ix_(rows, cols)
+    without = (ctx.expected_flows(params, scenario_none(), at) if no_event is None
+               else no_event[at])
+    diff = ctx.expected_flows(params, only, at) - without
 
     # the totals add in the order of an evaluation of all corridors at these
     # months: over a zero-filled grid of all corridors, column-major as numpy

@@ -432,12 +432,9 @@ def align_panel(panel: Sequence[FlowObservation], ctx) -> dict:
     if out_of_window:
         warnings.append("excluded %d panel observation(s) outside the window %s..%s"
                         % (out_of_window, month_label(ctx.start), month_label(ctx.end)))
-    month_arr = np.array(m_idx, dtype=int)
-    cols, month_pos = np.unique(month_arr, return_inverse=True)
-    return dict(corridor_idx=np.array(c_idx, dtype=int), month_idx=month_arr,
+    return dict(corridor_idx=np.array(c_idx, dtype=int), month_idx=np.array(m_idx, dtype=int),
                 amounts=np.array(amounts, dtype=float), n_excluded=len(unmodeled) + out_of_window,
-                excluded=tuple(dict.fromkeys(unmodeled))[:10], cols=cols, month_pos=month_pos,
-                warnings=warnings)
+                excluded=tuple(dict.fromkeys(unmodeled))[:10], warnings=warnings)
 
 
 def compare_models(structural: Mapping[tuple[str, str, int], float],
@@ -510,13 +507,18 @@ def summary_totals(corridors: Sequence[tuple[str, str]], months: Sequence[int],
 # ---------------------------------------------------------------------------
 # The flow kernel with each destination group's logistic taken whole
 
-def _whole_groups(ctx, params: BehaviorParams, base: np.ndarray, rows: np.ndarray | None):
-    """Per destination group with an earnings surplus at some age: (indices into
-    the rows of ``base``, mask of those ages, the logistic of all the group's
-    cells in one expression, shaped (len(indices), base columns, ages))."""
+def _whole_groups(ctx, params: BehaviorParams, active_ids: frozenset | None, at):
+    """The cells ``at`` of the context's grid (not None), flattened: their
+    scores, and per destination group with an earnings surplus at some age,
+    (the group's positions among the cells, mask of those ages, the logistic
+    of all the group's cells in one expression, shaped (positions, ages))."""
+    grid = (ctx.n_corridors, ctx.n_months)
+    scores = (params.alpha + params.beta1 * ctx.family + params.beta2 * ctx.delta_gdp
+              + params.beta3 * ctx.gdp_norm + ctx.disaster_scores(params, active_ids))
+    base = np.ravel(scores[at])
     dests = np.array([dest for _, dest in ctx.corridors])
-    if rows is not None:
-        dests = dests[rows]
+    dests = np.ravel(np.broadcast_to(dests[:, None], grid)[at])
+    groups = []
     for dest in dict.fromkeys(dests.tolist()):
         surplus = surplus_profile(ctx.dataset, dest)
         active = surplus > 0
@@ -524,8 +526,9 @@ def _whole_groups(ctx, params: BehaviorParams, base: np.ndarray, rows: np.ndarra
             continue
         idx = np.flatnonzero(dests == dest)
         with np.errstate(over="ignore"):
-            prob = 1.0 / (1.0 + np.exp(-(base[idx][:, :, None] + params.beta0 * surplus[active])))
-        yield idx, active, prob
+            prob = 1.0 / (1.0 + np.exp(-(base[idx][:, None] + params.beta0 * surplus[active])))
+        groups.append((idx, active, prob))
+    return scores[at], groups
 
 
 def _age_sum(prob: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -538,31 +541,33 @@ def _age_sum(prob: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def whole_group_flows(ctx, params: BehaviorParams, active_ids: frozenset | None,
-                      cols: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray:
-    """``ctx.expected_flows`` with each group's cells summed over ages in one
-    left-to-right pass."""
-    base = ctx._base_scores(params, active_ids, cols, rows)
-    stocks = ctx._take(ctx.stocks, rows, cols)
-    income = ctx._take(ctx.monthly_income, rows, cols)
-    flows = np.zeros_like(base)
+                      at=None) -> np.ndarray:
+    """``ctx.expected_flows`` at the grid's cells ``at``, with each group's cells
+    summed over ages in one left-to-right pass."""
+    at = ... if at is None else at
+    scores, groups = _whole_groups(ctx, params, active_ids, at)
+    stocks = ctx.stocks[at].reshape(-1, 2)
+    income = np.ravel(ctx.monthly_income[at])
+    flows = np.zeros(np.size(scores))
     w_m, w_f = ctx.shares
-    for idx, active, prob in _whole_groups(ctx, params, base, rows):
+    for idx, active, prob in groups:
         per_m = _age_sum(prob, w_m[active])
         per_f = _age_sum(prob, w_f[active])
-        sent = stocks[idx, :, 0] * per_m + stocks[idx, :, 1] * per_f
+        sent = stocks[idx, 0] * per_m + stocks[idx, 1] * per_f
         flows[idx] = params.rho * income[idx] * sent
-    return flows
+    return flows.reshape(np.shape(scores))
 
 
 def whole_group_cube(ctx, params: BehaviorParams, active_ids: frozenset | None,
-                     cols: np.ndarray | slice | None, rows: np.ndarray | None) -> np.ndarray:
-    """``ctx.probability_cube`` from each group's logistic taken whole."""
-    base = ctx._base_scores(params, active_ids, cols, rows)
-    n_cols = base.shape[1]
-    cube = np.zeros((base.shape[0], n_cols, N_AGES))
-    for idx, active, prob in _whole_groups(ctx, params, base, rows):
-        cube[np.ix_(idx, range(n_cols), np.flatnonzero(active))] = prob
-    return cube
+                     at=None) -> np.ndarray:
+    """``ctx.probability_cube`` at the grid's cells ``at``, from each group's
+    logistic taken whole."""
+    at = ... if at is None else at
+    scores, groups = _whole_groups(ctx, params, active_ids, at)
+    cube = np.zeros((np.size(scores), N_AGES))
+    for idx, active, prob in groups:
+        cube[np.ix_(idx, np.flatnonzero(active))] = prob
+    return cube.reshape(*np.shape(scores), N_AGES)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +623,8 @@ def full_grid_event_attribution(ctx, params: BehaviorParams, event_id: str) -> d
         return dict(event_id=event_id, months=months, induced_by_corridor={},
                     induced_usd_12m=0.0, baseline_usd_12m=0.0, relative_increase=None)
     cols = np.array(months)
-    with_event = ctx.expected_flows(params, frozenset({event_id}), cols)
-    without = ctx.expected_flows(params, frozenset(), cols)
+    with_event = ctx.expected_flows(params, frozenset({event_id}))[:, cols]
+    without = ctx.expected_flows(params, frozenset())[:, cols]
     diff = with_event - without
     by_corridor = {(dest, origin): value
                    for (origin, dest), value in zip(ctx.corridors, diff.sum(axis=1).tolist())
@@ -637,8 +642,8 @@ def full_grid_induced_totals(ctx, params: BehaviorParams, active_ids: frozenset 
                              seed: int, draws: int, sample_cells) -> np.ndarray:
     """``flows.sample_induced_totals`` from two probability cubes over all corridors;
     ``sample_cells`` is the cell sampler, ``flows._sample_cells``."""
-    factual = ctx.probability_cube(params, None, ctx.window)
-    counter = ctx.probability_cube(params, active_ids, ctx.window)
+    factual = ctx.probability_cube(params, None)[:, ctx.window]
+    counter = ctx.probability_cube(params, active_ids)[:, ctx.window]
     cells = np.argwhere((factual != counter).any(axis=2))
     return (sample_cells(ctx, params, factual, cells, seed, draws)
             - sample_cells(ctx, params, counter, cells, seed, draws))

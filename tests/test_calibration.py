@@ -128,8 +128,7 @@ def _noisy_small_fit(noise=0.05):
 
 def _lm_functions(ctx, aligned):
     residual = lambda x: _residuals(ctx, aligned, unpack(x))
-    jacobian = lambda x: flow_jacobian(ctx, unpack(x), aligned.corridor_idx, aligned.cols,
-                                       aligned.month_pos)
+    jacobian = lambda x: flow_jacobian(ctx, unpack(x), (aligned.corridor_idx, aligned.month_idx))
     return residual, jacobian
 
 

@@ -44,11 +44,9 @@ def test_expected_flows_match_brute_force_small(small_dataset):
 
 def test_flow_jacobian_matches_finite_differences(desk_ctx):
     params = dataclasses.replace(REFERENCE_PARAMS, alpha=0.1, beta0=0.9, shift=-0.5, rho=0.2)
-    cols = np.arange(0, 120, 3)
-    rows, col_pos = (a.ravel() for a in np.meshgrid(np.arange(desk_ctx.n_corridors),
-                                                       np.arange(len(cols)), indexing="ij"))
-    jac = flow_jacobian(desk_ctx, params, rows, cols, col_pos)
-    assert jac.shape == (len(rows), 9)
+    at = np.ix_(np.arange(desk_ctx.n_corridors), np.arange(0, 120, 3))
+    jac = flow_jacobian(desk_ctx, params, at)
+    assert jac.shape == (desk_ctx.n_corridors * 40, 9)
     logit = np.log(params.rho / (1.0 - params.rho))
 
     def flows(i, delta):
@@ -57,7 +55,7 @@ def test_flow_jacobian_matches_finite_differences(desk_ctx):
             moved = dataclasses.replace(params, **{name: getattr(params, name) + delta})
         else:  # the last coordinate is logit(rho)
             moved = dataclasses.replace(params, rho=1.0 / (1.0 + np.exp(-(logit + delta))))
-        return desk_ctx.expected_flows(moved, cols=cols)[rows, col_pos]
+        return desk_ctx.expected_flows(moved, None, at).ravel()
 
     for i in range(9):
         value = logit if i == 8 else getattr(params, dataclasses.fields(params)[i].name)
@@ -185,7 +183,7 @@ def test_probability_profile_matches_scalar_oracle(desk_ctx):
 
 def test_window_cube_matches_full_grid(desk_dataset, desk_ctx):
     ctx = SimulationContext(desk_dataset, start=57, end=62)
-    cube = ctx.probability_cube(REFERENCE_PARAMS, cols=ctx.window)
+    cube = ctx.probability_cube(REFERENCE_PARAMS, None, (slice(None), ctx.window))
     assert cube.shape == (ctx.n_corridors, 6, 101)
     assert np.array_equal(cube, desk_ctx.probability_cube(REFERENCE_PARAMS)[:, 57:63])
     for origin in ("OGA", "OGJ"):

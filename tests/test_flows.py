@@ -222,29 +222,49 @@ def test_band_matches_exact_binomial_quantiles():
 
 def _drawn_samples(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
     """``n`` samples: floats over many orders of magnitude, ties of integers,
-    one constant, or shifted binomial totals, all signs."""
+    one constant, shifted binomial totals, all signs; or (kind 4) mostly
+    zeros of both signs, tied with each other."""
     if kind == 0:
         return rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-700.0, 700.0, n))
     if kind == 1:
         return rng.integers(-50, 50, size=n).astype(float)
     if kind == 2:
         return np.full(n, rng.normal())
-    return rng.binomial(1000, 0.3, size=n) * 12.5 - 3000.0
+    if kind == 3:
+        return rng.binomial(1000, 0.3, size=n) * 12.5 - 3000.0
+    return np.round(rng.normal(size=n) * 0.03, 1)
 
 
 @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
 def test_band_ends_are_np_percentile_bit_for_bit(level):
     """The band's ends come from a partition, not from np.percentile (which
-    imports numpy.ma), with np.percentile's linear rule and its bits. (A band
-    of constant samples is refused when their mean rounds below them.)"""
+    imports numpy.ma), with np.percentile's linear rule and its bits, also for
+    a handful of samples. Where -0.0 and +0.0 tie at the ranks read, the two
+    may differ in the sign of a zero only, so those compare as floats."""
     rng = np.random.default_rng(19)
     tail = 100.0 * (1.0 - level) / 2.0
-    sizes = [flows_module.MIN_BAND_SAMPLES, 1001, 20_000, *rng.integers(1000, 20_001, 80)]
+    sizes = [flows_module.MIN_BAND_SAMPLES, 1001, 20_000, *rng.integers(1000, 20_001, 80),
+             *range(1, 41), 124, 125]
+    signed_zeros = 0
     for trial, n in enumerate(sizes):
-        samples = _drawn_samples(rng, int(n), trial % 4)
+        kind = trial % 5
+        samples = _drawn_samples(rng, int(n), kind)
         want = np.percentile(samples, [tail, 100.0 - tail])
         got = np.array(flows_module._percentiles(samples, (tail, 100.0 - tail)))
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (n, trial % 4)
+        if kind == 4:
+            assert got.tolist() == want.tolist(), (n, kind)
+            signed_zeros += np.signbit(samples).any() and not np.signbit(samples).all()
+        else:
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (n, kind)
+    assert signed_zeros  # some samples held zeros of both signs
+
+
+@pytest.mark.parametrize("value", [0.4524340367192432, 0.1, -3.7, 1e300, 5e-324, 0.0])
+def test_band_of_identical_samples_is_that_value(value):
+    """The mean of identical samples can round an ulp away from them (it does
+    for the first value here); the band holds the value three times."""
+    band = confidence_band(np.full(1000, value))
+    assert (band.lower, band.mean, band.upper) == (value, value, value)
 
 
 def test_band_ordering_enforced():
@@ -320,7 +340,7 @@ def test_merged_ages_round_each_sex_half_to_even(small_dataset, monkeypatch):
     cube = np.zeros((ctx.n_corridors, 3, N_AGES))
     cube[:, :, sends] = 1.0
     monkeypatch.setattr(ctx, "cohort_counts", lambda c, month: counts)
-    monkeypatch.setattr(ctx, "probability_cube", lambda params, active_ids=None, cols=None: cube)
+    monkeypatch.setattr(ctx, "probability_cube", lambda params, active_ids=None, at=None: cube)
     totals = sample_monthly_totals(ctx, PARAMS, None, 4, 5)
 
     senders = int((np.rint(counts[0]) + np.rint(counts[1]))[sends].sum())

@@ -1,7 +1,8 @@
 """The blocked logistic kernel: bit for bit equal to each destination group's
 logistic taken whole (``oracles.whole_group_flows`` and ``whole_group_cube``)
-and to the matching slice of the full grid on every evaluation path, and
-close to the per-cohort scalar oracle."""
+at block edges and under any block size, and close to the per-cohort scalar
+oracle. ``test_locality`` checks that an evaluation at any index of the grid
+equals the full grid's cells there."""
 from __future__ import annotations
 
 import functools
@@ -30,15 +31,13 @@ def _one_destination(n_origins: int) -> SimulationContext:
     return ctx
 
 
-def _assert_as_whole_groups(ctx, active_ids, cols, rows):
-    """expected_flows and probability_cube equal the whole-group kernel bit for bit;
-    the flows also in memory layout, which the order of sums over them follows."""
-    got = ctx.expected_flows(PARAMS, active_ids, cols, rows)
-    want = oracles.whole_group_flows(ctx, PARAMS, active_ids, cols, rows)
+def _assert_as_whole_groups(ctx, active_ids, at):
+    """expected_flows and probability_cube equal the whole-group kernel bit for bit."""
+    got = ctx.expected_flows(PARAMS, active_ids, at)
+    want = oracles.whole_group_flows(ctx, PARAMS, active_ids, at)
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
-    assert got.flags.f_contiguous == want.flags.f_contiguous
-    cube = ctx.probability_cube(PARAMS, active_ids, cols, rows)
-    whole = oracles.whole_group_cube(ctx, PARAMS, active_ids, cols, rows)
+    cube = ctx.probability_cube(PARAMS, active_ids, at)
+    whole = oracles.whole_group_cube(ctx, PARAMS, active_ids, at)
     assert (cube.shape, cube.tobytes()) == (whole.shape, whole.tobytes())
     return got
 
@@ -62,11 +61,13 @@ def test_row_sums_add_one_row_at_a_time(n_cells):
 def test_block_edges_round_as_whole_groups(monkeypatch, n_corridors, n_months):
     monkeypatch.setattr(engine, "_BLOCK_CELLS", SMALL_BLOCK)
     cols = np.arange(24, 24 + n_months)  # over the fixture's 2012-2013 events
-    # the rows= path, through the first corridors of a larger group, and the
-    # column-only (calibration) path, through a group of just those corridors
+    # the first corridors of a larger group, as a rectangle and as a list of
+    # cells, and all corridors of a group of just those corridors
     wider, alone = _one_destination(10), _one_destination(n_corridors)
-    _assert_as_whole_groups(wider, None, cols, np.arange(n_corridors))
-    flows = _assert_as_whole_groups(alone, None, cols, None)
+    rectangle = np.ix_(np.arange(n_corridors), cols)
+    _assert_as_whole_groups(wider, None, rectangle)
+    _assert_as_whole_groups(wider, None, tuple(np.broadcast_arrays(*rectangle)))
+    flows = _assert_as_whole_groups(alone, None, (slice(None), cols))
 
     n_cells = n_corridors * n_months
     for cell in sorted({0, SMALL_BLOCK - 1, SMALL_BLOCK, n_cells - 1} & set(range(n_cells))):
@@ -76,40 +77,20 @@ def test_block_edges_round_as_whole_groups(monkeypatch, n_corridors, n_months):
         assert flows[c, m] == pytest.approx(oracle, rel=1e-9)
 
 
-@pytest.mark.parametrize("block", [SMALL_BLOCK, 192, engine._BLOCK_CELLS])
-def test_every_path_rounds_as_whole_groups(monkeypatch, desk_ctx, block):
-    """Every path equals the whole-group kernel and the matching slice of the
-    full grid bit for bit: rows= and cols= (scenarios), cols= alone
-    (calibration), rows= alone, and one corridor in one month."""
-    monkeypatch.setattr(engine, "_BLOCK_CELLS", block)
-    rng = np.random.default_rng(block)
-    floods = frozenset(e.event_id for e in desk_ctx.dataset.disasters if e.hazard == "flood")
-    for active_ids in (None, frozenset(), floods):
-        full = _assert_as_whole_groups(desk_ctx, active_ids, None, None)
-        for _ in range(3):
-            rows = np.sort(rng.choice(desk_ctx.n_corridors, int(rng.integers(1, 40)), replace=False))
-            cols = np.sort(rng.choice(120, int(rng.integers(1, 120)), replace=False))
-            for r, c in ((rows, cols), (None, cols), (rows, None), (rows[:1], cols[:1])):
-                got = _assert_as_whole_groups(desk_ctx, active_ids, c, r)
-                want = full[:, c] if r is None else full[r] if c is None else full[np.ix_(r, c)]
-                assert got.tobytes() == want.tobytes()
-
-
 def test_cube_from_blocks_equals_the_whole_cube(monkeypatch, desk_ctx):
     whole = desk_ctx.probability_cube(PARAMS)
     monkeypatch.setattr(engine, "_BLOCK_CELLS", SMALL_BLOCK)
     assert desk_ctx.probability_cube(PARAMS).tobytes() == whole.tobytes()
-    assert (desk_ctx.probability_cube(PARAMS, None, desk_ctx.window).tobytes()
+    assert (desk_ctx.probability_cube(PARAMS, None, (slice(None), desk_ctx.window)).tobytes()
             == whole[:, desk_ctx.window].tobytes())
 
 
 def test_jacobian_does_not_depend_on_the_block_size(monkeypatch, desk_ctx):
-    cols = np.arange(0, 120, 2)
-    rows, col_pos = (a.ravel() for a in np.meshgrid(np.arange(desk_ctx.n_corridors),
-                                                       np.arange(len(cols)), indexing="ij"))
-    want = flow_jacobian(desk_ctx, PARAMS, rows, cols, col_pos)
+    rng = np.random.default_rng(2)
+    at = rng.integers(0, desk_ctx.n_corridors, 3000), rng.integers(0, 120, 3000)
+    want = flow_jacobian(desk_ctx, PARAMS, at)
     monkeypatch.setattr(engine, "_BLOCK_CELLS", SMALL_BLOCK)
-    assert flow_jacobian(desk_ctx, PARAMS, rows, cols, col_pos).tobytes() == want.tobytes()
+    assert flow_jacobian(desk_ctx, PARAMS, at).tobytes() == want.tobytes()
 
 
 def test_evaluations_take_one_pass_per_surplus_profile(monkeypatch, desk_ctx):
@@ -129,14 +110,13 @@ def test_evaluations_take_one_pass_per_surplus_profile(monkeypatch, desk_ctx):
     logistic = engine._logistic_blocks
     monkeypatch.setattr(engine, "_logistic_blocks",
                         lambda *args: calls.append(1) or logistic(*args))
-    for columns, want, cube in ((None, full[rows], full_cube[rows]),
-                                (cols, full[rows][:, cols], full_cube[rows][:, cols])):
+    for at in (rows, np.ix_(rows, cols)):
         del calls[:]
-        assert desk_ctx.expected_flows(PARAMS, None, columns, rows).tobytes() == want.tobytes()
+        assert desk_ctx.expected_flows(PARAMS, None, at).tobytes() == full[at].tobytes()
         assert len(calls) == 2  # GLOBAL_DEFAULT and own[0]'s profile
-        assert desk_ctx.probability_cube(PARAMS, None, columns, rows).tobytes() == cube.tobytes()
-    # the full grid and the column-only path: GLOBAL_DEFAULT and each own profile
-    for columns in (None, cols):
+        assert desk_ctx.probability_cube(PARAMS, None, at).tobytes() == full_cube[at].tobytes()
+    # all corridors: GLOBAL_DEFAULT and each own profile
+    for at in (None, (slice(None), cols)):
         del calls[:]
-        desk_ctx.expected_flows(PARAMS, None, columns)
+        desk_ctx.expected_flows(PARAMS, None, at)
         assert len(calls) == 1 + len(own)

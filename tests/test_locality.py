@@ -1,6 +1,7 @@
 """Scenario locality: event sets change flows only at their affected cells,
-restricted evaluations equal slices of the full grid, and the scenario
-entry points equal their full-grid references in ``oracles``."""
+an evaluation at any index of the grid equals the full grid's cells there,
+and the scenario entry points equal their full-grid references in
+``oracles``."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 
 import oracles
 import remitsim
-from remitsim import fixtures, flows, scenarios
+from remitsim import engine, fixtures, flows, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
+from remitsim.calibration import flow_jacobian
 from remitsim.dataio import HAZARDS, DisasterEvent
 from remitsim.engine import SimulationContext, scenario_none
 from remitsim.months import month_index
@@ -95,22 +98,52 @@ def test_event_sets_differ_only_at_affected_cells(case):
     assert np.array_equal(grid_a[outside], grid_b[outside])
 
 
+def _indexes(n_corridors: int, window: slice):
+    """Numpy indexes of an (n_corridors, 120) grid, of every form the package
+    passes and a few more: the whole grid, the window months, some corridors
+    over the window, rectangles, lists of cells with repeats, no cell, one cell."""
+    def cells(min_size=0, max_size=None, unique=False):
+        return st.lists(st.integers(0, n_corridors - 1), min_size=min_size, max_size=max_size,
+                        unique=unique).map(lambda v: np.array(v, dtype=np.intp))
+
+    def months(min_size=0, max_size=None, unique=False):
+        return st.lists(st.integers(0, 119), min_size=min_size, max_size=max_size,
+                        unique=unique).map(lambda v: np.array(v, dtype=np.intp))
+
+    def paired(n):
+        return st.tuples(cells(n, n), months(n, n))
+
+    return st.one_of(
+        st.just(None),
+        st.just((slice(None), window)),
+        cells(unique=True).map(lambda rows: (np.sort(rows), window)),
+        st.tuples(cells(unique=True), months(1, unique=True)).map(lambda rm: np.ix_(*rm)),
+        st.integers(1, 60).flatmap(paired),
+        st.just((np.array([], dtype=np.intp),) * 2),
+        paired(1),
+        st.tuples(st.integers(0, n_corridors - 1), st.integers(0, 119)))
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=scenario_cases(), data=st.data())
-def test_restricted_evaluation_equals_full_grid_slice(case, data):
+def test_evaluation_at_an_index_is_the_full_grid_there(case, data):
+    """f(params, ids, at) == f(params, ids)[at] bit for bit, for the flows, the
+    probability cube and the disaster scores, under any block size; the flows
+    and the cube also equal each destination group's logistic taken whole."""
     ctx, params, ids, _ = case
-    rows = np.array(data.draw(st.lists(st.integers(0, ctx.n_corridors - 1), unique=True)),
-                    dtype=np.intp)
-    cols = np.array(data.draw(st.lists(st.integers(0, ctx.n_months - 1), unique=True,
-                                       min_size=1)), dtype=np.intp)
-    flows = ctx.expected_flows(params, ids)
-    cube = ctx.probability_cube(params, ids)
-    assert np.array_equal(ctx.expected_flows(params, ids, cols, rows), flows[np.ix_(rows, cols)])
-    assert np.array_equal(ctx.expected_flows(params, ids, None, rows), flows[rows])
-    assert np.array_equal(ctx.expected_flows(params, ids, cols), flows[:, cols])
-    assert np.array_equal(ctx.probability_cube(params, ids, cols, rows), cube[np.ix_(rows, cols)])
-    assert np.array_equal(ctx.probability_cube(params, ids, ctx.window, rows),
-                          cube[rows][:, ctx.window])
+    at = data.draw(_indexes(ctx.n_corridors, ctx.window), label="at")
+    block = data.draw(st.sampled_from([64, 192, engine._BLOCK_CELLS]), label="block")
+    key = ... if at is None else at
+    evaluations = ctx.expected_flows, ctx.probability_cube, ctx.disaster_scores
+    full = [f(params, ids) for f in evaluations]
+    with mock.patch.object(engine, "_BLOCK_CELLS", block):
+        got = [np.asarray(f(params, ids, at)) for f in evaluations]
+    for f, whole, part in zip(evaluations, full, got):
+        want = np.asarray(whole[key])
+        assert (part.shape, part.tobytes()) == (want.shape, want.tobytes()), f.__name__
+    for oracle, part in zip((oracles.whole_group_flows, oracles.whole_group_cube), got):
+        want = oracle(ctx, params, ids, at)
+        assert (part.shape, part.tobytes()) == (want.shape, want.tobytes()), oracle.__name__
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -122,9 +155,10 @@ def test_reevaluation_evaluates_exactly_the_reached_cells(case):
     grid_a = ctx.expected_flows(params, ids_a)
     handed = []
 
-    def recording(params, active_ids=None, cols=None, rows=None):
-        handed.extend(itertools.product(rows.tolist(), cols.tolist()))
-        return SimulationContext.expected_flows(ctx, params, active_ids, cols, rows)
+    def recording(params, active_ids=None, at=None):
+        rows, months = at  # an np.ix_ block
+        handed.extend(itertools.product(rows.ravel().tolist(), months.ravel().tolist()))
+        return SimulationContext.expected_flows(ctx, params, active_ids, at)
 
     ctx.expected_flows = recording  # the case's own context
     got = scenarios._reevaluate(ctx, params, grid_a, ids_a, ids_b)
@@ -152,11 +186,13 @@ ctx = SimulationContext(fixtures.build_dataset(7))
 rng = np.random.default_rng(5)
 rows = np.sort(rng.choice(ctx.n_corridors, 17, replace=False))
 cols = np.sort(rng.choice(120, 53, replace=False))
-cells = [a.ravel() for a in np.meshgrid(rows, np.arange(len(cols)), indexing="ij")]
-for name, arr in [("flows", ctx.expected_flows(P)), ("cols", ctx.expected_flows(P, None, cols)),
-                  ("rows", ctx.expected_flows(P, frozenset(), cols, rows)),
+cells = rng.integers(0, ctx.n_corridors, 500), rng.integers(0, 120, 500)
+for name, arr in [("flows", ctx.expected_flows(P)),
+                  ("months", ctx.expected_flows(P, None, (slice(None), cols))),
+                  ("block", ctx.expected_flows(P, frozenset(), np.ix_(rows, cols))),
+                  ("cells", ctx.expected_flows(P, None, cells)),
                   ("cube", ctx.probability_cube(P)), ("family", ctx.family),
-                  ("jacobian", flow_jacobian(ctx, P, cells[0], cols, cells[1]))]:
+                  ("jacobian", flow_jacobian(ctx, P, cells))]:
     print(name, hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -197,10 +233,11 @@ def test_output_bytes_do_not_depend_on_blas(var, first, second):
 
 def test_empty_rows_give_empty_grids(desk_ctx):
     none = np.array([], dtype=np.intp)
-    assert desk_ctx.expected_flows(PARAMS, None, None, none).shape == (0, 120)
-    assert desk_ctx.expected_flows(PARAMS, None, np.arange(5, 9), none).shape == (0, 4)
-    assert desk_ctx.probability_cube(PARAMS, None, desk_ctx.window, none).shape == (0, 120, 101)
+    assert desk_ctx.expected_flows(PARAMS, None, none).shape == (0, 120)
+    assert desk_ctx.expected_flows(PARAMS, None, np.ix_(none, np.arange(5, 9))).shape == (0, 4)
+    assert desk_ctx.probability_cube(PARAMS, None, (none, desk_ctx.window)).shape == (0, 120, 101)
     assert desk_ctx.disaster_scores(PARAMS, None, none).shape == (0, 120)
+    assert flow_jacobian(desk_ctx, PARAMS, (none, none)).shape == (0, 9)
 
 
 def test_event_without_modelled_corridor(desk_dataset):

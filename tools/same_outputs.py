@@ -24,9 +24,11 @@ SEED = "1"
 NEEDS_PARAMS = ("simulate", "counterfactual", "attribute", "compare-baseline", "report")
 
 # per dataset: the windows of the commands that would otherwise write
-# hundreds of megabytes (scale) or sample 1000 band draws per month (desk)
+# hundreds of megabytes (scale) or sample 1000 band draws per month (desk);
+# the desk fit also bootstraps a few replicates, so param_cis is compared
 COMMANDS = {
-    "desk": [("build-population",), ("calibrate", "--starts", "1", "--max-iter", "20"),
+    "desk": [("build-population",),
+             ("calibrate", "--starts", "1", "--max-iter", "20", "--bootstrap-reps", "4"),
              ("simulate", "--start", "2016-07", "--end", "2016-12"),
              ("counterfactual", "--start", "2016-07", "--end", "2016-12"),
              ("attribute",), ("compare-baseline",), ("report",)],
