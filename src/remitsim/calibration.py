@@ -22,7 +22,7 @@ from .behavior import DISASTER_WINDOW, BehaviorParams, CalibrationError, PARAM_N
 from .dataio import Panel
 from .engine import SimulationContext, _row_sums, _unbuffered
 from .months import month_label
-from .reports import sequential_sum
+from .reports import percentiles, sequential_sum
 
 log = logging.getLogger(__name__)
 
@@ -438,7 +438,7 @@ def param_confidence(result: CalibrationResult, panel: Panel, ctx: SimulationCon
     cis = {}
     for name in PARAM_NAMES:
         values = np.array([getattr(p, name) for p in kept])
-        lo, hi = np.percentile(values, [2.5, 97.5])
+        lo, hi = percentiles(values, (2.5, 97.5))
         point = getattr(result.params, name)
-        cis[name] = (min(float(lo), point), max(float(hi), point))
+        cis[name] = (min(lo, point), max(hi, point))
     return cis

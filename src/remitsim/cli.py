@@ -2,7 +2,12 @@
 scenarios and reports into reproducible runs.
 
 Exit codes: 0 success, 2 data or configuration errors, 3 calibration
-failure, 4 missing upstream artifacts (e.g. calibration.json).
+failure, 4 missing upstream artifacts (e.g. calibration.json), 5 out of
+memory.
+
+Each command returns the paths it wrote. :func:`main` removes the
+command's ``manifest-<command>.json`` before it runs and writes the new one
+after its outputs, so a failed run leaves none.
 
 Every process runs one command, and compiles the modules it imports, so
 ``calibration``, ``scenarios``, ``baseline``, ``fixtures`` and ``flows`` are
@@ -12,6 +17,7 @@ imported inside the commands that call them: ``simulate`` without bands and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import logging
@@ -25,7 +31,7 @@ from .behavior import BehaviorParams, CalibrationError
 from .dataio import ANCHOR_YEARS, Dataset, DataValidationError, FILE_COLUMNS, load_dataset
 from .engine import SimulationContext, probability_profile, scenario_none
 from .months import month_index, month_label, year_of
-from .population import sender_demographics
+from .population import SenderDemographicsRow, sender_demographics
 from .runconfig import RunConfig, build_config, write_config_file
 
 log = logging.getLogger(__name__)
@@ -34,6 +40,7 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CALIBRATION = 3
 EXIT_MISSING_ARTIFACT = 4
+EXIT_MEMORY = 5
 
 
 class ArtifactMissingError(RuntimeError):
@@ -49,35 +56,35 @@ def _context(dataset: Dataset, config: RunConfig) -> SimulationContext:
                              clamp_delta_gdp=config.delta_gdp_clamp)
 
 
-def _prepare(config: RunConfig, args) -> tuple[Dataset, SimulationContext, BehaviorParams,
-                                               Path, Path]:
-    """(dataset, context, calibrated params, params path, output dir) of a command."""
+def _params_path(config: RunConfig, args) -> Path:
+    return Path(args.params) if args.params else Path(config.output_dir) / "calibration.json"
+
+
+def _prepare(config: RunConfig, args) -> tuple[Dataset, SimulationContext, BehaviorParams]:
+    """(dataset, context, calibrated params) of a command."""
     dataset = load_dataset(config.data_dir)
-    path = Path(args.params) if args.params else Path(config.output_dir) / "calibration.json"
+    path = _params_path(config, args)
     if not path.exists():
         raise ArtifactMissingError(f"calibrated parameters not found: {path}; run 'calibrate' first")
     params = BehaviorParams(**json.loads(path.read_text(encoding="utf-8"))["params"])
-    return dataset, _context(dataset, config), params, path, Path(config.output_dir)
+    return dataset, _context(dataset, config), params
 
 
-def _aggregate_bands(totals: np.ndarray, months: list[int], prefix: str) -> list:
-    """Empirical bands for the all-months total and each calendar year."""
+def _write_bands(path: Path, totals: np.ndarray, months: list[int], prefix: str) -> Path:
+    """Write the empirical bands of the all-months total and of each calendar year."""
     from . import flows
     bands = [flows.confidence_band(totals.sum(axis=1), f"{prefix}:total")]
     for year in sorted({year_of(m) for m in months}):
         cols = [i for i, m in enumerate(months) if year_of(m) == year]
         bands.append(flows.confidence_band(totals[:, cols].sum(axis=1), f"{prefix}:{year}"))
-    return bands
-
-
-def _band_rows(bands) -> list:
-    return [[b.aggregate_id, b.level, b.lower, b.mean, b.upper] for b in bands]
+    return reports.write_csv(path, [f.name for f in dataclasses.fields(flows.UncertaintyBand)],
+                             map(dataclasses.astuple, bands))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_fixtures_generate(config: RunConfig, args) -> int:
+def cmd_fixtures_generate(config: RunConfig, args) -> None:
     from . import fixtures
     dataset = fixtures.generate_fixture(
         config.data_dir, seed=config.seed, n_origins=args.origins,
@@ -86,10 +93,9 @@ def cmd_fixtures_generate(config: RunConfig, args) -> int:
     print(f"wrote synthetic dataset to {config.data_dir}: "
           f"{len(dataset.corridors)} corridors, {len(dataset.disasters)} events, "
           f"{len(dataset.panel)} panel observations (plus a starter run.config)")
-    return EXIT_OK
 
 
-def cmd_build_population(config: RunConfig, args) -> int:
+def cmd_build_population(config: RunConfig, args) -> list[Path]:
     dataset = load_dataset(config.data_dir)
     ctx = _context(dataset, config)
     out = Path(config.output_dir)
@@ -106,9 +112,7 @@ def cmd_build_population(config: RunConfig, args) -> int:
         total = reports.sequential_sum(dataset.stocks.count[dataset.stocks.anchor_year == year])
         print(f"total stock {year}: {total}")
     print(f"population rows: months {month_label(config.start)}..{month_label(config.end)}")
-    reports.write_manifest(out, "build-population", config.echo(), _input_paths(config),
-                           [pop_path, demo_path])
-    return EXIT_OK
+    return [pop_path, demo_path]
 
 
 def calibrate(ctx: SimulationContext, panel, config):
@@ -117,7 +121,7 @@ def calibrate(ctx: SimulationContext, panel, config):
     return calibrate(ctx, panel, config)
 
 
-def cmd_calibrate(config: RunConfig, args) -> int:
+def cmd_calibrate(config: RunConfig, args) -> list[Path]:
     from .calibration import CalibrationConfig, param_confidence, split_panel
     dataset = load_dataset(config.data_dir)
     ctx = _context(dataset, config)
@@ -125,41 +129,21 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     cal_config = CalibrationConfig(starts=config.starts, max_iter=config.max_iter,
                                    tol=config.tol, seed=config.seed)
     result = calibrate(ctx, panel, cal_config)
-    cis = None
     if config.bootstrap_reps > 0:
-        cis = param_confidence(result, panel, ctx, replicates=config.bootstrap_reps,
-                               seed=config.seed)
-    payload = {
-        "params": result.params.as_dict(),
-        "param_cis": cis,
-        "train_sse": result.train_sse,
-        "test_r2": result.test_r2,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "stop_reason": result.stop_reason,
-        "loss_evals": result.loss_evals,
-        "jacobian_evals": result.jacobian_evals,
-        "grad_norm": result.grad_norm,
-        "loss_history": result.loss_history,
-        "n_train": result.n_train,
-        "n_test": result.n_test,
-        "n_excluded": result.n_excluded,
-        "start_losses": result.start_losses,
-        "seed": config.seed,
-        "split_seed": config.effective_split_seed,
-        "config": config.echo(),
-    }
-    out = Path(config.output_dir)
-    path = reports.write_json(out / "calibration.json", payload)
-    reports.write_manifest(out, "calibrate", config.echo(), _input_paths(config), [path])
+        result.param_cis = param_confidence(result, panel, ctx, replicates=config.bootstrap_reps,
+                                            seed=config.seed)
+    path = reports.write_json(Path(config.output_dir) / "calibration.json", {
+        **dataclasses.asdict(result), "seed": config.seed,
+        "split_seed": config.effective_split_seed, "config": config.echo()})
     print(f"calibration: converged={result.converged} ({result.stop_reason}) "
           f"iterations={result.iterations} "
           f"train_sse={result.train_sse:.6g} test_r2={result.test_r2}")
-    return EXIT_OK
+    return [path]
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
-    dataset, ctx, params, params_path, out = _prepare(config, args)
+def cmd_simulate(config: RunConfig, args) -> list[Path]:
+    dataset, ctx, params = _prepare(config, args)
+    out = Path(config.output_dir)
 
     grid = ctx.expected_flows(params, None, (slice(None), ctx.window))
     months = list(ctx.window_months)
@@ -170,20 +154,16 @@ def cmd_simulate(config: RunConfig, args) -> int:
     if config.band_draws:
         from . import flows
         totals = flows.sample_monthly_totals(ctx, params, None, config.seed, config.band_draws)
-        bands_path = reports.write_csv(out / "bands.csv",
-                                       ("aggregate_id", "level", "lower", "mean", "upper"),
-                                       _band_rows(_aggregate_bands(totals, months, "factual")))
-        outputs.append(bands_path)
-    reports.write_manifest(out, "simulate", config.echo(),
-                           _input_paths(config) + [params_path], outputs)
+        outputs.append(_write_bands(out / "bands.csv", totals, months, "factual"))
     print(f"simulate: total expected flow {grid.sum():.6g} USD over "
           f"{month_label(config.start)}..{month_label(config.end)}")
-    return EXIT_OK
+    return outputs
 
 
-def cmd_counterfactual(config: RunConfig, args) -> int:
+def cmd_counterfactual(config: RunConfig, args) -> list[Path]:
     from . import scenarios
-    dataset, ctx, params, params_path, out = _prepare(config, args)
+    dataset, ctx, params = _prepare(config, args)
+    out = Path(config.output_dir)
 
     result = scenarios.run_counterfactual(ctx, params)
     months = list(result.months)
@@ -200,33 +180,24 @@ def cmd_counterfactual(config: RunConfig, args) -> int:
     for grouping, name in (("income-group", "summary_income_group.csv"),
                            ("country", "summary_country.csv"),
                            ("year", "summary_year.csv")):
-        rows = [
-            (r.key, r.induced_usd, r.factual_usd, r.share_of_factual, r.per_capita, r.per_gdp)
-            for r in scenarios.summarize(result, dataset, grouping)
-        ]
-        outputs.append(reports.write_csv(
-            out / name,
-            ("key", "induced_usd", "factual_usd", "share_of_factual", "per_capita", "per_gdp"),
-            rows))
+        outputs.append(reports.write_csv(out / name, scenarios.SummaryRow._fields,
+                                         scenarios.summarize(result, dataset, grouping)))
 
     if config.band_draws:
         from . import flows
         induced = flows.sample_induced_totals(ctx, params, scenario_none(), config.seed,
                                               config.band_draws)
-        outputs.append(reports.write_csv(
-            out / "induced_bands.csv", ("aggregate_id", "level", "lower", "mean", "upper"),
-            _band_rows(_aggregate_bands(induced, months, "induced"))))
+        outputs.append(_write_bands(out / "induced_bands.csv", induced, months, "induced"))
 
-    reports.write_manifest(out, "counterfactual", config.echo(),
-                           _input_paths(config) + [params_path], outputs)
     print(f"counterfactual: induced total {result.total_induced():.6g} USD "
           f"({100 * result.total_induced() / max(result.total_factual(), 1e-300):.3f}% of factual)")
-    return EXIT_OK
+    return outputs
 
 
-def cmd_attribute(config: RunConfig, args) -> int:
+def cmd_attribute(config: RunConfig, args) -> list[Path]:
     from . import scenarios
-    dataset, ctx, params, params_path, out = _prepare(config, args)
+    dataset, ctx, params = _prepare(config, args)
+    out = Path(config.output_dir)
     convention = args.convention or config.attribution
 
     grids = scenarios.event_grids(ctx, params)
@@ -264,18 +235,15 @@ def cmd_attribute(config: RunConfig, args) -> int:
     events_path = reports.write_csv(
         out / "events.csv",
         ("event_id", "induced_usd_12m", "baseline_usd_12m", "relative_increase"), event_rows)
-
-    reports.write_manifest(out, "attribute", config.echo(),
-                           _input_paths(config) + [params_path],
-                           [attr_path, attr_json, events_path])
     print(f"attribution ({convention}): induced {report.total_induced:.6g} USD, "
           f"residual {report.interaction_residual:.6g} USD")
-    return EXIT_OK
+    return [attr_path, attr_json, events_path]
 
 
-def cmd_compare_baseline(config: RunConfig, args) -> int:
+def cmd_compare_baseline(config: RunConfig, args) -> list[Path]:
     from . import baseline
-    dataset, ctx, params, params_path, out = _prepare(config, args)
+    dataset, ctx, params = _prepare(config, args)
+    out = Path(config.output_dir)
 
     stocks = baseline.annual_stocks(ctx.stocks)
     fit = baseline.calibrate_gravity(dataset.panel, ctx, stocks)
@@ -287,12 +255,8 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
     structural[simulated] = ctx.expected_flows(params, None,
                                                (corridor[simulated], panel.month[simulated]))
     report = baseline.compare_models(structural, gravity, panel, ctx.corridors)
-    comp_path = reports.write_csv(
-        out / "comparison.csv",
-        ("sender", "recipient", "observed_usd", "structural_usd", "gravity_usd",
-         "se_structural", "se_gravity"),
-        [(r.sender, r.recipient, r.observed_usd, r.structural_usd, r.gravity_usd,
-          r.se_structural, r.se_gravity) for r in report.rows])
+    comp_path = reports.write_csv(out / "comparison.csv", baseline.ComparisonRow._fields,
+                                  report.rows)
     gravity_json = reports.write_json(out / "gravity.json", {
         "beta_exp": fit.beta_exp,
         "sse": fit.sse,
@@ -304,15 +268,14 @@ def cmd_compare_baseline(config: RunConfig, args) -> int:
         "largest_overestimates": [list(c) for c in report.largest_overestimates],
         "largest_underestimates": [list(c) for c in report.largest_underestimates],
     })
-    reports.write_manifest(out, "compare-baseline", config.echo(),
-                           _input_paths(config) + [params_path], [comp_path, gravity_json])
     print(f"gravity exponent {fit.beta_exp:.4f}; "
           f"relative error ratio (structural/gravity): {report.mean_relative_error_ratio}")
-    return EXIT_OK
+    return [comp_path, gravity_json]
 
 
-def cmd_report(config: RunConfig, args) -> int:
-    dataset, ctx, params, params_path, out = _prepare(config, args)
+def cmd_report(config: RunConfig, args) -> list[Path]:
+    dataset, ctx, params = _prepare(config, args)
+    out = Path(config.output_dir)
 
     cube = ctx.probability_cube(params, None, (slice(None), ctx.window))
     origins = sorted({o for o, _ in ctx.corridors})
@@ -324,11 +287,7 @@ def cmd_report(config: RunConfig, args) -> int:
     weights = ctx.cohort_counts(slice(None), ctx.window) * cube[:, :, None, :]
     groups = [dataset.income_group[(origin, year_of(m))]
               for origin, _ in ctx.corridors for m in ctx.window_months]
-    demo_rows = [
-        (r.group, r.expected_senders, r.male_share, r.female_share, r.mean_age,
-         r.share_20_39, r.share_under_40, r.empty)
-        for r in sender_demographics(weights.reshape(-1, *ctx.shares.shape), groups)
-    ]
+    demo_rows = sender_demographics(weights.reshape(-1, *ctx.shares.shape), groups)
     del weights
     profiles_path = reports.write_csv(
         out / "profiles.csv",
@@ -336,17 +295,13 @@ def cmd_report(config: RunConfig, args) -> int:
         reports.Grid(([origin for origin, *_ in profiles], ("ALL",),
                       [label for _, label, *_ in profiles], None, None),
                      ((i, 0, i, cum, p) for i, (_, _, cum, p) in enumerate(profiles))))
-    senders_path = reports.write_csv(
-        out / "sender_demographics.csv",
-        ("group", "expected_senders", "male_share", "female_share", "mean_age",
-         "share_20_39", "share_under_40", "empty"), demo_rows)
+    senders_path = reports.write_csv(out / "sender_demographics.csv",
+                                     SenderDemographicsRow._fields, demo_rows)
 
-    reports.write_manifest(out, "report", config.echo(),
-                           _input_paths(config) + [params_path], [profiles_path, senders_path])
     n_points = sum(len(cum) for _, _, cum, _ in profiles)
     print(f"report: {n_points} profile points for {len(origins)} origins; "
           f"sender demographics over {len(groups) * np.count_nonzero(ctx.shares)} cohorts")
-    return EXIT_OK
+    return [profiles_path, senders_path]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +412,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        return args.func(config, args)
+        manifest = Path(config.output_dir) / f"manifest-{args.command}.json"
+        if manifest.exists():  # False also where the output dir is a file
+            manifest.unlink()
+        outputs = args.func(config, args)
+        if outputs is not None:
+            params = [_params_path(config, args)] if hasattr(args, "params") else []
+            reports.write_manifest(config.output_dir, args.command, config.echo(),
+                                   _input_paths(config) + params, outputs)
+        return EXIT_OK
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -473,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

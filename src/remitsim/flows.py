@@ -16,16 +16,18 @@ import numpy as np
 
 from .behavior import BehaviorParams
 from .engine import SimulationContext
+from .reports import percentiles
 from .runconfig import MIN_BAND_SAMPLES
 
 
 @dataclass(frozen=True)
 class UncertaintyBand:
+    """A row of ``bands.csv`` and ``induced_bands.csv``, its fields in their column order."""
     aggregate_id: str
+    level: float
     lower: float
     mean: float
     upper: float
-    level: float = 0.95
 
     def __post_init__(self) -> None:
         if not self.lower <= self.mean <= self.upper:
@@ -41,33 +43,10 @@ def confidence_band(samples: Sequence[float], aggregate_id: str = "total",
     if arr.size < MIN_BAND_SAMPLES:
         raise ValueError(f"need >= {MIN_BAND_SAMPLES} samples for a band, got {arr.size}")
     tail = 100.0 * (1.0 - level) / 2.0
-    lower, upper = _percentiles(arr, (tail, 100.0 - tail))
+    lower, upper = percentiles(arr, (tail, 100.0 - tail))
     mean = min(max(float(arr.mean()), lower), upper)
     return UncertaintyBand(aggregate_id=aggregate_id, lower=lower, mean=mean, upper=upper,
                            level=level)
-
-
-def _percentiles(samples: np.ndarray, percents: Sequence[float]) -> list[float]:
-    """``np.percentile(samples, percents)`` by its default, linear, rule, from
-    the order statistics that one partition places: at the virtual index
-    v = (n - 1) * (percent / 100), with a and b the values of rank floor(v)
-    and the next, and g = v - floor(v), a + (b - a) * g, or
-    b - (b - a) * (1 - g) where g >= 0.5. np.percentile imports numpy.ma
-    (10-19 ms in a fresh process) for a np.unique of its ranks.
-
-    Bit for bit equal to np.percentile's on samples without -0.0: where -0.0
-    and +0.0 tie at the ranks read, np.percentile, which also partitions on
-    ranks 0 and n - 1, may order them otherwise and return the other zero.
-    Band totals (sums from +0.0 of non-negative values, and their
-    differences) never hold -0.0."""
-    points = [(samples.size - 1) * (percent / 100) for percent in percents]
-    ranks = [(int(point), min(int(point) + 1, samples.size - 1)) for point in points]
-    ordered = np.partition(samples, sorted({rank for pair in ranks for rank in pair}))
-    bands = []
-    for point, (k, j) in zip(points, ranks):
-        a, b, g = ordered[k], ordered[j], point - k
-        bands.append(float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g))
-    return bands
 
 
 def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.SeedSequence:

@@ -1,4 +1,4 @@
-"""CSV report writers, the run manifest, and the sums that feed them.
+"""CSV report writers, the run manifest, and the sums and percentiles that feed them.
 
 Floats are written as ``repr`` (shortest round-trip) with a fixed newline,
 and sums that reach an output add left to right (:func:`sequential_sum`),
@@ -63,6 +63,30 @@ def sequential_sum(values: Iterable[float] | np.ndarray) -> float:
     if arr.size == 0:
         return 0.0
     return 0.0 + float(np.add.accumulate(arr)[-1])  # 0.0 + x turns -0.0 into 0.0, as sum does
+
+
+def percentiles(samples: np.ndarray, percents: Sequence[float]) -> list[float]:
+    """``np.percentile(samples, percents)`` by its default, linear, rule, from
+    the order statistics that one partition places: at the virtual index
+    v = (n - 1) * (percent / 100), with a and b the values of rank floor(v)
+    and the next, and g = v - floor(v), a + (b - a) * g, or
+    b - (b - a) * (1 - g) where g >= 0.5. np.percentile imports numpy.ma
+    (10-19 ms in a fresh process) for a np.unique of its ranks. The
+    confidence bands and the bootstrap parameter intervals take their ends here.
+
+    Bit for bit equal to np.percentile's on samples without -0.0: where -0.0
+    and +0.0 tie at the ranks read, np.percentile, which also partitions on
+    ranks 0 and n - 1, may order them otherwise and return the other zero.
+    Band totals (sums from +0.0 of non-negative values, and their
+    differences) never hold -0.0."""
+    points = [(samples.size - 1) * (percent / 100) for percent in percents]
+    ranks = [(int(point), min(int(point) + 1, samples.size - 1)) for point in points]
+    ordered = np.partition(samples, sorted({rank for pair in ranks for rank in pair}))
+    ends = []
+    for point, (k, j) in zip(points, ranks):
+        a, b, g = ordered[k], ordered[j], point - k
+        ends.append(float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g))
+    return ends
 
 
 class Grid(NamedTuple):

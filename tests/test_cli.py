@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import filecmp
 import importlib
 import json
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import remitsim
-from remitsim import baseline, scenarios
+from remitsim import baseline, reports, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.cli import build_parser, main
 from remitsim.calibration import DEFAULT_INIT
@@ -160,6 +161,36 @@ def test_output_dir_is_a_file_exit_2(fixture_dir, tmp_path, capsys):
     assert run("build-population", "--data-dir", fixture_dir, "--output-dir", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: FileExistsError") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (OSError(errno.ENOSPC, "No space left on device"), 2, "error: OSError"),
+    (MemoryError(), 5, "out of memory")], ids=["ENOSPC", "MemoryError"])
+def test_failed_rerun_leaves_no_manifest(fixture_dir, tmp_path, monkeypatch, capsys,
+                                         exc, code, message):
+    """A run that fails while writing (a full disk, or out of memory) ends in
+    its exit code with one stderr line, and removes the manifest of the run
+    before, whose hashes name bytes the outputs no longer have."""
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", "--data-dir", fixture_dir, "--output-dir", out, "--params", params,
+            "--start", "2016-01", "--end", "2016-12"]
+    assert run(*argv) == 0
+    assert (out / "manifest-simulate.json").exists()
+    blocks = reports.Grid.blocks
+
+    def one_block_then_fail(self):
+        yield next(blocks(self))
+        raise exc
+
+    monkeypatch.setattr(reports, "GRID_BLOCK_ROWS", 64)
+    monkeypatch.setattr(reports.Grid, "blocks", one_block_then_fail)
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.strip().splitlines()) == 1
+    assert not (out / "manifest-simulate.json").exists()
 
 
 def test_calibrate_deterministic_output(fixture_dir, tmp_path):
@@ -360,7 +391,7 @@ def _loads_numpy_ma(tmp_path: Path, command: str, *options: str) -> tuple[str, s
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
                                                                     os.environ.get("PYTHONPATH")])))
     argv = [command, "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
-            "--params", str(params), *options]
+            *(() if command == "calibrate" else ("--params", str(params))), *options]
     script = ("import sys, numpy; with_numpy = 'numpy.ma' in sys.modules; "
               "from remitsim.cli import main; code = main(sys.argv[1:]); "
               "print(code, with_numpy, 'numpy.ma' in sys.modules)")
@@ -384,6 +415,14 @@ def test_band_command_loads_no_numpy_ma(tmp_path, command):
     take the band ends from a partition and never import numpy.ma."""
     code, with_numpy, loaded = _loads_numpy_ma(tmp_path, command, "--start", "2016-11",
                                                "--end", "2016-12", "--seed", "7")
+    assert code == "0"
+    assert loaded == with_numpy
+
+
+def test_calibrate_bootstrap_loads_no_numpy_ma(tmp_path):
+    """The bootstrap parameter intervals take their ends from the bands'
+    partition rule, not from np.percentile, which imports numpy.ma."""
+    code, with_numpy, loaded = _loads_numpy_ma(tmp_path, "calibrate", "--bootstrap-reps", "2")
     assert code == "0"
     assert loaded == with_numpy
 

@@ -108,8 +108,7 @@ def measure(src: Path, data: Path, out: Path) -> dict:
     for cmd, *rest in COMMANDS:
         argv = [sys.executable, "-m", "remitsim.cli", cmd, "--config", str(data / "run.config"),
                 "--data-dir", str(data), "--output-dir", str(out), "--seed", str(SEED),
-                "--threads", "1", "--params", str(data / "reference" / "calibration.json"),
-                *rest]
+                "--params", str(data / "reference" / "calibration.json"), *rest]
         printed = subprocess.run([sys.executable, "-S", "-c", WRAPPER, *argv], env=env,
                                  check=True, capture_output=True, text=True).stdout.split()
         code, wall, maxrss_kb = int(printed[-3]), float(printed[-2]), int(printed[-1])

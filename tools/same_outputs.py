@@ -2,9 +2,11 @@
 
     python3 tools/same_outputs.py BASE_SRC WORK_DIR
 
-Writes the desk fixture (seed 7) and the benchmark's scale inputs
-(``perfbench/inputs.make_inputs("scale", 1, ...)``) into ``WORK_DIR/inputs``
-once. Then runs every command on both datasets, first with ``BASE_SRC``
+Writes the desk fixture (seed 7), the benchmark's scale inputs
+(``perfbench/inputs.make_inputs("scale", 1, ...)``) and a noisy desk
+fixture (seed 7, 2 % panel noise) into ``WORK_DIR/inputs`` once. Then runs
+every command on the desk and scale datasets, and a bootstrapped
+``calibrate`` on the noisy one, first with ``BASE_SRC``
 (the ``src`` directory of another checkout) and then with this checkout's
 ``src``, each into ``WORK_DIR/out``, and moves each tree's outputs aside. The
 runs use the same paths because the manifests echo them. Exits 1 if
@@ -25,7 +27,10 @@ NEEDS_PARAMS = ("simulate", "counterfactual", "attribute", "compare-baseline", "
 
 # per dataset: the windows of the commands that would otherwise write
 # hundreds of megabytes (scale) or sample 1000 band draws per month (desk);
-# the desk fit also bootstraps a few replicates, so param_cis is compared
+# the desk fits also bootstrap a few replicates, so param_cis is compared;
+# on the noiseless desk panel every replicate refits the same point, while
+# the noisy panel gives every interval a width, so a resample that drew other
+# cells would show
 COMMANDS = {
     "desk": [("build-population",),
              ("calibrate", "--starts", "1", "--max-iter", "20", "--bootstrap-reps", "4"),
@@ -36,14 +41,18 @@ COMMANDS = {
               ("calibrate", "--starts", "1", "--max-iter", "5"),
               ("simulate",), ("counterfactual",), ("attribute",), ("compare-baseline",),
               ("report", "--start", "2019-10", "--end", "2019-12")],
+    "noisy-desk": [("calibrate", "--starts", "1", "--max-iter", "20", "--bootstrap-reps", "4")],
 }
 
 
 def make_inputs(inputs: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.inputs import make_inputs as make
+    from remitsim.cli import main as remitsim
     make("desk", 7, inputs / "desk")
     make("scale", 1, inputs / "scale")
+    remitsim(["fixtures", "generate", "--data-dir", str(inputs / "noisy-desk"), "--seed", "7",
+              "--noise", "0.02"])
 
 
 def run_all(src: Path, inputs: Path, out: Path) -> None:
