@@ -71,12 +71,14 @@ def _prepare(config: RunConfig, args) -> tuple[Dataset, SimulationContext, Behav
 
 
 def _write_bands(path: Path, totals: np.ndarray, months: list[int], prefix: str) -> Path:
-    """Write the empirical bands of the all-months total and of each calendar year."""
+    """Write the empirical bands of the all-months total and of each calendar year.
+    Each draw's months add left to right (``np.add.accumulate``)."""
     from . import flows
-    bands = [flows.confidence_band(totals.sum(axis=1), f"{prefix}:total")]
+    bands = [flows.confidence_band(np.add.accumulate(totals, axis=1)[:, -1], f"{prefix}:total")]
     for year in sorted({year_of(m) for m in months}):
         cols = [i for i, m in enumerate(months) if year_of(m) == year]
-        bands.append(flows.confidence_band(totals[:, cols].sum(axis=1), f"{prefix}:{year}"))
+        bands.append(flows.confidence_band(np.add.accumulate(totals[:, cols], axis=1)[:, -1],
+                                           f"{prefix}:{year}"))
     return reports.write_csv(path, [f.name for f in dataclasses.fields(flows.UncertaintyBand)],
                              map(dataclasses.astuple, bands))
 

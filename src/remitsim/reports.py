@@ -12,18 +12,22 @@ cell by :func:`fmt_cell` and written by ``csv.writer``. The large grids
 string columns are small tables of distinct strings with an index per row;
 the columns are joined block by block into the bytes ``csv.writer`` writes.
 A grid holding a string that ``csv.writer`` would quote, an empty one or
-a NUL is written by ``csv.writer`` instead. Manifests carry content hashes
-of every input and output, the seed, and the package version; they contain
-no timestamps.
+a NUL is written by ``csv.writer`` instead. Each CSV and JSON file is
+written to a temporary file in its directory and moved into place
+(``os.replace``) once complete, so a write that fails leaves the file as it
+was. Manifests carry content hashes of every input and output, the seed,
+and the package version; they contain no timestamps.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -149,8 +153,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence] 
     by :func:`fmt_cell`; a :class:`Grid` is written block by block as bytes
     (:meth:`Grid.blocks`), unless one of its labels is not plain text."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, Grid) and not any(map(_NOT_PLAIN.search, {
@@ -166,9 +169,25 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence] 
 
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text file to write ``path``'s bytes to: a temporary file in its directory,
+    moved to ``path`` by ``os.replace`` once the block ends, and removed if the
+    block raises, so ``path`` holds either its old bytes or all the new ones."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def sha256_file(path: str | Path) -> str:

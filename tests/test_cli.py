@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import errno
 import filecmp
 import importlib
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import remitsim
-from remitsim import baseline, reports, scenarios
+from remitsim import baseline, cli, flows, reports, scenarios
 from remitsim.behavior import REFERENCE_PARAMS
 from remitsim.cli import build_parser, main
 from remitsim.calibration import DEFAULT_INIT
@@ -170,7 +171,8 @@ def test_failed_rerun_leaves_no_manifest(fixture_dir, tmp_path, monkeypatch, cap
                                          exc, code, message):
     """A run that fails while writing (a full disk, or out of memory) ends in
     its exit code with one stderr line, and removes the manifest of the run
-    before, whose hashes name bytes the outputs no longer have."""
+    before. The output it was writing keeps the bytes of the run before, and
+    no temporary file is left beside it."""
     params = tmp_path / "calibration.json"
     params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
     out = tmp_path / "out"
@@ -178,6 +180,8 @@ def test_failed_rerun_leaves_no_manifest(fixture_dir, tmp_path, monkeypatch, cap
             "--start", "2016-01", "--end", "2016-12"]
     assert run(*argv) == 0
     assert (out / "manifest-simulate.json").exists()
+    first = sorted(p.name for p in out.iterdir())
+    flows_bytes = (out / "flows.csv").read_bytes()
     blocks = reports.Grid.blocks
 
     def one_block_then_fail(self):
@@ -191,6 +195,22 @@ def test_failed_rerun_leaves_no_manifest(fixture_dir, tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith(message) and len(err.strip().splitlines()) == 1
     assert not (out / "manifest-simulate.json").exists()
+    assert (out / "flows.csv").read_bytes() == flows_bytes
+    assert sorted(p.name for p in out.iterdir()) == [n for n in first
+                                                      if n != "manifest-simulate.json"]
+
+
+def test_band_sums_add_months_left_to_right(tmp_path):
+    """The total and the year's sum of a draw add its months left to right, as
+    the output sums do: numpy's sum gives 8 + i for draw i, not 9 + i."""
+    months = list(range(month_index("2016-01"), month_index("2016-12") + 1))
+    rows = np.array([[1e16, 1.0, -1e16] + [1.0] * 8 + [1.0 + i] for i in range(1000)])
+    assert rows.sum(axis=1).tolist() == (8.0 + np.arange(1000)).tolist()
+    cli._write_bands(tmp_path / "bands.csv", rows, months, "factual")
+    band = flows.confidence_band(9.0 + np.arange(1000), "factual:total")
+    assert _read_csv(tmp_path / "bands.csv") == [
+        {k: fmt_cell(v) for k, v in dataclasses.asdict(b).items()}
+        for b in (band, dataclasses.replace(band, aggregate_id="factual:2016"))]
 
 
 def test_calibrate_deterministic_output(fixture_dir, tmp_path):

@@ -1,5 +1,7 @@
-"""Expected flows, the binomial sampler, and percentile bands."""
+"""Expected flows, the binomial sampler, its histogram draw, and percentile bands."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +191,41 @@ def test_sampler_variance_matches_formula_production(small_dataset, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
+# The histogram draw: pmf tables, draw order, memory
+
+@pytest.mark.parametrize("n, p, rtol", [
+    (1, 0.3, 1e-12), (50, 0.5, 1e-12), (40, 1.0, 1e-12), (10**4, 1e-9, 1e-12),
+    (6691, 0.3, 1e-12),
+    # scipy's own pmf is off by up to 1.9e-12 at this n (against 40-digit
+    # arithmetic), the table by 4.4e-13
+    (10**6, 0.3, 3e-12)])
+def test_binomial_table_is_the_pmf(n, p, rtol):
+    """Each entry of an age's table is scipy's binomial pmf at its value, and
+    the mass outside the table's window is below 1e-15."""
+    from scipy.stats import binom
+    values, pmf = flows_module._binomial_tables(np.array([n]), np.array([p]))
+    values, pmf = values[0], pmf[0]
+    assert np.array_equal(np.sort(values), np.arange(values.min(), values.max() + 1))
+    want = binom.pmf(values, n, p)
+    assert (pmf[want == 0] == 0).all()
+    assert np.abs(pmf[want > 0] / want[want > 0] - 1).max() <= rtol
+    assert binom.cdf(values.min() - 1, n, p) + binom.sf(values.max(), n, p) < 1e-15
+
+
+def test_binomial_rows_are_in_random_order():
+    """Two ages with equal (n, p), and each row against itself one draw on, are
+    uncorrelated within 4 / sqrt(draws): every row is shuffled on its own."""
+    draws = 10_000
+    rows = flows_module._binomial_rows(np.random.default_rng(5), np.array([200, 200]),
+                                       np.array([0.3, 0.3]), draws)
+    bound = 4 / np.sqrt(draws)
+    assert abs(np.corrcoef(rows[0], rows[1])[0, 1]) <= bound
+    for row in rows:
+        assert abs(np.corrcoef(row[:-1], row[1:])[0, 1]) <= bound
+        assert abs(row.mean() - 60.0) <= 4 * np.sqrt(42.0 / draws)
+
+
+# ---------------------------------------------------------------------------
 # Confidence bands
 
 def test_band_constant_samples():
@@ -266,6 +303,15 @@ def test_band_of_identical_samples_is_that_value(value):
     for the first value here); the band holds the value three times."""
     band = confidence_band(np.full(1000, value))
     assert (band.lower, band.mean, band.upper) == (value, value, value)
+
+
+def test_band_mean_adds_samples_left_to_right():
+    """The band's mean is the left-to-right sum over the count, as the output
+    sums are; numpy's pairwise mean differs in the last bits here."""
+    samples = np.random.default_rng(0).lognormal(0.0, 3.0, 1000)
+    want = reports.sequential_sum(samples) / samples.size
+    assert float(samples.mean()) != want
+    assert confidence_band(samples).mean == want
 
 
 def test_band_ordering_enforced():
@@ -370,3 +416,17 @@ def test_induced_sampling_stays_in_event_blocks(desk_dataset, monkeypatch):
     assert seeded  # events act inside this window
     assert set(seeded) <= blocks
     assert len(seeded) == 2 * len(set(seeded))  # each cell once per run
+
+
+def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
+    """Sampling the desk fixture's band window (1,000 draws) allocates at most
+    1 MiB at its peak: the ages are drawn AGE_BLOCK at a time."""
+    ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
+    cube = ctx.probability_cube(PARAMS, None, (slice(None), ctx.window))
+    tracemalloc.start()
+    try:
+        flows_module._sample_cells(ctx, PARAMS, cube, np.ndindex(cube.shape[:2]), 1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -5,8 +5,9 @@
 Writes the desk fixture (seed 7), the benchmark's scale inputs
 (``perfbench/inputs.make_inputs("scale", 1, ...)``) and a noisy desk
 fixture (seed 7, 2 % panel noise) into ``WORK_DIR/inputs`` once. Then runs
-every command on the desk and scale datasets, and a bootstrapped
-``calibrate`` on the noisy one, first with ``BASE_SRC``
+every command on the desk and scale datasets, a bootstrapped ``calibrate``
+on the noisy one, and ``simulate`` and ``counterfactual`` over 2016 on the
+desk (12-month bands, into ``desk-year``), first with ``BASE_SRC``
 (the ``src`` directory of another checkout) and then with this checkout's
 ``src``, each into ``WORK_DIR/out``, and moves each tree's outputs aside. The
 runs use the same paths because the manifests echo them. Exits 1 if
@@ -42,7 +43,12 @@ COMMANDS = {
               ("simulate",), ("counterfactual",), ("attribute",), ("compare-baseline",),
               ("report", "--start", "2019-10", "--end", "2019-12")],
     "noisy-desk": [("calibrate", "--starts", "1", "--max-iter", "20", "--bootstrap-reps", "4")],
+    # the bands of a whole year, whose all-months and per-year sums add 12 months
+    "desk-year": [("simulate", "--start", "2016-01", "--end", "2016-12"),
+                  ("counterfactual", "--start", "2016-01", "--end", "2016-12")],
 }
+# the datasets whose runs read another one's inputs
+INPUTS = {"desk-year": "desk"}
 
 
 def make_inputs(inputs: Path) -> None:
@@ -61,7 +67,7 @@ def run_all(src: Path, inputs: Path, out: Path) -> None:
     runs = [("fixture", ["fixtures", "generate", "--data-dir", str(out / "fixture"),
                          "--seed", "7"])]
     for name, commands in COMMANDS.items():
-        data = inputs / name
+        data = inputs / INPUTS.get(name, name)
         common = ["--config", str(data / "run.config"), "--data-dir", str(data),
                   "--output-dir", str(out / name), "--seed", SEED]
         params = ["--params", str(data / "reference" / "calibration.json")]
