@@ -15,13 +15,16 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dataio import PANEL_YEARS, SEXES, Panel
-from .dataio import interpolate_stocks_monthly  # unused here; perfbench/tracer.py wraps the name
+from .population import interpolate_stocks_monthly  # unused here; perfbench/tracer.py wraps the name
 from .engine import SimulationContext
 from .reports import sequential_sum
 
 log = logging.getLogger(__name__)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BRACKET = (0.01, 2.0)  # the exponent's first search interval
+GRID = 41  # points of the unimodality scan over the bracket
+TOL = 1e-4  # width at which the golden-section search stops
 
 
 class GravityFit(NamedTuple):
@@ -99,9 +102,7 @@ def _gravity_loss(panel: Panel, ctx: SimulationContext, stocks: np.ndarray
     return sse, len(panel) - len(observed)
 
 
-def calibrate_gravity(panel: Panel, ctx: SimulationContext, stocks: np.ndarray, *,
-                      bracket: tuple[float, float] = (0.01, 2.0), grid: int = 41,
-                      tol: float = 1e-4) -> GravityFit:
+def calibrate_gravity(panel: Panel, ctx: SimulationContext, stocks: np.ndarray) -> GravityFit:
     """Fit the exponent by golden-section search on the bracketed SSE.
 
     A coarse grid scan checks unimodality first; a non-unimodal profile
@@ -112,9 +113,9 @@ def calibrate_gravity(panel: Panel, ctx: SimulationContext, stocks: np.ndarray, 
     if not panel:
         raise ValueError("panel is empty")
     f, excluded = _gravity_loss(panel, ctx, stocks)
-    lo, hi = bracket
+    lo, hi = BRACKET
     for _ in range(2):  # allow one widening past the upper edge
-        xs = np.linspace(lo, hi, grid)
+        xs = np.linspace(lo, hi, GRID)
         losses = [f(x) for x in xs]
         best = int(np.argmin(losses))
         sign_changes = 0
@@ -127,17 +128,17 @@ def calibrate_gravity(panel: Panel, ctx: SimulationContext, stocks: np.ndarray, 
             log.warning("gravity loss not unimodal on [%g, %g]; returning best grid point", lo, hi)
             return GravityFit(float(xs[best]), float(losses[best]), at_boundary=False,
                               unimodal=False, n_excluded=excluded)
-        if best == grid - 1:
+        if best == GRID - 1:
             lo, hi = hi * 0.9, hi * 3.0
             continue
         break
 
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, grid - 1)]
+    b = xs[min(best + 1, GRID - 1)]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -147,7 +148,7 @@ def calibrate_gravity(panel: Panel, ctx: SimulationContext, stocks: np.ndarray, 
             d = a + GOLDEN * (b - a)
             fd = f(d)
     beta = (a + b) / 2.0
-    at_boundary = best in (0, grid - 1)
+    at_boundary = best in (0, GRID - 1)
     if at_boundary:
         log.warning("gravity exponent optimum at bracket edge (beta=%g)", beta)
     return GravityFit(float(beta), float(f(beta)), at_boundary=at_boundary, unimodal=True,

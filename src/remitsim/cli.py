@@ -200,10 +200,8 @@ def cmd_attribute(config: RunConfig, args) -> list[Path]:
     from . import scenarios
     dataset, ctx, params = _prepare(config, args)
     out = Path(config.output_dir)
-    convention = args.convention or config.attribution
-
     grids = scenarios.event_grids(ctx, params)
-    report = scenarios.attribute_by_hazard(ctx, params, convention, grids=grids)
+    report = scenarios.attribute_by_hazard(ctx, params, config.attribution, grids=grids)
     rows = [
         (h.hazard, h.induced_usd, h.affected_persons, h.usd_per_affected,
          h.induced_usd / report.total_factual if report.total_factual else 0.0)
@@ -237,7 +235,7 @@ def cmd_attribute(config: RunConfig, args) -> list[Path]:
     events_path = reports.write_csv(
         out / "events.csv",
         ("event_id", "induced_usd_12m", "baseline_usd_12m", "relative_increase"), event_rows)
-    print(f"attribution ({convention}): induced {report.total_induced:.6g} USD, "
+    print(f"attribution ({config.attribution}): induced {report.total_induced:.6g} USD, "
           f"residual {report.interaction_residual:.6g} USD")
     return [attr_path, attr_json, events_path]
 
@@ -394,6 +392,7 @@ def _config_from_args(args) -> RunConfig:
         data_dir=Path(args.data_dir) if args.data_dir else None,
         output_dir=Path(args.output_dir) if args.output_dir else None,
         seed=args.seed,
+        attribution=getattr(args, "convention", None),
     )
     if args.start:
         overrides["start"] = month_index(args.start)

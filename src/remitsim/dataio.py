@@ -1,4 +1,4 @@
-"""Input schemas, validated loading, and monthly interpolation of migrant stocks.
+"""Input schemas, validated loading and round-trip writing.
 
 All inputs are UTF-8 CSV files, with or without a byte-order mark, with a
 mandatory header row (RFC-4180 quoting); blank lines are skipped:
@@ -23,7 +23,8 @@ carriage return, whitespace or NUL within a line, or a non-ASCII byte, and
 text that np.loadtxt refuses, goes through the CSV reader into the same
 columns. The returned :class:`Dataset` is immutable; its stock table and its
 panel are held as read-only columns (:class:`Stocks`, :class:`Panel`), built
-from the keys of the checked columns, with no record per row.
+from the keys of the checked columns, with no record per row. The stock
+spline of :mod:`remitsim.population` reads the anchor array :attr:`Stocks.anchors`.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .months import WINDOW_MONTHS, month_index, month_label, year_of
+from .months import month_index, month_label, year_of
 
 SEXES = ("male", "female")
 INCOME_GROUPS = ("low", "lower-middle", "upper-middle", "high")
@@ -274,8 +275,8 @@ class Stocks(_Columns):
         return tuple(zip(*(map(code, part.tolist()) for part in self.corridor_codes)))
 
     @cached_property
-    def anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The series and their anchors, as :func:`_check_anchor_years` gives them."""
+    def anchors(self) -> np.ndarray:
+        """The anchor counts of :attr:`corridors`, from :func:`_check_anchor_years`."""
         return _check_anchor_years(self)
 
 
@@ -796,29 +797,27 @@ def _records(record: type, path: Path, population: Mapping | None = None) -> tup
 # ---------------------------------------------------------------------------
 # Whole-file checks and dataset assembly
 
-def _check_anchor_years(stocks: Stocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each (origin, destination, sex) series of ``stocks``, in corridor order
-    and then :data:`SEXES` order: its corridor's row in ``stocks.corridors``,
-    its sex's index and its counts at ANCHOR_YEARS, shape (series, 3), once
-    every series has every anchor year; else the error names the first series,
-    in sorted order, that misses one. Rows of other years are not read."""
-    keys, series = np.unique(stocks._corridor_keys[1] * len(SEXES) + stocks.sex,
-                             return_inverse=True)
-    year = np.searchsorted(ANCHOR_YEARS, stocks.anchor_year)
+def _check_anchor_years(stocks: Stocks) -> np.ndarray:
+    """The read-only (corridors, 2 sexes, 3 anchor years) counts of ``stocks``,
+    0 where a corridor has no series of a sex, once every (origin, destination,
+    sex) series present has every anchor year; else the error names the first
+    series, in sorted order, that misses one. Rows of other years are not read."""
+    series = stocks._corridor_keys[1] * len(SEXES) + stocks.sex
     anchor = np.isin(stocks.anchor_year, ANCHOR_YEARS)
-    have = np.zeros((len(keys), len(ANCHOR_YEARS)), bool)
-    have[series[anchor], year[anchor]] = True
-    counts = np.zeros(have.shape)
-    counts[series[anchor], year[anchor]] = stocks.count[anchor]
-    corridor, sex = divmod(keys, len(SEXES))
-    short = np.flatnonzero(~have.all(axis=1)).tolist()
-    if short:
-        first = min(short, key=lambda k: (*stocks.corridors[corridor[k]], SEXES[sex[k]]))
-        (o, d), s = stocks.corridors[corridor[first]], SEXES[sex[first]]
+    cell = series[anchor], np.searchsorted(ANCHOR_YEARS, stocks.anchor_year[anchor])
+    counts = np.zeros((len(stocks.corridors) * len(SEXES), len(ANCHOR_YEARS)))
+    counts[cell] = stocks.count[anchor]
+    have = np.zeros(counts.shape, bool)
+    have[cell] = True
+    short = np.flatnonzero((np.bincount(series, minlength=len(have)) > 0) & ~have.all(axis=1))
+    if short.size:
+        o, d, s, first = min((*stocks.corridors[k // len(SEXES)], SEXES[k % len(SEXES)], k)
+                             for k in short.tolist())
         missing = [y for y, known in zip(ANCHOR_YEARS, have[first]) if not known]
         raise DataValidationError(f"stocks.csv: corridor {o}->{d} sex {s} missing anchor "
                                   f"year(s) {missing}")
-    return corridor, sex, counts
+    counts.flags.writeable = False
+    return counts.reshape(-1, len(SEXES), len(ANCHOR_YEARS))
 
 
 def _check_share_sums(age_profiles: Sequence[AgeProfile]) -> None:
@@ -954,74 +953,3 @@ def _cr_quoted_line(row: Sequence[str]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow(row)
     return buf.getvalue()[:-2] + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Monthly interpolation of quinquennial stocks
-
-def _natural_cubic_second_derivs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic splines through (x, y[j]) for
-    each row j, at the three nodes ``x``.
-
-    Natural boundary conditions: second derivative zero at both ends. The
-    middle one solves the single equation of the standard tridiagonal system,
-    2(h0 + h1) m1 = 6((y2 - y1)/h1 - (y1 - y0)/h0).
-    """
-    (h0, h1), m = np.diff(x), np.zeros(y.shape)
-    m[:, 1] = 6.0 * ((y[:, 2] - y[:, 1]) / h1 - (y[:, 1] - y[:, 0]) / h0) / (2.0 * (h0 + h1))
-    return m
-
-
-def _eval_natural_cubic(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Each row's spline (nodes ``x``, values ``y``, second derivatives ``m``)
-    at the ascending ``xq``, one node interval at a time.
-
-    Within an interval the terms of a row are computed once and broadcast
-    over the interval's queries; every query takes the same operations, in
-    the same order, as one expression over all. A query that lands on a node
-    returns the node's value exactly.
-    """
-    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-    a, b = x[idx + 1] - xq, xq - x[idx]
-    a3, b3 = a**3, b**3  # shared by all rows
-    out = np.empty((len(y), len(xq)))
-    bounds = np.searchsorted(idx, np.arange(len(x))).tolist()  # each interval's queries
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        h = x[i + 1] - x[i]
-        yl, yu, ml, mu = y[:, i, None], y[:, i + 1, None], m[:, i, None], m[:, i + 1, None]
-        q = slice(lo, hi)
-        block = out[:, q]
-        np.add((ml * a3[q] + mu * b3[q]) / (6.0 * h) + (yl / h - h * ml / 6.0) * a[q],
-               (yu / h - h * mu / 6.0) * b[q], out=block)
-        block[:, b[q] == 0.0] = yl
-        block[:, a[q] == 0.0] = yu
-    return out
-
-
-def interpolate_stocks_monthly(stocks: Stocks) -> np.ndarray:
-    """Natural cubic spline through each series' three anchors, evaluated monthly.
-
-    One read-only row of the 120 window months per series of
-    :attr:`Stocks.anchors` (corridor order, then SEXES order), clamped at
-    zero; at anchor months a row equals the anchor exactly. The spline reads
-    the anchor matrix of the anchor-year check, which a loaded table ran on
-    load. All series are evaluated at once.
-    """
-    anchors = stocks.anchors[2]
-    nodes = np.array([(y - 2010) * 12.0 for y in ANCHOR_YEARS])
-    months = np.arange(WINDOW_MONTHS, dtype=float)
-    m2 = _natural_cubic_second_derivs(nodes, anchors)
-    series = np.maximum(_eval_natural_cubic(nodes, anchors, m2, months), 0.0)
-    series.flags.writeable = False
-    return series
-
-
-def stock_grid(stocks: Stocks, series: np.ndarray) -> np.ndarray:
-    """(corridors, 120 months, 2 sexes) array over ``stocks.corridors`` of the
-    monthly ``series`` of :attr:`Stocks.anchors`, placed by its index arrays; a
-    sex without a series in a corridor is 0."""
-    corridor, sex, _ = stocks.anchors
-    grid = np.zeros((len(stocks.corridors), WINDOW_MONTHS, len(SEXES)))
-    grid[corridor, :, sex] = series
-    grid.flags.writeable = False
-    return grid

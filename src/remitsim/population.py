@@ -1,10 +1,12 @@
 """Monthly corridor stocks and diaspora-level demographics.
 
-Monthly corridor stocks are distributed over ages proportionally to the
-per-sex age profiles; counts stay fractional (expected-value math is exact
-on reals, the stochastic sampler integerizes separately). The simulation
-context holds the stock grid and the shares and gives the counts.
-Demographic quantities summarize each corridor-month population pyramid.
+A natural cubic spline per corridor and sex takes the 2010/2015/2020 stock
+anchors to one (corridors, 120 months, 2 sexes) grid. Monthly stocks are
+distributed over ages proportionally to the per-sex age profiles; counts
+stay fractional (expected-value math is exact on reals, the stochastic
+sampler integerizes separately). The simulation context holds the stock
+grid and the shares and gives the counts. Demographic quantities summarize
+each corridor-month population pyramid.
 """
 from __future__ import annotations
 
@@ -12,18 +14,45 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, N_AGES, SEXES, interpolate_stocks_monthly, stock_grid
+from .dataio import Dataset, N_AGES, SEXES, Stocks
+from .months import WINDOW_MONTHS
 
 YOUNG_MAX_AGE = 24  # "young" band: ages 0..24
 PARENTING_MIN_AGE = 25  # "parenting" band: ages 25..50 inclusive
 PARENTING_MAX_AGE = 50
 
 
+def interpolate_stocks_monthly(stocks: Stocks) -> np.ndarray:
+    """The read-only (corridors, 120 months, 2 sexes) grid of monthly stocks
+    over ``stocks.corridors``: per corridor and sex, the natural cubic spline
+    through its :attr:`~remitsim.dataio.Stocks.anchors` at months 0, 60 and
+    120, clamped at zero. Months 0 and 60 hold their anchors exactly; a sex
+    without a series, whose anchors are 0, holds +0.0. The second derivative
+    is 0 at both ends and m1 = 6((y2 - y1)/h - (y1 - y0)/h) / (2(h + h)) in
+    the middle. Each interval, months 0-59 and 60-119, is written in place.
+    """
+    y, h = stocks.anchors[..., None, :], 60  # (corridors, 2 sexes, 1, 3 anchors); months apart
+    m1 = 6.0 * ((y[..., 2] - y[..., 1]) / h - (y[..., 1] - y[..., 0]) / h) / (2.0 * (h + h))
+    b = np.arange(h, dtype=float)  # months since the interval's first node
+    a = h - b
+    grid = np.empty((len(y), WINDOW_MONTHS, len(SEXES)))
+    series = grid.transpose(0, 2, 1)  # months last: the ufunc loops run along them
+    for i, (ml, mu) in enumerate([(0.0, m1), (m1, 0.0)]):
+        yl, yu = y[..., i], y[..., i + 1]
+        block = series[..., i * h:(i + 1) * h]
+        np.add((ml * a**3 + mu * b**3) / (6.0 * h) + (yl / h - h * ml / 6.0) * a,
+               (yu / h - h * mu / 6.0) * b, out=block)
+        block[..., :1] = yl  # the node month
+        np.maximum(block, 0.0, out=block)
+    grid.flags.writeable = False
+    return grid
+
+
 def build_population(dataset: Dataset) -> np.ndarray:
     """The (corridors, 120 months, 2 sexes) grid of interpolated monthly stocks
     of ``dataset.corridors``. A cohort's count is its sex's stock times its age
     share: :meth:`remitsim.engine.SimulationContext.cohort_counts`."""
-    return stock_grid(dataset.stocks, interpolate_stocks_monthly(dataset.stocks))
+    return interpolate_stocks_monthly(dataset.stocks)
 
 
 def _sym_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,6 +38,9 @@ class RunConfig:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.starts < 1 or self.max_iter < 0:
             raise ValueError("starts must be >= 1, max_iter >= 0")
+        for key, value in (("seed", self.seed), ("split_seed", self.split_seed)):
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if self.bootstrap_reps < 0:
             raise ValueError(f"bootstrap_reps must be >= 0, got {self.bootstrap_reps}")
         if self.band_draws != 0 and self.band_draws < MIN_BAND_SAMPLES:

@@ -14,10 +14,10 @@ import oracles
 from remitsim import behavior, fixtures
 from remitsim.behavior import BehaviorParams
 from remitsim.dataio import (PANEL_YEARS, SEXES, Dataset, FlowObservation, Panel, Stocks,
-                             interpolate_stocks_monthly, load_dataset)
+                             load_dataset)
 from remitsim.engine import SimulationContext
 from remitsim.months import year_of
-from remitsim.population import build_population
+from remitsim.population import build_population, interpolate_stocks_monthly
 
 # Under HYPOTHESIS_PROFILE=ci the properties draw the same examples on every
 # run and print the blob that replays a failure, so a CI failure reproduces.
@@ -137,12 +137,13 @@ def brute_force_flow(dataset: Dataset, params: BehaviorParams, origin: str, dest
 
 
 def monthly_by_key(stocks) -> dict[tuple[str, str, str], np.ndarray]:
-    """The rows of ``interpolate_stocks_monthly(stocks)``, a Stocks table or a
-    sequence of records, by (origin, destination, sex)."""
+    """The monthly series of ``interpolate_stocks_monthly(stocks)``, a Stocks
+    table or a sequence of records, by (origin, destination, sex), at each
+    series present, in corridor order and then SEXES order."""
     table = stocks if isinstance(stocks, Stocks) else Stocks.from_columns(*zip(*stocks))
-    corridor, sex, _ = table.anchors
-    keys = [(*table.corridors[c], SEXES[s]) for c, s in zip(corridor.tolist(), sex.tolist())]
-    return dict(zip(keys, interpolate_stocks_monthly(table)))
+    grid = interpolate_stocks_monthly(table)
+    present = sorted(set(zip(table._corridor_keys[1].tolist(), table.sex.tolist())))
+    return {(*table.corridors[c], SEXES[s]): grid[c, :, s] for c, s in present}
 
 
 def aligned(mapping: Mapping[tuple[str, str, int], float], panel: Panel) -> np.ndarray:

@@ -478,6 +478,39 @@ def test_too_few_band_draws_exit_2_before_any_output(fixture_dir, tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ("--seed", -1)), ("counterfactual", ("--seed", -1)),
+    ("calibrate", ("--seed", -1)), ("calibrate", ("--split-seed", -1))])
+def test_negative_seed_exits_2_before_any_output(fixture_dir, tmp_path, capsys, command, flags):
+    """A seed below 0 is a configuration error, raised before the command
+    reads an input or writes an output, and the message names the key."""
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    out = tmp_path / "out"
+    window = ["--start", "2016-01", "--end", "2016-02"]
+    extra = ["--params", params, *window] if command != "calibrate" else ["--starts", 1]
+    assert run(command, "--data-dir", fixture_dir, "--output-dir", out, *flags, *extra) == 2
+    key = flags[0].removeprefix("--").replace("-", "_")
+    assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_attribute_convention_flag_is_the_echoed_attribution(fixture_dir, tmp_path):
+    """``--convention`` overrides the config file's ``attribution``: the
+    manifest echoes the convention that ran."""
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    config = tmp_path / "run.config"
+    config.write_text("attribution = only_hazard\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("attribute", "--config", config, "--data-dir", fixture_dir, "--output-dir", out,
+               "--params", params, "--start", "2012-01", "--end", "2012-06",
+               "--convention", "leave_one_out") == 0
+    assert json.loads((out / "attribution.json").read_text())["convention"] == "leave_one_out"
+    manifest = json.loads((out / "manifest-attribute.json").read_text())
+    assert manifest["config"]["attribution"] == "leave_one_out"
+
+
 def test_zero_band_draws_skip_bands(fixture_dir, tmp_path):
     params = tmp_path / "calibration.json"
     params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")

@@ -18,9 +18,10 @@ from remitsim.dataio import (AFFECTED_SANITY_FACTOR, ANCHOR_YEARS, GLOBAL_SURPLU
                              INCOME_GROUPS, MAX_AGE, N_AGES, PANEL_YEARS, SEXES, AgeProfile,
                              CountryEconomics, DataValidationError, Dataset, DisasterEvent,
                              FlowObservation, MigrantStockRecord, Stocks, SurplusProfile,
-                             interpolate_stocks_monthly, load_dataset, write_dataset)
+                             load_dataset, write_dataset)
 from remitsim.engine import SimulationContext
 from remitsim.months import WINDOW_MONTHS, month_index, year_of
+from remitsim.population import interpolate_stocks_monthly
 
 from conftest import monthly_by_key, small_csv_texts, write_csv_dir
 
@@ -300,11 +301,43 @@ def test_anchor_check_runs_on_records_given_to_a_dataset(small_dataset):
 
 
 def test_queries_on_nodes_return_the_anchors():
-    """Also the last node, which no window month reaches."""
-    nodes = np.array([0.0, 60.0, 120.0])
+    """Months 0 and 60 hold the 2010 and 2015 anchors exactly."""
     anchors = np.array([[1.0, 2.0, 3.0], [0.1, 7e5, 0.3], [0.0, 0.0, 0.0]])
-    m2 = dataio._natural_cubic_second_derivs(nodes, anchors)
-    assert np.array_equal(dataio._eval_natural_cubic(nodes, anchors, m2, nodes), anchors)
+    records = [MigrantStockRecord("AAA", f"B{i}", "male", year, value)
+               for i, row in enumerate(anchors.tolist()) for year, value in zip(ANCHOR_YEARS, row)]
+    grid = interpolate_stocks_monthly(Stocks.from_columns(*zip(*records)))
+    assert np.array_equal(grid[:, [0, 60], SEXES.index("male")], anchors[:, :2])
+
+
+def test_a_sex_without_a_series_holds_positive_zero():
+    """The anchors of a missing series are 0, and its spline is +0.0 bit for
+    bit, also beside a series that dips below zero before the clamp."""
+    for anchors in ((1e6, 1e3, 1e6), (0.0, 0.0, 1200.0)):
+        stocks = Stocks.from_columns(*zip(*_records(*anchors)))
+        male, female = SEXES.index("male"), SEXES.index("female")
+        assert np.array_equal(stocks.anchors[0, male], anchors)
+        assert np.array_equal(stocks.anchors[0, female], np.zeros(3))
+        column = interpolate_stocks_monthly(stocks)[0, :, female]
+        assert column.shape == (WINDOW_MONTHS,)
+        assert not np.signbit(column).any() and (column == 0.0).all()
+
+
+def test_anchor_error_names_the_first_short_series_by_sex_name(small_dataset):
+    """Within a corridor, "female" sorts before "male"."""
+    dropped = {("CCC", "male", 2015), ("CCC", "female", 2010), ("BBB", "female", 2020)}
+    stocks = [r for r in small_dataset.stocks
+              if (r.destination, r.sex, r.anchor_year) not in dropped]
+    with pytest.raises(DataValidationError,
+                       match=r"^stocks\.csv: corridor AAA->BBB sex female missing anchor year\(s\) \[2020\]$"):
+        Stocks.from_columns(*zip(*stocks)).anchors
+    stocks = [r for r in stocks if r.destination != "BBB"]
+    with pytest.raises(DataValidationError,
+                       match=r"^stocks\.csv: corridor AAA->CCC sex female missing anchor year\(s\) \[2010\]$"):
+        Stocks.from_columns(*zip(*stocks)).anchors
+    # a series whose rows are all of other years has none of the anchors
+    stocks = [MigrantStockRecord("AAA", "DDD", "male", 2012, 5.0)]
+    with pytest.raises(DataValidationError, match=r"AAA->DDD sex male .* \[2010, 2015, 2020\]$"):
+        Stocks.from_columns(*zip(*stocks)).anchors
 
 
 @settings(max_examples=60, deadline=None)

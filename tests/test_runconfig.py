@@ -77,6 +77,14 @@ def test_band_draws_are_zero_or_enough_for_a_band():
             RunConfig(band_draws=draws)
 
 
+def test_seeds_are_non_negative():
+    assert RunConfig(seed=0, split_seed=0).effective_split_seed == 0
+    assert RunConfig(split_seed=None).effective_split_seed == 0
+    for key in ("seed", "split_seed"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
+            RunConfig(**{key: -1})
+
+
 def test_write_read_round_trip(tmp_path: Path):
     config = build_config(None, seed=7, start=24, end=59, split_fraction=0.7,
                           delta_gdp_clamp=True, starts=3)

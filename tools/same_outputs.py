@@ -7,7 +7,9 @@ Writes the desk fixture (seed 7), the benchmark's scale inputs
 fixture (seed 7, 2 % panel noise) into ``WORK_DIR/inputs`` once. Then runs
 every command on the desk and scale datasets, a bootstrapped ``calibrate``
 on the noisy one, and ``simulate`` and ``counterfactual`` over 2016 on the
-desk (12-month bands, into ``desk-year``), first with ``BASE_SRC``
+desk (12-month bands, into ``desk-year``) and ``attribute`` under the
+leave-one-out convention on the desk (into ``desk-loo``, selected by a line
+of its own ``run.config``), first with ``BASE_SRC``
 (the ``src`` directory of another checkout) and then with this checkout's
 ``src``, each into ``WORK_DIR/out``, and moves each tree's outputs aside. The
 runs use the same paths because the manifests echo them. Exits 1 if
@@ -46,9 +48,14 @@ COMMANDS = {
     # the bands of a whole year, whose all-months and per-year sums add 12 months
     "desk-year": [("simulate", "--start", "2016-01", "--end", "2016-12"),
                   ("counterfactual", "--start", "2016-01", "--end", "2016-12")],
+    "desk-loo": [("attribute",)],
 }
 # the datasets whose runs read another one's inputs
-INPUTS = {"desk-year": "desk"}
+INPUTS = {"desk-year": "desk", "desk-loo": "desk"}
+# the lines a dataset adds to the run.config of the inputs it reads, into
+# WORK_DIR/inputs/<dataset>/run.config; a config line, not a flag, so that
+# every tree echoes the same attribution in its manifest
+CONFIG_LINES = {"desk-loo": "attribution = leave_one_out\n"}
 
 
 def make_inputs(inputs: Path) -> None:
@@ -59,6 +66,10 @@ def make_inputs(inputs: Path) -> None:
     make("scale", 1, inputs / "scale")
     remitsim(["fixtures", "generate", "--data-dir", str(inputs / "noisy-desk"), "--seed", "7",
               "--noise", "0.02"])
+    for name, lines in CONFIG_LINES.items():
+        (inputs / name).mkdir()
+        base = (inputs / INPUTS[name] / "run.config").read_text(encoding="utf-8")
+        (inputs / name / "run.config").write_text(base + lines, encoding="utf-8")
 
 
 def run_all(src: Path, inputs: Path, out: Path) -> None:
@@ -68,7 +79,8 @@ def run_all(src: Path, inputs: Path, out: Path) -> None:
                          "--seed", "7"])]
     for name, commands in COMMANDS.items():
         data = inputs / INPUTS.get(name, name)
-        common = ["--config", str(data / "run.config"), "--data-dir", str(data),
+        config = (inputs / name if name in CONFIG_LINES else data) / "run.config"
+        common = ["--config", str(config), "--data-dir", str(data),
                   "--output-dir", str(out / name), "--seed", SEED]
         params = ["--params", str(data / "reference" / "calibration.json")]
         runs += [(name, [cmd, *common, *(params if cmd in NEEDS_PARAMS else []), *rest])
