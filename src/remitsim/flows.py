@@ -8,6 +8,15 @@ distributionally identical to per-individual draws, because all members of
 one age's two cohorts share one probability. Percentile bands summarize the
 sampled totals.
 
+The induced flows are drawn from the coupling that the logit itself defines.
+An individual sends when score + eps > 0, with eps logistic, and disasters
+move the score, not eps. So the senders whose decision the disasters change
+are those whose eps lies between the two thresholds: per age, Bin(n,
+|p_f - p_c|) of them, all gained where p_f > p_c and all lost where p_f <
+p_c (the monotone coupling; Lindvall, *Lectures on the Coupling Method*,
+1992). :func:`sample_induced_totals` draws that one signed binomial per age
+and changed corridor-month, not a factual and a no-disaster draw to subtract.
+
 Each age's ``draws`` variates are drawn as a histogram, not one by one.
 numpy's multinomial draws the histogram of the ``draws`` values over a table
 of the age's pmf; the histogram is expanded into its values, and the row is
@@ -83,8 +92,9 @@ def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.
     """Independent, explicitly derived stream per corridor-month.
 
     A month's draws depend on neither the report window nor the order in
-    which corridor-months are sampled. Factual/counterfactual pairs that
-    share the root seed consume identical streams (common random numbers).
+    which corridor-months are sampled. Two event sets sampled under one root
+    seed draw each corridor-month from the same stream (common random
+    numbers); the induced sampler seeds each changed corridor-month once.
     """
     return np.random.SeedSequence((int(root_seed), int(corridor_index), int(month)))
 
@@ -137,28 +147,38 @@ def _binomial_rows(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
     return rng.permuted(rows, axis=1, out=rows)
 
 
+def _cell_senders(ctx: SimulationContext, c: int, month: int, p: np.ndarray, seed: int,
+                  draws: int) -> np.ndarray:
+    """Senders of corridor ``c`` in ``month``, one sum per draw: each age with a
+    positive count n and ``p`` != 0 adds Bin(n, |p|) senders with the sign of p,
+    drawn ``AGE_BLOCK`` ages at a time on the cell's own stream."""
+    n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
+    keep = (n > 0) & (p != 0)
+    n, p = n[keep], p[keep]
+    lost = p < 0
+    rng = np.random.default_rng(corridor_seed(seed, c, month))
+    senders = np.zeros(draws, dtype=np.int64)
+    for start in range(0, n.size, AGE_BLOCK):
+        block = slice(start, start + AGE_BLOCK)
+        rows = _binomial_rows(rng, n[block], np.abs(p[block]), draws)
+        if lost[block].any():
+            np.negative(rows, out=rows, where=lost[block, None])
+        senders += rows.sum(axis=0)
+    return senders
+
+
 def _sample_cells(ctx: SimulationContext, params: BehaviorParams, cube: np.ndarray,
-                  cells: Iterable[tuple[int, int]], seed: int, draws: int,
-                  rows: np.ndarray | None = None) -> np.ndarray:
-    """Sampled flows of the (cube row, window position) ``cells``, summed per window
-    month, shape (draws, n_window_months). ``cube`` covers the window's months;
-    its row r holds corridor ``rows[r]``, or corridor r when ``rows`` is None."""
+                  cells: Iterable[tuple[int, int]], seed: int, draws: int) -> np.ndarray:
+    """Sampled flows of the (corridor, window position) ``cells``, summed per window
+    month, shape (draws, n_window_months). ``cube`` covers every corridor and the
+    window's months; a negative entry draws senders lost (:func:`_cell_senders`)."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     months = ctx.window_months
     totals = np.zeros((draws, len(months)))
-    for r, mi in cells:
-        c = r if rows is None else rows[r]
+    for c, mi in cells:
         month = months[mi]
-        n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
-        p = cube[r, mi]
-        keep = (n > 0) & (p > 0)
-        n, p = n[keep], p[keep]
-        rng = np.random.default_rng(corridor_seed(seed, c, month))
-        senders = np.zeros(draws, dtype=np.int64)
-        for start in range(0, n.size, AGE_BLOCK):
-            block = slice(start, start + AGE_BLOCK)
-            senders += _binomial_rows(rng, n[block], p[block], draws).sum(axis=0)
+        senders = _cell_senders(ctx, c, month, cube[c, mi], seed, draws)
         totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
     return totals
 
@@ -176,15 +196,23 @@ def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
 
 def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
                           active_ids: frozenset | None, seed: int, draws: int) -> np.ndarray:
-    """Sampled factual minus counterfactual (``active_ids``) totals per window month.
+    """Sampled senders who send under all events but not under ``active_ids``, less
+    those who send only under ``active_ids``, in USD per window month, shape
+    (draws, n_window_months).
 
-    Both runs draw from the same corridor-month streams (common random
-    numbers), so their draws are identical wherever the two probability rows
-    are equal; only the corridor-months where the event sets change a probability
-    are sampled. Both cubes cover only the window months of the corridors of
-    the affected blocks (:meth:`SimulationContext.affected_cells`). Equals the difference of two
-    ``sample_monthly_totals`` calls up to the order of the floating-point sums.
+    The logit is a random-utility model: an individual sends when score + eps
+    > 0, with eps logistic, and an event set moves the score, not eps. So per
+    age, the senders whose decision the events change are those whose eps
+    lies between the two thresholds: Bin(n, |p_f - p_c|) of them, with the
+    sign of p_f - p_c (the monotone coupling, Lindvall 1992). That is one
+    draw per age, from the cell's own ``corridor_seed`` stream, and only at
+    the corridor-months where the event sets change a probability; elsewhere
+    p_f = p_c and the count is 0. Both probability cubes cover only the
+    window months of the corridors of the affected blocks
+    (:meth:`SimulationContext.affected_cells`).
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     blocks = ctx.affected_cells(None, active_ids)
     # the rows, ascending, by bincount (not np.unique: see dataio._present)
     rows = np.flatnonzero(np.bincount(np.concatenate([np.array([], dtype=np.intp),
@@ -192,6 +220,10 @@ def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
     at = rows, ctx.window
     factual = ctx.probability_cube(params, None, at)
     counter = ctx.probability_cube(params, active_ids, at)
-    cells = np.argwhere((factual != counter).any(axis=2))
-    return (_sample_cells(ctx, params, factual, cells, seed, draws, rows)
-            - _sample_cells(ctx, params, counter, cells, seed, draws, rows))
+    months = ctx.window_months
+    totals = np.zeros((draws, len(months)))
+    for r, mi in np.argwhere((factual != counter).any(axis=2)):
+        c, month = rows[r], months[mi]
+        senders = _cell_senders(ctx, c, month, factual[r, mi] - counter[r, mi], seed, draws)
+        totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
+    return totals

@@ -7,14 +7,15 @@ arrays in ``remitsim.engine``, ``dataio``, ``calibration``, ``baseline`` and
 This module never imports the engine, flows or scenarios modules, so it
 cannot reuse the code it checks.
 
-The last two sections take a ``SimulationContext`` and reuse its
+The last three sections take a ``SimulationContext`` and reuse its
 covariates. The whole-group kernel computes each destination group's
 logistic in one expression over all its cells and sums it over ages in one
 left-to-right pass; it checks the block kernel's bits, not the flow model.
 The scenario references evaluate every corridor-month of each event set
 through the context and return the fields of the scenario results as dicts.
 They check the scenarios' locality (evaluating only the affected cells), not
-the flow model.
+the flow model. The induced senders drawn one individual at a time check the
+induced sampler's distribution against the decision rule itself.
 """
 from __future__ import annotations
 
@@ -640,10 +641,36 @@ def full_grid_event_attribution(ctx, params: BehaviorParams, event_id: str) -> d
 
 def full_grid_induced_totals(ctx, params: BehaviorParams, active_ids: frozenset | None,
                              seed: int, draws: int, sample_cells) -> np.ndarray:
-    """``flows.sample_induced_totals`` from two probability cubes over all corridors;
-    ``sample_cells`` is the cell sampler, ``flows._sample_cells``."""
+    """``flows.sample_induced_totals`` from two probability cubes over all corridors:
+    the cell sampler ``sample_cells`` (``flows._sample_cells``) draws the signed
+    coupling from their difference at every corridor-month where they differ."""
     factual = ctx.probability_cube(params, None)[:, ctx.window]
     counter = ctx.probability_cube(params, active_ids)[:, ctx.window]
     cells = np.argwhere((factual != counter).any(axis=2))
-    return (sample_cells(ctx, params, factual, cells, seed, draws)
-            - sample_cells(ctx, params, counter, cells, seed, draws))
+    return sample_cells(ctx, params, factual - counter, cells, seed, draws)
+
+
+# ---------------------------------------------------------------------------
+# The induced senders one individual at a time
+
+def individual_induced_totals(ctx, params: BehaviorParams, active_ids: frozenset | None,
+                              seed: int, draws: int) -> np.ndarray:
+    """Induced flows per window month, shape (draws, n_window_months), drawn one
+    individual at a time: each of an age's n individuals (each sex's count
+    rounded half-to-even) draws one uniform u per draw, sends under all events
+    if u < p_f and without the events outside ``active_ids`` if u < p_c, and
+    adds the difference of the two decisions, times rho and the monthly income."""
+    factual = ctx.probability_cube(params, None)[:, ctx.window]
+    counter = ctx.probability_cube(params, active_ids)[:, ctx.window]
+    rng = np.random.default_rng(seed)
+    totals = np.zeros((draws, len(ctx.window_months)))
+    for c, mi in np.argwhere((factual != counter).any(axis=2)):
+        month = ctx.window_months[mi]
+        n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)
+        senders = np.zeros(draws)
+        for age in np.flatnonzero(n):
+            u = rng.random((draws, n[age]))
+            senders += ((u < factual[c, mi, age]).sum(axis=1)
+                        - (u < counter[c, mi, age]).sum(axis=1))
+        totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
+    return totals

@@ -1,11 +1,14 @@
-"""Expected flows, the binomial sampler, its histogram draw, and percentile bands."""
+"""Expected flows, the binomial sampler, its histogram draw, the induced
+coupling, and percentile bands."""
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import expected_flow, sample_flows
 from remitsim import flows as flows_module
 from remitsim import reports
@@ -359,22 +362,138 @@ def test_corridor_seed_stability():
 
 
 # ---------------------------------------------------------------------------
-# Merged cohorts and event-cell induced sampling
+# Merged cohorts and the induced coupling, drawn at the event cells
 
 BANDS_WINDOW = (month_index("2016-07"), month_index("2016-12"))
 
 
-def test_induced_totals_equal_difference_of_full_runs(desk_dataset):
+def _coupling_moments(ctx, params, active_ids):
+    """The exact mean and variance of the induced window total under the
+    coupling: sum n dp w and sum n |dp| (1 - |dp|) w^2 over every corridor-month
+    and age, with n the integerized count, dp = p_f - p_c and w = rho x the
+    monthly income."""
+    factual = ctx.probability_cube(params, None)[:, ctx.window]
+    counter = ctx.probability_cube(params, active_ids)[:, ctx.window]
+    mean = var = 0.0
+    for c in range(ctx.n_corridors):
+        for mi, month in enumerate(ctx.window_months):
+            n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0)
+            dp = factual[c, mi] - counter[c, mi]
+            w = params.rho * float(ctx.monthly_income[c, month])
+            mean += float((n * dp).sum()) * w
+            var += float((n * np.abs(dp) * (1.0 - np.abs(dp))).sum()) * w * w
+    return mean, var
+
+
+def _desk_induced(desk_dataset, seed: int, draws: int):
     ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
-    draws = 1000
-    factual = sample_monthly_totals(ctx, PARAMS, None, 11, draws)
-    counter = sample_monthly_totals(ctx, PARAMS, scenario_none(), 11, draws)
-    induced = sample_induced_totals(ctx, PARAMS, scenario_none(), 11, draws)
+    return ctx, sample_induced_totals(ctx, PARAMS, scenario_none(), seed, draws)
+
+
+def test_induced_mean_within_clt_bound_of_the_coupling(desk_dataset):
+    """The induced window total's mean over 4,000 draws lies within 4 standard
+    errors of sum n dp w, the mean of the coupling: the senders whose decision
+    the disasters change, n |dp| per age, gained where dp > 0 and lost where
+    dp < 0."""
+    draws = 4000
+    ctx, induced = _desk_induced(desk_dataset, 11, draws)
     assert induced.shape == (draws, 6)
-    assert np.any(induced != 0.0)
-    # the full runs cancel in their sums over corridors, so their difference
-    # is exact only to the rounding of the factual totals it is taken from
-    assert np.all(np.abs(induced - (factual - counter)) <= 1e-12 * np.abs(factual))
+    mean, var = _coupling_moments(ctx, PARAMS, scenario_none())
+    window = induced.sum(axis=1)
+    assert abs(window.mean() - mean) <= 4 * np.sqrt(var / draws)
+
+
+def test_induced_variance_matches_the_coupling_formula(desk_dataset):
+    """The induced window total's variance over 4,000 draws is within 10 % of
+    sum n |dp| (1 - |dp|) w^2, the variance of independent Bin(n, |dp|) per age.
+    A sample variance of 4,000 near-normal draws has a relative standard error
+    of sqrt(2 / 3999) = 0.022, so 10 % is 4.5 of them."""
+    ctx, induced = _desk_induced(desk_dataset, 12, 4000)
+    _, var = _coupling_moments(ctx, PARAMS, scenario_none())
+    assert induced.sum(axis=1).var() == pytest.approx(var, rel=0.10)
+
+
+# strong, two-signed disaster effects on the small fixture, with sending
+# probabilities near 0.5: dp runs from -0.12 to 0.27 over its event block
+STRONG = dataclasses.replace(PARAMS, alpha=-4.0, height=5.0, shape=10.0)
+
+
+def test_induced_totals_match_the_per_individual_oracle(small_dataset):
+    """The sampler and a per-individual draw (one uniform per individual, tested
+    against both thresholds) give the same induced window total in distribution
+    over the event's 12-month block, 4,000 draws each: their means lie within 4
+    standard errors of each other and of sum n dp w; their variances within 15 %
+    of each other (a ratio of two independent sample variances of 4,000
+    near-normal draws has a standard error of 0.032) and 10 % of the formula."""
+    ctx = SimulationContext(small_dataset, start=26, end=37)
+    draws = 4000
+    sampled = sample_induced_totals(ctx, STRONG, scenario_none(), 21, draws).sum(axis=1)
+    individual = oracles.individual_induced_totals(ctx, STRONG, scenario_none(), 22,
+                                                   draws).sum(axis=1)
+    mean, var = _coupling_moments(ctx, STRONG, scenario_none())
+    assert abs(sampled.mean() - individual.mean()) <= 4 * np.sqrt(2 * var / draws)
+    for totals in (sampled, individual):
+        assert abs(totals.mean() - mean) <= 4 * np.sqrt(var / draws)
+        assert totals.var() == pytest.approx(var, rel=0.10)
+    assert sampled.var() / individual.var() == pytest.approx(1.0, abs=0.15)
+
+
+def _patched_induced(small_dataset, monkeypatch, counts, p_f, p_c, seed, draws):
+    """Induced senders of one corridor-month with the (2, 101) cohort ``counts``,
+    per-age probabilities ``p_f`` under all events and ``p_c`` under none: the
+    first affected row differs, every other row has ``p_c`` in both cubes."""
+    month = 30
+    ctx = SimulationContext(small_dataset, start=month, end=month)
+    monkeypatch.setattr(ctx, "cohort_counts", lambda c, m: counts)
+
+    def cube(params, active_ids=None, at=None):
+        probs = np.tile(p_c, (len(at[0]), 1, 1))
+        if active_ids is None:
+            probs[0, 0] = p_f
+        return probs
+
+    monkeypatch.setattr(ctx, "probability_cube", cube)
+    totals = sample_induced_totals(ctx, PARAMS, scenario_none(), seed, draws)[:, 0]
+    c = ctx.affected_cells(None, scenario_none())[0][0][0]
+    return totals / (PARAMS.rho * float(ctx.monthly_income[c, month]))
+
+
+def test_induced_certain_ages_give_exactly_their_counts(small_dataset, monkeypatch):
+    """An age with p_f = 1 and p_c = 0 gains all its n senders in every draw (its
+    table is flipped: n - Bin(n, 0)), and one with p_f = 0 and p_c = 1 loses all
+    of them."""
+    counts = np.zeros((2, N_AGES))
+    counts[:, 30] = 3.0, 4.0
+    counts[:, 50] = 2.0, 0.0
+    p_f, p_c = np.zeros(N_AGES), np.zeros(N_AGES)
+    p_f[30] = p_c[50] = 1.0
+    senders = _patched_induced(small_dataset, monkeypatch, counts, p_f, p_c, 3, 1000)
+    assert np.abs(senders - (7 - 2)).max() <= 1e-9
+
+
+def test_induced_mixed_signs_follow_the_coupling(small_dataset, monkeypatch):
+    """Ages that gain senders and ages that lose them, 20,000 draws of one
+    corridor-month: every draw lies between minus the losing ages' counts and
+    the gaining ages' counts, the mean lies within 4 standard errors of sum n
+    dp, and the variance is within 5 % of sum n |dp| (1 - |dp|) (a relative
+    standard error of sqrt(2 / 19999) = 0.01)."""
+    rng = np.random.default_rng(4)
+    counts = np.zeros((2, N_AGES))
+    counts[:, 20:60] = np.rint(rng.uniform(10, 300, size=(2, 40)))
+    p_c = np.zeros(N_AGES)
+    p_c[20:60] = rng.uniform(0.05, 0.95, size=40)
+    p_f = p_c.copy()
+    p_f[20:60] = np.clip(p_c[20:60] + rng.uniform(-0.3, 0.3, size=40), 0.0, 1.0)
+    draws = 20_000
+    senders = np.rint(_patched_induced(small_dataset, monkeypatch, counts, p_f, p_c, 8,
+                                       draws))
+    n = counts.sum(axis=0)
+    dp = p_f - p_c
+    assert (dp > 0).sum() > 10 and (dp < 0).sum() > 10
+    assert senders.min() >= -n[dp < 0].sum() and senders.max() <= n[dp > 0].sum()
+    var = float((n * np.abs(dp) * (1 - np.abs(dp))).sum())
+    assert abs(senders.mean() - float((n * dp).sum())) <= 4 * np.sqrt(var / draws)
+    assert senders.var() == pytest.approx(var, rel=0.05)
 
 
 def test_merged_ages_round_each_sex_half_to_even(small_dataset, monkeypatch):
@@ -415,7 +534,35 @@ def test_induced_sampling_stays_in_event_blocks(desk_dataset, monkeypatch):
               for k in range(12)}
     assert seeded  # events act inside this window
     assert set(seeded) <= blocks
-    assert len(seeded) == 2 * len(set(seeded))  # each cell once per run
+    assert len(seeded) == len(set(seeded))  # each cell seeded once
+
+
+def test_induced_month_does_not_depend_on_the_window(desk_dataset):
+    """A month's induced draws are the same bytes under two report windows
+    that both contain it: each cell draws from its own stream."""
+    late = SimulationContext(desk_dataset, start=month_index("2016-07"),
+                             end=month_index("2016-12"))
+    early = SimulationContext(desk_dataset, start=month_index("2016-01"),
+                              end=month_index("2016-09"))
+    # 2016-07 .. 2016-09 in each window
+    a = sample_induced_totals(late, PARAMS, scenario_none(), 5, 200)[:, :3]
+    b = sample_induced_totals(early, PARAMS, scenario_none(), 5, 200)[:, 6:]
+    assert np.any(a != 0.0)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_induced_memory_stays_under_a_mebibyte(desk_dataset):
+    """Sampling the induced totals of the desk fixture's band window (1,000
+    draws) allocates at most 1 MiB at its peak, cubes included: they cover only
+    the affected rows, and the ages are drawn AGE_BLOCK at a time."""
+    ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
+    tracemalloc.start()
+    try:
+        sample_induced_totals(ctx, PARAMS, scenario_none(), 1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
