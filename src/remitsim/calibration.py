@@ -69,11 +69,11 @@ class PanelSlice(NamedTuple):
     month_idx: np.ndarray
     amounts: np.ndarray
     n_excluded: int
-    excluded: tuple[tuple[str, str], ...]  # sample of unmodeled corridors
 
 
-def split_panel(panel: Panel, fraction: float = 0.8, seed: int = 0) -> Panel:
-    """Tag observations train/test by uniform random assignment.
+def split_panel(panel: Panel, fraction: float = 0.8, seed: int = 0) -> tuple[Panel, Panel]:
+    """The (train, test) halves of the panel by uniform random assignment,
+    each in panel order.
 
     The train share is round(n * fraction), so proportions are within one
     observation of the requested fraction. Deterministic per seed.
@@ -83,40 +83,34 @@ def split_panel(panel: Panel, fraction: float = 0.8, seed: int = 0) -> Panel:
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     n = len(panel)
-    n_train = int(round(n * fraction))
-    perm = np.random.default_rng(seed).permutation(n)
-    tags = np.full(n, "test", dtype=object)
-    tags[perm[:n_train]] = "train"
-    return panel.replace(split_tag=tags)
+    train = np.zeros(n, dtype=bool)
+    train[np.random.default_rng(seed).permutation(n)[:int(round(n * fraction))]] = True
+    return panel[train], panel[~train]
 
 
 def align_panel(panel: Panel, ctx: SimulationContext) -> PanelSlice:
     """Map observations onto context indices.
 
     Observations of unmodeled corridors and observations outside the
-    context window are excluded; each kind is warned about with its count.
-    ``excluded`` samples the unmodeled corridors, ``n_excluded`` counts both.
+    context window are excluded; each kind is warned about with its count,
+    and ``n_excluded`` counts both.
     """
     corridor = panel.corridor_index(ctx.corridors)
     unmodeled = np.flatnonzero(corridor < 0)
     in_window = (corridor >= 0) & (panel.month >= ctx.start) & (panel.month <= ctx.end)
     out_of_window = len(panel) - len(unmodeled) - int(np.count_nonzero(in_window))
 
-    def corridors_of(rows: np.ndarray) -> list[tuple[str, str]]:
-        return list(zip(map(panel.codes.__getitem__, panel.recipient[rows].tolist()),
-                        map(panel.codes.__getitem__, panel.sender[rows].tolist())))
-
-    # the first observation of each unmodeled corridor, in panel order
-    keys = panel.recipient[unmodeled] * len(panel.codes) + panel.sender[unmodeled]
-    firsts = unmodeled[np.sort(np.unique(keys, return_index=True)[1])]
     if len(unmodeled):
+        first = unmodeled[:3]
+        sample = list(zip(map(panel.codes.__getitem__, panel.recipient[first].tolist()),
+                          map(panel.codes.__getitem__, panel.sender[first].tolist())))
         log.warning("excluded %d panel observation(s) without modeled population, e.g. %s",
-                    len(unmodeled), corridors_of(unmodeled[:3]))
+                    len(unmodeled), sample)
     if out_of_window:
         log.warning("excluded %d panel observation(s) outside the window %s..%s",
                     out_of_window, month_label(ctx.start), month_label(ctx.end))
     return PanelSlice(corridor[in_window], panel.month[in_window], panel.amount_usd[in_window],
-                      len(unmodeled) + out_of_window, tuple(corridors_of(firsts[:10])))
+                      len(unmodeled) + out_of_window)
 
 
 def loss(params: BehaviorParams, panel: Panel, ctx: SimulationContext) -> float:
@@ -351,27 +345,23 @@ def _fit(ctx: SimulationContext, aligned: PanelSlice, x0: np.ndarray, max_iter: 
         x0, max_iter=max_iter, tol=tol)
 
 
-def calibrate(ctx: SimulationContext, panel: Panel,
+def calibrate(ctx: SimulationContext, train: PanelSlice, test: PanelSlice,
               config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
-    """Fit the nine parameters to the train split; report held-out R^2.
+    """Fit the nine parameters to the train half; report held-out R^2 on the test half.
 
-    ``panel`` must carry train/test tags from :func:`split_panel`. The best
-    of ``config.starts`` optimizer runs wins; a start whose loss turns
-    non-finite is dropped, and calibration fails only if every start does.
+    Both halves come from :func:`split_panel`, each aligned to ``ctx`` by
+    :func:`align_panel`. The best of ``config.starts`` optimizer runs wins; a
+    start whose loss turns non-finite is dropped, and calibration fails only
+    if every start does.
     """
-    train = panel.split_tag == "train"
-    if not train.any():
-        raise CalibrationError("no observations tagged 'train'; run split_panel first")
-    aligned_train = align_panel(panel[train], ctx)
-    aligned_test = align_panel(panel[panel.split_tag == "test"], ctx)
-    if aligned_train.amounts.size == 0:
+    if train.amounts.size == 0:
         raise CalibrationError("no train observation matches a modeled corridor")
 
     starts = _start_points(config)
     usable = []
     for x0 in starts:
         try:
-            usable.append(_fit(ctx, aligned_train, x0, config.max_iter, config.tol))
+            usable.append(_fit(ctx, train, x0, config.max_iter, config.tol))
         except FloatingPointError as exc:
             log.warning("optimizer start diverged: %s", exc)
     if not usable:
@@ -383,9 +373,9 @@ def calibrate(ctx: SimulationContext, panel: Panel,
               else _canonical_kernel(unpack(best.x)))
 
     test_r2 = None
-    if aligned_test.amounts.size >= 2 and aligned_test.amounts.std() > 0:
-        sse = _sse(ctx, aligned_test, params)
-        sst = float(((aligned_test.amounts - aligned_test.amounts.mean()) ** 2).sum())
+    if test.amounts.size >= 2 and test.amounts.std() > 0:
+        sse = _sse(ctx, test, params)
+        sst = float(((test.amounts - test.amounts.mean()) ** 2).sum())
         test_r2 = 1.0 - sse / sst
 
     return CalibrationResult(
@@ -393,18 +383,18 @@ def calibrate(ctx: SimulationContext, panel: Panel,
         iterations=best.iterations, converged=best.converged, stop_reason=best.stop_reason,
         loss_evals=best.loss_evals, jacobian_evals=best.jacobian_evals,
         grad_norm=best.grad_norm, loss_history=best.history,
-        n_train=aligned_train.amounts.size, n_test=aligned_test.amounts.size,
-        n_excluded=aligned_train.n_excluded + aligned_test.n_excluded,
+        n_train=train.amounts.size, n_test=test.amounts.size,
+        n_excluded=train.n_excluded + test.n_excluded,
         start_losses=[r.fx for r in usable])
 
 
-def param_confidence(result: CalibrationResult, panel: Panel, ctx: SimulationContext,
+def param_confidence(result: CalibrationResult, train: PanelSlice, ctx: SimulationContext,
                      replicates: int = 200, *,
                      seed: int = 0, max_iter: int = 60, tol: float = 1e-9,
                      replicate_start: BehaviorParams | None = None
                      ) -> dict[str, tuple[float, float]]:
-    """95% bootstrap intervals: resample train observations with replacement,
-    re-fit each replicate, take the 2.5/97.5 percentiles.
+    """95% bootstrap intervals: resample the aligned ``train`` observations
+    with replacement, re-fit each replicate, take the 2.5/97.5 percentiles.
 
     Each replicate runs Levenberg-Marquardt for at most ``max_iter``
     iterations, from the point estimate by default; pass ``replicate_start``
@@ -414,8 +404,7 @@ def param_confidence(result: CalibrationResult, panel: Panel, ctx: SimulationCon
     fits early). Diverged replicates are dropped and counted. Intervals are
     widened, if needed, to include the point estimate.
     """
-    aligned = align_panel(panel[panel.split_tag == "train"], ctx)
-    n = aligned.amounts.size
+    n = train.amounts.size
     if n == 0:
         raise CalibrationError("no train observations to bootstrap")
     x_hat = pack(result.params if replicate_start is None else replicate_start)
@@ -424,8 +413,8 @@ def param_confidence(result: CalibrationResult, panel: Panel, ctx: SimulationCon
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
         take = rng.integers(0, n, size=n)
-        resample = PanelSlice(aligned.corridor_idx[take], aligned.month_idx[take],
-                              aligned.amounts[take], 0, ())
+        resample = PanelSlice(train.corridor_idx[take], train.month_idx[take],
+                              train.amounts[take], 0)
         try:
             kept.append(unpack(_fit(ctx, resample, x_hat, max_iter, tol).x))
         except FloatingPointError:

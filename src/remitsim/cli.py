@@ -66,7 +66,10 @@ def _prepare(config: RunConfig, args) -> tuple[Dataset, SimulationContext, Behav
     path = _params_path(config, args)
     if not path.exists():
         raise ArtifactMissingError(f"calibrated parameters not found: {path}; run 'calibrate' first")
-    params = BehaviorParams(**json.loads(path.read_text(encoding="utf-8"))["params"])
+    try:
+        params = BehaviorParams(**json.loads(path.read_text(encoding="utf-8"))["params"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataValidationError(f"{path}: no valid 'params' object: {exc}") from exc
     return dataset, _context(dataset, config), params
 
 
@@ -117,23 +120,25 @@ def cmd_build_population(config: RunConfig, args) -> list[Path]:
     return [pop_path, demo_path]
 
 
-def calibrate(ctx: SimulationContext, panel, config):
+def calibrate(ctx: SimulationContext, train, test, config):
     """:func:`remitsim.calibration.calibrate`, its module imported on the first call."""
     from .calibration import calibrate
-    return calibrate(ctx, panel, config)
+    return calibrate(ctx, train, test, config)
 
 
 def cmd_calibrate(config: RunConfig, args) -> list[Path]:
-    from .calibration import CalibrationConfig, param_confidence, split_panel
+    from . import calibration
     dataset = load_dataset(config.data_dir)
     ctx = _context(dataset, config)
-    panel = split_panel(dataset.panel, config.split_fraction, config.effective_split_seed)
-    cal_config = CalibrationConfig(starts=config.starts, max_iter=config.max_iter,
-                                   tol=config.tol, seed=config.seed)
-    result = calibrate(ctx, panel, cal_config)
+    halves = calibration.split_panel(dataset.panel, config.split_fraction,
+                                     config.effective_split_seed)
+    train, test = (calibration.align_panel(half, ctx) for half in halves)
+    cal_config = calibration.CalibrationConfig(starts=config.starts, max_iter=config.max_iter,
+                                               tol=config.tol, seed=config.seed)
+    result = calibrate(ctx, train, test, cal_config)
     if config.bootstrap_reps > 0:
-        result.param_cis = param_confidence(result, panel, ctx, replicates=config.bootstrap_reps,
-                                            seed=config.seed)
+        result.param_cis = calibration.param_confidence(
+            result, train, ctx, replicates=config.bootstrap_reps, seed=config.seed, tol=config.tol)
     path = reports.write_json(Path(config.output_dir) / "calibration.json", {
         **dataclasses.asdict(result), "seed": config.seed,
         "split_seed": config.effective_split_seed, "config": config.echo()})

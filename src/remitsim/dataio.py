@@ -102,7 +102,6 @@ class FlowObservation(NamedTuple):
     recipient: str
     month: int  # month index since 2010-01
     amount_usd: float
-    split_tag: str = "unassigned"
 
 
 class _Columns:
@@ -125,11 +124,6 @@ class _Columns:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def replace(self, **columns: np.ndarray) -> _Columns:
-        """This table with the named ``columns`` replaced."""
-        return type(self)(self.codes, *(columns.get(name, getattr(self, name))
-                                        for name in self._COLUMNS))
 
     def _labels(self) -> Mapping[str, tuple[str, ...]]:
         """The label columns, each with the labels it indexes."""
@@ -177,8 +171,7 @@ class Panel(_Columns):
 
     ``sender`` and ``recipient`` index ``codes``, the sorted country codes,
     so ordering by code index orders by code. ``month`` counts months since
-    2010-01; ``split_tag`` is an object array of a few shared strings. A
-    panel is a sequence of :class:`FlowObservation` records.
+    2010-01. A panel is a sequence of :class:`FlowObservation` records.
     """
 
     codes: tuple[str, ...]
@@ -186,17 +179,15 @@ class Panel(_Columns):
     recipient: np.ndarray
     month: np.ndarray
     amount_usd: np.ndarray
-    split_tag: np.ndarray
 
     _COLUMNS = FlowObservation._fields
 
     @classmethod
     def from_columns(cls, sender: Sequence[str], recipient: Sequence[str], month: Sequence[int],
-                     amount_usd: Sequence[float], split_tag: Sequence[str] | None = None) -> Panel:
+                     amount_usd: Sequence[float]) -> Panel:
         codes = tuple(sorted(set(sender).union(recipient)))
-        tags = _unassigned(len(month)) if split_tag is None else np.array(split_tag, dtype=object)
         return cls(codes, _indices(codes, sender), _indices(codes, recipient),
-                   np.array(month, dtype=np.intp), np.array(amount_usd, dtype=float), tags)
+                   np.array(month, dtype=np.intp), np.array(amount_usd, dtype=float))
 
     def _labels(self) -> Mapping[str, tuple[str, ...]]:
         return {"sender": self.codes, "recipient": self.codes}
@@ -217,13 +208,6 @@ class Panel(_Columns):
             if origin in position and destination in position:
                 rows[position[origin], position[destination]] = row
         return rows[self.recipient, self.sender]
-
-
-def _unassigned(n: int) -> np.ndarray:
-    """``n`` "unassigned" split tags, an object array; np.full takes 15 times longer."""
-    tags = np.empty(n, dtype=object)
-    tags.fill("unassigned")
-    return tags
 
 
 class Stocks(_Columns):
@@ -864,7 +848,7 @@ def load_dataset(data_dir: str | Path) -> Dataset:
     table = _checked(data_dir / "panel.csv")
     codes = table.codes("sender", "recipient")
     panel = Panel(codes, table.indices("sender", codes), table.indices("recipient", codes),
-                  table["month"], table["amount_usd"], _unassigned(len(table["month"])))
+                  table["month"], table["amount_usd"])
 
     dataset = Dataset(economics=economics, stocks=stocks, age_profiles=age_profiles,
                       surplus_profiles=surplus_profiles, disasters=disasters, panel=panel)

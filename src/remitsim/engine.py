@@ -131,15 +131,16 @@ class SimulationContext:
             np.array([profiles[p] for p in profile_of], dtype=np.intp)[:, None], grid)
 
         # event magnitudes: affected share of the onset-year population, clamped at 1
-        self._events = []
+        self._events, clamped = [], []
         for e in dataset.disasters:
-            pop = dataset.population[(e.country, year_of(e.onset_month))]
-            magnitude = e.affected / pop
+            magnitude = e.affected / dataset.population[(e.country, year_of(e.onset_month))]
             if magnitude > 1.0:
-                log.warning("event %s: affected %s exceeds population %s; magnitude clamped to 1",
-                            e.event_id, e.affected, pop)
+                clamped.append(e.event_id)
                 magnitude = 1.0
             self._events.append((e.event_id, e.country, e.onset_month, magnitude))
+        if clamped:
+            log.warning("%d event(s) affect more than their country's population, e.g. %s; "
+                        "magnitude clamped to 1", len(clamped), clamped[:3])
         self._mag_cache: dict[frozenset | None, tuple[list[str], np.ndarray]] = {}
         self._mag_latest: dict[frozenset, tuple[list[str], np.ndarray]] = {}
 

@@ -48,7 +48,7 @@ draw: no workload has enough ages past the crossover to pay for a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,18 +167,19 @@ def _cell_senders(ctx: SimulationContext, c: int, month: int, p: np.ndarray, see
     return senders
 
 
-def _sample_cells(ctx: SimulationContext, params: BehaviorParams, cube: np.ndarray,
-                  cells: Iterable[tuple[int, int]], seed: int, draws: int) -> np.ndarray:
-    """Sampled flows of the (corridor, window position) ``cells``, summed per window
-    month, shape (draws, n_window_months). ``cube`` covers every corridor and the
-    window's months; a negative entry draws senders lost (:func:`_cell_senders`)."""
+def _sample_cells(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarray,
+                  p: np.ndarray, seed: int, draws: int) -> np.ndarray:
+    """Sampled flows of the corridors ``rows`` over the window, summed per window
+    month, shape (draws, n_window_months). ``p`` holds each age's probability per
+    corridor of ``rows`` and window month; a negative entry draws senders lost
+    (:func:`_cell_senders`). A corridor-month whose ``p`` is all 0 draws nothing."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     months = ctx.window_months
     totals = np.zeros((draws, len(months)))
-    for c, mi in cells:
-        month = months[mi]
-        senders = _cell_senders(ctx, c, month, cube[c, mi], seed, draws)
+    for r, mi in np.argwhere(p.any(axis=2)):
+        c, month = rows[r], months[mi]
+        senders = _cell_senders(ctx, c, month, p[r, mi], seed, draws)
         totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
     return totals
 
@@ -188,10 +189,11 @@ def sample_monthly_totals(ctx: SimulationContext, params: BehaviorParams,
     """Sampled global totals per window month, shape (draws, n_window_months).
 
     Each corridor-month uses its own seeded stream, so results do not depend
-    on the window or the evaluation order.
+    on the window or the evaluation order. This is the draw of
+    :func:`sample_induced_totals` against an empty counterfactual (p_c = 0).
     """
     cube = ctx.probability_cube(params, active_ids, (slice(None), ctx.window))
-    return _sample_cells(ctx, params, cube, np.ndindex(cube.shape[:2]), seed, draws)
+    return _sample_cells(ctx, params, np.arange(ctx.n_corridors), cube, seed, draws)
 
 
 def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
@@ -211,19 +213,11 @@ def sample_induced_totals(ctx: SimulationContext, params: BehaviorParams,
     window months of the corridors of the affected blocks
     (:meth:`SimulationContext.affected_cells`).
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
     blocks = ctx.affected_cells(None, active_ids)
     # the rows, ascending, by bincount (not np.unique: see dataio._present)
     rows = np.flatnonzero(np.bincount(np.concatenate([np.array([], dtype=np.intp),
                                                       *(r for r, _ in blocks)])))
     at = rows, ctx.window
-    factual = ctx.probability_cube(params, None, at)
-    counter = ctx.probability_cube(params, active_ids, at)
-    months = ctx.window_months
-    totals = np.zeros((draws, len(months)))
-    for r, mi in np.argwhere((factual != counter).any(axis=2)):
-        c, month = rows[r], months[mi]
-        senders = _cell_senders(ctx, c, month, factual[r, mi] - counter[r, mi], seed, draws)
-        totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
-    return totals
+    delta = ctx.probability_cube(params, None, at)
+    delta -= ctx.probability_cube(params, active_ids, at)
+    return _sample_cells(ctx, params, rows, delta, seed, draws)

@@ -13,6 +13,7 @@ from hypothesis import settings
 import oracles
 from remitsim import behavior, fixtures
 from remitsim.behavior import BehaviorParams
+from remitsim.calibration import PanelSlice, align_panel, split_panel
 from remitsim.dataio import (PANEL_YEARS, SEXES, Dataset, FlowObservation, Panel, Stocks,
                              load_dataset)
 from remitsim.engine import SimulationContext
@@ -166,6 +167,14 @@ def gravity_grid(gravity: Mapping[int, Mapping[tuple[str, str], float]]
 
 
 def panel_of(records: Iterable[FlowObservation]) -> Panel:
-    """A Panel of FlowObservation records, split tags included."""
+    """A Panel of FlowObservation records."""
     records = tuple(records)
     return Panel.from_columns(*(zip(*records) if records else [()] * len(Panel._COLUMNS)))
+
+
+def aligned_halves(panel: Panel, ctx: SimulationContext, fraction: float,
+                   seed: int) -> tuple[PanelSlice, PanelSlice]:
+    """The (train, test) halves of ``split_panel``, each aligned to ``ctx``, as
+    ``calibrate`` takes them."""
+    train, test = split_panel(panel, fraction, seed)
+    return align_panel(train, ctx), align_panel(test, ctx)

@@ -396,14 +396,13 @@ def panel_sse(panel: Sequence[FlowObservation], dataset: Dataset,
 
 
 def split_panel(panel: Sequence[FlowObservation], fraction: float,
-                seed: int) -> tuple[FlowObservation, ...]:
-    """``calibration.split_panel``, tagging one record at a time."""
+                seed: int) -> tuple[tuple[FlowObservation, ...], tuple[FlowObservation, ...]]:
+    """``calibration.split_panel``, assigning one record at a time."""
     n = len(panel)
     n_train = int(round(n * fraction))
-    perm = np.random.default_rng(seed).permutation(n)
-    tags = np.full(n, "test", dtype=object)
-    tags[perm[:n_train]] = "train"
-    return tuple(obs._replace(split_tag=tags[i]) for i, obs in enumerate(panel))
+    train = set(np.random.default_rng(seed).permutation(n)[:n_train].tolist())
+    return (tuple(obs for i, obs in enumerate(panel) if i in train),
+            tuple(obs for i, obs in enumerate(panel) if i not in train))
 
 
 def align_panel(panel: Sequence[FlowObservation], ctx) -> dict:
@@ -435,7 +434,7 @@ def align_panel(panel: Sequence[FlowObservation], ctx) -> dict:
                         % (out_of_window, month_label(ctx.start), month_label(ctx.end)))
     return dict(corridor_idx=np.array(c_idx, dtype=int), month_idx=np.array(m_idx, dtype=int),
                 amounts=np.array(amounts, dtype=float), n_excluded=len(unmodeled) + out_of_window,
-                excluded=tuple(dict.fromkeys(unmodeled))[:10], warnings=warnings)
+                warnings=warnings)
 
 
 def compare_models(structural: Mapping[tuple[str, str, int], float],
@@ -646,8 +645,7 @@ def full_grid_induced_totals(ctx, params: BehaviorParams, active_ids: frozenset 
     coupling from their difference at every corridor-month where they differ."""
     factual = ctx.probability_cube(params, None)[:, ctx.window]
     counter = ctx.probability_cube(params, active_ids)[:, ctx.window]
-    cells = np.argwhere((factual != counter).any(axis=2))
-    return sample_cells(ctx, params, factual - counter, cells, seed, draws)
+    return sample_cells(ctx, params, np.arange(ctx.n_corridors), factual - counter, seed, draws)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import aligned, gravity_grid, panel_of
+from conftest import aligned, aligned_halves, gravity_grid, panel_of
 from oracles import (CovariateVector, activation_capacity, expected_flow, kernel_value,
                      probability, sample_flows, theta)
 from remitsim import fixtures, scenarios
 from remitsim.baseline import annual_stocks, calibrate_gravity, compare_models, gravity_flows
 from remitsim.behavior import REFERENCE_PARAMS, BehaviorParams
-from remitsim.calibration import CalibrationConfig, calibrate, split_panel
+from remitsim.calibration import CalibrationConfig, calibrate
 from remitsim.cli import main as cli_main
 from remitsim.dataio import DisasterEvent, FlowObservation
 from remitsim.engine import SimulationContext
@@ -68,9 +68,8 @@ def test_criterion_parameter_recovery():
     dataset = fixtures.build_dataset(seed=7)
     assert len(dataset.corridors) == 50
     ctx = SimulationContext(dataset)
-    panel = split_panel(dataset.panel, 0.8, seed=11)
     config = CalibrationConfig(starts=1, max_iter=1500, tol=1e-13)
-    result = calibrate(ctx, panel, config)
+    result = calibrate(ctx, *aligned_halves(dataset.panel, ctx, 0.8, seed=11), config)
     for name in ("beta0", "beta1", "beta2", "beta3"):
         true = getattr(REFERENCE_PARAMS, name)
         got = getattr(result.params, name)
@@ -90,9 +89,8 @@ def test_criterion_heldout_fit_noisy_panel():
     """10% multiplicative noise: held-out R^2 >= 0.9."""
     dataset = fixtures.build_dataset(seed=7, noise=0.10)
     ctx = SimulationContext(dataset)
-    panel = split_panel(dataset.panel, 0.8, seed=11)
     config = CalibrationConfig(starts=1, max_iter=400, tol=1e-10)
-    result = calibrate(ctx, panel, config)
+    result = calibrate(ctx, *aligned_halves(dataset.panel, ctx, 0.8, seed=11), config)
     assert result.test_r2 >= 0.9
     _report(f"held-out fit on noisy panel (test R^2 = {result.test_r2:.4f})")
 
@@ -122,7 +120,9 @@ def test_criterion_sampler_oracle_equivalence():
 
 def _production_draws(ctx, cube, c: int, month: int, seed: int, draws: int) -> np.ndarray:
     """Sampled USD totals of one corridor-month from the production sampler."""
-    return _sample_cells(ctx, REFERENCE_PARAMS, cube, [(c, month)], seed, draws)[:, month]
+    cell = np.zeros_like(cube[:1])
+    cell[0, month] = cube[c, month]
+    return _sample_cells(ctx, REFERENCE_PARAMS, np.array([c]), cell, seed, draws)[:, month]
 
 
 def test_criterion_production_sampler_equivalence():

@@ -1,6 +1,7 @@
 """Covariates, the disaster kernel, the decision score and its logistic."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from oracles import (NEVER_REMITS, CovariateVector, activation_capacity, disaste
 from oracles import delta_gdp as oracle_delta_gdp
 from remitsim.behavior import BehaviorParams, REFERENCE_PARAMS, delta_gdp, gdp_norm
 from remitsim.dataio import DisasterEvent
+from remitsim.engine import SimulationContext
+from remitsim.months import year_of
 
 
 def _cov(surplus=1.0, family=0.0, dgdp=0.0, gnorm=0.0, score=0.0):
@@ -125,12 +128,25 @@ def test_disaster_score_additive():
     assert joint == pytest.approx(single1 + single2, rel=1e-12)
 
 
-def test_disaster_magnitude_clamped_with_warning(caplog):
+def test_disaster_magnitude_clamped_with_warning(caplog, desk_dataset):
     ev = _event(affected=5e6)  # five times the population
     with caplog.at_level("WARNING"):
         score = disaster_score([ev], month=28, population=1e6, params=REFERENCE_PARAMS)
     assert score == pytest.approx(kernel_value(1.0, 4, REFERENCE_PARAMS), rel=1e-12)
     assert any("clamped" in r.message for r in caplog.records)
+
+    # a context warns once, with the count and the first event ids
+    events = tuple(e._replace(affected=3 * desk_dataset.population[(e.country,
+                                                                    year_of(e.onset_month))])
+                   for e in desk_dataset.disasters)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        ctx = SimulationContext(dataclasses.replace(desk_dataset, disasters=events))
+    clamped = [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+    assert len(events) == 8 and len(clamped) == 1
+    assert clamped[0].startswith(f"8 event(s) affect more than their country's population, "
+                                 f"e.g. {[e.event_id for e in events[:3]]}")
+    assert [m for *_, m in ctx._events] == [1.0] * 8
 
 
 def test_disaster_score_population_error():

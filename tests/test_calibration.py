@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import panel_of
+from conftest import aligned_halves, panel_of
 from oracles import kernel_value
 from remitsim import fixtures
 from remitsim.behavior import PARAM_NAMES, REFERENCE_PARAMS, BehaviorParams
@@ -26,18 +26,17 @@ def _obs(i, amount=1.0):
 
 
 def test_split_80_20_on_ten():
-    panel = panel_of(_obs(i) for i in range(10))
-    tagged = split_panel(panel, 0.8, seed=0)
-    assert sum(o.split_tag == "train" for o in tagged) == 8
-    assert sum(o.split_tag == "test" for o in tagged) == 2
+    train, test = split_panel(panel_of(_obs(i) for i in range(10)), 0.8, seed=0)
+    assert len(train) == 8
+    assert len(test) == 2
 
 
 def test_split_half_on_thousand():
     panel = [_obs(i) for i in range(120)] + [
         FlowObservation("CCC", "AAA", i, 1.0) for i in range(120)]
-    panel = panel * 5  # not unique, but split_panel only tags
-    tagged = split_panel(panel_of(panel[:1000]), 0.5, seed=3)
-    assert sum(o.split_tag == "train" for o in tagged) == 500
+    panel = panel * 5  # not unique, but split_panel only assigns
+    train, test = split_panel(panel_of(panel[:1000]), 0.5, seed=3)
+    assert len(train) == len(test) == 500
 
 
 def test_split_deterministic_and_partition():
@@ -47,9 +46,10 @@ def test_split_deterministic_and_partition():
     assert a == b
     c = split_panel(panel, 0.8, seed=12)
     assert a != c
-    # same observations, only tags differ; train and test partition the panel
-    assert {o.month for o in a} == {o.month for o in panel}
-    assert all(o.split_tag in ("train", "test") for o in a)
+    # train and test partition the panel, each half in panel order
+    train, test = a
+    assert sorted(train.month.tolist() + test.month.tolist()) == list(range(57))
+    assert all((np.diff(half.month) > 0).all() for half in a)
 
 
 def test_split_validation():
@@ -98,15 +98,15 @@ def test_loss_excludes_unmodeled_corridors(small_dataset, caplog):
         aligned = align_panel(panel_of(panel), ctx)
     assert aligned.n_excluded == 1
     assert aligned.amounts.size == 1
-    assert ("ZZZ", "YYY") in aligned.excluded
-    assert any("excluded" in r.message for r in caplog.records)
+    assert any("excluded" in r.message and "('ZZZ', 'YYY')" in r.getMessage()
+               for r in caplog.records)
 
     # a modeled corridor observed outside the window is warned about on its own
     caplog.clear()
     with caplog.at_level("WARNING"):
         aligned = align_panel(panel_of(panel + [FlowObservation("BBB", "AAA", 40, 100.0)]),
                               SimulationContext(small_dataset, start=0, end=11))
-    assert aligned.n_excluded == 2 and aligned.excluded == (("ZZZ", "YYY"),)
+    assert aligned.n_excluded == 2
     messages = " | ".join(r.getMessage() for r in caplog.records)
     assert "excluded 1 panel observation(s) without modeled population" in messages
     assert "excluded 1 panel observation(s) outside the window 2010-01..2010-12" in messages
@@ -198,8 +198,7 @@ def test_minimize_rejects_nonfinite_start():
 
 
 def _desk_train(desk_ctx, desk_dataset):
-    panel = split_panel(desk_dataset.panel, 0.8, seed=11)
-    return align_panel(panel[panel.split_tag == "train"], desk_ctx)
+    return align_panel(split_panel(desk_dataset.panel, 0.8, seed=11)[0], desk_ctx)
 
 
 def test_stop_reason_max_iter(desk_ctx, desk_dataset):
@@ -232,8 +231,8 @@ def test_canonical_kernel_keeps_the_kernel():
 # split seed 1 lands on (shape, shift) = (-0.19, 41.02) before the kernel is made canonical
 @pytest.mark.parametrize("split_seed", [11, 1])
 def test_noiseless_desk_converges(desk_ctx, desk_dataset, split_seed):
-    panel = split_panel(desk_dataset.panel, 0.8, seed=split_seed)
-    result = calibrate(desk_ctx, panel, CalibrationConfig(starts=1, max_iter=300, tol=1e-9))
+    train, test = aligned_halves(desk_dataset.panel, desk_ctx, 0.8, seed=split_seed)
+    result = calibrate(desk_ctx, train, test, CalibrationConfig(starts=1, max_iter=300, tol=1e-9))
     assert result.converged
     assert result.stop_reason in ("ftol", "no_decrease")
     assert result.iterations < 300
@@ -246,28 +245,30 @@ def test_noiseless_desk_converges(desk_ctx, desk_dataset, split_seed):
 
 
 def test_calibrate_requires_split(small_dataset):
+    # an empty train half has nothing to fit
     ctx = SimulationContext(small_dataset)
     panel = fixtures.generate_panel(small_dataset, REFERENCE_PARAMS)
     with pytest.raises(CalibrationError, match="train"):
-        calibrate(ctx, panel, CalibrationConfig(starts=1, max_iter=1))
+        calibrate(ctx, align_panel(panel[:0], ctx), align_panel(panel, ctx),
+                  CalibrationConfig(starts=1, max_iter=1))
 
 
 def test_calibrate_fails_without_modeled_corridors(small_dataset):
     ctx = SimulationContext(small_dataset)
-    panel = split_panel(panel_of(FlowObservation("YYY", "ZZZ", m, 10.0) for m in range(10)),
-                        0.8, 0)
+    halves = aligned_halves(panel_of(FlowObservation("YYY", "ZZZ", m, 10.0) for m in range(10)),
+                            ctx, 0.8, 0)
     with pytest.raises(CalibrationError, match="modeled"):
-        calibrate(ctx, panel, CalibrationConfig(starts=1, max_iter=1))
+        calibrate(ctx, *halves, CalibrationConfig(starts=1, max_iter=1))
 
 
 def test_recovery_smoke_from_perturbed_start():
     dataset = fixtures.build_dataset(seed=3, n_origins=3, n_destinations=2)
     ctx = SimulationContext(dataset)
-    panel = split_panel(dataset.panel, 0.8, seed=2)
+    halves = aligned_halves(dataset.panel, ctx, 0.8, seed=2)
     start = BehaviorParams(alpha=0.05, beta0=0.9, beta1=-5.2, beta2=2.4, beta3=-4.1,
                            height=0.12, shape=0.23, shift=-0.7, rho=0.15)
     config = CalibrationConfig(starts=1, max_iter=250, tol=1e-13, init=start)
-    result = calibrate(ctx, panel, config)
+    result = calibrate(ctx, *halves, config)
     assert result.test_r2 > 0.999
     for name in ("beta0", "beta1", "beta2", "beta3"):
         true = getattr(REFERENCE_PARAMS, name)
@@ -278,9 +279,9 @@ def test_recovery_smoke_from_perturbed_start():
 
 def test_multistart_picks_best(small_dataset):
     ctx = SimulationContext(small_dataset)
-    panel = split_panel(fixtures.generate_panel(small_dataset, REFERENCE_PARAMS), 0.8, 1)
+    halves = aligned_halves(fixtures.generate_panel(small_dataset, REFERENCE_PARAMS), ctx, 0.8, 1)
     config = CalibrationConfig(starts=3, max_iter=8, tol=1e-12, seed=4)
-    result = calibrate(ctx, panel, config)
+    result = calibrate(ctx, *halves, config)
     assert len(result.start_losses) == 3
     assert result.train_sse == min(result.start_losses)
 
@@ -290,10 +291,11 @@ def test_multistart_picks_best(small_dataset):
 
 def test_zero_noise_bootstrap_collapses(small_dataset):
     ctx = SimulationContext(small_dataset)
-    panel = split_panel(fixtures.generate_panel(small_dataset, REFERENCE_PARAMS), 0.8, seed=5)
+    train, test = aligned_halves(fixtures.generate_panel(small_dataset, REFERENCE_PARAMS), ctx,
+                                 0.8, seed=5)
     config = CalibrationConfig(starts=1, max_iter=5, tol=1e-9, init=REFERENCE_PARAMS)
-    result = calibrate(ctx, panel, config)
-    cis = param_confidence(result, panel, ctx, replicates=12, seed=6, max_iter=5)
+    result = calibrate(ctx, train, test, config)
+    cis = param_confidence(result, train, ctx, replicates=12, seed=6, max_iter=5)
     for name in PARAM_NAMES:
         lo, hi = cis[name]
         point = getattr(result.params, name)
@@ -305,10 +307,10 @@ def test_bootstrap_interval_ordering_under_noise(small_dataset):
     ctx = SimulationContext(small_dataset)
     panel = fixtures.generate_panel(small_dataset, REFERENCE_PARAMS, noise=0.05,
                                     rng=np.random.default_rng(8))
-    panel = split_panel(panel, 0.8, seed=5)
-    result = calibrate(ctx, panel, CalibrationConfig(starts=1, max_iter=30, tol=1e-12,
-                                                     init=REFERENCE_PARAMS))
-    cis = param_confidence(result, panel, ctx, replicates=15, seed=7, max_iter=15)
+    train, test = aligned_halves(panel, ctx, 0.8, seed=5)
+    result = calibrate(ctx, train, test, CalibrationConfig(starts=1, max_iter=30, tol=1e-12,
+                                                           init=REFERENCE_PARAMS))
+    cis = param_confidence(result, train, ctx, replicates=15, seed=7, max_iter=15)
     assert set(cis) == set(PARAM_NAMES)
     for name in PARAM_NAMES:
         lo, hi = cis[name]
@@ -334,10 +336,10 @@ def test_bootstrap_coverage_experiment():
         rng = np.random.default_rng((1000, t))
         panel = fixtures.generate_panel(dataset, true, noise=0.02, rng=rng)
         panel = panel[(panel.month < 36) & (panel.month % 3 == 0)]
-        panel = split_panel(panel, 0.8, seed=t)
+        train, test = aligned_halves(panel, ctx, 0.8, seed=t)
         config = CalibrationConfig(starts=1, max_iter=20, tol=1e-12, seed=t, init=true)
-        result = calibrate(ctx, panel, config)
-        cis = param_confidence(result, panel, ctx, replicates=29, seed=t, max_iter=20,
+        result = calibrate(ctx, train, test, config)
+        cis = param_confidence(result, train, ctx, replicates=29, seed=t, max_iter=20,
                                tol=1e-12, replicate_start=true)
         for i, name in enumerate(PARAM_NAMES):
             lo, hi = cis[name]

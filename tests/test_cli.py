@@ -115,6 +115,55 @@ def test_simulate_without_params_exit_4(fixture_dir, tmp_path, capsys):
     assert "calibrate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"params": {k: v for k, v in REFERENCE_PARAMS.as_dict().items() if k != "rho"}},
+    {"params": {**REFERENCE_PARAMS.as_dict(), "gamma": 0.5}},
+    {"params": {**REFERENCE_PARAMS.as_dict(), "alpha": "high"}},
+    {"params": list(REFERENCE_PARAMS.as_dict().values())},
+    [REFERENCE_PARAMS.as_dict()],
+], ids=["missing-name", "extra-name", "non-numeric", "params-list", "top-level-list"])
+def test_malformed_params_file_exit_2(fixture_dir, tmp_path, capsys, payload):
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("simulate", "--data-dir", fixture_dir, "--output-dir", out,
+               "--params", params) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {params}: ") and len(err.strip().splitlines()) == 1
+    assert not (out / "manifest-simulate.json").exists()
+
+
+def test_bootstrap_replicates_use_the_run_tol(fixture_dir, tmp_path, monkeypatch):
+    from remitsim import calibration
+    fit, tols = calibration._fit, []
+
+    def recording_fit(ctx, aligned, x0, max_iter, tol):
+        tols.append(tol)
+        return fit(ctx, aligned, x0, max_iter, tol)
+
+    monkeypatch.setattr(calibration, "_fit", recording_fit)
+    assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", tmp_path / "out",
+               "--starts", 1, "--max-iter", 5, "--tol", 1e-7, "--bootstrap-reps", 2) == 0
+    assert tols == [1e-7] * 3  # the one start, then each replicate
+
+
+def test_bootstrap_warns_once_per_half_about_unmodeled_corridors(fixture_dir, tmp_path,
+                                                                 caplog):
+    panel = fixture_dir / "panel.csv"
+    panel.write_text(panel.read_text(encoding="utf-8")
+                     + "".join(f"QQQ,RRR,2010-0{m},100.0\n" for m in (1, 2, 3)),
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING"):
+        assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", out,
+                   "--starts", 1, "--max-iter", 3, "--bootstrap-reps", 2) == 0
+    unmodeled = [r.getMessage() for r in caplog.records
+                 if "without modeled population" in r.getMessage()]
+    assert 1 <= len(unmodeled) <= 2  # one per half that holds such observations
+    assert sum(int(message.split()[1]) for message in unmodeled) == 3
+    assert json.loads((out / "calibration.json").read_text())["n_excluded"] == 3
+
+
 def test_calibrate_zero_iterations_echoes_init(fixture_dir, tmp_path):
     out = tmp_path / "out"
     assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", out,

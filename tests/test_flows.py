@@ -146,7 +146,8 @@ def _production_totals(small_dataset, monkeypatch, counts, probs, params, seed, 
     monkeypatch.setattr(ctx, "cohort_counts", lambda c, m: counts)
     cube = np.zeros((ctx.n_corridors, 1, N_AGES))
     cube[0, 0] = probs
-    totals = flows_module._sample_cells(ctx, params, cube, [(0, 0)], seed, draws)[:, 0]
+    totals = flows_module._sample_cells(ctx, params, np.arange(ctx.n_corridors), cube, seed,
+                                        draws)[:, 0]
     return totals, float(ctx.monthly_income[0, month])
 
 
@@ -572,7 +573,7 @@ def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
     cube = ctx.probability_cube(PARAMS, None, (slice(None), ctx.window))
     tracemalloc.start()
     try:
-        flows_module._sample_cells(ctx, PARAMS, cube, np.ndindex(cube.shape[:2]), 1, 1000)
+        flows_module._sample_cells(ctx, PARAMS, np.arange(ctx.n_corridors), cube, 1, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -38,18 +38,18 @@ def test_records_in_and_out(small_dataset):
     assert tuple(from_records) == tuple(records)
     assert small_dataset.panel[-1] == records[-1] and small_dataset.panel[2] == records[2]
     assert list(small_dataset.panel[1:3]) == records[1:3]
-    tagged = split_panel(small_dataset.panel, 0.5, seed=1)
-    assert tagged != small_dataset.panel
-    assert {r.split_tag for r in tagged} == {"train", "test"}
+    train, test = split_panel(small_dataset.panel, 0.5, seed=1)
+    assert type(train) is type(test) is Panel and train != test
+    assert sorted(tuple(train) + tuple(test)) == sorted(records)
     assert type(records[0].month) is int and type(records[0].amount_usd) is float
     empty = dataclasses.replace(small_dataset, panel=()).panel
     assert empty == Panel.from_columns([], [], [], []) and len(empty) == 0
 
 
 def test_panel_arrays_are_read_only(small_dataset):
-    panel = split_panel(small_dataset.panel, 0.5, seed=1)
-    for part in (small_dataset.panel, panel, panel[panel.split_tag == "train"], panel[:2]):
-        for name in ("sender", "recipient", "month", "amount_usd", "split_tag"):
+    panel = small_dataset.panel
+    for part in (panel, *split_panel(panel, 0.5, seed=1), panel[panel.month < 3], panel[:2]):
+        for name in Panel._COLUMNS:
             column = getattr(part, name)
             assert not column.flags.writeable, name
             with pytest.raises(ValueError):
@@ -76,7 +76,8 @@ def test_columnar_panel_equals_record_oracles(records, a, b, seed):
     ctx = SimulationContext(DATASET, start=start, end=end)
     panel = panel_of(records)
 
-    assert tuple(split_panel(panel, 0.6, seed)) == oracles.split_panel(records, 0.6, seed)
+    assert tuple(map(tuple, split_panel(panel, 0.6, seed))) == oracles.split_panel(records, 0.6,
+                                                                                  seed)
 
     want = oracles.align_panel(records, ctx)
     handler = _Messages()

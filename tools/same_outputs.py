@@ -6,10 +6,12 @@ Writes the desk fixture (seed 7), the benchmark's scale inputs
 (``perfbench/inputs.make_inputs("scale", 1, ...)``) and a noisy desk
 fixture (seed 7, 2 % panel noise) into ``WORK_DIR/inputs`` once. Then runs
 every command on the desk and scale datasets, a bootstrapped ``calibrate``
-on the noisy one, and ``simulate`` and ``counterfactual`` over 2016 on the
-desk (12-month bands, into ``desk-year``) and ``attribute`` under the
-leave-one-out convention on the desk (into ``desk-loo``, selected by a line
-of its own ``run.config``), first with ``BASE_SRC``
+on the noisy one under the default split and under ``--split-fraction 0.6
+--split-seed 5`` (into ``noisy-split``), and ``simulate`` and
+``counterfactual`` over 2016 on the desk (12-month bands, into
+``desk-year``) and ``attribute`` under the leave-one-out convention on the
+desk (into ``desk-loo``, selected by a line of its own ``run.config``),
+first with ``BASE_SRC``
 (the ``src`` directory of another checkout) and then with this checkout's
 ``src``, each into ``WORK_DIR/out``, and moves each tree's outputs aside. The
 runs use the same paths because the manifests echo them. Exits 1 if
@@ -45,13 +47,16 @@ COMMANDS = {
               ("simulate",), ("counterfactual",), ("attribute",), ("compare-baseline",),
               ("report", "--start", "2019-10", "--end", "2019-12")],
     "noisy-desk": [("calibrate", "--starts", "1", "--max-iter", "20", "--bootstrap-reps", "4")],
+    # a non-default train/test split of the noisy panel
+    "noisy-split": [("calibrate", "--starts", "1", "--max-iter", "20", "--split-fraction", "0.6",
+                     "--split-seed", "5", "--bootstrap-reps", "4")],
     # the bands of a whole year, whose all-months and per-year sums add 12 months
     "desk-year": [("simulate", "--start", "2016-01", "--end", "2016-12"),
                   ("counterfactual", "--start", "2016-01", "--end", "2016-12")],
     "desk-loo": [("attribute",)],
 }
 # the datasets whose runs read another one's inputs
-INPUTS = {"desk-year": "desk", "desk-loo": "desk"}
+INPUTS = {"desk-year": "desk", "desk-loo": "desk", "noisy-split": "noisy-desk"}
 # the lines a dataset adds to the run.config of the inputs it reads, into
 # WORK_DIR/inputs/<dataset>/run.config; a config line, not a flag, so that
 # every tree echoes the same attribution in its manifest
