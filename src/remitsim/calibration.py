@@ -101,11 +101,12 @@ def align_panel(panel: Panel, ctx: SimulationContext) -> PanelSlice:
     out_of_window = len(panel) - len(unmodeled) - int(np.count_nonzero(in_window))
 
     if len(unmodeled):
-        first = unmodeled[:3]
-        sample = list(zip(map(panel.codes.__getitem__, panel.recipient[first].tolist()),
-                          map(panel.codes.__getitem__, panel.sender[first].tolist())))
-        log.warning("excluded %d panel observation(s) without modeled population, e.g. %s",
-                    len(unmodeled), sample)
+        # the distinct (origin, destination) code pairs in panel order
+        corridors = list(dict.fromkeys(zip(panel.recipient[unmodeled].tolist(),
+                                           panel.sender[unmodeled].tolist())))
+        sample = [(panel.codes[origin], panel.codes[dest]) for origin, dest in corridors[:3]]
+        log.warning("excluded %d panel observation(s) without modeled population in %d "
+                    "corridor(s), e.g. %s", len(unmodeled), len(corridors), sample)
     if out_of_window:
         log.warning("excluded %d panel observation(s) outside the window %s..%s",
                     out_of_window, month_label(ctx.start), month_label(ctx.end))

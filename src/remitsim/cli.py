@@ -32,7 +32,7 @@ from .dataio import ANCHOR_YEARS, Dataset, DataValidationError, FILE_COLUMNS, lo
 from .engine import SimulationContext, probability_profile, scenario_none
 from .months import month_index, month_label, year_of
 from .population import SenderDemographicsRow, sender_demographics
-from .runconfig import RunConfig, build_config, write_config_file
+from .runconfig import ATTRIBUTION_CONVENTIONS, RunConfig, build_config, write_config_file
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +138,8 @@ def cmd_calibrate(config: RunConfig, args) -> list[Path]:
     result = calibrate(ctx, train, test, cal_config)
     if config.bootstrap_reps > 0:
         result.param_cis = calibration.param_confidence(
-            result, train, ctx, replicates=config.bootstrap_reps, seed=config.seed, tol=config.tol)
+            result, train, ctx, replicates=config.bootstrap_reps, seed=config.seed,
+            max_iter=config.max_iter, tol=config.tol)
     path = reports.write_json(Path(config.output_dir) / "calibration.json", {
         **dataclasses.asdict(result), "seed": config.seed,
         "split_seed": config.effective_split_seed, "config": config.echo()})
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attribute", help="per-hazard and per-event attribution")
     _add_common(p)
     _add_params_flag(p)
-    p.add_argument("--convention", choices=("only_hazard", "leave_one_out"))
+    p.add_argument("--convention", choices=ATTRIBUTION_CONVENTIONS)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("compare-baseline", help="gravity-model baseline comparison")

@@ -1,4 +1,4 @@
-"""Input schemas, validated loading and round-trip writing.
+"""Input schemas, validated loading, and writing a Dataset back to its files.
 
 All inputs are UTF-8 CSV files, with or without a byte-order mark, with a
 mandatory header row (RFC-4180 quoting); blank lines are skipped:
@@ -25,6 +25,8 @@ columns. The returned :class:`Dataset` is immutable; its stock table and its
 panel are held as read-only columns (:class:`Stocks`, :class:`Panel`), built
 from the keys of the checked columns, with no record per row. The stock
 spline of :mod:`remitsim.population` reads the anchor array :attr:`Stocks.anchors`.
+:func:`write_dataset` writes the six files back through the one CSV writer,
+:func:`remitsim.reports.write_csv`.
 """
 from __future__ import annotations
 
@@ -910,30 +912,6 @@ def _serialize_tables(ds: Dataset) -> Iterator[tuple[str, Iterator[tuple[str, ..
 
 def write_dataset(ds: Dataset, data_dir: str | Path) -> list[Path]:
     """Write the dataset back to its six CSV files; reloading yields an equal Dataset."""
-    data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, rows in _serialize_tables(ds):
-        path = data_dir / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(FILE_COLUMNS[name])
-            for row in rows:
-                if any("\r" in cell for cell in row):
-                    fh.write(_cr_quoted_line(row))
-                else:
-                    writer.writerow(row)
-        written.append(path)
-    return written
-
-
-def _cr_quoted_line(row: Sequence[str]) -> str:
-    """``row`` as a CSV line ending in "\\n", each field holding a CR quoted.
-
-    Before Python 3.13, ``csv.writer`` leaves a lone CR unquoted under a
-    "\\n" terminator, and the reader then ends the row there. Under "\\r\\n"
-    it quotes such fields, as Python 3.13 does under either terminator.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(row)
-    return buf.getvalue()[:-2] + "\n"
+    from .reports import write_csv  # reports imports this module
+    return [write_csv(Path(data_dir) / name, FILE_COLUMNS[name], rows)
+            for name, rows in _serialize_tables(ds)]

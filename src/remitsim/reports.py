@@ -3,9 +3,11 @@
 Floats are written as ``repr`` (shortest round-trip) with a fixed newline,
 and sums that reach an output add left to right (:func:`sequential_sum`),
 so identical runs produce byte-identical files on every Python version.
-:func:`write_csv` is the one CSV writer, and writes the bytes of
-``csv.writer``. Small reports pass it rows of values, formatted cell by
-cell by :func:`fmt_cell` and written by ``csv.writer``. The large grids
+:func:`write_csv` is the one CSV writer, of the reports and of the inputs
+that :func:`remitsim.dataio.write_dataset` writes, and writes the bytes of
+Python 3.13's ``csv.writer`` on every version: a field holding a CR is
+quoted. Small reports pass it rows of values, formatted cell by cell by
+:func:`fmt_cell` and written by ``csv.writer``. The large grids
 (flows, induced flows, profiles, population, demographics) pass a
 :class:`Grid` of columns. Its float columns are formatted by
 :func:`remitsim.floattext.repr_bytes` into the bytes of ``repr``, and its
@@ -27,6 +29,7 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -41,9 +44,9 @@ from .population import demographics_arrays
 # few enough that a block's matrices stay under a megabyte.
 GRID_BLOCK_ROWS = 8192
 
-# A label that csv.writer quotes (a comma, a quote, a line end; a CR from
-# Python 3.13), an empty one (csv.writer writes a row of one empty cell as ""),
-# or one holding a NUL, the padding of the grid writer's matrices.
+# A label that csv.writer quotes (a comma, a quote, a CR or LF), an empty one
+# (csv.writer writes a row of one empty cell as ""), or one holding a NUL, the
+# padding of the grid writer's matrices.
 _NOT_PLAIN = re.compile('[,"\r\n\0]|^$')
 
 
@@ -149,12 +152,15 @@ def _label_bytes(names: Sequence[str], end: bytes) -> np.ndarray:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence] | Grid) -> Path:
-    """Write ``header`` and ``rows`` as ``csv.writer`` would. Cells are formatted
-    by :func:`fmt_cell`; a :class:`Grid` is written block by block as bytes
-    (:meth:`Grid.blocks`), unless one of its labels is not plain text."""
+    """Write ``header`` and ``rows`` as Python 3.13's ``csv.writer`` would. Cells
+    are formatted by :func:`fmt_cell`; a :class:`Grid` is written block by block
+    as bytes (:meth:`Grid.blocks`), unless one of its labels is not plain text."""
     path = Path(path)
     with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # csv.writer hands write() one whole row. Under "\r\n" it quotes a field
+        # holding a lone CR on every Python version, as under "\n" only from 3.13.
+        writer = csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                            lineterminator="\r\n")
         writer.writerow(header)
         if isinstance(rows, Grid) and not any(map(_NOT_PLAIN.search, {
                 name for names in rows.labels if names is not None for name in names})):

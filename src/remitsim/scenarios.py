@@ -24,6 +24,7 @@ from .engine import (SimulationContext, scenario_none, scenario_only_event, scen
                      scenario_without_hazard)
 from .months import year_of
 from .reports import sequential_sum
+from .runconfig import ATTRIBUTION_CONVENTIONS
 
 
 class ScenarioResult(NamedTuple):
@@ -114,7 +115,7 @@ def attribute_by_hazard(ctx: SimulationContext, params: BehaviorParams,
     flows(all but h). ``grids`` are the context's :func:`event_grids`, if
     the caller has them already.
     """
-    if convention not in ("only_hazard", "leave_one_out"):
+    if convention not in ATTRIBUTION_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     win = ctx.window
     full_grid, base_grid = event_grids(ctx, params) if grids is None else grids

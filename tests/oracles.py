@@ -427,8 +427,12 @@ def align_panel(panel: Sequence[FlowObservation], ctx) -> dict:
             amounts.append(obs.amount_usd)
     warnings = []
     if unmodeled:
-        warnings.append("excluded %d panel observation(s) without modeled population, e.g. %s"
-                        % (len(unmodeled), unmodeled[:3]))
+        distinct: list[tuple[str, str]] = []
+        for corridor in unmodeled:
+            if corridor not in distinct:
+                distinct.append(corridor)
+        warnings.append("excluded %d panel observation(s) without modeled population in %d "
+                        "corridor(s), e.g. %s" % (len(unmodeled), len(distinct), distinct[:3]))
     if out_of_window:
         warnings.append("excluded %d panel observation(s) outside the window %s..%s"
                         % (out_of_window, month_label(ctx.start), month_label(ctx.end)))

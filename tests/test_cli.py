@@ -134,10 +134,13 @@ def test_malformed_params_file_exit_2(fixture_dir, tmp_path, capsys, payload):
 
 
 def test_bootstrap_replicates_use_the_run_tol(fixture_dir, tmp_path, monkeypatch):
+    """The replicates stop where the point estimate's fit does: at the run's
+    --tol and --max-iter."""
     from remitsim import calibration
-    fit, tols = calibration._fit, []
+    fit, caps, tols = calibration._fit, [], []
 
     def recording_fit(ctx, aligned, x0, max_iter, tol):
+        caps.append(max_iter)
         tols.append(tol)
         return fit(ctx, aligned, x0, max_iter, tol)
 
@@ -145,6 +148,7 @@ def test_bootstrap_replicates_use_the_run_tol(fixture_dir, tmp_path, monkeypatch
     assert run("calibrate", "--data-dir", fixture_dir, "--output-dir", tmp_path / "out",
                "--starts", 1, "--max-iter", 5, "--tol", 1e-7, "--bootstrap-reps", 2) == 0
     assert tols == [1e-7] * 3  # the one start, then each replicate
+    assert caps == [5] * 3
 
 
 def test_bootstrap_warns_once_per_half_about_unmodeled_corridors(fixture_dir, tmp_path,
@@ -161,6 +165,9 @@ def test_bootstrap_warns_once_per_half_about_unmodeled_corridors(fixture_dir, tm
                  if "without modeled population" in r.getMessage()]
     assert 1 <= len(unmodeled) <= 2  # one per half that holds such observations
     assert sum(int(message.split()[1]) for message in unmodeled) == 3
+    # each names the one corridor once, not once per observation
+    assert all(message.endswith(" in 1 corridor(s), e.g. [('RRR', 'QQQ')]")
+               for message in unmodeled)
     assert json.loads((out / "calibration.json").read_text())["n_excluded"] == 3
 
 
@@ -434,6 +441,24 @@ def test_attribute_evaluates_each_event_once(fixture_dir, tmp_path, monkeypatch)
     assert [list(row.values()) for row in _read_csv(tmp_path / "out" / "events.csv")] == [
         [fmt_cell(v) for v in (ev.event_id, ev.induced_usd_12m, ev.baseline_usd_12m,
                                ev.relative_increase)] for ev in fresh]
+
+
+def test_event_id_holding_a_cr_reads_back_from_events_csv(fixture_dir, tmp_path):
+    """A quoted CR in an event id loads, and events.csv quotes it as Python 3.13's
+    csv.writer does, on every version, so the file reads back to one row per event."""
+    disasters = fixture_dir / "disasters.csv"
+    header, first, rest = disasters.read_text(encoding="utf-8").split("\n", 2)
+    disasters.write_text(f'{header}\n"EV\rFL-1",{first.partition(",")[2]}\n{rest}',
+                         encoding="utf-8")
+    params = tmp_path / "calibration.json"
+    params.write_text(json.dumps({"params": REFERENCE_PARAMS.as_dict()}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("attribute", "--data-dir", fixture_dir, "--output-dir", out,
+               "--params", params) == 0
+    assert b'\n"EV\rFL-1",' in (out / "events.csv").read_bytes()
+    ids = [e.event_id for e in load_dataset(fixture_dir).disasters]
+    assert "EV\rFL-1" in ids
+    assert [row["event_id"] for row in _read_csv(out / "events.csv")] == ids
 
 
 def test_cli_import_loads_no_command_module():

@@ -59,11 +59,20 @@ ODD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.5
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([fmt_cell(v) for v in row] for row in rows)
-    return buffer.getvalue().encode("utf-8")
+    """The bytes of Python 3.13's csv.writer under "\n", on every version: each
+    row written under "\r\n", whose CR it quotes before 3.13 too, ending in "\n"."""
+    table = [header, *([fmt_cell(v) for v in row] for row in rows)]
+    lines = []
+    for row in table:
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    text = "".join(lines)
+    if sys.version_info >= (3, 13):
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer, lineterminator="\n").writerows(table)
+        assert buffer.getvalue() == text
+    return text.encode("utf-8")
 
 
 def _grid_and_rows(names, index, values):
@@ -125,6 +134,18 @@ def test_labels_that_are_not_plain_go_through_csv_writer(tmp_path, monkeypatch, 
         assert "\0" in name and sys.version_info < (3, 11)
     else:
         assert got == _csv_writer_bytes(header, rows)
+
+
+def test_rows_holding_a_cr_read_back_to_their_cells(tmp_path):
+    """A field holding a CR is quoted on every Python version, as Python 3.13's
+    csv.writer quotes it, so the reader keeps it in its row."""
+    rows = [("EV\rFL-1", 1.5), ("cr\r", "\r"), ("crlf\r\n", "lf\n")]
+    path = write_csv(tmp_path / "cr.csv", ("event_id", "value"), rows)
+    assert path.read_bytes() == (b'event_id,value\n"EV\rFL-1",1.5\n"cr\r","\r"\n'
+                                 b'"crlf\r\n","lf\n"\n')
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["event_id", "value"],
+                                        *([fmt_cell(v) for v in row] for row in rows)]
 
 
 def test_adjacent_float_columns_and_label_parts(tmp_path, monkeypatch):

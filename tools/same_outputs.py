@@ -1,22 +1,25 @@
-"""Run every remitsim command from two source trees and compare the outputs.
+"""Run every remitsim command from two source trees and compare the inputs they
+write and the outputs.
 
     python3 tools/same_outputs.py BASE_SRC WORK_DIR
 
 Writes the desk fixture (seed 7), the benchmark's scale inputs
 (``perfbench/inputs.make_inputs("scale", 1, ...)``) and a noisy desk
-fixture (seed 7, 2 % panel noise) into ``WORK_DIR/inputs`` once. Then runs
+fixture (seed 7, 2 % panel noise) into ``WORK_DIR/inputs`` twice, each time
+in a process of its own: first with ``BASE_SRC`` (the ``src`` directory of
+another checkout), moved aside to ``WORK_DIR/base-inputs``, then with this
+checkout's ``src``, and compares the two with ``diff -r``. Then runs
 every command on the desk and scale datasets, a bootstrapped ``calibrate``
 on the noisy one under the default split and under ``--split-fraction 0.6
 --split-seed 5`` (into ``noisy-split``), and ``simulate`` and
 ``counterfactual`` over 2016 on the desk (12-month bands, into
 ``desk-year``) and ``attribute`` under the leave-one-out convention on the
 desk (into ``desk-loo``, selected by a line of its own ``run.config``),
-first with ``BASE_SRC``
-(the ``src`` directory of another checkout) and then with this checkout's
-``src``, each into ``WORK_DIR/out``, and moves each tree's outputs aside. The
-runs use the same paths because the manifests echo them. Exits 1 if
-``diff -r`` finds any difference between the two trees' outputs. ``WORK_DIR``
-must not exist yet.
+all on ``WORK_DIR/inputs``, first with ``BASE_SRC`` and then with this
+checkout's ``src``, each into ``WORK_DIR/out``, and moves each tree's
+outputs aside. The runs use the same paths because the manifests echo them.
+Exits 1 if ``diff -r`` finds any difference between the two trees' inputs
+or outputs. ``WORK_DIR`` must not exist yet.
 """
 from __future__ import annotations
 
@@ -63,8 +66,14 @@ INPUTS = {"desk-year": "desk", "desk-loo": "desk", "noisy-split": "noisy-desk"}
 CONFIG_LINES = {"desk-loo": "attribution = leave_one_out\n"}
 
 
-def make_inputs(inputs: Path) -> None:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+def make_inputs(src: Path, inputs: Path) -> None:
+    """The inputs, written by ``src``'s ``remitsim`` in a process of its own."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]))
+    subprocess.run([sys.executable, __file__, "--write-inputs", str(inputs)], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+
+
+def write_inputs(inputs: Path) -> None:
     from perfbench.inputs import make_inputs as make
     from remitsim.cli import main as remitsim
     make("desk", 7, inputs / "desk")
@@ -99,14 +108,22 @@ def run_all(src: Path, inputs: Path, out: Path) -> None:
 def main(argv: list[str]) -> int:
     base_src, work = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     work.mkdir(parents=True)  # a new directory: the runs move and compare all of it
-    make_inputs(work / "inputs")
+    make_inputs(base_src, work / "inputs")  # the same path, which run.config echoes
+    (work / "inputs").rename(work / "base-inputs")
+    make_inputs(ROOT / "src", work / "inputs")
+    same_inputs = subprocess.run(["diff", "-r", str(work / "base-inputs"),
+                                  str(work / "inputs")]).returncode == 0
+    print("inputs identical" if same_inputs else "inputs differ")
     for label, src in (("base", base_src), ("head", ROOT / "src")):
         run_all(src, work / "inputs", work / "out")
         (work / "out").rename(work / label)
     diff = subprocess.run(["diff", "-r", str(work / "base"), str(work / "head")])
     print("outputs identical" if diff.returncode == 0 else "outputs differ")
-    return 0 if diff.returncode == 0 else 1
+    return 0 if same_inputs and diff.returncode == 0 else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    if sys.argv[1:2] == ["--write-inputs"]:
+        write_inputs(Path(sys.argv[2]))
+    else:
+        sys.exit(main(sys.argv[1:]))
