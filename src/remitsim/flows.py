@@ -17,38 +17,42 @@ p_c (the monotone coupling; Lindvall, *Lectures on the Coupling Method*,
 1992). :func:`sample_induced_totals` draws that one signed binomial per age
 and changed corridor-month, not a factual and a no-disaster draw to subtract.
 
-Each age's ``draws`` variates are drawn as a histogram, not one by one.
-numpy's multinomial draws the histogram of the ``draws`` values over a table
-of the age's pmf; the histogram is expanded into its values, and the row is
-put in uniformly random order (``Generator.permuted``). This is exact in
-distribution: the histogram of ``draws`` independent values is multinomial,
-and given its histogram every order of an independent sequence is equally
-likely, so a uniform shuffle turns it back into one (Devroye, *Non-Uniform
-Random Variate Generation*, 1986). The ages' integer rows are then added.
+The kept ages of a corridor-month are drawn ``AGE_BLOCK`` at a time, and a
+block's ``draws`` values are drawn as one sum: numpy's multinomial draws the
+histogram of the ``draws`` values over the pmf of the block's senders; the
+histogram is expanded into its values, and the row is put in uniformly random
+order (``Generator.permuted``). This is exact in distribution: the histogram
+of ``draws`` independent values is multinomial, and given its histogram every
+order of an independent sequence is equally likely, so a uniform shuffle
+turns it back into one (Devroye, *Non-Uniform Random Variate Generation*,
+1986). The blocks' rows are then added. On the desk fixture's band window that
+shuffles 1.5 million values (1,524 blocks x 1,000 draws), where a row per age
+shuffled 22.2 million. An age with |p| = 1 is no draw: it adds its n, or
+takes it away, in every draw.
 
-The table spans the mode ± ceil(12 sigma + 12), clipped to [0, n]. The mass
-outside it is below 1e-26 for every n from 1 to 10^7 and p from 1e-9 to 0.5
-(by scipy's binomial tails; 1.5e-27 at its worst, n = 3,000 and p = 0.001),
-so no run of draws can tell the table from the binomial. An age with
-p > 0.5 is tabulated as n - Bin(n, 1 - p), so p = 1 is drawn exactly.
-
-The cost grows with the width of the table, about sigma = sqrt(n p (1 - p)),
-where numpy's per-variate binomial (BTPE above n p = 30, inversion below) costs
-about the same at every sigma. Per age at 1,000 draws, in µs, on one core of a
-2-CPU host, blocks of 16 equal ages at p = 0.3:
-
-    sigma      1.17   3   14.5   46   145   458
-    histogram    19  31     43   80   234   692
-    binomial     45 140     65   45    39    40
-
-The desk fixture's band window (22,236 ages) has a median sigma of 1.17, a
-99th percentile of 22.5 and a maximum of 40.9, so the histogram is the one
-draw: no workload has enough ages past the crossover to pay for a second.
+The block's pmf is the convolution of its ages' tables, taken by FFT (Cooley
+and Tukey, *Math. Comp.* 19, 1965). An age's table spans the mode ± ceil(12
+sigma + 12), clipped to [0, n]; the mass outside it is below 1e-26 for every n
+from 1 to 10^7 and p from 1e-9 to 0.5 (by scipy's binomial tails; 1.5e-27 at
+its worst, n = 3,000 and p = 0.001). An age with p > 0.5 is tabulated as n -
+Bin(n, 1 - p). The circular grid is sized by the block's spread, not by its
+support: it has the least power of two of points that holds min(2 h + 2, the
+support's width), with h = ceil(12 sigma + 12) and sigma^2 = sum n |p| (1 -
+|p|), and it covers the block's support, or, where the support is wider, the
+values from floor(sum n p) - h on, moved into the support. The sum's mass
+outside those values aliases into them. By Bennett's inequality (the sum is
+one of independent terms, each within 1 of its mean) the sum lies more than h
+from its mean with probability below 1.1e-24 at every sigma, so the pmf
+differs from the sum's own by the FFT's round-off and the tables' cut. Over
+the 1,705 blocks of the desk fixture's band window (factual and induced), its
+largest total-variation distance to a direct ``np.convolve`` of the tables is
+4.5e-15; the tests bound it by 1e-12 against scipy's binomial pmfs, at n up to
+10^6.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,16 +103,21 @@ def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.
     return np.random.SeedSequence((int(root_seed), int(corridor_index), int(month)))
 
 
-# Ages whose tables and variates one multinomial and one shuffle take at once:
-# enough to spread numpy's per-call cost, few enough that a block's tables and
-# (ages, draws) rows stay far under a megabyte.
+# Ages whose sum one multinomial and one shuffled row draw at once: enough to
+# spread numpy's per-call cost over the ages, few enough that a block's grid
+# stays narrow.
 AGE_BLOCK = 16
+
+# Elements (ages x grid points) that one transform takes: a block whose grid is
+# wide is transformed a few ages at a time, so that its tables and transforms
+# stay far under a megabyte.
+TRANSFORM_ELEMENTS = 2**14
 
 
 def _binomial_tables(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The values and the probabilities of Binomial(``n``, ``p``) for each age, one
     row each over the window mode ± ceil(12 sigma + 12), clipped to [0, n];
-    columns past a row's window repeat its last value with probability 0.
+    columns past a row's window go on with probability 0.
 
     An age with p > 0.5 is tabulated as n - Bin(n, 1 - p), so p = 1 is exact.
     The probabilities come from the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1)
@@ -130,20 +139,79 @@ def _binomial_tables(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     np.cumprod(ratio, axis=1, out=pmf[:, 1:])
     del ratio
     pmf /= np.add.accumulate(pmf, axis=1)[:, -1:]
-    # numpy's multinomial gives its last column whatever rounding leaves over
-    values = np.minimum(k, hi[:, None], out=k)
-    np.subtract(n[:, None], values, out=values, where=flip[:, None])
+    values = np.subtract(n[:, None], k, out=k, where=flip[:, None])
     return values.astype(np.int64), pmf
 
 
-def _binomial_rows(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
-                   draws: int) -> np.ndarray:
-    """``draws`` independent Binomial(``n``, ``p``) variates of each age, shape
-    (ages, draws): each age's histogram drawn as one multinomial over its
-    table, expanded into its values and put in random order."""
-    values, pmf = _binomial_tables(n, p)
-    counts = rng.multinomial(draws, pmf)
-    rows = np.repeat(values.ravel(), counts.ravel()).reshape(len(n), draws)
+def _block_pmfs(n: np.ndarray, p: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The pmf of each block's senders, the sum over the block's ``AGE_BLOCK``
+    ages of Bin(n, |p|) with the sign of p. Yields, per block, its least value
+    and the probabilities of that value and of each next one.
+
+    The block's grid is the least power of two that holds min(2 h + 2, the
+    support's width) values, with h = ceil(12 sigma + 12) and sigma^2 =
+    sum n |p| (1 - |p|). The pmf covers the support, from minus the n of the
+    lost ages to the n of the gained ones, where the grid holds it; otherwise
+    the grid's values from floor(sum n p) - h, moved into the support
+    (:func:`_circular_pmf`)."""
+    q = np.abs(p)
+    lost = p < 0
+    starts = np.arange(0, n.size, AGE_BLOCK)
+    first = -np.add.reduceat(np.where(lost, n, 0), starts)
+    last = np.add.reduceat(np.where(lost, 0, n), starts)
+    half = np.ceil(12.0 * np.sqrt(np.add.reduceat(n * q * (1.0 - q), starts)) + 12.0)
+    size = np.int64(1) << np.frexp(np.minimum(2.0 * half + 2.0, last - first + 1.0) - 1.0)[1]
+    low = np.floor(np.add.reduceat(n * p, starts) - half).astype(np.int64)
+    low = np.maximum(np.minimum(low, last - size + 1), first)
+    width = np.minimum(size, last - low + 1)
+    for b, start in enumerate(starts.tolist()):
+        block = slice(start, start + AGE_BLOCK)
+        yield int(low[b]), _circular_pmf(n[block], p[block], int(size[b]), int(low[b]),
+                                         int(width[b]))
+
+
+def _circular_pmf(n: np.ndarray, p: np.ndarray, grid: int, low: int,
+                  width: int) -> np.ndarray:
+    """The pmf of the sum over ages of Bin(``n``, |``p``|) with the sign of ``p``,
+    modulo ``grid``, at the values ``low`` .. ``low + width - 1``; each age's
+    table must fit in ``grid``.
+
+    Each age's table (:func:`_binomial_tables`) enters by the real FFT of its
+    row, zero-padded to ``grid``; a row whose values fall along it (a flipped
+    or a lost age) enters conjugated, which transforms the reversed row. The
+    product of the transforms, transformed back, is the pmf of the sum less the
+    tables' first values. Round-off negatives are clipped, and the pmf is
+    normalized. The ages are transformed TRANSFORM_ELEMENTS // ``grid`` at a
+    time."""
+    sign = np.where(p < 0, -1, 1)
+    spectrum = np.ones(grid // 2 + 1, dtype=complex)
+    offset = 0  # the sum of the tables' first values
+    rows = max(1, TRANSFORM_ELEMENTS // grid)
+    for start in range(0, n.size, rows):
+        ages = slice(start, start + rows)
+        values, pmf = _binomial_tables(n[ages], np.abs(p[ages]))
+        ends = values[:, :2] * sign[ages, None]  # every table has two values or more
+        offset += int(ends[:, 0].sum())
+        transform = np.fft.rfft(pmf, grid)
+        np.conjugate(transform, out=transform, where=ends[:, 1:] < ends[:, :1])
+        spectrum *= transform.prod(axis=0)
+        del values, pmf, transform  # before the next chunk's tables
+    pmf = np.fft.irfft(spectrum, grid)
+    start = (low - offset) % grid
+    pmf = np.concatenate((pmf[start:], pmf[:start]))[:width]
+    np.maximum(pmf, 0.0, out=pmf)
+    pmf /= pmf.sum()
+    return pmf
+
+
+def _block_rows(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
+                draws: int) -> np.ndarray:
+    """``draws`` independent values of each block's senders (:func:`_block_pmfs`),
+    shape (blocks, draws): each block's histogram drawn as one multinomial over
+    its pmf and expanded into its values, and each row put in random order."""
+    rows = np.empty((-(-n.size // AGE_BLOCK), draws), dtype=np.int64)
+    for row, (low, pmf) in zip(rows, _block_pmfs(n, p)):
+        row[:] = np.repeat(np.arange(low, low + pmf.size), rng.multinomial(draws, pmf))
     return rng.permuted(rows, axis=1, out=rows)
 
 
@@ -151,20 +219,15 @@ def _cell_senders(ctx: SimulationContext, c: int, month: int, p: np.ndarray, see
                   draws: int) -> np.ndarray:
     """Senders of corridor ``c`` in ``month``, one sum per draw: each age with a
     positive count n and ``p`` != 0 adds Bin(n, |p|) senders with the sign of p,
-    drawn ``AGE_BLOCK`` ages at a time on the cell's own stream."""
+    drawn ``AGE_BLOCK`` ages at a time on the cell's own stream. An age with
+    |p| = 1 adds its n, or takes it away, in every draw."""
     n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
     keep = (n > 0) & (p != 0)
     n, p = n[keep], p[keep]
-    lost = p < 0
+    certain = np.abs(p) == 1.0
     rng = np.random.default_rng(corridor_seed(seed, c, month))
-    senders = np.zeros(draws, dtype=np.int64)
-    for start in range(0, n.size, AGE_BLOCK):
-        block = slice(start, start + AGE_BLOCK)
-        rows = _binomial_rows(rng, n[block], np.abs(p[block]), draws)
-        if lost[block].any():
-            np.negative(rows, out=rows, where=lost[block, None])
-        senders += rows.sum(axis=0)
-    return senders
+    rows = _block_rows(rng, n[~certain], p[~certain], draws)
+    return rows.sum(axis=0) + int(np.where(p < 0, -n, n)[certain].sum())
 
 
 def _sample_cells(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarray,

@@ -1,4 +1,4 @@
-"""Expected flows, the binomial sampler, its histogram draw, the induced
+"""Expected flows, the binomial sampler, its per-block draw, the induced
 coupling, and percentile bands."""
 from __future__ import annotations
 
@@ -195,7 +195,7 @@ def test_sampler_variance_matches_formula_production(small_dataset, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# The histogram draw: pmf tables, draw order, memory
+# The block draw: pmf tables, the block's pmf, draw order, memory
 
 @pytest.mark.parametrize("n, p, rtol", [
     (1, 0.3, 1e-12), (50, 0.5, 1e-12), (40, 1.0, 1e-12), (10**4, 1e-9, 1e-12),
@@ -216,17 +216,74 @@ def test_binomial_table_is_the_pmf(n, p, rtol):
     assert binom.cdf(values.min() - 1, n, p) + binom.sf(values.max(), n, p) < 1e-15
 
 
-def test_binomial_rows_are_in_random_order():
-    """Two ages with equal (n, p), and each row against itself one draw on, are
-    uncorrelated within 4 / sqrt(draws): every row is shuffled on its own."""
+def _direct_pmf(n: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
+    """The pmf of the sum over ages of Bin(n, |p|) with the sign of p, by direct
+    convolution of scipy's binomial pmfs, each cut to where it is not 0: its
+    least value and the probabilities from there."""
+    from scipy.stats import binom
+    low, pmf = 0, np.ones(1)
+    for ni, pi in zip(n.tolist(), p.tolist()):
+        table = binom.pmf(np.arange(ni + 1), ni, abs(pi))
+        support = np.flatnonzero(table)
+        table = table[support[0]:support[-1] + 1]
+        if pi < 0:
+            table, low = table[::-1], low - int(support[-1])
+        else:
+            low += int(support[0])
+        pmf = np.convolve(pmf, table)
+    return low, pmf
+
+
+_SIGMAS = np.geomspace(0.3, 45.0, 16)
+_MIXED = np.random.default_rng(23)
+
+
+@pytest.mark.parametrize("n, p", [
+    ([200], [0.3]),
+    # sigma from 0.3 to 45, half the tables flipped
+    (np.rint(_SIGMAS**2 / 0.09), np.tile([0.1, 0.9], 8)),
+    ([10**6], [0.5]),
+    ([10**4], [1e-9]),
+    ([40], [1.0]),  # the flipped table n - Bin(n, 0)
+    (_MIXED.integers(1, 3000, 16),
+     _MIXED.choice([-1.0, 1.0], 16) * _MIXED.uniform(0.05, 0.95, 16))],
+    ids=["one-age", "sigma-0.3-to-45", "n-1e6", "p-1e-9", "p-1", "mixed-signs"])
+def test_block_pmf_is_the_convolution_of_its_binomials(n, p):
+    """A block's pmf is within 1e-12 in total variation of the direct convolution
+    of scipy's binomial pmfs, and the convolution's mass outside the values that
+    the pmf covers is below 1e-15, as a table's is (the alias bound)."""
+    n, p = np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float)
+    [(low, pmf)] = flows_module._block_pmfs(n, p)
+    want_low, want = _direct_pmf(n, p)
+    start = min(low, want_low)
+    got = np.zeros(max(low + pmf.size, want_low + want.size) - start)
+    ref = np.zeros_like(got)
+    got[low - start:low - start + pmf.size] = pmf
+    ref[want_low - start:want_low - start + want.size] = want
+    assert (pmf >= 0).all()
+    assert 0.5 * np.abs(got - ref).sum() <= 1e-12
+    assert ref.sum() - ref[low - start:low - start + pmf.size].sum() < 1e-15
+
+
+def test_block_rows_are_in_random_order():
+    """The rows of two identical blocks, and each row against itself one draw
+    on, are uncorrelated within 4 / sqrt(draws): every row is shuffled on its
+    own. Each row's mean lies within 4 standard errors of sum n p, and its
+    variance within 4 relative standard errors, 4 sqrt(2 / (draws - 1)), of
+    sum n |p| (1 - |p|)."""
     draws = 10_000
-    rows = flows_module._binomial_rows(np.random.default_rng(5), np.array([200, 200]),
-                                       np.array([0.3, 0.3]), draws)
+    n = np.tile(np.arange(20, 340, 20), 2)
+    p = np.tile(np.linspace(-0.55, 0.95, 16), 2)  # two blocks of 16 ages
+    rows = flows_module._block_rows(np.random.default_rng(5), n, p, draws)
+    assert rows.shape == (2, draws)
+    mean = float((n[:16] * p[:16]).sum())
+    var = float((n[:16] * np.abs(p[:16]) * (1 - np.abs(p[:16]))).sum())
     bound = 4 / np.sqrt(draws)
     assert abs(np.corrcoef(rows[0], rows[1])[0, 1]) <= bound
     for row in rows:
         assert abs(np.corrcoef(row[:-1], row[1:])[0, 1]) <= bound
-        assert abs(row.mean() - 60.0) <= 4 * np.sqrt(42.0 / draws)
+        assert abs(row.mean() - mean) <= 4 * np.sqrt(var / draws)
+        assert row.var() == pytest.approx(var, rel=4 * np.sqrt(2 / (draws - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +631,24 @@ def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
     tracemalloc.start()
     try:
         flows_module._sample_cells(ctx, PARAMS, np.arange(ctx.n_corridors), cube, 1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_wide_block_memory_stays_under_a_mebibyte():
+    """Drawing one block that holds an age with n = 10^6 and p = 0.5 (sigma =
+    500) 1,000 times allocates at most 1 MiB at its peak: the block's grid has
+    16,384 points, and its tables are transformed TRANSFORM_ELEMENTS // 16,384
+    ages at a time."""
+    n = np.full(flows_module.AGE_BLOCK, 300)
+    n[5] = 10**6
+    p = np.linspace(-0.3, 0.8, flows_module.AGE_BLOCK)
+    p[5] = 0.5
+    tracemalloc.start()
+    try:
+        flows_module._block_rows(np.random.default_rng(1), n, p, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
