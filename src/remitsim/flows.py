@@ -17,42 +17,55 @@ p_c (the monotone coupling; Lindvall, *Lectures on the Coupling Method*,
 1992). :func:`sample_induced_totals` draws that one signed binomial per age
 and changed corridor-month, not a factual and a no-disaster draw to subtract.
 
-The kept ages of a corridor-month are drawn ``AGE_BLOCK`` at a time, and a
-block's ``draws`` values are drawn as one sum: numpy's multinomial draws the
-histogram of the ``draws`` values over the pmf of the block's senders; the
-histogram is expanded into its values, and the row is put in uniformly random
-order (``Generator.permuted``). This is exact in distribution: the histogram
-of ``draws`` independent values is multinomial, and given its histogram every
-order of an independent sequence is equally likely, so a uniform shuffle
-turns it back into one (Devroye, *Non-Uniform Random Variate Generation*,
-1986). The blocks' rows are then added. On the desk fixture's band window that
-shuffles 1.5 million values (1,524 blocks x 1,000 draws), where a row per age
-shuffled 22.2 million. An age with |p| = 1 is no draw: it adds its n, or
-takes it away, in every draw.
+A corridor-month's senders are drawn as one sum per draw, from the sum's pmf
+by inverse transform: each of ``draws`` uniforms from the cell's own stream
+is mapped to the least value whose cumulative probability exceeds it
+(Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. 3). So a cell
+always takes exactly ``draws`` uniforms from its stream. An age with |p| = 1
+is no draw: it adds its n, or takes it away, in every draw.
 
-The block's pmf is the convolution of its ages' tables, taken by FFT (Cooley
-and Tukey, *Math. Comp.* 19, 1965). An age's table spans the mode ± ceil(12
-sigma + 12), clipped to [0, n]; the mass outside it is below 1e-26 for every n
-from 1 to 10^7 and p from 1e-9 to 0.5 (by scipy's binomial tails; 1.5e-27 at
-its worst, n = 3,000 and p = 0.001). An age with p > 0.5 is tabulated as n -
-Bin(n, 1 - p). The circular grid is sized by the block's spread, not by its
-support: it has the least power of two of points that holds min(2 h + 2, the
-support's width), with h = ceil(12 sigma + 12) and sigma^2 = sum n |p| (1 -
-|p|), and it covers the block's support, or, where the support is wider, the
-values from floor(sum n p) - h on, moved into the support. The sum's mass
-outside those values aliases into them. By Bennett's inequality (the sum is
-one of independent terms, each within 1 of its mean) the sum lies more than h
-from its mean with probability below 1.1e-24 at every sigma, so the pmf
-differs from the sum's own by the FFT's round-off and the tables' cut. Over
-the 1,705 blocks of the desk fixture's band window (factual and induced), its
-largest total-variation distance to a direct ``np.convolve`` of the tables is
-4.5e-15; the tests bound it by 1e-12 against scipy's binomial pmfs, at n up to
-10^6.
+The pmf comes from the sum's characteristic function, by one inverse DFT
+(the DFT-CF method for sums of independent binomials; Hong, *Comput. Stat.
+Data Anal.* 59, 2013). An age with |p| > 0.5 counts as n - Bin(n, 1 - |p|),
+its n an exact integer offset, so every age is s Bin(n, q) with q <= 0.5
+and s = +-1, and the sum has phi(t) = E exp(itS) = exp(it offset) prod (1 -
+q + q exp(ist))^n. The circular grid is sized by the sum's spread, not by
+its support: it has the least power of two of points N that holds min(2 h +
+2, the support's width), with h = ceil(12 sigma + 12) and sigma^2 = sum n q
+(1 - q), and it covers the support, from minus the n of the lost ages to
+the n of the gained ones, or, where the support is wider, the values from
+floor(sum n p) - h on, moved into the support. The sum's mass outside those
+values aliases into them. By Bennett's inequality (the sum is one of
+independent terms, each within 1 of its mean) the sum lies more than h from
+its mean with probability below 1.1e-24 at every sigma.
+
+The pmf at the grid's values, from its first value L on, is the inverse real
+DFT of phi(-t) exp(itL) at the grid's frequencies t = 2 pi m / N, evaluated
+in one pass over frequencies x ages. Per age, the log-modulus is n/2
+log1p(-4 q (1 - q) sin^2(t/2)), and the phase is s n (q t + psi), psi =
+arg((1 - q + q exp(it)) exp(-iqt)); the linear part adds up over the ages to
+t times the sum's mean, which is taken once per cell, relative to the grid's
+first value. psi's imaginary part, q S((1 - q) t) - (1 - q) S(q t) with S(x)
+= sin x - x, is summed as a power series in t whose coefficients are per
+age, up to the term below 2^-60 of the leading one at the largest t; its
+real part is the root of the squared modulus less the squared imaginary part
+(it is >= 0 for q <= 0.5). So neither cancels, where n atan2 of the factor
+would lose about 1e-16 n q t per age. The sums over ages are elementwise
+products and ``.sum``, so no BLAS build enters. |phi(t)| <= exp(-sigma^2 (1
+- cos t)), so only the frequencies where that bound exceeds e^-62 are
+evaluated (44 to 101 of them at the desk band window's cells with sigma > 8,
+and 42 to 85 as sigma grows); the others are taken as 0, which moves each
+pmf value by less than e^-62 = 1.2e-27. Round-off negatives are clipped and
+the pmf is normalized. Over the 335 sampled cells of the desk fixture's band
+window (factual and induced) its largest total-variation distance to a
+direct ``np.convolve`` of scipy's binomial pmfs is 3.7e-14; the tests bound
+it by 1e-12 there and at n up to 10^6.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,131 +116,100 @@ def corridor_seed(root_seed: int, corridor_index: int, month: int) -> np.random.
     return np.random.SeedSequence((int(root_seed), int(corridor_index), int(month)))
 
 
-# Ages whose sum one multinomial and one shuffled row draw at once: enough to
-# spread numpy's per-call cost over the ages, few enough that a block's grid
-# stays narrow.
-AGE_BLOCK = 16
+# sin x - x = sum over j >= 1 of _SIN_SERIES[j - 1] x^(2j + 1)
+_SIN_SERIES = np.array([(-1.0) ** j / math.factorial(2 * j + 1) for j in range(1, 16)])
 
-# Elements (ages x grid points) that one transform takes: a block whose grid is
-# wide is transformed a few ages at a time, so that its tables and transforms
-# stay far under a megabyte.
-TRANSFORM_ELEMENTS = 2**14
+# Frequencies where exp(-sigma^2 (1 - cos t)), a bound on |phi(t)|, is below
+# exp(-_CF_CUT) are not evaluated.
+_CF_CUT = 62.0
 
 
-def _binomial_tables(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values and the probabilities of Binomial(``n``, ``p``) for each age, one
-    row each over the window mode ± ceil(12 sigma + 12), clipped to [0, n];
-    columns past a row's window go on with probability 0.
-
-    An age with p > 0.5 is tabulated as n - Bin(n, 1 - p), so p = 1 is exact.
-    The probabilities come from the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1)
-    * p / (1 - p), by a cumulative product from the window's first value, and
-    are normalized by their left-to-right sum."""
-    flip = p > 0.5
-    q = np.where(flip, 1.0 - p, p)
-    sigma = np.sqrt(n * q * (1.0 - q))
-    mode = np.floor((n + 1) * q)
-    half = np.ceil(12.0 * sigma + 12.0)
-    lo = np.maximum(mode - half, 0.0)
-    hi = np.minimum(mode + half, n)
-    k = lo[:, None] + np.arange((hi - lo).max() + 1.0)  # whole numbers, as floats
-    step = k[:, :-1]
-    ratio = (n[:, None] - step) * q[:, None]
-    ratio /= (step + 1.0) * (1.0 - q)[:, None]
-    ratio[step >= hi[:, None]] = 0.0
-    pmf = np.ones(k.shape)
-    np.cumprod(ratio, axis=1, out=pmf[:, 1:])
-    del ratio
-    pmf /= np.add.accumulate(pmf, axis=1)[:, -1:]
-    values = np.subtract(n[:, None], k, out=k, where=flip[:, None])
-    return values.astype(np.int64), pmf
-
-
-def _block_pmfs(n: np.ndarray, p: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """The pmf of each block's senders, the sum over the block's ``AGE_BLOCK``
-    ages of Bin(n, |p|) with the sign of p. Yields, per block, its least value
-    and the probabilities of that value and of each next one.
-
-    The block's grid is the least power of two that holds min(2 h + 2, the
-    support's width) values, with h = ceil(12 sigma + 12) and sigma^2 =
-    sum n |p| (1 - |p|). The pmf covers the support, from minus the n of the
-    lost ages to the n of the gained ones, where the grid holds it; otherwise
-    the grid's values from floor(sum n p) - h, moved into the support
-    (:func:`_circular_pmf`)."""
+def _cell_pmf(n: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
+    """The pmf of the sum over ages of Bin(``n``, |``p``|) with the sign of ``p``
+    (|p| <= 1): its least value, and the probabilities of that value and of
+    each next one, from the sum's characteristic function on a circular grid
+    sized by its spread (see the module docstring)."""
     q = np.abs(p)
+    flip = q > 0.5
+    q[flip] = 1.0 - q[flip]
     lost = p < 0
-    starts = np.arange(0, n.size, AGE_BLOCK)
-    first = -np.add.reduceat(np.where(lost, n, 0), starts)
-    last = np.add.reduceat(np.where(lost, 0, n), starts)
-    half = np.ceil(12.0 * np.sqrt(np.add.reduceat(n * q * (1.0 - q), starts)) + 12.0)
-    size = np.int64(1) << np.frexp(np.minimum(2.0 * half + 2.0, last - first + 1.0) - 1.0)[1]
-    low = np.floor(np.add.reduceat(n * p, starts) - half).astype(np.int64)
-    low = np.maximum(np.minimum(low, last - size + 1), first)
-    width = np.minimum(size, last - low + 1)
-    for b, start in enumerate(starts.tolist()):
-        block = slice(start, start + AGE_BLOCK)
-        yield int(low[b]), _circular_pmf(n[block], p[block], int(size[b]), int(low[b]),
-                                         int(width[b]))
-
-
-def _circular_pmf(n: np.ndarray, p: np.ndarray, grid: int, low: int,
-                  width: int) -> np.ndarray:
-    """The pmf of the sum over ages of Bin(``n``, |``p``|) with the sign of ``p``,
-    modulo ``grid``, at the values ``low`` .. ``low + width - 1``; each age's
-    table must fit in ``grid``.
-
-    Each age's table (:func:`_binomial_tables`) enters by the real FFT of its
-    row, zero-padded to ``grid``; a row whose values fall along it (a flipped
-    or a lost age) enters conjugated, which transforms the reversed row. The
-    product of the transforms, transformed back, is the pmf of the sum less the
-    tables' first values. Round-off negatives are clipped, and the pmf is
-    normalized. The ages are transformed TRANSFORM_ELEMENTS // ``grid`` at a
-    time."""
-    sign = np.where(p < 0, -1, 1)
-    spectrum = np.ones(grid // 2 + 1, dtype=complex)
-    offset = 0  # the sum of the tables' first values
-    rows = max(1, TRANSFORM_ELEMENTS // grid)
-    for start in range(0, n.size, rows):
-        ages = slice(start, start + rows)
-        values, pmf = _binomial_tables(n[ages], np.abs(p[ages]))
-        ends = values[:, :2] * sign[ages, None]  # every table has two values or more
-        offset += int(ends[:, 0].sum())
-        transform = np.fft.rfft(pmf, grid)
-        np.conjugate(transform, out=transform, where=ends[:, 1:] < ends[:, :1])
-        spectrum *= transform.prod(axis=0)
-        del values, pmf, transform  # before the next chunk's tables
-    pmf = np.fft.irfft(spectrum, grid)
-    start = (low - offset) % grid
-    pmf = np.concatenate((pmf[start:], pmf[:start]))[:width]
+    count = np.where(lost != flip, -n, n).astype(float)  # s n, s the sign after the flip
+    offset = int(np.where(lost, -n, n)[flip].sum())
+    first, last = -int(n[lost].sum()), int(n[~lost].sum())
+    spread = q * (1.0 - q)
+    var = float((n * spread).sum())
+    half = math.ceil(12.0 * math.sqrt(var) + 12.0)
+    grid = 1 << (min(2 * half + 2, last - first + 1) - 1).bit_length()
+    low = max(min(math.floor(float((n * p).sum()) - half), last - grid + 1), first)
+    kept = grid // 2 + 1
+    if var > _CF_CUT / 2:  # sigma^2 (1 - cos t) < _CF_CUT: 2 sin^2(t / 2) < _CF_CUT / var
+        kept = min(kept, int(grid / math.pi * math.asin(math.sqrt(_CF_CUT / 2 / var))) + 1)
+    t = np.arange(kept) * (2.0 * math.pi / grid)
+    # psi's series goes on until its next term is below 2^-60 of the leading
+    # one at the largest t
+    top = t[-1] * np.max(1.0 - q, initial=0.0)
+    terms = 1
+    while terms < _SIN_SERIES.size and (abs(_SIN_SERIES[terms]) * top ** (2 * terms)
+                                        > 2.0**-60 * abs(_SIN_SERIES[0])):
+        terms += 1
+    # psi's imaginary part is t^3 sum_j coef_j t^(2j - 2), with coef_j =
+    # _SIN_SERIES[j - 1] q (1 - q) ((1 - q)^(2j) - q^(2j))
+    power = 2 * np.arange(1, terms + 1)[:, None]
+    coef = (1.0 - q) ** power - q ** power
+    coef *= spread
+    coef *= _SIN_SERIES[:terms, None]
+    squares = (t * t)[:, None]
+    im = np.empty((kept, q.size))
+    im[:] = coef[-1]
+    for row in coef[-2::-1]:
+        im *= squares
+        im += row
+    im *= squares * t[:, None]
+    sines = np.sin(0.5 * t)[:, None]
+    shrink = (sines * sines) * (4.0 * spread)  # 1 - |1 - q + q exp(it)|^2
+    re = 1.0 - shrink
+    re -= im * im
+    np.maximum(re, 0.0, out=re)
+    np.sqrt(re, out=re)
+    with np.errstate(divide="ignore"):  # log1p(-1): q = 0.5 at t = pi
+        modulus = np.log1p(np.negative(shrink, out=shrink), out=shrink)
+    modulus *= n
+    psi = np.arctan2(im, re, out=im)
+    psi *= count
+    phase = t * ((low - offset) - float((count * q).sum())) - psi.sum(axis=1)
+    spectrum = np.zeros(grid // 2 + 1, dtype=complex)
+    spectrum[:kept] = np.exp(0.5 * modulus.sum(axis=1) + 1j * phase)
+    pmf = np.fft.irfft(spectrum, grid)[:min(grid, last - low + 1)]
     np.maximum(pmf, 0.0, out=pmf)
     pmf /= pmf.sum()
-    return pmf
+    return low, pmf
 
 
-def _block_rows(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
+def _cell_draws(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
                 draws: int) -> np.ndarray:
-    """``draws`` independent values of each block's senders (:func:`_block_pmfs`),
-    shape (blocks, draws): each block's histogram drawn as one multinomial over
-    its pmf and expanded into its values, and each row put in random order."""
-    rows = np.empty((-(-n.size // AGE_BLOCK), draws), dtype=np.int64)
-    for row, (low, pmf) in zip(rows, _block_pmfs(n, p)):
-        row[:] = np.repeat(np.arange(low, low + pmf.size), rng.multinomial(draws, pmf))
-    return rng.permuted(rows, axis=1, out=rows)
+    """``draws`` independent values of the sum over ages of Bin(``n``, |``p``|)
+    with the sign of ``p`` (|p| <= 1), by inverse transform: ``draws``
+    uniforms from ``rng`` against the cumulative pmf (:func:`_cell_pmf`)."""
+    low, pmf = _cell_pmf(n, p)
+    cdf = np.cumsum(pmf)
+    uniforms = rng.random(draws)
+    uniforms *= cdf[-1]  # no index past the last value, where the cumulative sum ends below 1
+    return low + np.searchsorted(cdf, uniforms, side="right")
 
 
 def _cell_senders(ctx: SimulationContext, c: int, month: int, p: np.ndarray, seed: int,
                   draws: int) -> np.ndarray:
     """Senders of corridor ``c`` in ``month``, one sum per draw: each age with a
     positive count n and ``p`` != 0 adds Bin(n, |p|) senders with the sign of p,
-    drawn ``AGE_BLOCK`` ages at a time on the cell's own stream. An age with
-    |p| = 1 adds its n, or takes it away, in every draw."""
+    drawn as one sum on the cell's own stream (:func:`_cell_draws`). An age
+    with |p| = 1 adds its n, or takes it away, in every draw."""
     n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
     keep = (n > 0) & (p != 0)
     n, p = n[keep], p[keep]
     certain = np.abs(p) == 1.0
     rng = np.random.default_rng(corridor_seed(seed, c, month))
-    rows = _block_rows(rng, n[~certain], p[~certain], draws)
-    return rows.sum(axis=0) + int(np.where(p < 0, -n, n)[certain].sum())
+    senders = _cell_draws(rng, n[~certain], p[~certain], draws)
+    return senders + int(np.where(p < 0, -n, n)[certain].sum())
 
 
 def _sample_cells(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarray,

@@ -1,4 +1,4 @@
-"""Expected flows, the binomial sampler, its per-block draw, the induced
+"""Expected flows, the binomial sampler, its per-cell draw, the induced
 coupling, and percentile bands."""
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from remitsim.months import month_index
 from conftest import brute_force_flow
 
 PARAMS = REFERENCE_PARAMS
+BANDS_WINDOW = (month_index("2016-07"), month_index("2016-12"))
 
 
 def test_expected_flow_closed_form():
@@ -195,95 +196,139 @@ def test_sampler_variance_matches_formula_production(small_dataset, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# The block draw: pmf tables, the block's pmf, draw order, memory
-
-@pytest.mark.parametrize("n, p, rtol", [
-    (1, 0.3, 1e-12), (50, 0.5, 1e-12), (40, 1.0, 1e-12), (10**4, 1e-9, 1e-12),
-    (6691, 0.3, 1e-12),
-    # scipy's own pmf is off by up to 1.9e-12 at this n (against 40-digit
-    # arithmetic), the table by 4.4e-13
-    (10**6, 0.3, 3e-12)])
-def test_binomial_table_is_the_pmf(n, p, rtol):
-    """Each entry of an age's table is scipy's binomial pmf at its value, and
-    the mass outside the table's window is below 1e-15."""
-    from scipy.stats import binom
-    values, pmf = flows_module._binomial_tables(np.array([n]), np.array([p]))
-    values, pmf = values[0], pmf[0]
-    assert np.array_equal(np.sort(values), np.arange(values.min(), values.max() + 1))
-    want = binom.pmf(values, n, p)
-    assert (pmf[want == 0] == 0).all()
-    assert np.abs(pmf[want > 0] / want[want > 0] - 1).max() <= rtol
-    assert binom.cdf(values.min() - 1, n, p) + binom.sf(values.max(), n, p) < 1e-15
-
+# The cell draw: the pmf from the characteristic function, the inverse-CDF
+# draw, memory
 
 def _direct_pmf(n: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
     """The pmf of the sum over ages of Bin(n, |p|) with the sign of p, by direct
-    convolution of scipy's binomial pmfs, each cut to where it is not 0: its
-    least value and the probabilities from there."""
+    convolution of scipy's binomial pmfs: its least value and the probabilities
+    from there. Each table, and each partial convolution, is cut to where it
+    exceeds 1e-40, which drops less than 1e-30 of mass in all."""
     from scipy.stats import binom
     low, pmf = 0, np.ones(1)
     for ni, pi in zip(n.tolist(), p.tolist()):
         table = binom.pmf(np.arange(ni + 1), ni, abs(pi))
-        support = np.flatnonzero(table)
+        support = np.flatnonzero(table > 1e-40)
         table = table[support[0]:support[-1] + 1]
         if pi < 0:
             table, low = table[::-1], low - int(support[-1])
         else:
             low += int(support[0])
         pmf = np.convolve(pmf, table)
+        support = np.flatnonzero(pmf > 1e-40)
+        low, pmf = low + int(support[0]), pmf[support[0]:support[-1] + 1]
     return low, pmf
 
 
-_SIGMAS = np.geomspace(0.3, 45.0, 16)
-_MIXED = np.random.default_rng(23)
-
-
-@pytest.mark.parametrize("n, p", [
-    ([200], [0.3]),
-    # sigma from 0.3 to 45, half the tables flipped
-    (np.rint(_SIGMAS**2 / 0.09), np.tile([0.1, 0.9], 8)),
-    ([10**6], [0.5]),
-    ([10**4], [1e-9]),
-    ([40], [1.0]),  # the flipped table n - Bin(n, 0)
-    (_MIXED.integers(1, 3000, 16),
-     _MIXED.choice([-1.0, 1.0], 16) * _MIXED.uniform(0.05, 0.95, 16))],
-    ids=["one-age", "sigma-0.3-to-45", "n-1e6", "p-1e-9", "p-1", "mixed-signs"])
-def test_block_pmf_is_the_convolution_of_its_binomials(n, p):
-    """A block's pmf is within 1e-12 in total variation of the direct convolution
-    of scipy's binomial pmfs, and the convolution's mass outside the values that
-    the pmf covers is below 1e-15, as a table's is (the alias bound)."""
-    n, p = np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float)
-    [(low, pmf)] = flows_module._block_pmfs(n, p)
-    want_low, want = _direct_pmf(n, p)
+def _total_variation(low: int, pmf: np.ndarray, want_low: int,
+                     want: np.ndarray) -> tuple[float, float]:
+    """The total-variation distance between two pmfs given by their least
+    values, and the mass of the second outside the values the first covers."""
     start = min(low, want_low)
     got = np.zeros(max(low + pmf.size, want_low + want.size) - start)
     ref = np.zeros_like(got)
     got[low - start:low - start + pmf.size] = pmf
     ref[want_low - start:want_low - start + want.size] = want
+    covered = ref[low - start:low - start + pmf.size].sum()
+    return 0.5 * float(np.abs(got - ref).sum()), float(ref.sum() - covered)
+
+
+_SIGMAS = np.geomspace(0.3, 45.0, 16)
+_MIXED = np.random.default_rng(23)
+_WIDE = np.random.default_rng(31)
+
+
+@pytest.mark.parametrize("n, p", [
+    ([200], [0.3]),
+    # sigma from 0.3 to 45, half the ages flipped
+    (np.rint(_SIGMAS**2 / 0.09), np.tile([0.1, 0.9], 8)),
+    ([10**6], [0.5]),
+    ([10**4], [1e-9]),
+    ([40], [1.0]),  # the flipped age n - Bin(n, 0)
+    (_MIXED.integers(1, 3000, 16),
+     _MIXED.choice([-1.0, 1.0], 16) * _MIXED.uniform(0.05, 0.95, 16)),
+    ([1], [0.3]), ([50], [0.5]), ([6691], [0.3]), ([10**6], [0.3]),
+    # 101 ages, n from 1 to 10^6
+    (np.rint(np.geomspace(1, 10**6, 101)),
+     _WIDE.choice([-1.0, 1.0], 101) * _WIDE.uniform(0.05, 0.95, 101))],
+    ids=["one-age", "sigma-0.3-to-45", "n-1e6", "p-1e-9", "p-1", "mixed-signs", "n-1",
+         "n-50-p-0.5", "n-6691", "n-1e6-p-0.3", "101-ages-mixed-signs"])
+def test_cell_pmf_is_the_convolution_of_its_binomials(n, p):
+    """A cell's pmf is within 1e-12 in total variation of the direct convolution
+    of scipy's binomial pmfs, and the convolution's mass outside the values that
+    the pmf covers is below 1e-15 (the alias bound)."""
+    n, p = np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float)
+    low, pmf = flows_module._cell_pmf(n, p)
+    distance, outside = _total_variation(low, pmf, *_direct_pmf(n, p))
     assert (pmf >= 0).all()
-    assert 0.5 * np.abs(got - ref).sum() <= 1e-12
-    assert ref.sum() - ref[low - start:low - start + pmf.size].sum() < 1e-15
+    assert distance <= 1e-12
+    assert outside < 1e-15
 
 
-def test_block_rows_are_in_random_order():
-    """The rows of two identical blocks, and each row against itself one draw
-    on, are uncorrelated within 4 / sqrt(draws): every row is shuffled on its
-    own. Each row's mean lies within 4 standard errors of sum n p, and its
-    variance within 4 relative standard errors, 4 sqrt(2 / (draws - 1)), of
-    sum n |p| (1 - |p|)."""
+def test_cell_draws_are_independent():
+    """Two cells drawn one after the other on one stream, and each cell's
+    draws against themselves one draw on, are uncorrelated within 4 /
+    sqrt(draws). Each cell's mean lies within 4 standard errors of sum n p,
+    and its variance within 4 relative standard errors, 4 sqrt(2 / (draws -
+    1)), of sum n |p| (1 - |p|)."""
     draws = 10_000
-    n = np.tile(np.arange(20, 340, 20), 2)
-    p = np.tile(np.linspace(-0.55, 0.95, 16), 2)  # two blocks of 16 ages
-    rows = flows_module._block_rows(np.random.default_rng(5), n, p, draws)
-    assert rows.shape == (2, draws)
-    mean = float((n[:16] * p[:16]).sum())
-    var = float((n[:16] * np.abs(p[:16]) * (1 - np.abs(p[:16]))).sum())
+    n = np.arange(20, 340, 20)
+    p = np.linspace(-0.55, 0.95, 16)
+    rng = np.random.default_rng(5)
+    rows = [flows_module._cell_draws(rng, n, p, draws) for _ in range(2)]
+    mean = float((n * p).sum())
+    var = float((n * np.abs(p) * (1 - np.abs(p))).sum())
     bound = 4 / np.sqrt(draws)
     assert abs(np.corrcoef(rows[0], rows[1])[0, 1]) <= bound
     for row in rows:
+        assert row.shape == (draws,)
         assert abs(np.corrcoef(row[:-1], row[1:])[0, 1]) <= bound
         assert abs(row.mean() - mean) <= 4 * np.sqrt(var / draws)
         assert row.var() == pytest.approx(var, rel=4 * np.sqrt(2 / (draws - 1)))
+
+
+@pytest.fixture(scope="module")
+def desk_window_cells(desk_dataset):
+    """The ages that the sampler draws as one sum, (n, p), at every sampled
+    corridor-month of the desk fixture's band window: the factual cube's
+    cells, then the induced (no-disaster) delta's."""
+    cells = []
+    draw = flows_module._cell_draws
+
+    def recording_draws(rng, n, p, draws):
+        cells.append((n.copy(), p.copy()))
+        return draw(rng, n, p, draws)
+
+    ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows_module, "_cell_draws", recording_draws)
+        sample_monthly_totals(ctx, PARAMS, None, 1, 1)
+        factual = len(cells)
+        sample_induced_totals(ctx, PARAMS, scenario_none(), 1, 1)
+    assert 0 < factual < len(cells)
+    return cells
+
+
+def test_desk_window_pmfs_are_the_convolutions_of_their_binomials(desk_window_cells):
+    """At every sampled cell of the desk fixture's band window, factual and
+    induced, the pmf is within 1e-12 in total variation of the direct
+    convolution of scipy's binomial pmfs."""
+    for n, p in desk_window_cells:
+        distance, _ = _total_variation(*flows_module._cell_pmf(n, p), *_direct_pmf(n, p))
+        assert distance <= 1e-12
+
+
+def test_desk_window_pmf_moments_are_the_sums(desk_window_cells):
+    """At every sampled cell of the desk fixture's band window, factual and
+    induced, the pmf's mean and variance are sum n p and sum n |p| (1 - |p|)
+    to 1e-9 relative."""
+    for n, p in desk_window_cells:
+        low, pmf = flows_module._cell_pmf(n, p)
+        values = low + np.arange(pmf.size)
+        mean = float((values * pmf).sum())
+        var = float(((values - mean) ** 2 * pmf).sum())
+        assert mean == pytest.approx(float((n * p).sum()), rel=1e-9)
+        assert var == pytest.approx(float((n * np.abs(p) * (1 - np.abs(p))).sum()), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +466,6 @@ def test_corridor_seed_stability():
 
 # ---------------------------------------------------------------------------
 # Merged cohorts and the induced coupling, drawn at the event cells
-
-BANDS_WINDOW = (month_index("2016-07"), month_index("2016-12"))
 
 
 def _coupling_moments(ctx, params, active_ids):
@@ -612,7 +655,7 @@ def test_induced_month_does_not_depend_on_the_window(desk_dataset):
 def test_induced_memory_stays_under_a_mebibyte(desk_dataset):
     """Sampling the induced totals of the desk fixture's band window (1,000
     draws) allocates at most 1 MiB at its peak, cubes included: they cover only
-    the affected rows, and the ages are drawn AGE_BLOCK at a time."""
+    the affected rows, and each cell's ages are drawn as one sum."""
     ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
     tracemalloc.start()
     try:
@@ -625,7 +668,7 @@ def test_induced_memory_stays_under_a_mebibyte(desk_dataset):
 
 def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
     """Sampling the desk fixture's band window (1,000 draws) allocates at most
-    1 MiB at its peak: the ages are drawn AGE_BLOCK at a time."""
+    1 MiB at its peak: each cell's ages are drawn as one sum."""
     ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
     cube = ctx.probability_cube(PARAMS, None, (slice(None), ctx.window))
     tracemalloc.start()
@@ -637,18 +680,18 @@ def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
     assert peak < 2**20
 
 
-def test_wide_block_memory_stays_under_a_mebibyte():
-    """Drawing one block that holds an age with n = 10^6 and p = 0.5 (sigma =
-    500) 1,000 times allocates at most 1 MiB at its peak: the block's grid has
-    16,384 points, and its tables are transformed TRANSFORM_ELEMENTS // 16,384
-    ages at a time."""
-    n = np.full(flows_module.AGE_BLOCK, 300)
+def test_wide_cell_memory_stays_under_a_mebibyte():
+    """Drawing one cell that holds an age with n = 10^6 and p = 0.5 (sigma =
+    500) 1,000 times allocates at most 1 MiB at its peak: the cell's grid has
+    16,384 points, and its characteristic function is evaluated at only the
+    frequencies where it is not negligible."""
+    n = np.full(16, 300)
     n[5] = 10**6
-    p = np.linspace(-0.3, 0.8, flows_module.AGE_BLOCK)
+    p = np.linspace(-0.3, 0.8, 16)
     p[5] = 0.5
     tracemalloc.start()
     try:
-        flows_module._block_rows(np.random.default_rng(1), n, p, 1000)
+        flows_module._cell_draws(np.random.default_rng(1), n, p, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

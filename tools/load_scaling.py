@@ -1,4 +1,5 @@
-"""Load time and memory, and each command's own peak RSS, against corridor count.
+"""Load time and memory, each command's own peak RSS, and the band sampler's
+cost per corridor-month, against corridor count.
 
     python3 tools/load_scaling.py BASE_SRC WORK_DIR [--out FILE]
 
@@ -17,10 +18,16 @@ checkout's ``src``, each in fresh processes:
   and the command's own ``ru_maxrss``. Each command is started by a small
   wrapper (``python3 -S``, no numpy), which reads the child's ``ru_maxrss``
   from ``os.wait4``; on Linux a child's ``ru_maxrss`` starts at the RSS of the
-  process that forked it, so the process that built the inputs must not.
+  process that forked it, so the process that built the inputs must not;
+- a one-month band step: ``simulate`` and ``counterfactual`` over
+  ``BAND_MONTH`` alone, with ``band_draws = BAND_DRAWS`` from a ``run.config``
+  of the step's own (the scale inputs' own config draws no bands), started
+  as above: wall time, the wall time per corridor-month (the input's
+  corridor count, one month), and the command's own ``ru_maxrss``.
 
-Then the verdict on ``TARGET``: per input and tree, the RSS that load adds
-and its traced peak per byte of CSV (median and largest of the repeats).
+Then the verdicts on ``TARGET`` and ``BAND_TARGET``: per input and tree, the
+RSS that load adds and its traced peak per byte of CSV (median and largest
+of the repeats), and the band step's time per corridor-month.
 Prints the results as JSON, with the machine they were taken on, and writes
 them to ``FILE`` if given. ``WORK_DIR`` must not exist yet.
 """
@@ -44,6 +51,12 @@ REPEATS = 3
 TARGET = "load adds less than 3x the input size at 12,800 corridors"
 COMMANDS = (("simulate",), ("counterfactual",), ("attribute",), ("compare-baseline",),
             ("report", "--start", "2019-10", "--end", "2019-12"))
+BAND_MONTH = "2019-06"
+BAND_DRAWS = 1000
+BAND_COMMANDS = ("simulate", "counterfactual")
+BAND_TARGET_MS = 0.25
+BAND_TARGET = (f"simulate's one-month band step takes at most {BAND_TARGET_MS} ms per "
+               "corridor-month at 12,800 corridors")
 
 BUILD = """
 import sys
@@ -98,31 +111,47 @@ def build(work: Path, origins: tuple[int, ...]) -> None:
                    env=env, check=True)
 
 
-def measure(src: Path, data: Path, out: Path) -> dict:
-    """``load_dataset`` and every command of ``src`` on ``data``, in fresh processes."""
+def run_command(env: dict[str, str], cmd: str, config: Path, data: Path, out: Path,
+                *rest: str) -> tuple[float, float]:
+    """Run one ``remitsim`` command in its own process, started by ``WRAPPER``:
+    its wall time in seconds and its own ``ru_maxrss`` in MB."""
+    argv = [sys.executable, "-m", "remitsim.cli", cmd, "--config", str(config),
+            "--data-dir", str(data), "--output-dir", str(out), "--seed", str(SEED),
+            "--params", str(data / "reference" / "calibration.json"), *rest]
+    printed = subprocess.run([sys.executable, "-S", "-c", WRAPPER, *argv], env=env,
+                             check=True, capture_output=True, text=True).stdout.split()
+    code, wall, maxrss_kb = int(printed[-3]), float(printed[-2]), int(printed[-1])
+    if code != 0:
+        raise SystemExit(f"{env['PYTHONPATH']}: {cmd} on {data} exited {code}")
+    return wall, maxrss_kb / 1024
+
+
+def measure(src: Path, data: Path, out: Path, band_config: Path, corridors: int) -> dict:
+    """``load_dataset``, every command and the one-month band step of ``src`` on
+    ``data``, in fresh processes."""
     env = env_for(src)
     loads = [json.loads(subprocess.run([sys.executable, "-c", LOAD, str(data)], env=env,
                                        check=True, capture_output=True, text=True).stdout)
              for _ in range(REPEATS)]
     commands = {}
     for cmd, *rest in COMMANDS:
-        argv = [sys.executable, "-m", "remitsim.cli", cmd, "--config", str(data / "run.config"),
-                "--data-dir", str(data), "--output-dir", str(out), "--seed", str(SEED),
-                "--params", str(data / "reference" / "calibration.json"), *rest]
-        printed = subprocess.run([sys.executable, "-S", "-c", WRAPPER, *argv], env=env,
-                                 check=True, capture_output=True, text=True).stdout.split()
-        code, wall, maxrss_kb = int(printed[-3]), float(printed[-2]), int(printed[-1])
-        if code != 0:
-            raise SystemExit(f"{src}: {cmd} on {data} exited {code}")
-        commands[cmd] = {"wall_s": round(wall, 3), "ru_maxrss_mb": round(maxrss_kb / 1024, 1)}
+        wall, maxrss_mb = run_command(env, cmd, data / "run.config", data, out, *rest)
+        commands[cmd] = {"wall_s": round(wall, 3), "ru_maxrss_mb": round(maxrss_mb, 1)}
+    bands = {}
+    for cmd in BAND_COMMANDS:
+        wall, maxrss_mb = run_command(env, cmd, band_config, data, out / "bands",
+                                      "--start", BAND_MONTH, "--end", BAND_MONTH)
+        bands[cmd] = {"wall_s": round(wall, 3), "ms_per_corridor_month":
+                      round(1e3 * wall / corridors, 3), "ru_maxrss_mb": round(maxrss_mb, 1)}
     return {"load": {name: [round(load[name], 4) for load in loads] for name in loads[0]},
-            "commands": commands}
+            "commands": commands, "bands": bands}
 
 
 def verdict(results: list[dict]) -> dict:
     """Per input and tree, the RSS that load adds and its traced peak, per CSV
-    byte, as the median and the largest of the repeats; and whether the largest
-    input meets ``TARGET`` in every repeat."""
+    byte, as the median and the largest of the repeats, and the band step's
+    ``simulate`` time per corridor-month; and whether the largest input meets
+    ``TARGET`` in every repeat, and ``BAND_TARGET``."""
     out = {}
     for entry in results:
         mb = 2**20 / entry["csv_bytes"]
@@ -131,8 +160,14 @@ def verdict(results: list[dict]) -> dict:
                 "median": round(statistics.median(entry[label]["load"][name]) * mb, 2),
                 "max": round(max(entry[label]["load"][name]) * mb, 2)}
             for label in ("base", "head") for name in ("rss_added_mb", "tracemalloc_peak_mb")}
+        out[str(entry["corridors"])].update({
+            f"{label}_band_ms_per_corridor_month":
+                entry[label]["bands"]["simulate"]["ms_per_corridor_month"]
+            for label in ("base", "head")})
     largest = out[str(results[-1]["corridors"])]
-    return {"target_met": largest["head_rss_added_per_csv_byte"]["max"] < 3, **out}
+    return {"target_met": largest["head_rss_added_per_csv_byte"]["max"] < 3,
+            "band_target_met": largest["head_band_ms_per_corridor_month"] <= BAND_TARGET_MS,
+            **out}
 
 
 def main(argv: list[str]) -> int:
@@ -144,6 +179,8 @@ def main(argv: list[str]) -> int:
     work = args.work.resolve()
     work.mkdir(parents=True)
     build(work, ORIGINS)
+    band_config = work / "bands.config"
+    band_config.write_text(f"band_draws = {BAND_DRAWS}\n", encoding="utf-8")
     results = []
     for n in ORIGINS:
         data = work / f"scale-{n}"
@@ -152,7 +189,8 @@ def main(argv: list[str]) -> int:
                  "csv_mb": round(csv_bytes / 2**20, 2)}
         for label, src in (("base", args.base_src.resolve()), ("head", ROOT / "src")):
             print(f"{n * (n // 2)} corridors: {label}", file=sys.stderr, flush=True)
-            entry[label] = measure(src, data, work / f"out-{label}-{n}")
+            entry[label] = measure(src, data, work / f"out-{label}-{n}", band_config,
+                                   entry["corridors"])
         results.append(entry)
     machine = {"cpus": os.cpu_count(), "memory_gb": round(
                    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
@@ -161,7 +199,10 @@ def main(argv: list[str]) -> int:
     command = "python3 tools/load_scaling.py BASE_SRC WORK_DIR" + (
         f" --out {args.out.name}" if args.out else "")
     text = json.dumps({"command": command, "seed": SEED, "repeats": REPEATS, "machine": machine,
-                       "commands": [" ".join(c) for c in COMMANDS], "target": TARGET,
+                       "commands": [" ".join(c) for c in COMMANDS],
+                       "band_step": {"month": BAND_MONTH, "band_draws": BAND_DRAWS,
+                                     "commands": list(BAND_COMMANDS)},
+                       "target": TARGET, "band_target": BAND_TARGET,
                        "verdict": verdict(results), "results": results}, indent=2) + "\n"
     print(text, end="")
     if args.out:
