@@ -21,51 +21,70 @@ A corridor-month's senders are drawn as one sum per draw, from the sum's pmf
 by inverse transform: each of ``draws`` uniforms from the cell's own stream
 is mapped to the least value whose cumulative probability exceeds it
 (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. 3). So a cell
-always takes exactly ``draws`` uniforms from its stream. An age with |p| = 1
-is no draw: it adds its n, or takes it away, in every draw.
+always takes exactly ``draws`` uniforms from its stream. The uniforms are
+looked up in ascending order, each binary search starting where the last one
+ended, and the indices are put back in the stream's order: the indices of
+``np.searchsorted`` in the stream's order, in half to two thirds of its time
+at 1,000 fresh uniforms. An age with |p| = 1 is no draw: it adds its n, or
+takes it away, in every draw.
 
 The pmf comes from the sum's characteristic function, by one inverse DFT
 (the DFT-CF method for sums of independent binomials; Hong, *Comput. Stat.
 Data Anal.* 59, 2013). An age with |p| > 0.5 counts as n - Bin(n, 1 - |p|),
-its n an exact integer offset, so every age is s Bin(n, q) with q <= 0.5
-and s = +-1, and the sum has phi(t) = E exp(itS) = exp(it offset) prod (1 -
-q + q exp(ist))^n. The circular grid is sized by the sum's spread, not by
-its support: it has the least power of two of points N that holds min(2 h +
-2, the support's width), with h = ceil(12 sigma + 12) and sigma^2 = sum n q
-(1 - q), and it covers the support, from minus the n of the lost ages to
-the n of the gained ones, or, where the support is wider, the values from
-floor(sum n p) - h on, moved into the support. The sum's mass outside those
-values aliases into them. By Bennett's inequality (the sum is one of
-independent terms, each within 1 of its mean) the sum lies more than h from
-its mean with probability below 1.1e-24 at every sigma.
+its n an exact integer offset, so every age is s Bin(n, q) with q <= 0.5 and
+s = +-1, and the sum has phi(t) = E exp(itS) = exp(it offset) prod (1 - q +
+q exp(ist))^n. The circular grid is sized by the sum's spread, not by its
+support: it has the least 2^a 3^b 5^c points N that hold min(2 h + 2, the
+support's width), with h = ceil(12 sigma + 12) and sigma^2 = sum n q (1 - q)
+(the FFT takes such sizes in radix-2, -3 and -5 passes; over the desk band
+window they have 31 % fewer points than the least powers of two), and it
+covers the support, from minus the n of the lost ages to the n of the gained
+ones, or, where the support is wider, the values from floor(sum n p) - h on,
+moved into the support. The sum's mass outside those values aliases into
+them. By Bennett's inequality (the sum is one of independent terms, each
+within 1 of its mean) the sum lies more than h from its mean with
+probability below 1.1e-24 at every sigma.
 
 The pmf at the grid's values, from its first value L on, is the inverse real
-DFT of phi(-t) exp(itL) at the grid's frequencies t = 2 pi m / N, evaluated
-in one pass over frequencies x ages. Per age, the log-modulus is n/2
-log1p(-4 q (1 - q) sin^2(t/2)), and the phase is s n (q t + psi), psi =
-arg((1 - q + q exp(it)) exp(-iqt)); the linear part adds up over the ages to
-t times the sum's mean, which is taken once per cell, relative to the grid's
-first value. psi's imaginary part, q S((1 - q) t) - (1 - q) S(q t) with S(x)
-= sin x - x, is summed as a power series in t whose coefficients are per
-age, up to the term below 2^-60 of the leading one at the largest t; its
-real part is the root of the squared modulus less the squared imaginary part
-(it is >= 0 for q <= 0.5). So neither cancels, where n atan2 of the factor
-would lose about 1e-16 n q t per age. The sums over ages are elementwise
-products and ``.sum``, so no BLAS build enters. |phi(t)| <= exp(-sigma^2 (1
-- cos t)), so only the frequencies where that bound exceeds e^-62 are
-evaluated (44 to 101 of them at the desk band window's cells with sigma > 8,
-and 42 to 85 as sigma grows); the others are taken as 0, which moves each
-pmf value by less than e^-62 = 1.2e-27. Round-off negatives are clipped and
-the pmf is normalized. Over the 335 sampled cells of the desk fixture's band
-window (factual and induced) its largest total-variation distance to a
-direct ``np.convolve`` of scipy's binomial pmfs is 3.7e-14; the tests bound
-it by 1e-12 there and at n up to 10^6.
+DFT of phi(-t) exp(itL) at the grid's frequencies t = 2 pi m / N. Per age,
+the log-modulus is n/2 log1p(-4 q (1 - q) sin^2(t/2)), and the phase is s n
+(q t + psi), psi = arg((1 - q + q exp(it)) exp(-iqt)); the linear part adds
+up over the ages to t times the sum's mean, which is taken once per cell,
+relative to the grid's first value. psi's imaginary part, q S((1 - q) t) -
+(1 - q) S(q t) with S(x) = sin x - x, is summed as a power series in t whose
+coefficients are per age, up to the term below 2^-60 of the leading one at
+the largest t; its real part is the root of the squared modulus less the
+squared imaginary part (it is >= 0 for q <= 0.5). So neither cancels, where
+n atan2 of the factor would lose about 1e-16 n q t per age. |phi(t)| <=
+exp(-sigma^2 (1 - cos t)), so only the frequencies where that bound exceeds
+e^-62 are evaluated (43 to 57 of them at the desk band window's cells with
+sigma > 8, and 43 to 45 as sigma grows); the others are taken as 0, which
+moves each pmf value by less than e^-62 = 1.2e-27. Round-off negatives are
+clipped and the pmf is normalized. Over the 335 sampled cells of the desk
+fixture's band window (factual and induced) its largest total-variation
+distance to a direct ``np.convolve`` of scipy's binomial pmfs is 2.0e-14;
+the tests bound it by 1e-12 there and at n up to 10^6.
+
+The corridor-months are set up and evaluated in batches, and a cell's pmf
+has the same bits in any batch. One setup pass per ``_CHUNK_CELLS`` cells
+takes the counts in one call and the per-age and per-cell quantities on one
+flat array of the ages to draw; each cell's sums (its mean, variance, phase
+slope, support ends) are ``np.add.reduceat`` over its own ages, whose order
+does not depend on the other cells. The cells of one grid size are then
+evaluated together, up to ``_BATCH_ELEMENTS`` elements, in one ages-major
+(ages, cells, frequencies) array and one batched ``irfft``, with the series
+coefficients up to the batch's own term count. The padding is exactly
+neutral: a padded age has n = 0 and q = 0, a series term past a cell's own
+has coefficient 0, and a cell's frequencies past its own cut are set to 0 in
+its spectrum. The sums over ages run along the leading axis, one addition
+per age in age order, and are elementwise products and sums, so no BLAS
+build enters.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -123,109 +142,209 @@ _SIN_SERIES = np.array([(-1.0) ** j / math.factorial(2 * j + 1) for j in range(1
 # exp(-_CF_CUT) are not evaluated.
 _CF_CUT = 62.0
 
+# The sizes a grid may take, 2^a 3^b 5^c up to 2^40, ascending (products up
+# to 2^40 are exact, and no two are equal)
+_GRID_SIZES = np.multiply.outer(np.multiply.outer(2.0 ** np.arange(41), 3.0 ** np.arange(26)),
+                                5.0 ** np.arange(18))
+_GRID_SIZES = np.sort(_GRID_SIZES[_GRID_SIZES <= 2.0**40]).astype(np.int64)
 
-def _cell_pmf(n: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
-    """The pmf of the sum over ages of Bin(``n``, |``p``|) with the sign of ``p``
-    (|p| <= 1): its least value, and the probabilities of that value and of
-    each next one, from the sum's characteristic function on a circular grid
-    sized by its spread (see the module docstring)."""
+# Corridor-months per setup pass (:func:`_cell_pmfs`), and elements, ages x
+# cells x frequencies or cells x grid points, per evaluation of the
+# characteristic functions of cells of one grid size (:func:`_grid_pmfs`).
+# Both bound the sampler's memory, whatever the corridor count or the window.
+_CHUNK_CELLS = 16
+_BATCH_ELEMENTS = 2**14
+
+
+def _grid_size(m):
+    """The least 2^a 3^b 5^c >= ``m``, elementwise."""
+    return _GRID_SIZES[np.searchsorted(_GRID_SIZES, m)]
+
+
+def _grid_pmfs(table: np.ndarray, grid: int, freqs: np.ndarray, terms: np.ndarray,
+               slope: np.ndarray) -> np.ndarray:
+    """The inverse real DFTs, shape (cells, ``grid``), of phi(-t) exp(itL) of
+    cells that share the grid size ``grid``. ``table`` holds n, s n, q (1 - q)
+    and q per age and cell, ages-major; a padded age has n = 0 and q = 0. Per
+    cell, its frequencies from ``freqs`` on are 0, psi's series has ``terms``
+    terms (the coefficients past them are 0), and ``slope`` is the phase's
+    linear part over t. The sums over ages run along the leading axis, so a
+    cell's values have the same bits in any batch."""
+    n, count, spread, q = table[..., None]
+    # psi's imaginary part is t^3 sum_j coef_j t^(2j - 2), with coef_j =
+    # _SIN_SERIES[j - 1] q (1 - q) ((1 - q)^(2j) - q^(2j))
+    power = np.arange(2, 2 * terms.max() + 1, 2)[:, None, None, None]
+    coef = (1.0 - q) ** power - q ** power
+    coef *= spread
+    coef *= _SIN_SERIES[:len(coef), None, None, None]
+    coef *= power <= 2 * terms[:, None]
+    t = np.arange(freqs.max()) * (2.0 * math.pi / grid)
+    squares = t * t
+    im = np.empty(table.shape[1:] + t.shape)
+    im[:] = coef[-1]
+    for row in coef[-2::-1]:
+        im *= squares
+        im += row
+    im *= squares * t
+    sines = np.sin(0.5 * t)
+    shrink = (sines * sines) * (4.0 * spread)  # 1 - |1 - q + q exp(it)|^2
+    re = 1.0 - shrink
+    with np.errstate(divide="ignore"):  # log1p(-1): q = 0.5 at t = pi
+        modulus = np.log1p(np.negative(shrink, out=shrink), out=shrink)
+    modulus *= n
+    log_abs = 0.5 * modulus.sum(axis=0)
+    re -= np.multiply(im, im, out=modulus)
+    del modulus, shrink
+    np.maximum(re, 0.0, out=re)
+    np.sqrt(re, out=re)
+    psi = np.arctan2(im, re, out=im)
+    del re
+    psi *= count
+    phase = t * slope[:, None] - psi.sum(axis=0)
+    spectrum = np.zeros((slope.size, grid // 2 + 1), dtype=complex)
+    evaluated = spectrum[:, :t.size]
+    evaluated[:] = np.exp(log_abs + 1j * phase)
+    evaluated[np.arange(t.size) >= freqs[:, None]] = 0.0
+    return np.fft.irfft(spectrum, grid)
+
+
+def _batches(grid: np.ndarray, sizes: np.ndarray, freqs: np.ndarray) -> Iterator[np.ndarray]:
+    """Index arrays of the cells that are evaluated together: cells of one grid
+    size, in ascending order of it, as many as fit ``_BATCH_ELEMENTS`` (one
+    at least), given each cell's ``sizes`` (ages) and ``freqs``."""
+    order = np.argsort(grid, kind="stable")
+    start = 0
+    while start < order.size:
+        points = grid[order[start]]
+        stop = start + 1
+        while stop < order.size and grid[order[stop]] == points:
+            batch = order[start:stop + 1]
+            if batch.size * max(sizes[batch].max() * freqs[batch].max(), points) > _BATCH_ELEMENTS:
+                break
+            stop += 1
+        yield order[start:stop]
+        start = stop
+
+
+def _cell_pmfs(n: np.ndarray, p: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Per row of ``n`` and ``p`` (cells x ages; integer counts n >= 0, |p| <=
+    1), the pmf of the sum over ages of Bin(n, |p|) with the sign of p: the
+    row, the sum's least value, and the probabilities of that value and of
+    each next one (see the module docstring). An age with |p| = 1 adds its n,
+    or takes it away, in every value. The rows with no other age come first,
+    then the others batch by batch.
+
+    One setup pass takes the per-age and per-cell quantities of all the
+    cells on one flat array of the ages to draw; each cell's sums are
+    ``np.add.reduceat`` over its own ages. Then the cells of one grid size
+    are evaluated together (:func:`_grid_pmfs`), which takes the series
+    coefficients up to the batch's own term count. A cell's pmf has the same
+    bits in any batch."""
+    signed = np.where(p < 0, -n, n)
+    nonzero = (n > 0) & (p != 0)
+    certain = nonzero & (np.abs(p) == 1.0)
+    drawn = nonzero & ~certain
+    base = np.where(certain, signed, 0).sum(axis=1)
+    sizes = drawn.sum(axis=1)
+    for row in np.flatnonzero(sizes == 0):
+        yield row, int(base[row]), np.ones(1)
+    cells = np.flatnonzero(sizes)
+    if not cells.size:
+        return
+    sizes = sizes[cells]
+    starts = np.cumsum(sizes) - sizes
+    n, p, signed = n[drawn], p[drawn], signed[drawn]  # the ages to draw, cell by cell
     q = np.abs(p)
     flip = q > 0.5
     q[flip] = 1.0 - q[flip]
     lost = p < 0
     count = np.where(lost != flip, -n, n).astype(float)  # s n, s the sign after the flip
-    offset = int(np.where(lost, -n, n)[flip].sum())
-    first, last = -int(n[lost].sum()), int(n[~lost].sum())
     spread = q * (1.0 - q)
-    var = float((n * spread).sum())
-    half = math.ceil(12.0 * math.sqrt(var) + 12.0)
-    grid = 1 << (min(2 * half + 2, last - first + 1) - 1).bit_length()
-    low = max(min(math.floor(float((n * p).sum()) - half), last - grid + 1), first)
-    kept = grid // 2 + 1
-    if var > _CF_CUT / 2:  # sigma^2 (1 - cos t) < _CF_CUT: 2 sin^2(t / 2) < _CF_CUT / var
-        kept = min(kept, int(grid / math.pi * math.asin(math.sqrt(_CF_CUT / 2 / var))) + 1)
-    t = np.arange(kept) * (2.0 * math.pi / grid)
+    offset, first, last = np.add.reduceat(np.stack([np.where(flip, signed, 0),
+                                                    np.where(lost, -n, 0),
+                                                    np.where(lost, 0, n)]), starts, axis=1)
+    var, mean, linear = np.add.reduceat(np.stack([n * spread, n * p, count * q]), starts,
+                                        axis=1)
+    half = np.ceil(12.0 * np.sqrt(var) + 12.0).astype(np.int64)
+    grid = _grid_size(np.minimum(2 * half + 2, last - first + 1))
+    low = np.maximum(np.minimum(np.floor(mean - half).astype(np.int64), last - grid + 1), first)
+    freqs = grid // 2 + 1
+    wide = var > _CF_CUT / 2  # sigma^2 (1 - cos t) < _CF_CUT: 2 sin^2(t / 2) < _CF_CUT / var
+    freqs[wide] = np.minimum(freqs[wide], (grid[wide] / math.pi * np.arcsin(
+        np.sqrt(_CF_CUT / 2 / var[wide]))).astype(np.int64) + 1)
+    slope = (low - offset) - linear
     # psi's series goes on until its next term is below 2^-60 of the leading
-    # one at the largest t
-    top = t[-1] * np.max(1.0 - q, initial=0.0)
-    terms = 1
-    while terms < _SIN_SERIES.size and (abs(_SIN_SERIES[terms]) * top ** (2 * terms)
-                                        > 2.0**-60 * abs(_SIN_SERIES[0])):
-        terms += 1
-    # psi's imaginary part is t^3 sum_j coef_j t^(2j - 2), with coef_j =
-    # _SIN_SERIES[j - 1] q (1 - q) ((1 - q)^(2j) - q^(2j))
-    power = 2 * np.arange(1, terms + 1)[:, None]
-    coef = (1.0 - q) ** power - q ** power
-    coef *= spread
-    coef *= _SIN_SERIES[:terms, None]
-    squares = (t * t)[:, None]
-    im = np.empty((kept, q.size))
-    im[:] = coef[-1]
-    for row in coef[-2::-1]:
-        im *= squares
-        im += row
-    im *= squares * t[:, None]
-    sines = np.sin(0.5 * t)[:, None]
-    shrink = (sines * sines) * (4.0 * spread)  # 1 - |1 - q + q exp(it)|^2
-    re = 1.0 - shrink
-    re -= im * im
-    np.maximum(re, 0.0, out=re)
-    np.sqrt(re, out=re)
-    with np.errstate(divide="ignore"):  # log1p(-1): q = 0.5 at t = pi
-        modulus = np.log1p(np.negative(shrink, out=shrink), out=shrink)
-    modulus *= n
-    psi = np.arctan2(im, re, out=im)
-    psi *= count
-    phase = t * ((low - offset) - float((count * q).sum())) - psi.sum(axis=1)
-    spectrum = np.zeros(grid // 2 + 1, dtype=complex)
-    spectrum[:kept] = np.exp(0.5 * modulus.sum(axis=1) + 1j * phase)
-    pmf = np.fft.irfft(spectrum, grid)[:min(grid, last - low + 1)]
-    np.maximum(pmf, 0.0, out=pmf)
-    pmf /= pmf.sum()
-    return low, pmf
+    # one at the cell's largest t (the terms shrink: t (1 - q) <= pi)
+    top = (freqs - 1) * (2.0 * math.pi / grid) * np.maximum.reduceat(1.0 - q, starts)
+    terms = 1 + (np.abs(_SIN_SERIES[1:]) * top[:, None] ** np.arange(2, 2 * _SIN_SERIES.size, 2)
+                 > 2.0**-60 * abs(_SIN_SERIES[0])).sum(axis=1)
+    ages = np.vstack([n, count, spread, q])
+    rank = np.arange(n.size) - np.repeat(starts, sizes)  # each age's place in its cell
+    del n, p, signed, q, flip, lost, count, spread  # not held while the batches are evaluated
+    for batch in _batches(grid, sizes, freqs):
+        # the batch's ages, cell by cell, into a table padded with zeros
+        at = np.repeat(starts[batch] - (np.cumsum(sizes[batch]) - sizes[batch]),
+                       sizes[batch]) + np.arange(sizes[batch].sum())
+        table = np.zeros((len(ages), sizes[batch].max(), batch.size))
+        table[:, rank[at], np.repeat(np.arange(batch.size), sizes[batch])] = ages[:, at]
+        values = _grid_pmfs(table, int(grid[batch[0]]), freqs[batch], terms[batch],
+                            slope[batch])
+        for pmf, cell in zip(values, batch):
+            pmf = pmf[:min(grid[cell], last[cell] - low[cell] + 1)]
+            np.maximum(pmf, 0.0, out=pmf)
+            pmf /= pmf.sum()
+            yield cells[cell], int(low[cell] + base[cells[cell]]), pmf
 
 
-def _cell_draws(rng: np.random.Generator, n: np.ndarray, p: np.ndarray,
+def _lookup(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, uniforms, side="right")``, searched in ascending
+    order of ``uniforms``, so that each search starts where the last one
+    ended."""
+    order = uniforms.argsort()
+    index = np.empty(uniforms.size, dtype=np.intp)
+    index[order] = np.searchsorted(cdf, uniforms[order], side="right")
+    return index
+
+
+def _cell_draws(rng: np.random.Generator, low: int, pmf: np.ndarray,
                 draws: int) -> np.ndarray:
-    """``draws`` independent values of the sum over ages of Bin(``n``, |``p``|)
-    with the sign of ``p`` (|p| <= 1), by inverse transform: ``draws``
-    uniforms from ``rng`` against the cumulative pmf (:func:`_cell_pmf`)."""
-    low, pmf = _cell_pmf(n, p)
+    """``draws`` independent values of a sum whose pmf from the value ``low`` on
+    is ``pmf`` (:func:`_cell_pmfs`), by inverse transform: each of ``draws``
+    uniforms from ``rng`` maps to the least value whose cumulative probability
+    exceeds it."""
     cdf = np.cumsum(pmf)
     uniforms = rng.random(draws)
     uniforms *= cdf[-1]  # no index past the last value, where the cumulative sum ends below 1
-    return low + np.searchsorted(cdf, uniforms, side="right")
-
-
-def _cell_senders(ctx: SimulationContext, c: int, month: int, p: np.ndarray, seed: int,
-                  draws: int) -> np.ndarray:
-    """Senders of corridor ``c`` in ``month``, one sum per draw: each age with a
-    positive count n and ``p`` != 0 adds Bin(n, |p|) senders with the sign of p,
-    drawn as one sum on the cell's own stream (:func:`_cell_draws`). An age
-    with |p| = 1 adds its n, or takes it away, in every draw."""
-    n = np.rint(ctx.cohort_counts(c, month)).sum(axis=0).astype(np.int64)  # per age
-    keep = (n > 0) & (p != 0)
-    n, p = n[keep], p[keep]
-    certain = np.abs(p) == 1.0
-    rng = np.random.default_rng(corridor_seed(seed, c, month))
-    senders = _cell_draws(rng, n[~certain], p[~certain], draws)
-    return senders + int(np.where(p < 0, -n, n)[certain].sum())
+    return low + _lookup(cdf, uniforms)
 
 
 def _sample_cells(ctx: SimulationContext, params: BehaviorParams, rows: np.ndarray,
                   p: np.ndarray, seed: int, draws: int) -> np.ndarray:
     """Sampled flows of the corridors ``rows`` over the window, summed per window
     month, shape (draws, n_window_months). ``p`` holds each age's probability per
-    corridor of ``rows`` and window month; a negative entry draws senders lost
-    (:func:`_cell_senders`). A corridor-month whose ``p`` is all 0 draws nothing."""
+    corridor of ``rows`` and window month; a negative entry draws senders lost.
+    Each age with a positive count n and ``p`` != 0 adds Bin(n, |p|) senders
+    with the sign of p, drawn as one sum per corridor-month on its own stream
+    (:func:`_cell_draws`). The corridor-months are taken ``_CHUNK_CELLS`` at a
+    time: one :meth:`~SimulationContext.cohort_counts` call and one
+    :func:`_cell_pmfs` call each, and their draws are added to the totals in
+    their order. A corridor-month whose ``p`` is all 0 draws nothing."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    months = ctx.window_months
+    months = np.asarray(ctx.window_months)
     totals = np.zeros((draws, len(months)))
-    for r, mi in np.argwhere(p.any(axis=2)):
+    cells = np.argwhere(p.any(axis=2))
+    for start in range(0, len(cells), _CHUNK_CELLS):
+        r, mi = cells[start:start + _CHUNK_CELLS].T
         c, month = rows[r], months[mi]
-        senders = _cell_senders(ctx, c, month, p[r, mi], seed, draws)
-        totals[:, mi] += senders * params.rho * ctx.monthly_income[c, month]
+        senders = np.empty((len(c), draws), dtype=np.int64)
+        # the counts per age, each sex's rounded half-to-even
+        for k, low, pmf in _cell_pmfs(np.rint(ctx.cohort_counts(c, month)).sum(axis=1)
+                                      .astype(np.int64), p[r, mi]):
+            rng = np.random.default_rng(corridor_seed(seed, c[k], month[k]))
+            senders[k] = _cell_draws(rng, low, pmf, draws)
+        for k in range(len(c)):
+            totals[:, mi[k]] += senders[k] * params.rho * ctx.monthly_income[c[k], month[k]]
     return totals
 
 

@@ -139,12 +139,19 @@ def test_sampler_rejects_zero_draws():
 # The same sampler identities through the production sampler, which merges the
 # two sexes of an age and draws one binomial per age
 
+def _every_cell(counts):
+    """A stand-in for ``SimulationContext.cohort_counts`` that gives every
+    corridor-month the (2, 101) cohort ``counts``, in the shape the real
+    method gives for its indexes."""
+    return lambda c, m: np.broadcast_to(counts, np.broadcast(c, m).shape + counts.shape)
+
+
 def _production_totals(small_dataset, monkeypatch, counts, probs, params, seed, draws):
     """Sampled USD totals of one corridor-month with (2, 101) cohort ``counts`` and
     per-age ``probs``, drawn by ``flows._sample_cells``; and the monthly income."""
     month = 30
     ctx = SimulationContext(small_dataset, start=month, end=month)
-    monkeypatch.setattr(ctx, "cohort_counts", lambda c, m: counts)
+    monkeypatch.setattr(ctx, "cohort_counts", _every_cell(counts))
     cube = np.zeros((ctx.n_corridors, 1, N_AGES))
     cube[0, 0] = probs
     totals = flows_module._sample_cells(ctx, params, np.arange(ctx.n_corridors), cube, seed,
@@ -233,6 +240,13 @@ def _total_variation(low: int, pmf: np.ndarray, want_low: int,
     return 0.5 * float(np.abs(got - ref).sum()), float(ref.sum() - covered)
 
 
+def _cell_pmf(n: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
+    """The sampler's pmf of one cell with the ages ``n`` and ``p``: its least
+    value and the probabilities from there."""
+    (_, low, pmf), = flows_module._cell_pmfs(n[None], p[None])
+    return low, pmf
+
+
 _SIGMAS = np.geomspace(0.3, 45.0, 16)
 _MIXED = np.random.default_rng(23)
 _WIDE = np.random.default_rng(31)
@@ -244,7 +258,7 @@ _WIDE = np.random.default_rng(31)
     (np.rint(_SIGMAS**2 / 0.09), np.tile([0.1, 0.9], 8)),
     ([10**6], [0.5]),
     ([10**4], [1e-9]),
-    ([40], [1.0]),  # the flipped age n - Bin(n, 0)
+    ([40], [1.0]),  # a certain age: its n in every value
     (_MIXED.integers(1, 3000, 16),
      _MIXED.choice([-1.0, 1.0], 16) * _MIXED.uniform(0.05, 0.95, 16)),
     ([1], [0.3]), ([50], [0.5]), ([6691], [0.3]), ([10**6], [0.3]),
@@ -258,7 +272,7 @@ def test_cell_pmf_is_the_convolution_of_its_binomials(n, p):
     of scipy's binomial pmfs, and the convolution's mass outside the values that
     the pmf covers is below 1e-15 (the alias bound)."""
     n, p = np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float)
-    low, pmf = flows_module._cell_pmf(n, p)
+    low, pmf = _cell_pmf(n, p)
     distance, outside = _total_variation(low, pmf, *_direct_pmf(n, p))
     assert (pmf >= 0).all()
     assert distance <= 1e-12
@@ -275,7 +289,7 @@ def test_cell_draws_are_independent():
     n = np.arange(20, 340, 20)
     p = np.linspace(-0.55, 0.95, 16)
     rng = np.random.default_rng(5)
-    rows = [flows_module._cell_draws(rng, n, p, draws) for _ in range(2)]
+    rows = [flows_module._cell_draws(rng, *_cell_pmf(n, p), draws) for _ in range(2)]
     mean = float((n * p).sum())
     var = float((n * np.abs(p) * (1 - np.abs(p))).sum())
     bound = 4 / np.sqrt(draws)
@@ -293,15 +307,17 @@ def desk_window_cells(desk_dataset):
     corridor-month of the desk fixture's band window: the factual cube's
     cells, then the induced (no-disaster) delta's."""
     cells = []
-    draw = flows_module._cell_draws
+    pmfs = flows_module._cell_pmfs
 
-    def recording_draws(rng, n, p, draws):
-        cells.append((n.copy(), p.copy()))
-        return draw(rng, n, p, draws)
+    def recording_pmfs(n, p):
+        for row_n, row_p in zip(n, p):
+            ages = (row_n > 0) & (row_p != 0)
+            cells.append((row_n[ages], row_p[ages]))
+        return pmfs(n, p)
 
     ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flows_module, "_cell_draws", recording_draws)
+        patch.setattr(flows_module, "_cell_pmfs", recording_pmfs)
         sample_monthly_totals(ctx, PARAMS, None, 1, 1)
         factual = len(cells)
         sample_induced_totals(ctx, PARAMS, scenario_none(), 1, 1)
@@ -314,7 +330,7 @@ def test_desk_window_pmfs_are_the_convolutions_of_their_binomials(desk_window_ce
     induced, the pmf is within 1e-12 in total variation of the direct
     convolution of scipy's binomial pmfs."""
     for n, p in desk_window_cells:
-        distance, _ = _total_variation(*flows_module._cell_pmf(n, p), *_direct_pmf(n, p))
+        distance, _ = _total_variation(*_cell_pmf(n, p), *_direct_pmf(n, p))
         assert distance <= 1e-12
 
 
@@ -323,12 +339,86 @@ def test_desk_window_pmf_moments_are_the_sums(desk_window_cells):
     induced, the pmf's mean and variance are sum n p and sum n |p| (1 - |p|)
     to 1e-9 relative."""
     for n, p in desk_window_cells:
-        low, pmf = flows_module._cell_pmf(n, p)
+        low, pmf = _cell_pmf(n, p)
         values = low + np.arange(pmf.size)
         mean = float((values * pmf).sum())
         var = float(((values - mean) ** 2 * pmf).sum())
         assert mean == pytest.approx(float((n * p).sum()), rel=1e-9)
         assert var == pytest.approx(float((n * np.abs(p) * (1 - np.abs(p))).sum()), rel=1e-9)
+
+
+def test_cell_pmf_does_not_depend_on_the_batch(desk_window_cells, monkeypatch):
+    """Each sampled cell of the desk fixture's band window has the same pmf,
+    to the bit, alone and in one call with all the others, where every cell of
+    a grid size is evaluated in one batch, beside cells with other numbers of
+    ages, of frequencies and of series terms."""
+    width = max(n.size for n, _ in desk_window_cells)
+    n = np.zeros((len(desk_window_cells), width), dtype=np.int64)
+    p = np.zeros(n.shape)
+    for row, (ages, probs) in enumerate(desk_window_cells):
+        n[row, :ages.size], p[row, :ages.size] = ages, probs
+    batches = []
+    evaluate = flows_module._grid_pmfs
+
+    def recording_evaluate(table, grid, freqs, terms, slope):
+        batches.append(((table[0] > 0).sum(axis=0), freqs, terms))
+        return evaluate(table, grid, freqs, terms, slope)
+
+    monkeypatch.setattr(flows_module, "_BATCH_ELEMENTS", 2**40)
+    monkeypatch.setattr(flows_module, "_grid_pmfs", recording_evaluate)
+    together = {row: (low, pmf) for row, low, pmf in flows_module._cell_pmfs(n, p)}
+    assert any(len(set(ages)) > 1 and len(set(freqs)) > 1 and len(set(terms)) > 1
+               for ages, freqs, terms in batches)
+    assert len(together) == len(desk_window_cells)
+    for row, (ages, probs) in enumerate(desk_window_cells):
+        low, pmf = _cell_pmf(ages, probs)
+        assert together[row][0] == low
+        assert together[row][1].tobytes() == pmf.tobytes()
+
+
+def test_sampled_totals_do_not_depend_on_the_chunks(desk_dataset, monkeypatch):
+    """The factual and induced draws of the desk fixture's band window are the
+    same bytes when every corridor-month is set up and evaluated alone."""
+    ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
+    cube = ctx.probability_cube(PARAMS, None, (slice(None), ctx.window))
+
+    def sampled():
+        return (flows_module._sample_cells(ctx, PARAMS, np.arange(ctx.n_corridors), cube, 2,
+                                           1000).tobytes(),
+                sample_induced_totals(ctx, PARAMS, scenario_none(), 2, 1000).tobytes())
+
+    chunked = sampled()
+    monkeypatch.setattr(flows_module, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(flows_module, "_BATCH_ELEMENTS", 1)
+    assert sampled() == chunked
+
+
+def test_grid_size_is_the_least_smooth_number():
+    """The grid size is the least 2^a 3^b 5^c >= m, for every m up to 20,000."""
+    smooth = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(11) for c in range(8)
+                    if 2**a * 3**b * 5**c <= 2**15)
+    m = np.arange(1, 20_001)
+    want = np.array([next(s for s in smooth if s >= k) for k in m.tolist()])
+    assert (flows_module._grid_size(m) == want).all()
+
+
+def test_lookup_is_searchsorted():
+    """The inverse-CDF lookup gives, index for index, ``np.searchsorted(cdf, u,
+    side="right")``: on random uniforms, on uniforms equal to cumulative
+    values, on u = 0, and on runs of equal cumulative values (zero-mass
+    points)."""
+    rng = np.random.default_rng(12)
+    pmf = rng.random(400)
+    pmf[rng.choice(400, 120, replace=False)] = 0.0
+    pmf[:5] = pmf[200:230] = pmf[-7:] = 0.0  # zero mass at both ends and a run inside
+    pmf /= pmf.sum()
+    cdf = np.cumsum(pmf)
+    for u in (rng.random(5000) * cdf[-1],
+              rng.permutation(np.repeat(cdf, 3)),
+              np.zeros(50),
+              rng.permutation(np.concatenate([cdf[195:235], rng.random(100) * cdf[-1],
+                                              np.zeros(10)]))):
+        assert (flows_module._lookup(cdf, u) == np.searchsorted(cdf, u, side="right")).all()
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +635,7 @@ def _patched_induced(small_dataset, monkeypatch, counts, p_f, p_c, seed, draws):
     first affected row differs, every other row has ``p_c`` in both cubes."""
     month = 30
     ctx = SimulationContext(small_dataset, start=month, end=month)
-    monkeypatch.setattr(ctx, "cohort_counts", lambda c, m: counts)
+    monkeypatch.setattr(ctx, "cohort_counts", _every_cell(counts))
 
     def cube(params, active_ids=None, at=None):
         probs = np.tile(p_c, (len(at[0]), 1, 1))
@@ -606,7 +696,7 @@ def test_merged_ages_round_each_sex_half_to_even(small_dataset, monkeypatch):
     sends = ages % 3 == 0
     cube = np.zeros((ctx.n_corridors, 3, N_AGES))
     cube[:, :, sends] = 1.0
-    monkeypatch.setattr(ctx, "cohort_counts", lambda c, month: counts)
+    monkeypatch.setattr(ctx, "cohort_counts", _every_cell(counts))
     monkeypatch.setattr(ctx, "probability_cube", lambda params, active_ids=None, at=None: cube)
     totals = sample_monthly_totals(ctx, PARAMS, None, 4, 5)
 
@@ -691,7 +781,7 @@ def test_wide_cell_memory_stays_under_a_mebibyte():
     p[5] = 0.5
     tracemalloc.start()
     try:
-        flows_module._cell_draws(np.random.default_rng(1), n, p, 1000)
+        flows_module._cell_draws(np.random.default_rng(1), *_cell_pmf(n, p), 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
