@@ -65,20 +65,16 @@ fixture's band window (factual and induced) its largest total-variation
 distance to a direct ``np.convolve`` of scipy's binomial pmfs is 2.0e-14;
 the tests bound it by 1e-12 there and at n up to 10^6.
 
-The corridor-months are set up and evaluated in batches, and a cell's pmf
-has the same bits in any batch. One setup pass per ``_CHUNK_CELLS`` cells
-takes the counts in one call and the per-age and per-cell quantities on one
-flat array of the ages to draw; each cell's sums (its mean, variance, phase
-slope, support ends) are ``np.add.reduceat`` over its own ages, whose order
-does not depend on the other cells. The cells of one grid size are then
-evaluated together, up to ``_BATCH_ELEMENTS`` elements, in one ages-major
-(ages, cells, frequencies) array and one batched ``irfft``, with the series
-coefficients up to the batch's own term count. The padding is exactly
-neutral: a padded age has n = 0 and q = 0, a series term past a cell's own
-has coefficient 0, and a cell's frequencies past its own cut are set to 0 in
-its spectrum. The sums over ages run along the leading axis, one addition
-per age in age order, and are elementwise products and sums, so no BLAS
-build enters.
+The corridor-months are set up in chunks and evaluated one at a time. One
+setup pass per ``_CHUNK_CELLS`` cells takes the counts in one call and the
+per-age and per-cell quantities on one flat array of the ages to draw; each
+cell's sums (its mean, variance, phase slope, support ends) are
+``np.add.reduceat`` over its own ages, whose order does not depend on the
+other cells, so a cell's pmf has the same bits in any chunk. Each cell's
+characteristic function is then evaluated on its own, in one (ages,
+frequencies) array and one ``irfft``; the sums over ages run along the
+leading axis, one addition per age in age order, and are elementwise
+products and sums, so no BLAS build enters.
 """
 from __future__ import annotations
 
@@ -148,12 +144,9 @@ _GRID_SIZES = np.multiply.outer(np.multiply.outer(2.0 ** np.arange(41), 3.0 ** n
                                 5.0 ** np.arange(18))
 _GRID_SIZES = np.sort(_GRID_SIZES[_GRID_SIZES <= 2.0**40]).astype(np.int64)
 
-# Corridor-months per setup pass (:func:`_cell_pmfs`), and elements, ages x
-# cells x frequencies or cells x grid points, per evaluation of the
-# characteristic functions of cells of one grid size (:func:`_grid_pmfs`).
-# Both bound the sampler's memory, whatever the corridor count or the window.
+# Corridor-months per setup pass (:func:`_cell_pmfs`). It bounds the setup's
+# memory, whatever the corridor count or the window.
 _CHUNK_CELLS = 16
-_BATCH_ELEMENTS = 2**14
 
 
 def _grid_size(m):
@@ -161,26 +154,23 @@ def _grid_size(m):
     return _GRID_SIZES[np.searchsorted(_GRID_SIZES, m)]
 
 
-def _grid_pmfs(table: np.ndarray, grid: int, freqs: np.ndarray, terms: np.ndarray,
-               slope: np.ndarray) -> np.ndarray:
-    """The inverse real DFTs, shape (cells, ``grid``), of phi(-t) exp(itL) of
-    cells that share the grid size ``grid``. ``table`` holds n, s n, q (1 - q)
-    and q per age and cell, ages-major; a padded age has n = 0 and q = 0. Per
-    cell, its frequencies from ``freqs`` on are 0, psi's series has ``terms``
-    terms (the coefficients past them are 0), and ``slope`` is the phase's
-    linear part over t. The sums over ages run along the leading axis, so a
-    cell's values have the same bits in any batch."""
-    n, count, spread, q = table[..., None]
+def _grid_pmfs(ages: np.ndarray, grid: int, freqs: int, terms: int,
+               slope: float) -> np.ndarray:
+    """The inverse real DFT, ``grid`` points, of one cell's phi(-t) exp(itL).
+    ``ages`` holds the cell's n, s n, q (1 - q) and q, one row each and one
+    column per age; the frequencies from ``freqs`` on are 0, psi's series has
+    ``terms`` terms, and ``slope`` is the phase's linear part over t. The sums
+    over ages run along the leading axis, in age order."""
+    n, count, spread, q = ages[..., None]
     # psi's imaginary part is t^3 sum_j coef_j t^(2j - 2), with coef_j =
     # _SIN_SERIES[j - 1] q (1 - q) ((1 - q)^(2j) - q^(2j))
-    power = np.arange(2, 2 * terms.max() + 1, 2)[:, None, None, None]
+    power = np.arange(2, 2 * terms + 1, 2)[:, None, None]
     coef = (1.0 - q) ** power - q ** power
     coef *= spread
-    coef *= _SIN_SERIES[:len(coef), None, None, None]
-    coef *= power <= 2 * terms[:, None]
-    t = np.arange(freqs.max()) * (2.0 * math.pi / grid)
+    coef *= _SIN_SERIES[:terms, None, None]
+    t = np.arange(freqs) * (2.0 * math.pi / grid)
     squares = t * t
-    im = np.empty(table.shape[1:] + t.shape)
+    im = np.empty((len(q), freqs))
     im[:] = coef[-1]
     for row in coef[-2::-1]:
         im *= squares
@@ -194,36 +184,13 @@ def _grid_pmfs(table: np.ndarray, grid: int, freqs: np.ndarray, terms: np.ndarra
     modulus *= n
     log_abs = 0.5 * modulus.sum(axis=0)
     re -= np.multiply(im, im, out=modulus)
-    del modulus, shrink
     np.maximum(re, 0.0, out=re)
     np.sqrt(re, out=re)
     psi = np.arctan2(im, re, out=im)
-    del re
     psi *= count
-    phase = t * slope[:, None] - psi.sum(axis=0)
-    spectrum = np.zeros((slope.size, grid // 2 + 1), dtype=complex)
-    evaluated = spectrum[:, :t.size]
-    evaluated[:] = np.exp(log_abs + 1j * phase)
-    evaluated[np.arange(t.size) >= freqs[:, None]] = 0.0
+    spectrum = np.zeros(grid // 2 + 1, dtype=complex)
+    spectrum[:freqs] = np.exp(log_abs + 1j * (t * slope - psi.sum(axis=0)))
     return np.fft.irfft(spectrum, grid)
-
-
-def _batches(grid: np.ndarray, sizes: np.ndarray, freqs: np.ndarray) -> Iterator[np.ndarray]:
-    """Index arrays of the cells that are evaluated together: cells of one grid
-    size, in ascending order of it, as many as fit ``_BATCH_ELEMENTS`` (one
-    at least), given each cell's ``sizes`` (ages) and ``freqs``."""
-    order = np.argsort(grid, kind="stable")
-    start = 0
-    while start < order.size:
-        points = grid[order[start]]
-        stop = start + 1
-        while stop < order.size and grid[order[stop]] == points:
-            batch = order[start:stop + 1]
-            if batch.size * max(sizes[batch].max() * freqs[batch].max(), points) > _BATCH_ELEMENTS:
-                break
-            stop += 1
-        yield order[start:stop]
-        start = stop
 
 
 def _cell_pmfs(n: np.ndarray, p: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -232,14 +199,13 @@ def _cell_pmfs(n: np.ndarray, p: np.ndarray) -> Iterator[tuple[int, int, np.ndar
     row, the sum's least value, and the probabilities of that value and of
     each next one (see the module docstring). An age with |p| = 1 adds its n,
     or takes it away, in every value. The rows with no other age come first,
-    then the others batch by batch.
+    then the others in row order.
 
     One setup pass takes the per-age and per-cell quantities of all the
     cells on one flat array of the ages to draw; each cell's sums are
-    ``np.add.reduceat`` over its own ages. Then the cells of one grid size
-    are evaluated together (:func:`_grid_pmfs`), which takes the series
-    coefficients up to the batch's own term count. A cell's pmf has the same
-    bits in any batch."""
+    ``np.add.reduceat`` over its own ages, so a cell's pmf has the same bits
+    in any call. Then each cell is evaluated on its own (:func:`_grid_pmfs`),
+    with its own grid, frequency count, series terms and phase slope."""
     signed = np.where(p < 0, -n, n)
     nonzero = (n > 0) & (p != 0)
     certain = nonzero & (np.abs(p) == 1.0)
@@ -279,21 +245,13 @@ def _cell_pmfs(n: np.ndarray, p: np.ndarray) -> Iterator[tuple[int, int, np.ndar
     terms = 1 + (np.abs(_SIN_SERIES[1:]) * top[:, None] ** np.arange(2, 2 * _SIN_SERIES.size, 2)
                  > 2.0**-60 * abs(_SIN_SERIES[0])).sum(axis=1)
     ages = np.vstack([n, count, spread, q])
-    rank = np.arange(n.size) - np.repeat(starts, sizes)  # each age's place in its cell
-    del n, p, signed, q, flip, lost, count, spread  # not held while the batches are evaluated
-    for batch in _batches(grid, sizes, freqs):
-        # the batch's ages, cell by cell, into a table padded with zeros
-        at = np.repeat(starts[batch] - (np.cumsum(sizes[batch]) - sizes[batch]),
-                       sizes[batch]) + np.arange(sizes[batch].sum())
-        table = np.zeros((len(ages), sizes[batch].max(), batch.size))
-        table[:, rank[at], np.repeat(np.arange(batch.size), sizes[batch])] = ages[:, at]
-        values = _grid_pmfs(table, int(grid[batch[0]]), freqs[batch], terms[batch],
-                            slope[batch])
-        for pmf, cell in zip(values, batch):
-            pmf = pmf[:min(grid[cell], last[cell] - low[cell] + 1)]
-            np.maximum(pmf, 0.0, out=pmf)
-            pmf /= pmf.sum()
-            yield cells[cell], int(low[cell] + base[cells[cell]]), pmf
+    for cell, row in enumerate(cells):
+        pmf = _grid_pmfs(ages[:, starts[cell]:starts[cell] + sizes[cell]], int(grid[cell]),
+                         int(freqs[cell]), int(terms[cell]), slope[cell])
+        pmf = pmf[:min(grid[cell], last[cell] - low[cell] + 1)]
+        np.maximum(pmf, 0.0, out=pmf)
+        pmf /= pmf.sum()
+        yield row, int(low[cell] + base[row]), pmf
 
 
 def _lookup(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

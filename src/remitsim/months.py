@@ -5,7 +5,6 @@ import re
 
 BASE_YEAR = 2010
 WINDOW_MONTHS = 120  # 2010-01 .. 2019-12
-FIRST_MONTH = 0
 LAST_MONTH = WINDOW_MONTHS - 1
 
 _MONTH_RE = re.compile("([0-9]{4})-([0-9]{2})")  # ASCII digits; matched whole

@@ -347,28 +347,28 @@ def test_desk_window_pmf_moments_are_the_sums(desk_window_cells):
         assert var == pytest.approx(float((n * np.abs(p) * (1 - np.abs(p))).sum()), rel=1e-9)
 
 
-def test_cell_pmf_does_not_depend_on_the_batch(desk_window_cells, monkeypatch):
+def test_cell_pmf_does_not_depend_on_the_setup_pass(desk_window_cells, monkeypatch):
     """Each sampled cell of the desk fixture's band window has the same pmf,
-    to the bit, alone and in one call with all the others, where every cell of
-    a grid size is evaluated in one batch, beside cells with other numbers of
-    ages, of frequencies and of series terms."""
+    to the bit, set up alone and in one call with all the others, beside cells
+    with other grid sizes and other numbers of ages and of series terms; each
+    cell is evaluated once."""
     width = max(n.size for n, _ in desk_window_cells)
     n = np.zeros((len(desk_window_cells), width), dtype=np.int64)
     p = np.zeros(n.shape)
     for row, (ages, probs) in enumerate(desk_window_cells):
         n[row, :ages.size], p[row, :ages.size] = ages, probs
-    batches = []
+    evaluated = []
     evaluate = flows_module._grid_pmfs
 
-    def recording_evaluate(table, grid, freqs, terms, slope):
-        batches.append(((table[0] > 0).sum(axis=0), freqs, terms))
-        return evaluate(table, grid, freqs, terms, slope)
+    def recording_evaluate(ages, grid, freqs, terms, slope):
+        evaluated.append((ages.shape[1], grid, terms))
+        return evaluate(ages, grid, freqs, terms, slope)
 
-    monkeypatch.setattr(flows_module, "_BATCH_ELEMENTS", 2**40)
     monkeypatch.setattr(flows_module, "_grid_pmfs", recording_evaluate)
     together = {row: (low, pmf) for row, low, pmf in flows_module._cell_pmfs(n, p)}
-    assert any(len(set(ages)) > 1 and len(set(freqs)) > 1 and len(set(terms)) > 1
-               for ages, freqs, terms in batches)
+    monkeypatch.undo()
+    assert len(evaluated) == sum((np.abs(probs) < 1).any() for _, probs in desk_window_cells)
+    assert all(len(set(column)) > 1 for column in zip(*evaluated))
     assert len(together) == len(desk_window_cells)
     for row, (ages, probs) in enumerate(desk_window_cells):
         low, pmf = _cell_pmf(ages, probs)
@@ -378,7 +378,7 @@ def test_cell_pmf_does_not_depend_on_the_batch(desk_window_cells, monkeypatch):
 
 def test_sampled_totals_do_not_depend_on_the_chunks(desk_dataset, monkeypatch):
     """The factual and induced draws of the desk fixture's band window are the
-    same bytes when every corridor-month is set up and evaluated alone."""
+    same bytes when every corridor-month is set up alone."""
     ctx = SimulationContext(desk_dataset, start=BANDS_WINDOW[0], end=BANDS_WINDOW[1])
     cube = ctx.probability_cube(PARAMS, None, (slice(None), ctx.window))
 
@@ -389,7 +389,6 @@ def test_sampled_totals_do_not_depend_on_the_chunks(desk_dataset, monkeypatch):
 
     chunked = sampled()
     monkeypatch.setattr(flows_module, "_CHUNK_CELLS", 1)
-    monkeypatch.setattr(flows_module, "_BATCH_ELEMENTS", 1)
     assert sampled() == chunked
 
 
@@ -773,7 +772,7 @@ def test_sampler_memory_stays_under_a_mebibyte(desk_dataset):
 def test_wide_cell_memory_stays_under_a_mebibyte():
     """Drawing one cell that holds an age with n = 10^6 and p = 0.5 (sigma =
     500) 1,000 times allocates at most 1 MiB at its peak: the cell's grid has
-    16,384 points, and its characteristic function is evaluated at only the
+    12,150 points, and its characteristic function is evaluated at only the
     frequencies where it is not negligible."""
     n = np.full(16, 300)
     n[5] = 10**6

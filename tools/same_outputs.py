@@ -13,8 +13,11 @@ every command on the desk and scale datasets, a bootstrapped ``calibrate``
 on the noisy one under the default split and under ``--split-fraction 0.6
 --split-seed 5`` (into ``noisy-split``), and ``simulate`` and
 ``counterfactual`` over 2016 on the desk (12-month bands, into
-``desk-year``) and ``attribute`` under the leave-one-out convention on the
+``desk-year``), ``attribute`` under the leave-one-out convention on the
 desk (into ``desk-loo``, selected by a line of its own ``run.config``),
+and ``simulate`` and ``counterfactual`` over 2019-06 on the scale inputs
+with 1000 band draws (into ``scale-bands``, by a line of its own
+``run.config``),
 all on ``WORK_DIR/inputs``, first with ``BASE_SRC`` and then with this
 checkout's ``src``, each into ``WORK_DIR/out``, and moves each tree's
 outputs aside. The runs use the same paths because the manifests echo them.
@@ -57,13 +60,19 @@ COMMANDS = {
     "desk-year": [("simulate", "--start", "2016-01", "--end", "2016-12"),
                   ("counterfactual", "--start", "2016-01", "--end", "2016-12")],
     "desk-loo": [("attribute",)],
+    # one month of bands at scale, where cells with sigma in the hundreds get
+    # grids of thousands of points
+    "scale-bands": [("simulate", "--start", "2019-06", "--end", "2019-06"),
+                    ("counterfactual", "--start", "2019-06", "--end", "2019-06")],
 }
 # the datasets whose runs read another one's inputs
-INPUTS = {"desk-year": "desk", "desk-loo": "desk", "noisy-split": "noisy-desk"}
+INPUTS = {"desk-year": "desk", "desk-loo": "desk", "noisy-split": "noisy-desk",
+          "scale-bands": "scale"}
 # the lines a dataset adds to the run.config of the inputs it reads, into
 # WORK_DIR/inputs/<dataset>/run.config; a config line, not a flag, so that
 # every tree echoes the same attribution in its manifest
-CONFIG_LINES = {"desk-loo": "attribution = leave_one_out\n"}
+CONFIG_LINES = {"desk-loo": "attribution = leave_one_out\n",
+                "scale-bands": "band_draws = 1000\n"}
 
 
 def make_inputs(src: Path, inputs: Path) -> None:
